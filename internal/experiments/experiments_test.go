@@ -198,3 +198,21 @@ func TestTrainExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestPerfRuns drives the whole §5.5 harness: the saturation probe, a
+// Syzkaller-mode campaign (no server — this used to panic on a typed-nil
+// one) and a Snowplow-mode campaign.
+func TestPerfRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model and runs two campaigns")
+	}
+	res := Perf(NewHarness(tinyOpts()))
+	if res.InferenceQPS <= 0 || res.SyzkallerTPS <= 0 || res.SnowplowTPS <= 0 || res.ParityPct <= 0 {
+		t.Fatalf("empty §5.5 measurement: %+v", res)
+	}
+	var buf bytes.Buffer
+	res.Render(&buf)
+	if !strings.Contains(buf.String(), "parity") {
+		t.Fatalf("render missing the parity line:\n%s", buf.String())
+	}
+}

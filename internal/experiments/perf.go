@@ -98,8 +98,11 @@ func FuzzThroughput(h *Harness) (snowplowTPS, syzkallerTPS float64) {
 	return snowplowTPS, syzkallerTPS
 }
 
-// fuzzThroughput measures wall-clock tests/second for one mode.
-func fuzzThroughput(h *Harness, mode fuzzer.Mode, srv *serve.Server) float64 {
+// fuzzThroughput measures wall-clock tests/second for one mode. srv is the
+// interface, not *serve.Server, so that the Syzkaller-mode nil stays a nil
+// interface in fuzzer.Config (a typed nil pointer there gets its methods
+// called).
+func fuzzThroughput(h *Harness, mode fuzzer.Mode, srv serve.Inferrer) float64 {
 	k := h.Kernel("6.8")
 	an := h.Analysis("6.8")
 	cfg := fuzzer.Config{

@@ -27,7 +27,7 @@ func batchGraphs(t testing.TB, n int, seed uint64) []*qgraph.Graph {
 // batched forward must return, for every member graph, exactly the slots
 // and bit-identical probabilities of a standalone Predict call.
 func TestPredictBatchMatchesPredict(t *testing.T) {
-	gs := batchGraphs(t, 6, 300)
+	gs := batchGraphs(t, 6, 1400)
 	m := NewModel(rng.New(3), DefaultConfig(), BuildVocab(testKernel))
 	m.Freeze()
 	batchSlots, batchProbs := m.PredictBatch(gs)
@@ -110,7 +110,7 @@ func TestPredictBatchHandlesDegenerateMembers(t *testing.T) {
 // MatMul worker count.
 func TestPredictBatchWorkerInvariant(t *testing.T) {
 	defer nn.SetWorkers(1)
-	gs := batchGraphs(t, 4, 600)
+	gs := batchGraphs(t, 4, 1500)
 	m := NewModel(rng.New(6), DefaultConfig(), BuildVocab(testKernel))
 	m.Freeze()
 	nn.SetWorkers(1)

@@ -83,6 +83,12 @@ type Model struct {
 	// plain pooled forward — see internal/nn's fused.go and quant.go.
 	fused bool
 	quant *nn.Quantized
+
+	// blockMemo caches the token encoder's output per vocabulary-id
+	// sequence. Only a fused frozen forward consults it, and everything that
+	// changes what the encoder would compute (EnableFused, Quantize)
+	// replaces it — see blockmemo.go.
+	blockMemo *blockMemo
 }
 
 // PoolStats snapshots the inference tensor-pool traffic counters (the
@@ -132,6 +138,7 @@ func (m *Model) EnableFused() {
 	}
 	m.linears(func(l *nn.Linear) { l.FreezeFused() })
 	m.fused = true
+	m.blockMemo = newBlockMemo()
 }
 
 // Quantize builds the per-tensor int8 encoding of every large parameter
@@ -155,6 +162,8 @@ func (m *Model) Quantize() error {
 		// weights; rebuild them from the dequantized values.
 		m.linears(func(l *nn.Linear) { l.FreezeFused() })
 	}
+	// Rows memoised so far were encoded with the pre-quantization weights.
+	m.blockMemo = newBlockMemo()
 	return nil
 }
 
@@ -175,6 +184,7 @@ func NewModel(r *rng.Rand, cfg Config, vocab *Vocab) *Model {
 		absentEmb: nn.NewEmbedding(r, 2, d),
 		head:      nn.NewMLP(r, 3*d, d, 1),
 		pool:      nn.NewPool(),
+		blockMemo: newBlockMemo(),
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		var kinds []*nn.Linear
@@ -258,6 +268,12 @@ func newAliasedModel(m *Model) *Model {
 // threshold tuning during training: it sees every weight update of the
 // master immediately and, being frozen, runs through the pooled inference
 // path, which is bit-identical to the training-ops forward.
+//
+// A shadow (or any weight-aliased replica) must never be fused: EnableFused
+// snapshots the weights twice — the transposed-weight caches and, through
+// the block memo, whole encoder outputs — and the master's next Adam step
+// would leave both describing weights that no longer exist. Unfused, every
+// forward reads the aliased weights afresh.
 func newEvalShadow(m *Model) *Model {
 	shadow := newAliasedModel(m)
 	shadow.Freeze()
@@ -321,10 +337,11 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 	// Initial vertex states for every graph, in batch order. Under the
 	// fused kernels the whole construction is batched by vertex class
 	// (vertexStateFused); otherwise each vertex runs its own embedding
-	// chain. Both produce bit-identical rows.
+	// chain. Both produce bit-identical rows. The batched path reads the
+	// block memo, which is only valid behind EnableFused, hence m.fused.
 	targetIdx := make([][]int, len(gs)) // union indices of VTarget vertices
 	var state *nn.Tensor
-	if f, ok := ops.(nn.FusedOps); ok && f.FusionEnabled() {
+	if f, ok := ops.(nn.FusedOps); ok && m.fused && f.FusionEnabled() {
 		state = m.vertexStateFused(f, gs, offsets, total, targetIdx)
 	} else {
 		rows := make([]*nn.Tensor, 0, total)
@@ -371,19 +388,34 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 	}
 
 	// Pre-index union edges by kind+direction once. Edges never cross
-	// graph boundaries, so message passing cannot mix graphs.
+	// graph boundaries, so message passing cannot mix graphs. A reverse
+	// bucket is its forward bucket with src and dst swapped, so the two share
+	// storage, and a counting pass sizes all of it in one allocation.
 	type edgeList struct{ src, dst []int }
+	var perKind [qgraph.NumEdgeKinds]int
+	nEdges := 0
+	for _, g := range gs {
+		nEdges += len(g.Edges)
+		for _, e := range g.Edges {
+			perKind[e.Kind]++
+		}
+	}
+	edgeIdx := make([]int, 2*nEdges)
 	buckets := make([]edgeList, qgraph.NumEdgeKinds*2)
+	for k, n := range perKind {
+		buckets[k] = edgeList{src: edgeIdx[:0:n], dst: edgeIdx[n : n : 2*n]}
+		edgeIdx = edgeIdx[2*n:]
+	}
 	for gi, g := range gs {
 		off := offsets[gi]
 		for _, e := range g.Edges {
-			k := int(e.Kind)
-			buckets[k].src = append(buckets[k].src, off+e.From)
-			buckets[k].dst = append(buckets[k].dst, off+e.To)
-			rk := k + qgraph.NumEdgeKinds
-			buckets[rk].src = append(buckets[rk].src, off+e.To)
-			buckets[rk].dst = append(buckets[rk].dst, off+e.From)
+			b := &buckets[e.Kind]
+			b.src = append(b.src, off+e.From)
+			b.dst = append(b.dst, off+e.To)
 		}
+	}
+	for k := 0; k < qgraph.NumEdgeKinds; k++ {
+		buckets[k+qgraph.NumEdgeKinds] = edgeList{src: buckets[k].dst, dst: buckets[k].src}
 	}
 
 	// Message passing over the union graph. Under the fused kernels the
@@ -464,14 +496,16 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 
 // vertexStateFused builds the initial union vertex-state matrix through the
 // fused kernels. Instead of one embedding chain and one token-encoder pass
-// per vertex, it batches every step across vertices of the same shape: all
-// token blocks run through a single ragged-attention encoder (one big
-// gather, batched Q/K/V/Out projections, per-block attention inside the
-// kernel), every embedding table is gathered once for all its consumers,
-// and the per-class sums apply the same per-row add order as the per-vertex
-// chain. Every row is bit-identical to the unfused construction — the
-// batched kernels are row-independent — at a small fraction of the kernel
-// launches. Also collects targetIdx (union indices of VTarget vertices).
+// per vertex, it batches every step across vertices of the same shape: the
+// token blocks the model has not encoded before run through a single
+// ragged-attention encoder (one big gather, batched Q/K/V/Out projections,
+// per-block attention inside the kernel) and the rest come out of the block
+// memo (blockmemo.go), every embedding table is gathered once for all its
+// consumers, and the per-class sums apply the same per-row add order as the
+// per-vertex chain. Every row is bit-identical to the unfused construction
+// — the batched kernels are row-independent — at a small fraction of the
+// kernel launches. Also collects targetIdx (union indices of VTarget
+// vertices).
 func (m *Model) vertexStateFused(f nn.FusedOps, gs []*qgraph.Graph, offsets []int, total int, targetIdx [][]int) *nn.Tensor {
 	ar := f.Arena()
 
@@ -479,8 +513,14 @@ func (m *Model) vertexStateFused(f nn.FusedOps, gs []*qgraph.Graph, offsets []in
 	// index lists. Arg vertices split on token presence so each class has a
 	// uniform add chain.
 	blockRow := make([]int, total)
-	var flat []int
-	bounds := []int{0}
+	maxIDs := 0 // an empty block still contributes one id (UnkID)
+	for _, g := range gs {
+		for vi := range g.Vertices {
+			maxIDs += len(g.Vertices[vi].Tokens) + 1
+		}
+	}
+	blockKeys := make([]byte, 0, 4*maxIDs) // memo keys of the token blocks, back to back
+	blockEnds := make([]int, 0, total)     // block b's key ends at blockKeys[blockEnds[b]]
 	var (
 		sysU, sysCall                                        []int
 		argU, argType, argTop, argDepth, argAbsent           []int
@@ -502,15 +542,15 @@ func (m *Model) vertexStateFused(f nn.FusedOps, gs []*qgraph.Graph, offsets []in
 				needBlock = true
 			}
 			if needBlock {
-				blockRow[u] = len(bounds) - 1
+				blockRow[u] = len(blockEnds)
 				if len(v.Tokens) == 0 {
-					flat = append(flat, UnkID)
+					blockKeys = appendBlockKey(blockKeys, UnkID)
 				} else {
 					for _, tok := range v.Tokens {
-						flat = append(flat, m.Vocab.ID(tok))
+						blockKeys = appendBlockKey(blockKeys, m.Vocab.ID(tok))
 					}
 				}
-				bounds = append(bounds, len(flat))
+				blockEnds = append(blockEnds, len(blockKeys))
 			}
 			switch v.Kind {
 			case qgraph.VSyscall:
@@ -554,19 +594,11 @@ func (m *Model) vertexStateFused(f nn.FusedOps, gs []*qgraph.Graph, offsets []in
 		}
 	}
 
-	// All token blocks → (numBlocks, dim) through the ragged encoder.
+	// All token blocks → (numBlocks, dim): memo rows, and the ragged
+	// encoder over the sequences the memo has not seen.
 	var blockOuts *nn.Tensor
-	if len(bounds) > 1 {
-		emb := m.tokEmb.ForwardOps(f, flat)
-		if m.Cfg.UseAttention {
-			att := m.tokAttn.ForwardRaggedOps(f, emb, bounds)
-			ar.Recycle(emb)
-			emb = att
-		}
-		mean := f.RaggedMeanRows(emb, bounds)
-		ar.Recycle(emb)
-		blockOuts = m.tokMLP.ForwardOps(f, mean)
-		ar.Recycle(mean)
+	if len(blockEnds) > 0 {
+		blockOuts = m.encodeBlocksMemo(f, blockKeys, blockEnds)
 	}
 
 	constIDs := func(id, n int) []int {

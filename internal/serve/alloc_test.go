@@ -1,9 +1,9 @@
 // Steady-state allocation budget for the inference hot path. The sync Infer
 // path dispatches inline and recycles attempts, reply bookkeeping and
 // deadline timers through pools, so a cache-hit query should allocate only
-// the model's per-query outputs. The guard test pins the budget to the
-// pre-tenancy server's measured footprint: multi-tenancy must not cost the
-// single-campaign hot path anything.
+// the model's per-query outputs and index lists. The guard test pins the
+// budget to the measured footprint: neither serving features nor the forward
+// may quietly add per-query allocation.
 
 package serve
 
@@ -15,10 +15,12 @@ import (
 	"github.com/repro/snowplow/internal/rng"
 )
 
-// maxSteadyStateBytesPerOp is the pre-tenancy (PR-7) BenchmarkInferSteadyState
-// B/op on the reference container; the pooled dispatch path must stay at or
-// under it.
-const maxSteadyStateBytesPerOp = 32209
+// maxSteadyStateBytesPerOp is BenchmarkInferSteadyState's B/op on the
+// reference container (29 309, the same on every run) plus 5 %. It sits under
+// the 31 422 B/op measured before forwardMany sized its edge buckets in one
+// allocation, so regrowing them per forward again breaks the budget; the
+// pre-tenancy (PR-7) budget it replaces was 32 209.
+const maxSteadyStateBytesPerOp = 30774
 
 func benchInferSteadyState(b *testing.B) {
 	m := pmm.NewModel(rng.New(1), pmm.DefaultConfig(), pmm.BuildVocab(testKernel))

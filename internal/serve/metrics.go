@@ -59,9 +59,9 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	}
 }
 
-// registerPullGauges exposes the builder-cache and tensor-pool counters
-// (owned by qgraph and nn respectively) as pull-model gauges, read at
-// snapshot time rather than pushed from their hot paths.
+// registerPullGauges exposes the builder-cache, tensor-pool and block-memo
+// counters (owned by qgraph, nn and pmm respectively) as pull-model gauges,
+// read at snapshot time rather than pushed from their hot paths.
 func (s *Server) registerPullGauges(reg *obs.Registry) {
 	if s.builder.Cache != nil {
 		reg.GaugeFunc("qgraph_cache_hits", "hits", "graph-encoding cache hits", func() int64 {
@@ -82,6 +82,15 @@ func (s *Server) registerPullGauges(reg *obs.Registry) {
 	})
 	reg.GaugeFunc("nn_pool_idle", "slabs", "slabs parked in the free lists", func() int64 {
 		return int64(s.Model().PoolStats().Idle)
+	})
+	reg.GaugeFunc("serve_block_memo_hits", "blocks", "token blocks served without running the block encoder (current model generation)", func() int64 {
+		return s.Model().BlockMemoStats().Hits
+	})
+	reg.GaugeFunc("serve_block_memo_misses", "blocks", "token sequences run through the block encoder (current model generation)", func() int64 {
+		return s.Model().BlockMemoStats().Misses
+	})
+	reg.GaugeFunc("serve_block_memo_entries", "blocks", "token sequences held by the serving model's block-encoder memo", func() int64 {
+		return int64(s.Model().BlockMemoStats().Entries)
 	})
 	reg.GaugeFunc("nn_infer_fused_linear", "kernels", "fused linear+bias(+ReLU) kernel invocations", func() int64 {
 		return s.Model().InferProfile().FusedLinear
