@@ -3,7 +3,7 @@
 // authoritative corpus, coverage and journal and periodically writes an
 // atomic checkpoint; if the checkpoint file already exists at startup the
 // campaign resumes from it — onto any worker count — with output identical
-// to the uninterrupted run (DESIGN.md §11).
+// to the uninterrupted run (DESIGN.md §8).
 //
 //	snowplow -coordinator 2 -cluster-addr 127.0.0.1:9035 \
 //	    -mode snowplow -model pmm.model -checkpoint campaign.ckpt

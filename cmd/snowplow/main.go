@@ -333,6 +333,13 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 				vm.VM, vm.Executions, vm.NewEdges, vm.Queries, vm.Epochs,
 				time.Duration(vm.QueueWaitNs).Round(time.Millisecond))
 		}
+		// The coordinator's report prints the same line: a fleet lands on
+		// the same digests whichever transport carries its barriers.
+		fmt.Fprintf(&out, "digests: corpus=%s cover=%s", cluster.CorpusDigest(f.Corpus()), cluster.CoverDigest(f.Corpus()))
+		if journal != nil {
+			fmt.Fprintf(&out, " journal=%s", cluster.JournalDigest(journal.Events()))
+		}
+		out.WriteByte('\n')
 	}
 	if cfg.Mode == fuzzer.ModeSnowplow {
 		fmt.Fprintf(&out, "PMM: %d queries, %d predictions, %d failed, %d shed, %d invalid slots, %d degraded steps\n",

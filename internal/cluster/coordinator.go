@@ -1,14 +1,17 @@
-// The coordinator owns a cluster campaign's authoritative state — corpus,
-// coverage, canonical VM states, journal, sampling cursor — and drives N
-// workers in lockstep epochs over TCP. It is the single-host reconciler
-// (fuzzer/parallel.go) with the VM fan-out moved across a network seam:
-// every barrier it broadcasts the previous merge's accepted entries, each
-// worker fuzzes one slice, and the returned deltas are merged in ascending
-// VM order under a global sequence counter. Worker loss is handled at the
-// barrier: the lost shard's canonical states are restored onto a surviving
-// worker, which re-runs the epoch for exactly those VMs — the re-run is
+// The coordinator is the wire transport of the campaign engine. The engine
+// itself — authoritative corpus, canonical VM states, merge, journal order,
+// coverage series, online-learning schedule, stats — is fuzzer.Reconciler,
+// the same one a single-host -vms N campaign runs; the coordinator carries
+// its three barrier operations to N workers over TCP and adds what only a
+// network needs. Every barrier it broadcasts the previous merge's accepted
+// entries, each worker fuzzes one slice, and the returned deltas are
+// validated and rebuilt into corpus entries at the decode boundary before
+// the reconciler merges them. Worker loss is handled inside the barrier:
+// the lost shard's canonical states are restored onto a surviving worker,
+// which re-runs the epoch for exactly those VMs — the re-run is
 // bit-identical to what the lost worker would have produced, so the
-// campaign's output is independent of churn.
+// campaign's output is independent of churn. Checkpoints snapshot the
+// reconciler's barrier state after a merge and resume onto any fleet.
 
 package cluster
 
@@ -16,7 +19,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"github.com/repro/snowplow/internal/cfa"
@@ -66,9 +68,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Result is a finished cluster campaign: the campaign stats (assembled
-// exactly as the single-host engine would) plus digests of the
-// determinism-guaranteed observables.
+// Result is a finished cluster campaign: the reconciler's campaign stats
+// plus digests of the determinism-guaranteed observables.
 type Result struct {
 	Stats         *fuzzer.Stats
 	CorpusDigest  string
@@ -101,7 +102,6 @@ type WireStats struct {
 // Coordinator runs one cluster campaign.
 type Coordinator struct {
 	cfg   Config
-	norm  fuzzer.Config // normalized campaign config (kernel, knob defaults)
 	k     *kernel.Kernel
 	an    *cfa.Analysis
 	ln    net.Listener
@@ -110,49 +110,39 @@ type Coordinator struct {
 	jnCap int
 	m     *clusterMetrics
 
-	// ctl drives online continual learning (nil for frozen-model
-	// campaigns); modelVersion is the serving checkpoint generation (the
-	// last accepted swap, 0 = initial model).
-	ctl          *online.Controller
-	modelVersion int64
+	// rec is the campaign engine; ctl is its online-learning controller
+	// (nil for frozen-model campaigns), held here too because checkpoints
+	// carry the controller's resume surface.
+	rec *fuzzer.Reconciler
+	ctl *online.Controller
 
-	states []fuzzer.VMState // canonical, indexed by VM id
-	epoch  int64            // last merged epoch
-	seq    int64            // reconciler merge sequence counter
-	// pendingAccepted is the last merge's outcome, broadcast at the next
-	// barrier.
-	pendingAccepted []fuzzer.Accepted
-	nextSample      int64
-	series          []fuzzer.Point
-	// pendingSeed buffers the seed pass's journal events until VM 0's
-	// first epoch delta is flushed (the single-host engine flushes VM 0's
-	// buffered events — seeds included — at its first active barrier).
-	pendingSeed []obs.Event
-	seedFlushed bool
-	resumed     bool
+	workers []*workerConn // admitted connections, by worker index
+	resumed bool
 }
 
 // Spec returns the campaign spec the coordinator is running — for a
 // resumed campaign, the spec restored from the checkpoint.
 func (c *Coordinator) Spec() CampaignSpec { return c.cfg.Spec }
 
-// NewCoordinator creates a coordinator for a fresh campaign and starts
-// listening. Call Run to admit workers and execute the campaign.
+// NewCoordinator creates a coordinator for a fresh campaign — running the
+// seed pass, which needs no worker — and starts listening. Call Run to
+// admit workers and execute the campaign.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
-	c, err := newCoordinator(cfg)
+	c, norm, err := newCoordinator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for vm := 0; vm < c.norm.VMs; vm++ {
-		c.states = append(c.states, fuzzer.InitialVMState(c.norm, vm))
-	}
-	c.nextSample = c.norm.SampleEvery
 	if c.cfg.Spec.Journal {
 		c.jn = obs.NewJournal(c.jnCap)
 	}
+	norm.Journal = c.jn
 	if err := c.initOnline(); err != nil {
 		return nil, err
 	}
+	if c.rec, err = fuzzer.NewReconciler(norm, c.corp, c.ctl); err != nil {
+		return nil, err
+	}
+	c.m.accepted.Add(int64(c.corp.Len())) // the seed pass's entries
 	return c, nil
 }
 
@@ -166,19 +156,16 @@ func ResumeCoordinator(cfg Config, checkpoint []byte) (*Coordinator, error) {
 		return nil, err
 	}
 	cfg.Spec = ck.Spec
-	c, err := newCoordinator(cfg)
+	c, norm, err := newCoordinator(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for _, a := range ck.Entries {
-		if err := validateTraces(c.k, a.Traces); err != nil {
-			return nil, fmt.Errorf("cluster: checkpoint corpus: %w", err)
-		}
-		p, err := prog.Parse(c.k.Target, a.Text)
+		e, err := rebuildEntry(c.k, a.Text, a.Traces)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: checkpoint corpus: %w", err)
 		}
-		c.corp.SeedEntry(corpus.EntryFromTraces(p, a.Traces))
+		c.corp.SeedEntry(e)
 	}
 	if got := int64(c.corp.TotalEdges()); got != ck.TotalEdges {
 		return nil, fmt.Errorf("%w: checkpoint coverage mismatch: rebuilt %d edges, recorded %d",
@@ -192,35 +179,28 @@ func ResumeCoordinator(cfg Config, checkpoint []byte) (*Coordinator, error) {
 			return nil, fmt.Errorf("%w: checkpoint cover does not match rebuilt corpus cover", ErrBadMessage)
 		}
 	}
-	if len(ck.States) != c.norm.VMs {
+	if len(ck.States) != norm.VMs {
 		return nil, fmt.Errorf("%w: checkpoint has %d VM states for %d VMs",
-			ErrBadMessage, len(ck.States), c.norm.VMs)
+			ErrBadMessage, len(ck.States), norm.VMs)
 	}
-	c.states = append([]fuzzer.VMState(nil), ck.States...)
-	for vm, st := range c.states {
+	for vm, st := range ck.States {
 		if st.VM != vm {
 			return nil, fmt.Errorf("%w: checkpoint VM states out of order", ErrBadMessage)
 		}
 	}
-	c.epoch = ck.Epoch
-	c.seq = int64(ck.Seq)
-	c.nextSample = ck.NextSample
-	c.series = append([]fuzzer.Point(nil), ck.Series...)
-	c.pendingSeed = append([]obs.Event(nil), ck.PendingSeed...)
-	c.seedFlushed = ck.SeedFlushed
 	if c.cfg.Spec.Journal {
 		if ck.JournalCap > 0 {
 			c.jnCap = ck.JournalCap
 		}
 		c.jn = obs.NewJournalFrom(c.jnCap, ck.Journal, ck.JournalNext, ck.JournalDropped)
 	}
+	norm.Journal = c.jn
 	if err := c.initOnline(); err != nil {
 		return nil, err
 	}
 	if c.ctl != nil {
 		c.ctl.SetApplied(ck.OnlineApplied)
 		c.ctl.RestoreCounts(ck.OnlineRetrains, ck.OnlineSwaps, ck.OnlineSkips)
-		c.modelVersion = ck.OnlineModelVersion
 		if ck.OnlinePendingVersion > 0 {
 			// Restart the in-flight retrain from the corpus publish-order
 			// prefix the original kickoff snapshotted; it produces the
@@ -233,16 +213,26 @@ func ResumeCoordinator(cfg Config, checkpoint []byte) (*Coordinator, error) {
 			c.ctl.ResumePending(ck.OnlinePendingVersion, ck.OnlinePendingEpoch, bases)
 		}
 	}
-	// The snapshot was taken after a merge, so the accepted entries of the
-	// checkpointed epoch are already inside it; the first post-resume
-	// barrier broadcasts nothing.
+	c.rec = fuzzer.ResumeReconciler(norm, c.corp, c.ctl, fuzzer.BarrierState{
+		States:       ck.States,
+		Epoch:        ck.Epoch,
+		Seq:          int64(ck.Seq),
+		NextSample:   ck.NextSample,
+		Series:       ck.Series,
+		PendingSeed:  ck.PendingSeed,
+		SeedFlushed:  ck.SeedFlushed,
+		ModelVersion: ck.OnlineModelVersion,
+	})
 	c.resumed = true
 	return c, nil
 }
 
-func newCoordinator(cfg Config) (*Coordinator, error) {
+// newCoordinator materializes the spec and starts listening; it also
+// returns the normalized campaign config the reconciler will run.
+func newCoordinator(cfg Config) (*Coordinator, fuzzer.Config, error) {
+	var none fuzzer.Config
 	if cfg.Workers <= 0 {
-		return nil, fmt.Errorf("cluster: need at least one worker")
+		return nil, none, fmt.Errorf("cluster: need at least one worker")
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -252,12 +242,11 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	rt, err := cfg.Spec.Materialize(false, 0, false)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
-	norm := rt.Cfg.Normalized()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	jnCap := cfg.JournalCap
 	if jnCap <= 0 {
@@ -265,21 +254,19 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	return &Coordinator{
 		cfg:   cfg,
-		norm:  norm,
 		k:     rt.Kernel,
 		an:    rt.An,
 		ln:    ln,
 		corp:  corpus.New(),
 		jnCap: jnCap,
 		m:     newClusterMetrics(cfg.Metrics),
-	}, nil
+	}, rt.Cfg.Normalized(), nil
 }
 
 // initOnline builds the continual-learning controller when the spec enables
 // it. The gate incumbent is the spec's model bytes loaded fresh — the same
-// canonical serving form every worker materializes — so the coordinator's
-// validation decisions match what a single-host engine serving those bytes
-// would make.
+// canonical serving form every worker materializes — so the gate decides
+// exactly as a single-host campaign serving those bytes would.
 func (c *Coordinator) initOnline() error {
 	oc := c.cfg.Spec.OnlineConfig()
 	if oc == nil {
@@ -401,23 +388,23 @@ func (wc *workerConn) recvDelta(epoch int64) (DeltaMsg, error) {
 }
 
 // restoreCrashes re-prepends the crash-table prefix a v2 worker elided
-// from each delta: CrashBase leading entries, which the coordinator holds
-// in the VM's canonical state from the previous barrier (the table is
-// append-only, so that state's table is an exact prefix of the worker's).
-// The claimed base is validated against the stored table, so a confused
-// or hostile worker cannot make the coordinator fabricate entries. After
-// this call every delta carries its full crash table and CrashBase is
-// zero, exactly as if the connection spoke v1.
-func (c *Coordinator) restoreCrashes(m *DeltaMsg) error {
+// from each delta: CrashBase leading entries, which the canonical state of
+// the previous barrier holds (the table is append-only, so that state's
+// table is an exact prefix of the worker's). The claimed base is validated
+// against the stored table, so a confused or hostile worker cannot make the
+// coordinator fabricate entries. After this call every delta carries its
+// full crash table and CrashBase is zero, exactly as if the connection
+// spoke v1.
+func restoreCrashes(states []fuzzer.VMState, m *DeltaMsg) error {
 	for i := range m.Deltas {
 		d := &m.Deltas[i]
 		if d.CrashBase == 0 {
 			continue
 		}
-		if d.VM < 0 || d.VM >= len(c.states) {
+		if d.VM < 0 || d.VM >= len(states) {
 			return fmt.Errorf("%w: crash base for invalid VM %d", ErrBadMessage, d.VM)
 		}
-		known := c.states[d.VM].Crashes
+		known := states[d.VM].Crashes
 		if d.CrashBase > len(known) {
 			return fmt.Errorf("%w: crash base %d exceeds the %d known entries for VM %d",
 				ErrBadMessage, d.CrashBase, len(known), d.VM)
@@ -428,49 +415,74 @@ func (c *Coordinator) restoreCrashes(m *DeltaMsg) error {
 	return nil
 }
 
+// rebuildEntry is the decode boundary for corpus entries: bytes from a
+// socket or a checkpoint become a corpus.Entry only after the traces are
+// validated against the kernel and the program parses.
+func rebuildEntry(k *kernel.Kernel, text string, traces [][]kernel.BlockID) (*corpus.Entry, error) {
+	if err := validateTraces(k, traces); err != nil {
+		return nil, err
+	}
+	p, err := prog.Parse(k.Target, text)
+	if err != nil {
+		return nil, fmt.Errorf("%w: unparseable program: %v", ErrBadMessage, err)
+	}
+	return corpus.EntryFromTraces(p, traces), nil
+}
+
 // Run admits Workers connections, executes the campaign to budget
 // exhaustion and returns the assembled result. The listener is closed on
 // return.
 func (c *Coordinator) Run() (*Result, error) {
 	defer c.ln.Close()
-	workers, err := c.admit()
-	if err != nil {
+	if err := c.admit(); err != nil {
 		return nil, err
 	}
 	defer func() {
-		for _, wc := range workers {
+		for _, wc := range c.workers {
 			wc.conn.Close()
 		}
 	}()
-	c.m.workers.Set(int64(len(workers)))
+	c.m.workers.Set(int64(len(c.workers)))
 
-	if !c.resumed {
-		c.jn.Record(obs.Event{
-			Kind: obs.EventCampaignStart, VM: -1,
-			Detail: fmt.Sprintf("%s seed=%d vms=%d budget=%d", c.norm.Mode, c.norm.Seed, c.norm.VMs, c.norm.Budget),
-		})
-		if err := c.seedPhase(workers); err != nil {
-			return nil, err
+	stats, err := c.rec.Run(c, func(accepted int) error {
+		c.m.accepted.Add(int64(accepted))
+		c.m.epochs.Inc()
+		if c.cfg.CheckpointEvery > 0 && c.rec.Epoch%c.cfg.CheckpointEvery == 0 {
+			return c.writeCheckpoint()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Stats:        stats,
+		CorpusDigest: CorpusDigest(c.corp),
+		CoverDigest:  CoverDigest(c.corp),
+		Workers:      c.cfg.Workers,
+	}
+	res.Wire.Epochs = c.rec.Epoch
+	for _, wc := range c.workers {
+		res.Wire.TxRawBytes += wc.fr.txRaw
+		res.Wire.TxWireBytes += wc.fr.txWire
+		res.Wire.RxRawBytes += wc.fr.rxRaw
+		res.Wire.RxWireBytes += wc.fr.rxWire
+		if wc.fr.level > 0 {
+			res.Wire.CompressedWorkers++
 		}
 	}
-
-	for {
-		active := c.activeVMs()
-		if len(active) == 0 {
-			break
-		}
-		if err := c.runEpochBarrier(workers, active); err != nil {
-			return nil, err
-		}
+	if c.jn != nil {
+		res.Events = c.jn.Events()
+		res.JournalDigest = JournalDigest(res.Events)
 	}
-	return c.finish(workers)
+	return res, nil
 }
 
 // admit accepts the configured number of workers, handshakes each, and
 // deals out the VM shards: worker i owns the contiguous range
 // [i*V/W, (i+1)*V/W) (empty when V < W). Failures here are fatal — churn
 // tolerance begins once the campaign is running.
-func (c *Coordinator) admit() ([]*workerConn, error) {
+func (c *Coordinator) admit() error {
 	if tcp, ok := c.ln.(*net.TCPListener); ok {
 		tcp.SetDeadline(time.Now().Add(c.cfg.IOTimeout))
 	}
@@ -478,26 +490,33 @@ func (c *Coordinator) admit() ([]*workerConn, error) {
 	for i := range workers {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: waiting for worker %d/%d: %w", i, c.cfg.Workers, err)
+			return fmt.Errorf("cluster: waiting for worker %d/%d: %w", i, c.cfg.Workers, err)
 		}
 		workers[i] = &workerConn{idx: i, conn: conn, alive: true, timeout: c.cfg.IOTimeout, m: c.m, wire: WireV1}
 	}
-	nvm, nw := c.norm.VMs, len(workers)
+	c.workers = workers
+	var snapshot []fuzzer.Accepted
+	if c.resumed {
+		for _, e := range c.corp.Entries() {
+			snapshot = append(snapshot, fuzzer.Accepted{VM: -1, Seeded: true, Text: e.Text, Traces: e.Traces})
+		}
+	}
+	nvm, nw := len(c.rec.States), len(workers)
 	for i, wc := range workers {
 		typ, payload, err := wc.recv()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: worker %d handshake: %w", i, err)
+			return fmt.Errorf("cluster: worker %d handshake: %w", i, err)
 		}
 		if typ != frameHello {
-			return nil, fmt.Errorf("%w: worker %d sent frame 0x%02x, want hello", ErrBadMessage, i, typ)
+			return fmt.Errorf("%w: worker %d sent frame 0x%02x, want hello", ErrBadMessage, i, typ)
 		}
 		h, err := DecodeHello(payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if h.Proto != protoVersion {
 			wc.send(frameErr, EncodeErr(ErrMsg{Msg: fmt.Sprintf("protocol version %d, want %d", h.Proto, protoVersion)}))
-			return nil, fmt.Errorf("%w: worker %d speaks protocol %d, want %d", ErrBadVersion, i, h.Proto, protoVersion)
+			return fmt.Errorf("%w: worker %d speaks protocol %d, want %d", ErrBadVersion, i, h.Proto, protoVersion)
 		}
 		// Negotiate the wire settings: the newest codec both ends speak, at
 		// the flate level min(Config.Compress, worker's advertised max). A
@@ -515,7 +534,7 @@ func (c *Coordinator) admit() ([]*workerConn, error) {
 			}
 			wm := WireMsg{Wire: uint32(wire), Level: uint32(level)}
 			if err := wc.send(frameWire, EncodeWireMsg(wm)); err != nil {
-				return nil, fmt.Errorf("cluster: negotiating with worker %d: %w", i, err)
+				return fmt.Errorf("cluster: negotiating with worker %d: %w", i, err)
 			}
 			wc.wire = wire
 			wc.fr.wire = wire
@@ -529,149 +548,58 @@ func (c *Coordinator) admit() ([]*workerConn, error) {
 		a := Assign{
 			Spec:       c.cfg.Spec,
 			VMs:        wc.vms,
-			States:     append([]fuzzer.VMState(nil), c.states[lo:hi]...),
-			StartEpoch: c.epoch,
-			SeedPass:   !c.resumed && lo <= 0 && 0 < hi,
-		}
-		if c.resumed {
-			for _, e := range c.corp.Entries() {
-				a.Snapshot = append(a.Snapshot, fuzzer.Accepted{VM: -1, Seeded: true, Text: e.Text, Traces: e.Traces})
-			}
+			Snapshot:   snapshot,
+			States:     c.rec.States[lo:hi],
+			StartEpoch: c.rec.Epoch,
 		}
 		if err := wc.send(frameAssign, wc.wire.AppendAssign(nil, a)); err != nil {
-			return nil, fmt.Errorf("cluster: assigning worker %d: %w", i, err)
+			return fmt.Errorf("cluster: assigning worker %d: %w", i, err)
 		}
 	}
 	for i, wc := range workers {
-		typ, payload, err := wc.recv()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: worker %d ack: %w", i, err)
-		}
-		if typ == frameErr {
-			em, _ := DecodeErr(payload)
-			return nil, fmt.Errorf("cluster: worker %d rejected assignment: %s", i, em.Msg)
-		}
-		if typ != frameAck {
-			return nil, fmt.Errorf("%w: worker %d sent frame 0x%02x, want ack", ErrBadMessage, i, typ)
+		if err := wc.recvAck(); err != nil {
+			return fmt.Errorf("cluster: worker %d rejected assignment: %w", i, err)
 		}
 		c.logf("worker %d ready, VMs %v", i, wc.vms)
 	}
-	return workers, nil
-}
-
-// seedPhase runs a fresh campaign's seed pass: the worker owning VM 0
-// executes the seed corpus against its replica and ships the seeded entries,
-// which become the first barrier's broadcast so every replica starts
-// identical. Seed insertions happen outside the reconciler (no sequence
-// numbers), as in the single-host engine.
-func (c *Coordinator) seedPhase(workers []*workerConn) error {
-	var owner *workerConn
-	for _, wc := range workers {
-		if len(wc.vms) > 0 && wc.vms[0] == 0 {
-			owner = wc
-		}
-	}
-	if owner == nil {
-		return fmt.Errorf("cluster: no worker owns VM 0")
-	}
-	m, err := owner.recvDelta(0)
-	if err != nil {
-		return fmt.Errorf("cluster: seed pass: %w", err)
-	}
-	if len(m.Deltas) != 1 || m.Deltas[0].VM != 0 {
-		return fmt.Errorf("%w: seed delta must carry exactly VM 0", ErrBadMessage)
-	}
-	if err := c.restoreCrashes(&m); err != nil {
-		return err
-	}
-	d := m.Deltas[0]
-	for _, l := range d.Locals {
-		if err := c.insertSeed(l); err != nil {
-			return err
-		}
-		c.pendingAccepted = append(c.pendingAccepted, fuzzer.Accepted{VM: 0, Seeded: true, Text: l.Text, Traces: l.Traces})
-	}
-	c.pendingSeed = d.Events
-	c.states[0] = d.State
-	c.m.accepted.Add(int64(len(d.Locals)))
 	return nil
 }
 
-func (c *Coordinator) insertSeed(l fuzzer.Local) error {
-	if err := validateTraces(c.k, l.Traces); err != nil {
-		return err
-	}
-	p, err := prog.Parse(c.k.Target, l.Text)
-	if err != nil {
-		return fmt.Errorf("%w: unparseable program: %v", ErrBadMessage, err)
-	}
-	c.corp.SeedEntry(corpus.EntryFromTraces(p, l.Traces))
-	return nil
-}
-
-// activeVMs returns the VMs with remaining budget, ascending.
-func (c *Coordinator) activeVMs() []int {
-	var out []int
-	for vm := range c.states {
-		if c.states[vm].Cost < c.states[vm].Budget {
-			out = append(out, vm)
-		}
-	}
-	return out
-}
-
-// runEpochBarrier executes one epoch: broadcast, collect, reassign lost
-// shards, merge, journal, sample, checkpoint.
-func (c *Coordinator) runEpochBarrier(workers []*workerConn, active []int) error {
-	c.epoch++
-	// The broadcast is encoded lazily once per wire version present in the
-	// fleet, so a mixed-version fleet pays one encode per codec, not per
-	// worker.
-	em := EpochMsg{Epoch: c.epoch, Accepted: c.pendingAccepted}
-	var perWire [wireMax + 1][]byte
-	payloadFor := func(w Wire) []byte {
-		if perWire[w] == nil {
-			perWire[w] = w.AppendEpoch(nil, em)
-		}
-		return perWire[w]
-	}
-	c.pendingAccepted = nil
-	for _, wc := range workers {
-		if !wc.alive {
-			continue
-		}
-		if err := wc.send(frameEpoch, payloadFor(wc.wire)); err != nil {
-			c.loseWorker(wc, err)
-		}
-	}
-
+// RunEpoch is the reconciler's epoch over the wire: broadcast the previous
+// merge's accepted entries, collect one delta per active VM, and reassign
+// the shards of workers lost on the way.
+func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active []int) ([]fuzzer.VMDelta, error) {
 	ran := map[int]bool{}
 	var deltas []fuzzer.VMDelta
 	collect := func(wc *workerConn) error {
-		m, err := wc.recvDelta(c.epoch)
+		m, err := wc.recvDelta(epoch)
 		if err != nil {
 			c.loseWorker(wc, err)
 			return nil // partial work is discarded; reassignment re-runs it
 		}
-		if err := c.restoreCrashes(&m); err != nil {
+		if err := restoreCrashes(c.rec.States, &m); err != nil {
 			return err
 		}
 		c.m.deltas.Inc()
 		for _, d := range m.Deltas {
-			if d.VM < 0 || d.VM >= len(c.states) || ran[d.VM] {
+			if d.VM < 0 || d.VM >= len(c.rec.States) || ran[d.VM] {
 				return fmt.Errorf("%w: delta for invalid or duplicate VM %d", ErrBadMessage, d.VM)
+			}
+			for i := range d.Locals {
+				l := &d.Locals[i]
+				if l.Entry, err = rebuildEntry(c.k, l.Text, l.Traces); err != nil {
+					return err
+				}
 			}
 			ran[d.VM] = true
 			deltas = append(deltas, d)
 		}
 		return nil
 	}
-	for _, wc := range workers {
-		if !wc.alive {
-			continue
-		}
+	em := EpochMsg{Epoch: epoch, Accepted: accepted}
+	for _, wc := range c.broadcast(frameEpoch, func(w Wire) []byte { return w.AppendEpoch(nil, em) }) {
 		if err := collect(wc); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -688,95 +616,63 @@ func (c *Coordinator) runEpochBarrier(workers []*workerConn, active []int) error
 			}
 		}
 		if len(missing) == 0 {
-			break
+			return deltas, nil
 		}
-		var target *workerConn
-		for _, wc := range workers {
-			if wc.alive {
-				target = wc
-				break
-			}
-		}
+		target := c.firstAlive()
 		if target == nil {
-			return fmt.Errorf("cluster: all workers lost at epoch %d", c.epoch)
+			return nil, fmt.Errorf("cluster: all workers lost at epoch %d", epoch)
 		}
 		states := make([]fuzzer.VMState, 0, len(missing))
 		for _, vm := range missing {
-			states = append(states, c.states[vm])
+			states = append(states, c.rec.States[vm])
 		}
-		c.logf("epoch %d: reassigning VMs %v to worker %d", c.epoch, missing, target.idx)
+		c.logf("epoch %d: reassigning VMs %v to worker %d", epoch, missing, target.idx)
 		c.m.reassignments.Inc()
-		if err := target.send(frameRestore, target.wire.AppendRestore(nil, RestoreMsg{Epoch: c.epoch, States: states})); err != nil {
+		if err := target.send(frameRestore, target.wire.AppendRestore(nil, RestoreMsg{Epoch: epoch, States: states})); err != nil {
 			c.loseWorker(target, err)
 			continue
 		}
 		target.vms = append(target.vms, missing...)
 		if err := collect(target); err != nil {
-			return err
+			return nil, err
 		}
 	}
+}
 
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].VM < deltas[j].VM })
-	if err := c.merge(deltas); err != nil {
-		return err
-	}
-	if c.ctl != nil {
-		if err := c.onlineBarrier(workers); err != nil {
-			return err
+// broadcast sends one message to every live worker and returns the workers
+// it reached; a failed send loses the worker. The payload is encoded lazily
+// once per wire version present in the fleet, so a mixed-version fleet pays
+// one encode per codec, not per worker.
+func (c *Coordinator) broadcast(frame byte, encode func(Wire) []byte) []*workerConn {
+	var perWire [wireMax + 1][]byte
+	var sent []*workerConn
+	for _, wc := range c.workers {
+		if !wc.alive {
+			continue
 		}
+		if perWire[wc.wire] == nil {
+			perWire[wc.wire] = encode(wc.wire)
+		}
+		if err := wc.send(frame, perWire[wc.wire]); err != nil {
+			c.loseWorker(wc, err)
+			continue
+		}
+		sent = append(sent, wc)
 	}
-	c.m.epochs.Inc()
-	if c.cfg.CheckpointEvery > 0 && c.epoch%c.cfg.CheckpointEvery == 0 {
-		if err := c.writeCheckpoint(); err != nil {
-			return err
+	return sent
+}
+
+// firstAlive returns the lowest-indexed surviving worker, or nil.
+func (c *Coordinator) firstAlive() *workerConn {
+	for _, wc := range c.workers {
+		if wc.alive {
+			return wc
 		}
 	}
 	return nil
 }
 
-// onlineBarrier runs the continual-learning schedule after the merge of
-// epoch c.epoch, mirroring the single-host engine's barrier hook event for
-// event: first resolve a due swap (pushing an accepted model fleet-wide),
-// then kick off a due retrain from the freshly merged corpus — so the
-// journal, stats and version numbering are bit-identical across engines. A
-// swap that loses the gate is journaled but not pushed; the cluster skips
-// the single-host engine's prediction drain in that case, which is
-// unobservable because every worker blocking-drains at its next epoch start
-// anyway and no model changed underneath the in-flight queries.
-func (c *Coordinator) onlineBarrier(workers []*workerConn) error {
-	if sw := c.ctl.SwapDue(c.epoch); sw != nil {
-		if sw.Accepted {
-			if err := c.pushModel(workers, sw); err != nil {
-				return err
-			}
-			// The spec's model bytes track the serving generation, so
-			// checkpoints resume onto the swapped model and late-joining
-			// state (reassigned shards) materializes it.
-			c.cfg.Spec.Model = sw.Bytes
-			c.modelVersion = sw.Version
-			c.m.modelPushes.Inc()
-		}
-		c.jn.Record(obs.Event{
-			Kind: obs.EventModelSwap, VM: -1, Epoch: c.epoch,
-			Value: sw.Version, Detail: sw.Detail(),
-		})
-	}
-	if c.ctl.ShouldKickoff(c.epoch, c.corp.Len()) {
-		entries := c.corp.Entries()
-		bases := make([]*prog.Prog, len(entries))
-		for i, e := range entries {
-			bases[i] = e.Prog
-		}
-		v := c.ctl.Kickoff(c.epoch, bases)
-		c.jn.Record(obs.Event{
-			Kind: obs.EventModelTrain, VM: -1, Epoch: c.epoch,
-			Value: v, Detail: online.KickoffDetail(len(bases)),
-		})
-	}
-	return nil
-}
-
-// pushModel distributes an accepted swap fleet-wide in two phases: every
+// PushModel distributes an accepted swap fleet-wide in two phases: every
 // surviving worker first drains its shard's in-flight predictions and
 // stages the new model (prep), and only after the whole fleet has
 // acknowledged the prep does the commit go out. The barrier matters when
@@ -785,27 +681,9 @@ func (c *Coordinator) onlineBarrier(workers []*workerConn) error {
 // generation. A worker lost mid-push is ordinary churn — its VMs are
 // reassigned at the next barrier onto a survivor holding the committed
 // model.
-func (c *Coordinator) pushModel(workers []*workerConn, sw *online.Swap) error {
+func (c *Coordinator) PushModel(sw *online.Swap) error {
 	phase := func(frame byte, m ModelMsg) {
-		var perWire [wireMax + 1][]byte
-		var sent []*workerConn
-		for _, wc := range workers {
-			if !wc.alive {
-				continue
-			}
-			if perWire[wc.wire] == nil {
-				perWire[wc.wire] = wc.wire.AppendModelMsg(nil, m)
-			}
-			if err := wc.send(frame, perWire[wc.wire]); err != nil {
-				c.loseWorker(wc, err)
-				continue
-			}
-			sent = append(sent, wc)
-		}
-		for _, wc := range sent {
-			if !wc.alive {
-				continue
-			}
+		for _, wc := range c.broadcast(frame, func(w Wire) []byte { return w.AppendModelMsg(nil, m) }) {
 			if err := wc.recvAck(); err != nil {
 				c.loseWorker(wc, err)
 			}
@@ -813,13 +691,16 @@ func (c *Coordinator) pushModel(workers []*workerConn, sw *online.Swap) error {
 	}
 	phase(frameModelPrep, ModelMsg{Version: sw.Version, Model: sw.Bytes})
 	phase(frameModelCommit, ModelMsg{Version: sw.Version})
-	for _, wc := range workers {
-		if wc.alive {
-			c.logf("epoch %d: model v%d (digest %s) committed fleet-wide", c.epoch, sw.Version, sw.Digest)
-			return nil
-		}
+	if c.firstAlive() == nil {
+		return fmt.Errorf("cluster: all workers lost during model push at epoch %d", c.rec.Epoch)
 	}
-	return fmt.Errorf("cluster: all workers lost during model push at epoch %d", c.epoch)
+	c.logf("epoch %d: model v%d (digest %s) committed fleet-wide", c.rec.Epoch, sw.Version, sw.Digest)
+	// The spec's model bytes track the serving generation, so checkpoints
+	// resume onto the swapped model and late-joining state (reassigned
+	// shards) materializes it.
+	c.cfg.Spec.Model = sw.Bytes
+	c.m.modelPushes.Inc()
+	return nil
 }
 
 func (c *Coordinator) loseWorker(wc *workerConn, err error) {
@@ -829,119 +710,22 @@ func (c *Coordinator) loseWorker(wc *workerConn, err error) {
 	c.logf("worker %d lost: %v", wc.idx, err)
 }
 
-// merge applies one barrier's deltas (ascending VM order) to the
-// authoritative state, replaying the single-host reconciler: every local is
-// sequenced, accepted entries are re-gated against the shared cover, and
-// each VM's canonical state is the delta state with the coordinator-owned
-// fields (Reconciled, prediction-window resolution) overridden — the worker
-// cannot know who won the merge.
-func (c *Coordinator) merge(deltas []fuzzer.VMDelta) error {
-	winners := map[string]int{}
-	newEdges := map[int]int64{}
-	var accepted []fuzzer.Accepted
-	for _, d := range deltas {
-		for _, l := range d.Locals {
-			c.seq++
-			if err := validateTraces(c.k, l.Traces); err != nil {
-				return err
-			}
-			p, err := prog.Parse(c.k.Target, l.Text)
-			if err != nil {
-				return fmt.Errorf("%w: unparseable program: %v", ErrBadMessage, err)
-			}
-			e := corpus.EntryFromTraces(p, l.Traces)
-			if l.Seeded {
-				if c.corp.SeedEntry(e) {
-					accepted = append(accepted, fuzzer.Accepted{VM: d.VM, Seeded: true, Text: l.Text, Traces: l.Traces})
-					winners[l.Text] = d.VM
-				}
-				continue
-			}
-			if n := c.corp.AddEntry(e); n > 0 {
-				accepted = append(accepted, fuzzer.Accepted{VM: d.VM, Text: l.Text, Traces: l.Traces})
-				winners[l.Text] = d.VM
-				newEdges[d.VM] += int64(n)
-			}
-		}
-	}
-	c.m.accepted.Add(int64(len(accepted)))
-
-	for _, d := range deltas {
-		st := d.State
-		st.Reconciled = c.states[st.VM].Reconciled + newEdges[st.VM]
-		var preds []fuzzer.PredState
-		for _, ps := range st.Preds {
-			if !ps.Local {
-				preds = append(preds, ps)
-				continue
-			}
-			if w, ok := winners[ps.Text]; ok && w == st.VM {
-				// The VM's own entry survived the merge; the prediction
-				// window rides along (the owning shard spliced the entry
-				// pointer back, so the live cache agrees).
-				ps.Local = false
-				preds = append(preds, ps)
-				continue
-			}
-			// The base entry lost the merge. A pending query's reply is
-			// still owed to the VM (the live worker harvests it next epoch),
-			// so a restored VM must account for it: Phantom counts replies
-			// to settle without a live channel.
-			if ps.Pending {
-				st.Phantom++
-			}
-		}
-		st.Preds = preds
-		c.states[st.VM] = st
-	}
-
-	if c.jn != nil {
-		for _, d := range deltas {
-			evs := d.Events
-			if !c.seedFlushed && d.VM == 0 {
-				evs = append(append([]obs.Event(nil), c.pendingSeed...), evs...)
-				c.pendingSeed = nil
-				c.seedFlushed = true
-			}
-			for _, e := range evs {
-				c.jn.Record(e)
-			}
-		}
-		c.jn.Record(obs.Event{
-			Kind: obs.EventEpoch, VM: -1, Epoch: c.epoch,
-			Value:  int64(c.corp.Len()),
-			Detail: fmt.Sprintf("edges=%d", c.corp.TotalEdges()),
-		})
-	}
-
-	var fleetCost int64
-	for _, st := range c.states {
-		fleetCost += st.Cost
-	}
-	if c.norm.SampleEvery > 0 {
-		for c.nextSample <= fleetCost {
-			c.series = append(c.series, fuzzer.Point{Cost: c.nextSample, Edges: c.corp.TotalEdges()})
-			c.nextSample += c.norm.SampleEvery
-		}
-	}
-	c.pendingAccepted = accepted
-	return nil
-}
-
-// checkpoint snapshots the coordinator's complete post-merge state.
+// checkpoint snapshots the complete post-merge campaign state.
 func (c *Coordinator) checkpoint() *Checkpoint {
+	st := &c.rec.BarrierState
 	ck := &Checkpoint{
-		Spec:        c.cfg.Spec,
-		Epoch:       c.epoch,
-		Seq:         uint64(c.seq),
-		NextSample:  c.nextSample,
-		Series:      append([]fuzzer.Point(nil), c.series...),
-		TotalEdges:  int64(c.corp.TotalEdges()),
-		Cover:       c.corp.TotalCover().AppendSparse(nil),
-		States:      append([]fuzzer.VMState(nil), c.states...),
-		PendingSeed: append([]obs.Event(nil), c.pendingSeed...),
-		SeedFlushed: c.seedFlushed,
-		JournalCap:  c.jnCap,
+		Spec:               c.cfg.Spec,
+		Epoch:              st.Epoch,
+		Seq:                uint64(st.Seq),
+		NextSample:         st.NextSample,
+		Series:             st.Series,
+		TotalEdges:         int64(c.corp.TotalEdges()),
+		Cover:              c.corp.TotalCover().AppendSparse(nil),
+		States:             st.States,
+		PendingSeed:        st.PendingSeed,
+		SeedFlushed:        st.SeedFlushed,
+		JournalCap:         c.jnCap,
+		OnlineModelVersion: st.ModelVersion,
 	}
 	for _, e := range c.corp.Entries() {
 		ck.Entries = append(ck.Entries, fuzzer.Accepted{VM: -1, Seeded: true, Text: e.Text, Traces: e.Traces})
@@ -953,7 +737,6 @@ func (c *Coordinator) checkpoint() *Checkpoint {
 	}
 	if c.ctl != nil {
 		ck.OnlineApplied = c.ctl.Version()
-		ck.OnlineModelVersion = c.modelVersion
 		ck.OnlineRetrains, ck.OnlineSwaps, ck.OnlineSkips = c.ctl.Stats()
 		if v, kickoff, bases, ok := c.ctl.Pending(); ok {
 			ck.OnlinePendingVersion = v
@@ -972,40 +755,23 @@ func (c *Coordinator) writeCheckpoint() error {
 		}
 	}
 	if c.cfg.OnCheckpoint != nil {
-		c.cfg.OnCheckpoint(c.epoch, data)
+		c.cfg.OnCheckpoint(c.rec.Epoch, data)
 	}
 	c.m.checkpoints.Inc()
 	c.m.checkpointSize.Set(int64(len(data)))
-	c.logf("epoch %d: checkpoint (%d bytes)", c.epoch, len(data))
+	c.logf("epoch %d: checkpoint (%d bytes)", c.rec.Epoch, len(data))
 	return nil
 }
 
-// finish drains the fleet and assembles the campaign stats exactly as the
-// single-host engine's final merge does. Workers lost before the drain get
-// their final states synthesized from the canonical barrier states: under
-// fault-free serving, the blocking drain only settles owed prediction
-// replies, which Phantom and the pending windows record.
-func (c *Coordinator) finish(workers []*workerConn) (*Result, error) {
-	// An in-flight retrain's swap is never applied — the campaign is over —
-	// but the trainer goroutine must not outlive the run.
-	if c.ctl != nil {
-		c.ctl.Wait()
-	}
-	finals := make([]fuzzer.VMState, len(c.states))
-	got := make([]bool, len(c.states))
-	for _, wc := range workers {
-		if !wc.alive {
-			continue
-		}
-		if err := wc.send(frameDone, nil); err != nil {
-			c.loseWorker(wc, err)
-			continue
-		}
-	}
-	for _, wc := range workers {
-		if !wc.alive {
-			continue
-		}
+// FinalDrain collects every surviving worker's drained VM states. Workers
+// lost before the drain get their final states synthesized from the
+// canonical barrier states: under fault-free serving, the blocking drain
+// only settles owed prediction replies, which Phantom and the pending
+// windows record.
+func (c *Coordinator) FinalDrain() ([]fuzzer.VMState, error) {
+	finals := make([]fuzzer.VMState, len(c.rec.States))
+	got := make([]bool, len(finals))
+	for _, wc := range c.broadcast(frameDone, func(Wire) []byte { return nil }) {
 		typ, payload, err := wc.recv()
 		if err != nil {
 			c.loseWorker(wc, err)
@@ -1028,51 +794,10 @@ func (c *Coordinator) finish(workers []*workerConn) (*Result, error) {
 	}
 	for vm := range finals {
 		if !got[vm] {
-			finals[vm] = synthFinal(c.states[vm])
+			finals[vm] = synthFinal(c.rec.States[vm])
 		}
 	}
-
-	// Flush seed events never attached to a VM 0 barrier (a campaign whose
-	// budget dies before VM 0's first epoch), as the single-host engine's
-	// leftover flush does.
-	if c.jn != nil && !c.seedFlushed {
-		for _, e := range c.pendingSeed {
-			c.jn.Record(e)
-		}
-		c.pendingSeed = nil
-		c.seedFlushed = true
-	}
-
-	stats := c.assembleStats(finals)
-	if c.ctl != nil {
-		stats.ModelRetrains, stats.ModelSwaps, stats.ModelSwapsSkipped = c.ctl.Stats()
-		stats.ModelVersion = c.modelVersion
-	}
-	c.jn.Record(obs.Event{
-		Kind: obs.EventCampaignEnd, VM: -1, Value: int64(stats.FinalEdges),
-		Detail: fmt.Sprintf("execs=%d corpus=%d", stats.Executions, stats.CorpusSize),
-	})
-	res := &Result{
-		Stats:        stats,
-		CorpusDigest: CorpusDigest(c.corp),
-		CoverDigest:  CoverDigest(c.corp),
-		Workers:      c.cfg.Workers,
-	}
-	res.Wire.Epochs = c.epoch
-	for _, wc := range workers {
-		res.Wire.TxRawBytes += wc.fr.txRaw
-		res.Wire.TxWireBytes += wc.fr.txWire
-		res.Wire.RxRawBytes += wc.fr.rxRaw
-		res.Wire.RxWireBytes += wc.fr.rxWire
-		if wc.fr.level > 0 {
-			res.Wire.CompressedWorkers++
-		}
-	}
-	if c.jn != nil {
-		res.Events = c.jn.Events()
-		res.JournalDigest = JournalDigest(res.Events)
-	}
-	return res, nil
+	return finals, nil
 }
 
 // synthFinal replays the end-of-campaign blocking drain on a canonical
@@ -1092,71 +817,4 @@ func synthFinal(st fuzzer.VMState) fuzzer.VMState {
 	}
 	st.Preds = preds
 	return st
-}
-
-// assembleStats folds the final per-VM states into a campaign Stats in
-// ascending VM order, mirroring the single-host mergeParallelStats. The
-// serving-cache counters stay zero: each worker runs its own inference
-// server, so there is no fleet-wide cache to report (a documented exclusion
-// from the single-host equivalence).
-func (c *Coordinator) assembleStats(finals []fuzzer.VMState) *fuzzer.Stats {
-	stats := &fuzzer.Stats{Mode: c.norm.Mode}
-	var fleet int64
-	for vm, st := range finals {
-		cnt := st.Counters
-		stats.Executions += cnt.Executions
-		stats.PMMQueries += cnt.PMMQueries
-		stats.PMMPredictions += cnt.PMMPredictions
-		stats.PMMFailed += cnt.PMMFailed
-		stats.PMMShed += cnt.PMMShed
-		stats.PMMInvalidSlots += cnt.PMMInvalidSlots
-		stats.DegradedSteps += cnt.DegradedSteps
-		y, o := &stats.Yield, cnt.Yield
-		y.GuidedExecs += o.GuidedExecs
-		y.GuidedEdges += o.GuidedEdges
-		y.RandArgExecs += o.RandArgExecs
-		y.RandArgEdges += o.RandArgEdges
-		y.OtherMutExecs += o.OtherMutExecs
-		y.OtherMutEdges += o.OtherMutEdges
-		y.GenerateExecs += o.GenerateExecs
-		y.GenerateEdges += o.GenerateEdges
-		for _, cr := range st.Crashes {
-			dup := false
-			for _, have := range stats.Crashes {
-				if have.Spec.Title == cr.Title {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				stats.Crashes = append(stats.Crashes, &fuzzer.CrashReport{
-					Spec: &kernel.CrashSpec{
-						Title:      cr.Title,
-						Category:   cr.Category,
-						Detector:   cr.Detector,
-						KnownSince: cr.KnownSince,
-						Flaky:      cr.Flaky,
-					},
-					ProgText: cr.ProgText,
-					Cost:     cr.Cost,
-				})
-			}
-		}
-		stats.VMs = append(stats.VMs, fuzzer.VMStat{
-			VM:          vm,
-			Executions:  cnt.Executions,
-			NewEdges:    c.states[vm].Reconciled,
-			Queries:     cnt.PMMQueries,
-			Epochs:      st.Epochs,
-			QueueWaitNs: st.QueueWaitNs,
-		})
-		fleet += st.Cost
-	}
-	stats.CorpusSize = c.corp.Len()
-	stats.FinalEdges = c.corp.TotalEdges()
-	stats.Series = append([]fuzzer.Point(nil), c.series...)
-	if len(stats.Series) == 0 || stats.Series[len(stats.Series)-1].Cost < fleet {
-		stats.Series = append(stats.Series, fuzzer.Point{Cost: fleet, Edges: stats.FinalEdges})
-	}
-	return stats
 }

@@ -1,8 +1,8 @@
-// Cluster-grade determinism suite: a W-worker cluster must be
-// bit-identical, per seed, to the single-host campaign with the same VM
-// count — corpus, coverage, journal and stats — for W = 1, 2 and 4, and a
-// checkpointed campaign must resume (even resharded onto a different worker
-// count) with identical final output.
+// Cluster-grade determinism suite: a checkpointed campaign must resume
+// (even resharded onto a different worker count) with identical final
+// output, from any barrier. That every transport — in-process, W = 1, 2 and
+// 4 workers, compressed, resumed — lands on the same literal digests is
+// TestCampaignDigests (digests_test.go); the helpers both use live here.
 
 package cluster
 
@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/repro/snowplow/internal/cfa"
 	"github.com/repro/snowplow/internal/fuzzer"
@@ -18,9 +17,7 @@ import (
 	"github.com/repro/snowplow/internal/obs"
 	"github.com/repro/snowplow/internal/pmm"
 	"github.com/repro/snowplow/internal/prog"
-	"github.com/repro/snowplow/internal/qgraph"
 	"github.com/repro/snowplow/internal/rng"
-	"github.com/repro/snowplow/internal/serve"
 )
 
 var (
@@ -50,7 +47,7 @@ func testModelBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// baseConfig is the single-host campaign the cluster runs are compared to.
+// baseConfig is the campaign the suite runs, here in single-host form.
 func baseConfig(seed uint64, budget int64, vms int) fuzzer.Config {
 	return fuzzer.Config{
 		Mode:       fuzzer.ModeSyzkaller,
@@ -63,7 +60,8 @@ func baseConfig(seed uint64, budget int64, vms int) fuzzer.Config {
 	}
 }
 
-// hostResult mirrors cluster.Result for a single-host campaign.
+// runSingleHost runs the campaign over the in-process transport and
+// reports it as a cluster.Result.
 func runSingleHost(t *testing.T, cfg fuzzer.Config) *Result {
 	t.Helper()
 	jn := obs.NewJournal(0)
@@ -110,58 +108,6 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 	}
 	if t.Failed() {
 		t.Fatalf("%s: cluster output is not bit-identical to the single host", label)
-	}
-}
-
-// TestClusterMatchesSingleHostSyzkaller is the core guarantee: for the same
-// seed, a campaign split across 1, 2 or 4 workers produces byte-identical
-// corpus, coverage and journal digests — and identical stats — to the
-// single-host 4-VM campaign.
-func TestClusterMatchesSingleHostSyzkaller(t *testing.T) {
-	cfg := baseConfig(41, 200_000, 4)
-	want := runSingleHost(t, cfg)
-	spec := SpecFromConfig(withJournalFlag(cfg), nil)
-	for _, workers := range []int{1, 2, 4} {
-		got, err := RunLocal(Config{Spec: spec}, workers, WorkerOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireSameResult(t, labelWorkers(workers), want, got)
-	}
-}
-
-// TestClusterMatchesSingleHostSnowplow extends the guarantee to the learned
-// mutator: every worker runs its own inference server from the shipped
-// model bytes, and the query/prediction schedule still matches the
-// single-host campaign exactly.
-func TestClusterMatchesSingleHostSnowplow(t *testing.T) {
-	model := testModelBytes(t)
-	m, err := pmm.Load(bytes.NewReader(model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mirror Materialize's generous serving limits so neither side can
-	// degrade under load (e.g. the race detector's 10-20x slowdown).
-	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{
-		Workers:   2,
-		QueueSize: 1024,
-		Deadline:  30 * time.Second,
-	})
-	defer srv.Close()
-	cfg := baseConfig(42, 200_000, 4)
-	cfg.Mode = fuzzer.ModeSnowplow
-	cfg.Server = srv
-	want := runSingleHost(t, cfg)
-	if want.Stats.PMMQueries == 0 {
-		t.Fatal("single-host snowplow campaign issued no PMM queries")
-	}
-	spec := SpecFromConfig(withJournalFlag(cfg), model)
-	for _, workers := range []int{1, 2} {
-		got, err := RunLocal(Config{Spec: spec}, workers, WorkerOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireSameResult(t, labelWorkers(workers), want, got)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Per-connection framing with an optional flate entropy stage. The framer
-// sits where the cluster protocol used serve.WriteFrame/ReadFrame directly:
-// it emits the same [4-byte big-endian length | type | payload] layout, but
-// a negotiated flate level lets it replace the payload with a compressed
-// form (type byte ORed with frameCompressed, payload = uvarint declared raw
-// length + one flushed chunk of the connection's deflate stream).
+// Per-connection framing with an optional flate entropy stage. Every
+// message is one [4-byte big-endian length | type | payload] frame, and a
+// negotiated flate level lets the framer replace the payload with a
+// compressed form (type byte ORed with frameCompressed, payload = uvarint
+// declared raw length + one flushed chunk of the connection's deflate
+// stream).
 //
 // Compression is streaming: each direction keeps ONE deflate stream alive
 // for the connection's lifetime and emits a sync-flushed chunk per frame,
@@ -30,17 +30,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"github.com/repro/snowplow/internal/serve"
 )
 
 // frameCompressed marks a frame whose payload is flate-compressed; the low
 // bits carry the ordinary frame type.
 const frameCompressed byte = 0x80
 
-// wireFrameHeader is the byte cost of the shared frame header (4-byte
-// length + 1 type byte), mirrored from internal/serve's framing.
+// wireFrameHeader is the byte cost of the frame header (4-byte length + 1
+// type byte).
 const wireFrameHeader = 5
+
+// maxFramePayload bounds a frame's payload, declared or inflated, so a
+// corrupt or hostile length prefix cannot trigger a huge allocation.
+const maxFramePayload = 16 << 20
 
 // compressMinBytes is the smallest payload worth attempting to compress;
 // below this the flate header overhead dominates.
@@ -129,7 +131,7 @@ func (f *framer) msgWire() Wire {
 // receiver's decompressor window must see exactly the chunks the sender's
 // compressor window saw.
 func (f *framer) writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
-	if len(payload) > serve.MaxFramePayload {
+	if len(payload) > maxFramePayload {
 		return 0, fmt.Errorf("cluster: frame payload %d exceeds limit", len(payload))
 	}
 	f.txRaw += int64(len(payload)) + wireFrameHeader
@@ -171,7 +173,7 @@ func (f *framer) readFrame(r io.Reader) (byte, []byte, int, error) {
 		return 0, nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > serve.MaxFramePayload {
+	if n > maxFramePayload {
 		return 0, nil, 0, fmt.Errorf("%w: frame payload %d exceeds limit", ErrBadMessage, n)
 	}
 	if cap(f.rbuf) < int(n) {
@@ -211,9 +213,9 @@ func (f *framer) inflateFrame(payload []byte) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: compressed frame header", ErrBadMessage)
 	}
-	if rawLen > serve.MaxFramePayload {
+	if rawLen > maxFramePayload {
 		return nil, fmt.Errorf("%w: declared decompressed size %d exceeds cap %d",
-			ErrBadMessage, rawLen, serve.MaxFramePayload)
+			ErrBadMessage, rawLen, maxFramePayload)
 	}
 	f.cbuf.Write(payload[n:])
 	if f.fr == nil {

@@ -81,12 +81,12 @@ func TestRestoreCrashes(t *testing.T) {
 		{Title: "KASAN: b", ProgText: "p2"},
 		{Title: "KASAN: c", ProgText: "p3"},
 	}
-	c := &Coordinator{states: []fuzzer.VMState{{}, {}, full}}
+	states := []fuzzer.VMState{{}, {}, full}
 
 	trimmed := full
 	trimmed.Crashes = []fuzzer.CrashState{{Title: "KASAN: d", ProgText: "p4"}}
 	m := DeltaMsg{Deltas: []fuzzer.VMDelta{{VM: 2, CrashBase: 3, State: trimmed}}}
-	if err := c.restoreCrashes(&m); err != nil {
+	if err := restoreCrashes(states, &m); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Deltas[0].State.Crashes
@@ -98,11 +98,11 @@ func TestRestoreCrashes(t *testing.T) {
 	}
 
 	over := DeltaMsg{Deltas: []fuzzer.VMDelta{{VM: 2, CrashBase: 4}}}
-	if err := c.restoreCrashes(&over); !errors.Is(err, ErrBadMessage) {
+	if err := restoreCrashes(states, &over); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("base beyond known table: %v", err)
 	}
 	badVM := DeltaMsg{Deltas: []fuzzer.VMDelta{{VM: 9, CrashBase: 1}}}
-	if err := c.restoreCrashes(&badVM); !errors.Is(err, ErrBadMessage) {
+	if err := restoreCrashes(states, &badVM); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("base for unknown VM: %v", err)
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"github.com/repro/snowplow/internal/fuzzer"
 	"github.com/repro/snowplow/internal/kernel"
-	"github.com/repro/snowplow/internal/serve"
 )
 
 // FuzzClusterCodec drives every message decoder over arbitrary bytes. The
@@ -105,7 +104,7 @@ func FuzzClusterCodec(f *testing.F) {
 				t.Fatalf("frame round trip: typ=0x%02x err=%v", typ, err)
 			}
 			if _, err := rx.inflateFrame(data); err == nil {
-				if cap(rx.dbuf) > serve.MaxFramePayload {
+				if cap(rx.dbuf) > maxFramePayload {
 					t.Fatalf("inflate buffer grew to %d", cap(rx.dbuf))
 				}
 			}

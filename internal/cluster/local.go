@@ -10,8 +10,7 @@
 // determinism digests don't move — while the model's weights, graph cache
 // and tensor arenas are paid for once. TCP workers (RunWorker from another
 // process) still materialize a private server from the spec; a handle can't
-// cross the wire. WorkerOptions.PrivateServing opts local workers back into
-// that behavior for A/B comparisons.
+// cross the wire.
 
 package cluster
 
@@ -39,7 +38,8 @@ func RunLocal(cfg Config, workers int, wopts WorkerOptions) (*Result, error) {
 
 // RunLocalOpts is RunLocal with per-worker options: worker i runs with
 // wopts[i], so a single fleet can mix configurations — legacy-wire workers
-// beside current ones, fused beside unfused, private serving beside shared.
+// beside current ones, fused beside unfused, own inference surface beside
+// the shared server.
 // The worker count is len(wopts).
 func RunLocalOpts(cfg Config, wopts []WorkerOptions) (*Result, error) {
 	cfg.Workers = len(wopts)
@@ -138,11 +138,11 @@ func driveLocal(co *Coordinator, sp CampaignSpec, wopts []WorkerOptions) (*Resul
 	addr := co.Addr()
 	workers := len(wopts)
 	perWorker := append([]WorkerOptions(nil), wopts...) // callers keep their slice
-	// Workers that neither bring their own inference surface nor insist on a
-	// private server share one multi-tenant server, one tenant each.
+	// Workers that do not bring their own inference surface share one
+	// multi-tenant server, one tenant each.
 	var shared []int
 	for i, w := range perWorker {
-		if w.Inference == nil && !w.PrivateServing {
+		if w.Inference == nil {
 			shared = append(shared, i)
 		}
 	}

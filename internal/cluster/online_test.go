@@ -1,9 +1,9 @@
 // Cluster online continual learning: a campaign that retrains and
-// hot-swaps its model mid-flight must stay bit-identical to the single-host
-// engine at any worker count — the coordinator trains and gates, workers
-// drain and swap on push, and the SPMV journal records match event for
-// event. Checkpoints taken before, during and after swaps must resume to
-// the identical final output, including restarting an in-flight retrain.
+// hot-swaps its model mid-flight lands on the same digests over every
+// transport (the "online" row of TestCampaignDigests: the reconciler trains
+// and gates, workers drain and swap on push). Here: checkpoints taken
+// before, during and after swaps must resume to the identical final output,
+// including restarting an in-flight retrain.
 
 package cluster
 
@@ -68,34 +68,6 @@ func requireSwapActivity(t *testing.T, label string, res *Result) {
 	if swaps == 0 {
 		t.Fatalf("%s: journal has no model_swap record", label)
 	}
-}
-
-// TestClusterOnlineMatchesSingleHost extends the cluster guarantee to
-// online learning: a campaign with mid-flight hot swaps splits across 1 or
-// 2 workers (shared multi-tenant serving) with byte-identical corpus,
-// coverage, journal — SPMV records included — and stats.
-func TestClusterOnlineMatchesSingleHost(t *testing.T) {
-	cfg, model, srv := onlineTestConfig(t, 45, 150_000)
-	defer srv.Close()
-	want := runSingleHost(t, cfg)
-	requireSwapActivity(t, "single-host", want)
-
-	spec := SpecFromConfig(withJournalFlag(cfg), model)
-	for _, workers := range []int{1, 2} {
-		got, err := RunLocal(Config{Spec: spec}, workers, WorkerOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireSameResult(t, "online-"+labelWorkers(workers), want, got)
-	}
-	// Private per-worker serving takes the two-phase push down the other
-	// worker path (each worker swaps its own server instead of racing
-	// tenants of a shared one); the digests must not move.
-	got, err := RunLocal(Config{Spec: spec}, 2, WorkerOptions{PrivateServing: true})
-	if err != nil {
-		t.Fatalf("private serving: %v", err)
-	}
-	requireSameResult(t, "online-private", want, got)
 }
 
 // TestClusterOnlineResumeThroughSwap checkpoints an online campaign every

@@ -1,19 +1,22 @@
-// Package cluster scales a fuzzing campaign across processes: one
-// coordinator owns the authoritative corpus, coverage, journal and VM
-// states; N workers each host a fuzzer.Shard (a subset of the campaign's
-// VMs over a full corpus replica) and exchange epoch deltas over the
-// length-prefixed framing shared with the inference protocol
-// (internal/serve).
+// Package cluster scales a fuzzing campaign across processes. The campaign
+// engine is fuzzer.Reconciler — the same one a single-host -vms N campaign
+// runs over an in-process fuzzer.Shard; this package is its wire transport.
+// One coordinator hosts the reconciler (authoritative corpus, coverage,
+// journal and VM states); N workers each host a fuzzer.Shard (a subset of
+// the campaign's VMs over a full corpus replica) and exchange epoch deltas
+// over length-prefixed, optionally flate-compressed frames.
 //
-// The protocol is the single-host reconciler stretched over TCP. Every
-// barrier the coordinator broadcasts the previous merge's accepted entries,
-// each worker applies them to its replica and fuzzes one SyncEvery slice,
-// and the coordinator merges the returned deltas in ascending VM order — so
-// a W-worker cluster is bit-identical per seed to a single host running
-// Config.VMs workers, for the same observables the single-host guarantee
-// covers (corpus, coverage, journal, counters; wall-clock waits and serving
-// cache stats excluded). Checkpoints capture the full barrier state and
-// resume onto any worker count with identical subsequent output.
+// Every barrier the coordinator broadcasts the previous merge's accepted
+// entries, each worker applies them to its replica and fuzzes one SyncEvery
+// slice, and the reconciler merges the returned deltas in ascending VM
+// order — so a W-worker cluster is bit-identical per seed to a single host
+// running Config.VMs workers, for the same observables the single-host
+// guarantee covers (corpus, coverage, journal, counters; wall-clock waits
+// and serving cache stats excluded). What the package adds to the engine is
+// what a network needs: admission and wire negotiation, validation at the
+// decode boundary, reassignment of a lost worker's VMs, a two-phase model
+// push, and checkpoints that capture the full barrier state and resume
+// onto any worker count with identical subsequent output.
 package cluster
 
 import (

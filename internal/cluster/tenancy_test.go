@@ -9,10 +9,10 @@ import (
 // TestClusterSharedServingMatchesPrivate is the serving-multiplexing A/B:
 // the same Snowplow campaign run once on the default loopback path (every
 // in-process worker a tenant of one shared multi-tenant model server) and
-// once with WorkerOptions.PrivateServing (a private model replica per
-// worker, the pre-PR-8 behavior) must produce byte-identical corpus,
-// coverage and journal digests. Sharing the model changes the memory
-// footprint, never a prediction.
+// once the way real TCP workers join (NewCoordinator + RunWorker with no
+// Inference: a private model replica per worker) must produce
+// byte-identical corpus, coverage and journal digests. Sharing the model
+// changes the memory footprint, never a prediction.
 func TestClusterSharedServingMatchesPrivate(t *testing.T) {
 	model := testModelBytes(t)
 	cfg := baseConfig(46, 200_000, 4)
@@ -26,10 +26,7 @@ func TestClusterSharedServingMatchesPrivate(t *testing.T) {
 		if shared.Stats.PMMQueries == 0 {
 			t.Fatalf("workers=%d: shared-serving campaign issued no PMM queries", workers)
 		}
-		private, err := RunLocal(Config{Spec: spec}, workers, WorkerOptions{PrivateServing: true})
-		if err != nil {
-			t.Fatalf("private serving, workers=%d: %v", workers, err)
-		}
+		private := runPrivateFleet(t, Config{Spec: spec}, workers)
 		requireSameResult(t, labelWorkers(workers)+"/shared-vs-private", private, shared)
 	}
 }

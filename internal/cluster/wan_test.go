@@ -15,34 +15,6 @@ import (
 	"github.com/repro/snowplow/internal/faultinject"
 )
 
-// TestClusterCompressedMatchesSingleHost reruns the core determinism
-// guarantee with frame compression negotiated on: identical digests at 1, 2
-// and 4 workers, and the wire accounting must show compression engaged and
-// winning.
-func TestClusterCompressedMatchesSingleHost(t *testing.T) {
-	cfg := baseConfig(41, 200_000, 4)
-	want := runSingleHost(t, cfg)
-	spec := SpecFromConfig(withJournalFlag(cfg), nil)
-	for _, workers := range []int{1, 2, 4} {
-		got, err := RunLocal(Config{Spec: spec, Compress: 6}, workers, WorkerOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireSameResult(t, "compressed-"+labelWorkers(workers), want, got)
-		if got.Wire.CompressedWorkers != workers {
-			t.Errorf("workers=%d: %d negotiated compression", workers, got.Wire.CompressedWorkers)
-		}
-		if got.Wire.TxWireBytes >= got.Wire.TxRawBytes {
-			t.Errorf("workers=%d: compression never won on tx: %d wire vs %d raw",
-				workers, got.Wire.TxWireBytes, got.Wire.TxRawBytes)
-		}
-		if got.Wire.RxWireBytes >= got.Wire.RxRawBytes {
-			t.Errorf("workers=%d: compression never won on rx: %d wire vs %d raw",
-				workers, got.Wire.RxWireBytes, got.Wire.RxRawBytes)
-		}
-	}
-}
-
 // TestClusterMixedWireVersions runs a fleet with one legacy-wire worker
 // (v1 codec, no compression — a binary from before this protocol shipped)
 // beside a current one, compression on: the coordinator speaks each

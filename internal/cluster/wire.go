@@ -124,8 +124,12 @@ type WireMsg struct {
 // Assign hands a worker its campaign spec and VM shard. For a resumed
 // campaign Snapshot carries the checkpoint's corpus (in publish order) to
 // rebuild the replica; States are the canonical VM states to restore.
-// SeedPass marks the worker owning VM 0 of a fresh campaign: it must run
-// the seed-corpus pass and send its delta before the first epoch.
+// SeedPass is how a coordinator built before the reconciler asked VM 0's
+// worker to run the seed pass and send a seed delta. The reconciler now
+// runs the seed pass itself and assigns VM 0 its post-seed state, so this
+// coordinator never sets the flag and a worker rejects an Assign that does
+// (failing fast instead of both ends waiting out IOTimeout for a delta
+// nobody sends).
 type Assign struct {
 	Spec       CampaignSpec
 	VMs        []int

@@ -22,15 +22,12 @@ type WorkerOptions struct {
 	// connection here).
 	Dial func(addr string) (net.Conn, error)
 	// Inference, when non-nil, serves the worker's PMM queries instead of
-	// a private model server — typically one tenant of a shared
-	// multi-tenant server (see RunLocal, which multiplexes every
-	// in-process worker campaign onto one model this way). Predictions
-	// depend only on the model and the query, so shared and private
-	// serving are bit-identical. Ignored outside Snowplow mode.
+	// a private model server materialized from the spec — typically one
+	// tenant of a shared multi-tenant server (see RunLocal, which
+	// multiplexes every in-process worker campaign onto one model this
+	// way). Predictions depend only on the model and the query, so shared
+	// and private serving are bit-identical. Ignored outside Snowplow mode.
 	Inference serve.Inferrer
-	// PrivateServing forces a per-worker model server even where a shared
-	// one would be provided (determinism comparisons, A/B benchmarks).
-	PrivateServing bool
 	// ServeWorkers sizes the worker's local inference server pool
 	// (Snowplow mode; default 2).
 	ServeWorkers int
@@ -136,8 +133,11 @@ func RunWorker(addr string, opts WorkerOptions) error {
 	if err != nil {
 		return err
 	}
+	if a.SeedPass {
+		return sendErr(fmt.Errorf("cluster: coordinator expects a worker-side seed pass, which this worker no longer runs; upgrade the coordinator"))
+	}
 
-	needServer := a.Spec.Mode == 1 && (opts.Inference == nil || opts.PrivateServing)
+	needServer := a.Spec.Mode == 1 && opts.Inference == nil
 	rt, err := a.Spec.Materialize(needServer, opts.ServeWorkers, opts.Fused)
 	if err != nil {
 		return sendErr(err)
@@ -193,19 +193,6 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		}
 	}
 
-	if a.SeedPass {
-		delta, err := shard.SeedPass()
-		if err != nil {
-			return sendErr(err)
-		}
-		deltas := []fuzzer.VMDelta{*delta}
-		elideCrashes(deltas)
-		encBuf = wire.AppendDelta(encBuf[:0], DeltaMsg{Epoch: 0, Deltas: deltas})
-		if err := send(frameDelta, encBuf); err != nil {
-			return err
-		}
-	}
-
 	// stagedModel holds a pushed-but-uncommitted swap between the two phases
 	// of a fleet-wide model push (see frameModelPrep).
 	var stagedModel *pmm.Model
@@ -227,10 +214,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 					return sendErr(err)
 				}
 			}
-			if err := shard.ApplyAccepted(m.Accepted); err != nil {
-				return sendErr(err)
-			}
-			deltas, err := shard.RunEpoch(m.Epoch, nil)
+			deltas, err := shard.RunEpoch(m.Epoch, m.Accepted, nil)
 			if err != nil {
 				return sendErr(err)
 			}
@@ -253,7 +237,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 				crashKnown[st.VM] = len(st.Crashes)
 			}
 			logf("adopting VMs %v for epoch %d", vms, m.Epoch)
-			deltas, err := shard.RunEpoch(m.Epoch, vms)
+			deltas, err := shard.RunEpoch(m.Epoch, nil, vms)
 			if err != nil {
 				return sendErr(err)
 			}
@@ -303,7 +287,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 				return err
 			}
 		case frameDone:
-			states := shard.FinalDrain()
+			states, _ := shard.FinalDrain() // a local shard's drain cannot fail
 			return send(frameFinal, wire.AppendFinal(nil, FinalMsg{States: states}))
 		case frameErr:
 			em, _ := DecodeErr(payload)

@@ -50,7 +50,7 @@ const numStripes = 16
 
 type stripe struct {
 	mu sync.RWMutex
-	m  map[string]bool
+	m  map[string]*Entry
 }
 
 // snapshot is one immutable epoch of the entry list. The slice is never
@@ -75,7 +75,7 @@ type Corpus struct {
 func New() *Corpus {
 	c := &Corpus{total: trace.NewCover()}
 	for i := range c.stripes {
-		c.stripes[i].m = map[string]bool{}
+		c.stripes[i].m = map[string]*Entry{}
 	}
 	c.snap.Store(&snapshot{})
 	return c
@@ -90,24 +90,26 @@ func (c *Corpus) stripeFor(text string) *stripe {
 	return &c.stripes[h&(numStripes-1)]
 }
 
-func (c *Corpus) hasText(text string) bool {
+// ByText returns the corpus entry with this serialized text (the dedup key
+// Add and Seed use), or nil. Barrier-engine shards use it to re-attach a
+// restored VM's prediction window to the live entries.
+func (c *Corpus) ByText(text string) *Entry {
 	st := c.stripeFor(text)
 	st.mu.RLock()
-	ok := st.m[text]
+	e := st.m[text]
 	st.mu.RUnlock()
-	return ok
+	return e
 }
 
-func (c *Corpus) insertText(text string) {
-	st := c.stripeFor(text)
-	st.mu.Lock()
-	st.m[text] = true
-	st.mu.Unlock()
-}
+func (c *Corpus) hasText(text string) bool { return c.ByText(text) != nil }
 
-// publish appends e to a fresh copy of the entry snapshot. Caller holds
-// c.mu.
+// publish indexes e by text and appends it to a fresh copy of the entry
+// snapshot. Caller holds c.mu.
 func (c *Corpus) publish(e *Entry) {
+	st := c.stripeFor(e.Text)
+	st.mu.Lock()
+	st.m[e.Text] = e
+	st.mu.Unlock()
 	old := c.snap.Load().entries
 	entries := make([]*Entry, len(old)+1)
 	copy(entries, old)
@@ -135,7 +137,6 @@ func (c *Corpus) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, tr
 		return 0
 	}
 	c.totalEdges.Add(int64(n))
-	c.insertText(text)
 	c.publish(&Entry{Prog: p, Cover: cover.Clone(), Blocks: blocks.Clone(), Traces: traces, Text: text})
 	return n
 }
@@ -157,7 +158,6 @@ func (c *Corpus) AddEntry(e *Entry) int {
 		return 0
 	}
 	c.totalEdges.Add(int64(n))
-	c.insertText(e.Text)
 	c.publish(e)
 	return n
 }
@@ -176,7 +176,6 @@ func (c *Corpus) Seed(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, t
 	n := c.total.Merge(cover)
 	c.totalMu.Unlock()
 	c.totalEdges.Add(int64(n))
-	c.insertText(text)
 	c.publish(&Entry{Prog: p, Cover: cover.Clone(), Blocks: blocks.Clone(), Traces: traces, Text: text})
 	return true
 }
@@ -193,7 +192,6 @@ func (c *Corpus) SeedEntry(e *Entry) bool {
 	n := c.total.Merge(e.Cover)
 	c.totalMu.Unlock()
 	c.totalEdges.Add(int64(n))
-	c.insertText(e.Text)
 	c.publish(e)
 	return true
 }

@@ -13,8 +13,10 @@
 //
 // Campaigns scale across simulated VMs (Config.VMs): each VM worker owns
 // its execution machine, RNG and prediction window and runs the full
-// generate→exec→trace→triage loop, synchronizing with the shared corpus
-// through an epoch-barrier reconciler (see parallel.go). VMs=1 runs the
+// generate→exec→trace→triage loop inside a Shard, synchronizing with the
+// campaign corpus through the epoch-barrier Reconciler (reconciler.go) —
+// the one engine behind both single-host -vms N campaigns and
+// internal/cluster's coordinator. VMs=1 without online learning runs the
 // original sequential loop and is bit-identical to it.
 package fuzzer
 
@@ -100,11 +102,13 @@ type Config struct {
 	MutationsPerPrediction int
 	// MaxQueryTargets bounds the desired-target sample per query.
 	MaxQueryTargets int
-	// MaxPending bounds in-flight inference queries. When the window is
-	// full the fuzzer blocks for the oldest prediction instead of doing
-	// more random work: inference runs on separate serving hardware, so
-	// waiting costs no simulated fuzzing budget — only wall-clock, which
-	// the async window already overlaps with mutation work.
+	// MaxPending is the per-VM in-flight query window that serving is
+	// sized for: internal/cluster multiplies it by the fleet's VM count to
+	// size each server's queue. The fuzz loop itself does not enforce it —
+	// a VM has at most one query in flight per corpus entry, and nothing
+	// blocks when more than MaxPending entries are waiting. Enforcing the
+	// window would change which rounds fall back to random localization,
+	// and with them every campaign digest (see ROADMAP.md).
 	MaxPending int
 	// SyncInference disables the asynchronous integration (§3.4 ablation):
 	// every guided mutation blocks on a fresh inference call, stalling the
@@ -128,7 +132,7 @@ type Config struct {
 	// corpus at fixed epoch barriers and hot-swaps accepted checkpoints into
 	// the server at barrier epochs, without pausing VMs. Requires
 	// ModeSnowplow and a Server implementing serve.ModelSwapper (a local
-	// *serve.Server or *serve.Tenant; the TCP client cannot swap). Online
+	// *serve.Server or *serve.Tenant). Online
 	// campaigns always run through the epoch-barrier engine, even at VMs=1,
 	// so the swap schedule is defined by barrier epochs.
 	Online *online.Config
@@ -246,12 +250,11 @@ func (y YieldStats) edges() int64 {
 
 // corpusView is a VM worker's window onto the campaign corpus. The
 // sequential campaign reads and writes the shared corpus directly; a
-// parallel VM sees an epoch snapshot plus its own local additions, which
-// the reconciler merges at the next barrier.
+// shard VM sees an epoch snapshot plus its own local additions, which the
+// reconciler merges at the next barrier.
 type corpusView interface {
 	Choose(r *rng.Rand) *corpus.Entry
 	Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int
-	Seed(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) bool
 	NewEdges(cover *trace.Cover) int
 	TotalCover() *trace.Cover
 	// HasBlock reports whether the campaign (as visible to this VM) has
@@ -259,7 +262,8 @@ type corpusView interface {
 	HasBlock(b kernel.BlockID) bool
 }
 
-// sharedView is the sequential campaign's direct window onto the corpus.
+// sharedView is a direct window onto the corpus: the sequential campaign's
+// view, and what every campaign's seed pass inserts through.
 type sharedView struct {
 	corp   *corpus.Corpus
 	blocks *trace.BlockSet // campaign-global covered blocks
@@ -275,12 +279,11 @@ func (v *sharedView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet
 	return n
 }
 
-func (v *sharedView) Seed(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) bool {
+// seed inserts an initial program unconditionally (deduplicated by text).
+func (v *sharedView) seed(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) {
 	if v.corp.Seed(p, cover, blocks, traces) {
 		v.blocks.Merge(blocks)
-		return true
 	}
-	return false
 }
 
 func (v *sharedView) NewEdges(cover *trace.Cover) int { return v.corp.NewEdges(cover) }
@@ -289,21 +292,16 @@ func (v *sharedView) HasBlock(b kernel.BlockID) bool  { return v.blocks.Has(b) }
 
 // Fuzzer is one configured campaign.
 type Fuzzer struct {
-	cfg          Config
-	corp         *corpus.Corpus
-	globalBlocks trace.BlockSet
-	stats        Stats
-	seq          *worker          // the sequential (VMs<=1) worker
-	metrics      *campaignMetrics // nil when Config.Metrics is nil
+	cfg     Config
+	corp    *corpus.Corpus
+	shared  *sharedView      // the sequential worker's view of corp
+	seq     *worker          // the sequential (VMs<=1) worker
+	metrics *campaignMetrics // nil when Config.Metrics is nil
 
 	// cacheSim replays the serving graph-cache LRU over the campaign's
 	// query keys in reconcile order, making the hit/miss split
 	// seed-deterministic (nil when the server's cache capacity is unknown).
 	cacheSim *qgraph.CacheSim
-
-	// online / swapper drive continual learning when Config.Online is set.
-	online  *online.Controller
-	swapper serve.ModelSwapper
 }
 
 // worker is one simulated fuzzing VM: the full generate→exec→trace→triage
@@ -321,7 +319,7 @@ type worker struct {
 
 	preds     map[*corpus.Entry]*entryPrediction
 	crashSeen map[string]*CrashReport
-	stats     *Stats // counter sink (the campaign Stats when sequential)
+	stats     *Stats // the VM's own counters (the campaign Stats when sequential)
 
 	// Observability (all optional): the campaign's shared instrument
 	// bundle, the shared journal, the VM's buffered mid-epoch events
@@ -338,21 +336,21 @@ type worker struct {
 	sampleEvery int64 // sequential: series sampling period (0 = no series)
 	nextSample  int64
 
-	// Parallel-mode bookkeeping (see parallel.go).
+	// Barrier-engine bookkeeping (see shard.go).
 	err          error         // first step error inside an epoch
 	epochElapsed time.Duration // wall-clock of the worker's last epoch
 	queueWaitNs  int64         // accumulated barrier wait
 	epochs       int64
-	reconciled   int64 // new edges credited after cross-VM dedup
 
 	// deferHarvest makes prediction replies visible only at epoch
-	// barriers, pinning the parallel campaign's query schedule to
-	// simulated time instead of wall-clock arrival order.
+	// barriers, pinning a barrier-engine campaign's query schedule to
+	// simulated time instead of wall-clock arrival order. Only the
+	// sequential worker clears it.
 	deferHarvest bool
 
 	// Cache-simulation plumbing: a sequential worker folds each submitted
 	// query's key into the shared simulator immediately (cacheSim non-nil);
-	// a parallel VM buffers keys in submission order (trackKeys) for the
+	// a shard VM buffers keys in submission order (trackKeys) for the
 	// reconciler to fold at the barrier in VM order.
 	cacheSim  *qgraph.CacheSim
 	trackKeys bool
@@ -427,10 +425,7 @@ func New(cfg Config) *Fuzzer {
 		cfg:  cfg,
 		corp: corpus.New(),
 	}
-	f.stats.Mode = cfg.Mode
-	if cfg.Metrics != nil {
-		f.metrics = newCampaignMetrics(cfg.Metrics, f.corp)
-	}
+	f.metrics = newCampaignMetrics(cfg.Metrics, f.corp)
 	if cfg.Server != nil {
 		if gc, ok := cfg.Server.(interface{ GraphCacheCapacity() int }); ok {
 			if capacity := gc.GraphCacheCapacity(); capacity > 0 {
@@ -438,76 +433,78 @@ func New(cfg Config) *Fuzzer {
 			}
 		}
 	}
-	f.seq = &worker{
-		cfg:          &f.cfg,
-		id:           0,
-		r:            rng.New(cfg.Seed),
-		exe:          exec.NewMachine(cfg.Kernel, 0),
-		mut:          mutation.NewMutator(cfg.Kernel.Target),
-		gen:          prog.NewGenerator(cfg.Kernel.Target),
-		view:         &sharedView{corp: f.corp, blocks: &f.globalBlocks},
-		preds:        map[*corpus.Entry]*entryPrediction{},
-		crashSeen:    map[string]*CrashReport{},
-		stats:        &f.stats,
-		budget:       cfg.Budget,
-		sampleEvery:  cfg.SampleEvery,
-		scratchCover: trace.NewCover(),
-		m:            f.metrics,
-		jn:           cfg.Journal,
-		cacheSim:     f.cacheSim,
-	}
+	// The sequential worker is VM 0 of a one-VM fleet, bound directly to
+	// the shared corpus: it merges, samples and folds cache keys as it goes
+	// instead of at barriers.
+	one := cfg
+	one.VMs = 1
+	w := newWorker(&f.cfg, InitialVMState(one, 0), f.metrics, false)
+	f.shared = &sharedView{corp: f.corp, blocks: &trace.BlockSet{}}
+	w.view = f.shared
+	w.deferHarvest = false
+	w.sampleEvery = cfg.SampleEvery
+	w.cacheSim = f.cacheSim
+	f.seq = w
 	return f
 }
 
-// Corpus exposes the fuzzer's corpus (for directed fuzzing and tests).
+// Corpus exposes the fuzzer's corpus (for directed fuzzing and tests). In a
+// barrier-engine campaign it is the reconciler's authoritative corpus,
+// holding the very entries the VMs built.
 func (f *Fuzzer) Corpus() *corpus.Corpus { return f.corp }
 
-// fallbackProb exposes the sequential worker's degraded-fallback logic for
-// tests.
-func (f *Fuzzer) fallbackProb() float64 { return f.seq.fallbackProb() }
-
-// Run executes the campaign until the budget is exhausted and returns the
-// statistics.
-func (f *Fuzzer) Run() (*Stats, error) {
-	f.cfg.Journal.Record(obs.Event{
+// recordCampaignStart / recordCampaignEnd bracket a campaign's journal
+// (nil-safe, like every journal write).
+func recordCampaignStart(jn *obs.Journal, cfg *Config) {
+	jn.Record(obs.Event{
 		Kind: obs.EventCampaignStart, VM: -1,
-		Detail: fmt.Sprintf("%s seed=%d vms=%d budget=%d", f.cfg.Mode, f.cfg.Seed, f.cfg.VMs, f.cfg.Budget),
+		Detail: fmt.Sprintf("%s seed=%d vms=%d budget=%d", cfg.Mode, cfg.Seed, cfg.VMs, cfg.Budget),
 	})
-	stats, err := f.run()
-	if err != nil {
-		return nil, err
-	}
-	f.cfg.Journal.Record(obs.Event{
+}
+
+func recordCampaignEnd(jn *obs.Journal, stats *Stats) {
+	jn.Record(obs.Event{
 		Kind: obs.EventCampaignEnd, VM: -1, Value: int64(stats.FinalEdges),
 		Detail: fmt.Sprintf("execs=%d corpus=%d", stats.Executions, stats.CorpusSize),
 	})
-	return stats, nil
 }
 
-func (f *Fuzzer) run() (*Stats, error) {
-	if f.cfg.Online != nil {
-		if err := f.initOnline(); err != nil {
-			return nil, err
-		}
-		// Online campaigns always run the epoch-barrier engine: swap
-		// scheduling is defined in barrier epochs, even at VMs=1.
-		return f.runParallel()
+// Run executes the campaign until the budget is exhausted and returns the
+// statistics. Fleets (VMs > 1) and online campaigns — whose swap schedule
+// is defined in barrier epochs, even at VMs=1 — run the epoch-barrier
+// reconciler over one in-process shard; everything else runs the
+// sequential loop.
+func (f *Fuzzer) Run() (*Stats, error) {
+	if f.cfg.Online == nil && f.cfg.VMs <= 1 {
+		return f.runSequential()
 	}
-	if f.cfg.VMs > 1 {
-		return f.runParallel()
+	ctl, err := f.newOnline()
+	if err != nil {
+		return nil, err
 	}
-	return f.runSequential()
+	rec, err := newReconciler(f.cfg, f.corp, ctl, f.metrics, f.cacheSim)
+	if err != nil {
+		return nil, err
+	}
+	shard := newShard(f.cfg, f.corp, f.metrics, f.cacheSim != nil)
+	if err := shard.Restore(rec.States); err != nil {
+		return nil, err
+	}
+	return rec.Run(shard, nil)
 }
 
-// initOnline builds the continual-learning controller against the campaign
-// server's currently served model.
-func (f *Fuzzer) initOnline() error {
+// newOnline builds the continual-learning controller against the campaign
+// server's currently served model (nil when the campaign's model is frozen).
+func (f *Fuzzer) newOnline() (*online.Controller, error) {
+	if f.cfg.Online == nil {
+		return nil, nil
+	}
 	if f.cfg.Mode != ModeSnowplow {
-		return fmt.Errorf("fuzzer: online learning requires Snowplow mode")
+		return nil, fmt.Errorf("fuzzer: online learning requires Snowplow mode")
 	}
 	sw, ok := f.cfg.Server.(serve.ModelSwapper)
 	if !ok {
-		return fmt.Errorf("fuzzer: online learning requires a hot-swappable server (serve.ModelSwapper), got %T", f.cfg.Server)
+		return nil, fmt.Errorf("fuzzer: online learning requires a hot-swappable server (serve.ModelSwapper), got %T", f.cfg.Server)
 	}
 	ctl, err := online.New(online.Params{
 		Config:         *f.cfg.Online,
@@ -520,21 +517,20 @@ func (f *Fuzzer) initOnline() error {
 		Metrics:        f.cfg.Metrics,
 	})
 	if err != nil {
-		return fmt.Errorf("fuzzer: %w", err)
+		return nil, fmt.Errorf("fuzzer: %w", err)
 	}
-	f.online = ctl
-	f.swapper = sw
-	return nil
+	return ctl, nil
 }
 
 // runSequential is the single-VM campaign: the worker is bound directly to
 // the shared corpus and merges every result immediately, exactly as the
 // original sequential loop did.
 func (f *Fuzzer) runSequential() (*Stats, error) {
+	recordCampaignStart(f.cfg.Journal, &f.cfg)
 	w := f.seq
 	w.nextSample = w.sampleEvery
 	for _, p := range f.cfg.SeedCorpus {
-		if err := w.seed(p); err != nil {
+		if err := w.seed(p, f.shared); err != nil {
 			return nil, err
 		}
 	}
@@ -545,35 +541,36 @@ func (f *Fuzzer) runSequential() (*Stats, error) {
 		}
 	}
 	w.drainPending()
-	f.stats.CorpusSize = f.corp.Len()
-	f.stats.FinalEdges = f.corp.TotalEdges()
-	f.fillCacheStats()
-	if len(f.stats.Series) == 0 || f.stats.Series[len(f.stats.Series)-1].Cost < w.cost {
-		f.stats.Series = append(f.stats.Series, Point{Cost: w.cost, Edges: f.corp.TotalEdges()})
+	stats := w.stats
+	stats.CorpusSize = f.corp.Len()
+	stats.FinalEdges = f.corp.TotalEdges()
+	stats.PMMCacheHits, stats.PMMCacheMisses = cacheStats(f.cacheSim, f.cfg.Server)
+	if len(stats.Series) == 0 || stats.Series[len(stats.Series)-1].Cost < w.cost {
+		stats.Series = append(stats.Series, Point{Cost: w.cost, Edges: stats.FinalEdges})
 	}
-	f.stats.VMs = []VMStat{{
+	stats.VMs = []VMStat{{
 		VM:         0,
-		Executions: f.stats.Executions,
-		NewEdges:   f.stats.Yield.edges(),
-		Queries:    f.stats.PMMQueries,
+		Executions: stats.Executions,
+		NewEdges:   stats.Yield.edges(),
+		Queries:    stats.PMMQueries,
 		Epochs:     1,
 	}}
-	return &f.stats, nil
+	recordCampaignEnd(f.cfg.Journal, stats)
+	return stats, nil
 }
 
-// fillCacheStats sets the campaign's cache hit/miss counters: from the
-// deterministic simulation when it is running, else mirroring the server's
-// wall-clock counters.
-func (f *Fuzzer) fillCacheStats() {
-	if f.cacheSim != nil {
-		f.stats.PMMCacheHits, f.stats.PMMCacheMisses = f.cacheSim.Stats()
-		return
+// cacheStats is a campaign's graph-cache hit/miss split: from the
+// deterministic simulation when one ran, else mirroring the server's
+// wall-clock counters (zero without a server).
+func cacheStats(sim *qgraph.CacheSim, server serve.Inferrer) (hits, misses int64) {
+	if sim != nil {
+		return sim.Stats()
 	}
-	if f.cfg.Server != nil {
-		ss := f.cfg.Server.Stats()
-		f.stats.PMMCacheHits = ss.CacheHits
-		f.stats.PMMCacheMisses = ss.CacheMisses
+	if server != nil {
+		ss := server.Stats()
+		return ss.CacheHits, ss.CacheMisses
 	}
+	return 0, 0
 }
 
 // noteCacheKey accounts one submitted query to the cache simulation: folded
@@ -777,7 +774,7 @@ func (w *worker) syncGuidedArgMutation(entry *corpus.Entry) error {
 
 // predictionFor returns the entry's cached prediction state, submitting or
 // refreshing the asynchronous query as needed and harvesting a completed
-// reply if one is available. In deferred-harvest (parallel) mode replies
+// reply if one is available. In deferred-harvest (barrier-engine) mode replies
 // become visible only at epoch barriers, so prediction availability is a
 // function of simulated time, not wall-clock arrival order.
 func (w *worker) predictionFor(entry *corpus.Entry) *entryPrediction {
@@ -1028,8 +1025,9 @@ func (w *worker) minimize(p *prog.Prog, res *exec.Result, cover *trace.Cover) (*
 	return best, bestRes, bestCover, trace.NewBlockSet(trace.BlocksOf(bestRes))
 }
 
-// seed executes and unconditionally retains an initial program.
-func (w *worker) seed(p *prog.Prog) error {
+// seed executes an initial program and retains it in the corpus
+// unconditionally.
+func (w *worker) seed(p *prog.Prog, into *sharedView) error {
 	var t0 time.Time
 	if w.m != nil {
 		t0 = time.Now()
@@ -1049,18 +1047,18 @@ func (w *worker) seed(p *prog.Prog) error {
 	}
 	cover := trace.EdgesOfInto(w.scratchCover, res)
 	blocks := *trace.BlockSetOfInto(&w.scratchBlocks, res)
-	w.view.Seed(p, cover, blocks, res.CallTraces)
+	into.seed(p, cover, blocks, res.CallTraces)
 	return nil
 }
 
 // charge advances simulated time and, in sequential mode, samples the
-// coverage series (parallel campaigns sample at reconcile barriers
+// coverage series (barrier-engine campaigns sample at reconcile barriers
 // instead).
 func (w *worker) charge(cost int64) {
 	w.cost += cost
 	if w.m != nil && !w.deferHarvest {
-		// Sequential campaigns publish simulated time directly; parallel
-		// fleets publish the sum at reconcile barriers instead.
+		// Sequential campaigns publish simulated time directly; fleets
+		// publish the sum at reconcile barriers instead.
 		w.m.cost.Set(w.cost)
 	}
 	if w.sampleEvery <= 0 {

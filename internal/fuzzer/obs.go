@@ -35,8 +35,12 @@ type campaignMetrics struct {
 }
 
 // newCampaignMetrics registers the fuzzer's instruments plus pull-model
-// gauges over the campaign corpus. reg must be non-nil.
+// gauges over the campaign corpus. A nil registry yields a nil bundle, the
+// "metrics off" value every hot path checks for.
 func newCampaignMetrics(reg *obs.Registry, corp *corpus.Corpus) *campaignMetrics {
+	if reg == nil {
+		return nil
+	}
 	m := &campaignMetrics{
 		execs:         reg.Counter("fuzzer_execs_total", "execs", "programs executed (all VMs, incl. triage)"),
 		execsGuided:   reg.Counter("fuzzer_execs_guided_total", "execs", "PMM-localized argument-mutation executions"),

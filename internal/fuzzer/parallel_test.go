@@ -22,7 +22,7 @@ func zeroQueueWait(s *Stats) *Stats {
 	return s
 }
 
-func runParallelCampaign(t *testing.T, cfg Config) (*Stats, *Fuzzer) {
+func runFleetCampaign(t *testing.T, cfg Config) (*Stats, *Fuzzer) {
 	t.Helper()
 	f := New(cfg)
 	stats, err := f.Run()
@@ -35,10 +35,10 @@ func runParallelCampaign(t *testing.T, cfg Config) (*Stats, *Fuzzer) {
 // TestParallelSingleVMMatchesDefault pins that VMs=1 is the sequential
 // campaign: setting the flag explicitly must change nothing at all.
 func TestParallelSingleVMMatchesDefault(t *testing.T) {
-	a, _ := runParallelCampaign(t, baselineConfig(31, 150_000))
+	a, _ := runFleetCampaign(t, baselineConfig(31, 150_000))
 	cfg := baselineConfig(31, 150_000)
 	cfg.VMs = 1
-	b, _ := runParallelCampaign(t, cfg)
+	b, _ := runFleetCampaign(t, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("VMs=1 campaign diverged from the default sequential campaign")
 	}
@@ -51,10 +51,10 @@ func TestParallelSingleVMMatchesDefault(t *testing.T) {
 func TestParallelReproducibleSyzkaller(t *testing.T) {
 	cfg := baselineConfig(32, 300_000)
 	cfg.VMs = 4
-	a, fa := runParallelCampaign(t, cfg)
+	a, fa := runFleetCampaign(t, cfg)
 	cfg2 := baselineConfig(32, 300_000)
 	cfg2.VMs = 4
-	b, fb := runParallelCampaign(t, cfg2)
+	b, fb := runFleetCampaign(t, cfg2)
 	if !reflect.DeepEqual(zeroQueueWait(a), zeroQueueWait(b)) {
 		t.Fatalf("4-VM campaign not reproducible:\nrun1: edges=%d execs=%d corpus=%d crashes=%d\nrun2: edges=%d execs=%d corpus=%d crashes=%d",
 			a.FinalEdges, a.Executions, a.CorpusSize, len(a.Crashes),
@@ -87,7 +87,7 @@ func TestParallelReproducibleSnowplow(t *testing.T) {
 		cfg.Mode = ModeSnowplow
 		cfg.Server = srv
 		cfg.VMs = 4
-		stats, _ := runParallelCampaign(t, cfg)
+		stats, _ := runFleetCampaign(t, cfg)
 		return stats
 	}
 	a, b := run(), run()
@@ -113,7 +113,7 @@ func TestParallelReproducibleSnowplow(t *testing.T) {
 func TestParallelFleetSanity(t *testing.T) {
 	cfg := baselineConfig(34, 400_000)
 	cfg.VMs = 4
-	stats, _ := runParallelCampaign(t, cfg)
+	stats, _ := runFleetCampaign(t, cfg)
 	if len(stats.VMs) != 4 {
 		t.Fatalf("expected 4 VM stat entries, got %d", len(stats.VMs))
 	}
@@ -134,7 +134,7 @@ func TestParallelFleetSanity(t *testing.T) {
 	if newEdges == 0 {
 		t.Fatal("no VM contributed reconciled new edges")
 	}
-	seq, _ := runParallelCampaign(t, baselineConfig(34, 400_000))
+	seq, _ := runFleetCampaign(t, baselineConfig(34, 400_000))
 	if stats.FinalEdges < seq.FinalEdges/2 {
 		t.Fatalf("parallel coverage collapsed: %d vs sequential %d", stats.FinalEdges, seq.FinalEdges)
 	}

@@ -212,10 +212,10 @@ func TestFallbackProbRaisedWhenUnhealthy(t *testing.T) {
 	if srv.Healthy() {
 		t.Skip("server still healthy; health window larger than expected")
 	}
-	if got := f.fallbackProb(); got != 0.95 {
+	if got := f.seq.fallbackProb(); got != 0.95 {
 		t.Fatalf("degraded fallback prob = %v, want 0.95", got)
 	}
-	if f.stats.DegradedSteps != 1 {
-		t.Fatalf("degraded steps = %d", f.stats.DegradedSteps)
+	if f.seq.stats.DegradedSteps != 1 {
+		t.Fatalf("degraded steps = %d", f.seq.stats.DegradedSteps)
 	}
 }

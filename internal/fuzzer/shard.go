@@ -1,22 +1,23 @@
-// Cluster seam: a Shard runs a subset of a campaign's VM workers against a
-// local corpus replica and exports epoch deltas — the exact per-VM local
-// additions, buffered journal events and post-epoch VM state that the
-// single-host reconciler (parallel.go) consumes in-process. A coordinator
-// (internal/cluster) merges the deltas of all shards in ascending VM order
-// and broadcasts the accepted entries back, so a W-shard cluster replays
-// the same merge schedule as a single host running Config.VMs workers: the
-// corpus, coverage, journal and counters are bit-identical per seed.
+// Shards: where a campaign's VM workers run. A Shard hosts a subset of the
+// fleet against the campaign corpus — the reconciler's own corpus when the
+// shard runs in-process, a full replica when it runs in a cluster worker —
+// and exports epoch deltas: each VM's local additions, buffered journal
+// events, cache keys and post-epoch state. The reconciler (reconciler.go)
+// merges the deltas of all shards in ascending VM order and hands the
+// accepted entries back, so any placement of VMs on shards replays the same
+// merge schedule: the corpus, coverage, journal and counters are
+// bit-identical per seed.
 //
 // The seam also makes VMs portable. A VMState snapshot is everything a
 // worker's future behavior depends on — mutation RNG, flaky-crash RNG,
 // simulated cost, counters, crash dedup table and in-flight prediction
 // window — so a VM captured at a barrier can be restored onto any shard
-// (worker churn) or into a campaign checkpoint and continue bit-identically.
-// The only serving-dependent escape hatch is the phantom-reply counter:
-// cluster determinism, like the journal's, assumes fault-free inference
-// serving (predictions are deterministic in the model, so resubmitting a
-// pending query after restore yields the reply the lost VM would have
-// received).
+// (worker churn) or into a campaign checkpoint and continue bit-identically;
+// a fresh VM is simply InitialVMState restored. The only serving-dependent
+// escape hatch is the phantom-reply counter: barrier-engine determinism,
+// like the journal's, assumes fault-free inference serving (predictions are
+// deterministic in the model, so resubmitting a pending query after restore
+// yields the reply the lost VM would have received).
 
 package fuzzer
 
@@ -24,17 +25,85 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/repro/snowplow/internal/corpus"
 	"github.com/repro/snowplow/internal/exec"
 	"github.com/repro/snowplow/internal/kernel"
 	"github.com/repro/snowplow/internal/mutation"
 	"github.com/repro/snowplow/internal/obs"
+	"github.com/repro/snowplow/internal/online"
 	"github.com/repro/snowplow/internal/prog"
+	"github.com/repro/snowplow/internal/qgraph"
 	"github.com/repro/snowplow/internal/rng"
 	"github.com/repro/snowplow/internal/serve"
 	"github.com/repro/snowplow/internal/trace"
 )
+
+// vmSeedStride decorrelates per-VM RNG streams (the SplitMix64 increment);
+// VM 0's stream equals the sequential campaign's stream.
+const vmSeedStride = 0x9e3779b97f4a7c15
+
+// epochView is a VM's frozen window onto the campaign for one epoch: the
+// shared snapshot taken at the barrier plus the VM's own additions. All
+// mutation is VM-private, so mid-epoch the fleet shares nothing mutable.
+type epochView struct {
+	corp   *corpus.Corpus
+	base   []*corpus.Entry // shared entries frozen at epoch start
+	total  *trace.Cover    // shared total cover clone + local merges
+	blocks trace.BlockSet  // shared covered blocks clone + local merges
+	locals []Local         // this epoch's additions, in acceptance order
+	// byText indexes locals by program text: the VM's dedup table during
+	// the epoch, and afterwards how its shard finds the entries of its own
+	// that won the merge.
+	byText map[string]*corpus.Entry
+}
+
+func newEpochView(corp *corpus.Corpus, blocks *trace.BlockSet) *epochView {
+	return &epochView{
+		corp:   corp,
+		base:   corp.Entries(),
+		total:  corp.TotalCover(),
+		blocks: blocks.Clone(),
+		byText: map[string]*corpus.Entry{},
+	}
+}
+
+func (v *epochView) Choose(r *rng.Rand) *corpus.Entry {
+	n := len(v.base) + len(v.locals)
+	if n == 0 {
+		return nil
+	}
+	i := r.Intn(n)
+	if i < len(v.base) {
+		return v.base[i]
+	}
+	return v.locals[i-len(v.base)].Entry
+}
+
+// Add applies the corpus acceptance policy against the VM's epoch-local
+// view. Accepted entries are cloned off the caller's scratch buffers and
+// queued for the reconciler; cross-VM duplicates are resolved at the
+// barrier, not here.
+func (v *epochView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int {
+	text := p.Serialize()
+	if v.byText[text] != nil || v.corp.HasText(text) {
+		return 0
+	}
+	n := v.total.Merge(cover)
+	if n == 0 {
+		return 0
+	}
+	v.blocks.Merge(blocks)
+	e := &corpus.Entry{Prog: p, Cover: cover.Clone(), Blocks: blocks.Clone(), Traces: traces, Text: text}
+	v.byText[text] = e
+	v.locals = append(v.locals, Local{Text: text, Traces: traces, Entry: e})
+	return n
+}
+
+func (v *epochView) NewEdges(cover *trace.Cover) int { return v.total.NewEdges(cover) }
+func (v *epochView) TotalCover() *trace.Cover        { return v.total }
+func (v *epochView) HasBlock(b kernel.BlockID) bool  { return v.blocks.Has(b) }
 
 // VMCounters are one VM's scalar campaign counters, round-tripped through
 // checkpoints so a restored VM's final stats line matches the uninterrupted
@@ -63,13 +132,28 @@ type CrashState struct {
 	Cost       int64
 }
 
+// report rebuilds the crash report the state was captured from.
+func (cs CrashState) report() *CrashReport {
+	return &CrashReport{
+		Spec: &kernel.CrashSpec{
+			Title:      cs.Title,
+			Category:   cs.Category,
+			Detector:   cs.Detector,
+			KnownSince: cs.KnownSince,
+			Flaky:      cs.Flaky,
+		},
+		ProgText: cs.ProgText,
+		Cost:     cs.Cost,
+	}
+}
+
 // PredState is one entry of a VM's prediction window in wire form. Exactly
 // one of Pending (query in flight; Targets is what it asked for) or a
 // non-nil Slots (reply arrived, not yet consumed) is meaningful. Consumed
 // predictions are omitted: an absent state and a consumed state both make
 // the next pick of the entry resubmit an identical query. Local marks a
 // prediction attached to an entry from the VM's own just-finished epoch
-// (not yet merged); the coordinator resolves it against the merge outcome
+// (not yet merged); the reconciler resolves it against the merge outcome
 // before the state becomes canonical.
 type PredState struct {
 	Text    string
@@ -92,8 +176,8 @@ type VMState struct {
 	Budget    int64
 	Epochs    int64
 	// Reconciled is the VM's post-dedup new-edge yield. It is owned by the
-	// coordinator (only the merge knows who won) and round-tripped here so
-	// restored workers carry it into their final stats line.
+	// reconciler (only the merge knows who won): a shard neither reads nor
+	// sets it.
 	Reconciled int64
 	// Phantom counts prediction replies owed to the VM whose base entries
 	// died in a merge before the reply landed; see worker.phantom.
@@ -106,14 +190,17 @@ type VMState struct {
 	Preds       []PredState
 }
 
-// Local is one program a VM accepted during an epoch, in wire form: the
-// serialized program and its per-call traces. Cover and block sets are
-// recomputed on receipt (corpus.EntryFromTraces) — traces must travel
-// because flaky crash blocks make re-execution nondeterministic.
+// Local is one program a VM accepted during an epoch: the serialized
+// program and its per-call traces — traces must travel because flaky crash
+// blocks make re-execution nondeterministic. Entry is the corpus entry the
+// merge inserts: the VM's own entry when the delta never left the process,
+// rebuilt from Text and Traces (corpus.EntryFromTraces) by whoever decodes
+// the delta off a wire.
 type Local struct {
 	Text   string
 	Traces [][]kernel.BlockID
-	Seeded bool
+	Seeded bool // insert unconditionally instead of new-edge gated
+	Entry  *corpus.Entry
 }
 
 // VMDelta is one VM's contribution to an epoch barrier: its local corpus
@@ -124,6 +211,10 @@ type VMDelta struct {
 	Locals []Local
 	Events []obs.Event
 	State  VMState
+	// Keys are the cache keys of the queries the VM submitted this epoch,
+	// in submission order, for the reconciler's cache simulation. Only an
+	// in-process shard reports them; they do not travel on the wire.
+	Keys []qgraph.QueryKey
 	// CrashBase is a wire-level transfer optimization: the number of
 	// leading State.Crashes entries elided because the receiver already
 	// holds them from the previous barrier (the per-VM crash table is
@@ -134,20 +225,23 @@ type VMDelta struct {
 	CrashBase int
 }
 
-// Accepted is one merge-accepted corpus entry in broadcast order. VM is the
+// Accepted is one merge-accepted corpus entry in merge order. VM is the
 // winning VM (-1 for checkpoint-snapshot replays, where no shard owns the
-// entry); shards that own the winning VM splice their original *Entry back
-// in, preserving the pointer identity the prediction cache keys on.
+// entry). Entry is the authoritative corpus's entry and is set only
+// in-process, where shard and reconciler share that corpus; a replica
+// shard splices its own VM's original entry back in (preserving the pointer
+// identity the prediction cache keys on) and rebuilds everyone else's.
 type Accepted struct {
 	VM     int
 	Seeded bool
 	Text   string
 	Traces [][]kernel.BlockID
+	Entry  *corpus.Entry
 }
 
 // InitialVMState is the state of VM vm before a campaign starts: fresh RNG
 // streams, zero counters, and the VM's share of the budget (VM 0 takes the
-// division remainder, as in runParallel).
+// division remainder).
 func InitialVMState(cfg Config, vm int) VMState {
 	cfg = cfg.Normalized()
 	per := cfg.Budget / int64(cfg.VMs)
@@ -163,30 +257,34 @@ func InitialVMState(cfg Config, vm int) VMState {
 	}
 }
 
-// Shard hosts a subset of a campaign's VM workers against a full local
-// corpus replica. The coordinator drives it strictly in barrier steps:
-// ApplyAccepted (sync the replica with the last merge), then RunEpoch
-// (fuzz one slice, export deltas). A Shard is not safe for concurrent use
-// by multiple drivers.
+// Shard hosts a subset of a campaign's VM workers. It is driven strictly in
+// barrier steps and is not safe for concurrent use by multiple drivers. An
+// in-process *Shard is itself the reconciler's Transport.
 type Shard struct {
-	cfg    Config
-	corp   *corpus.Corpus
-	blocks trace.BlockSet
-	// byText maps replica entry text to the replica's pointer for that
-	// entry, so VMState prediction windows can be re-attached on restore.
-	byText  map[string]*corpus.Entry
+	cfg Config
+	// corp is the corpus the VMs snapshot: the reconciler's authoritative
+	// corpus in-process, a full replica in a cluster worker.
+	corp    *corpus.Corpus
+	blocks  trace.BlockSet // covered blocks of corp
 	workers map[int]*worker
-	// lastLocals keeps each owned VM's previous-epoch local entries until
+	// lastLocals keeps each owned VM's latest-epoch entries by text until
 	// the merge outcome arrives, so accepted entries that this shard's own
-	// VM produced are spliced back with their original pointer identity.
-	lastLocals map[int][]localEntry
+	// VM produced join the replica with their original pointer identity.
+	// Each epoch a VM runs overwrites its slot and nothing else clears one:
+	// a reassignment re-run (RunEpoch with explicit vms) lands between the
+	// survivor's own epoch and that epoch's merge outcome, which must still
+	// find the survivor's entries here.
+	lastLocals map[int]map[string]*corpus.Entry
 	syncEvery  int64
+	m          *campaignMetrics // nil without metrics
+	trackKeys  bool             // VMs buffer cache keys for the reconciler
 }
 
-// NewShard creates an empty shard for the campaign config. The config's
-// Journal, when non-nil, acts purely as a flag: shard workers buffer their
-// events for the coordinator and never record to a local journal, so any
-// non-nil sentinel (e.g. obs.NewJournal(1)) enables event capture.
+// NewShard creates an empty shard over a corpus replica of its own, for a
+// cluster worker. The config's Journal, when non-nil, acts purely as a
+// flag: shard workers buffer their events for the reconciler and never
+// record to a journal themselves, so any non-nil sentinel (e.g.
+// obs.NewJournal(1)) enables event capture.
 func NewShard(cfg Config) (*Shard, error) {
 	cfg = cfg.Normalized()
 	if cfg.Mode == ModeSnowplow && cfg.Server == nil {
@@ -195,6 +293,12 @@ func NewShard(cfg Config) (*Shard, error) {
 	if cfg.Kernel == nil {
 		return nil, fmt.Errorf("fuzzer: shard requires a kernel")
 	}
+	corp := corpus.New()
+	return newShard(cfg, corp, newCampaignMetrics(cfg.Metrics, corp), false), nil
+}
+
+// newShard creates an empty shard over corp; cfg must be normalized.
+func newShard(cfg Config, corp *corpus.Corpus, m *campaignMetrics, trackKeys bool) *Shard {
 	per := cfg.Budget / int64(cfg.VMs)
 	syncEvery := cfg.SyncEvery
 	if syncEvery <= 0 {
@@ -205,19 +309,17 @@ func NewShard(cfg Config) (*Shard, error) {
 	}
 	return &Shard{
 		cfg:        cfg,
-		corp:       corpus.New(),
-		byText:     map[string]*corpus.Entry{},
+		corp:       corp,
 		workers:    map[int]*worker{},
-		lastLocals: map[int][]localEntry{},
+		lastLocals: map[int]map[string]*corpus.Entry{},
 		syncEvery:  syncEvery,
-	}, nil
+		m:          m,
+		trackKeys:  trackKeys,
+	}
 }
 
-// Corpus exposes the shard's corpus replica (digest checks in tests).
-func (s *Shard) Corpus() *corpus.Corpus { return s.corp }
-
-// Owned returns the shard's VM ids in ascending order.
-func (s *Shard) Owned() []int {
+// owned returns the shard's VM ids in ascending order.
+func (s *Shard) owned() []int {
 	ids := make([]int, 0, len(s.workers))
 	for id := range s.workers {
 		ids = append(ids, id)
@@ -226,145 +328,106 @@ func (s *Shard) Owned() []int {
 	return ids
 }
 
-// Restore adds one worker per VMState to the shard, resuming each VM
-// exactly where its state was captured. The replica must already match the
-// corpus the states were captured against (ApplyAccepted/ApplySnapshot
-// first), or prediction windows cannot be re-attached.
-func (s *Shard) Restore(states []VMState) error {
-	for _, st := range states {
-		if err := s.restoreWorker(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Shard) restoreWorker(st VMState) error {
-	if _, dup := s.workers[st.VM]; dup {
-		return fmt.Errorf("fuzzer: shard already hosts VM %d", st.VM)
-	}
-	stats := &Stats{
-		Mode:            s.cfg.Mode,
-		Executions:      st.Counters.Executions,
-		PMMQueries:      st.Counters.PMMQueries,
-		PMMPredictions:  st.Counters.PMMPredictions,
-		PMMFailed:       st.Counters.PMMFailed,
-		PMMShed:         st.Counters.PMMShed,
-		PMMInvalidSlots: st.Counters.PMMInvalidSlots,
-		DegradedSteps:   st.Counters.DegradedSteps,
-		Yield:           st.Counters.Yield,
-	}
-	exe := exec.NewMachine(s.cfg.Kernel, st.VM)
+// newWorker builds VM st.VM from its portable state: the only constructor
+// of VM workers, fresh (InitialVMState) or captured at a barrier. The
+// worker starts with an empty prediction window and no view; Shard.Restore
+// re-attaches the window, and every epoch installs a fresh view.
+func newWorker(cfg *Config, st VMState, m *campaignMetrics, trackKeys bool) *worker {
+	exe := exec.NewMachine(cfg.Kernel, st.VM)
 	exe.RestoreFlaky(st.Flaky)
 	exe.Execs = st.Execs
 	exe.BlocksRun = st.BlocksRun
 	w := &worker{
-		cfg:          &s.cfg,
-		id:           st.VM,
-		r:            rng.FromState(st.RNG),
-		exe:          exe,
-		mut:          mutation.NewMutator(s.cfg.Kernel.Target),
-		gen:          prog.NewGenerator(s.cfg.Kernel.Target),
-		preds:        map[*corpus.Entry]*entryPrediction{},
-		crashSeen:    map[string]*CrashReport{},
-		stats:        stats,
+		cfg:       cfg,
+		id:        st.VM,
+		r:         rng.FromState(st.RNG),
+		exe:       exe,
+		mut:       mutation.NewMutator(cfg.Kernel.Target),
+		gen:       prog.NewGenerator(cfg.Kernel.Target),
+		preds:     map[*corpus.Entry]*entryPrediction{},
+		crashSeen: map[string]*CrashReport{},
+		stats: &Stats{
+			Mode:            cfg.Mode,
+			Executions:      st.Counters.Executions,
+			PMMQueries:      st.Counters.PMMQueries,
+			PMMPredictions:  st.Counters.PMMPredictions,
+			PMMFailed:       st.Counters.PMMFailed,
+			PMMShed:         st.Counters.PMMShed,
+			PMMInvalidSlots: st.Counters.PMMInvalidSlots,
+			DegradedSteps:   st.Counters.DegradedSteps,
+			Yield:           st.Counters.Yield,
+		},
 		cost:         st.Cost,
 		budget:       st.Budget,
 		epochs:       st.Epochs,
-		reconciled:   st.Reconciled,
 		queueWaitNs:  st.QueueWaitNs,
 		phantom:      st.Phantom,
 		deferHarvest: true,
 		scratchCover: trace.NewCover(),
-		jn:           s.cfg.Journal,
+		m:            m,
+		jn:           cfg.Journal,
+		trackKeys:    trackKeys,
 	}
 	for _, cs := range st.Crashes {
-		report := &CrashReport{
-			Spec: &kernel.CrashSpec{
-				Title:      cs.Title,
-				Category:   cs.Category,
-				Detector:   cs.Detector,
-				KnownSince: cs.KnownSince,
-				Flaky:      cs.Flaky,
-			},
-			ProgText: cs.ProgText,
-			Cost:     cs.Cost,
-		}
+		report := cs.report()
 		w.crashSeen[cs.Title] = report
-		stats.Crashes = append(stats.Crashes, report)
+		w.stats.Crashes = append(w.stats.Crashes, report)
 	}
-	for _, ps := range st.Preds {
-		entry := s.byText[ps.Text]
-		if entry == nil {
-			return fmt.Errorf("fuzzer: VM %d prediction references unknown corpus entry %q", st.VM, ps.Text)
+	return w
+}
+
+// Restore adds one worker per VMState to the shard, resuming each VM
+// exactly where its state was captured. The shard's corpus must already
+// match the corpus the states were captured against, or prediction windows
+// cannot be re-attached.
+func (s *Shard) Restore(states []VMState) error {
+	for _, st := range states {
+		if _, dup := s.workers[st.VM]; dup {
+			return fmt.Errorf("fuzzer: shard already hosts VM %d", st.VM)
 		}
-		ep := &entryPrediction{}
-		if ps.Pending {
-			// Resubmit the captured query verbatim: no PMMQueries recount
-			// (the original submission already counted) and no RNG draw
-			// (target sampling happened before capture). The model is
-			// deterministic, so the reply matches what the lost VM would
-			// have harvested. A submit error can only mean a closed server;
-			// the window entry then behaves as consumed, which only
-			// diverges under serving faults (outside the guarantee).
-			if reply, err := s.cfg.Server.InferAsync(serve.Query{
-				Prog:    entry.Prog,
-				Traces:  entry.Traces,
-				Targets: ps.Targets,
-			}); err == nil {
-				ep.reply = reply
-				ep.targets = append([]kernel.BlockID(nil), ps.Targets...)
+		w := newWorker(&s.cfg, st, s.m, s.trackKeys)
+		for _, ps := range st.Preds {
+			entry := s.corp.ByText(ps.Text)
+			if entry == nil {
+				return fmt.Errorf("fuzzer: VM %d prediction references unknown corpus entry %q", st.VM, ps.Text)
 			}
-		} else {
-			ep.pred = &serve.Prediction{Slots: append([]prog.GlobalSlot(nil), ps.Slots...)}
+			ep := &entryPrediction{}
+			if ps.Pending {
+				// Resubmit the captured query verbatim: no PMMQueries recount
+				// (the original submission already counted) and no RNG draw
+				// (target sampling happened before capture). The model is
+				// deterministic, so the reply matches what the lost VM would
+				// have harvested. A submit error can only mean a closed server;
+				// the window entry then behaves as consumed, which only
+				// diverges under serving faults (outside the guarantee).
+				if reply, err := s.cfg.Server.InferAsync(serve.Query{
+					Prog:    entry.Prog,
+					Traces:  entry.Traces,
+					Targets: ps.Targets,
+				}); err == nil {
+					ep.reply = reply
+					ep.targets = append([]kernel.BlockID(nil), ps.Targets...)
+				}
+			} else {
+				ep.pred = &serve.Prediction{Slots: append([]prog.GlobalSlot(nil), ps.Slots...)}
+			}
+			w.preds[entry] = ep
 		}
-		w.preds[entry] = ep
+		s.workers[st.VM] = w
 	}
-	s.workers[st.VM] = w
 	return nil
 }
 
-// SeedPass runs the campaign's seed-corpus pass on VM 0 (which this shard
-// must own) directly against the replica, exactly as runParallel does
-// before the first epoch, and exports the seeded entries plus VM 0's state
-// as a delta for the coordinator to merge and broadcast.
-func (s *Shard) SeedPass() (*VMDelta, error) {
-	w := s.workers[0]
-	if w == nil {
-		return nil, fmt.Errorf("fuzzer: seed pass requires this shard to own VM 0")
-	}
-	w.view = &sharedView{corp: s.corp, blocks: &s.blocks}
-	for _, p := range s.cfg.SeedCorpus {
-		if err := w.seed(p); err != nil {
-			return nil, err
-		}
-	}
-	w.jevent(obs.EventSeed, int64(s.corp.Len()), "")
-	delta := &VMDelta{VM: 0, Events: w.events}
-	w.events = nil
-	for _, e := range s.corp.Entries() {
-		s.byText[e.Text] = e
-		delta.Locals = append(delta.Locals, Local{Text: e.Text, Traces: e.Traces, Seeded: true})
-	}
-	delta.State = s.captureState(w)
-	return delta, nil
-}
-
-// ApplyAccepted syncs the replica with the last barrier's merge outcome:
-// the coordinator's accepted entries, in merge order. Entries produced by a
-// VM this shard owns are spliced back with their original pointers (the
-// prediction cache keys on entry identity); everything else is rebuilt from
-// the wire form. The previous epoch's local buffers are consumed.
-func (s *Shard) ApplyAccepted(accepted []Accepted) error {
+// applyAccepted syncs the shard's corpus with the last barrier's merge
+// outcome, in merge order. In-process the entries are already in the shared
+// corpus and only the covered-block set needs them; a replica inserts each
+// one — its own VM's original entry where it has it (the prediction cache
+// keys on entry identity), otherwise rebuilt from the wire form.
+func (s *Shard) applyAccepted(accepted []Accepted) error {
 	for _, a := range accepted {
-		var e *corpus.Entry
-		if locals, owned := s.lastLocals[a.VM]; owned {
-			for _, la := range locals {
-				if la.e.Text == a.Text {
-					e = la.e
-					break
-				}
-			}
+		e := a.Entry
+		if e == nil {
+			e = s.lastLocals[a.VM][a.Text]
 		}
 		if e == nil {
 			p, err := prog.Parse(s.cfg.Kernel.Target, a.Text)
@@ -373,12 +436,10 @@ func (s *Shard) ApplyAccepted(accepted []Accepted) error {
 			}
 			e = corpus.EntryFromTraces(p, a.Traces)
 		}
-		if s.corp.SeedEntry(e) {
+		if s.corp.ByText(e.Text) == e || s.corp.SeedEntry(e) {
 			s.blocks.Merge(e.Blocks)
-			s.byText[e.Text] = e
 		}
 	}
-	s.lastLocals = map[int][]localEntry{}
 	return nil
 }
 
@@ -388,25 +449,29 @@ func (s *Shard) ApplySnapshot(entries []Accepted) error {
 	if s.corp.Len() != 0 {
 		return fmt.Errorf("fuzzer: snapshot onto non-empty shard replica")
 	}
-	return s.ApplyAccepted(entries)
+	return s.applyAccepted(entries)
 }
 
-// RunEpoch fuzzes one barrier slice. With only == nil every owned VM with
+// RunEpoch is one barrier step: sync with the previous merge's accepted
+// entries, then fuzz one slice. With vms == nil every owned VM with
 // remaining budget runs (the normal schedule, identical on every shard
-// because cost is deterministic); a non-nil only lists specific VMs — the
+// because cost is deterministic); a non-nil vms lists specific VMs — the
 // reassignment path, where freshly restored VMs re-run an epoch their dead
 // shard never delivered. Deltas are returned in ascending VM order with
 // each VM's pre-merge state.
-func (s *Shard) RunEpoch(epoch int64, only []int) ([]VMDelta, error) {
+func (s *Shard) RunEpoch(epoch int64, accepted []Accepted, vms []int) ([]VMDelta, error) {
+	if err := s.applyAccepted(accepted); err != nil {
+		return nil, err
+	}
 	var ws []*worker
-	if only == nil {
-		for _, id := range s.Owned() {
+	if vms == nil {
+		for _, id := range s.owned() {
 			if w := s.workers[id]; w.cost < w.budget {
 				ws = append(ws, w)
 			}
 		}
 	} else {
-		sorted := append([]int(nil), only...)
+		sorted := append([]int(nil), vms...)
 		sort.Ints(sorted)
 		for _, id := range sorted {
 			w := s.workers[id]
@@ -416,6 +481,9 @@ func (s *Shard) RunEpoch(epoch int64, only []int) ([]VMDelta, error) {
 			ws = append(ws, w)
 		}
 	}
+	// Refresh views, drain last epoch's prediction replies, fuzz one
+	// SyncEvery slice of simulated cost.
+	start := time.Now()
 	var wg sync.WaitGroup
 	for _, w := range ws {
 		w.view = newEpochView(s.corp, &s.blocks)
@@ -423,61 +491,98 @@ func (s *Shard) RunEpoch(epoch int64, only []int) ([]VMDelta, error) {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
+			t0 := time.Now()
 			w.harvestPending()
 			w.runEpoch(s.syncEvery)
+			w.epochElapsed = time.Since(t0)
 		}(w)
 	}
 	wg.Wait()
+	barrier := time.Since(start)
 	deltas := make([]VMDelta, 0, len(ws))
 	for _, w := range ws {
 		if w.err != nil {
 			return nil, w.err
 		}
 		w.epochs++
-		ev := w.view.(*epochView)
-		d := VMDelta{VM: w.id, Events: w.events}
-		w.events = nil
-		for _, la := range ev.locals {
-			d.Locals = append(d.Locals, Local{Text: la.e.Text, Traces: la.e.Traces, Seeded: la.seeded})
+		wait := (barrier - w.epochElapsed).Nanoseconds()
+		if wait > 0 {
+			w.queueWaitNs += wait
 		}
-		s.lastLocals[w.id] = ev.locals
-		d.State = s.captureState(w)
-		deltas = append(deltas, d)
+		if s.m != nil {
+			s.m.epochs.Inc()
+			s.m.epochDur.Observe(w.epochElapsed.Nanoseconds())
+			if wait > 0 {
+				s.m.barrierWait.Observe(wait)
+			}
+		}
+		ev := w.view.(*epochView)
+		s.lastLocals[w.id] = ev.byText
+		deltas = append(deltas, VMDelta{VM: w.id, Locals: ev.locals, Events: w.events, Keys: w.keyBuf, State: captureState(w, s.corp)})
+		w.events, w.keyBuf = nil, nil
 	}
 	return deltas, nil
 }
 
+// runEpoch fuzzes until the worker has consumed one SyncEvery slice of its
+// budget (or the budget is exhausted).
+func (w *worker) runEpoch(syncEvery int64) {
+	limit := w.cost + syncEvery
+	if limit > w.budget {
+		limit = w.budget
+	}
+	for w.cost < limit {
+		if err := w.step(); err != nil {
+			w.err = err
+			return
+		}
+	}
+}
+
 // DrainPredictions blocking-drains every owned VM's in-flight prediction
-// replies in ascending VM order without capturing state. The cluster model
-// hot-swap calls it before a worker's server swaps generations, so every
-// query is answered by the model generation of its submission epoch — the
-// same drain the single-host engine performs at a swap barrier. Harvested
+// replies in ascending VM order without capturing state. A model hot-swap
+// calls it before the serving surface changes generations, so every query
+// is answered by the model generation of its submission epoch. Harvested
 // replies stay invisible until each VM's next epoch (deferred harvest), so
 // the drain moves no information across the barrier.
 func (s *Shard) DrainPredictions() {
-	for _, id := range s.Owned() {
+	for _, id := range s.owned() {
 		s.workers[id].harvestPending()
 	}
 }
 
+// PushModel is the in-process Transport's hot swap: drain, then swap the
+// campaign's own server.
+func (s *Shard) PushModel(sw *online.Swap) error {
+	swapper, ok := s.cfg.Server.(serve.ModelSwapper)
+	if !ok {
+		return fmt.Errorf("fuzzer: serving surface %T cannot hot-swap models", s.cfg.Server)
+	}
+	s.DrainPredictions()
+	if _, err := swapper.SwapModel(sw.Model, sw.Version); err != nil {
+		return fmt.Errorf("fuzzer: hot-swap model v%d: %w", sw.Version, err)
+	}
+	return nil
+}
+
 // FinalDrain blocking-drains every owned VM's outstanding prediction
-// replies (the end-of-campaign drain of runParallel) and returns the final
-// states in ascending VM order.
-func (s *Shard) FinalDrain() []VMState {
+// replies and returns the final states in ascending VM order. It cannot
+// fail; the error is the Transport signature's.
+func (s *Shard) FinalDrain() ([]VMState, error) {
 	var states []VMState
-	for _, id := range s.Owned() {
+	for _, id := range s.owned() {
 		w := s.workers[id]
 		w.harvestPending()
-		states = append(states, s.captureState(w))
+		states = append(states, captureState(w, s.corp))
 	}
-	return states
+	return states, nil
 }
 
 // captureState snapshots a worker into its portable wire form. Prediction
 // windows are exported sorted by entry text (map order must not leak), with
-// entries not present in the replica marked Local for the coordinator to
-// resolve against the merge outcome.
-func (s *Shard) captureState(w *worker) VMState {
+// entries not yet in corp (the VM's shard's corpus) marked Local for the
+// reconciler to resolve against the merge outcome.
+func captureState(w *worker, corp *corpus.Corpus) VMState {
 	st := VMState{
 		VM:          w.id,
 		RNG:         w.r.State(),
@@ -487,7 +592,6 @@ func (s *Shard) captureState(w *worker) VMState {
 		Cost:        w.cost,
 		Budget:      w.budget,
 		Epochs:      w.epochs,
-		Reconciled:  w.reconciled,
 		Phantom:     w.phantom,
 		QueueWaitNs: w.queueWaitNs,
 		Counters: VMCounters{
@@ -500,6 +604,9 @@ func (s *Shard) captureState(w *worker) VMState {
 			DegradedSteps:   w.stats.DegradedSteps,
 			Yield:           w.stats.Yield,
 		},
+	}
+	if n := len(w.stats.Crashes); n > 0 {
+		st.Crashes = make([]CrashState, 0, n) // nil when empty, as decoded states are
 	}
 	for _, cr := range w.stats.Crashes {
 		st.Crashes = append(st.Crashes, CrashState{
@@ -516,7 +623,7 @@ func (s *Shard) captureState(w *worker) VMState {
 		if ep.pred == nil && ep.reply == nil {
 			continue // consumed: absent and consumed behave identically
 		}
-		ps := PredState{Text: entry.Text, Local: s.byText[entry.Text] != entry}
+		ps := PredState{Text: entry.Text, Local: corp.ByText(entry.Text) != entry}
 		if ep.reply != nil {
 			ps.Pending = true
 			ps.Targets = append([]kernel.BlockID(nil), ep.targets...)

@@ -142,12 +142,12 @@ type Swap struct {
 	// Bytes is the canonical serving-form checkpoint (SaveQuantized when
 	// the campaign serves quantized weights, Save otherwise); nil when
 	// skipped. Digest is the first 16 hex chars of its SHA-256 — the value
-	// journaled in the SPMV record on every engine.
+	// journaled in the SPMV record.
 	Bytes  []byte
 	Digest string
-	// Model is Bytes loaded back: the instance a single-host engine hands
-	// to serve.Server.SwapModel. Cluster workers load their own copy from
-	// the pushed Bytes instead.
+	// Model is Bytes loaded back: the instance the in-process transport
+	// hands to serve.Server.SwapModel. Cluster workers load their own copy
+	// from the pushed Bytes instead.
 	Model *pmm.Model
 	// Elapsed is the retrain's wall-clock time (observability only).
 	Elapsed time.Duration

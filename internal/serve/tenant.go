@@ -260,8 +260,7 @@ func (h *Tenant) GraphCacheCapacity() int { return h.t.srv.GraphCacheCapacity() 
 
 // Inferrer is the inference surface campaigns program against: a dedicated
 // *Server (routing through its default tenant) or one *Tenant of a shared
-// multi-tenant server. (The TCP NetServer client is the separate Client
-// type.)
+// multi-tenant server.
 type Inferrer interface {
 	Infer(q Query) (Prediction, error)
 	InferAsync(q Query) (<-chan Prediction, error)
