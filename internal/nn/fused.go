@@ -58,38 +58,35 @@ type FusedOps interface {
 	RaggedMeanRows(x *Tensor, bounds []int) *Tensor
 	// AddLayerNorm computes LayerNorm(x+y) with the learned affine.
 	AddLayerNorm(x, y, gamma, beta *Tensor, eps float64) *Tensor
-	// AddInto accumulates x into dst in place: dst[i] = dst[i] + x[i], the
-	// exact per-element sum (dst as left operand) Add computes — so a
-	// left-associative accumulation chain can reuse one tensor instead of
-	// allocating a fresh output per step.
-	AddInto(dst, x *Tensor)
 	// ReLUInPlace clamps x in place with the same !(v > 0) → 0 test as
 	// ReLU (NaN and -0 clamp to +0).
 	ReLUInPlace(x *Tensor)
 	// GatherAddInto accumulates table rows into dst in place:
 	// dst[i,:] += table[indices[i],:] — element for element the
-	// Gather → AddInto pair, without materializing the gathered rows.
+	// Gather → Add pair, without materializing the gathered rows.
 	GatherAddInto(dst, table *Tensor, indices []int)
 	// ScatterMeanInto accumulates per-bucket means of src into dst in
-	// place: dst[d,:] += mean(src rows with dstIdx d), rounding exactly
-	// like the ScatterMean → AddInto pair (empty buckets still add +0
-	// rows), without materializing the bucket tensor.
+	// place: dst[d,:] += mean(src rows with dstIdx d), touching only the
+	// rows dstIdx names. A touched row rounds exactly like the
+	// ScatterMean → Add pair. An untouched row is left alone, where that
+	// pair adds a +0 row to it — which can differ only in the sign of a
+	// zero (a -0 stays -0 instead of flushing to +0). Any later add maps the
+	// two to equal bits or again to zeros of differing sign, so bit-identity
+	// with the unfused chain holds once ReLUInPlace (-0 → +0) has run over
+	// dst: the contract is "after the layer's ReLU", not "after each
+	// scatter".
 	ScatterMeanInto(dst, src *Tensor, dstIdx []int)
+	// PairRows writes one row per (a, b) pair of x's rows, a-major:
+	// row i·len(bIdx)+j is [x[aIdx[i]], x[bIdx[j]], x[aIdx[i]]·x[bIdx[j]]]
+	// — element for element Concat(RepeatEachRow(A), TileRows(B), Mul(..))
+	// over A = Gather(x, aIdx), B = Gather(x, bIdx), in one pass and one
+	// tensor.
+	PairRows(x *Tensor, aIdx, bIdx []int) *Tensor
 	// Arena returns the underlying inference arena. Layers recycle through
 	// it directly — a variadic call on the concrete *Infer keeps its
 	// argument slice on the stack, where the same call through the Ops
 	// interface would heap-allocate it every pass.
 	Arena() *Infer
-}
-
-// AddInto implements FusedOps: dst[i] += x[i], bitwise the sum addForward
-// writes with dst as the left operand.
-func (in *Infer) AddInto(dst, x *Tensor) {
-	checkSameShape("AddInto", dst, x)
-	d := dst.Data
-	for i, v := range x.Data {
-		d[i] += v
-	}
 }
 
 // ReLUInPlace implements FusedOps: the reluForward clamp, in place.
@@ -98,15 +95,15 @@ func (in *Infer) ReLUInPlace(x *Tensor) {
 }
 
 // GatherAddInto implements FusedOps: dst[i,:] += table[indices[i],:],
-// bitwise the gatherForward copy followed by the AddInto sum.
+// bitwise the gatherForward copy followed by the Add sum.
 func (in *Infer) GatherAddInto(dst, table *Tensor, indices []int) {
 	cols := checkGatherAdd(dst, table, indices)
 	gatherAddForward(dst.Data, table.Data, indices, table.Shape[0], cols)
 }
 
-// ScatterMeanInto implements FusedOps: dst[d,:] += mean of src rows with
-// dstIdx d, with the sums, the 1/count multiply and the adds rounding
-// exactly as scatterMeanForward followed by the AddInto sum.
+// ScatterMeanInto implements FusedOps. The bucket scratch is borrowed from
+// the pool on first use and kept until Close, so the two dozen calls of one
+// forward share it.
 func (in *Infer) ScatterMeanInto(dst, src *Tensor, dstIdx []int) {
 	if len(src.Shape) != 2 || len(dstIdx) != src.Shape[0] {
 		panic("nn: ScatterMeanInto shape mismatch")
@@ -116,34 +113,88 @@ func (in *Infer) ScatterMeanInto(dst, src *Tensor, dstIdx []int) {
 		panic("nn: ScatterMeanInto shape mismatch")
 	}
 	rows := dst.Shape[0]
-	sums := in.pool.GetSlice(rows * cols)
-	counts := in.pool.GetSlice(rows)
-	scatterMeanAddForward(dst.Data, sums, counts, src.Data, dstIdx, cols)
-	in.pool.PutSlice(counts)
-	in.pool.PutSlice(sums)
+	if len(in.scatterCounts) < rows || len(in.scatterSums) < rows*cols {
+		in.releaseScatterScratch()
+		in.scatterSums = in.pool.GetSliceRaw(rows * cols)
+		in.scatterCounts = in.pool.GetSlice(rows)
+	}
+	scatterMeanAddForward(dst.Data, in.scatterSums, in.scatterCounts[:rows], src.Data, dstIdx, cols)
 }
 
-// scatterMeanAddForward is ScatterMeanInto's kernel: bucket sums land in
-// the zeroed caller scratch (sums, counts), then each bucket row folds into
-// agg with the same two roundings per element as the unfused pair —
-// orow[j]*inv first, then the add. Empty buckets still add their +0 row:
-// a -0 in agg must flush to +0 exactly as it does on the unfused chain.
+func (in *Infer) releaseScatterScratch() {
+	if in.scatterCounts != nil {
+		in.pool.PutSlice(in.scatterCounts)
+		in.pool.PutSlice(in.scatterSums)
+		in.scatterCounts, in.scatterSums = nil, nil
+	}
+}
+
+// scatterMeanAddForward is ScatterMeanInto's kernel. counts must be all zero
+// on entry and is all zero again on return; sums needs no initial state — a
+// bucket's row is cleared when its first source row arrives. The first loop
+// forms the bucket sums in source order from +0, the second folds each
+// reached bucket into agg once with the same two roundings per element as
+// the unfused pair: orow[j]*inv, then the add.
 func scatterMeanAddForward(agg, sums, counts, src []float64, dstIdx []int, cols int) {
 	dstRows := len(counts)
 	for i, d := range dstIdx {
 		if d < 0 || d >= dstRows {
 			panic(fmt.Sprintf("nn: ScatterMeanInto destination %d out of range [0,%d)", d, dstRows))
 		}
+		orow := sums[d*cols : (d+1)*cols]
+		if counts[d] == 0 {
+			clear(orow)
+		}
 		counts[d]++
-		addInto(sums[d*cols:(d+1)*cols], src[i*cols:(i+1)*cols])
+		addInto(orow, src[i*cols:(i+1)*cols])
 	}
-	for d := 0; d < dstRows; d++ {
+	for _, d := range dstIdx {
+		n := counts[d]
+		if n == 0 {
+			continue // folded at an earlier occurrence
+		}
+		counts[d] = 0
 		orow := sums[d*cols : (d+1)*cols]
 		arow := agg[d*cols : (d+1)*cols]
-		if counts[d] > 1 {
-			mulAddInto(arow, orow, 1/counts[d])
+		if n > 1 {
+			mulAddInto(arow, orow, 1/n)
 		} else {
 			addInto(arow, orow)
+		}
+	}
+}
+
+// PairRows implements FusedOps.
+func (in *Infer) PairRows(x *Tensor, aIdx, bIdx []int) *Tensor {
+	if len(x.Shape) != 2 {
+		panic("nn: PairRows requires a 2D tensor")
+	}
+	out := in.allocRaw(len(aIdx)*len(bIdx), 3*x.Shape[1])
+	pairRowsForward(out.Data, x.Data, aIdx, bIdx, x.Shape[0], x.Shape[1])
+	return out
+}
+
+// pairRowsForward is PairRows' kernel: per pair two row copies and one
+// multiply per element, the multiply mulForward's.
+func pairRowsForward(dst, x []float64, aIdx, bIdx []int, rows, cols int) {
+	for _, idx := range bIdx {
+		if idx < 0 || idx >= rows {
+			panic(fmt.Sprintf("nn: PairRows index %d out of range [0,%d)", idx, rows))
+		}
+	}
+	o := 0
+	for _, ai := range aIdx {
+		if ai < 0 || ai >= rows {
+			panic(fmt.Sprintf("nn: PairRows index %d out of range [0,%d)", ai, rows))
+		}
+		a := x[ai*cols : (ai+1)*cols]
+		for _, bi := range bIdx {
+			b := x[bi*cols : (bi+1)*cols]
+			row := dst[o : o+3*cols]
+			o += 3 * cols
+			copy(row, a)
+			copy(row[cols:], b)
+			mulForward(row[2*cols:], a, b)
 		}
 	}
 }

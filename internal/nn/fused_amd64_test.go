@@ -49,15 +49,7 @@ func TestFusedScalarFallbackBitExact(t *testing.T) {
 	scalarQuant := forward(qi)
 	qi.Close()
 
-	for i := range avx {
-		if scalarUnfused[i] != avx[i] {
-			t.Fatalf("scalar unfused differs from AVX at %d: %b vs %b", i, scalarUnfused[i], avx[i])
-		}
-		if scalarFused[i] != avx[i] {
-			t.Fatalf("scalar fused differs from AVX at %d: %b vs %b", i, scalarFused[i], avx[i])
-		}
-		if scalarQuant[i] != avx[i] {
-			t.Fatalf("scalar int8 differs from AVX at %d: %b vs %b", i, scalarQuant[i], avx[i])
-		}
-	}
+	sameBits(t, "scalar unfused vs AVX", scalarUnfused, avx)
+	sameBits(t, "scalar fused vs AVX", scalarFused, avx)
+	sameBits(t, "scalar int8 vs AVX", scalarQuant, avx)
 }

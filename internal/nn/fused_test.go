@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,6 +17,22 @@ func frozenLinear(r *rng.Rand, in, out int) *Linear {
 	l.W.UnrequireGrad()
 	l.B.UnrequireGrad()
 	return l
+}
+
+// sameBits fails unless got and want are the same float64 bit patterns,
+// element for element. Every "bit-exact" check in this package goes through
+// it: a != on float64 cannot tell -0 from +0 and calls NaN unequal to itself.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s differs at %d: %b (%#x) vs %b (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
 }
 
 // TestFusedLinearBiasBitExact checks the fused linear(+bias+ReLU) kernel —
@@ -40,21 +57,12 @@ func TestFusedLinearBiasBitExact(t *testing.T) {
 
 					fu := NewInferFused(pool)
 					got := fu.LinearBias(x, l.W, nil, l.B, relu)
-					for i := range want.Data {
-						if got.Data[i] != want.Data[i] {
-							t.Fatalf("shape (%d,%d,%d) relu=%t workers=%d: fused differs at %d: %b vs %b",
-								m, in, out, relu, workers, i, got.Data[i], want.Data[i])
-						}
-					}
+					what := fmt.Sprintf("shape (%d,%d,%d) relu=%t workers=%d", m, in, out, relu, workers)
+					sameBits(t, what+": fused", got.Data, want.Data)
 
 					l.FreezeFused()
 					gotWT := fu.LinearBias(x, l.W, l.wt, l.B, relu)
-					for i := range want.Data {
-						if gotWT.Data[i] != want.Data[i] {
-							t.Fatalf("shape (%d,%d,%d) relu=%t workers=%d: pre-transposed fused differs at %d",
-								m, in, out, relu, workers, i)
-						}
-					}
+					sameBits(t, what+": pre-transposed fused", gotWT.Data, want.Data)
 					un.Close()
 					fu.Close()
 				}
@@ -81,9 +89,10 @@ func TestFusedReLUEdgeCases(t *testing.T) {
 	fu := NewInferFused(pool)
 	want := un.LinearBias(x, w, nil, b, true)
 	got := fu.LinearBias(x, w, nil, b, true)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("relu edge case differs at %d: %b vs %b", i, got.Data[i], want.Data[i])
+	sameBits(t, "relu edge case", got.Data, want.Data)
+	for i, v := range got.Data {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("relu edge case %d: %b (%#x), want +0", i, v, math.Float64bits(v))
 		}
 	}
 }
@@ -109,12 +118,7 @@ func TestFusedAttentionBitExact(t *testing.T) {
 				SetWorkers(workers)
 				fu := NewInferFused(pool)
 				got := sa.ForwardOps(fu, x)
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Fatalf("dim=%d m=%d workers=%d: fused attention differs at %d: %b vs %b",
-							dim, m, workers, i, got.Data[i], want.Data[i])
-					}
-				}
+				sameBits(t, fmt.Sprintf("dim=%d m=%d workers=%d: fused attention", dim, m, workers), got.Data, want.Data)
 				fu.Close()
 			}
 			un.Close()
@@ -142,11 +146,7 @@ func TestFusedAddLayerNormBitExact(t *testing.T) {
 		fu := NewInferFused(pool)
 		want := ln.ForwardAddOps(un, x, y)
 		got := ln.ForwardAddOps(fu, x, y)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("(%d,%d): fused add+norm differs at %d: %b vs %b", m, n, i, got.Data[i], want.Data[i])
-			}
-		}
+		sameBits(t, fmt.Sprintf("(%d,%d): fused add+norm", m, n), got.Data, want.Data)
 		un.Close()
 		fu.Close()
 	}
@@ -167,11 +167,7 @@ func TestFusedMLPBitExact(t *testing.T) {
 	for pass := 0; pass < 3; pass++ {
 		fu := NewInferFused(pool)
 		got := mlp.ForwardOps(fu, x)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("pass %d: fused MLP differs at %d: %b vs %b", pass, i, got.Data[i], want.Data[i])
-			}
-		}
+		sameBits(t, fmt.Sprintf("pass %d: fused MLP", pass), got.Data, want.Data)
 		fu.Close()
 	}
 }
@@ -255,19 +251,9 @@ func TestFusedRaggedBitIdentity(t *testing.T) {
 			seg := rowSlice(x, lo, hi)
 			un := NewInfer(pool)
 			want := sa.ForwardOps(un, seg) // unfused per-segment reference
-			for i := range want.Data {
-				if got.Data[lo*dim+i] != want.Data[i] {
-					t.Fatalf("workers=%d segment %d (rows %d..%d): ragged attention differs at %d: %b vs %b",
-						workers, s, lo, hi, i, got.Data[lo*dim+i], want.Data[i])
-				}
-			}
-			wantMean := un.MeanRows(seg)
-			for j := 0; j < dim; j++ {
-				if gotMeans.Data[s*dim+j] != wantMean.Data[j] {
-					t.Fatalf("workers=%d segment %d: ragged mean differs at %d: %b vs %b",
-						workers, s, j, gotMeans.Data[s*dim+j], wantMean.Data[j])
-				}
-			}
+			what := fmt.Sprintf("workers=%d segment %d (rows %d..%d)", workers, s, lo, hi)
+			sameBits(t, what+": ragged attention", got.Data[lo*dim:hi*dim], want.Data)
+			sameBits(t, what+": ragged mean", gotMeans.Data[s*dim:(s+1)*dim], un.MeanRows(seg).Data)
 			un.Close()
 		}
 		fu.Close()
@@ -289,37 +275,106 @@ func TestGatherAddIntoBitExact(t *testing.T) {
 	got := benchTensor(r, len(idx), 12)
 	copy(got.Data, dst.Data)
 	in.GatherAddInto(got, table, idx)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("GatherAddInto differs at %d: %b vs %b", i, got.Data[i], want.Data[i])
-		}
-	}
+	sameBits(t, "GatherAddInto", got.Data, want.Data)
 	in.Close()
 }
 
-// TestScatterMeanIntoBitExact checks the in-place scatter-mean aggregation
-// against the unfused ScatterMean→Add chain, including empty buckets (their
-// +0 add must flush -0 in dst exactly like the unfused add of a zero row).
+// TestScatterMeanIntoBitExact pins the sparse aggregation where its contract
+// lives: a message-passing layer's worth of ScatterMeanInto calls on one agg,
+// then ReLUInPlace, against the unfused ScatterMean → Add chain and ReLU — in
+// bits, so signs of zero count. agg carries a -0 in a row no bucket reaches
+// (the unfused chain flushes it to +0 on the first add of a zero row, the
+// sparse kernel leaves it for the ReLU) and a row of -0 that a bucket reaches
+// with a mean that is itself -0 (the add keeps the sign; the unfused chain
+// has flushed the row by then, so the two differ until the ReLU).
+// The second shape reuses the Infer with more rows, so the kept scratch
+// regrows, and its counts must have come back zeroed from every call before.
 func TestScatterMeanIntoBitExact(t *testing.T) {
 	r := rng.New(79)
-	const cols, buckets = 8, 6
-	src := benchTensor(r, 11, cols)
-	dstIdx := []int{0, 4, 4, 2, 0, 5, 5, 5, 2, 0, 4} // bucket 1 and 3 empty
 	pool := NewPool()
 	in := NewInfer(pool)
-	dst := benchTensor(r, buckets, cols)
-	dst.Data[3*cols+2] = negZero() // empty bucket must still flush -0 to +0
-	want := in.Add(dst, in.ScatterMean(src, dstIdx, buckets))
-
-	got := New(buckets, cols)
-	copy(got.Data, dst.Data)
-	in.ScatterMeanInto(got, src, dstIdx)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("ScatterMeanInto differs at %d: %b vs %b", i, got.Data[i], want.Data[i])
+	defer in.Close()
+	const cols = 8
+	for _, rows := range []int{7, 40} {
+		const untouched, negMean = 3, 5
+		buckets := [][]int{
+			{0, 4, 4, 2, 0, 6, 6, 6, 2, 0, 4},
+			{negMean, 1, negMean, 1},
+			{6},
+			{2, 2, 0},
 		}
+		srcs := make([]*Tensor, len(buckets))
+		for b, idx := range buckets {
+			srcs[b] = benchTensor(r, len(idx), cols)
+		}
+		// Half of the smallest subnormal rounds to zero and keeps its sign.
+		for j := 0; j < cols; j++ {
+			srcs[1].Data[0*cols+j] = -math.SmallestNonzeroFloat64
+			srcs[1].Data[2*cols+j] = 0
+		}
+		agg := benchTensor(r, rows, cols)
+		agg.Data[untouched*cols+2] = negZero()
+		for j := 0; j < cols; j++ {
+			agg.Data[negMean*cols+j] = negZero()
+		}
+
+		want := agg
+		for b, idx := range buckets {
+			want = in.Add(want, in.ScatterMean(srcs[b], idx, rows))
+		}
+		got := New(rows, cols)
+		copy(got.Data, agg.Data)
+		for b, idx := range buckets {
+			in.ScatterMeanInto(got, srcs[b], idx)
+		}
+
+		// The test must be able to see what it pins: before the ReLU the two
+		// chains differ, but only in signs of zero — the untouched -0, and the
+		// -0 row the unfused chain flushed at a bucket that did not reach it.
+		if !math.Signbit(got.Data[untouched*cols+2]) || math.Signbit(want.Data[untouched*cols+2]) {
+			t.Fatalf("rows=%d: untouched -0 is %b sparse, %b unfused; want -0 and +0",
+				rows, got.Data[untouched*cols+2], want.Data[untouched*cols+2])
+		}
+		if !math.Signbit(got.Data[negMean*cols]) {
+			t.Fatalf("rows=%d: -0 plus a -0 mean gave %b, want -0", rows, got.Data[negMean*cols])
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("rows=%d: before ReLU element %d is %b vs %b: more than a sign of zero apart",
+					rows, i, got.Data[i], want.Data[i])
+			}
+		}
+
+		in.ReLUInPlace(got)
+		sameBits(t, fmt.Sprintf("rows=%d: ScatterMeanInto then ReLU", rows), got.Data, in.ReLU(want).Data)
 	}
-	in.Close()
+}
+
+// TestFusedPairRowsBitExact checks the one-pass pair readout input against
+// the Gather → RepeatEachRow/TileRows → Mul → Concat chain it replaces,
+// including repeated indices, a -0 product and a NaN.
+func TestFusedPairRowsBitExact(t *testing.T) {
+	r := rng.New(83)
+	x := benchTensor(r, 9, 12)
+	x.Data[2*12+1] = negZero()
+	x.Data[7*12+3] = math.NaN()
+	pool := NewPool()
+	in := NewInfer(pool)
+	defer in.Close()
+	for _, c := range []struct{ a, b []int }{
+		{[]int{2, 0, 8, 2}, []int{7, 1, 7}},
+		{[]int{5}, []int{2}},
+		{nil, []int{1, 2}},
+	} {
+		args, tgts := in.Gather(x, c.a), in.Gather(x, c.b)
+		bigArg, bigTgt := in.RepeatEachRow(args, len(c.b)), in.TileRows(tgts, len(c.a))
+		want := in.Concat(bigArg, bigTgt, in.Mul(bigArg, bigTgt))
+		got := in.PairRows(x, c.a, c.b)
+		if !sameShape(got, want) {
+			t.Fatalf("PairRows(%v, %v) shape %v, want %v", c.a, c.b, got.Shape, want.Shape)
+		}
+		sameBits(t, fmt.Sprintf("PairRows(%v, %v)", c.a, c.b), got.Data, want.Data)
+	}
 }
 
 func negZero() float64 { return math.Copysign(0, -1) }

@@ -121,6 +121,9 @@ type Infer struct {
 	cache [inferCacheClasses][]*Tensor
 	fused bool
 	prof  inferCounters
+	// ScatterMeanInto's bucket scratch, held from first use to Close;
+	// scatterCounts is all zero between calls.
+	scatterSums, scatterCounts []float64
 }
 
 // inferCacheClasses bounds the local size classes an Infer caches; class
@@ -253,6 +256,7 @@ func (in *Infer) Close() {
 		}
 		in.cache[e] = in.cache[e][:0]
 	}
+	in.releaseScatterScratch()
 	in.pool.addProfile(&in.prof)
 }
 

@@ -237,7 +237,7 @@ func meanRowsForward(dst, a []float64, m, n int) {
 }
 
 // gatherAddForward accumulates table rows into dst: dst[i,:] += table[idx,:],
-// the gatherForward copy and the AddInto sum in one pass.
+// the gatherForward copy and the Add sum in one pass.
 func gatherAddForward(dst, table []float64, indices []int, tableRows, cols int) {
 	for i, idx := range indices {
 		if idx < 0 || idx >= tableRows {

@@ -86,7 +86,7 @@ func (e *Embedding) ForwardOps(ops Ops, ids []int) *Tensor { return ops.Gather(e
 
 // ForwardAddOps accumulates the looked-up rows into dst in place through
 // the fused op set: dst[i,:] += Table[ids[i],:], bitwise the
-// ForwardOps → AddInto pair without the intermediate tensor.
+// ForwardOps → Add pair without the intermediate tensor.
 func (e *Embedding) ForwardAddOps(f FusedOps, dst *Tensor, ids []int) {
 	f.GatherAddInto(dst, e.Table, ids)
 }

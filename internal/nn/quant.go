@@ -330,7 +330,7 @@ func (qi *QuantInfer) Gather(table *Tensor, indices []int) *Tensor {
 
 // GatherAddInto implements FusedOps against quantized embedding tables:
 // dst[i,:] += the dequantized table row — elementwise the gatherQForward
-// values, summed in AddInto order.
+// values, summed in Add order (dst the left operand).
 func (qi *QuantInfer) GatherAddInto(dst, table *Tensor, indices []int) {
 	q := qi.Quant.Of(table)
 	if q == nil {

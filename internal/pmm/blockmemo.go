@@ -70,51 +70,58 @@ func appendBlockKey(key []byte, id int) []byte {
 	return binary.LittleEndian.AppendUint32(key, uint32(id))
 }
 
-// encodeBlocksMemo returns the (len(ends), Dim) encoder outputs of the token
-// sequences packed back to back in keys (sequence i ends at keys[ends[i]];
-// see appendBlockKey). Rows already in the memo are copied out under the
+// encodeBlocksMemo returns the (blocks, Dim) encoder outputs of the plans'
+// token blocks, in batch order (each plan packs its blocks' keys back to back
+// — see forwardPlan). Rows already in the memo are copied out under the
 // shared lock; the distinct missing sequences run through the ragged encoder
 // in one batch and are then published. Concurrent forwards may encode the
 // same missing sequence twice — both results are the same bits, the first
 // one stored wins.
-func (m *Model) encodeBlocksMemo(f nn.FusedOps, keys []byte, ends []int) *nn.Tensor {
+func (m *Model) encodeBlocksMemo(f nn.FusedOps, plans []*forwardPlan, blocks int) *nn.Tensor {
 	bm := m.blockMemo
 	dim := m.Cfg.Dim
-	out := f.Zeros(len(ends), dim)
+	out := f.Zeros(blocks, dim)
 
 	var (
 		missIdx  map[string]int // distinct missing sequence → its row in the miss batch
 		flat     []int          // ids of the miss batch, ragged
-		bounds   = []int{0}
-		fillRow  []int // out rows waiting for a miss-batch row ...
-		fillFrom []int // ... and which one
+		bounds   []int          // ... sequence s is flat[bounds[s]:bounds[s+1]]
+		fillRow  []int          // out rows waiting for a miss-batch row ...
+		fillFrom []int          // ... and which one
 	)
 	bm.mu.RLock()
-	start := 0
-	for i, end := range ends {
-		key := keys[start:end]
-		start = end
-		if row, ok := bm.rows[string(key)]; ok {
-			copy(out.Data[i*dim:(i+1)*dim], row)
-			continue
-		}
-		mi, seen := missIdx[string(key)]
-		if !seen {
-			if missIdx == nil {
-				missIdx = map[string]int{}
+	i := 0 // out row
+	for _, p := range plans {
+		start := int32(0)
+		for _, end := range p.sec(secBlockEnds) {
+			key := p.blockKeys[start:end]
+			start = end
+			row, ok := bm.rows[string(key)]
+			if ok {
+				copy(out.Data[i*dim:(i+1)*dim], row)
+				i++
+				continue
 			}
-			mi = len(missIdx)
-			missIdx[string(key)] = mi
-			for j := 0; j < len(key); j += 4 {
-				flat = append(flat, int(binary.LittleEndian.Uint32(key[j:])))
+			mi, seen := missIdx[string(key)]
+			if !seen {
+				if missIdx == nil {
+					missIdx = map[string]int{}
+					bounds = []int{0}
+				}
+				mi = len(missIdx)
+				missIdx[string(key)] = mi
+				for j := 0; j < len(key); j += 4 {
+					flat = append(flat, int(binary.LittleEndian.Uint32(key[j:])))
+				}
+				bounds = append(bounds, len(flat))
 			}
-			bounds = append(bounds, len(flat))
+			fillRow = append(fillRow, i)
+			fillFrom = append(fillFrom, mi)
+			i++
 		}
-		fillRow = append(fillRow, i)
-		fillFrom = append(fillFrom, mi)
 	}
 	bm.mu.RUnlock()
-	bm.hits.Add(int64(len(ends) - len(missIdx)))
+	bm.hits.Add(int64(blocks - len(missIdx)))
 	if len(missIdx) == 0 {
 		return out
 	}

@@ -3,6 +3,7 @@ package pmm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -107,15 +108,29 @@ func loadFrozen(t testing.TB, ckpt []byte, quant, fused bool) *Model {
 	return m
 }
 
+// bitDiff returns the first index at which got and want are not the same
+// float64 bit pattern (a != cannot tell -0 from +0, and calls NaN unequal to
+// itself), or -1 when they are identical; slices of different length differ
+// at index 0.
+func bitDiff(got, want []float64) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			return j
+		}
+	}
+	return -1
+}
+
 func sameProbs(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d probs, want %d", what, len(got), len(want))
 	}
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("%s prob %d: %v vs reference %v (not bit-identical)", what, j, got[j], want[j])
-		}
+	if j := bitDiff(got, want); j >= 0 {
+		t.Fatalf("%s prob %d: %v vs reference %v (not bit-identical)", what, j, got[j], want[j])
 	}
 }
 

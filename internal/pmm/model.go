@@ -317,8 +317,15 @@ func (m *Model) Forward(g *qgraph.Graph) *nn.Tensor {
 // tensor i holds graph i's logits, shape (len(gs[i].ArgVertices), 1).
 //
 // Under an Infer op set every intermediate is recycled as soon as it is
-// dead, so the pass runs in a near-constant set of pooled slabs.
+// dead, so the pass runs in a near-constant set of pooled slabs. A fused
+// model forwarding through the fused kernels takes forwardFused (plan.go),
+// which computes the same bits; it reads the block memo, which is only valid
+// behind EnableFused, hence m.fused.
 func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
+	if f, ok := ops.(nn.FusedOps); ok && m.fused && f.FusionEnabled() {
+		return m.forwardFused(f, gs)
+	}
+
 	// Vertex offsets of each graph within the union.
 	offsets := make([]int, len(gs))
 	total := 0
@@ -334,58 +341,39 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 		return out
 	}
 
-	// Initial vertex states for every graph, in batch order. Under the
-	// fused kernels the whole construction is batched by vertex class
-	// (vertexStateFused); otherwise each vertex runs its own embedding
-	// chain. Both produce bit-identical rows. The batched path reads the
-	// block memo, which is only valid behind EnableFused, hence m.fused.
+	// Initial vertex states for every graph, in batch order: each vertex
+	// runs its own embedding chain.
 	targetIdx := make([][]int, len(gs)) // union indices of VTarget vertices
-	var state *nn.Tensor
-	if f, ok := ops.(nn.FusedOps); ok && m.fused && f.FusionEnabled() {
-		state = m.vertexStateFused(f, gs, offsets, total, targetIdx)
-	} else {
-		rows := make([]*nn.Tensor, 0, total)
-		for gi, g := range gs {
-			off := offsets[gi]
-			for vi := range g.Vertices {
-				v := &g.Vertices[vi]
-				h := m.kindEmb.ForwardOps(ops, []int{int(v.Kind)})
-				switch v.Kind {
-				case qgraph.VSyscall:
-					h = addConsume(h, m.callEmb.ForwardOps(ops, []int{hashString(v.Name, m.Cfg.CallBuckets)}))
-				case qgraph.VArg:
-					top := v.TopArg
-					if top > m.Cfg.MaxTopArg {
-						top = m.Cfg.MaxTopArg
-					}
-					depth := v.Depth
-					if depth > m.Cfg.MaxDepth {
-						depth = m.Cfg.MaxDepth
-					}
-					absent := 0
-					if v.Absent {
-						absent = 1
-					}
-					h = addConsume(h, m.typeEmb.ForwardOps(ops, []int{int(v.TypeKind)}))
-					h = addConsume(h, m.topEmb.ForwardOps(ops, []int{top}))
-					h = addConsume(h, m.depthEmb.ForwardOps(ops, []int{depth}))
-					h = addConsume(h, m.absentEmb.ForwardOps(ops, []int{absent}))
-					if len(v.Tokens) > 0 {
-						// Access-path tokens share the kernel token embedding.
-						h = addConsume(h, m.encodeBlockOps(ops, v.Tokens))
-					}
-				default:
+	rows := make([]*nn.Tensor, 0, total)
+	for gi, g := range gs {
+		off := offsets[gi]
+		for vi := range g.Vertices {
+			v := &g.Vertices[vi]
+			h := m.kindEmb.ForwardOps(ops, []int{int(v.Kind)})
+			switch v.Kind {
+			case qgraph.VSyscall:
+				h = addConsume(h, m.callEmb.ForwardOps(ops, []int{hashString(v.Name, m.Cfg.CallBuckets)}))
+			case qgraph.VArg:
+				top, depth, absent := m.clampArg(v)
+				h = addConsume(h, m.typeEmb.ForwardOps(ops, []int{int(v.TypeKind)}))
+				h = addConsume(h, m.topEmb.ForwardOps(ops, []int{top}))
+				h = addConsume(h, m.depthEmb.ForwardOps(ops, []int{depth}))
+				h = addConsume(h, m.absentEmb.ForwardOps(ops, []int{absent}))
+				if len(v.Tokens) > 0 {
+					// Access-path tokens share the kernel token embedding.
 					h = addConsume(h, m.encodeBlockOps(ops, v.Tokens))
-					if v.Kind == qgraph.VTarget {
-						targetIdx[gi] = append(targetIdx[gi], off+vi)
-					}
 				}
-				rows = append(rows, h)
+			default:
+				h = addConsume(h, m.encodeBlockOps(ops, v.Tokens))
+				if v.Kind == qgraph.VTarget {
+					targetIdx[gi] = append(targetIdx[gi], off+vi)
+				}
 			}
+			rows = append(rows, h)
 		}
-		state = ops.ConcatRows(rows)
-		ops.Recycle(rows...)
 	}
+	state := ops.ConcatRows(rows)
+	ops.Recycle(rows...)
 
 	// Pre-index union edges by kind+direction once. Edges never cross
 	// graph boundaries, so message passing cannot mix graphs. A reverse
@@ -418,12 +406,7 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 		buckets[k+qgraph.NumEdgeKinds] = edgeList{src: buckets[k].dst, dst: buckets[k].src}
 	}
 
-	// Message passing over the union graph. Under the fused kernels the
-	// per-bucket aggregation accumulates in place and the activation clamps
-	// in place — the same per-element sums and clamps, minus one arena
-	// tensor and one memory pass per step.
-	fusedMP, mpOn := ops.(nn.FusedOps)
-	mpOn = mpOn && fusedMP.FusionEnabled()
+	// Message passing over the union graph.
 	for l := 0; l < m.Cfg.Layers; l++ {
 		agg := m.selfW[l].ForwardOps(ops, state)
 		for k := range buckets {
@@ -433,21 +416,11 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 			srcRows := ops.Gather(state, buckets[k].src)
 			msgs := m.edgeW[l][k].ForwardOps(ops, srcRows)
 			ops.Recycle(srcRows)
-			if mpOn {
-				fusedMP.ScatterMeanInto(agg, msgs, buckets[k].dst)
-			} else {
-				agg = addConsume(agg, ops.ScatterMean(msgs, buckets[k].dst, total))
-			}
+			agg = addConsume(agg, ops.ScatterMean(msgs, buckets[k].dst, total))
 			ops.Recycle(msgs)
 		}
-		var act *nn.Tensor
-		if mpOn {
-			fusedMP.ReLUInPlace(agg)
-			act = agg
-		} else {
-			act = ops.ReLU(agg)
-			ops.Recycle(agg)
-		}
+		act := ops.ReLU(agg)
+		ops.Recycle(agg)
 		next := m.norms[l].ForwardAddOps(ops, state, act)
 		ops.Recycle(act, state)
 		state = next
@@ -468,12 +441,7 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 		}
 		args := ops.Gather(state, argIdx)
 		if len(targetIdx[gi]) == 0 {
-			// No desired target: score arguments against a zero context.
-			zero := ops.Zeros(nArgs, 2*m.Cfg.Dim)
-			cat := ops.Concat(args, zero)
-			ops.Recycle(args, zero)
-			outs[gi] = m.head.ForwardOps(ops, cat)
-			ops.Recycle(cat)
+			outs[gi] = m.scoreNoTarget(ops, args)
 			continue
 		}
 		tgts := ops.Gather(state, targetIdx[gi])
@@ -494,168 +462,30 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 	return outs
 }
 
-// vertexStateFused builds the initial union vertex-state matrix through the
-// fused kernels. Instead of one embedding chain and one token-encoder pass
-// per vertex, it batches every step across vertices of the same shape: the
-// token blocks the model has not encoded before run through a single
-// ragged-attention encoder (one big gather, batched Q/K/V/Out projections,
-// per-block attention inside the kernel) and the rest come out of the block
-// memo (blockmemo.go), every embedding table is gathered once for all its
-// consumers, and the per-class sums apply the same per-row add order as the
-// per-vertex chain. Every row is bit-identical to the unfused construction
-// — the batched kernels are row-independent — at a small fraction of the
-// kernel launches. Also collects targetIdx (union indices of VTarget
-// vertices).
-func (m *Model) vertexStateFused(f nn.FusedOps, gs []*qgraph.Graph, offsets []int, total int, targetIdx [][]int) *nn.Tensor {
-	ar := f.Arena()
+// clampArg returns an argument vertex's topEmb, depthEmb and absentEmb ids.
+func (m *Model) clampArg(v *qgraph.Vertex) (top, depth, absent int) {
+	top, depth = v.TopArg, v.Depth
+	if top > m.Cfg.MaxTopArg {
+		top = m.Cfg.MaxTopArg
+	}
+	if depth > m.Cfg.MaxDepth {
+		depth = m.Cfg.MaxDepth
+	}
+	if v.Absent {
+		absent = 1
+	}
+	return top, depth, absent
+}
 
-	// One walk over the union: ragged token-block bounds plus per-class
-	// index lists. Arg vertices split on token presence so each class has a
-	// uniform add chain.
-	blockRow := make([]int, total)
-	maxIDs := 0 // an empty block still contributes one id (UnkID)
-	for _, g := range gs {
-		for vi := range g.Vertices {
-			maxIDs += len(g.Vertices[vi].Tokens) + 1
-		}
-	}
-	blockKeys := make([]byte, 0, 4*maxIDs) // memo keys of the token blocks, back to back
-	blockEnds := make([]int, 0, total)     // block b's key ends at blockKeys[blockEnds[b]]
-	var (
-		sysU, sysCall                                        []int
-		argU, argType, argTop, argDepth, argAbsent           []int
-		argTU, argTType, argTTop, argTDepth, argTAbs, argTBl []int
-		blkU, blkKind, blkBl                                 []int
-	)
-	for gi, g := range gs {
-		off := offsets[gi]
-		for vi := range g.Vertices {
-			v := &g.Vertices[vi]
-			u := off + vi
-			blockRow[u] = -1
-			needBlock := false
-			switch v.Kind {
-			case qgraph.VSyscall:
-			case qgraph.VArg:
-				needBlock = len(v.Tokens) > 0
-			default:
-				needBlock = true
-			}
-			if needBlock {
-				blockRow[u] = len(blockEnds)
-				if len(v.Tokens) == 0 {
-					blockKeys = appendBlockKey(blockKeys, UnkID)
-				} else {
-					for _, tok := range v.Tokens {
-						blockKeys = appendBlockKey(blockKeys, m.Vocab.ID(tok))
-					}
-				}
-				blockEnds = append(blockEnds, len(blockKeys))
-			}
-			switch v.Kind {
-			case qgraph.VSyscall:
-				sysU = append(sysU, u)
-				sysCall = append(sysCall, hashString(v.Name, m.Cfg.CallBuckets))
-			case qgraph.VArg:
-				top := v.TopArg
-				if top > m.Cfg.MaxTopArg {
-					top = m.Cfg.MaxTopArg
-				}
-				depth := v.Depth
-				if depth > m.Cfg.MaxDepth {
-					depth = m.Cfg.MaxDepth
-				}
-				absent := 0
-				if v.Absent {
-					absent = 1
-				}
-				if blockRow[u] >= 0 {
-					argTU = append(argTU, u)
-					argTType = append(argTType, int(v.TypeKind))
-					argTTop = append(argTTop, top)
-					argTDepth = append(argTDepth, depth)
-					argTAbs = append(argTAbs, absent)
-					argTBl = append(argTBl, blockRow[u])
-				} else {
-					argU = append(argU, u)
-					argType = append(argType, int(v.TypeKind))
-					argTop = append(argTop, top)
-					argDepth = append(argDepth, depth)
-					argAbsent = append(argAbsent, absent)
-				}
-			default:
-				if v.Kind == qgraph.VTarget {
-					targetIdx[gi] = append(targetIdx[gi], u)
-				}
-				blkU = append(blkU, u)
-				blkKind = append(blkKind, int(v.Kind))
-				blkBl = append(blkBl, blockRow[u])
-			}
-		}
-	}
-
-	// All token blocks → (numBlocks, dim): memo rows, and the ragged
-	// encoder over the sequences the memo has not seen.
-	var blockOuts *nn.Tensor
-	if len(blockEnds) > 0 {
-		blockOuts = m.encodeBlocksMemo(f, blockKeys, blockEnds)
-	}
-
-	constIDs := func(id, n int) []int {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = id
-		}
-		return ids
-	}
-	argChain := func(n int, typ, top, depth, absent []int) *nn.Tensor {
-		h := m.kindEmb.ForwardOps(f, constIDs(int(qgraph.VArg), n))
-		m.typeEmb.ForwardAddOps(f, h, typ)
-		m.topEmb.ForwardAddOps(f, h, top)
-		m.depthEmb.ForwardAddOps(f, h, depth)
-		m.absentEmb.ForwardAddOps(f, h, absent)
-		return h
-	}
-
-	// Per-class batched chains, then one permutation gather into union
-	// order. Each row of cat is the same sum, in the same order, as the
-	// per-vertex chain would produce.
-	var parts []*nn.Tensor
-	var order []int
-	if len(sysU) > 0 {
-		h := m.kindEmb.ForwardOps(f, constIDs(int(qgraph.VSyscall), len(sysU)))
-		m.callEmb.ForwardAddOps(f, h, sysCall)
-		parts = append(parts, h)
-		order = append(order, sysU...)
-	}
-	if len(argU) > 0 {
-		parts = append(parts, argChain(len(argU), argType, argTop, argDepth, argAbsent))
-		order = append(order, argU...)
-	}
-	if len(argTU) > 0 {
-		h := argChain(len(argTU), argTType, argTTop, argTDepth, argTAbs)
-		f.GatherAddInto(h, blockOuts, argTBl)
-		parts = append(parts, h)
-		order = append(order, argTU...)
-	}
-	if len(blkU) > 0 {
-		h := m.kindEmb.ForwardOps(f, blkKind)
-		f.GatherAddInto(h, blockOuts, blkBl)
-		parts = append(parts, h)
-		order = append(order, blkU...)
-	}
-	if blockOuts != nil {
-		ar.Recycle(blockOuts)
-	}
-	cat := f.ConcatRows(parts)
-	ar.Recycle(parts...)
-	perm := make([]int, total)
-	for pos, u := range order {
-		perm[u] = pos
-	}
-	state := f.Gather(cat, perm)
-	ar.Recycle(cat)
-	return state
+// scoreNoTarget scores a graph that has no desired target: its argument rows
+// (consumed) against a zero context.
+func (m *Model) scoreNoTarget(ops nn.Ops, args *nn.Tensor) *nn.Tensor {
+	zero := ops.Zeros(args.Shape[0], 2*m.Cfg.Dim)
+	cat := ops.Concat(args, zero)
+	ops.Recycle(args, zero)
+	out := m.head.ForwardOps(ops, cat)
+	ops.Recycle(cat)
+	return out
 }
 
 // frozen reports whether the model's parameters are outside differentiation

@@ -84,11 +84,7 @@ func TestForwardShapesAndDeterminism(t *testing.T) {
 	if out1.Dim(0) != len(g.ArgVertices) || out1.Dim(1) != 1 {
 		t.Fatalf("forward shape %v", out1.Shape)
 	}
-	for i := range out1.Data {
-		if out1.Data[i] != out2.Data[i] {
-			t.Fatal("forward not deterministic")
-		}
-	}
+	sameProbs(t, "second forward, logit", out2.Data, out1.Data)
 }
 
 func TestPredictAlwaysReturnsSomething(t *testing.T) {
@@ -170,11 +166,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	ex := ds.Examples[0]
 	g := testBuilder.Build(ex.Prog, ex.Traces, ex.Targets)
 	a, b := m.Forward(g), m2.Forward(g)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("output %d differs after round trip: %v vs %v", i, a.Data[i], b.Data[i])
-		}
-	}
+	sameProbs(t, "after round trip, logit", b.Data, a.Data)
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {

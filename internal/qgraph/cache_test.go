@@ -133,3 +133,26 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		<-done
 	}
 }
+
+// TestDerivedSlotLivesWithCachedGraph pins the lifetime the derived-data slot
+// promises its consumer: a hit returns the graph with the slot as stored, and
+// a query whose graph was evicted is rebuilt with an empty one.
+func TestDerivedSlotLivesWithCachedGraph(t *testing.T) {
+	b, progs, traces, targets := cacheFixture(t)
+	g := b.Build(progs[0], traces[0], targets[0])
+	if g.Derived() != nil {
+		t.Fatal("a new graph has derived data")
+	}
+	type plan struct{ n int }
+	want := &plan{n: len(g.Vertices)}
+	g.SetDerived(want)
+	if hit := b.Build(progs[0], traces[0], targets[0]); hit.Derived() != want {
+		t.Fatal("a cache hit lost the stored derived data")
+	}
+	for i := 1; i < len(progs); i++ { // capacity 4: evicts query 0
+		b.Build(progs[i], traces[i], targets[i])
+	}
+	if rebuilt := b.Build(progs[0], traces[0], targets[0]); rebuilt == g || rebuilt.Derived() != nil {
+		t.Fatal("an evicted query came back with derived data")
+	}
+}

@@ -11,6 +11,8 @@
 package qgraph
 
 import (
+	"sync/atomic"
+
 	"github.com/repro/snowplow/internal/cfa"
 	"github.com/repro/snowplow/internal/kernel"
 	"github.com/repro/snowplow/internal/prog"
@@ -119,7 +121,24 @@ type Graph struct {
 	ArgVertices []int
 	// Slots mirrors ArgVertices with the identified slots.
 	Slots []prog.GlobalSlot
+
+	// derived is the graph's one slot for data a consumer computed from the
+	// graph alone (see Derived).
+	derived atomic.Value
 }
+
+// Derived returns what SetDerived last stored on the graph, or nil. The slot
+// lets the one consumer that forwards a cached graph many times (PMM's
+// forward plan) keep what it derives from the graph with the graph, so the
+// cache's eviction is also the derived data's: qgraph neither reads nor
+// interprets the value. A graph is immutable once built; a copy whose
+// vertices or edges are then changed must be made before the slot is filled.
+func (g *Graph) Derived() any { return g.derived.Load() }
+
+// SetDerived stores v in the graph's derived-data slot. It is safe under
+// concurrent use; the last store wins, so concurrent callers must store
+// interchangeable values, all of one concrete type.
+func (g *Graph) SetDerived(v any) { g.derived.Store(v) }
 
 // Stats summarizes a graph for §5.1-style reporting.
 type Stats struct {
