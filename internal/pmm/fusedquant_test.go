@@ -2,7 +2,11 @@ package pmm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -117,6 +121,83 @@ func TestQuantizedCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("graph %d prob %d: loaded %v vs saved %v", i, j, got[i][j], want[i][j])
 			}
 		}
+	}
+}
+
+// probBitsDigest hashes every probability's float64 bit pattern, graph by
+// graph with a length prefix, so a reply that moves one bit moves the digest.
+func probBitsDigest(probs [][]float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, ps := range probs {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(ps)))
+		h.Write(buf[:])
+		for _, p := range ps {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFusedQuantReplyBitsPinned pins, as literals, what a fixed-seed model
+// replies at both precisions and what its quantized checkpoint hashes to.
+// The literals are the serving contract of -quant: any change to how
+// quantized weights are stored, rewritten or served must leave them alone.
+// The pinned checkpoint hash makes the bytes below the bytes every earlier
+// commit wrote, so loading them is loading an old checkpoint: it must serve
+// the same replies and re-save to the same bytes.
+func TestFusedQuantReplyBitsPinned(t *testing.T) {
+	const (
+		wantF64   = "2a9acf07021ad077fb6594779bdb28dcc9cfb7c794607fbfa5f9951e81ed9215"
+		wantQuant = "fb4c15fe9806fa1b6a9cba4eff3b330524caab47c7b5b2fc0eecb9d77a18a7fc"
+		wantSHA   = "447a11ec32ba45a00c4f256bdb8e828e151550f3f2cdeecdc01bd8e4e66b468c"
+	)
+	defer nn.SetWorkers(1)
+	gs := batchGraphs(t, 5, 800)
+	replies := func(what string, m *Model, want string) {
+		t.Helper()
+		m.EnableFused()
+		for _, workers := range []int{1, 4} {
+			nn.SetWorkers(workers)
+			_, probs := m.PredictBatch(gs)
+			if got := probBitsDigest(probs); got != want {
+				t.Errorf("%s, workers=%d: reply bits hash to %s, pinned %s", what, workers, got, want)
+			}
+		}
+	}
+	newModel := func() *Model {
+		m := NewModel(rng.New(9), DefaultConfig(), BuildVocab(testKernel))
+		m.Freeze()
+		return m
+	}
+	replies("f64", newModel(), wantF64)
+
+	m := newModel()
+	if err := m.Quantize(); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := m.SaveQuantized(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(ckpt.Bytes()); hex.EncodeToString(sum[:]) != wantSHA {
+		t.Errorf("SaveQuantized bytes hash to %x, pinned %s", sum, wantSHA)
+	}
+	replies("quantized", m, wantQuant)
+
+	loaded, err := Load(bytes.NewReader(ckpt.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.Freeze()
+	replies("quantized checkpoint, loaded", loaded, wantQuant)
+	var again bytes.Buffer
+	if err := loaded.SaveQuantized(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), ckpt.Bytes()) {
+		t.Error("a loaded quantized checkpoint re-saves to different bytes")
 	}
 }
 
