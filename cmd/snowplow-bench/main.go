@@ -8,7 +8,7 @@
 //	snowplow-bench -experiment table1,table5
 //
 // Experiments: stats, table1, fig6, table2 (includes tables 3 and 4),
-// table5, perf, parallel, cluster, wire, quant, micro, train, ablations, faults,
+// table5, perf, parallel, cluster, wire, micro, train, ablations, faults,
 // timeseries, tenants, online, all.
 package main
 
@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		which  = flag.String("experiment", "all", "comma-separated experiments: stats,table1,fig6,table2,table5,perf,parallel,cluster,wire,quant,micro,train,ablations,faults,timeseries,tenants,online,all")
+		which  = flag.String("experiment", "all", "comma-separated experiments: stats,table1,fig6,table2,table5,perf,parallel,cluster,wire,micro,train,ablations,faults,timeseries,tenants,online,all")
 		scale  = flag.String("scale", "quick", "experiment scale: quick or full")
 		seed   = flag.Uint64("seed", 1, "suite seed")
 		quiet  = flag.Bool("quiet", false, "suppress progress logging")
@@ -162,13 +162,6 @@ func main() {
 		res := experiments.Wire(h, nil)
 		res.Render(os.Stdout)
 		emit("wire", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["quant"] {
-		res := experiments.Quant(h)
-		res.Render(os.Stdout)
-		emit("quant", res)
 		fmt.Println()
 		ran++
 	}

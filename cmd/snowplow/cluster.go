@@ -82,7 +82,7 @@ func quantizeModelBytes(model []byte) ([]byte, error) {
 		return nil, err
 	}
 	m.Freeze()
-	if m.Quantized() == nil {
+	if !m.Quantized() {
 		if err := m.Quantize(); err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func runClusterCoordinator(cf clusterFlags, mode, version, modelPath string, bud
 		if quant {
 			// Quantization must be decided once, by the coordinator: the
 			// model is re-encoded as a mixed-precision checkpoint, so every
-			// worker loads identical int8 weights (and the checkpoint's
+			// worker loads identical dequantized weights (and the checkpoint's
 			// model digest pins the quantized form). Worker-local flags
 			// could not guarantee that.
 			if model, err = quantizeModelBytes(model); err != nil {

@@ -351,8 +351,8 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		fmt.Fprintf(&out, "batching: %d passes, %d batched queries, avg batch %.2f (fill %.0f%%); graph cache: %d hits, %d misses\n",
 			ss.Batches, ss.BatchedQueries, ss.AvgBatchSize, 100*ss.BatchFill, ss.CacheHits, ss.CacheMisses)
 		kp := ss.Kernel
-		fmt.Fprintf(&out, "inference: fused=%v quant=%v; kernels: %d linear, %d attention, %d add+norm, %d int8\n",
-			ss.Fused, ss.Quantized, kp.FusedLinear, kp.FusedAttention, kp.FusedAddNorm, kp.QuantKernels)
+		fmt.Fprintf(&out, "inference: fused=%v quant=%v; kernels: %d linear, %d attention, %d add+norm\n",
+			ss.Fused, ss.Quantized, kp.FusedLinear, kp.FusedAttention, kp.FusedAddNorm)
 		if kp.KernelNs() > 0 {
 			fmt.Fprintf(&out, "kernel time: %v total (matmul %v, linear %v, attention %v, norm %v, softmax %v)\n",
 				time.Duration(kp.KernelNs()).Round(time.Microsecond),

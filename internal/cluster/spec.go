@@ -148,8 +148,8 @@ type Runtime struct {
 // spec's model bytes. fused routes that server through the fused inference
 // kernels; it is a per-worker serving knob (fused predictions are
 // bit-identical), so heterogeneous fleets stay deterministic. Whether the
-// model serves from int8 weights is pinned by the model bytes themselves
-// (a mixed-precision checkpoint carries its quantization registry), never
+// model serves at int8 precision is pinned by the model bytes themselves
+// (a mixed-precision checkpoint decodes to the dequantized weights), never
 // by a worker-local flag. The returned config's Journal is a non-recording
 // sentinel when the spec journals (shard workers buffer events for the
 // coordinator; they never write a journal of their own).

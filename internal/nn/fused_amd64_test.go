@@ -8,19 +8,15 @@ import (
 	"github.com/repro/snowplow/internal/rng"
 )
 
-// TestFusedScalarFallbackBitExact re-runs the fused/unfused/quantized
-// equality with the AVX kernel disabled, pinning the scalar fallback (the
+// TestFusedScalarFallbackBitExact re-runs the fused/unfused equality with
+// the AVX kernel disabled, pinning the scalar fallback (the
 // matmul_other.go build-tag path on non-amd64 hosts) to the same bits.
 func TestFusedScalarFallbackBitExact(t *testing.T) {
 	if !useAVX {
 		t.Skip("host has no AVX; the main tests already run the scalar path")
 	}
 	r := rng.New(97)
-	sa, mlp, params := quantTestModel(r)
-	qz := QuantizeParams(params, QuantMinSize)
-	if err := qz.ApplyDequantized(params); err != nil {
-		t.Fatal(err)
-	}
+	sa, mlp, _ := quantTestModel(r)
 	refreshFusedCaches(sa, mlp)
 	x := benchTensor(r, 10, 16)
 	pool := NewPool()
@@ -45,11 +41,7 @@ func TestFusedScalarFallbackBitExact(t *testing.T) {
 	fu := NewInferFused(pool)
 	scalarFused := forward(fu)
 	fu.Close()
-	qi := NewQuantInfer(pool, qz)
-	scalarQuant := forward(qi)
-	qi.Close()
 
 	sameBits(t, "scalar unfused vs AVX", scalarUnfused, avx)
 	sameBits(t, "scalar fused vs AVX", scalarFused, avx)
-	sameBits(t, "scalar int8 vs AVX", scalarQuant, avx)
 }

@@ -52,7 +52,7 @@ func (l *Linear) ForwardOps(ops Ops, x *Tensor) *Tensor {
 // FreezeFused precomputes the transposed weight used by the fused inference
 // kernel, sparing every LinearBias call its transpose + scratch round trip.
 // Call on frozen models only (and again after any weight rewrite, e.g.
-// quantized replay): the cache is a copy, not a view.
+// ApplyDequantized): the cache is a copy, not a view.
 func (l *Linear) FreezeFused() {
 	in, out := l.W.Shape[0], l.W.Shape[1]
 	if len(l.wt) != in*out {

@@ -22,7 +22,7 @@ type Pool struct {
 	borrows  int64
 	reuses   int64
 
-	// prof accumulates the fused/quant kernel counters and (when kernel
+	// prof accumulates the fused kernel counters and (when kernel
 	// profiling is on) per-op kernel time flushed by Infer.Close.
 	prof profileAtomics
 }

@@ -2,9 +2,9 @@ package nn
 
 import "sync/atomic"
 
-// Kernel profiling for the inference hot path. Counts of fused/quantized
-// kernel invocations are always collected (plain integer bumps on an
-// Infer-local struct, flushed to the pool on Close); per-op kernel *time* is
+// Kernel profiling for the inference hot path. Counts of fused kernel
+// invocations are always collected (plain integer bumps on an Infer-local
+// struct, flushed to the pool on Close); per-op kernel *time* is
 // gated behind SetKernelProfiling because it costs two time.Now calls per
 // op. serve.Server enables it whenever a metrics registry is attached and
 // exposes the numbers as nn_infer_* pull gauges and in its end-of-run Stats.
@@ -21,16 +21,13 @@ func SetKernelProfiling(on bool) { kernelProfiling.Store(on) }
 func KernelProfiling() bool { return kernelProfiling.Load() }
 
 // InferProfile is a snapshot of a pool's accumulated inference-kernel
-// activity: how many fused/quantized kernels ran, and — when kernel
-// profiling is enabled — how long each kernel class spent, in nanoseconds.
+// activity: how many fused kernels ran, and — when kernel profiling is
+// enabled — how long each kernel class spent, in nanoseconds.
 type InferProfile struct {
-	// FusedLinear counts fused linear(+bias+ReLU) kernel invocations,
-	// including the int8-weight variant; QuantKernels counts how many of
-	// all kernels read int8 weights (fused linears and embedding gathers).
+	// FusedLinear counts fused linear(+bias+ReLU) kernel invocations.
 	FusedLinear    int64
 	FusedAttention int64
 	FusedAddNorm   int64
-	QuantKernels   int64
 
 	// Per-class kernel time; zero unless SetKernelProfiling(true).
 	MatMulNs      int64
@@ -48,13 +45,13 @@ func (p InferProfile) KernelNs() int64 {
 // inferCounters is the Infer-local (single-goroutine, unsynchronized)
 // accumulator behind InferProfile.
 type inferCounters struct {
-	fusedLinear, fusedAttention, fusedAddNorm, quantKernels int64
+	fusedLinear, fusedAttention, fusedAddNorm               int64
 	matmulNs, fusedLinearNs, attentionNs, normNs, softmaxNs int64
 }
 
 // profileAtomics is the pool-side aggregate, written at Infer.Close.
 type profileAtomics struct {
-	fusedLinear, fusedAttention, fusedAddNorm, quantKernels atomic.Int64
+	fusedLinear, fusedAttention, fusedAddNorm               atomic.Int64
 	matmulNs, fusedLinearNs, attentionNs, normNs, softmaxNs atomic.Int64
 }
 
@@ -66,7 +63,6 @@ func (p *Pool) addProfile(c *inferCounters) {
 	p.prof.fusedLinear.Add(c.fusedLinear)
 	p.prof.fusedAttention.Add(c.fusedAttention)
 	p.prof.fusedAddNorm.Add(c.fusedAddNorm)
-	p.prof.quantKernels.Add(c.quantKernels)
 	p.prof.matmulNs.Add(c.matmulNs)
 	p.prof.fusedLinearNs.Add(c.fusedLinearNs)
 	p.prof.attentionNs.Add(c.attentionNs)
@@ -81,7 +77,6 @@ func (p *Pool) Profile() InferProfile {
 		FusedLinear:    p.prof.fusedLinear.Load(),
 		FusedAttention: p.prof.fusedAttention.Load(),
 		FusedAddNorm:   p.prof.fusedAddNorm.Load(),
-		QuantKernels:   p.prof.quantKernels.Load(),
 		MatMulNs:       p.prof.matmulNs.Load(),
 		FusedLinearNs:  p.prof.fusedLinearNs.Load(),
 		AttentionNs:    p.prof.attentionNs.Load(),

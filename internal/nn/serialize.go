@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -27,47 +28,21 @@ const (
 // binary format (magic, count, then name/shape/data records). Names are
 // written in sorted order so checkpoints are byte-stable.
 func SaveParams(w io.Writer, params map[string]*Tensor) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(names))); err != nil {
-		return err
-	}
-	for _, name := range names {
-		t := params[name]
-		if err := writeString(w, name); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(t.Shape))); err != nil {
-			return err
-		}
-		for _, d := range t.Shape {
-			if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-				return err
-			}
-		}
-		buf := make([]byte, 8*len(t.Data))
-		for i, v := range t.Data {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return saveRecords(w, magic, params, nil)
 }
 
 // SaveQuantParams writes a mixed-precision checkpoint: parameters present
 // in qz ship as int8 codes with their (scale, zero-point) pair, the rest as
 // float64. Names are written in sorted order so checkpoints are byte-stable
 // — the cluster's model SHA therefore covers the quantized form directly.
-func SaveQuantParams(w io.Writer, params map[string]*Tensor, qz *Quantized) error {
-	if _, err := io.WriteString(w, quantMagic); err != nil {
+func SaveQuantParams(w io.Writer, params map[string]*Tensor, qz Quantized) error {
+	return saveRecords(w, quantMagic, params, qz)
+}
+
+// saveRecords writes the format's magic and record stream; under quantMagic
+// every record carries a dtype byte and the parameters in qz ship as codes.
+func saveRecords(w io.Writer, format string, params map[string]*Tensor, qz Quantized) error {
+	if _, err := io.WriteString(w, format); err != nil {
 		return err
 	}
 	names := make([]string, 0, len(params))
@@ -91,34 +66,32 @@ func SaveQuantParams(w io.Writer, params map[string]*Tensor, qz *Quantized) erro
 				return err
 			}
 		}
-		if q := qz.Named(name); q != nil {
+		q := qz[name]
+		payload := 8 * len(t.Data)
+		if q != nil {
+			payload = 12 + len(q.Data)
+		}
+		buf := make([]byte, 0, 1+payload)
+		if format == quantMagic {
+			dtype := byte(dtypeF64)
+			if q != nil {
+				dtype = dtypeInt8
+			}
+			buf = append(buf, dtype)
+		}
+		if q != nil {
 			if q.Size() != t.Size() {
 				return fmt.Errorf("nn: quantized parameter %q size mismatch: %d vs %d", name, q.Size(), t.Size())
 			}
-			if _, err := w.Write([]byte{dtypeInt8}); err != nil {
-				return err
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.Scale))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(q.Zero)))
+			for _, c := range q.Data {
+				buf = append(buf, byte(c))
 			}
-			var head [12]byte
-			binary.LittleEndian.PutUint64(head[:8], math.Float64bits(q.Scale))
-			binary.LittleEndian.PutUint32(head[8:], uint32(int32(q.Zero)))
-			if _, err := w.Write(head[:]); err != nil {
-				return err
+		} else {
+			for _, v := range t.Data {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
-			buf := make([]byte, len(q.Data))
-			for i, c := range q.Data {
-				buf[i] = byte(c)
-			}
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := w.Write([]byte{dtypeF64}); err != nil {
-			return err
-		}
-		buf := make([]byte, 8*len(t.Data))
-		for i, v := range t.Data {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 		}
 		if _, err := w.Write(buf); err != nil {
 			return err
@@ -138,30 +111,30 @@ func LoadParams(r io.Reader, params map[string]*Tensor) error {
 	if string(head) != magic {
 		return errors.New("nn: not a snowplow checkpoint")
 	}
-	return loadRecords(r, params, false, nil)
+	return loadRecords(r, params, nil)
 }
 
 // LoadParamsAuto reads either checkpoint format, dispatching on the magic.
 // For a float64 (SNPW0001) checkpoint it behaves exactly like LoadParams and
 // returns a nil registry. For a mixed (SNPQ0001) checkpoint it loads the
-// float64 records, decodes the int8 records into a Quantized registry bound
-// to params, and writes the *dequantized* values into the float64 tensors —
-// the replay invariant, so callers that ignore the registry still compute
-// exactly what the int8 kernels would.
-func LoadParamsAuto(r io.Reader, params map[string]*Tensor) (*Quantized, error) {
+// float64 records, decodes the int8 records into a Quantized registry, and
+// writes their *dequantized* values into the float64 tensors — the replay
+// invariant, so the loaded model computes exactly what the model that was
+// saved computed, and the registry matters only for saving it again.
+func LoadParamsAuto(r io.Reader, params map[string]*Tensor) (Quantized, error) {
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("nn: reading checkpoint header: %w", err)
 	}
 	switch string(head) {
 	case magic:
-		return nil, loadRecords(r, params, false, nil)
+		return nil, loadRecords(r, params, nil)
 	case quantMagic:
-		qz := &Quantized{byName: map[string]*QuantTensor{}, byTensor: map[*Tensor]*QuantTensor{}}
-		if err := loadRecords(r, params, true, qz); err != nil {
+		qz := Quantized{}
+		if err := loadRecords(r, params, qz); err != nil {
 			return nil, err
 		}
-		if qz.Len() == 0 {
+		if len(qz) == 0 {
 			return nil, nil
 		}
 		return qz, nil
@@ -169,10 +142,21 @@ func LoadParamsAuto(r io.Reader, params map[string]*Tensor) (*Quantized, error) 
 	return nil, errors.New("nn: not a snowplow checkpoint")
 }
 
-// loadRecords reads the record stream after the magic. With quant set, each
-// record carries a dtype byte and int8 records are decoded into qz and
-// dequantized into the target tensor.
-func loadRecords(r io.Reader, params map[string]*Tensor, quant bool, qz *Quantized) error {
+// ShapeError reports a checkpoint record whose shape is not the shape of the
+// model tensor it names.
+type ShapeError struct {
+	Name              string
+	Checkpoint, Model []int
+}
+
+func (e *ShapeError) Error() string {
+	return fmt.Sprintf("nn: parameter %q shape mismatch: checkpoint %v vs model %v", e.Name, e.Checkpoint, e.Model)
+}
+
+// loadRecords reads the record stream after the magic. With a non-nil qz
+// (the mixed format) each record carries a dtype byte, and int8 records are
+// decoded into qz and dequantized into the target tensor.
+func loadRecords(r io.Reader, params map[string]*Tensor, qz Quantized) error {
 	var count uint32
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 		return err
@@ -190,28 +174,29 @@ func loadRecords(r io.Reader, params map[string]*Tensor, quant bool, qz *Quantiz
 		if ndim > 8 {
 			return fmt.Errorf("nn: parameter %q has unreasonable rank %d", name, ndim)
 		}
-		shape := make([]int, ndim)
-		size := 1
-		for j := range shape {
-			var d uint32
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return err
-			}
-			shape[j] = int(d)
-			size *= int(d)
+		dims := make([]uint32, ndim)
+		if err := binary.Read(r, binary.LittleEndian, dims); err != nil {
+			return err
 		}
 		t, ok := params[name]
 		if !ok {
 			return fmt.Errorf("nn: checkpoint has unknown parameter %q", name)
 		}
-		if t.Size() != size {
-			return fmt.Errorf("nn: parameter %q shape mismatch: checkpoint %v vs model %v", name, shape, t.Shape)
+		// Rank and every dimension, not the element count: a count cannot
+		// tell [a,b] from [b,a], and a product of unchecked dims can wrap.
+		shape := make([]int, ndim)
+		for j, d := range dims {
+			shape[j] = int(d)
 		}
+		if !slices.Equal(shape, t.Shape) {
+			return &ShapeError{Name: name, Checkpoint: shape, Model: t.Shape}
+		}
+		size := t.Size()
 		if loaded[name] {
 			return fmt.Errorf("nn: checkpoint repeats parameter %q", name)
 		}
 		dtype := byte(dtypeF64)
-		if quant {
+		if qz != nil {
 			var db [1]byte
 			if _, err := io.ReadFull(r, db[:]); err != nil {
 				return err
@@ -250,10 +235,8 @@ func loadRecords(r io.Reader, params map[string]*Tensor, quant bool, qz *Quantiz
 			for j, b := range buf {
 				q.Data[j] = int8(b)
 			}
-			q.finish()
 			q.Dequantize(t.Data)
-			qz.byName[name] = q
-			qz.byTensor[t] = q
+			qz[name] = q
 		default:
 			return fmt.Errorf("nn: parameter %q has unknown dtype %d", name, dtype)
 		}

@@ -230,7 +230,7 @@ func New(p Params) (*Controller, error) {
 	c := &Controller{
 		cfg:   p.Config.Normalized(),
 		p:     p,
-		quant: p.Current.Quantized() != nil,
+		quant: p.Current.Quantized(),
 		cur:   p.Current,
 		ins:   newInstruments(p.Metrics),
 	}

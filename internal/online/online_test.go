@@ -217,7 +217,7 @@ func TestQuantizedCampaignKeepsQuantizedForm(t *testing.T) {
 	if !sw.Accepted {
 		t.Skipf("gate skipped v1 (f1 %.4f vs %.4f); quant form untestable on this seed", sw.NewF1, sw.OldF1)
 	}
-	if sw.Model.Quantized() == nil {
+	if !sw.Model.Quantized() {
 		t.Fatal("accepted swap on a quantized campaign is not quantized")
 	}
 }

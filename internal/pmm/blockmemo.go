@@ -23,9 +23,7 @@ import (
 // row from that row's own segment alone, in a fixed order — the same
 // row-independence that already makes PredictBatch(gs)[i] equal
 // Predict(gs[i]) — so which other sequences shared the batch that first
-// computed a row cannot be observed. The float64 fused kernels and the int8
-// kernels agree bit for bit too (Quantize rewrites the float64 weights with
-// their dequantized values), so both op sets share the memo.
+// computed a row cannot be observed.
 //
 // Weights are the other input, so the memo lives and dies with its Model:
 // EnableFused and Quantize replace it, a hot swap serves a new Model, and

@@ -90,18 +90,13 @@ func memoCheckpoint(t testing.TB, seed uint64) []byte {
 	return buf.Bytes()
 }
 
-func loadFrozen(t testing.TB, ckpt []byte, quant, fused bool) *Model {
+func loadFrozen(t testing.TB, ckpt []byte, fused bool) *Model {
 	t.Helper()
 	m, err := Load(bytes.NewReader(ckpt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Freeze()
-	if quant {
-		if err := m.Quantize(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if fused {
 		m.EnableFused()
 	}
@@ -134,50 +129,44 @@ func sameProbs(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestFusedBlockMemoBitIdentical is the memo's bit-equality matrix: for the
-// float64 weights and for the quantized ones (served by QuantInfer), a fused
+// TestFusedBlockMemoBitIdentical is the memo's bit-equality matrix: a fused
 // forward over a cold memo and the same forward over the warm memo must both
 // equal the unfused, unbatched, memo-free forward in every bit, whatever the
 // batch size and whichever other graphs share the batch.
 func TestFusedBlockMemoBitIdentical(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 13)
-	for _, quant := range []bool{false, true} {
-		oracle := loadFrozen(t, ckpt, quant, false)
-		want := make([][]float64, len(gs))
-		for i, g := range gs {
-			_, want[i] = oracle.Predict(g)
-		}
-		if st := oracle.BlockMemoStats(); st != (BlockMemoStats{}) {
-			t.Fatalf("quant=%t: unfused forwards touched the memo: %+v", quant, st)
-		}
-		r := rng.New(14)
-		for _, size := range []int{1, 3, 8} {
-			for shuffle := 0; shuffle < 3; shuffle++ {
-				order := r.Perm(len(gs))[:size]
-				batch := make([]*qgraph.Graph, size)
+	oracle := loadFrozen(t, ckpt, false)
+	want := make([][]float64, len(gs))
+	for i, g := range gs {
+		_, want[i] = oracle.Predict(g)
+	}
+	if st := oracle.BlockMemoStats(); st != (BlockMemoStats{}) {
+		t.Fatalf("unfused forwards touched the memo: %+v", st)
+	}
+	r := rng.New(14)
+	for _, size := range []int{1, 3, 8} {
+		for shuffle := 0; shuffle < 3; shuffle++ {
+			order := r.Perm(len(gs))[:size]
+			batch := make([]*qgraph.Graph, size)
+			for bi, gi := range order {
+				batch[bi] = gs[gi]
+			}
+			m := loadFrozen(t, ckpt, true)
+			var cold BlockMemoStats
+			for pass, state := range []string{"cold", "warm"} {
+				_, got := m.PredictBatch(batch)
 				for bi, gi := range order {
-					batch[bi] = gs[gi]
+					sameProbs(t, fmt.Sprintf("batch=%v %s memo, graph %d", order, state, gi), got[bi], want[gi])
 				}
-				m := loadFrozen(t, ckpt, quant, true)
-				var cold BlockMemoStats
-				for pass, state := range []string{"cold", "warm"} {
-					_, got := m.PredictBatch(batch)
-					for bi, gi := range order {
-						sameProbs(t, fmt.Sprintf("quant=%t batch=%v %s memo, graph %d", quant, order, state, gi), got[bi], want[gi])
+				st := m.BlockMemoStats()
+				if pass == 0 {
+					cold = st
+					if st.Misses == 0 || st.Entries != int(st.Misses) {
+						t.Fatalf("cold pass stats %+v: every miss should be stored once", st)
 					}
-					st := m.BlockMemoStats()
-					if pass == 0 {
-						cold = st
-						if st.Misses == 0 || st.Entries != int(st.Misses) {
-							t.Fatalf("cold pass stats %+v: every miss should be stored once", st)
-						}
-					} else if st.Misses != cold.Misses || st.Entries != cold.Entries || st.Hits != 2*cold.Hits+cold.Misses {
-						t.Fatalf("warm pass encoded again: cold %+v, warm %+v", cold, st)
-					}
-				}
-				if quant && m.InferProfile().QuantKernels == 0 {
-					t.Fatal("quantized fused forward never hit an int8 kernel")
+				} else if st.Misses != cold.Misses || st.Entries != cold.Entries || st.Hits != 2*cold.Hits+cold.Misses {
+					t.Fatalf("warm pass encoded again: cold %+v, warm %+v", cold, st)
 				}
 			}
 		}
@@ -192,7 +181,7 @@ func TestQuantizeResetsFusedBlockMemo(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 15)
 
-	m := loadFrozen(t, ckpt, false, true)
+	m := loadFrozen(t, ckpt, true)
 	_, before := m.PredictBatch(gs)
 	if m.BlockMemoStats().Entries == 0 {
 		t.Fatal("fused forward stored nothing")
@@ -205,7 +194,11 @@ func TestQuantizeResetsFusedBlockMemo(t *testing.T) {
 	}
 	_, after := m.PredictBatch(gs)
 
-	fresh := loadFrozen(t, ckpt, true, true)
+	fresh := loadFrozen(t, ckpt, false)
+	if err := fresh.Quantize(); err != nil {
+		t.Fatal(err)
+	}
+	fresh.EnableFused()
 	_, want := fresh.PredictBatch(gs)
 	moved := false
 	for i := range want {
@@ -228,12 +221,12 @@ func TestQuantizeResetsFusedBlockMemo(t *testing.T) {
 func TestFusedBlockMemoConcurrentCold(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 16)
-	oracle := loadFrozen(t, ckpt, false, false)
+	oracle := loadFrozen(t, ckpt, false)
 	want := make([][]float64, len(gs))
 	for i, g := range gs {
 		_, want[i] = oracle.Predict(g)
 	}
-	m := loadFrozen(t, ckpt, false, true)
+	m := loadFrozen(t, ckpt, true)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -78,11 +78,12 @@ type Model struct {
 	pool *nn.Pool
 
 	// fused routes frozen forwards through the fused inference kernels
-	// (EnableFused); quant holds the int8 registry after Quantize or a
-	// mixed-precision checkpoint load. Both paths are bit-identical to the
-	// plain pooled forward — see internal/nn's fused.go and quant.go.
+	// (EnableFused), bit-identical to the plain pooled forward — see
+	// internal/nn's fused.go. quant holds the int8 codes after Quantize or a
+	// mixed-precision checkpoint load, for SaveQuantized alone: the weights
+	// above already hold the dequantized values (internal/nn's quant.go).
 	fused bool
-	quant *nn.Quantized
+	quant nn.Quantized
 
 	// blockMemo caches the token encoder's output per vocabulary-id
 	// sequence. Only a fused frozen forward consults it, and everything that
@@ -97,7 +98,7 @@ func (m *Model) PoolStats() nn.PoolStats {
 	return m.pool.Stats()
 }
 
-// InferProfile snapshots the fused/quantized kernel counters (and, under
+// InferProfile snapshots the fused kernel counters (and, under
 // nn.SetKernelProfiling, per-op kernel time) accumulated by this model's
 // inference pool.
 func (m *Model) InferProfile() nn.InferProfile {
@@ -107,8 +108,9 @@ func (m *Model) InferProfile() nn.InferProfile {
 // Fused reports whether the fused inference kernels are enabled.
 func (m *Model) Fused() bool { return m.fused }
 
-// Quantized returns the int8 weight registry, or nil on a float64 model.
-func (m *Model) Quantized() *nn.Quantized { return m.quant }
+// Quantized reports whether the weights are int8-representable: rewritten
+// by Quantize or loaded from a mixed-precision checkpoint.
+func (m *Model) Quantized() bool { return m.quant != nil }
 
 // linears visits every Linear layer in the model.
 func (m *Model) linears(visit func(*nn.Linear)) {
@@ -143,9 +145,9 @@ func (m *Model) EnableFused() {
 
 // Quantize builds the per-tensor int8 encoding of every large parameter
 // (linear weights and embedding tables; nn.QuantMinSize policy) and rewrites
-// the float64 weights with their dequantized values. After Quantize the
-// float64 and int8 kernels compute from identical weight values, so model
-// outputs are reproducible per seed regardless of which path serves them.
+// the float64 weights with their dequantized values — exactly what a load
+// of the SaveQuantized bytes yields, so model outputs are reproducible per
+// seed whether the weights were quantized here or arrived quantized.
 // Requires a frozen model. Call at most once per checkpoint.
 func (m *Model) Quantize() error {
 	if !m.frozen() {
@@ -540,23 +542,17 @@ func (m *Model) PredictBatch(gs []*qgraph.Graph) ([][]prog.GlobalSlot, [][]float
 	return slots, probs
 }
 
-// inferOps picks the inference op set for a frozen forward: quantized
-// kernels when an int8 registry is live and fusion is on, fused float64
-// kernels under EnableFused alone, the plain pooled path otherwise. All
-// three produce bit-identical outputs (quantization rewrote the float64
-// weights with dequantized values), so the choice is purely a speed knob.
+// inferOps picks the inference op set for a frozen forward: the fused
+// kernels under EnableFused, the plain pooled path otherwise. Both produce
+// bit-identical outputs, so the choice is purely a speed knob; a quantized
+// model is served by the same two (its weights are ordinary float64).
 func (m *Model) inferOps() (nn.Ops, func()) {
-	switch {
-	case m.quant != nil && m.fused:
-		qi := nn.NewQuantInfer(m.pool, m.quant)
-		return qi, qi.Close
-	case m.fused:
+	if m.fused {
 		in := nn.NewInferFused(m.pool)
 		return in, in.Close
-	default:
-		in := nn.NewInfer(m.pool)
-		return in, in.Close
 	}
+	in := nn.NewInfer(m.pool)
+	return in, in.Close
 }
 
 // pickSlots converts per-argument logits into the thresholded,
@@ -650,8 +646,8 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	// A mixed-precision checkpoint arrives with the float64 weights already
-	// rewritten to their dequantized values; keep the registry so frozen
-	// fused forwards can serve from the int8 kernels directly.
+	// rewritten to their dequantized values; the codes are kept so the model
+	// can be saved quantized again, byte for byte.
 	m.quant = qz
 	return m, nil
 }

@@ -34,43 +34,40 @@ func unfusedProbs(t *testing.T, oracle *Model, gs []*qgraph.Graph) [][]float64 {
 // TestFusedPlanBitIdentical forwards a batch that holds two graphs twice
 // each — two hits on one cached graph, so one plan feeds two row ranges of the
 // union — with the plans cold and then warm, against the unfused unbatched
-// Predict, for both weight precisions. The warm pass must reuse the very plans
-// the cold pass stored.
+// Predict. The warm pass must reuse the very plans the cold pass stored.
 func TestFusedPlanBitIdentical(t *testing.T) {
 	ckpt := memoCheckpoint(t, 21)
-	for _, quant := range []bool{false, true} {
-		gs := memoGraphs(t) // fresh graphs: no plan yet
-		want := unfusedProbs(t, loadFrozen(t, ckpt, quant, false), gs)
-		order := []int{0, 1, 0, 7, 6, 7, 2}
-		batch := make([]*qgraph.Graph, len(order))
+	gs := memoGraphs(t) // fresh graphs: no plan yet
+	want := unfusedProbs(t, loadFrozen(t, ckpt, false), gs)
+	order := []int{0, 1, 0, 7, 6, 7, 2}
+	batch := make([]*qgraph.Graph, len(order))
+	for bi, gi := range order {
+		batch[bi] = gs[gi]
+	}
+	m := loadFrozen(t, ckpt, true)
+	var cold []*forwardPlan
+	for _, state := range []string{"cold", "warm"} {
+		_, got := m.PredictBatch(batch)
 		for bi, gi := range order {
-			batch[bi] = gs[gi]
+			sameProbs(t, fmt.Sprintf("%s plans, position %d (graph %d)", state, bi, gi), got[bi], want[gi])
 		}
-		m := loadFrozen(t, ckpt, quant, true)
-		var cold []*forwardPlan
-		for _, state := range []string{"cold", "warm"} {
-			_, got := m.PredictBatch(batch)
-			for bi, gi := range order {
-				sameProbs(t, fmt.Sprintf("quant=%t %s plans, position %d (graph %d)", quant, state, bi, gi), got[bi], want[gi])
+		for bi, g := range batch {
+			p := storedPlan(g)
+			if p == nil || p.key != m.planKey() {
+				t.Fatalf("%s: position %d has no plan of this model", state, bi)
 			}
-			for bi, g := range batch {
-				p := storedPlan(g)
-				if p == nil || p.key != m.planKey() {
-					t.Fatalf("quant=%t %s: position %d has no plan of this model", quant, state, bi)
-				}
-				if state == "cold" {
-					cold = append(cold, p)
-				} else if p != cold[bi] {
-					t.Fatalf("quant=%t: position %d was re-planned on a warm forward", quant, bi)
-				}
+			if state == "cold" {
+				cold = append(cold, p)
+			} else if p != cold[bi] {
+				t.Fatalf("position %d was re-planned on a warm forward", bi)
 			}
 		}
-		// A plan is per graph, not per batch position or batch.
-		_, got := m.Predict(gs[7])
-		sameProbs(t, fmt.Sprintf("quant=%t unbatched, warm plan", quant), got, want[7])
-		if storedPlan(gs[7]) != cold[3] {
-			t.Fatalf("quant=%t: an unbatched forward re-planned the graph", quant)
-		}
+	}
+	// A plan is per graph, not per batch position or batch.
+	_, got := m.Predict(gs[7])
+	sameProbs(t, "unbatched, warm plan", got, want[7])
+	if storedPlan(gs[7]) != cold[3] {
+		t.Fatal("an unbatched forward re-planned the graph")
 	}
 }
 
@@ -130,8 +127,8 @@ func TestFusedPlanRebuiltForAnotherModel(t *testing.T) {
 func TestFusedPlanConcurrentCold(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 22)
-	want := unfusedProbs(t, loadFrozen(t, ckpt, false, false), gs)
-	m := loadFrozen(t, ckpt, false, true)
+	want := unfusedProbs(t, loadFrozen(t, ckpt, false), gs)
+	m := loadFrozen(t, ckpt, true)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -101,9 +101,6 @@ func (s *Server) registerPullGauges(reg *obs.Registry) {
 	reg.GaugeFunc("nn_infer_fused_addnorm", "kernels", "fused add+LayerNorm kernel invocations", func() int64 {
 		return s.Model().InferProfile().FusedAddNorm
 	})
-	reg.GaugeFunc("nn_infer_quant_kernels", "kernels", "kernel invocations that read int8 weights", func() int64 {
-		return s.Model().InferProfile().QuantKernels
-	})
 	reg.GaugeFunc("nn_infer_kernel_ns", "ns", "total inference-kernel time (requires kernel profiling)", func() int64 {
 		return s.Model().InferProfile().KernelNs()
 	})

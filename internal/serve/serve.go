@@ -114,13 +114,14 @@ type Stats struct {
 	// BatchFill is AvgBatchSize / Options.BatchSize — how full the
 	// micro-batches ran (1.0 = every forward pass served a full batch).
 	BatchFill float64
-	// Fused and Quantized report which inference path served the run.
+	// Fused reports which inference path served the run, Quantized which
+	// precision (int8-representable weights, served by that same path).
 	Fused     bool
 	Quantized bool
 	// ModelVersion is the current hot-swap generation of the serving model
 	// (0 until the first SwapModel).
 	ModelVersion int64
-	// Kernel snapshots the fused/quantized kernel counters and — when
+	// Kernel snapshots the fused kernel counters and — when
 	// kernel profiling is on — per-op kernel time (see nn.InferProfile).
 	Kernel nn.InferProfile
 	// MeanLatency averages over succeeded queries.
@@ -231,10 +232,11 @@ type Options struct {
 	// chain. cmd/snowplow passes -fused (default true).
 	Fused bool
 	// Quant int8-quantizes the model's large weights before serving
-	// (pmm.Model.Quantize): weights are stored as int8 codes and the float64
-	// weights are rewritten with their dequantized values, so predictions
-	// stay reproducible per seed. No-op if the model already carries a
-	// quantized registry (e.g. loaded from a mixed-precision checkpoint).
+	// (pmm.Model.Quantize): the float64 weights are rewritten with their
+	// dequantized values — a precision, served by the same kernels — and
+	// the int8 codes are kept for the ~7× smaller checkpoint/transport form,
+	// so predictions stay reproducible per seed. No-op if the model is
+	// already quantized (e.g. loaded from a mixed-precision checkpoint).
 	Quant bool
 	// KernelProfile enables per-op kernel timing (nn.SetKernelProfiling,
 	// process-wide): Stats.Kernel then reports time per kernel class.
@@ -475,12 +477,12 @@ func NewServerOpts(model *pmm.Model, builder *qgraph.Builder, opts Options) *Ser
 
 // prepareModel makes a model serving-ready under the server's options:
 // frozen for concurrent pooled inference, quantized when the server serves
-// int8 weights, fused when the server serves fused kernels. Every swapped-in
-// checkpoint passes through here, so a hot swap can never silently downgrade
-// the inference path the campaign was configured with.
+// at int8 precision, fused when the server serves fused kernels. Every
+// swapped-in checkpoint passes through here, so a hot swap can never silently
+// change the precision or the inference path the campaign was configured with.
 func prepareModel(m *pmm.Model, opts Options) error {
 	m.Freeze()
-	if opts.Quant && m.Quantized() == nil {
+	if opts.Quant && !m.Quantized() {
 		if err := m.Quantize(); err != nil {
 			return err
 		}
@@ -980,7 +982,7 @@ func (s *Server) Stats() Stats {
 		AvgBatchSize:   avgBatch,
 		BatchFill:      fill,
 		Fused:          slot.m.Fused(),
-		Quantized:      slot.m.Quantized() != nil,
+		Quantized:      slot.m.Quantized(),
 		ModelVersion:   slot.version,
 		Kernel:         slot.m.InferProfile(),
 		CacheHits:      cacheHits,
