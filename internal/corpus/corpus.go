@@ -5,10 +5,12 @@
 // picking bases every step) against rare writers (a program joins only when
 // it contributes new edges). The read paths — Choose, Entries, Len,
 // TotalEdges, Has — never take the write lock: entry listings are served
-// from an epoch-cached copy-on-write snapshot behind an atomic pointer
-// (invalidated on Add/Seed), the total edge count is an atomic, and the
-// text-dedup index is lock-striped so Has from different VMs doesn't
-// serialize on one mutex.
+// from an epoch snapshot behind an atomic pointer (republished on Add/Seed),
+// the total edge count is an atomic, and the text-dedup index is
+// lock-striped so Has from different VMs doesn't serialize on one mutex.
+// Add checks new edges under the total's read lock before anything else, so
+// a test that adds nothing — almost every test — is neither serialized nor
+// made to wait for the writer mutex.
 package corpus
 
 import (
@@ -53,8 +55,10 @@ type stripe struct {
 	m  map[string]*Entry
 }
 
-// snapshot is one immutable epoch of the entry list. The slice is never
-// appended to in place: Add/Seed publish a fresh, larger copy.
+// snapshot is one epoch of the entry list. Add/Seed append in place and
+// publish a new snapshot, so an older snapshot's backing array may gain
+// elements past its length, but never has an element within its length
+// rewritten.
 type snapshot struct {
 	entries []*Entry
 }
@@ -103,18 +107,15 @@ func (c *Corpus) ByText(text string) *Entry {
 
 func (c *Corpus) hasText(text string) bool { return c.ByText(text) != nil }
 
-// publish indexes e by text and appends it to a fresh copy of the entry
-// snapshot. Caller holds c.mu.
+// publish indexes e by text and appends it to the entry list in place
+// (amortised O(1)). Readers of older snapshots are unaffected: they never
+// look past their own length. Caller holds c.mu.
 func (c *Corpus) publish(e *Entry) {
 	st := c.stripeFor(e.Text)
 	st.mu.Lock()
 	st.m[e.Text] = e
 	st.mu.Unlock()
-	old := c.snap.Load().entries
-	entries := make([]*Entry, len(old)+1)
-	copy(entries, old)
-	entries[len(old)] = e
-	c.snap.Store(&snapshot{entries: entries})
+	c.snap.Store(&snapshot{entries: append(c.snap.Load().entries, e)})
 	c.epoch.Add(1)
 }
 
@@ -123,7 +124,14 @@ func (c *Corpus) publish(e *Entry) {
 // number of new edges contributed (0 means not added). The accepted entry
 // stores clones of cover and blocks, so callers may pass reusable scratch
 // sets.
+//
+// New edges are counted first, under the read lock; only a program that
+// has some is serialized and checked against the text index. The total
+// only grows, so a program with none could never have been merged.
 func (c *Corpus) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int {
+	if c.NewEdges(cover) == 0 {
+		return 0
+	}
 	text := p.Serialize()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -223,12 +231,13 @@ func (c *Corpus) TotalCover() *trace.Cover {
 	return c.total.Clone()
 }
 
-// Entries returns the current epoch's entry snapshot without copying: the
-// returned slice is immutable (a new backing array is published on every
-// Add/Seed) and must not be modified by the caller. Repeated calls between
-// corpus mutations return the same cached slice.
+// Entries returns the current epoch's entry snapshot without copying. The
+// slice shares its backing array with the corpus, which appends to it in
+// place, so it is capacity-clipped: an append by the caller always copies
+// and cannot write into the corpus. Its elements must not be assigned.
 func (c *Corpus) Entries() []*Entry {
-	return c.snap.Load().entries
+	entries := c.snap.Load().entries
+	return entries[:len(entries):len(entries)]
 }
 
 // Epoch returns a counter that increments whenever the entry snapshot is
@@ -244,6 +253,14 @@ func (c *Corpus) NewEdges(cover *trace.Cover) int {
 	c.totalMu.RLock()
 	defer c.totalMu.RUnlock()
 	return c.total.NewEdges(cover)
+}
+
+// NewEdgeList returns cover's edges that are not yet in the corpus total,
+// sorted, without modifying anything.
+func (c *Corpus) NewEdgeList(cover *trace.Cover) []trace.Edge {
+	c.totalMu.RLock()
+	defer c.totalMu.RUnlock()
+	return cover.Diff(c.total)
 }
 
 // Has reports whether an identical program is already in the corpus.

@@ -101,6 +101,13 @@ type Executor struct {
 	noise   *NoiseModel
 	flakyR  *rng.Rand
 	baddies []kernel.BlockID // entry blocks usable as background noise
+
+	// Per-run scratch, reused across calls and runs (an executor runs on
+	// one goroutine): the fresh kernel state, the resource value of each
+	// call, and the current call's slot views. None of it escapes a Run.
+	fresh   *kernel.State
+	results []uint64
+	views   []kernel.SlotView
 }
 
 // flakySeed seeds every fresh executor's flaky-crash RNG.
@@ -158,25 +165,33 @@ func (e *Executor) WithNoise(n *NoiseModel) *Executor {
 // Run executes the program from a fresh snapshot (or the carried-over state
 // under a SharedState noise model) and returns its trace.
 func (e *Executor) Run(p *prog.Prog) (*Result, error) {
-	st := e.boot.Snapshot()
-	if e.noise != nil && e.noise.SharedState {
+	var st *kernel.State
+	switch {
+	case e.noise != nil && e.noise.SharedState:
 		if e.state == nil {
 			e.state = e.boot.Snapshot()
 		}
 		st = e.state
+	case e.fresh == nil:
+		e.fresh = e.boot.Snapshot()
+		st = e.fresh
+	default:
+		e.fresh.Restore(e.boot)
+		st = e.fresh
 	}
 	res := &Result{}
-	results := make([]uint64, len(p.Calls)) // runtime value of each call's resource
-	for i := range results {
-		results[i] = ^uint64(0)
+	results := e.results[:0] // runtime value of each call's resource
+	for range p.Calls {
+		results = append(results, ^uint64(0))
 	}
+	e.results = results
 	for ci, call := range p.Calls {
 		h := e.K.Handler(call.Meta.Name)
 		if h == nil {
 			return nil, fmt.Errorf("exec: no handler for syscall %q", call.Meta.Name)
 		}
-		views := slotViews(call, results)
-		tr, success, crash, err := e.runCall(h, views, st)
+		e.views = slotViews(e.views[:0], call, results)
+		tr, success, crash, err := e.runCall(h, e.views, st)
 		if err != nil {
 			return nil, err
 		}
@@ -272,15 +287,15 @@ func (e *Executor) backgroundTrace(st *kernel.State) []kernel.BlockID {
 	return tr
 }
 
-// slotViews resolves the call's flattened argument slots to the executor's
-// scalar view, resolving resource references through results.
-func slotViews(call *prog.Call, results []uint64) []kernel.SlotView {
-	slots := call.Meta.Slots()
-	views := make([]kernel.SlotView, len(slots))
-	for i, s := range slots {
+// slotViews appends to views the call's flattened argument slots resolved
+// to the executor's scalar view, resolving resource references through
+// results.
+func slotViews(views []kernel.SlotView, call *prog.Call, results []uint64) []kernel.SlotView {
+	for _, s := range call.Meta.Slots() {
 		a := call.ArgAtPath(s.Path)
 		if a == nil {
-			continue // behind a null pointer: absent
+			views = append(views, kernel.SlotView{}) // behind a null pointer: absent
+			continue
 		}
 		v := kernel.SlotView{Present: true}
 		switch arg := a.(type) {
@@ -304,7 +319,7 @@ func slotViews(call *prog.Call, results []uint64) []kernel.SlotView {
 		case *prog.GroupArg:
 			// Structs are not slots; flattening never yields them.
 		}
-		views[i] = v
+		views = append(views, v)
 	}
 	return views
 }

@@ -266,3 +266,62 @@ func BenchmarkExecute(b *testing.B) {
 		}
 	}
 }
+
+var allocSink *Result
+
+// TestMachineRunAllocs pins Run's allocation budget: the Result and its
+// trace slices, nothing per call or per run beyond them (kernel state, slot
+// views and the resource table are executor scratch).
+func TestMachineRunAllocs(t *testing.T) {
+	m := NewMachine(testKernel, 0)
+	g := prog.NewGenerator(testKernel.Target)
+	r := rng.New(17)
+	measured := 0
+	for i := 0; i < 20; i++ {
+		p := g.Generate(r, 1+r.Intn(6))
+		res, err := m.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if touchesFlaky(res) {
+			continue // its trace depends on the flaky-crash stream
+		}
+		measured++
+		// The same appends Run makes, into a fresh Result.
+		want := testing.AllocsPerRun(20, func() {
+			out := &Result{}
+			for ci, tr := range res.CallTraces {
+				var cp []kernel.BlockID
+				for _, b := range tr {
+					cp = append(cp, b)
+				}
+				out.CallTraces = append(out.CallTraces, cp)
+				out.Succeeded = append(out.Succeeded, res.Succeeded[ci])
+			}
+			allocSink = out
+		})
+		got := testing.AllocsPerRun(20, func() {
+			if allocSink, err = m.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > want {
+			t.Errorf("program %d (%d calls): Run made %v allocs, want at most %v (Result + traces)\n%s",
+				i, len(p.Calls), got, want, p.Serialize())
+		}
+	}
+	if measured < 10 {
+		t.Fatalf("only %d of 20 programs avoid flaky crash blocks", measured)
+	}
+}
+
+func touchesFlaky(res *Result) bool {
+	for _, tr := range res.CallTraces {
+		for _, id := range tr {
+			if b := testKernel.Block(id); b.Kind == kernel.BlockCrash && b.Crash.Flaky {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -256,7 +256,10 @@ type corpusView interface {
 	Choose(r *rng.Rand) *corpus.Entry
 	Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int
 	NewEdges(cover *trace.Cover) int
-	TotalCover() *trace.Cover
+	// NewEdgeList lists, sorted, the edges NewEdges counts.
+	NewEdgeList(cover *trace.Cover) []trace.Edge
+	// Edges is the number of edges covered (as visible to this VM).
+	Edges() int
 	// HasBlock reports whether the campaign (as visible to this VM) has
 	// covered the block; queryTargets uses it to pick fresh frontiers.
 	HasBlock(b kernel.BlockID) bool
@@ -287,8 +290,11 @@ func (v *sharedView) seed(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSe
 }
 
 func (v *sharedView) NewEdges(cover *trace.Cover) int { return v.corp.NewEdges(cover) }
-func (v *sharedView) TotalCover() *trace.Cover        { return v.corp.TotalCover() }
-func (v *sharedView) HasBlock(b kernel.BlockID) bool  { return v.blocks.Has(b) }
+func (v *sharedView) NewEdgeList(cover *trace.Cover) []trace.Edge {
+	return v.corp.NewEdgeList(cover)
+}
+func (v *sharedView) Edges() int                     { return v.corp.TotalEdges() }
+func (v *sharedView) HasBlock(b kernel.BlockID) bool { return v.blocks.Has(b) }
 
 // Fuzzer is one configured campaign.
 type Fuzzer struct {
@@ -982,13 +988,7 @@ func (w *worker) execute(p *prog.Prog, class yieldClass) (*exec.Result, error) {
 // first) while the program still contributes every new edge it was about to
 // add. Each trial execution is charged to the budget.
 func (w *worker) minimize(p *prog.Prog, res *exec.Result, cover *trace.Cover) (*prog.Prog, *exec.Result, *trace.Cover, trace.BlockSet) {
-	must := trace.NewCover()
-	total := w.view.TotalCover()
-	for _, e := range cover.Edges() {
-		if !total.Has(e) {
-			must.Add(e)
-		}
-	}
+	must := w.view.NewEdgeList(cover)
 	best, bestRes, bestCover := p, res, cover
 	for i := len(best.Calls) - 1; i >= 0; i-- {
 		if len(best.Calls) == 1 {
@@ -1012,7 +1012,7 @@ func (w *worker) minimize(p *prog.Prog, res *exec.Result, cover *trace.Cover) (*
 		w.charge(int64(candRes.Cost))
 		candCover := trace.EdgesOf(candRes)
 		keeps := true
-		for _, e := range must.Edges() {
+		for _, e := range must {
 			if !candCover.Has(e) {
 				keeps = false
 				break
@@ -1065,7 +1065,7 @@ func (w *worker) charge(cost int64) {
 		return
 	}
 	for w.cost >= w.nextSample {
-		w.stats.Series = append(w.stats.Series, Point{Cost: w.nextSample, Edges: w.view.TotalCover().Len()})
+		w.stats.Series = append(w.stats.Series, Point{Cost: w.nextSample, Edges: w.view.Edges()})
 		w.nextSample += w.sampleEvery
 	}
 }

@@ -70,7 +70,7 @@ func newCampaignMetrics(reg *obs.Registry, corp *corpus.Corpus) *campaignMetrics
 	reg.GaugeFunc("corpus_edges", "edges", "total edge coverage of the shared corpus", func() int64 {
 		return int64(corp.TotalEdges())
 	})
-	reg.GaugeFunc("corpus_snapshot_epoch", "epochs", "copy-on-write snapshot generation of the corpus entry list", func() int64 {
+	reg.GaugeFunc("corpus_snapshot_epoch", "epochs", "snapshot generation of the corpus entry list", func() int64 {
 		return int64(corp.Epoch())
 	})
 	return m

@@ -86,14 +86,15 @@ func (v *epochView) Choose(r *rng.Rand) *corpus.Entry {
 // queued for the reconciler; cross-VM duplicates are resolved at the
 // barrier, not here.
 func (v *epochView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int {
+	// As in corpus.Add: only a program with new edges is serialized.
+	if v.total.NewEdges(cover) == 0 {
+		return 0
+	}
 	text := p.Serialize()
 	if v.byText[text] != nil || v.corp.HasText(text) {
 		return 0
 	}
 	n := v.total.Merge(cover)
-	if n == 0 {
-		return 0
-	}
 	v.blocks.Merge(blocks)
 	e := &corpus.Entry{Prog: p, Cover: cover.Clone(), Blocks: blocks.Clone(), Traces: traces, Text: text}
 	v.byText[text] = e
@@ -101,9 +102,10 @@ func (v *epochView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet,
 	return n
 }
 
-func (v *epochView) NewEdges(cover *trace.Cover) int { return v.total.NewEdges(cover) }
-func (v *epochView) TotalCover() *trace.Cover        { return v.total }
-func (v *epochView) HasBlock(b kernel.BlockID) bool  { return v.blocks.Has(b) }
+func (v *epochView) NewEdges(cover *trace.Cover) int             { return v.total.NewEdges(cover) }
+func (v *epochView) NewEdgeList(cover *trace.Cover) []trace.Edge { return cover.Diff(v.total) }
+func (v *epochView) Edges() int                                  { return v.total.Len() }
+func (v *epochView) HasBlock(b kernel.BlockID) bool              { return v.blocks.Has(b) }
 
 // VMCounters are one VM's scalar campaign counters, round-tripped through
 // checkpoints so a restored VM's final stats line matches the uninterrupted

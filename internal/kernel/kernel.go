@@ -149,17 +149,26 @@ func NewState() *State {
 // Snapshot returns a deep copy (the simulated VM snapshot of §3.1).
 func (s *State) Snapshot() *State {
 	c := &State{
-		Handles:    make(map[uint64]string, len(s.Handles)),
-		NextHandle: s.NextHandle,
-		Counters:   make(map[string]uint64, len(s.Counters)),
+		Handles:  make(map[uint64]string, len(s.Handles)),
+		Counters: make(map[string]uint64, len(s.Counters)),
 	}
-	for k, v := range s.Handles {
-		c.Handles[k] = v
-	}
-	for k, v := range s.Counters {
-		c.Counters[k] = v
-	}
+	c.Restore(s)
 	return c
+}
+
+// Restore overwrites s with a deep copy of from, reusing s's map storage,
+// so an executor that starts every program from one snapshot can rewind a
+// scratch state instead of allocating a fresh Snapshot.
+func (s *State) Restore(from *State) {
+	clear(s.Handles)
+	for k, v := range from.Handles {
+		s.Handles[k] = v
+	}
+	clear(s.Counters)
+	for k, v := range from.Counters {
+		s.Counters[k] = v
+	}
+	s.NextHandle = from.NextHandle
 }
 
 // AllocHandle allocates a live resource handle of the given kind.

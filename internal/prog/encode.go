@@ -190,7 +190,8 @@ func parseArg(tok string, t *spec.Type) (Arg, error) {
 		}
 		return &StringArg{T: t, Val: s}, nil
 	case spec.KindBuffer:
-		if !strings.HasPrefix(tok, "b\"") || !strings.HasSuffix(tok, "\"") {
+		// len >= 3: in `b"` the closing quote would be the opening one.
+		if len(tok) < 3 || !strings.HasPrefix(tok, "b\"") || !strings.HasSuffix(tok, "\"") {
 			return nil, fmt.Errorf("bad buffer literal %q", tok)
 		}
 		data, err := hex.DecodeString(tok[2 : len(tok)-1])

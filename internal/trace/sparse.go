@@ -39,7 +39,7 @@ func (c *Cover) ForEachWordSorted(fn func(base uint64, word uint64)) {
 // page), an occupancy byte, a saturation byte, and the partial words.
 func (c *Cover) AppendSparse(dst []byte) []byte {
 	npages := 0
-	for _, pg := range c.pages {
+	for _, pg := range c.pgs {
 		for _, w := range pg {
 			if w != 0 {
 				npages++

@@ -13,6 +13,7 @@ package trace
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/repro/snowplow/internal/exec"
@@ -45,12 +46,17 @@ const (
 type coverPage [pageWords]uint64
 
 // Cover is a set of covered edges, stored as a paged bitmap keyed by the
-// high bits of the edge value. The zero value is an empty cover ready to
-// use.
+// high bits of the edge value. The map serves point lookups; keys and pgs
+// list the same pages in insertion order, so whole-set operations range
+// over slices instead of iterating the map. The zero value is an empty
+// cover ready to use.
 type Cover struct {
 	pages map[uint64]*coverPage
-	n     int
-	free  []*coverPage // recycled pages retained across Reset
+	keys  []uint64
+	// pgs[i] is the page of keys[i]. Past len(pgs), the backing array
+	// keeps the pages a Reset released, for page to recycle.
+	pgs []*coverPage
+	n   int
 }
 
 // NewCover returns an empty cover.
@@ -72,20 +78,24 @@ func (c *Cover) Has(e Edge) bool {
 
 // page returns the page holding e, allocating (or recycling) it if needed.
 func (c *Cover) page(key uint64) *coverPage {
+	if pg := c.pages[key]; pg != nil {
+		return pg
+	}
 	if c.pages == nil {
 		c.pages = make(map[uint64]*coverPage)
 	}
-	pg := c.pages[key]
-	if pg == nil {
-		if n := len(c.free); n > 0 {
-			pg = c.free[n-1]
-			c.free = c.free[:n-1]
+	var pg *coverPage
+	if n := len(c.pgs); n < cap(c.pgs) {
+		if pg = c.pgs[:n+1][n]; pg != nil {
 			*pg = coverPage{}
-		} else {
-			pg = new(coverPage)
 		}
-		c.pages[key] = pg
 	}
+	if pg == nil {
+		pg = new(coverPage)
+	}
+	c.pages[key] = pg
+	c.keys = append(c.keys, key)
+	c.pgs = append(c.pgs, pg)
 	return pg
 }
 
@@ -105,9 +115,9 @@ func (c *Cover) Add(e Edge) bool {
 // Merge adds all of other's edges word-wise, returning how many were new.
 func (c *Cover) Merge(other *Cover) int {
 	n := 0
-	for key, opg := range other.pages {
+	for i, key := range other.keys {
 		pg := c.page(key)
-		for w, ow := range opg {
+		for w, ow := range other.pgs[i] {
 			if nw := ow &^ pg[w]; nw != 0 {
 				n += bits.OnesCount64(nw)
 				pg[w] |= nw
@@ -122,7 +132,8 @@ func (c *Cover) Merge(other *Cover) int {
 // either cover.
 func (c *Cover) NewEdges(other *Cover) int {
 	n := 0
-	for key, opg := range other.pages {
+	for i, key := range other.keys {
+		opg := other.pgs[i]
 		pg := c.pages[key]
 		if pg == nil {
 			for _, ow := range opg {
@@ -166,11 +177,8 @@ func (c *Cover) Edges() []Edge {
 // forEachPageSorted visits pages in ascending key order, so bit iteration
 // yields edges sorted ascending.
 func (c *Cover) forEachPageSorted(fn func(key uint64, pg *coverPage)) {
-	keys := make([]uint64, 0, len(c.pages))
-	for key := range c.pages {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := slices.Clone(c.keys)
+	slices.Sort(keys)
 	for _, key := range keys {
 		fn(key, c.pages[key])
 	}
@@ -188,11 +196,15 @@ func appendBits(out *[]Edge, key uint64, w int, word uint64) {
 // Clone returns a copy.
 func (c *Cover) Clone() *Cover {
 	out := &Cover{n: c.n}
-	if len(c.pages) > 0 {
-		out.pages = make(map[uint64]*coverPage, len(c.pages))
-		for key, pg := range c.pages {
-			cp := *pg
-			out.pages[key] = &cp
+	if len(c.keys) > 0 {
+		out.pages = make(map[uint64]*coverPage, len(c.keys))
+		out.keys = slices.Clone(c.keys)
+		out.pgs = make([]*coverPage, len(c.pgs))
+		buf := make([]coverPage, len(c.pgs))
+		for i, pg := range c.pgs {
+			buf[i] = *pg
+			out.pgs[i] = &buf[i]
+			out.pages[c.keys[i]] = &buf[i]
 		}
 	}
 	return out
@@ -202,10 +214,9 @@ func (c *Cover) Clone() *Cover {
 // reuse, so a hot loop can recompute per-execution coverage without
 // allocating.
 func (c *Cover) Reset() {
-	for key, pg := range c.pages {
-		c.free = append(c.free, pg)
-		delete(c.pages, key)
-	}
+	clear(c.pages)
+	c.keys = c.keys[:0]
+	c.pgs = c.pgs[:0]
 	c.n = 0
 }
 
@@ -418,11 +429,7 @@ func (s BlockSet) Clone() BlockSet {
 
 // Reset empties the set while keeping the bitmap allocated for reuse.
 func (s *BlockSet) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-	for b := range s.extra {
-		delete(s.extra, b)
-	}
+	clear(s.words)
+	clear(s.extra)
 	s.n = 0
 }
