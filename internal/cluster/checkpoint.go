@@ -4,12 +4,12 @@
 // barrier depends on — spec, corpus in publish order, canonical VM states,
 // journal ring, sampling cursor — so a resumed campaign, resharded onto any
 // worker count, continues bit-identically from epoch E+1. The format reuses
-// the wire codec and inherits its decode hardening (FuzzCheckpointDecode
-// exercises it on corrupt input). Since version 3 the body after the magic
-// and version is flate-compressed (with the declared size bomb-guarded
-// before inflating) and carries the corpus cover in the sparse bitmap
-// encoding; version-2 files still decode, so a coordinator upgrade can
-// resume a campaign checkpointed by the previous format.
+// the v2 wire codec and inherits its decode hardening (FuzzCheckpointDecode
+// exercises it on corrupt input): the body after the magic and version is
+// flate-compressed at blobFlateLevel (with the declared size bomb-guarded
+// before inflating), carries the corpus cover in the sparse bitmap encoding,
+// and names each prediction's base entry by its index in Entries
+// (refs.go). Files of earlier versions are refused.
 
 package cluster
 
@@ -29,18 +29,12 @@ import (
 // checkpointMagic opens every checkpoint file, followed by a version u32.
 const checkpointMagic = "SPCK"
 
-// checkpointVersion is the current checkpoint format version. Version 3
-// flate-compressed the body, switched the embedded messages to the v2 wire
-// codec, and added the sparse corpus cover; version-2 files (uncompressed,
-// v1 codec, no cover) are still accepted. Version 2 added the online
-// continual-learning spec fields and state; version-1 files are rejected
-// with ErrBadVersion, as the embedded spec encoding also changed.
-const checkpointVersion = 3
+// checkpointVersion is the checkpoint format version, the only one
+// DecodeCheckpoint accepts (version 4 began naming prediction bases by
+// reference into Entries).
+const checkpointVersion = 4
 
-// legacyCheckpointVersion is the oldest format DecodeCheckpoint accepts.
-const legacyCheckpointVersion = 2
-
-// maxCheckpointBody caps the declared decompressed size of a v3 checkpoint
+// maxCheckpointBody caps the declared decompressed size of a checkpoint
 // body, rejected before inflating (the decompression-bomb guard for the
 // persistence format, the counterpart of the frame payload cap).
 const maxCheckpointBody = 1 << 28
@@ -62,9 +56,11 @@ type Checkpoint struct {
 	// Cover is the corpus's total edge cover at capture in the canonical
 	// sparse bitmap encoding (trace.AppendSparse) — a stronger integrity
 	// check than the bare count: resume re-derives the cover from Entries
-	// and requires byte equality. Nil in legacy (v2) checkpoints.
+	// and requires byte equality.
 	Cover []byte
-	// States are the canonical VM states for every VM, ascending.
+	// States are the canonical VM states for every VM, ascending. Their
+	// predictions carry Text in memory and a reference into Entries in the
+	// file.
 	States []fuzzer.VMState
 	// PendingSeed holds seed-pass journal events not yet flushed into the
 	// journal (see coordinator.pendingSeed); SeedFlushed records whether
@@ -100,16 +96,22 @@ type Checkpoint struct {
 	// so a corrupted model checkpoint fails loudly instead of silently
 	// changing predictions.
 	ModelDigest [32]byte
+}
 
-	// legacy records that this checkpoint was decoded from a pre-v3 file;
-	// Encode always writes the current format, so byte-identity checks do
-	// not apply to a legacy round trip.
-	legacy bool
+// entryIndex numbers the checkpoint's Entries, the corpus its states'
+// prediction references point into.
+func (c *Checkpoint) entryIndex() *refIndex {
+	x := &refIndex{}
+	for _, a := range c.Entries {
+		x.add(a.Text)
+	}
+	return x
 }
 
 // appendBody appends the checkpoint's field sequence (everything after the
-// magic, version, and size header) using e's codec version.
-func (c *Checkpoint) appendBody(e *enc) {
+// magic, version, and size header) with the given states, which are
+// c.States in reference form.
+func (c *Checkpoint) appendBody(e *enc, states []fuzzer.VMState) {
 	e.spec(c.Spec)
 	e.i64(c.Epoch)
 	e.u64(c.Seq)
@@ -121,10 +123,8 @@ func (c *Checkpoint) appendBody(e *enc) {
 	}
 	e.acceptedList(c.Entries)
 	e.i64(c.TotalEdges)
-	if e.v2 {
-		e.blob(c.Cover)
-	}
-	e.vmStates(c.States)
+	e.blob(c.Cover)
+	e.vmStates(states)
 	e.events(c.PendingSeed)
 	e.flag(c.SeedFlushed)
 	e.int(c.JournalCap)
@@ -143,7 +143,8 @@ func (c *Checkpoint) appendBody(e *enc) {
 	e.b = append(e.b, digest[:]...)
 }
 
-// decodeBody parses the checkpoint field sequence using d's codec version.
+// decodeBody parses the checkpoint field sequence; States come back in
+// reference form.
 func (c *Checkpoint) decodeBody(d *dec) {
 	c.Spec = d.spec()
 	c.Epoch = d.i64()
@@ -155,9 +156,7 @@ func (c *Checkpoint) decodeBody(d *dec) {
 	}
 	c.Entries = d.acceptedList()
 	c.TotalEdges = d.i64()
-	if d.v2 {
-		c.Cover = d.blob()
-	}
+	c.Cover = d.blob()
 	c.States = d.vmStates()
 	c.PendingSeed = d.events()
 	c.SeedFlushed = d.flag()
@@ -176,26 +175,39 @@ func (c *Checkpoint) decodeBody(d *dec) {
 	copy(c.ModelDigest[:], d.take(sha256.Size))
 }
 
-// Encode serializes the checkpoint in the current (v3) format: magic,
-// version, uvarint declared body size, then the flate-compressed v2-codec
-// body. The flate level is fixed (blobFlateLevel), so encoding is a pure
-// function of the struct and the file stays canonical.
-func (c *Checkpoint) Encode() []byte {
-	body := enc{v2: true}
-	c.appendBody(&body)
+// sealCheckpoint frames an encoded body as a checkpoint file: magic,
+// version, uvarint declared body size, then the body flate-compressed at
+// blobFlateLevel.
+func sealCheckpoint(body []byte) []byte {
 	out := enc{b: append([]byte(nil), checkpointMagic...)}
 	out.u64(checkpointVersion)
-	out.b = binary.AppendUvarint(out.b, uint64(len(body.b)))
-	out.b = appendFlate(out.b, body.b, blobFlateLevel)
-	return out.b
+	out.b = binary.AppendUvarint(out.b, uint64(len(body)))
+	return appendFlate(out.b, body, blobFlateLevel)
+}
+
+// Encode serializes the checkpoint in the current (v4) format, with every
+// prediction naming its base by index into Entries. The flate level is
+// fixed (blobFlateLevel), so encoding is a pure function of the struct and
+// the file stays canonical. States must be canonical — every prediction's
+// base is in Entries and none is Local, as after any merge — or Encode
+// panics: such a checkpoint could never be resumed.
+func (c *Checkpoint) Encode() []byte {
+	states, err := c.entryIndex().refStates(c.States)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: encoding checkpoint: %v", err))
+	}
+	body := enc{v2: true}
+	c.appendBody(&body, states)
+	return sealCheckpoint(body.b)
 }
 
 // DecodeCheckpoint parses and validates a checkpoint. It returns
-// ErrBadVersion for an unknown magic or version, ErrTruncated/ErrBadMessage
-// for corrupt payloads — including a declared decompressed size over the
-// cap (rejected before inflating), a corrupt flate stream, a model whose
-// digest does not match, a cover that contradicts the edge count, or a v3
-// file whose bytes differ from the canonical re-encoding of its contents.
+// ErrBadVersion for an unknown magic or any version but the current one,
+// ErrTruncated/ErrBadMessage for corrupt payloads — including a declared
+// decompressed size over the cap (rejected before inflating), a corrupt
+// flate stream, a prediction reference outside Entries, a model whose
+// digest does not match, a cover that contradicts the edge count, or a file
+// whose bytes differ from the canonical re-encoding of its contents.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if len(b) < len(checkpointMagic)+8 {
 		return nil, fmt.Errorf("%w: checkpoint header", ErrTruncated)
@@ -203,41 +215,35 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if string(b[:len(checkpointMagic)]) != checkpointMagic {
 		return nil, fmt.Errorf("%w: not a checkpoint file", ErrBadVersion)
 	}
-	c := &Checkpoint{}
-	switch v := binary.LittleEndian.Uint64(b[len(checkpointMagic):]); v {
-	case legacyCheckpointVersion:
-		c.legacy = true
-		d := dec{b: b, off: len(checkpointMagic) + 8}
-		c.decodeBody(&d)
-		if err := d.finish(); err != nil {
-			return nil, err
-		}
-	case checkpointVersion:
-		hdr := b[len(checkpointMagic)+8:]
-		rawLen, n := binary.Uvarint(hdr)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: checkpoint size header", ErrBadMessage)
-		}
-		if rawLen > maxCheckpointBody {
-			return nil, fmt.Errorf("%w: declared checkpoint body %d exceeds cap %d",
-				ErrBadMessage, rawLen, maxCheckpointBody)
-		}
-		bodyBytes, err := inflateExact(hdr[n:], int(rawLen))
-		if err != nil {
-			return nil, err
-		}
-		d := dec{b: bodyBytes, v2: true}
-		c.decodeBody(&d)
-		if err := d.finish(); err != nil {
-			return nil, err
-		}
-		// Canonical-bytes check: exactly one valid file per barrier state,
-		// the same property the wire codec's fuzz targets enforce.
-		if !bytes.Equal(c.Encode(), b) {
-			return nil, fmt.Errorf("%w: non-canonical checkpoint encoding", ErrBadMessage)
-		}
-	default:
+	if v := binary.LittleEndian.Uint64(b[len(checkpointMagic):]); v != checkpointVersion {
 		return nil, fmt.Errorf("%w: checkpoint version %d (want %d)", ErrBadVersion, v, checkpointVersion)
+	}
+	hdr := b[len(checkpointMagic)+8:]
+	rawLen, n := binary.Uvarint(hdr)
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: checkpoint size header", ErrBadMessage)
+	}
+	if rawLen > maxCheckpointBody {
+		return nil, fmt.Errorf("%w: declared checkpoint body %d exceeds cap %d",
+			ErrBadMessage, rawLen, maxCheckpointBody)
+	}
+	bodyBytes, err := inflateExact(hdr[n:], int(rawLen))
+	if err != nil {
+		return nil, err
+	}
+	c := &Checkpoint{}
+	d := dec{b: bodyBytes, v2: true}
+	c.decodeBody(&d)
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	if err := c.entryIndex().resolveStates(c.States); err != nil {
+		return nil, err
+	}
+	// Canonical-bytes check: exactly one valid file per barrier state, the
+	// same property the wire codec's fuzz targets enforce.
+	if !bytes.Equal(c.Encode(), b) {
+		return nil, fmt.Errorf("%w: non-canonical checkpoint encoding", ErrBadMessage)
 	}
 	if got := sha256.Sum256(c.Spec.Model); got != c.ModelDigest {
 		return nil, fmt.Errorf("%w: model digest mismatch", ErrBadMessage)
@@ -253,15 +259,13 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: pending retrain version %d after resolved version %d",
 			ErrBadMessage, c.OnlinePendingVersion, c.OnlineApplied)
 	}
-	if !c.legacy {
-		cov, err := trace.CoverFromSparse(c.Cover)
-		if err != nil {
-			return nil, fmt.Errorf("%w: checkpoint cover: %v", ErrBadMessage, err)
-		}
-		if int64(cov.Len()) != c.TotalEdges {
-			return nil, fmt.Errorf("%w: cover holds %d edges, checkpoint claims %d",
-				ErrBadMessage, cov.Len(), c.TotalEdges)
-		}
+	cov, err := trace.CoverFromSparse(c.Cover)
+	if err != nil {
+		return nil, fmt.Errorf("%w: checkpoint cover: %v", ErrBadMessage, err)
+	}
+	if int64(cov.Len()) != c.TotalEdges {
+		return nil, fmt.Errorf("%w: cover holds %d edges, checkpoint claims %d",
+			ErrBadMessage, cov.Len(), c.TotalEdges)
 	}
 	return c, nil
 }

@@ -118,6 +118,9 @@ type Coordinator struct {
 
 	workers []*workerConn // admitted connections, by worker index
 	resumed bool
+	// refs numbers corp in publish order for the v2 reference form of
+	// prediction windows (refs.go), extended at every barrier.
+	refs refIndex
 }
 
 // Spec returns the campaign spec the coordinator is running — for a
@@ -171,13 +174,11 @@ func ResumeCoordinator(cfg Config, checkpoint []byte) (*Coordinator, error) {
 		return nil, fmt.Errorf("%w: checkpoint coverage mismatch: rebuilt %d edges, recorded %d",
 			ErrBadMessage, got, ck.TotalEdges)
 	}
-	if ck.Cover != nil {
-		// v3 checkpoints carry the full cover bitmap; the sparse encoding is
-		// canonical, so byte equality against the rebuilt corpus cover is an
-		// exact set comparison (strictly stronger than the count check).
-		if rebuilt := c.corp.TotalCover().AppendSparse(nil); !bytes.Equal(rebuilt, ck.Cover) {
-			return nil, fmt.Errorf("%w: checkpoint cover does not match rebuilt corpus cover", ErrBadMessage)
-		}
+	// The sparse cover encoding is canonical, so byte equality against the
+	// rebuilt corpus cover is an exact set comparison (strictly stronger
+	// than the count check).
+	if !bytes.Equal(c.corp.AppendTotalSparse(nil), ck.Cover) {
+		return nil, fmt.Errorf("%w: checkpoint cover does not match rebuilt corpus cover", ErrBadMessage)
 	}
 	if len(ck.States) != norm.VMs {
 		return nil, fmt.Errorf("%w: checkpoint has %d VM states for %d VMs",
@@ -545,11 +546,15 @@ func (c *Coordinator) admit() error {
 		for vm := lo; vm < hi; vm++ {
 			wc.vms = append(wc.vms, vm)
 		}
+		states, err := c.wireStates(wc.wire, c.rec.States[lo:hi])
+		if err != nil {
+			return err
+		}
 		a := Assign{
 			Spec:       c.cfg.Spec,
 			VMs:        wc.vms,
 			Snapshot:   snapshot,
-			States:     c.rec.States[lo:hi],
+			States:     states,
 			StartEpoch: c.rec.Epoch,
 		}
 		if err := wc.send(frameAssign, wc.wire.AppendAssign(nil, a)); err != nil {
@@ -569,6 +574,9 @@ func (c *Coordinator) admit() error {
 // merge's accepted entries, collect one delta per active VM, and reassign
 // the shards of workers lost on the way.
 func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active []int) ([]fuzzer.VMDelta, error) {
+	// The corpus is fixed until this barrier's merge, so one sync serves
+	// every reference this epoch resolves or writes.
+	c.refs.sync(c.corp)
 	ran := map[int]bool{}
 	var deltas []fuzzer.VMDelta
 	collect := func(wc *workerConn) error {
@@ -579,6 +587,11 @@ func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active [
 		}
 		if err := restoreCrashes(c.rec.States, &m); err != nil {
 			return err
+		}
+		if wc.wire.v2() {
+			if err := c.refs.resolveDeltas(m.Deltas); err != nil {
+				return err
+			}
 		}
 		c.m.deltas.Inc()
 		for _, d := range m.Deltas {
@@ -628,6 +641,10 @@ func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active [
 		}
 		c.logf("epoch %d: reassigning VMs %v to worker %d", epoch, missing, target.idx)
 		c.m.reassignments.Inc()
+		states, err := c.wireStates(target.wire, states)
+		if err != nil {
+			return nil, err
+		}
 		if err := target.send(frameRestore, target.wire.AppendRestore(nil, RestoreMsg{Epoch: epoch, States: states})); err != nil {
 			c.loseWorker(target, err)
 			continue
@@ -637,6 +654,16 @@ func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active [
 			return nil, err
 		}
 	}
+}
+
+// wireStates returns canonical states in the form wire w carries them: on
+// v2, prediction windows name their bases by index into the coordinator's
+// corpus, which is the receiver's replica once the message is applied.
+func (c *Coordinator) wireStates(w Wire, states []fuzzer.VMState) ([]fuzzer.VMState, error) {
+	if !w.v2() {
+		return states, nil
+	}
+	return c.refs.sync(c.corp).refStates(states)
 }
 
 // broadcast sends one message to every live worker and returns the workers
@@ -720,7 +747,7 @@ func (c *Coordinator) checkpoint() *Checkpoint {
 		NextSample:         st.NextSample,
 		Series:             st.Series,
 		TotalEdges:         int64(c.corp.TotalEdges()),
-		Cover:              c.corp.TotalCover().AppendSparse(nil),
+		Cover:              c.corp.AppendTotalSparse(nil),
 		States:             st.States,
 		PendingSeed:        st.PendingSeed,
 		SeedFlushed:        st.SeedFlushed,

@@ -51,8 +51,11 @@ const compressMinBytes = 64
 // blobFlateLevel is the fixed flate level for message-embedded blobs
 // (ModelMsg model bytes, checkpoint bodies). It is a constant — not the
 // negotiated frame level — so those encodings stay canonical: decode
-// re-compresses at this level and requires an exact byte match.
-const blobFlateLevel = flate.BestCompression
+// re-compresses at this level and requires an exact byte match. It is the
+// default level (6), not BestCompression: on a cluster_snow checkpoint level
+// 9 took twice as long for output 0.5 % smaller, and every worker waits at
+// the barrier while the coordinator compresses.
+const blobFlateLevel = flate.DefaultCompression
 
 // byteSink is an io.Writer appending into a reusable slice, the target the
 // pooled flate.Writer compresses into.

@@ -10,15 +10,18 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/repro/snowplow/internal/fuzzer"
 	"github.com/repro/snowplow/internal/kernel"
+	"github.com/repro/snowplow/internal/prog"
 )
 
 // TestWireV2EncodingStable pins exact bytes for the v2 form of the same
-// message TestWireEncodingStable pins for v1: scalars and list headers keep
-// the fixed-width layout, only trace block lists switch to varint deltas.
+// message TestWireEncodingStable pins for v1 — scalars and list headers keep
+// the fixed-width layout, only trace block lists switch to varint deltas —
+// and for a delta whose prediction window names its bases by reference.
 func TestWireV2EncodingStable(t *testing.T) {
 	got := WireV2.AppendEpoch(nil, EpochMsg{Epoch: 1, Accepted: []fuzzer.Accepted{{VM: 1, Text: "ab", Traces: [][]kernel.BlockID{{2, 3, 7}}}}})
 	want := []byte{
@@ -38,6 +41,56 @@ func TestWireV2EncodingStable(t *testing.T) {
 	back, err := WireV2.DecodeEpoch(got)
 	if err != nil || len(back.Accepted) != 1 || len(back.Accepted[0].Traces[0]) != 3 {
 		t.Fatalf("v2 golden did not decode: %+v, %v", back, err)
+	}
+
+	// A delta whose prediction window holds one reference of each kind, as
+	// the worker's send site converts it: a corpus entry by publish-order
+	// index, the delta's own local by 1 + its index in Locals, and a local
+	// that lost an earlier merge as the dead reference 0.
+	preds := []fuzzer.PredState{
+		{Text: "cd", Pending: true, Targets: []kernel.BlockID{5}},
+		{Text: "ab", Local: true, Slots: []prog.GlobalSlot{{Call: 1, Slot: 2}}},
+		{Text: "lost", Local: true, Pending: true, Targets: []kernel.BlockID{1}},
+	}
+	delta := fuzzer.VMDelta{
+		VM:     2,
+		Locals: []fuzzer.Local{{Text: "ab", Traces: [][]kernel.BlockID{{2}}}},
+		State:  fuzzer.VMState{VM: 2, Preds: append([]fuzzer.PredState(nil), preds...)},
+	}
+	var corp refIndex
+	for _, text := range []string{"w", "x", "y", "cd"} {
+		corp.add(text)
+	}
+	deltas := []fuzzer.VMDelta{delta}
+	if err := corp.refDeltas(deltas); err != nil {
+		t.Fatal(err)
+	}
+	got = WireV2.AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: deltas})
+	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	want = bytes.Join([][]byte{
+		le(1), le(1), // epoch, delta count
+		le(2), le(0), // VM, crash base
+		le(1), le(2), []byte("ab"), {1, 1, 4, 0}, // one local: text, traces {{+2}}, seeded=false
+		le(0),                     // events
+		le(2), make([]byte, 31*8), // state: VM, then 31 zero scalars
+		le(0), le(3), // crashes, predictions
+		{0, 3, 1, 1, 10}, le(0), // corpus ref 3, pending, targets {+5}, no slots
+		{1, 1, 0, 0}, le(1), le(1), le(2), // local ref 1 (Locals[0]), slot {1,2}
+		{1, 0, 1, 1, 2}, le(0), // dead ref, pending, targets {+1}
+	}, nil)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("v2 delta layout changed:\ngot  %v\nwant %v", got, want)
+	}
+	m, err := WireV2.DecodeDelta(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := corp.resolveDeltas(m.Deltas); err != nil {
+		t.Fatal(err)
+	}
+	preds[2].Text = "" // a dead reference resolves to no text
+	if !reflect.DeepEqual(m.Deltas[0].State.Preds, preds) {
+		t.Fatalf("resolved window:\ngot  %+v\nwant %+v", m.Deltas[0].State.Preds, preds)
 	}
 }
 
@@ -332,7 +385,7 @@ func TestModelMsgV2Guards(t *testing.T) {
 	}
 }
 
-// TestCheckpointBombGuard crafts a v3 checkpoint declaring a body size over
+// TestCheckpointBombGuard crafts a checkpoint declaring a body size over
 // the cap, and one with a corrupt flate body: typed rejections, no huge
 // allocation, no panic.
 func TestCheckpointBombGuard(t *testing.T) {

@@ -44,6 +44,14 @@ func FuzzClusterCodec(f *testing.F) {
 	f.Add(byte(9), byte(2), bytes.Repeat([]byte("frame payload"), 64))
 	bomb := binary.AppendUvarint(nil, 1<<40)
 	f.Add(byte(9), byte(2), appendFlate(bomb, bytes.Repeat([]byte{0}, 1024), 9))
+	// v2 prediction references the codec accepts but no receiver can
+	// resolve (a local past the delta's Locals, a corpus index past any
+	// corpus), and one past the codec's own bound.
+	for _, ref := range []int{9, maxWireList, maxWireList + 1} {
+		d := fixtureDelta()
+		d.State.Preds = []fuzzer.PredState{{Local: ref == 9, Ref: ref, Pending: true}}
+		f.Add(byte(3), byte(2), WireV2.AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: []fuzzer.VMDelta{d}}))
+	}
 
 	f.Fuzz(func(t *testing.T, kind, wireSel byte, data []byte) {
 		wire := WireV1
@@ -114,18 +122,17 @@ func FuzzClusterCodec(f *testing.F) {
 
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint loader:
 // corrupt checkpoints must be rejected with a typed error, and anything
-// accepted must re-encode byte-identically — except files in the legacy v2
-// format, which Encode deliberately rewrites into v3.
+// accepted must re-encode byte-identically.
 func FuzzCheckpointDecode(f *testing.F) {
 	ck := &Checkpoint{
 		Spec:       fixtureSpec(),
 		Epoch:      2,
 		Seq:        5,
 		NextSample: 100,
-		Entries:    []fuzzer.Accepted{{VM: -1, Seeded: true, Text: "p", Traces: [][]kernel.BlockID{{1, 2}}}},
+		Entries:    []fuzzer.Accepted{{VM: -1, Seeded: true, Text: "prog-a", Traces: [][]kernel.BlockID{{1, 2}}}},
 		TotalEdges: 1,
 		Cover:      fixtureCover(1),
-		States:     []fuzzer.VMState{fixtureVMState()},
+		States:     []fuzzer.VMState{fixtureCanonicalState()},
 		JournalCap: 64,
 	}
 	valid := ck.Encode()
@@ -137,33 +144,38 @@ func FuzzCheckpointDecode(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[len(corrupted)-3] ^= 0x40
 	f.Add(corrupted)
-	// A legacy v2 file: uncompressed v1-codec body, no cover.
-	legacyCk := *ck
-	legacyCk.Cover = nil
-	legacy := enc{b: append([]byte(nil), checkpointMagic...)}
-	legacy.u64(legacyCheckpointVersion)
-	legacyCk.appendBody(&legacy)
-	f.Add(legacy.b)
-	// A v3 header declaring a body over the cap.
+	// A header declaring a body over the cap.
 	bomb := append([]byte(checkpointMagic), make([]byte, 8)...)
 	binary.LittleEndian.PutUint64(bomb[4:], checkpointVersion)
 	bomb = binary.AppendUvarint(bomb, maxCheckpointBody+1)
 	f.Add(appendFlate(bomb, []byte("x"), 9))
+	// A v3 file (the previous format), refused by version.
+	v3 := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(v3[4:], 3)
+	f.Add(v3)
+	// Prediction references past Entries, and a local one.
+	for _, ps := range []fuzzer.PredState{{Ref: 1, Pending: true}, {Ref: maxWireList}, {Local: true, Ref: 1}} {
+		f.Add(checkpointWithPred(ck, ps))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeCheckpoint(data)
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}
-		if ck.legacy {
-			// Legacy v2 files carry no cover, so they cannot round-trip
-			// through the v3 encoder (which the resume path never asks
-			// for — it re-derives the cover from the corpus). Decoding
-			// without panicking is the whole contract here.
-			return
-		}
 		requireSameBytes(t, data, ck.Encode())
 	})
+}
+
+// checkpointWithPred encodes ck with its first state's prediction window
+// replaced by ps, already in reference form — bypassing Encode, which only
+// writes references it resolved itself.
+func checkpointWithPred(ck *Checkpoint, ps fuzzer.PredState) []byte {
+	states := append([]fuzzer.VMState(nil), ck.States...)
+	states[0].Preds = []fuzzer.PredState{ps}
+	body := enc{v2: true}
+	ck.appendBody(&body, states)
+	return sealCheckpoint(body.b)
 }
 
 func requireSameBytes(t *testing.T, in, out []byte) {

@@ -21,8 +21,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/repro/snowplow/internal/cfa"
-	"github.com/repro/snowplow/internal/kernel"
 	"github.com/repro/snowplow/internal/pmm"
 	"github.com/repro/snowplow/internal/qgraph"
 	"github.com/repro/snowplow/internal/serve"
@@ -72,21 +70,6 @@ func uniformOpts(workers int, wopts WorkerOptions) []WorkerOptions {
 		per[i] = wopts
 	}
 	return per
-}
-
-// kernelPair bundles the built kernel with its control-flow analysis, the
-// two inputs the shared server's graph builder needs.
-type kernelPair struct {
-	k  *kernel.Kernel
-	an *cfa.Analysis
-}
-
-func kernelFor(version string) (kernelPair, error) {
-	k, err := kernel.Build(version)
-	if err != nil {
-		return kernelPair{}, fmt.Errorf("cluster: building kernel: %w", err)
-	}
-	return kernelPair{k: k, an: cfa.New(k)}, nil
 }
 
 // sharedServer builds the multi-tenant model server for an in-process

@@ -22,6 +22,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/repro/snowplow/internal/cfa"
@@ -143,9 +144,10 @@ type Runtime struct {
 	Cfg    fuzzer.Config
 }
 
-// Materialize builds the kernel, analysis, seed corpus and — when
-// needServer is set in Snowplow mode — a local inference server from the
-// spec's model bytes. fused routes that server through the fused inference
+// Materialize builds the seed corpus and — when needServer is set in
+// Snowplow mode — a local inference server from the spec's model bytes,
+// over the process's one kernel and analysis for the spec's version
+// (kernelFor). fused routes that server through the fused inference
 // kernels; it is a per-worker serving knob (fused predictions are
 // bit-identical), so heterogeneous fleets stay deterministic. Whether the
 // model serves at int8 precision is pinned by the model bytes themselves
@@ -154,11 +156,11 @@ type Runtime struct {
 // sentinel when the spec journals (shard workers buffer events for the
 // coordinator; they never write a journal of their own).
 func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool) (*Runtime, error) {
-	k, err := kernel.Build(sp.KernelVersion)
+	kp, err := kernelFor(sp.KernelVersion)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: building kernel: %w", err)
+		return nil, err
 	}
-	an := cfa.New(k)
+	k, an := kp.k, kp.an
 	cfg := fuzzer.Config{
 		Mode:                   sp.FuzzerMode(),
 		Kernel:                 k,
@@ -220,6 +222,39 @@ func (rt *Runtime) Close() {
 	if rt.Server != nil {
 		rt.Server.Close()
 	}
+}
+
+// kernelPair bundles a built kernel with its control-flow analysis.
+type kernelPair struct {
+	k  *kernel.Kernel
+	an *cfa.Analysis
+}
+
+// kernels memoizes kernelFor per kernel version. A Kernel and its Analysis
+// hold no mutable state once built, so the coordinator, every in-process
+// worker and the shared server of every campaign in the process read one
+// pair instead of each building its own.
+var kernels struct {
+	mu    sync.Mutex
+	pairs map[string]kernelPair
+}
+
+func kernelFor(version string) (kernelPair, error) {
+	kernels.mu.Lock()
+	defer kernels.mu.Unlock()
+	if kp, ok := kernels.pairs[version]; ok {
+		return kp, nil
+	}
+	k, err := kernel.Build(version)
+	if err != nil {
+		return kernelPair{}, fmt.Errorf("cluster: building kernel: %w", err)
+	}
+	kp := kernelPair{k: k, an: cfa.New(k)}
+	if kernels.pairs == nil {
+		kernels.pairs = map[string]kernelPair{}
+	}
+	kernels.pairs[version] = kp
+	return kp, nil
 }
 
 // validateTraces rejects wire traces referencing blocks outside the kernel,

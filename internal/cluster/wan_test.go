@@ -37,7 +37,7 @@ func TestClusterMixedWireVersions(t *testing.T) {
 }
 
 // TestClusterResumeFromCompressedCheckpoint checkpoints a compressed-wire
-// campaign (v3 flate-compressed checkpoint files) and resumes mid-campaign
+// campaign (flate-compressed checkpoint files) and resumes mid-campaign
 // onto both a compressed and an uncompressed fleet of a different size;
 // both must finish with the uninterrupted run's digests.
 func TestClusterResumeFromCompressedCheckpoint(t *testing.T) {

@@ -10,8 +10,11 @@
 // Wire): v1 is the original all-fixed-width layout; v2 keeps every scalar
 // fixed-width but encodes block traces as canonical varint counts and
 // zigzag-varint deltas between consecutive block IDs, flate-wraps ModelMsg
-// model bytes, and elides the append-only crash-table prefix the receiver
-// already holds from epoch deltas (VMDelta.CrashBase). Both versions keep
+// model bytes, elides the append-only crash-table prefix the receiver
+// already holds from epoch deltas (VMDelta.CrashBase), and names each
+// prediction's base entry by reference instead of by program text
+// (PredState.Ref, converted at the send and receive sites in refs.go, so
+// the codec itself stays context-free). Both versions keep
 // the "exactly one byte form per message" property: varints must be
 // minimal, and compressed model blobs must match a re-compression of their
 // contents.
@@ -70,8 +73,9 @@ const (
 	WireV1 Wire = 1
 	// WireV2 encodes block traces as canonical varint counts plus
 	// zigzag-varint deltas between consecutive block IDs, flate-wraps
-	// ModelMsg model bytes, and carries VMDelta.CrashBase so epoch deltas
-	// elide the crash-table prefix the coordinator already holds.
+	// ModelMsg model bytes, carries VMDelta.CrashBase so epoch deltas
+	// elide the crash-table prefix the coordinator already holds, and
+	// carries PredState.Ref in place of PredState.Text.
 	WireV2 Wire = 2
 	// wireMax is the newest wire version this build speaks.
 	wireMax = WireV2
@@ -159,7 +163,9 @@ type RestoreMsg struct {
 	States []fuzzer.VMState
 }
 
-// FinalMsg carries a worker's end-of-campaign drained VM states.
+// FinalMsg carries a worker's end-of-campaign drained VM states. Workers
+// send them without prediction windows: the final stats fold reads only
+// counters, crashes, epochs and cost.
 type FinalMsg struct {
 	States []fuzzer.VMState
 }
@@ -306,8 +312,15 @@ func (e *enc) vmState(st fuzzer.VMState) {
 	}
 	e.int(len(st.Preds))
 	for _, ps := range st.Preds {
-		e.str(ps.Text)
-		e.flag(ps.Local)
+		if e.v2 {
+			// v2 names the base entry by reference (PredState.Ref); the
+			// send site has already converted it (see refs.go).
+			e.flag(ps.Local)
+			e.uv(uint64(ps.Ref))
+		} else {
+			e.str(ps.Text)
+			e.flag(ps.Local)
+		}
 		e.flag(ps.Pending)
 		e.blocks(ps.Targets)
 		e.int(len(ps.Slots))
@@ -649,12 +662,20 @@ func (d *dec) vmState() fuzzer.VMState {
 	}
 	nps := d.listLen()
 	for i := 0; i < nps && d.err == nil; i++ {
-		ps := fuzzer.PredState{
-			Text:    d.str(),
-			Local:   d.flag(),
-			Pending: d.flag(),
-			Targets: d.blocks(),
+		var ps fuzzer.PredState
+		if d.v2 {
+			ps.Local = d.flag()
+			if ref := d.uv(); ref > maxWireList {
+				d.fail(fmt.Errorf("%w: implausible prediction reference %d", ErrBadMessage, ref))
+			} else {
+				ps.Ref = int(ref)
+			}
+		} else {
+			ps.Text = d.str()
+			ps.Local = d.flag()
 		}
+		ps.Pending = d.flag()
+		ps.Targets = d.blocks()
 		nsl := d.listLen()
 		for j := 0; j < nsl && d.err == nil; j++ {
 			ps.Slots = append(ps.Slots, prog.GlobalSlot{Call: d.int(), Slot: d.int()})

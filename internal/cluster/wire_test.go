@@ -83,6 +83,14 @@ func fixtureVMState() fuzzer.VMState {
 	}
 }
 
+// fixtureCanonicalState is fixtureVMState as a merge leaves it: no Local
+// prediction, every base in the fixture checkpoints' Entries ("prog-a").
+func fixtureCanonicalState() fuzzer.VMState {
+	st := fixtureVMState()
+	st.Preds = st.Preds[:1]
+	return st
+}
+
 func fixtureDelta() fuzzer.VMDelta {
 	return fuzzer.VMDelta{
 		VM: 2,
@@ -207,7 +215,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Entries:     []fuzzer.Accepted{{VM: -1, Seeded: true, Text: "prog-a", Traces: [][]kernel.BlockID{{1, 2}}}},
 		TotalEdges:  150,
 		Cover:       fixtureCover(150),
-		States:      []fuzzer.VMState{fixtureVMState()},
+		States:      []fuzzer.VMState{fixtureCanonicalState()},
 		PendingSeed: []obs.Event{{Kind: obs.EventSeed, Value: 10}},
 		JournalCap:  8192,
 		Journal:     []obs.Event{{Seq: 0, Kind: obs.EventCampaignStart, VM: -1, Detail: "syzkaller seed=1 vms=4 budget=100"}},
@@ -230,10 +238,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := DecodeCheckpoint([]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00")); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	bad := append([]byte(nil), data...)
-	bad[4] = 99 // version field
-	if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad version: %v", err)
+	// Unknown versions and every earlier one are refused: a v3 body holds
+	// prediction texts where v4 holds references.
+	for _, v := range []byte{99, 3, 2} {
+		bad := append([]byte(nil), data...)
+		bad[4] = v // version field
+		if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("checkpoint version %d: %v", v, err)
+		}
 	}
 	for _, cut := range []int{0, 3, 11, len(data) / 2, len(data) - 1} {
 		if _, err := DecodeCheckpoint(data[:cut]); err == nil {

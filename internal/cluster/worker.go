@@ -160,7 +160,19 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			return sendErr(err)
 		}
 	}
-	if err := shard.Restore(a.States); err != nil {
+	// refs numbers the replica in publish order for the v2 reference form
+	// of prediction windows (refs.go): received states resolve against it,
+	// outgoing deltas are converted with it.
+	var refs refIndex
+	restore := func(states []fuzzer.VMState) error {
+		if wire.v2() {
+			if err := refs.sync(shard.Corpus()).resolveStates(states); err != nil {
+				return err
+			}
+		}
+		return shard.Restore(states)
+	}
+	if err := restore(a.States); err != nil {
 		return sendErr(err)
 	}
 	if err := send(frameAck, nil); err != nil {
@@ -192,6 +204,19 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			crashKnown[d.VM] = total
 		}
 	}
+	// sendDelta ships one barrier's deltas; on v2 their prediction windows
+	// travel as references into the replica, which at this point holds
+	// exactly the coordinator's corpus.
+	sendDelta := func(epoch int64, deltas []fuzzer.VMDelta) error {
+		if wire.v2() {
+			if err := refs.sync(shard.Corpus()).refDeltas(deltas); err != nil {
+				return sendErr(err)
+			}
+		}
+		elideCrashes(deltas)
+		encBuf = wire.AppendDelta(encBuf[:0], DeltaMsg{Epoch: epoch, Deltas: deltas})
+		return send(frameDelta, encBuf)
+	}
 
 	// stagedModel holds a pushed-but-uncommitted swap between the two phases
 	// of a fleet-wide model push (see frameModelPrep).
@@ -218,9 +243,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			if err != nil {
 				return sendErr(err)
 			}
-			elideCrashes(deltas)
-			encBuf = wire.AppendDelta(encBuf[:0], DeltaMsg{Epoch: m.Epoch, Deltas: deltas})
-			if err := send(frameDelta, encBuf); err != nil {
+			if err := sendDelta(m.Epoch, deltas); err != nil {
 				return err
 			}
 		case frameRestore:
@@ -228,7 +251,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			if err != nil {
 				return sendErr(err)
 			}
-			if err := shard.Restore(m.States); err != nil {
+			if err := restore(m.States); err != nil {
 				return sendErr(err)
 			}
 			vms := make([]int, 0, len(m.States))
@@ -241,9 +264,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			if err != nil {
 				return sendErr(err)
 			}
-			elideCrashes(deltas)
-			encBuf = wire.AppendDelta(encBuf[:0], DeltaMsg{Epoch: m.Epoch, Deltas: deltas})
-			if err := send(frameDelta, encBuf); err != nil {
+			if err := sendDelta(m.Epoch, deltas); err != nil {
 				return err
 			}
 		case frameModelPrep:
@@ -288,6 +309,9 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			}
 		case frameDone:
 			states, _ := shard.FinalDrain() // a local shard's drain cannot fail
+			for i := range states {
+				states[i].Preds = nil // see FinalMsg
+			}
 			return send(frameFinal, wire.AppendFinal(nil, FinalMsg{States: states}))
 		case frameErr:
 			em, _ := DecodeErr(payload)

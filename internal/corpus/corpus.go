@@ -231,6 +231,15 @@ func (c *Corpus) TotalCover() *trace.Cover {
 	return c.total.Clone()
 }
 
+// AppendTotalSparse appends the sparse encoding (trace.Cover.AppendSparse)
+// of the accumulated edge coverage to dst, reading it under the read lock
+// instead of cloning it first.
+func (c *Corpus) AppendTotalSparse(dst []byte) []byte {
+	c.totalMu.RLock()
+	defer c.totalMu.RUnlock()
+	return c.total.AppendSparse(dst)
+}
+
 // Entries returns the current epoch's entry snapshot without copying. The
 // slice shares its backing array with the corpus, which appends to it in
 // place, so it is capacity-clipped: an append by the caller always copies

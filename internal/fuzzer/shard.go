@@ -163,6 +163,15 @@ type PredState struct {
 	Pending bool
 	Targets []kernel.BlockID
 	Slots   []prog.GlobalSlot
+	// Ref is a wire-level transfer optimization, like VMDelta.CrashBase:
+	// where the cluster's v2 codec carries a prediction it names the base
+	// entry by Ref instead of by Text. For a non-Local prediction Ref is
+	// the entry's publish-order corpus index; for a Local one it is 1 + the
+	// entry's index in the carrying delta's Locals, or 0 when the entry is
+	// not among them (it lost an earlier merge, so the reconciler drops the
+	// prediction without reading its text). Zero everywhere outside that
+	// path: the receiver resolves Ref back to Text before the state is used.
+	Ref int
 }
 
 // VMState is the complete portable state of one VM worker, captured at an
@@ -319,6 +328,10 @@ func newShard(cfg Config, corp *corpus.Corpus, m *campaignMetrics, trackKeys boo
 		trackKeys:  trackKeys,
 	}
 }
+
+// Corpus returns the corpus the shard's VMs snapshot (see Shard.corp). It
+// only grows, in publish order; callers must not add to it.
+func (s *Shard) Corpus() *corpus.Corpus { return s.corp }
 
 // owned returns the shard's VM ids in ascending order.
 func (s *Shard) owned() []int {
