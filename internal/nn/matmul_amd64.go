@@ -37,3 +37,14 @@ func ewReluAvx(dst *float64, n int)
 func ewNormAvx(dst, gamma, beta *float64, mean, invStd float64, n int)
 
 var useAVX = cpuHasAVXFMA()
+
+// SetAVX turns the assembly kernels on (where the CPU supports them) or off
+// and returns the previous setting. Every kernel is bit-identical to its
+// pure-Go mirror, so this changes speed, never results; tests use it to run
+// the scalar fallback on an AVX host. It must not be called while any nn
+// work is in flight.
+func SetAVX(on bool) (prev bool) {
+	prev = useAVX
+	useAVX = on && cpuHasAVXFMA()
+	return prev
+}

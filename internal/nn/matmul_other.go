@@ -4,6 +4,10 @@ package nn
 
 const useAVX = false
 
+// SetAVX is a no-op without the amd64 kernels: the pure-Go mirrors always
+// run. It reports false, the only setting there is.
+func SetAVX(on bool) (prev bool) { return false }
+
 // dotRows24avx is never called when useAVX is false.
 func dotRows24avx(a0, a1, bt *float64, k, k4, nb int, o0, o1, bias *float64, relu int) {
 	panic("nn: dotRows24avx without AVX support")
