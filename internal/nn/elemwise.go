@@ -46,7 +46,7 @@ func mulAddInto(dst, a []float64, c float64) {
 		}
 	}
 	for ; i < len(dst); i++ {
-		dst[i] += a[i] * c
+		dst[i] += float64(a[i] * c)
 	}
 }
 
@@ -93,6 +93,6 @@ func normAffineInPlace(dst, gamma, beta []float64, mean, invStd float64) {
 		}
 	}
 	for ; i < len(dst); i++ {
-		dst[i] = (dst[i]-mean)*invStd*gamma[i] + beta[i]
+		dst[i] = float64((dst[i]-mean)*invStd*gamma[i]) + beta[i]
 	}
 }

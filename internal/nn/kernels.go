@@ -390,7 +390,7 @@ func layerNormForward(dst, x, gamma, beta []float64, m, n int, eps float64, mean
 			means[i], invStds[i] = mean, invStd
 		}
 		for j, v := range row {
-			dst[i*n+j] = (v-mean)*invStd*gamma[j] + beta[j]
+			dst[i*n+j] = float64((v-mean)*invStd*gamma[j]) + beta[j]
 		}
 	}
 }

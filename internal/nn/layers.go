@@ -28,7 +28,7 @@ func NewLinear(r *rng.Rand, in, out int) *Linear {
 	l := &Linear{W: New(in, out).RequireGrad(), B: New(1, out).RequireGrad()}
 	bound := math.Sqrt(6.0 / float64(in))
 	for i := range l.W.Data {
-		l.W.Data[i] = (2*r.Float64() - 1) * bound
+		l.W.Data[i] = (2*float64(r.Float64()) - 1) * bound
 	}
 	return l
 }
@@ -157,7 +157,7 @@ func layerNormVia(al resultAllocator, x, gamma, beta *Tensor, eps float64) *Tens
 				if gamma.requiresGrad {
 					for j := 0; j < n; j++ {
 						xhat := (row[j] - mean) * invStd
-						gamma.Grad[j] += grow[j] * xhat
+						gamma.Grad[j] += float64(grow[j] * xhat)
 						beta.Grad[j] += grow[j]
 					}
 				}
@@ -165,14 +165,14 @@ func layerNormVia(al resultAllocator, x, gamma, beta *Tensor, eps float64) *Tens
 					// d xhat_j = g_j * gamma_j ; standard layernorm backward.
 					var sumG, sumGX float64
 					for j := 0; j < n; j++ {
-						gh[j] = grow[j] * gamma.Data[j]
+						gh[j] = float64(grow[j] * gamma.Data[j])
 						xhat := (row[j] - mean) * invStd
 						sumG += gh[j]
-						sumGX += gh[j] * xhat
+						sumGX += float64(gh[j] * xhat)
 					}
 					for j := 0; j < n; j++ {
 						xhat := (row[j] - mean) * invStd
-						x.Grad[i*n+j] += invStd * (gh[j] - sumG/float64(n) - xhat*sumGX/float64(n))
+						x.Grad[i*n+j] += float64(invStd * (gh[j] - sumG/float64(n) - xhat*sumGX/float64(n)))
 					}
 				}
 			}

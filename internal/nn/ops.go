@@ -46,7 +46,7 @@ func matMulVia(al resultAllocator, a, b *Tensor) *Tensor {
 						brow := b.Data[p*n : (p+1)*n]
 						var s float64
 						for j := 0; j < n; j++ {
-							s += grow[j] * brow[j]
+							s += float64(grow[j] * brow[j])
 						}
 						agrow[p] += s
 					}
@@ -63,7 +63,7 @@ func matMulVia(al resultAllocator, a, b *Tensor) *Tensor {
 						}
 						bgrow := b.Grad[p*n : (p+1)*n]
 						for j := 0; j < n; j++ {
-							bgrow[j] += av * grow[j]
+							bgrow[j] += float64(av * grow[j])
 						}
 					}
 				}
@@ -140,12 +140,12 @@ func mulVia(al resultAllocator, a, b *Tensor) *Tensor {
 		out.backward = func() {
 			if a.requiresGrad {
 				for i := range out.Grad {
-					a.Grad[i] += out.Grad[i] * b.Data[i]
+					a.Grad[i] += float64(out.Grad[i] * b.Data[i])
 				}
 			}
 			if b.requiresGrad {
 				for i := range out.Grad {
-					b.Grad[i] += out.Grad[i] * a.Data[i]
+					b.Grad[i] += float64(out.Grad[i] * a.Data[i])
 				}
 			}
 		}
@@ -162,7 +162,7 @@ func scaleVia(al resultAllocator, a *Tensor, c float64) *Tensor {
 	if out.requiresGrad {
 		out.backward = func() {
 			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i] * c
+				a.Grad[i] += float64(out.Grad[i] * c)
 			}
 		}
 	}
@@ -197,7 +197,7 @@ func Sigmoid(a *Tensor) *Tensor {
 		out.backward = func() {
 			for i := range out.Grad {
 				s := out.Data[i]
-				a.Grad[i] += out.Grad[i] * s * (1 - s)
+				a.Grad[i] += float64(out.Grad[i] * s * (1 - s))
 			}
 		}
 	}
@@ -214,7 +214,7 @@ func Tanh(a *Tensor) *Tensor {
 		out.backward = func() {
 			for i := range out.Grad {
 				y := out.Data[i]
-				a.Grad[i] += out.Grad[i] * (1 - y*y)
+				a.Grad[i] += float64(out.Grad[i] * (1 - float64(y*y)))
 			}
 		}
 	}
@@ -238,10 +238,10 @@ func softmaxRowsVia(al resultAllocator, a *Tensor) *Tensor {
 				grow := out.Grad[i*n : (i+1)*n]
 				var dot float64
 				for j := 0; j < n; j++ {
-					dot += orow[j] * grow[j]
+					dot += float64(orow[j] * grow[j])
 				}
 				for j := 0; j < n; j++ {
-					a.Grad[i*n+j] += orow[j] * (grow[j] - dot)
+					a.Grad[i*n+j] += float64(orow[j] * (grow[j] - dot))
 				}
 			}
 		}
@@ -452,7 +452,7 @@ func scatterMeanVia(al resultAllocator, src *Tensor, dst []int, dstRows int) *Te
 				grow := out.Grad[d*cols : (d+1)*cols]
 				sgrow := src.Grad[i*cols : (i+1)*cols]
 				for j := range grow {
-					sgrow[j] += grow[j] * inv
+					sgrow[j] += float64(grow[j] * inv)
 				}
 			}
 		}
@@ -484,7 +484,7 @@ func meanRowsVia(al resultAllocator, a *Tensor) *Tensor {
 		out.backward = func() {
 			for i := 0; i < m; i++ {
 				for j := 0; j < n; j++ {
-					a.Grad[i*n+j] += out.Grad[j] * inv
+					a.Grad[i*n+j] += float64(out.Grad[j] * inv)
 				}
 			}
 		}
@@ -561,7 +561,7 @@ func CrossEntropyRows(logits *Tensor, labels []int) *Tensor {
 					if j == labelCopy[i] {
 						delta -= 1
 					}
-					logits.Grad[i*n+j] += g * delta
+					logits.Grad[i*n+j] += float64(g * delta)
 				}
 			}
 		}
@@ -591,8 +591,8 @@ func bceWithLogitsVia(al resultAllocator, logits *Tensor, targets, weights []flo
 		if weights != nil {
 			w = weights[i]
 		}
-		loss := math.Max(x, 0) - x*y + math.Log1p(math.Exp(-math.Abs(x)))
-		out.Data[0] += w * loss
+		loss := math.Max(x, 0) - float64(x*y) + math.Log1p(math.Exp(-math.Abs(x)))
+		out.Data[0] += float64(w * loss)
 		totalW += w
 	}
 	if totalW > 0 {
@@ -611,7 +611,7 @@ func bceWithLogitsVia(al resultAllocator, logits *Tensor, targets, weights []flo
 					w = weights[i]
 				}
 				s := 1 / (1 + math.Exp(-x))
-				logits.Grad[i] += g * w * (s - y)
+				logits.Grad[i] += float64(g * w * (s - y))
 			}
 		}
 	}

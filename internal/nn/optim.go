@@ -40,10 +40,10 @@ func (a *Adam) Step() {
 		for j := range p.Data {
 			g := p.Grad[j]
 			if a.WeightDecay != 0 {
-				g += a.WeightDecay * p.Data[j]
+				g += float64(a.WeightDecay * p.Data[j])
 			}
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
+			m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*g)
+			v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*g*g)
 			mh := m[j] / bc1
 			vh := v[j] / bc2
 			p.Data[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
@@ -64,7 +64,7 @@ func ClipGradNorm(params []*Tensor, max float64) float64 {
 	var sq float64
 	for _, p := range params {
 		for _, g := range p.Grad {
-			sq += g * g
+			sq += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(sq)
