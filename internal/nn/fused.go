@@ -358,7 +358,7 @@ func linearBiasForward(out, x, w, wt, bias []float64, m, k, n int, relu bool) {
 		return
 	}
 	if k > 0 && padKEligible(k, n) {
-		matmulPadK(out, x, w, m, k, n)
+		matmulForward(out, x, w, m, k, n)
 		biasReluRows(out, bias, 0, m, n, relu)
 		return
 	}

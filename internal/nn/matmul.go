@@ -31,6 +31,14 @@ const padMatmulMaxK = 32
 // zeroed out (m×n). It is the only MatMul forward implementation; MatMul,
 // Infer.MatMul and the benchmarks all funnel through it.
 func matmulForward(out, a, b []float64, m, k, n int) {
+	matmulForwardBT(out, a, b, nil, m, k, n)
+}
+
+// matmulForwardBT is matmulForward building its transposed copy of B in the
+// caller's bt (len n·btStride(k, n)) instead of borrowed scratch, so the
+// MatMul backward can read it (matmulGradA). bt is filled whenever m, k and
+// n are all nonzero; nil borrows scratch as matmulForward does.
+func matmulForwardBT(out, a, b, bt []float64, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -38,16 +46,32 @@ func matmulForward(out, a, b []float64, m, k, n int) {
 		clear(out[:m*n])
 		return
 	}
-	if padKEligible(k, n) {
-		matmulPadK(out, a, b, m, k, n)
-		return
+	ldb := btStride(k, n)
+	borrowed := bt == nil
+	if borrowed {
+		bt = scratch.GetSliceRaw(n * ldb)
 	}
-	// Transposed copy of B: the inner loops then run down contiguous
-	// columns, which is what both the AVX kernel and the cache want.
-	bt := scratch.GetSliceRaw(k * n)
-	transposeForward(bt, b, k, n)
-	matmulEpilogue(out, a, bt, m, k, n, nil, false)
-	scratch.PutSlice(bt)
+	if ldb != k {
+		matmulPadK(out, a, b, bt, m, k, n)
+	} else {
+		// Transposed copy of B: the inner loops then run down contiguous
+		// columns, which is what both the AVX kernel and the cache want.
+		transposeForward(bt, b, k, n)
+		matmulEpilogue(out, a, bt, m, k, n, nil, false)
+	}
+	if borrowed {
+		scratch.PutSlice(bt)
+	}
+}
+
+// btStride is the row stride of the transposed B the forward builds for an
+// inner dimension k and output width n: k, or k rounded up to a multiple of
+// four on the zero-padded path.
+func btStride(k, n int) int {
+	if padKEligible(k, n) {
+		return (k + 3) &^ 3
+	}
+	return k
 }
 
 // padKEligible reports whether a multiply with the given inner and output
@@ -59,9 +83,9 @@ func padKEligible(k, n int) bool {
 	return k&3 != 0 && k <= padMatmulMaxK && n >= 4
 }
 
-// matmulPadK copies both operands into scratch with the inner dimension
-// zero-padded to a multiple of four and runs the matmul kernel with no
-// scalar tail. The padded steps compute FMA(0, 0, lane) = lane bit-exactly:
+// matmulPadK copies a into scratch and b into bt (n×kp), with the inner
+// dimension zero-padded to a multiple of four kp, and runs the matmul
+// kernel with no scalar tail. The padded steps compute FMA(0, 0, lane) = lane bit-exactly:
 // a lane accumulator can never be -0 (it starts at +0, and a
 // round-to-nearest sum is -0 only when both operands are -0), so zero
 // products change nothing. The former k%4 tail elements join the four FMA
@@ -70,7 +94,7 @@ func padKEligible(k, n int) bool {
 // mirrored exactly by the fused kernels (linearBiasForward,
 // attentionSegment), so every path through a given matmul shape produces
 // identical bits on every machine.
-func matmulPadK(out, a, b []float64, m, k, n int) {
+func matmulPadK(out, a, b, bt []float64, m, k, n int) {
 	kp := (k + 3) &^ 3
 	ap := scratch.GetSliceRaw(m * kp)
 	for i := 0; i < m; i++ {
@@ -79,7 +103,6 @@ func matmulPadK(out, a, b []float64, m, k, n int) {
 			ap[p] = 0
 		}
 	}
-	bt := scratch.GetSliceRaw(n * kp)
 	for j := 0; j < n; j++ {
 		col := bt[j*kp : (j+1)*kp]
 		for p := 0; p < k; p++ {
@@ -90,7 +113,6 @@ func matmulPadK(out, a, b []float64, m, k, n int) {
 		}
 	}
 	matmulRows(out, ap, bt, 0, m, kp, n, nil, false)
-	scratch.PutSlice(bt)
 	scratch.PutSlice(ap)
 }
 

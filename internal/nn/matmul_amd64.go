@@ -13,6 +13,20 @@ func cpuHasAVXFMA() bool
 //go:noescape
 func dotRows24avx(a0, a1, bt *float64, k, k4, nb int, o0, o1, bias *float64, relu int)
 
+// gradARows2Avx adds the dA = dOut·Bᵀ sums of two rows into d0/d1 for the
+// first 24·np24 + 4·np4 columns, reading B transposed (bt, row stride ldb);
+// bit-identical to gradARowsScalar, see matmul_grad.go and matmul_amd64.s.
+//
+//go:noescape
+func gradARows2Avx(g0, g1, bt *float64, ldb, n, np24, np4 int, d0, d1 *float64)
+
+// gradBRows2Avx adds the dB = Aᵀ·dOut updates of two rows of dB into d0/d1
+// for the first 24·np24 + 4·np4 columns; bit-identical to gradBColsScalar,
+// see matmul_grad.go and matmul_amd64.s.
+//
+//go:noescape
+func gradBRows2Avx(a0, a1 *float64, lda int, dout *float64, ldg, m, np24, np4 int, d0, d1 *float64)
+
 // The elementwise kernels below each apply one packed step per element with
 // the exact operand order and rounding count of their scalar mirrors in
 // elemwise.go (never an FMA contraction), so the vector width cannot change

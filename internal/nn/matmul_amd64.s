@@ -195,6 +195,329 @@ rowsdone:
 	VZEROUPPER
 	RET
 
+// func gradARows2Avx(g0, g1, bt *float64, ldb, n, np24, np4 int, d0, d1 *float64)
+//
+// The dA = dOut·Bᵀ panel kernel for two rows: for r in {0, 1} and every p in
+// [0, 24·np24 + 4·np4), dr[p] += Σ_j gr[j]·bt[j·ldb + p], the sum starting
+// from +0 and adding one VMULPD-rounded product per j in ascending order
+// (VMULPD then VADDPD, never a fused multiply-add) — per lane exactly the
+// scalar loop's s += g[j]*b[p,j]; agrow[p] += s, with the same operand
+// order. Panels of 24 columns hold two rows × six registers of sums; the
+// remaining columns run in panels of four. g1/d1 may alias g0/d0 (a trailing
+// odd row): both rows' gradients are loaded before either is stored, so the
+// duplicate stores write identical values.
+TEXT ·gradARows2Avx(SB), NOSPLIT, $0-72
+	MOVQ g0+0(FP), R8
+	MOVQ g1+8(FP), R9
+	MOVQ bt+16(FP), AX
+	MOVQ ldb+24(FP), R14
+	SHLQ $3, R14          // bt row stride in bytes
+	MOVQ n+32(FP), CX
+	SHLQ $3, CX           // n elements -> bytes
+	MOVQ np24+40(FP), DX
+	MOVQ np4+48(FP), R15
+	MOVQ d0+56(FP), DI
+	MOVQ d1+64(FP), SI
+
+ga24loop:
+	TESTQ DX, DX
+	JZ    ga4loop
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	MOVQ   AX, R10 // bt row j at the panel's first column
+	XORQ   BX, BX  // byte offset of j in g0 and g1
+
+ga24j:
+	CMPQ         BX, CX
+	JGE          ga24store
+	VBROADCASTSD (R8)(BX*1), Y12
+	VBROADCASTSD (R9)(BX*1), Y13
+	VMOVUPD      0(R10), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y15, Y0, Y0
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y15, Y6, Y6
+	VMOVUPD      32(R10), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y15, Y7, Y7
+	VMOVUPD      64(R10), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y15, Y2, Y2
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y15, Y8, Y8
+	VMOVUPD      96(R10), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y15, Y9, Y9
+	VMOVUPD      128(R10), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y15, Y4, Y4
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y15, Y10, Y10
+	VMOVUPD      160(R10), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y15, Y11, Y11
+	ADDQ         R14, R10
+	ADDQ         $8, BX
+	JMP          ga24j
+
+ga24store:
+	VADDPD  0(DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VADDPD  128(DI), Y4, Y4
+	VADDPD  160(DI), Y5, Y5
+	VADDPD  0(SI), Y6, Y6
+	VADDPD  32(SI), Y7, Y7
+	VADDPD  64(SI), Y8, Y8
+	VADDPD  96(SI), Y9, Y9
+	VADDPD  128(SI), Y10, Y10
+	VADDPD  160(SI), Y11, Y11
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 0(SI)
+	VMOVUPD Y7, 32(SI)
+	VMOVUPD Y8, 64(SI)
+	VMOVUPD Y9, 96(SI)
+	VMOVUPD Y10, 128(SI)
+	VMOVUPD Y11, 160(SI)
+	ADDQ    $192, AX
+	ADDQ    $192, DI
+	ADDQ    $192, SI
+	DECQ    DX
+	JMP     ga24loop
+
+ga4loop:
+	TESTQ  R15, R15
+	JZ     gadone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y6, Y6, Y6
+	MOVQ   AX, R10
+	XORQ   BX, BX
+
+ga4j:
+	CMPQ         BX, CX
+	JGE          ga4store
+	VBROADCASTSD (R8)(BX*1), Y12
+	VBROADCASTSD (R9)(BX*1), Y13
+	VMOVUPD      (R10), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y15, Y0, Y0
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y15, Y6, Y6
+	ADDQ         R14, R10
+	ADDQ         $8, BX
+	JMP          ga4j
+
+ga4store:
+	VADDPD  (DI), Y0, Y0
+	VADDPD  (SI), Y6, Y6
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y6, (SI)
+	ADDQ    $32, AX
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    R15
+	JMP     ga4loop
+
+gadone:
+	VZEROUPPER
+	RET
+
+// func gradBRows2Avx(a0, a1 *float64, lda int, dout *float64, ldg, m, np24, np4 int, d0, d1 *float64)
+//
+// The dB = Aᵀ·dOut panel kernel for two rows of dB: a0/a1 point at columns
+// p0/p1 of A (stride lda), dout at dOut (stride ldg), d0/d1 at rows p0/p1 of
+// dB. For r in {0, 1} and every j in [0, 24·np24 + 4·np4), dr[j] is loaded
+// once, updated by ar[i]·g[i,j] for i ascending — VMULPD then VADDPD, the
+// product first, exactly the scalar bgrow[j] += av*grow[j] — and stored
+// once. A row whose ar[i] is ±0 (its bits shifted left by one are zero) is
+// skipped for that i, the scalar loop's av == 0 test; NaN is not skipped.
+// a1/d1 may alias a0/d0 (a trailing odd row): both rows are loaded before
+// and stored after the i loop, so the duplicate stores write identical
+// values.
+TEXT ·gradBRows2Avx(SB), NOSPLIT, $0-80
+	MOVQ a0+0(FP), R8
+	MOVQ a1+8(FP), R9
+	MOVQ lda+16(FP), R14
+	SHLQ $3, R14          // A row stride in bytes
+	MOVQ dout+24(FP), AX
+	MOVQ ldg+32(FP), R15
+	SHLQ $3, R15          // dOut row stride in bytes
+	MOVQ m+40(FP), CX
+	MOVQ np24+48(FP), DX
+	MOVQ d0+64(FP), DI
+	MOVQ d1+72(FP), SI
+
+gb24loop:
+	TESTQ DX, DX
+	JZ    gb4start
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 0(SI), Y6
+	VMOVUPD 32(SI), Y7
+	VMOVUPD 64(SI), Y8
+	VMOVUPD 96(SI), Y9
+	VMOVUPD 128(SI), Y10
+	VMOVUPD 160(SI), Y11
+	MOVQ    R8, R10 // a0[i]
+	MOVQ    R9, R11 // a1[i]
+	MOVQ    AX, R12 // dOut row i at the panel's first column
+	MOVQ    CX, BX  // rows left
+
+gb24i:
+	TESTQ        BX, BX
+	JZ           gb24store
+	MOVQ         (R10), R13
+	SHLQ         $1, R13
+	JZ           gb24row1
+	VBROADCASTSD (R10), Y12
+	VMOVUPD      0(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y0, Y14, Y0
+	VMOVUPD      32(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y1, Y14, Y1
+	VMOVUPD      64(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y2, Y14, Y2
+	VMOVUPD      96(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y3, Y14, Y3
+	VMOVUPD      128(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y4, Y14, Y4
+	VMOVUPD      160(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y5, Y14, Y5
+
+gb24row1:
+	MOVQ         (R11), R13
+	SHLQ         $1, R13
+	JZ           gb24next
+	VBROADCASTSD (R11), Y12
+	VMOVUPD      0(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y6, Y14, Y6
+	VMOVUPD      32(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y7, Y14, Y7
+	VMOVUPD      64(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y8, Y14, Y8
+	VMOVUPD      96(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y9, Y14, Y9
+	VMOVUPD      128(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y10, Y14, Y10
+	VMOVUPD      160(R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y11, Y14, Y11
+
+gb24next:
+	ADDQ R14, R10
+	ADDQ R14, R11
+	ADDQ R15, R12
+	DECQ BX
+	JMP  gb24i
+
+gb24store:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 0(SI)
+	VMOVUPD Y7, 32(SI)
+	VMOVUPD Y8, 64(SI)
+	VMOVUPD Y9, 96(SI)
+	VMOVUPD Y10, 128(SI)
+	VMOVUPD Y11, 160(SI)
+	ADDQ    $192, AX
+	ADDQ    $192, DI
+	ADDQ    $192, SI
+	DECQ    DX
+	JMP     gb24loop
+
+gb4start:
+	MOVQ np4+56(FP), DX
+
+gb4loop:
+	TESTQ   DX, DX
+	JZ      gbdone
+	VMOVUPD (DI), Y0
+	VMOVUPD (SI), Y6
+	MOVQ    R8, R10
+	MOVQ    R9, R11
+	MOVQ    AX, R12
+	MOVQ    CX, BX
+
+gb4i:
+	TESTQ        BX, BX
+	JZ           gb4store
+	MOVQ         (R10), R13
+	SHLQ         $1, R13
+	JZ           gb4row1
+	VBROADCASTSD (R10), Y12
+	VMOVUPD      (R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y0, Y14, Y0
+
+gb4row1:
+	MOVQ         (R11), R13
+	SHLQ         $1, R13
+	JZ           gb4next
+	VBROADCASTSD (R11), Y12
+	VMOVUPD      (R12), Y13
+	VMULPD       Y12, Y13, Y14
+	VADDPD       Y6, Y14, Y6
+
+gb4next:
+	ADDQ R14, R10
+	ADDQ R14, R11
+	ADDQ R15, R12
+	DECQ BX
+	JMP  gb4i
+
+gb4store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y6, (SI)
+	ADDQ    $32, AX
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    DX
+	JMP     gb4loop
+
+gbdone:
+	VZEROUPPER
+	RET
+
 // func ewAddAvx(dst, a *float64, n int)
 //
 // dst[i] += a[i] for i in [0, n), n % 4 == 0. One VADDPD per four

@@ -13,6 +13,16 @@ func dotRows24avx(a0, a1, bt *float64, k, k4, nb int, o0, o1, bias *float64, rel
 	panic("nn: dotRows24avx without AVX support")
 }
 
+// The MatMul backward kernels are never called when useAVX is false.
+
+func gradARows2Avx(g0, g1, bt *float64, ldb, n, np24, np4 int, d0, d1 *float64) {
+	panic("nn: gradARows2Avx without AVX support")
+}
+
+func gradBRows2Avx(a0, a1 *float64, lda int, dout *float64, ldg, m, np24, np4 int, d0, d1 *float64) {
+	panic("nn: gradBRows2Avx without AVX support")
+}
+
 // The elementwise kernels are never called when useAVX is false.
 
 func ewAddAvx(dst, a *float64, n int) { panic("nn: ewAddAvx without AVX support") }

@@ -34,39 +34,22 @@ func MatMul(a, b *Tensor) *Tensor { return matMulVia(heapAlloc{}, a, b) }
 func matMulVia(al resultAllocator, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(a, b)
 	out := al.newResult([]int{m, n}, a, b)
-	matmulForward(out.Data, a.Data, b.Data, m, k, n)
+	// dA reads B transposed, which the forward builds anyway: hold that
+	// copy for the backward instead of transposing twice.
+	var bt []float64
+	ldb := btStride(k, n)
+	if a.requiresGrad {
+		bt = al.scratchFloats(n * ldb)
+	}
+	matmulForwardBT(out.Data, a.Data, b.Data, bt, m, k, n)
 	if out.requiresGrad {
 		out.backward = func() {
-			// dA = dOut × Bᵀ ; dB = Aᵀ × dOut
+			// dA = dOut × Bᵀ ; dB = Aᵀ × dOut (matmul_grad.go)
 			if a.requiresGrad {
-				for i := 0; i < m; i++ {
-					grow := out.Grad[i*n : (i+1)*n]
-					agrow := a.Grad[i*k : (i+1)*k]
-					for p := 0; p < k; p++ {
-						brow := b.Data[p*n : (p+1)*n]
-						var s float64
-						for j := 0; j < n; j++ {
-							s += float64(grow[j] * brow[j])
-						}
-						agrow[p] += s
-					}
-				}
+				matmulGradA(a.Grad, out.Grad, b.Data, bt, m, k, n, ldb)
 			}
 			if b.requiresGrad {
-				for i := 0; i < m; i++ {
-					arow := a.Data[i*k : (i+1)*k]
-					grow := out.Grad[i*n : (i+1)*n]
-					for p := 0; p < k; p++ {
-						av := arow[p]
-						if av == 0 {
-							continue
-						}
-						bgrow := b.Grad[p*n : (p+1)*n]
-						for j := 0; j < n; j++ {
-							bgrow[j] += float64(av * grow[j])
-						}
-					}
-				}
+				matmulGradB(b.Grad, a.Data, out.Grad, m, k, n)
 			}
 		}
 	}
@@ -83,14 +66,10 @@ func addVia(al resultAllocator, a, b *Tensor) *Tensor {
 	if out.requiresGrad {
 		out.backward = func() {
 			if a.requiresGrad {
-				for i := range out.Grad {
-					a.Grad[i] += out.Grad[i]
-				}
+				addInto(a.Grad, out.Grad)
 			}
 			if b.requiresGrad {
-				for i := range out.Grad {
-					b.Grad[i] += out.Grad[i]
-				}
+				addInto(b.Grad, out.Grad)
 			}
 		}
 	}
@@ -108,15 +87,11 @@ func addRowVectorVia(al resultAllocator, a, v *Tensor) *Tensor {
 	if out.requiresGrad {
 		out.backward = func() {
 			if a.requiresGrad {
-				for i := range out.Grad {
-					a.Grad[i] += out.Grad[i]
-				}
+				addInto(a.Grad, out.Grad)
 			}
 			if v.requiresGrad {
 				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						v.Grad[j] += out.Grad[i*n+j]
-					}
+					addInto(v.Grad[:n], out.Grad[i*n:(i+1)*n])
 				}
 			}
 		}

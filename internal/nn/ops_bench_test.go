@@ -78,6 +78,36 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulBackward measures one MatMul backward (dA and dB) on the
+// two shapes that carry the PMM's training traffic: a 7-row block through a
+// 24×24 linear (the token encoder and per-vertex layers) and the 594-row
+// pairwise head input through its 72×24 layer. The scalar sub-benchmarks
+// run the pure-Go loops the AVX kernels reproduce bit for bit.
+func BenchmarkMatMulBackward(b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{{7, 24, 24}, {594, 72, 24}} {
+		for _, avx := range []bool{true, false} {
+			kernel := "avx"
+			if !avx {
+				kernel = "scalar"
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.k, s.n, kernel), func(b *testing.B) {
+				prev := SetAVX(avx)
+				defer SetAVX(prev)
+				r := rng.New(7)
+				x := benchTensor(r, s.m, s.k).RequireGrad()
+				w := benchTensor(r, s.k, s.n).RequireGrad()
+				out := MatMul(x, w)
+				copy(out.Grad, benchTensor(r, s.m, s.n).Data)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out.backward()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkInferMLP contrasts the pooled inference path against the
 // allocating training-ops path on a frozen MLP.
 func BenchmarkInferMLP(b *testing.B) {

@@ -559,20 +559,10 @@ func (m *Model) inferOps() (nn.Ops, func()) {
 // probability-sorted slot list described on Predict.
 func (m *Model) pickSlots(g *qgraph.Graph, logits []float64) ([]prog.GlobalSlot, []float64) {
 	probs := make([]float64, len(g.ArgVertices))
-	var pickedIdx []int
-	best, bestP := 0, -1.0
 	for i := range probs {
 		probs[i] = sigmoid(logits[i])
-		if probs[i] > bestP {
-			best, bestP = i, probs[i]
-		}
-		if probs[i] >= m.Cfg.Threshold {
-			pickedIdx = append(pickedIdx, i)
-		}
 	}
-	if len(pickedIdx) == 0 {
-		pickedIdx = append(pickedIdx, best)
-	}
+	pickedIdx := pickArgs(probs, m.Cfg.Threshold)
 	sort.SliceStable(pickedIdx, func(a, b int) bool {
 		return probs[pickedIdx[a]] > probs[pickedIdx[b]]
 	})
@@ -581,6 +571,26 @@ func (m *Model) pickSlots(g *qgraph.Graph, logits []float64) ([]prog.GlobalSlot,
 		picked[i] = g.Slots[idx]
 	}
 	return picked, probs
+}
+
+// pickArgs returns, in index order, the arguments whose probability is at
+// or above threshold, or the single most probable one (the first on a tie)
+// when none is.
+func pickArgs(probs []float64, threshold float64) []int {
+	var picked []int
+	best, bestP := 0, -1.0
+	for i, p := range probs {
+		if p > bestP {
+			best, bestP = i, p
+		}
+		if p >= threshold {
+			picked = append(picked, i)
+		}
+	}
+	if len(picked) == 0 {
+		picked = append(picked, best)
+	}
+	return picked
 }
 
 func sigmoid(x float64) float64 {

@@ -180,6 +180,10 @@ func TrainOnCompiled(m *Model, b *qgraph.Builder, tcfg TrainConfig, train, val *
 	shadow := newEvalShadow(m)
 	batch := tcfg.batch()
 	var report TrainReport
+	// The validation split's probabilities from the latest epoch: scored
+	// for that epoch's F1, then swept by tuneThreshold without another
+	// forward, since the weights no longer change.
+	var valProbs [][]float64
 	for epoch := 0; epoch < tcfg.Epochs; epoch++ {
 		epochStart := time.Now()
 		perm := r.Perm(len(examples))
@@ -213,13 +217,17 @@ func TrainOnCompiled(m *Model, b *qgraph.Builder, tcfg TrainConfig, train, val *
 			avg = total / float64(len(examples))
 		}
 		report.EpochLoss = append(report.EpochLoss, avg)
-		valF1 := evaluateCompiledWorkers(shadow, valExamples, tcfg.workers()).F1
+		valProbs = predictProbs(shadow, valExamples, tcfg.workers())
+		valF1 := metricsAt(valExamples, valProbs, shadow.Cfg.Threshold).F1
 		report.ValF1 = append(report.ValF1, valF1)
 		if !tcfg.Quiet {
 			fmt.Fprintf(log, "epoch %d: loss %.4f, val F1 %.3f\n", epoch, avg, valF1)
 		}
 	}
-	report.Threshold = tuneThreshold(shadow, valExamples, tcfg.workers())
+	if valProbs == nil {
+		valProbs = predictProbs(shadow, valExamples, tcfg.workers())
+	}
+	report.Threshold = tuneThreshold(valExamples, valProbs)
 	m.Cfg.Threshold = report.Threshold
 	return report
 }
@@ -398,41 +406,51 @@ func EvaluateCompiled(m *Model, c *Compiled) Metrics {
 	return evaluateCompiledWorkers(frozen, c.examples, workers)
 }
 
-// evaluateCompiledWorkers scores each example on the frozen model with the
-// given parallelism. Per-example measures land in a positional slice and
-// fold sequentially, so sums never depend on worker count or scheduling.
+// evaluateCompiledWorkers scores each example on the frozen model at its
+// threshold with the given parallelism.
 func evaluateCompiledWorkers(frozen *Model, examples []compiled, workers int) Metrics {
+	return metricsAt(examples, predictProbs(frozen, examples, workers), frozen.Cfg.Threshold)
+}
+
+// predictProbs runs the frozen model's forward over every example with the
+// given parallelism and returns each example's per-argument probabilities,
+// positionally (nil for an example without argument vertices).
+func predictProbs(frozen *Model, examples []compiled, workers int) [][]float64 {
 	if workers > len(examples) {
 		workers = len(examples)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	parts := make([]Metrics, len(examples))
+	probs := make([][]float64, len(examples))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(examples); i += workers {
-				ex := examples[i]
-				pred, _ := frozen.Predict(ex.g)
-				predSet := map[prog.GlobalSlot]bool{}
-				for _, s := range pred {
-					predSet[s] = true
-				}
-				parts[i].accumulate(predSet, labelSet(ex))
+				_, probs[i] = frozen.Predict(examples[i].g)
 			}
 		}(w)
 	}
 	wg.Wait()
+	return probs
+}
+
+// metricsAt scores stored probabilities at a decision threshold: each
+// example's prediction is the slot set Predict would return at that
+// threshold (pickArgs), and the per-example measures fold in example order,
+// so the result is bit-identical to predicting afresh at any parallelism.
+func metricsAt(examples []compiled, probs [][]float64, threshold float64) Metrics {
 	var mt Metrics
-	for i := range parts {
-		mt.Precision += parts[i].Precision
-		mt.Recall += parts[i].Recall
-		mt.F1 += parts[i].F1
-		mt.Jaccard += parts[i].Jaccard
-		mt.N += parts[i].N
+	for i, ex := range examples {
+		predSet := map[prog.GlobalSlot]bool{}
+		if len(probs[i]) > 0 {
+			for _, a := range pickArgs(probs[i], threshold) {
+				predSet[ex.g.Slots[a]] = true
+			}
+		}
+		mt.accumulate(predSet, labelSet(ex))
 	}
 	mt.finish()
 	return mt
@@ -510,21 +528,20 @@ func (mt *Metrics) finish() {
 	mt.Jaccard /= n
 }
 
-// tuneThreshold sweeps decision thresholds on the validation set and
-// returns the best mean-F1 threshold. frozen is the evaluation shadow; its
-// threshold is restored before returning.
-func tuneThreshold(frozen *Model, valExamples []compiled, workers int) float64 {
-	grid := []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	best, bestF1 := frozen.Cfg.Threshold, -1.0
-	orig := frozen.Cfg.Threshold
-	for _, th := range grid {
-		frozen.Cfg.Threshold = th
-		f1 := evaluateCompiledWorkers(frozen, valExamples, workers).F1
+// thresholdGrid is the decision thresholds tuneThreshold sweeps.
+var thresholdGrid = []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+
+// tuneThreshold sweeps decision thresholds over the validation split's
+// stored probabilities and returns the best mean-F1 threshold, the lowest
+// on a tie.
+func tuneThreshold(valExamples []compiled, probs [][]float64) float64 {
+	best, bestF1 := 0.0, -1.0
+	for _, th := range thresholdGrid {
+		f1 := metricsAt(valExamples, probs, th).F1
 		if f1 > bestF1 {
 			best, bestF1 = th, f1
 		}
 	}
-	frozen.Cfg.Threshold = orig
 	return best
 }
 

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"github.com/repro/snowplow/internal/nn"
+	"github.com/repro/snowplow/internal/prog"
+	"github.com/repro/snowplow/internal/rng"
 )
 
 // TestTrainedCheckpointPinned pins the trained bits themselves, not just
@@ -39,5 +41,40 @@ func TestTrainedCheckpointPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestThresholdSweepMatchesPredict pins the stored-probability evaluation
+// that lets training forward its validation split once per epoch: at every
+// grid threshold, metricsAt over one predictProbs pass must equal a fresh
+// Predict per example at that threshold, field by field.
+func TestThresholdSweepMatchesPredict(t *testing.T) {
+	ds := smallDataset(t, 12, 80, 4242)
+	c := CompileDataset(testBuilder, ds, 1)
+	// An untrained model: its probabilities straddle the whole grid.
+	m := NewModel(rng.New(5), DefaultConfig(), BuildVocab(testKernel))
+	frozen := newEvalShadow(m)
+	probs := predictProbs(frozen, c.examples, 2)
+	distinct := map[float64]bool{}
+	for _, th := range thresholdGrid {
+		got := metricsAt(c.examples, probs, th)
+		frozen.Cfg.Threshold = th
+		var want Metrics
+		for _, ex := range c.examples {
+			pred, _ := frozen.Predict(ex.g)
+			predSet := map[prog.GlobalSlot]bool{}
+			for _, s := range pred {
+				predSet[s] = true
+			}
+			want.accumulate(predSet, labelSet(ex))
+		}
+		want.finish()
+		if got != want {
+			t.Fatalf("threshold %v: stored-probability metrics %+v, fresh Predict %+v", th, got, want)
+		}
+		distinct[got.Precision] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("every grid threshold scored the same precision; the sweep is not exercised")
 	}
 }
