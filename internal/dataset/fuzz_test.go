@@ -45,6 +45,7 @@ func FuzzDatasetDecode(f *testing.F) {
 		if err := d.Save(&buf); err != nil {
 			t.Fatalf("accepted dataset fails to save: %v", err)
 		}
+		saved := buf.String()
 		d2, err := Load(&buf, k)
 		if err != nil {
 			t.Fatalf("saved dataset does not reload: %v", err)
@@ -52,7 +53,40 @@ func FuzzDatasetDecode(f *testing.F) {
 		if len(d2.Examples) != len(d.Examples) {
 			t.Fatalf("round trip changed example count: %d -> %d", len(d.Examples), len(d2.Examples))
 		}
+		// Save is canonical: a reloaded dataset saves to the same bytes.
+		var buf2 bytes.Buffer
+		if err := d2.Save(&buf2); err != nil {
+			t.Fatalf("reloaded dataset fails to save: %v", err)
+		}
+		if buf2.String() != saved {
+			t.Fatalf("round trip is not a fixed point:\n%s\n---\n%s", saved, buf2.String())
+		}
 	})
+}
+
+// TestLoadRejectsMalformedFraming pins the framing checks: the header's
+// example count must match what follows (a file cut at an example boundary
+// is otherwise a smaller valid dataset), and the slots/targets keywords
+// must stand alone.
+func TestLoadRejectsMalformedFraming(t *testing.T) {
+	k := kernel.MustBuild("6.8")
+	two := strings.Replace(validDatasetText, "examples=1", "examples=2", 1) + validDatasetText[strings.Index(validDatasetText, "example base"):]
+	if d, err := Load(strings.NewReader(two), k); err != nil || len(d.Examples) != 2 {
+		t.Fatalf("two-example dataset: %v", err)
+	}
+	for _, bad := range []string{
+		strings.Replace(validDatasetText, "examples=1", "examples=2", 1), // truncated
+		strings.Replace(two, "examples=2", "examples=1", 1),              // count too low
+		strings.Replace(validDatasetText, "examples=1", "examples=-1", 1),
+		strings.Replace(validDatasetText, "examples=1", "examples=", 1),
+		strings.Replace(validDatasetText, " examples=1", "", 1),
+		strings.Replace(validDatasetText, "slots 0:1", "slotsx 0:1", 1),
+		strings.Replace(validDatasetText, "targets 1", "targets1", 1),
+	} {
+		if _, err := Load(strings.NewReader(bad), k); err == nil {
+			t.Errorf("Load accepted malformed framing:\n%s", bad)
+		}
+	}
 }
 
 func TestLoadRejectsOutOfRangeSlotsAndTargets(t *testing.T) {

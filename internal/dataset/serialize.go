@@ -44,7 +44,9 @@ func Load(r io.Reader, k *kernel.Kernel) (*Dataset, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("dataset: empty input")
 	}
-	if !strings.HasPrefix(sc.Text(), "snowplow-dataset v1") {
+	countText, ok := strings.CutPrefix(sc.Text(), "snowplow-dataset v1 examples=")
+	want, err := strconv.Atoi(countText)
+	if !ok || err != nil || want < 0 {
 		return nil, fmt.Errorf("dataset: bad header %q", sc.Text())
 	}
 	d := &Dataset{}
@@ -87,10 +89,11 @@ func Load(r io.Reader, k *kernel.Kernel) (*Dataset, error) {
 			traceCache[text] = traces
 		}
 		ex := &Example{BaseIdx: baseIdx, Prog: p, Traces: traces}
-		if !sc.Scan() || !strings.HasPrefix(sc.Text(), "slots") {
+		slotToks, ok := fieldsAfter(sc, "slots")
+		if !ok {
 			return nil, fmt.Errorf("dataset: missing slots line")
 		}
-		for _, tok := range strings.Fields(sc.Text())[1:] {
+		for _, tok := range slotToks {
 			ci, si, ok := strings.Cut(tok, ":")
 			if !ok {
 				return nil, fmt.Errorf("dataset: bad slot %q", tok)
@@ -108,10 +111,11 @@ func Load(r io.Reader, k *kernel.Kernel) (*Dataset, error) {
 			}
 			ex.Slots = append(ex.Slots, prog.GlobalSlot{Call: c, Slot: s})
 		}
-		if !sc.Scan() || !strings.HasPrefix(sc.Text(), "targets") {
+		targetToks, ok := fieldsAfter(sc, "targets")
+		if !ok {
 			return nil, fmt.Errorf("dataset: missing targets line")
 		}
-		for _, tok := range strings.Fields(sc.Text())[1:] {
+		for _, tok := range targetToks {
 			t, err := strconv.Atoi(tok)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: bad target %q", tok)
@@ -125,5 +129,25 @@ func Load(r io.Reader, k *kernel.Kernel) (*Dataset, error) {
 		}
 		d.Examples = append(d.Examples, ex)
 	}
-	return d, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	// The header's count is what catches a file cut at an example boundary.
+	if len(d.Examples) != want {
+		return nil, fmt.Errorf("dataset: header promises %d examples, found %d", want, len(d.Examples))
+	}
+	return d, nil
+}
+
+// fieldsAfter scans the next line and, if its first field is keyword,
+// returns the fields after it.
+func fieldsAfter(sc *bufio.Scanner, keyword string) ([]string, bool) {
+	if !sc.Scan() {
+		return nil, false
+	}
+	f := strings.Fields(sc.Text())
+	if len(f) == 0 || f[0] != keyword {
+		return nil, false
+	}
+	return f[1:], true
 }
