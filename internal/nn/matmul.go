@@ -83,10 +83,10 @@ func padKEligible(k, n int) bool {
 	return k&3 != 0 && k <= padMatmulMaxK && n >= 4
 }
 
-// matmulPadK copies a into scratch and b into bt (n×kp), with the inner
-// dimension zero-padded to a multiple of four kp, and runs the matmul
-// kernel with no scalar tail. The padded steps compute FMA(0, 0, lane) = lane bit-exactly:
-// a lane accumulator can never be -0 (it starts at +0, and a
+// matmulPadK copies a into scratch and b into bt (n×kp), the inner
+// dimension zero-padded to kp, a multiple of four, and runs the matmul
+// kernel with no scalar tail. The padded steps compute FMA(0, 0, lane) =
+// lane bit-exactly: a lane accumulator can never be -0 (it starts at +0, and a
 // round-to-nearest sum is -0 only when both operands are -0), so zero
 // products change nothing. The former k%4 tail elements join the four FMA
 // lanes instead of the ascending scalar tail — a different (but fixed)

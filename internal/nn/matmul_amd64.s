@@ -201,8 +201,7 @@ rowsdone:
 // [0, 24·np24 + 4·np4), dr[p] += Σ_j gr[j]·bt[j·ldb + p], the sum starting
 // from +0 and adding one VMULPD-rounded product per j in ascending order
 // (VMULPD then VADDPD, never a fused multiply-add) — per lane exactly the
-// scalar loop's s += g[j]*b[p,j]; agrow[p] += s, with the same operand
-// order. Panels of 24 columns hold two rows × six registers of sums; the
+// scalar loop's s += g[j]*b[p,j]; agrow[p] += s. Panels of 24 columns hold two rows × six registers of sums; the
 // remaining columns run in panels of four. g1/d1 may alias g0/d0 (a trailing
 // odd row): both rows' gradients are loaded before either is stored, so the
 // duplicate stores write identical values.
@@ -349,8 +348,8 @@ gadone:
 // The dB = Aᵀ·dOut panel kernel for two rows of dB: a0/a1 point at columns
 // p0/p1 of A (stride lda), dout at dOut (stride ldg), d0/d1 at rows p0/p1 of
 // dB. For r in {0, 1} and every j in [0, 24·np24 + 4·np4), dr[j] is loaded
-// once, updated by ar[i]·g[i,j] for i ascending — VMULPD then VADDPD, the
-// product first, exactly the scalar bgrow[j] += av*grow[j] — and stored
+// once, updated by ar[i]·g[i,j] for i ascending — VMULPD then VADDPD,
+// exactly the scalar bgrow[j] += av*grow[j] — and stored
 // once. A row whose ar[i] is ±0 (its bits shifted left by one are zero) is
 // skipped for that i, the scalar loop's av == 0 test; NaN is not skipped.
 // a1/d1 may alias a0/d0 (a trailing odd row): both rows are loaded before

@@ -22,14 +22,17 @@ package nn
 // product would turn a -0 gradient into +0. Keeping it per (i, p) keeps the
 // scalar semantics bit for bit.
 //
-// The vector instructions also keep the scalar loops' operand order (which
-// operand is first decides the payload when two NaNs meet), and both kernels
-// are register-blocked two rows at a time: two rows of dA × 24 columns, or
-// two rows of dB × 24 columns, in twelve accumulators. Widths that are not a
-// multiple of 24 run four-column panels, and a width%4 edge runs the scalar
-// loop over those elements only; a trailing odd row runs the two-row kernel
-// with both rows aliased to it. Every element is written once by one pass,
-// so the blocking cannot change its arithmetic.
+// NaN payloads are outside the contract. Where two NaNs meet, the result
+// carries one operand's payload, and which one depends on the order the Go
+// compiler gives the scalar loops' commutative operands; it differs between
+// an ordinary and a -race build. Every NaN stays a NaN on both paths.
+//
+// Both kernels are register-blocked: two rows of dA or dB × 24 columns in
+// twelve accumulators. Widths that are not a multiple of 24 run four-column
+// panels, and a width%4 edge runs the scalar loop over those elements only;
+// a trailing odd row runs the two-row kernel with both rows aliased to it.
+// Each element is computed by one pass over its own sum, so the blocking
+// cannot change its arithmetic.
 
 // matmulGradA adds dOut·Bᵀ into ag (m×k): g is dOut (m×n), b is B (k×n),
 // and bt is B transposed with row stride ldb ≥ k, as matmulForwardBT leaves
