@@ -195,6 +195,167 @@ rowsdone:
 	VZEROUPPER
 	RET
 
+// func ewAddAvx(dst, a *float64, n int)
+//
+// dst[i] += a[i] for i in [0, n), n % 4 == 0. One VADDPD per four
+// elements with dst as the first operand — per element exactly the
+// scalar dst[i] += a[i], so vector width cannot change a bit.
+TEXT ·ewAddAvx(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	XORQ BX, BX
+
+ewaddloop:
+	CMPQ BX, CX
+	JGE  ewadddone
+	VMOVUPD (DI)(BX*1), Y0
+	VMOVUPD (SI)(BX*1), Y1
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     ewaddloop
+
+ewadddone:
+	VZEROUPPER
+	RET
+
+// func ewAdd2Avx(dst, x, y *float64, n int)
+//
+// dst[i] = x[i] + y[i] for i in [0, n), n % 4 == 0; x first operand,
+// matching the scalar xr[j] + yr[j].
+TEXT ·ewAdd2Avx(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHLQ $3, CX
+	XORQ BX, BX
+
+ewadd2loop:
+	CMPQ BX, CX
+	JGE  ewadd2done
+	VMOVUPD (SI)(BX*1), Y0
+	VMOVUPD (DX)(BX*1), Y1
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     ewadd2loop
+
+ewadd2done:
+	VZEROUPPER
+	RET
+
+// func ewMulAddAvx(dst, a *float64, c float64, n int)
+//
+// dst[i] += a[i]*c for i in [0, n), n % 4 == 0. Deliberately VMULPD
+// then VADDPD — two roundings, exactly the scalar dst[i] += a[i]*c —
+// never a fused multiply-add, which would round once and change bits.
+TEXT ·ewMulAddAvx(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	VBROADCASTSD c+16(FP), Y2
+	MOVQ n+24(FP), CX
+	SHLQ $3, CX
+	XORQ BX, BX
+
+ewmuladdloop:
+	CMPQ BX, CX
+	JGE  ewmuladddone
+	VMOVUPD (SI)(BX*1), Y1
+	VMULPD  Y2, Y1, Y1
+	VMOVUPD (DI)(BX*1), Y0
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     ewmuladdloop
+
+ewmuladddone:
+	VZEROUPPER
+	RET
+
+// func ewScaleAvx(dst *float64, c float64, n int)
+//
+// dst[i] *= c for i in [0, n), n % 4 == 0.
+TEXT ·ewScaleAvx(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	VBROADCASTSD c+8(FP), Y2
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	XORQ BX, BX
+
+ewscaleloop:
+	CMPQ BX, CX
+	JGE  ewscaledone
+	VMOVUPD (DI)(BX*1), Y0
+	VMULPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     ewscaleloop
+
+ewscaledone:
+	VZEROUPPER
+	RET
+
+// func ewReluAvx(dst *float64, n int)
+//
+// dst[i] = max(dst[i], +0) for i in [0, n), n % 4 == 0, via VMAXPD with
+// +0 as the second operand (second wins on NaN and -0) — bit for bit the
+// scalar !(v > 0) → 0 clamp, as in dotRows24avx's epilogue.
+TEXT ·ewReluAvx(SB), NOSPLIT, $0-16
+	MOVQ   dst+0(FP), DI
+	MOVQ   n+8(FP), CX
+	SHLQ   $3, CX
+	VXORPD Y2, Y2, Y2
+	XORQ   BX, BX
+
+ewreluloop:
+	CMPQ BX, CX
+	JGE  ewreludone
+	VMOVUPD (DI)(BX*1), Y0
+	VMAXPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     ewreluloop
+
+ewreludone:
+	VZEROUPPER
+	RET
+
+// func ewNormAvx(dst, gamma, beta *float64, mean, invStd float64, n int)
+//
+// dst[i] = (dst[i]-mean)*invStd*gamma[i] + beta[i] for i in [0, n),
+// n % 4 == 0 — VSUBPD, VMULPD, VMULPD, VADDPD in the scalar expression's
+// left-associated order, one rounding per step, no FMA contraction.
+TEXT ·ewNormAvx(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ gamma+8(FP), SI
+	MOVQ beta+16(FP), DX
+	VBROADCASTSD mean+24(FP), Y3
+	VBROADCASTSD invStd+32(FP), Y4
+	MOVQ n+40(FP), CX
+	SHLQ $3, CX
+	XORQ BX, BX
+
+ewnormloop:
+	CMPQ BX, CX
+	JGE  ewnormdone
+	VMOVUPD (DI)(BX*1), Y0
+	VSUBPD  Y3, Y0, Y0       // v - mean
+	VMULPD  Y4, Y0, Y0       // * invStd
+	VMOVUPD (SI)(BX*1), Y1
+	VMULPD  Y1, Y0, Y0       // * gamma[j]
+	VMOVUPD (DX)(BX*1), Y1
+	VADDPD  Y1, Y0, Y0       // + beta[j]
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     ewnormloop
+
+ewnormdone:
+	VZEROUPPER
+	RET
+
 // func gradARows2Avx(g0, g1, bt *float64, ldb, n, np24, np4 int, d0, d1 *float64)
 //
 // The dA = dOut·Bᵀ panel kernel for two rows: for r in {0, 1} and every p in
@@ -514,166 +675,5 @@ gb4store:
 	JMP     gb4loop
 
 gbdone:
-	VZEROUPPER
-	RET
-
-// func ewAddAvx(dst, a *float64, n int)
-//
-// dst[i] += a[i] for i in [0, n), n % 4 == 0. One VADDPD per four
-// elements with dst as the first operand — per element exactly the
-// scalar dst[i] += a[i], so vector width cannot change a bit.
-TEXT ·ewAddAvx(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHLQ $3, CX
-	XORQ BX, BX
-
-ewaddloop:
-	CMPQ BX, CX
-	JGE  ewadddone
-	VMOVUPD (DI)(BX*1), Y0
-	VMOVUPD (SI)(BX*1), Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*1)
-	ADDQ    $32, BX
-	JMP     ewaddloop
-
-ewadddone:
-	VZEROUPPER
-	RET
-
-// func ewAdd2Avx(dst, x, y *float64, n int)
-//
-// dst[i] = x[i] + y[i] for i in [0, n), n % 4 == 0; x first operand,
-// matching the scalar xr[j] + yr[j].
-TEXT ·ewAdd2Avx(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHLQ $3, CX
-	XORQ BX, BX
-
-ewadd2loop:
-	CMPQ BX, CX
-	JGE  ewadd2done
-	VMOVUPD (SI)(BX*1), Y0
-	VMOVUPD (DX)(BX*1), Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*1)
-	ADDQ    $32, BX
-	JMP     ewadd2loop
-
-ewadd2done:
-	VZEROUPPER
-	RET
-
-// func ewMulAddAvx(dst, a *float64, c float64, n int)
-//
-// dst[i] += a[i]*c for i in [0, n), n % 4 == 0. Deliberately VMULPD
-// then VADDPD — two roundings, exactly the scalar dst[i] += a[i]*c —
-// never a fused multiply-add, which would round once and change bits.
-TEXT ·ewMulAddAvx(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	VBROADCASTSD c+16(FP), Y2
-	MOVQ n+24(FP), CX
-	SHLQ $3, CX
-	XORQ BX, BX
-
-ewmuladdloop:
-	CMPQ BX, CX
-	JGE  ewmuladddone
-	VMOVUPD (SI)(BX*1), Y1
-	VMULPD  Y2, Y1, Y1
-	VMOVUPD (DI)(BX*1), Y0
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*1)
-	ADDQ    $32, BX
-	JMP     ewmuladdloop
-
-ewmuladddone:
-	VZEROUPPER
-	RET
-
-// func ewScaleAvx(dst *float64, c float64, n int)
-//
-// dst[i] *= c for i in [0, n), n % 4 == 0.
-TEXT ·ewScaleAvx(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	VBROADCASTSD c+8(FP), Y2
-	MOVQ n+16(FP), CX
-	SHLQ $3, CX
-	XORQ BX, BX
-
-ewscaleloop:
-	CMPQ BX, CX
-	JGE  ewscaledone
-	VMOVUPD (DI)(BX*1), Y0
-	VMULPD  Y2, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*1)
-	ADDQ    $32, BX
-	JMP     ewscaleloop
-
-ewscaledone:
-	VZEROUPPER
-	RET
-
-// func ewReluAvx(dst *float64, n int)
-//
-// dst[i] = max(dst[i], +0) for i in [0, n), n % 4 == 0, via VMAXPD with
-// +0 as the second operand (second wins on NaN and -0) — bit for bit the
-// scalar !(v > 0) → 0 clamp, as in dotRows24avx's epilogue.
-TEXT ·ewReluAvx(SB), NOSPLIT, $0-16
-	MOVQ   dst+0(FP), DI
-	MOVQ   n+8(FP), CX
-	SHLQ   $3, CX
-	VXORPD Y2, Y2, Y2
-	XORQ   BX, BX
-
-ewreluloop:
-	CMPQ BX, CX
-	JGE  ewreludone
-	VMOVUPD (DI)(BX*1), Y0
-	VMAXPD  Y2, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*1)
-	ADDQ    $32, BX
-	JMP     ewreluloop
-
-ewreludone:
-	VZEROUPPER
-	RET
-
-// func ewNormAvx(dst, gamma, beta *float64, mean, invStd float64, n int)
-//
-// dst[i] = (dst[i]-mean)*invStd*gamma[i] + beta[i] for i in [0, n),
-// n % 4 == 0 — VSUBPD, VMULPD, VMULPD, VADDPD in the scalar expression's
-// left-associated order, one rounding per step, no FMA contraction.
-TEXT ·ewNormAvx(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ gamma+8(FP), SI
-	MOVQ beta+16(FP), DX
-	VBROADCASTSD mean+24(FP), Y3
-	VBROADCASTSD invStd+32(FP), Y4
-	MOVQ n+40(FP), CX
-	SHLQ $3, CX
-	XORQ BX, BX
-
-ewnormloop:
-	CMPQ BX, CX
-	JGE  ewnormdone
-	VMOVUPD (DI)(BX*1), Y0
-	VSUBPD  Y3, Y0, Y0       // v - mean
-	VMULPD  Y4, Y0, Y0       // * invStd
-	VMOVUPD (SI)(BX*1), Y1
-	VMULPD  Y1, Y0, Y0       // * gamma[j]
-	VMOVUPD (DX)(BX*1), Y1
-	VADDPD  Y1, Y0, Y0       // + beta[j]
-	VMOVUPD Y0, (DI)(BX*1)
-	ADDQ    $32, BX
-	JMP     ewnormloop
-
-ewnormdone:
 	VZEROUPPER
 	RET
