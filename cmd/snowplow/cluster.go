@@ -39,7 +39,6 @@ type clusterFlags struct {
 	checkpoint      string
 	checkpointEvery int64
 	compress        int
-	legacyWire      bool
 	wanBandwidth    int64
 	wanLatency      time.Duration
 }
@@ -47,7 +46,7 @@ type clusterFlags struct {
 // runClusterWorker joins the coordinator at cf.addr and serves barrier
 // steps until the campaign ends. -wan-bandwidth/-wan-latency shape the
 // coordinator link with deterministic write stalls (the WAN stand-in used
-// by the wire experiment); -wire-v1 pins the legacy codec.
+// by the wire experiment).
 func runClusterWorker(cf clusterFlags, workers int, fused bool) error {
 	nn.SetWorkers(workers)
 	logger := log.New(os.Stderr, "worker: ", log.Ltime)
@@ -55,7 +54,6 @@ func runClusterWorker(cf clusterFlags, workers int, fused bool) error {
 	opts := cluster.WorkerOptions{
 		ServeWorkers: workers,
 		Fused:        fused,
-		LegacyWire:   cf.legacyWire,
 		Logf:         logger.Printf,
 	}
 	if cf.wanBandwidth > 0 || cf.wanLatency > 0 {

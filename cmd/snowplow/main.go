@@ -147,9 +147,7 @@ func main() {
 	flag.Int64Var(&cf.checkpointEvery, "checkpoint-every", 16,
 		"epoch barriers between checkpoints (with -coordinator and -checkpoint)")
 	flag.IntVar(&cf.compress, "compress", 0,
-		"coordinator: flate level (1-9) negotiated for cluster frame compression; 0 = uncompressed (v1 workers always get uncompressed frames)")
-	flag.BoolVar(&cf.legacyWire, "wire-v1", false,
-		"worker: speak only the legacy v1 wire codec (no sparse traces, no compression), as a pre-v2 build would")
+		"coordinator: flate level (1-9) for cluster frame compression; 0 = uncompressed")
 	flag.Int64Var(&cf.wanBandwidth, "wan-bandwidth", 0,
 		"worker: shape the coordinator link to this many bytes/sec (deterministic write stalls; 0 = unshaped)")
 	flag.DurationVar(&cf.wanLatency, "wan-latency", 0,

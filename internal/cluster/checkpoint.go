@@ -4,7 +4,7 @@
 // barrier depends on — spec, corpus in publish order, canonical VM states,
 // journal ring, sampling cursor — so a resumed campaign, resharded onto any
 // worker count, continues bit-identically from epoch E+1. The format reuses
-// the v2 wire codec and inherits its decode hardening (FuzzCheckpointDecode
+// the wire codec and inherits its decode hardening (FuzzCheckpointDecode
 // exercises it on corrupt input): the body after the magic and version is
 // flate-compressed at blobFlateLevel (with the declared size bomb-guarded
 // before inflating), carries the corpus cover in the sparse bitmap encoding,
@@ -196,7 +196,7 @@ func (c *Checkpoint) Encode() []byte {
 	if err != nil {
 		panic(fmt.Sprintf("cluster: encoding checkpoint: %v", err))
 	}
-	body := enc{v2: true}
+	var body enc
 	c.appendBody(&body, states)
 	return sealCheckpoint(body.b)
 }
@@ -232,7 +232,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	c := &Checkpoint{}
-	d := dec{b: bodyBytes, v2: true}
+	d := dec{b: bodyBytes}
 	c.decodeBody(&d)
 	if err := d.finish(); err != nil {
 		return nil, err

@@ -1,10 +1,11 @@
-// Worker churn in Snowplow mode, and version skew at Assign. The partition
+// Worker churn in Snowplow mode, and version skew at Hello. The partition
 // tests in fault_test.go run Syzkaller campaigns, where a VM carries no
 // prediction window; these cover the state only a Snowplow VM has.
 
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -47,59 +48,47 @@ func TestClusterSurvivesSeveredWorkerSnowplow(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsSeedPassAssign plays a coordinator built before the
-// reconciler owned the seed pass: it assigns with SeedPass set and waits
-// for a seed delta. The worker must answer with a named error at once
-// rather than leave both ends to their I/O timeouts.
-func TestWorkerRejectsSeedPassAssign(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	reply := make(chan string, 1)
-	go func() {
-		conn, err := ln.Accept()
+// TestCoordinatorRefusesProtocol2 plays a worker built for protocol 2
+// against a real coordinator, once with each Hello form that protocol
+// sent: the 8-byte one and the 24-byte one advertising wire 2 and flate
+// level 9. The coordinator must fail with ErrBadVersion and tell the peer
+// why, naming both versions, rather than misread the Hello or leave the
+// worker to its I/O timeout.
+func TestCoordinatorRefusesProtocol2(t *testing.T) {
+	spec := SpecFromConfig(baseConfig(51, 10_000, 1), nil)
+	for _, hello := range [][]byte{words(2), words(2, 2, 9)} {
+		co, err := NewCoordinator(Config{Spec: spec, Workers: 1, IOTimeout: 30 * time.Second})
 		if err != nil {
-			reply <- err.Error()
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
+		runErr := make(chan error, 1)
+		go func() {
+			_, err := co.Run()
+			runErr <- err
+		}()
+		conn, err := net.Dial("tcp", co.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
 		conn.SetDeadline(time.Now().Add(30 * time.Second))
-		// The zero framer is the v1 wire a legacy worker speaks.
 		var fr framer
-		if _, _, _, err := fr.readFrame(conn); err != nil { // hello
-			reply <- err.Error()
-			return
-		}
-		cfg := baseConfig(51, 10_000, 1)
-		assign := Assign{
-			Spec:     SpecFromConfig(cfg, nil),
-			VMs:      []int{0},
-			States:   []fuzzer.VMState{fuzzer.InitialVMState(cfg, 0)},
-			SeedPass: true,
-		}
-		if _, err := fr.writeFrame(conn, frameAssign, WireV1.AppendAssign(nil, assign)); err != nil {
-			reply <- err.Error()
-			return
+		if _, err := fr.writeFrame(conn, frameHello, hello); err != nil {
+			t.Fatal(err)
 		}
 		typ, payload, _, err := fr.readFrame(conn)
+		conn.Close()
 		if err != nil {
-			reply <- err.Error()
-			return
+			t.Fatalf("%d-byte hello: reading the reply: %v", len(hello), err)
 		}
 		if typ != frameErr {
-			reply <- "worker acked a seed-pass assignment"
-			return
+			t.Fatalf("%d-byte hello: coordinator replied with frame 0x%02x, want an error", len(hello), typ)
 		}
-		em, _ := DecodeErr(payload)
-		reply <- em.Msg
-	}()
-	werr := RunWorker(ln.Addr().String(), WorkerOptions{LegacyWire: true, IOTimeout: 30 * time.Second})
-	if werr == nil || !strings.Contains(werr.Error(), "seed pass") {
-		t.Fatalf("worker error %v, want a seed-pass rejection", werr)
-	}
-	if msg := <-reply; !strings.Contains(msg, "seed pass") {
-		t.Fatalf("coordinator read %q, want the worker's seed-pass rejection", msg)
+		em, err := DecodeErr(payload)
+		if err != nil || !strings.Contains(em.Msg, "protocol version 2, want 3") {
+			t.Fatalf("%d-byte hello: peer read %q (%v), want a reason naming versions 2 and 3", len(hello), em.Msg, err)
+		}
+		if err := <-runErr; !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("%d-byte hello: Run returned %v, want ErrBadVersion", len(hello), err)
+		}
 	}
 }

@@ -53,11 +53,10 @@ type Config struct {
 	// worker connections (default 60s). A worker that misses it is treated
 	// as lost.
 	IOTimeout time.Duration
-	// Compress is the per-frame flate level (1-9) the coordinator offers
-	// when negotiating with v2 workers; 0 disables frame compression. The
-	// effective level per connection is min(Compress, the worker's
-	// advertised maximum). Wire-level only: merged state, digests and
-	// checkpoints are bit-identical at every level.
+	// Compress is the per-frame flate level (1-9) the coordinator sends
+	// every worker in its WireMsg; 0 disables frame compression, and
+	// anything outside 0-9 is refused. Wire-level only: merged state,
+	// digests and checkpoints are bit-identical at every level.
 	Compress int
 	// TrainWorkers / CollectWorkers bound the online-learning retrain's
 	// data-parallel training and harvest pools (0 = library defaults).
@@ -94,8 +93,8 @@ type WireStats struct {
 	RxRawBytes  int64 // received payload+header bytes after inflation
 	RxWireBytes int64 // received bytes on the wire
 	Epochs      int64 // merged epochs the traffic spans
-	// CompressedWorkers counts connections that negotiated a non-zero
-	// flate level.
+	// CompressedWorkers counts connections that ran at a non-zero flate
+	// level.
 	CompressedWorkers int
 }
 
@@ -118,7 +117,7 @@ type Coordinator struct {
 
 	workers []*workerConn // admitted connections, by worker index
 	resumed bool
-	// refs numbers corp in publish order for the v2 reference form of
+	// refs numbers corp in publish order for the reference form of
 	// prediction windows (refs.go), extended at every barrier.
 	refs refIndex
 }
@@ -235,6 +234,9 @@ func newCoordinator(cfg Config) (*Coordinator, fuzzer.Config, error) {
 	if cfg.Workers <= 0 {
 		return nil, none, fmt.Errorf("cluster: need at least one worker")
 	}
+	if cfg.Compress < 0 || cfg.Compress > maxFlateLevel {
+		return nil, none, fmt.Errorf("cluster: compression level %d outside the flate range 0-%d", cfg.Compress, maxFlateLevel)
+	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
@@ -309,8 +311,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // workerConn is one admitted worker connection. Its framer holds the
-// negotiated wire version and flate level plus the pooled frame buffers;
-// wire names the codec for message payloads on this connection.
+// connection's flate level and the pooled frame buffers.
 type workerConn struct {
 	idx     int
 	conn    net.Conn
@@ -319,7 +320,6 @@ type workerConn struct {
 	timeout time.Duration
 	m       *clusterMetrics
 	fr      framer
-	wire    Wire
 }
 
 func (wc *workerConn) send(typ byte, payload []byte) error {
@@ -372,7 +372,7 @@ func (wc *workerConn) recvDelta(epoch int64) (DeltaMsg, error) {
 	}
 	switch typ {
 	case frameDelta:
-		m, err := wc.wire.DecodeDelta(payload)
+		m, err := DecodeDelta(payload)
 		if err != nil {
 			return DeltaMsg{}, err
 		}
@@ -388,14 +388,13 @@ func (wc *workerConn) recvDelta(epoch int64) (DeltaMsg, error) {
 	}
 }
 
-// restoreCrashes re-prepends the crash-table prefix a v2 worker elided
-// from each delta: CrashBase leading entries, which the canonical state of
-// the previous barrier holds (the table is append-only, so that state's
-// table is an exact prefix of the worker's). The claimed base is validated
+// restoreCrashes re-prepends the crash-table prefix a worker elided from
+// each delta: CrashBase leading entries, which the canonical state of the
+// previous barrier holds (the table is append-only, so that state's table
+// is an exact prefix of the worker's). The claimed base is validated
 // against the stored table, so a confused or hostile worker cannot make the
 // coordinator fabricate entries. After this call every delta carries its
-// full crash table and CrashBase is zero, exactly as if the connection
-// spoke v1.
+// full crash table and CrashBase is zero.
 func restoreCrashes(states []fuzzer.VMState, m *DeltaMsg) error {
 	for i := range m.Deltas {
 		d := &m.Deltas[i]
@@ -493,7 +492,7 @@ func (c *Coordinator) admit() error {
 		if err != nil {
 			return fmt.Errorf("cluster: waiting for worker %d/%d: %w", i, c.cfg.Workers, err)
 		}
-		workers[i] = &workerConn{idx: i, conn: conn, alive: true, timeout: c.cfg.IOTimeout, m: c.m, wire: WireV1}
+		workers[i] = &workerConn{idx: i, conn: conn, alive: true, timeout: c.cfg.IOTimeout, m: c.m}
 	}
 	c.workers = workers
 	var snapshot []fuzzer.Accepted
@@ -511,42 +510,20 @@ func (c *Coordinator) admit() error {
 		if typ != frameHello {
 			return fmt.Errorf("%w: worker %d sent frame 0x%02x, want hello", ErrBadMessage, i, typ)
 		}
-		h, err := DecodeHello(payload)
-		if err != nil {
-			return err
+		if _, err := DecodeHello(payload); err != nil {
+			wc.send(frameErr, EncodeErr(ErrMsg{Msg: err.Error()}))
+			return fmt.Errorf("cluster: worker %d hello: %w", i, err)
 		}
-		if h.Proto != protoVersion {
-			wc.send(frameErr, EncodeErr(ErrMsg{Msg: fmt.Sprintf("protocol version %d, want %d", h.Proto, protoVersion)}))
-			return fmt.Errorf("%w: worker %d speaks protocol %d, want %d", ErrBadVersion, i, h.Proto, protoVersion)
+		// Every frame after the WireMsg runs at the campaign's flate level.
+		if err := wc.send(frameWire, EncodeWireMsg(WireMsg{Level: uint32(c.cfg.Compress)})); err != nil {
+			return fmt.Errorf("cluster: configuring worker %d: %w", i, err)
 		}
-		// Negotiate the wire settings: the newest codec both ends speak, at
-		// the flate level min(Config.Compress, worker's advertised max). A
-		// legacy (8-byte) Hello skips the exchange and stays on v1
-		// uncompressed — the pre-negotiation framing — so old workers slot
-		// into a compressed fleet unchanged.
-		if h.Wire >= 2 {
-			wire := wireMax
-			if Wire(h.Wire) < wire {
-				wire = Wire(h.Wire)
-			}
-			level := min(c.cfg.Compress, int(h.MaxLevel))
-			if level < 0 {
-				level = 0
-			}
-			wm := WireMsg{Wire: uint32(wire), Level: uint32(level)}
-			if err := wc.send(frameWire, EncodeWireMsg(wm)); err != nil {
-				return fmt.Errorf("cluster: negotiating with worker %d: %w", i, err)
-			}
-			wc.wire = wire
-			wc.fr.wire = wire
-			wc.fr.level = level
-			c.logf("worker %d: wire v%d, flate level %d", i, wire, level)
-		}
+		wc.fr.level = c.cfg.Compress
 		lo, hi := i*nvm/nw, (i+1)*nvm/nw
 		for vm := lo; vm < hi; vm++ {
 			wc.vms = append(wc.vms, vm)
 		}
-		states, err := c.wireStates(wc.wire, c.rec.States[lo:hi])
+		states, err := c.refs.sync(c.corp).refStates(c.rec.States[lo:hi])
 		if err != nil {
 			return err
 		}
@@ -557,7 +534,7 @@ func (c *Coordinator) admit() error {
 			States:     states,
 			StartEpoch: c.rec.Epoch,
 		}
-		if err := wc.send(frameAssign, wc.wire.AppendAssign(nil, a)); err != nil {
+		if err := wc.send(frameAssign, AppendAssign(nil, a)); err != nil {
 			return fmt.Errorf("cluster: assigning worker %d: %w", i, err)
 		}
 	}
@@ -588,10 +565,8 @@ func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active [
 		if err := restoreCrashes(c.rec.States, &m); err != nil {
 			return err
 		}
-		if wc.wire.v2() {
-			if err := c.refs.resolveDeltas(m.Deltas); err != nil {
-				return err
-			}
+		if err := c.refs.resolveDeltas(m.Deltas); err != nil {
+			return err
 		}
 		c.m.deltas.Inc()
 		for _, d := range m.Deltas {
@@ -609,8 +584,7 @@ func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active [
 		}
 		return nil
 	}
-	em := EpochMsg{Epoch: epoch, Accepted: accepted}
-	for _, wc := range c.broadcast(frameEpoch, func(w Wire) []byte { return w.AppendEpoch(nil, em) }) {
+	for _, wc := range c.broadcast(frameEpoch, AppendEpoch(nil, EpochMsg{Epoch: epoch, Accepted: accepted})) {
 		if err := collect(wc); err != nil {
 			return nil, err
 		}
@@ -641,11 +615,11 @@ func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active [
 		}
 		c.logf("epoch %d: reassigning VMs %v to worker %d", epoch, missing, target.idx)
 		c.m.reassignments.Inc()
-		states, err := c.wireStates(target.wire, states)
+		states, err := c.refs.refStates(states)
 		if err != nil {
 			return nil, err
 		}
-		if err := target.send(frameRestore, target.wire.AppendRestore(nil, RestoreMsg{Epoch: epoch, States: states})); err != nil {
+		if err := target.send(frameRestore, AppendRestore(nil, RestoreMsg{Epoch: epoch, States: states})); err != nil {
 			c.loseWorker(target, err)
 			continue
 		}
@@ -656,31 +630,15 @@ func (c *Coordinator) RunEpoch(epoch int64, accepted []fuzzer.Accepted, active [
 	}
 }
 
-// wireStates returns canonical states in the form wire w carries them: on
-// v2, prediction windows name their bases by index into the coordinator's
-// corpus, which is the receiver's replica once the message is applied.
-func (c *Coordinator) wireStates(w Wire, states []fuzzer.VMState) ([]fuzzer.VMState, error) {
-	if !w.v2() {
-		return states, nil
-	}
-	return c.refs.sync(c.corp).refStates(states)
-}
-
 // broadcast sends one message to every live worker and returns the workers
-// it reached; a failed send loses the worker. The payload is encoded lazily
-// once per wire version present in the fleet, so a mixed-version fleet pays
-// one encode per codec, not per worker.
-func (c *Coordinator) broadcast(frame byte, encode func(Wire) []byte) []*workerConn {
-	var perWire [wireMax + 1][]byte
+// it reached; a failed send loses the worker.
+func (c *Coordinator) broadcast(frame byte, payload []byte) []*workerConn {
 	var sent []*workerConn
 	for _, wc := range c.workers {
 		if !wc.alive {
 			continue
 		}
-		if perWire[wc.wire] == nil {
-			perWire[wc.wire] = encode(wc.wire)
-		}
-		if err := wc.send(frame, perWire[wc.wire]); err != nil {
+		if err := wc.send(frame, payload); err != nil {
 			c.loseWorker(wc, err)
 			continue
 		}
@@ -710,7 +668,7 @@ func (c *Coordinator) firstAlive() *workerConn {
 // model.
 func (c *Coordinator) PushModel(sw *online.Swap) error {
 	phase := func(frame byte, m ModelMsg) {
-		for _, wc := range c.broadcast(frame, func(w Wire) []byte { return w.AppendModelMsg(nil, m) }) {
+		for _, wc := range c.broadcast(frame, AppendModelMsg(nil, m)) {
 			if err := wc.recvAck(); err != nil {
 				c.loseWorker(wc, err)
 			}
@@ -798,7 +756,7 @@ func (c *Coordinator) writeCheckpoint() error {
 func (c *Coordinator) FinalDrain() ([]fuzzer.VMState, error) {
 	finals := make([]fuzzer.VMState, len(c.rec.States))
 	got := make([]bool, len(finals))
-	for _, wc := range c.broadcast(frameDone, func(Wire) []byte { return nil }) {
+	for _, wc := range c.broadcast(frameDone, nil) {
 		typ, payload, err := wc.recv()
 		if err != nil {
 			c.loseWorker(wc, err)
@@ -807,7 +765,7 @@ func (c *Coordinator) FinalDrain() ([]fuzzer.VMState, error) {
 		if typ != frameFinal {
 			return nil, fmt.Errorf("%w: worker %d sent frame 0x%02x, want final", ErrBadMessage, wc.idx, typ)
 		}
-		m, err := wc.wire.DecodeFinal(payload)
+		m, err := DecodeFinal(payload)
 		if err != nil {
 			return nil, err
 		}

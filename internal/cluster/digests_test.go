@@ -191,7 +191,7 @@ func TestCampaignDigests(t *testing.T) {
 				column := "compress6/" + labelWorkers(workers)
 				check(column, got)
 				if got.Wire.CompressedWorkers != workers {
-					t.Errorf("%s: %d workers negotiated compression", column, got.Wire.CompressedWorkers)
+					t.Errorf("%s: %d workers compressed", column, got.Wire.CompressedWorkers)
 				}
 				if got.Wire.TxWireBytes >= got.Wire.TxRawBytes {
 					t.Errorf("%s: compression never won on tx: %d wire vs %d raw",

@@ -1,6 +1,6 @@
 // Per-connection framing with an optional flate entropy stage. Every
 // message is one [4-byte big-endian length | type | payload] frame, and a
-// negotiated flate level lets the framer replace the payload with a
+// non-zero flate level (the coordinator's WireMsg) lets the framer replace the payload with a
 // compressed form (type byte ORed with frameCompressed, payload = uvarint
 // declared raw length + one flushed chunk of the connection's deflate
 // stream).
@@ -50,7 +50,7 @@ const compressMinBytes = 64
 
 // blobFlateLevel is the fixed flate level for message-embedded blobs
 // (ModelMsg model bytes, checkpoint bodies). It is a constant — not the
-// negotiated frame level — so those encodings stay canonical: decode
+// connection's frame level — so those encodings stay canonical: decode
 // re-compresses at this level and requires an exact byte match. It is the
 // default level (6), not BestCompression: on a cluster_snow checkpoint level
 // 9 took twice as long for output 0.5 % smaller, and every worker waits at
@@ -96,16 +96,14 @@ func inflateExact(comp []byte, rawLen int) ([]byte, error) {
 	return out, nil
 }
 
-// framer carries one connection's negotiated wire settings, its two
-// deflate stream states and pooled buffers, and keeps raw-vs-wire byte
-// accounting for the compression metrics. The zero value speaks wire v1
-// uncompressed — exactly the pre-negotiation framing — so both ends start
-// from it and upgrade after the Hello/WireMsg exchange. Not safe for
-// concurrent use; the cluster protocol is strictly lock-step per
-// connection.
+// framer carries one connection's flate level, its two deflate stream
+// states and pooled buffers, and keeps raw-vs-wire byte accounting for the
+// compression metrics. The zero value is uncompressed — the handshake
+// framing — so both ends start from it and set the level after the
+// Hello/WireMsg exchange. Not safe for concurrent use; the cluster protocol
+// is strictly lock-step per connection.
 type framer struct {
-	wire  Wire // negotiated codec version for message payloads
-	level int  // negotiated flate level; 0 = no compression on send
+	level int // flate level from the WireMsg; 0 = no compression on send
 
 	fw   *flate.Writer // outbound stream compressor, lives for the connection
 	sink byteSink      // compressor target, backing array reused
@@ -119,16 +117,9 @@ type framer struct {
 	rxRaw, rxWire int64 // payload bytes after/before inflation, received
 }
 
-func (f *framer) msgWire() Wire {
-	if f.wire == 0 {
-		return WireV1
-	}
-	return f.wire
-}
-
 // writeFrame frames and sends one message payload in a single Write,
-// routing it through the connection's deflate stream when a level was
-// negotiated and the payload clears the size floor. It returns the
+// routing it through the connection's deflate stream when a level is set
+// and the payload clears the size floor. It returns the
 // on-the-wire byte count (header included). The route is decided by
 // payload length alone — never by whether compression won — because the
 // receiver's decompressor window must see exactly the chunks the sender's

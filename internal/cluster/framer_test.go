@@ -1,5 +1,5 @@
-// Frame-compression and v2-codec tests: golden bytes for the sparse varint
-// encoding and the negotiation messages, structural checks on compressed
+// Frame-compression and codec tests: golden bytes for the sparse varint
+// encoding and the handshake messages, structural checks on compressed
 // frames (the flate bytes themselves vary across Go releases, so goldens
 // stop at the layout), and regressions for every decompression-bomb guard.
 
@@ -18,12 +18,13 @@ import (
 	"github.com/repro/snowplow/internal/prog"
 )
 
-// TestWireV2EncodingStable pins exact bytes for the v2 form of the same
-// message TestWireEncodingStable pins for v1 — scalars and list headers keep
-// the fixed-width layout, only trace block lists switch to varint deltas —
-// and for a delta whose prediction window names its bases by reference.
-func TestWireV2EncodingStable(t *testing.T) {
-	got := WireV2.AppendEpoch(nil, EpochMsg{Epoch: 1, Accepted: []fuzzer.Accepted{{VM: 1, Text: "ab", Traces: [][]kernel.BlockID{{2, 3, 7}}}}})
+// TestWireEncodingStable pins exact bytes for a small epoch message —
+// scalars and list headers are fixed-width, trace block lists are varint
+// deltas. The codec is a persistence format (checkpoints reuse it), so
+// accidental layout changes must fail a test, not silently orphan old
+// checkpoints.
+func TestWireEncodingStable(t *testing.T) {
+	got := AppendEpoch(nil, EpochMsg{Epoch: 1, Accepted: []fuzzer.Accepted{{VM: 1, Text: "ab", Traces: [][]kernel.BlockID{{2, 3, 7}}}}})
 	want := []byte{
 		1, 0, 0, 0, 0, 0, 0, 0, // epoch
 		1, 0, 0, 0, 0, 0, 0, 0, // accepted count
@@ -36,17 +37,21 @@ func TestWireV2EncodingStable(t *testing.T) {
 		4, 2, 8, // zigzag deltas: +2, +1, +4
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("v2 wire layout changed:\ngot  %v\nwant %v", got, want)
+		t.Fatalf("wire layout changed:\ngot  %v\nwant %v", got, want)
 	}
-	back, err := WireV2.DecodeEpoch(got)
+	back, err := DecodeEpoch(got)
 	if err != nil || len(back.Accepted) != 1 || len(back.Accepted[0].Traces[0]) != 3 {
-		t.Fatalf("v2 golden did not decode: %+v, %v", back, err)
+		t.Fatalf("golden did not decode: %+v, %v", back, err)
 	}
+}
 
-	// A delta whose prediction window holds one reference of each kind, as
-	// the worker's send site converts it: a corpus entry by publish-order
-	// index, the delta's own local by 1 + its index in Locals, and a local
-	// that lost an earlier merge as the dead reference 0.
+// TestDeltaEncodingStable pins exact bytes for a delta whose prediction
+// window holds one reference of each kind, as the worker's send site
+// converts it: a corpus entry by publish-order index, the delta's own local
+// by 1 + its index in Locals, and a local that lost an earlier merge as the
+// dead reference 0. Resolving the decoded window restores every text but
+// the dead one.
+func TestDeltaEncodingStable(t *testing.T) {
 	preds := []fuzzer.PredState{
 		{Text: "cd", Pending: true, Targets: []kernel.BlockID{5}},
 		{Text: "ab", Local: true, Slots: []prog.GlobalSlot{{Call: 1, Slot: 2}}},
@@ -65,9 +70,9 @@ func TestWireV2EncodingStable(t *testing.T) {
 	if err := corp.refDeltas(deltas); err != nil {
 		t.Fatal(err)
 	}
-	got = WireV2.AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: deltas})
+	got := AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: deltas})
 	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
-	want = bytes.Join([][]byte{
+	want := bytes.Join([][]byte{
 		le(1), le(1), // epoch, delta count
 		le(2), le(0), // VM, crash base
 		le(1), le(2), []byte("ab"), {1, 1, 4, 0}, // one local: text, traces {{+2}}, seeded=false
@@ -79,9 +84,9 @@ func TestWireV2EncodingStable(t *testing.T) {
 		{1, 0, 1, 1, 2}, le(0), // dead ref, pending, targets {+1}
 	}, nil)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("v2 delta layout changed:\ngot  %v\nwant %v", got, want)
+		t.Fatalf("delta layout changed:\ngot  %v\nwant %v", got, want)
 	}
-	m, err := WireV2.DecodeDelta(got)
+	m, err := DecodeDelta(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,24 +99,15 @@ func TestWireV2EncodingStable(t *testing.T) {
 	}
 }
 
-// TestDeltaCrashBase pins the v2 crash-table elision field: it round-trips
-// at v2, stays off the v1 wire entirely (a v1 encode is identical with or
-// without it), and implausible decoded values are rejected.
+// TestDeltaCrashBase pins the crash-table elision field: it round-trips,
+// and implausible decoded values are rejected.
 func TestDeltaCrashBase(t *testing.T) {
 	d := fixtureDelta()
 	d.CrashBase = 3
 	msg := DeltaMsg{Epoch: 4, Deltas: []fuzzer.VMDelta{d}}
-	got, err := WireV2.DecodeDelta(WireV2.AppendDelta(nil, msg))
+	got, err := DecodeDelta(AppendDelta(nil, msg))
 	if err != nil || got.Deltas[0].CrashBase != 3 {
-		t.Fatalf("v2 crash base round trip: %+v, %v", got, err)
-	}
-
-	plain := d
-	plain.CrashBase = 0
-	v1With := WireV1.AppendDelta(nil, msg)
-	v1Without := WireV1.AppendDelta(nil, DeltaMsg{Epoch: 4, Deltas: []fuzzer.VMDelta{plain}})
-	if !bytes.Equal(v1With, v1Without) {
-		t.Fatal("crash base leaked into the v1 encoding")
+		t.Fatalf("crash base round trip: %+v, %v", got, err)
 	}
 
 	var bad enc
@@ -119,7 +115,7 @@ func TestDeltaCrashBase(t *testing.T) {
 	bad.int(1)       // delta count
 	bad.int(2)       // VM
 	bad.u64(1 << 40) // crash base: implausible
-	if _, err := WireV2.DecodeDelta(bad.b); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeDelta(bad.b); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("implausible crash base: %v", err)
 	}
 }
@@ -160,42 +156,27 @@ func TestRestoreCrashes(t *testing.T) {
 	}
 }
 
-// TestHelloEncodingStable pins both Hello forms and the WireMsg reply: the
-// negotiation handshake is the one part of the protocol two releases must
-// always agree on byte-for-byte.
+// TestHelloEncodingStable pins the handshake: Hello and the WireMsg reply
+// are one 8-byte word each, the one part of the protocol two releases must
+// always agree on byte-for-byte. Both Hello forms protocol 2 sent — the
+// 8-byte one and the 24-byte one advertising wire 2 and flate level 9 —
+// are refused by version, not misread.
 func TestHelloEncodingStable(t *testing.T) {
-	legacy := EncodeHello(Hello{Proto: 2})
-	if want := []byte{2, 0, 0, 0, 0, 0, 0, 0}; !bytes.Equal(legacy, want) {
-		t.Fatalf("legacy hello: got %v want %v", legacy, want)
+	if got, want := EncodeHello(Hello{Proto: 3}), words(3); !bytes.Equal(got, want) {
+		t.Fatalf("hello: got %v want %v", got, want)
 	}
-	ext := EncodeHello(Hello{Proto: 2, Wire: 2, MaxLevel: 9})
-	if want := []byte{
-		2, 0, 0, 0, 0, 0, 0, 0,
-		2, 0, 0, 0, 0, 0, 0, 0,
-		9, 0, 0, 0, 0, 0, 0, 0,
-	}; !bytes.Equal(ext, want) {
-		t.Fatalf("extended hello: got %v want %v", ext, want)
+	if got, want := EncodeWireMsg(WireMsg{Level: 6}), words(6); !bytes.Equal(got, want) {
+		t.Fatalf("wire msg: got %v want %v", got, want)
 	}
-	wm := EncodeWireMsg(WireMsg{Wire: 2, Level: 6})
-	if want := []byte{
-		2, 0, 0, 0, 0, 0, 0, 0,
-		6, 0, 0, 0, 0, 0, 0, 0,
-	}; !bytes.Equal(wm, want) {
-		t.Fatalf("wire msg: got %v want %v", wm, want)
+	for _, old := range [][]byte{words(2), words(2, 2, 9)} {
+		if _, err := DecodeHello(old); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("protocol 2 hello %v: %v", old, err)
+		}
 	}
-	// An extended hello claiming wire v1 would re-encode to the legacy form;
-	// exactly one encoding per message, so it is rejected.
-	if _, err := DecodeHello([]byte{
-		2, 0, 0, 0, 0, 0, 0, 0,
-		1, 0, 0, 0, 0, 0, 0, 0,
-		0, 0, 0, 0, 0, 0, 0, 0,
-	}); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("extended hello with wire v1: %v", err)
+	if _, err := DecodeHello(words(3, 2, 9)); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("hello with trailing words: %v", err)
 	}
-	if _, err := DecodeWireMsg(EncodeWireMsg(WireMsg{Wire: uint32(wireMax) + 1, Level: 0})); !errors.Is(err, ErrBadVersion) {
-		t.Fatal("future wire version accepted")
-	}
-	if _, err := DecodeWireMsg(EncodeWireMsg(WireMsg{Wire: 2, Level: maxFlateLevel + 1})); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeWireMsg(words(maxFlateLevel + 1)); !errors.Is(err, ErrBadMessage) {
 		t.Fatal("out-of-range flate level accepted")
 	}
 }
@@ -353,34 +334,34 @@ func TestFramerStreamingWindow(t *testing.T) {
 	}
 }
 
-// TestModelMsgV2Guards covers the v2 ModelMsg decode hardening: declared
+// TestModelMsgV2Guards covers the ModelMsg decode hardening: declared
 // size over the cap, truncated compressed bytes, and a valid-but-
 // non-canonical flate stream (stored blocks instead of blobFlateLevel).
 func TestModelMsgV2Guards(t *testing.T) {
 	model := bytes.Repeat([]byte{1, 2, 3, 4}, 256)
-	good := WireV2.AppendModelMsg(nil, ModelMsg{Version: 1, Model: model})
-	if m, err := WireV2.DecodeModelMsg(good); err != nil || !bytes.Equal(m.Model, model) {
-		t.Fatalf("v2 model round trip: %v", err)
+	good := AppendModelMsg(nil, ModelMsg{Version: 1, Model: model})
+	if m, err := DecodeModelMsg(good); err != nil || !bytes.Equal(m.Model, model) {
+		t.Fatalf("model round trip: %v", err)
 	}
 
-	huge := enc{v2: true}
+	var huge enc
 	huge.i64(1)
 	huge.uv(maxWireList + 1)
-	if _, err := WireV2.DecodeModelMsg(huge.b); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeModelMsg(huge.b); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("model bomb: %v", err)
 	}
 
-	if _, err := WireV2.DecodeModelMsg(good[:len(good)-4]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeModelMsg(good[:len(good)-4]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated model: %v", err)
 	}
 
-	stored := enc{v2: true}
+	var stored enc
 	stored.i64(1)
 	stored.uv(uint64(len(model)))
 	comp := appendFlate(nil, model, flate.NoCompression)
 	stored.uv(uint64(len(comp)))
 	stored.b = append(stored.b, comp...)
-	if _, err := WireV2.DecodeModelMsg(stored.b); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeModelMsg(stored.b); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("non-canonical model compression: %v", err)
 	}
 }

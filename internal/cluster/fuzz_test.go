@@ -2,10 +2,9 @@
 // decode bytes that cross trust boundaries (network frames, files that
 // survived arbitrary crashes), so malformed input must produce a typed
 // error — never a panic, out-of-memory allocation or silent acceptance of
-// a non-canonical encoding. Both wire versions are driven: a selector byte
-// picks v1 or v2, and the frame layer gets its own case exercising the
-// flate stage (compress∘decompress identity on the send path, bomb-guarded
-// rejection of arbitrary bytes on the receive path).
+// a non-canonical encoding. The frame layer gets its own case exercising
+// the flate stage (compress∘decompress identity on the send path,
+// bomb-guarded rejection of arbitrary bytes on the receive path).
 
 package cluster
 
@@ -19,77 +18,77 @@ import (
 )
 
 // FuzzClusterCodec drives every message decoder over arbitrary bytes. The
-// first seed byte selects the message kind, the second the wire version;
-// accepted messages must re-encode byte-identically (the codec admits
-// exactly one encoding per message, per version).
+// first seed byte selects the message kind; accepted messages must
+// re-encode byte-identically (the codec admits exactly one encoding per
+// message).
 func FuzzClusterCodec(f *testing.F) {
-	for _, w := range []byte{1, 2} {
-		wire := WireV1
-		if w == 2 {
-			wire = WireV2
-		}
-		f.Add(byte(1), w, wire.AppendAssign(nil, Assign{Spec: fixtureSpec(), VMs: []int{0, 1}, States: []fuzzer.VMState{fixtureVMState()}}))
-		f.Add(byte(2), w, wire.AppendEpoch(nil, EpochMsg{Epoch: 3, Accepted: []fuzzer.Accepted{{VM: 1, Text: "p", Traces: [][]kernel.BlockID{{1}}}}}))
-		f.Add(byte(3), w, wire.AppendDelta(nil, DeltaMsg{Epoch: 3, Deltas: []fuzzer.VMDelta{fixtureDelta()}}))
-		f.Add(byte(4), w, wire.AppendRestore(nil, RestoreMsg{Epoch: 4, States: []fuzzer.VMState{fixtureVMState()}}))
-		f.Add(byte(5), w, wire.AppendFinal(nil, FinalMsg{States: []fuzzer.VMState{fixtureVMState()}}))
-		f.Add(byte(7), w, wire.AppendModelMsg(nil, ModelMsg{Version: 2, Model: bytes.Repeat([]byte{9, 8}, 300)}))
-	}
-	f.Add(byte(0), byte(1), EncodeHello(Hello{Proto: protoVersion}))
-	f.Add(byte(0), byte(2), EncodeHello(Hello{Proto: protoVersion, Wire: 2, MaxLevel: 9}))
-	f.Add(byte(6), byte(1), EncodeErr(ErrMsg{Msg: "x"}))
-	f.Add(byte(8), byte(2), EncodeWireMsg(WireMsg{Wire: 2, Level: 6}))
-	f.Add(byte(3), byte(2), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add(byte(1), byte(2), bytes.Repeat([]byte{0x01}, 64))
-	f.Add(byte(9), byte(2), bytes.Repeat([]byte("frame payload"), 64))
+	f.Add(byte(1), AppendAssign(nil, Assign{Spec: fixtureSpec(), VMs: []int{0, 1}, States: []fuzzer.VMState{fixtureWireState()}}))
+	f.Add(byte(2), AppendEpoch(nil, EpochMsg{Epoch: 3, Accepted: []fuzzer.Accepted{{VM: 1, Text: "p", Traces: [][]kernel.BlockID{{1}}}}}))
+	f.Add(byte(3), AppendDelta(nil, DeltaMsg{Epoch: 3, Deltas: []fuzzer.VMDelta{fixtureDelta()}}))
+	f.Add(byte(4), AppendRestore(nil, RestoreMsg{Epoch: 4, States: []fuzzer.VMState{fixtureWireState()}}))
+	f.Add(byte(5), AppendFinal(nil, FinalMsg{States: []fuzzer.VMState{fixtureWireState()}}))
+	f.Add(byte(7), AppendModelMsg(nil, ModelMsg{Version: 2, Model: bytes.Repeat([]byte{9, 8}, 300)}))
+	// Empty messages and the model commit phase, which carries no model.
+	f.Add(byte(1), AppendAssign(nil, Assign{}))
+	f.Add(byte(2), AppendEpoch(nil, EpochMsg{}))
+	f.Add(byte(3), AppendDelta(nil, DeltaMsg{}))
+	f.Add(byte(4), AppendRestore(nil, RestoreMsg{}))
+	f.Add(byte(5), AppendFinal(nil, FinalMsg{}))
+	f.Add(byte(7), AppendModelMsg(nil, ModelMsg{Version: 2}))
+	f.Add(byte(0), EncodeHello(Hello{Proto: protoVersion}))
+	// Both Hello forms protocol 2 sent: the 8-byte legacy form and the
+	// 24-byte form advertising wire 2 and flate level 9.
+	f.Add(byte(0), words(2))
+	f.Add(byte(0), words(2, 2, 9))
+	f.Add(byte(6), EncodeErr(ErrMsg{Msg: "x"}))
+	f.Add(byte(8), EncodeWireMsg(WireMsg{Level: 6}))
+	f.Add(byte(3), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(byte(1), bytes.Repeat([]byte{0x01}, 64))
+	f.Add(byte(9), bytes.Repeat([]byte("frame payload"), 64))
 	bomb := binary.AppendUvarint(nil, 1<<40)
-	f.Add(byte(9), byte(2), appendFlate(bomb, bytes.Repeat([]byte{0}, 1024), 9))
-	// v2 prediction references the codec accepts but no receiver can
-	// resolve (a local past the delta's Locals, a corpus index past any
-	// corpus), and one past the codec's own bound.
+	f.Add(byte(9), appendFlate(bomb, bytes.Repeat([]byte{0}, 1024), 9))
+	// Prediction references the codec accepts but no receiver can resolve
+	// (a local past the delta's Locals, a corpus index past any corpus),
+	// and one past the codec's own bound.
 	for _, ref := range []int{9, maxWireList, maxWireList + 1} {
 		d := fixtureDelta()
 		d.State.Preds = []fuzzer.PredState{{Local: ref == 9, Ref: ref, Pending: true}}
-		f.Add(byte(3), byte(2), WireV2.AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: []fuzzer.VMDelta{d}}))
+		f.Add(byte(3), AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: []fuzzer.VMDelta{d}}))
 	}
 
-	f.Fuzz(func(t *testing.T, kind, wireSel byte, data []byte) {
-		wire := WireV1
-		if wireSel%2 == 0 {
-			wire = WireV2
-		}
+	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		switch kind % 10 {
 		case 0:
 			if m, err := DecodeHello(data); err == nil {
 				requireSameBytes(t, data, EncodeHello(m))
 			}
 		case 1:
-			if m, err := wire.DecodeAssign(data); err == nil {
-				requireSameBytes(t, data, wire.AppendAssign(nil, m))
+			if m, err := DecodeAssign(data); err == nil {
+				requireSameBytes(t, data, AppendAssign(nil, m))
 			}
 		case 2:
-			if m, err := wire.DecodeEpoch(data); err == nil {
-				requireSameBytes(t, data, wire.AppendEpoch(nil, m))
+			if m, err := DecodeEpoch(data); err == nil {
+				requireSameBytes(t, data, AppendEpoch(nil, m))
 			}
 		case 3:
-			if m, err := wire.DecodeDelta(data); err == nil {
-				requireSameBytes(t, data, wire.AppendDelta(nil, m))
+			if m, err := DecodeDelta(data); err == nil {
+				requireSameBytes(t, data, AppendDelta(nil, m))
 			}
 		case 4:
-			if m, err := wire.DecodeRestore(data); err == nil {
-				requireSameBytes(t, data, wire.AppendRestore(nil, m))
+			if m, err := DecodeRestore(data); err == nil {
+				requireSameBytes(t, data, AppendRestore(nil, m))
 			}
 		case 5:
-			if m, err := wire.DecodeFinal(data); err == nil {
-				requireSameBytes(t, data, wire.AppendFinal(nil, m))
+			if m, err := DecodeFinal(data); err == nil {
+				requireSameBytes(t, data, AppendFinal(nil, m))
 			}
 		case 6:
 			if m, err := DecodeErr(data); err == nil {
 				requireSameBytes(t, data, EncodeErr(m))
 			}
 		case 7:
-			if m, err := wire.DecodeModelMsg(data); err == nil {
-				requireSameBytes(t, data, wire.AppendModelMsg(nil, m))
+			if m, err := DecodeModelMsg(data); err == nil {
+				requireSameBytes(t, data, AppendModelMsg(nil, m))
 			}
 		case 8:
 			if m, err := DecodeWireMsg(data); err == nil {
@@ -173,7 +172,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 func checkpointWithPred(ck *Checkpoint, ps fuzzer.PredState) []byte {
 	states := append([]fuzzer.VMState(nil), ck.States...)
 	states[0].Preds = []fuzzer.PredState{ps}
-	body := enc{v2: true}
+	var body enc
 	ck.appendBody(&body, states)
 	return sealCheckpoint(body.b)
 }

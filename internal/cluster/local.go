@@ -35,9 +35,9 @@ func RunLocal(cfg Config, workers int, wopts WorkerOptions) (*Result, error) {
 }
 
 // RunLocalOpts is RunLocal with per-worker options: worker i runs with
-// wopts[i], so a single fleet can mix configurations — legacy-wire workers
-// beside current ones, fused beside unfused, own inference surface beside
-// the shared server.
+// wopts[i], so a single fleet can mix configurations — shaped links beside
+// unshaped ones, fused beside unfused, own inference surface beside the
+// shared server.
 // The worker count is len(wopts).
 func RunLocalOpts(cfg Config, wopts []WorkerOptions) (*Result, error) {
 	cfg.Workers = len(wopts)

@@ -1,5 +1,5 @@
 // Reference form of prediction windows. A VM's prediction window names
-// each base entry, and on the v2 wire and in checkpoints it does so by
+// each base entry, and on the wire and in checkpoints it does so by
 // reference (fuzzer.PredState.Ref) instead of by program text, because the
 // receiver already holds every entry a window can name:
 //

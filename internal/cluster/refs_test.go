@@ -93,7 +93,7 @@ func TestPredictionRefsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaRefsSize: a v2 delta carrying 200 predictions on ≈ 700-byte
+// TestDeltaRefsSize: a delta carrying 200 predictions on ≈ 700-byte
 // programs encodes in a few kB — about 20 bytes a prediction instead of
 // its base's program text.
 func TestDeltaRefsSize(t *testing.T) {
@@ -117,9 +117,9 @@ func TestDeltaRefsSize(t *testing.T) {
 	if err := corp.refDeltas(deltas); err != nil {
 		t.Fatal(err)
 	}
-	n := len(WireV2.AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: deltas}))
+	n := len(AppendDelta(nil, DeltaMsg{Epoch: 1, Deltas: deltas}))
 	if n > 8<<10 {
-		t.Fatalf("200-prediction v2 delta encodes in %d bytes, want a few kB", n)
+		t.Fatalf("200-prediction delta encodes in %d bytes, want a few kB", n)
 	}
-	t.Logf("200-prediction v2 delta: %d bytes", n)
+	t.Logf("200-prediction delta: %d bytes", n)
 }

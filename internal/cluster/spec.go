@@ -13,7 +13,7 @@
 // running Config.VMs workers, for the same observables the single-host
 // guarantee covers (corpus, coverage, journal, counters; wall-clock waits
 // and serving cache stats excluded). What the package adds to the engine is
-// what a network needs: admission and wire negotiation, validation at the
+// what a network needs: admission and the handshake, validation at the
 // decode boundary, reassignment of a lost worker's VMs, a two-phase model
 // push, and checkpoints that capture the full barrier state and resume
 // onto any worker count with identical subsequent output.

@@ -1,38 +1,41 @@
-// WAN-wire determinism suite: the v2 wire protocol — sparse varint message
-// encoding plus negotiated per-frame flate — must not move a single merged
-// bit. Compressed clusters, mixed v1/v2 fleets, campaigns resumed from
-// compressed checkpoints and campaigns run over a bandwidth-shaped link all
-// have to land on exactly the single-host digests; the only thing the wire
-// stage may change is the byte count, which Result.Wire makes observable.
+// WAN-wire determinism suite: the wire protocol — sparse varint message
+// encoding plus per-frame flate — must not move a single merged bit.
+// Compressed clusters, campaigns resumed from compressed checkpoints and
+// campaigns run over a bandwidth-shaped link all have to land on exactly
+// the single-host digests; the only thing the wire stage may change is the
+// byte count, which Result.Wire makes observable.
 
 package cluster
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/repro/snowplow/internal/faultinject"
 )
 
-// TestClusterMixedWireVersions runs a fleet with one legacy-wire worker
-// (v1 codec, no compression — a binary from before this protocol shipped)
-// beside a current one, compression on: the coordinator speaks each
-// worker's dialect and the merge is still bit-identical to single-host.
-func TestClusterMixedWireVersions(t *testing.T) {
-	cfg := baseConfig(41, 200_000, 4)
-	want := runSingleHost(t, cfg)
-	spec := SpecFromConfig(withJournalFlag(cfg), nil)
-	got, err := RunLocalOpts(Config{Spec: spec, Compress: 6}, []WorkerOptions{
-		{LegacyWire: true},
-		{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "mixed-wire", want, got)
-	if got.Wire.CompressedWorkers != 1 {
-		t.Errorf("mixed fleet negotiated compression on %d workers, want 1", got.Wire.CompressedWorkers)
+// TestCompressLevelValidated pins Config.Compress to the flate range:
+// a level outside 0-9 is refused when the coordinator is built, with an
+// error naming the range, instead of being clamped or failing a worker
+// mid-handshake.
+func TestCompressLevelValidated(t *testing.T) {
+	spec := SpecFromConfig(baseConfig(41, 10_000, 1), nil)
+	for _, tc := range []struct {
+		level int
+		ok    bool
+	}{{-1, false}, {0, true}, {9, true}, {10, false}} {
+		co, err := NewCoordinator(Config{Spec: spec, Workers: 1, Compress: tc.level})
+		if co != nil {
+			co.ln.Close()
+		}
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("compress %d refused: %v", tc.level, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "0-9")):
+			t.Errorf("compress %d: error %v, want one naming the range 0-9", tc.level, err)
+		}
 	}
 }
 

@@ -1,21 +1,18 @@
 // Cluster wire protocol: hand-rolled little-endian messages carried in the
 // framing of internal/serve (one frame per message, a frame type byte per
-// message kind). The codec is deliberately boring — fixed-width integers,
+// message kind). The codec is deliberately boring — fixed-width scalars,
 // length-prefixed strings and slices, every length bounds-checked against
 // the remaining payload before allocation — so decoding untrusted bytes can
 // reject with a typed error but never panic or balloon memory
 // (FuzzClusterCodec enforces this).
 //
-// Two wire codec versions coexist, negotiated per connection at Hello (see
-// Wire): v1 is the original all-fixed-width layout; v2 keeps every scalar
-// fixed-width but encodes block traces as canonical varint counts and
-// zigzag-varint deltas between consecutive block IDs, flate-wraps ModelMsg
-// model bytes, elides the append-only crash-table prefix the receiver
-// already holds from epoch deltas (VMDelta.CrashBase), and names each
-// prediction's base entry by reference instead of by program text
-// (PredState.Ref, converted at the send and receive sites in refs.go, so
-// the codec itself stays context-free). Both versions keep
-// the "exactly one byte form per message" property: varints must be
+// Block traces are canonical varint counts and zigzag-varint deltas between
+// consecutive block IDs; ModelMsg model bytes are flate-wrapped; epoch
+// deltas elide the append-only crash-table prefix the receiver already
+// holds (VMDelta.CrashBase); and each prediction names its base entry by
+// reference instead of by program text (PredState.Ref, converted at the
+// send and receive sites in refs.go, so the codec itself stays
+// context-free). Every message has exactly one byte form: varints must be
 // minimal, and compressed model blobs must match a re-compression of their
 // contents.
 
@@ -36,15 +33,16 @@ import (
 
 // protoVersion is the cluster protocol version, checked at Hello. Version 2
 // added the online-learning spec fields and the two-phase model hot-swap
-// push (frameModelPrep/frameModelCommit).
-const protoVersion = 2
+// push (frameModelPrep/frameModelCommit); version 3 made the codec above
+// the only wire form and the handshake two fixed 8-byte messages.
+const protoVersion = 3
 
 // The cluster protocol's frame types, spanning 0x10–0x1b (disjoint from
 // the inference protocol's 0x0x range, so a cross-wired connection fails
 // fast). A frame whose type byte has frameCompressed (0x80) set carries a
 // flate-compressed payload; the low bits still name one of these types.
 const (
-	frameHello       byte = 0x10 // worker -> coordinator: version handshake
+	frameHello       byte = 0x10 // worker -> coordinator: protocol version
 	frameAssign      byte = 0x11 // coordinator -> worker: spec + VM shard
 	frameAck         byte = 0x12 // worker -> coordinator: assignment applied
 	frameEpoch       byte = 0x13 // coordinator -> worker: barrier + accepted entries
@@ -55,33 +53,8 @@ const (
 	frameErr         byte = 0x18 // either direction: fatal error
 	frameModelPrep   byte = 0x19 // coordinator -> worker: drain + stage pushed model
 	frameModelCommit byte = 0x1a // coordinator -> worker: swap the staged model in
-	frameWire        byte = 0x1b // coordinator -> worker: negotiated wire settings
+	frameWire        byte = 0x1b // coordinator -> worker: connection flate level
 )
-
-// Wire selects a wire codec version for the versioned Append*/Decode*
-// message methods. The version is negotiated per connection: workers
-// advertise the newest version they speak in Hello, the coordinator
-// replies with the effective version (and flate level) in a WireMsg, and
-// every frame after the handshake uses the negotiated codec. Merged
-// campaign state is identical under every version — only the bytes on the
-// wire differ.
-type Wire int
-
-const (
-	// WireV1 is the original all-fixed-width encoding, spoken by pre-v2
-	// peers and by workers started with the legacy-wire option.
-	WireV1 Wire = 1
-	// WireV2 encodes block traces as canonical varint counts plus
-	// zigzag-varint deltas between consecutive block IDs, flate-wraps
-	// ModelMsg model bytes, carries VMDelta.CrashBase so epoch deltas
-	// elide the crash-table prefix the coordinator already holds, and
-	// carries PredState.Ref in place of PredState.Text.
-	WireV2 Wire = 2
-	// wireMax is the newest wire version this build speaks.
-	wireMax = WireV2
-)
-
-func (w Wire) v2() bool { return w >= WireV2 }
 
 // Decode errors. All decoders return one of these (wrapped with context);
 // they never panic on corrupt input.
@@ -96,51 +69,30 @@ var (
 // allocation.
 const maxWireList = 1 << 20
 
-// maxFlateLevel is the highest negotiable per-frame flate level.
+// maxFlateLevel is the highest per-frame flate level (Config.Compress).
 const maxFlateLevel = 9
 
-// Hello is the worker's opening handshake. Two encodings exist: the legacy
-// 8-byte form (proto only, implying Wire 1 and no compression) sent by
-// pre-v2 workers, and the 24-byte extended form carrying the newest wire
-// version the worker speaks plus the highest flate level it accepts. The
-// coordinator answers an extended Hello with a WireMsg; a legacy Hello
-// gets the v1 protocol unchanged, so mixed-version fleets keep running.
+// Hello is the worker's opening handshake: one 8-byte protocol version.
 type Hello struct {
 	Proto uint32
-	// Wire is the newest wire codec version the worker speaks. Decoding a
-	// legacy Hello yields 1; the extended form requires >= 2 (a lower value
-	// would re-encode to the legacy form, violating canonicality).
-	Wire uint32
-	// MaxLevel is the highest per-frame flate level the worker accepts
-	// (0 = refuses compression). The coordinator negotiates the effective
-	// level as min(Config.Compress, MaxLevel).
-	MaxLevel uint32
 }
 
-// WireMsg is the coordinator's reply to an extended Hello: the negotiated
-// wire codec version and per-frame flate level that both ends apply to
-// every subsequent frame on the connection.
+// WireMsg is the coordinator's reply to Hello: the per-frame flate level
+// (Config.Compress, 0 = uncompressed) both ends apply to every later frame
+// on the connection, in one 8-byte word.
 type WireMsg struct {
-	Wire  uint32
 	Level uint32
 }
 
 // Assign hands a worker its campaign spec and VM shard. For a resumed
 // campaign Snapshot carries the checkpoint's corpus (in publish order) to
 // rebuild the replica; States are the canonical VM states to restore.
-// SeedPass is how a coordinator built before the reconciler asked VM 0's
-// worker to run the seed pass and send a seed delta. The reconciler now
-// runs the seed pass itself and assigns VM 0 its post-seed state, so this
-// coordinator never sets the flag and a worker rejects an Assign that does
-// (failing fast instead of both ends waiting out IOTimeout for a delta
-// nobody sends).
 type Assign struct {
 	Spec       CampaignSpec
 	VMs        []int
 	Snapshot   []fuzzer.Accepted
 	States     []fuzzer.VMState
 	StartEpoch int64
-	SeedPass   bool
 }
 
 // EpochMsg opens one barrier-to-barrier slice: workers apply the previous
@@ -191,8 +143,7 @@ type ErrMsg struct {
 // --- encoder ---
 
 type enc struct {
-	b  []byte
-	v2 bool // wire v2: varint/zigzag-delta trace encoding
+	b []byte
 }
 
 func (e *enc) u8(v byte)   { e.b = append(e.b, v) }
@@ -217,29 +168,18 @@ func (e *enc) state4(s [4]uint64) {
 	}
 }
 func (e *enc) blocks(tr []kernel.BlockID) {
-	if e.v2 {
-		// Varint count, then zigzag-varint deltas between consecutive IDs:
-		// traces walk nearby basic blocks, so deltas are small and most
-		// blocks cost one byte instead of eight.
-		e.uv(uint64(len(tr)))
-		prev := int64(0)
-		for _, b := range tr {
-			e.sv(int64(b) - prev)
-			prev = int64(b)
-		}
-		return
-	}
-	e.int(len(tr))
+	// Varint count, then zigzag-varint deltas between consecutive IDs:
+	// traces walk nearby basic blocks, so deltas are small and most blocks
+	// cost one byte instead of eight.
+	e.uv(uint64(len(tr)))
+	prev := int64(0)
 	for _, b := range tr {
-		e.i64(int64(b))
+		e.sv(int64(b) - prev)
+		prev = int64(b)
 	}
 }
 func (e *enc) traces(tr [][]kernel.BlockID) {
-	if e.v2 {
-		e.uv(uint64(len(tr)))
-	} else {
-		e.int(len(tr))
-	}
+	e.uv(uint64(len(tr)))
 	for _, t := range tr {
 		e.blocks(t)
 	}
@@ -312,15 +252,10 @@ func (e *enc) vmState(st fuzzer.VMState) {
 	}
 	e.int(len(st.Preds))
 	for _, ps := range st.Preds {
-		if e.v2 {
-			// v2 names the base entry by reference (PredState.Ref); the
-			// send site has already converted it (see refs.go).
-			e.flag(ps.Local)
-			e.uv(uint64(ps.Ref))
-		} else {
-			e.str(ps.Text)
-			e.flag(ps.Local)
-		}
+		// The base entry travels by reference (PredState.Ref); the send
+		// site has already converted it (see refs.go).
+		e.flag(ps.Local)
+		e.uv(uint64(ps.Ref))
 		e.flag(ps.Pending)
 		e.blocks(ps.Targets)
 		e.int(len(ps.Slots))
@@ -338,12 +273,9 @@ func (e *enc) vmStates(sts []fuzzer.VMState) {
 }
 func (e *enc) delta(d fuzzer.VMDelta) {
 	e.int(d.VM)
-	if e.v2 {
-		// v2 elides the crash-table prefix the coordinator already holds;
-		// only the count travels. v1 always carries the full table, so the
-		// field (necessarily zero there) is not encoded.
-		e.int(d.CrashBase)
-	}
+	// The crash-table prefix the coordinator already holds is elided; only
+	// its length travels.
+	e.int(d.CrashBase)
 	e.int(len(d.Locals))
 	for _, l := range d.Locals {
 		e.str(l.Text)
@@ -389,7 +321,6 @@ type dec struct {
 	b   []byte
 	off int
 	err error
-	v2  bool // wire v2: varint/zigzag-delta trace encoding
 }
 
 func (d *dec) fail(err error) {
@@ -520,44 +451,23 @@ func (d *dec) state4() [4]uint64 {
 	return s
 }
 func (d *dec) blocks() []kernel.BlockID {
-	if d.v2 {
-		n := d.uvLen()
-		if d.err != nil || n == 0 {
-			return nil
-		}
-		out := make([]kernel.BlockID, n)
-		prev := int64(0)
-		for i := range out {
-			prev += d.sv()
-			out[i] = kernel.BlockID(prev)
-		}
-		if d.err != nil {
-			return nil
-		}
-		return out
-	}
-	n := d.listLen()
+	n := d.uvLen()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	// Each block id is 8 wire bytes; re-check against remaining payload.
-	if n > (len(d.b)-d.off)/8 {
-		d.fail(ErrTruncated)
-		return nil
-	}
 	out := make([]kernel.BlockID, n)
+	prev := int64(0)
 	for i := range out {
-		out[i] = kernel.BlockID(d.i64())
+		prev += d.sv()
+		out[i] = kernel.BlockID(prev)
+	}
+	if d.err != nil {
+		return nil
 	}
 	return out
 }
 func (d *dec) traces() [][]kernel.BlockID {
-	var n int
-	if d.v2 {
-		n = d.uvLen()
-	} else {
-		n = d.listLen()
-	}
+	n := d.uvLen()
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -662,17 +572,11 @@ func (d *dec) vmState() fuzzer.VMState {
 	}
 	nps := d.listLen()
 	for i := 0; i < nps && d.err == nil; i++ {
-		var ps fuzzer.PredState
-		if d.v2 {
-			ps.Local = d.flag()
-			if ref := d.uv(); ref > maxWireList {
-				d.fail(fmt.Errorf("%w: implausible prediction reference %d", ErrBadMessage, ref))
-			} else {
-				ps.Ref = int(ref)
-			}
+		ps := fuzzer.PredState{Local: d.flag()}
+		if ref := d.uv(); ref > maxWireList {
+			d.fail(fmt.Errorf("%w: implausible prediction reference %d", ErrBadMessage, ref))
 		} else {
-			ps.Text = d.str()
-			ps.Local = d.flag()
+			ps.Ref = int(ref)
 		}
 		ps.Pending = d.flag()
 		ps.Targets = d.blocks()
@@ -699,13 +603,10 @@ func (d *dec) vmStates() []fuzzer.VMState {
 	return out
 }
 func (d *dec) delta() fuzzer.VMDelta {
-	dl := fuzzer.VMDelta{VM: d.int()}
-	if d.v2 {
-		dl.CrashBase = d.int()
-		if dl.CrashBase < 0 || dl.CrashBase > maxWireList {
-			d.fail(fmt.Errorf("%w: implausible crash base %d", ErrBadMessage, dl.CrashBase))
-			return dl
-		}
+	dl := fuzzer.VMDelta{VM: d.int(), CrashBase: d.int()}
+	if dl.CrashBase < 0 || dl.CrashBase > maxWireList {
+		d.fail(fmt.Errorf("%w: implausible crash base %d", ErrBadMessage, dl.CrashBase))
+		return dl
 	}
 	nl := d.listLen()
 	for i := 0; i < nl && d.err == nil; i++ {
@@ -772,67 +673,45 @@ func (d *dec) finish() error {
 
 // --- message encode/decode ---
 
-// EncodeHello serializes a Hello message: the legacy 8-byte form when the
-// worker speaks only wire v1, the 24-byte extended form otherwise.
+// EncodeHello serializes a Hello message.
 func EncodeHello(h Hello) []byte {
 	var e enc
 	e.u64(uint64(h.Proto))
-	if h.Wire <= 1 {
-		return e.b
-	}
-	e.u64(uint64(h.Wire))
-	e.u64(uint64(h.MaxLevel))
 	return e.b
 }
 
-// DecodeHello parses a Hello message in either form. A legacy Hello
-// normalizes to Wire 1 / MaxLevel 0; the extended form must carry Wire >=
-// 2 (anything lower would re-encode to the legacy form).
+// DecodeHello parses a Hello message. Every Hello any release has sent
+// opens with the protocol version, so a peer of another version fails with
+// ErrBadVersion whatever else its Hello carries.
 func DecodeHello(b []byte) (Hello, error) {
 	d := dec{b: b}
 	v := d.u64()
-	if v > math.MaxUint32 {
-		d.fail(fmt.Errorf("%w: implausible protocol version", ErrBadMessage))
+	if d.err == nil && v != protoVersion {
+		return Hello{}, fmt.Errorf("%w: protocol version %d, want %d", ErrBadVersion, v, protoVersion)
 	}
-	h := Hello{Proto: uint32(v), Wire: 1}
-	if d.err == nil && d.off < len(d.b) {
-		w, lvl := d.u64(), d.u64()
-		if d.err == nil && (w < 2 || w > math.MaxUint32) {
-			d.fail(fmt.Errorf("%w: extended hello with wire version %d", ErrBadMessage, w))
-		}
-		if d.err == nil && lvl > maxFlateLevel {
-			d.fail(fmt.Errorf("%w: implausible flate level %d", ErrBadMessage, lvl))
-		}
-		h.Wire, h.MaxLevel = uint32(w), uint32(lvl)
-	}
-	return h, d.finish()
+	return Hello{Proto: uint32(v)}, d.finish()
 }
 
 // EncodeWireMsg serializes a WireMsg.
 func EncodeWireMsg(m WireMsg) []byte {
 	var e enc
-	e.u64(uint64(m.Wire))
 	e.u64(uint64(m.Level))
 	return e.b
 }
 
-// DecodeWireMsg parses a WireMsg, rejecting versions this build cannot
-// speak and out-of-range flate levels.
+// DecodeWireMsg parses a WireMsg, rejecting out-of-range flate levels.
 func DecodeWireMsg(b []byte) (WireMsg, error) {
 	d := dec{b: b}
-	w, lvl := d.u64(), d.u64()
-	if d.err == nil && (w < 1 || Wire(w) > wireMax) {
-		d.fail(fmt.Errorf("%w: negotiated wire version %d", ErrBadVersion, w))
-	}
+	lvl := d.u64()
 	if d.err == nil && lvl > maxFlateLevel {
 		d.fail(fmt.Errorf("%w: implausible flate level %d", ErrBadMessage, lvl))
 	}
-	return WireMsg{Wire: uint32(w), Level: uint32(lvl)}, d.finish()
+	return WireMsg{Level: uint32(lvl)}, d.finish()
 }
 
-// AppendAssign appends a's encoding at wire version w to dst.
-func (w Wire) AppendAssign(dst []byte, a Assign) []byte {
-	e := enc{b: dst, v2: w.v2()}
+// AppendAssign appends a's encoding to dst.
+func AppendAssign(dst []byte, a Assign) []byte {
+	e := enc{b: dst}
 	e.spec(a.Spec)
 	e.int(len(a.VMs))
 	for _, vm := range a.VMs {
@@ -841,13 +720,12 @@ func (w Wire) AppendAssign(dst []byte, a Assign) []byte {
 	e.acceptedList(a.Snapshot)
 	e.vmStates(a.States)
 	e.i64(a.StartEpoch)
-	e.flag(a.SeedPass)
 	return e.b
 }
 
-// DecodeAssign parses an Assign message at wire version w.
-func (w Wire) DecodeAssign(b []byte) (Assign, error) {
-	d := dec{b: b, v2: w.v2()}
+// DecodeAssign parses an Assign message.
+func DecodeAssign(b []byte) (Assign, error) {
+	d := dec{b: b}
 	a := Assign{Spec: d.spec()}
 	n := d.listLen()
 	for i := 0; i < n && d.err == nil; i++ {
@@ -856,30 +734,28 @@ func (w Wire) DecodeAssign(b []byte) (Assign, error) {
 	a.Snapshot = d.acceptedList()
 	a.States = d.vmStates()
 	a.StartEpoch = d.i64()
-	a.SeedPass = d.flag()
 	return a, d.finish()
 }
 
-// AppendEpoch appends m's encoding at wire version w to dst.
-func (w Wire) AppendEpoch(dst []byte, m EpochMsg) []byte {
-	e := enc{b: dst, v2: w.v2()}
+// AppendEpoch appends m's encoding to dst.
+func AppendEpoch(dst []byte, m EpochMsg) []byte {
+	e := enc{b: dst}
 	e.i64(m.Epoch)
 	e.acceptedList(m.Accepted)
 	return e.b
 }
 
-// DecodeEpoch parses an EpochMsg at wire version w.
-func (w Wire) DecodeEpoch(b []byte) (EpochMsg, error) {
-	d := dec{b: b, v2: w.v2()}
+// DecodeEpoch parses an EpochMsg.
+func DecodeEpoch(b []byte) (EpochMsg, error) {
+	d := dec{b: b}
 	m := EpochMsg{Epoch: d.i64(), Accepted: d.acceptedList()}
 	return m, d.finish()
 }
 
-// AppendDelta appends m's encoding at wire version w to dst. The per-epoch
-// hot path passes a reused buffer here so steady-state encoding does not
-// allocate.
-func (w Wire) AppendDelta(dst []byte, m DeltaMsg) []byte {
-	e := enc{b: dst, v2: w.v2()}
+// AppendDelta appends m's encoding to dst. The per-epoch hot path passes a
+// reused buffer here so steady-state encoding does not allocate.
+func AppendDelta(dst []byte, m DeltaMsg) []byte {
+	e := enc{b: dst}
 	e.i64(m.Epoch)
 	e.int(len(m.Deltas))
 	for _, dl := range m.Deltas {
@@ -888,9 +764,9 @@ func (w Wire) AppendDelta(dst []byte, m DeltaMsg) []byte {
 	return e.b
 }
 
-// DecodeDelta parses a DeltaMsg at wire version w.
-func (w Wire) DecodeDelta(b []byte) (DeltaMsg, error) {
-	d := dec{b: b, v2: w.v2()}
+// DecodeDelta parses a DeltaMsg.
+func DecodeDelta(b []byte) (DeltaMsg, error) {
+	d := dec{b: b}
 	m := DeltaMsg{Epoch: d.i64()}
 	n := d.listLen()
 	for i := 0; i < n && d.err == nil; i++ {
@@ -899,46 +775,42 @@ func (w Wire) DecodeDelta(b []byte) (DeltaMsg, error) {
 	return m, d.finish()
 }
 
-// AppendRestore appends m's encoding at wire version w to dst.
-func (w Wire) AppendRestore(dst []byte, m RestoreMsg) []byte {
-	e := enc{b: dst, v2: w.v2()}
+// AppendRestore appends m's encoding to dst.
+func AppendRestore(dst []byte, m RestoreMsg) []byte {
+	e := enc{b: dst}
 	e.i64(m.Epoch)
 	e.vmStates(m.States)
 	return e.b
 }
 
-// DecodeRestore parses a RestoreMsg at wire version w.
-func (w Wire) DecodeRestore(b []byte) (RestoreMsg, error) {
-	d := dec{b: b, v2: w.v2()}
+// DecodeRestore parses a RestoreMsg.
+func DecodeRestore(b []byte) (RestoreMsg, error) {
+	d := dec{b: b}
 	m := RestoreMsg{Epoch: d.i64(), States: d.vmStates()}
 	return m, d.finish()
 }
 
-// AppendFinal appends m's encoding at wire version w to dst.
-func (w Wire) AppendFinal(dst []byte, m FinalMsg) []byte {
-	e := enc{b: dst, v2: w.v2()}
+// AppendFinal appends m's encoding to dst.
+func AppendFinal(dst []byte, m FinalMsg) []byte {
+	e := enc{b: dst}
 	e.vmStates(m.States)
 	return e.b
 }
 
-// DecodeFinal parses a FinalMsg at wire version w.
-func (w Wire) DecodeFinal(b []byte) (FinalMsg, error) {
-	d := dec{b: b, v2: w.v2()}
+// DecodeFinal parses a FinalMsg.
+func DecodeFinal(b []byte) (FinalMsg, error) {
+	d := dec{b: b}
 	m := FinalMsg{States: d.vmStates()}
 	return m, d.finish()
 }
 
-// AppendModelMsg appends m's encoding at wire version w to dst. Wire v2
-// flate-wraps the model bytes (uvarint raw length + uvarint compressed
-// length + deflate stream) — model pushes repeat quantized tables that
-// compress well, and they fan out to the whole fleet.
-func (w Wire) AppendModelMsg(dst []byte, m ModelMsg) []byte {
-	e := enc{b: dst, v2: w.v2()}
+// AppendModelMsg appends m's encoding to dst. The model bytes are
+// flate-wrapped (uvarint raw length + uvarint compressed length + deflate
+// stream) — model pushes repeat quantized tables that compress well, and
+// they fan out to the whole fleet.
+func AppendModelMsg(dst []byte, m ModelMsg) []byte {
+	e := enc{b: dst}
 	e.i64(m.Version)
-	if !e.v2 {
-		e.blob(m.Model)
-		return e.b
-	}
 	e.uv(uint64(len(m.Model)))
 	if len(m.Model) > 0 {
 		comp := appendFlate(nil, m.Model, blobFlateLevel)
@@ -948,17 +820,15 @@ func (w Wire) AppendModelMsg(dst []byte, m ModelMsg) []byte {
 	return e.b
 }
 
-// DecodeModelMsg parses a ModelMsg at wire version w. The v2 form guards
-// against decompression bombs (declared raw length capped at maxWireList,
-// checked before inflating) and enforces canonical compressed bytes: the
-// decoded model must re-compress to exactly the wire bytes, preserving the
-// one-encoding-per-message property for fuzzing and digests.
-func (w Wire) DecodeModelMsg(b []byte) (ModelMsg, error) {
-	d := dec{b: b, v2: w.v2()}
+// DecodeModelMsg parses a ModelMsg. It guards against decompression bombs
+// (declared raw length capped at maxWireList, checked before inflating) and
+// enforces canonical compressed bytes: the decoded model must re-compress
+// to exactly the wire bytes, preserving the one-encoding-per-message
+// property for fuzzing and digests.
+func DecodeModelMsg(b []byte) (ModelMsg, error) {
+	d := dec{b: b}
 	m := ModelMsg{Version: d.i64()}
-	if !d.v2 {
-		m.Model = d.blob()
-	} else if rawLen := d.uv(); d.err == nil && rawLen > 0 {
+	if rawLen := d.uv(); d.err == nil && rawLen > 0 {
 		if rawLen > maxWireList {
 			d.fail(fmt.Errorf("%w: declared model size %d exceeds cap %d", ErrBadMessage, rawLen, maxWireList))
 		} else {
@@ -985,42 +855,6 @@ func (w Wire) DecodeModelMsg(b []byte) (ModelMsg, error) {
 	return m, d.finish()
 }
 
-// EncodeAssign serializes an Assign message in the v1 wire format.
-func EncodeAssign(a Assign) []byte { return WireV1.AppendAssign(nil, a) }
-
-// DecodeAssign parses a v1 Assign message.
-func DecodeAssign(b []byte) (Assign, error) { return WireV1.DecodeAssign(b) }
-
-// EncodeEpoch serializes an EpochMsg in the v1 wire format.
-func EncodeEpoch(m EpochMsg) []byte { return WireV1.AppendEpoch(nil, m) }
-
-// DecodeEpoch parses a v1 EpochMsg.
-func DecodeEpoch(b []byte) (EpochMsg, error) { return WireV1.DecodeEpoch(b) }
-
-// EncodeDelta serializes a DeltaMsg in the v1 wire format.
-func EncodeDelta(m DeltaMsg) []byte { return WireV1.AppendDelta(nil, m) }
-
-// DecodeDelta parses a v1 DeltaMsg.
-func DecodeDelta(b []byte) (DeltaMsg, error) { return WireV1.DecodeDelta(b) }
-
-// EncodeRestore serializes a RestoreMsg in the v1 wire format.
-func EncodeRestore(m RestoreMsg) []byte { return WireV1.AppendRestore(nil, m) }
-
-// DecodeRestore parses a v1 RestoreMsg.
-func DecodeRestore(b []byte) (RestoreMsg, error) { return WireV1.DecodeRestore(b) }
-
-// EncodeFinal serializes a FinalMsg in the v1 wire format.
-func EncodeFinal(m FinalMsg) []byte { return WireV1.AppendFinal(nil, m) }
-
-// DecodeFinal parses a v1 FinalMsg.
-func DecodeFinal(b []byte) (FinalMsg, error) { return WireV1.DecodeFinal(b) }
-
-// EncodeModelMsg serializes a ModelMsg in the v1 wire format.
-func EncodeModelMsg(m ModelMsg) []byte { return WireV1.AppendModelMsg(nil, m) }
-
-// DecodeModelMsg parses a v1 ModelMsg.
-func DecodeModelMsg(b []byte) (ModelMsg, error) { return WireV1.DecodeModelMsg(b) }
-
 // EncodeErr serializes an ErrMsg.
 func EncodeErr(m ErrMsg) []byte {
 	var e enc
@@ -1033,11 +867,4 @@ func DecodeErr(b []byte) (ErrMsg, error) {
 	d := dec{b: b}
 	m := ErrMsg{Msg: d.str()}
 	return m, d.finish()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

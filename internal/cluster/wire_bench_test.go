@@ -1,6 +1,5 @@
-// Benchmarks for the per-epoch wire hot path: delta encode/decode at both
-// wire versions (fixed-width v1 vs sparse varint v2) and the full framed
-// path with the flate stage, plus the allocation-budget guard pinning the
+// Benchmarks for the per-epoch wire hot path: delta encode/decode alone
+// and through the full framed path with the flate stage, plus the allocation-budget guard pinning the
 // pooled framing layer to zero steady-state allocations. The bench delta is
 // sized like a real barrier's: several VMs, dozens of accepted locals,
 // traces over nearby basic blocks (which is exactly the shape the varint
@@ -49,30 +48,22 @@ func benchDeltaMsg() DeltaMsg {
 
 func BenchmarkEncodeDelta(b *testing.B) {
 	msg := benchDeltaMsg()
-	b.Run("raw-v1", func(b *testing.B) {
+	b.Run("codec", func(b *testing.B) {
 		var buf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = WireV1.AppendDelta(buf[:0], msg)
+			buf = AppendDelta(buf[:0], msg)
 		}
 		b.SetBytes(int64(len(buf)))
 	})
-	b.Run("sparse-v2", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = WireV2.AppendDelta(buf[:0], msg)
-		}
-		b.SetBytes(int64(len(buf)))
-	})
-	b.Run("sparse-v2-flate", func(b *testing.B) {
+	b.Run("flate", func(b *testing.B) {
 		var fr framer
-		fr.wire, fr.level = WireV2, 6
+		fr.level = 6
 		var buf []byte
 		var n int
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = WireV2.AppendDelta(buf[:0], msg)
+			buf = AppendDelta(buf[:0], msg)
 			var err error
 			if n, err = fr.writeFrame(io.Discard, frameDelta, buf); err != nil {
 				b.Fatal(err)
@@ -84,33 +75,23 @@ func BenchmarkEncodeDelta(b *testing.B) {
 
 func BenchmarkDecodeDelta(b *testing.B) {
 	msg := benchDeltaMsg()
-	b.Run("raw-v1", func(b *testing.B) {
-		payload := WireV1.AppendDelta(nil, msg)
+	b.Run("codec", func(b *testing.B) {
+		payload := AppendDelta(nil, msg)
 		b.SetBytes(int64(len(payload)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := WireV1.DecodeDelta(payload); err != nil {
+			if _, err := DecodeDelta(payload); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("sparse-v2", func(b *testing.B) {
-		payload := WireV2.AppendDelta(nil, msg)
-		b.SetBytes(int64(len(payload)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := WireV2.DecodeDelta(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sparse-v2-flate", func(b *testing.B) {
+	b.Run("flate", func(b *testing.B) {
 		// Compression is a per-connection stream, so the decode side cannot
 		// replay one recorded frame: each iteration runs the sender too, in
 		// lockstep, exactly like a live connection.
 		var tx, rx framer
 		tx.level = 6
-		raw := WireV2.AppendDelta(nil, msg)
+		raw := AppendDelta(nil, msg)
 		var frame bytes.Buffer
 		var r bytes.Reader
 		b.SetBytes(int64(len(raw)))
@@ -125,7 +106,7 @@ func BenchmarkDecodeDelta(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := WireV2.DecodeDelta(payload); err != nil {
+			if _, err := DecodeDelta(payload); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -145,15 +126,14 @@ const maxFramingBytesPerOp = 512
 func benchWireFramingSteadyState(b *testing.B) {
 	msg := benchDeltaMsg()
 	var tx, rx framer
-	tx.wire, tx.level = WireV2, 6
-	rx.wire, rx.level = WireV2, 6
+	tx.level, rx.level = 6, 6
 	var buf []byte
 	var frame bytes.Buffer
 	var r bytes.Reader
 	// One warm round sizes every pooled buffer before measurement. Sender
 	// and receiver run in lockstep throughout — streaming compression means
 	// a frame only decodes against the window its predecessors built.
-	buf = WireV2.AppendDelta(buf[:0], msg)
+	buf = AppendDelta(buf[:0], msg)
 	if _, err := tx.writeFrame(&frame, frameDelta, buf); err != nil {
 		b.Fatal(err)
 	}
@@ -164,7 +144,7 @@ func benchWireFramingSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = WireV2.AppendDelta(buf[:0], msg)
+		buf = AppendDelta(buf[:0], msg)
 		frame.Reset()
 		if _, err := tx.writeFrame(&frame, frameDelta, buf); err != nil {
 			b.Fatal(err)

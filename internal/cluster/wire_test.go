@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"reflect"
@@ -27,6 +28,16 @@ func fixtureCover(n int) []byte {
 		cov.Add(trace.MakeEdge(kernel.BlockID(i/7), kernel.BlockID(100+i)))
 	}
 	return cov.AppendSparse(nil)
+}
+
+// words encodes each value as one little-endian 8-byte word, the layout of
+// every fixed-width scalar on the wire.
+func words(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
 }
 
 // fixtureSpec is a fully populated spec exercising every field.
@@ -83,6 +94,18 @@ func fixtureVMState() fuzzer.VMState {
 	}
 }
 
+// fixtureWireState is fixtureVMState with its prediction window in the
+// reference form a send site leaves it in (refs.go): each base named by
+// Ref, no Text. The codec carries exactly this form, so it round-trips.
+func fixtureWireState() fuzzer.VMState {
+	st := fixtureVMState()
+	st.Preds = []fuzzer.PredState{
+		{Ref: 3, Pending: true, Targets: []kernel.BlockID{3, 9}},
+		{Ref: 1, Local: true, Slots: []prog.GlobalSlot{{Call: 0, Slot: 1}, {Call: 2, Slot: 0}}},
+	}
+	return st
+}
+
 // fixtureCanonicalState is fixtureVMState as a merge leaves it: no Local
 // prediction, every base in the fixture checkpoints' Entries ("prog-a").
 func fixtureCanonicalState() fuzzer.VMState {
@@ -108,18 +131,12 @@ func fixtureDelta() fuzzer.VMDelta {
 
 // TestWireRoundTrips pins decode(encode(m)) == m for every message kind.
 func TestWireRoundTrips(t *testing.T) {
-	hello := Hello{Proto: protoVersion, Wire: uint32(wireMax), MaxLevel: maxFlateLevel}
+	hello := Hello{Proto: protoVersion}
 	if got, err := DecodeHello(EncodeHello(hello)); err != nil || got != hello {
 		t.Fatalf("hello round trip: %+v, %v", got, err)
 	}
-	// A legacy hello normalizes to wire v1, no compression.
-	legacy := Hello{Proto: protoVersion}
-	if got, err := DecodeHello(EncodeHello(legacy)); err != nil ||
-		got != (Hello{Proto: protoVersion, Wire: 1}) {
-		t.Fatalf("legacy hello round trip: %+v, %v", got, err)
-	}
 
-	wm := WireMsg{Wire: uint32(WireV2), Level: 6}
+	wm := WireMsg{Level: 6}
 	if got, err := DecodeWireMsg(EncodeWireMsg(wm)); err != nil || got != wm {
 		t.Fatalf("wire msg round trip: %+v, %v", got, err)
 	}
@@ -128,32 +145,39 @@ func TestWireRoundTrips(t *testing.T) {
 		Spec:       fixtureSpec(),
 		VMs:        []int{2, 3},
 		Snapshot:   []fuzzer.Accepted{{VM: -1, Seeded: true, Text: "prog-a", Traces: [][]kernel.BlockID{{1, 2}}}},
-		States:     []fuzzer.VMState{fixtureVMState()},
+		States:     []fuzzer.VMState{fixtureWireState()},
 		StartEpoch: 9,
-		SeedPass:   true,
 	}
-	if got, err := DecodeAssign(EncodeAssign(assign)); err != nil || !reflect.DeepEqual(got, assign) {
+	if got, err := DecodeAssign(AppendAssign(nil, assign)); err != nil || !reflect.DeepEqual(got, assign) {
 		t.Fatalf("assign round trip: %+v, %v", got, err)
 	}
 
 	epoch := EpochMsg{Epoch: 4, Accepted: []fuzzer.Accepted{{VM: 1, Text: "p", Traces: [][]kernel.BlockID{{7}}}}}
-	if got, err := DecodeEpoch(EncodeEpoch(epoch)); err != nil || !reflect.DeepEqual(got, epoch) {
+	if got, err := DecodeEpoch(AppendEpoch(nil, epoch)); err != nil || !reflect.DeepEqual(got, epoch) {
 		t.Fatalf("epoch round trip: %+v, %v", got, err)
 	}
 
-	delta := DeltaMsg{Epoch: 4, Deltas: []fuzzer.VMDelta{fixtureDelta()}}
-	if got, err := DecodeDelta(EncodeDelta(delta)); err != nil || !reflect.DeepEqual(got, delta) {
+	d := fixtureDelta()
+	d.CrashBase = 1
+	d.State = fixtureWireState()
+	delta := DeltaMsg{Epoch: 4, Deltas: []fuzzer.VMDelta{d}}
+	if got, err := DecodeDelta(AppendDelta(nil, delta)); err != nil || !reflect.DeepEqual(got, delta) {
 		t.Fatalf("delta round trip: %+v, %v", got, err)
 	}
 
-	restore := RestoreMsg{Epoch: 5, States: []fuzzer.VMState{fixtureVMState()}}
-	if got, err := DecodeRestore(EncodeRestore(restore)); err != nil || !reflect.DeepEqual(got, restore) {
+	restore := RestoreMsg{Epoch: 5, States: []fuzzer.VMState{fixtureWireState()}}
+	if got, err := DecodeRestore(AppendRestore(nil, restore)); err != nil || !reflect.DeepEqual(got, restore) {
 		t.Fatalf("restore round trip: %+v, %v", got, err)
 	}
 
-	final := FinalMsg{States: []fuzzer.VMState{fixtureVMState()}}
-	if got, err := DecodeFinal(EncodeFinal(final)); err != nil || !reflect.DeepEqual(got, final) {
+	final := FinalMsg{States: []fuzzer.VMState{fixtureWireState()}}
+	if got, err := DecodeFinal(AppendFinal(nil, final)); err != nil || !reflect.DeepEqual(got, final) {
 		t.Fatalf("final round trip: %+v, %v", got, err)
+	}
+
+	model := ModelMsg{Version: 3, Model: bytes.Repeat([]byte{7, 1}, 100)}
+	if got, err := DecodeModelMsg(AppendModelMsg(nil, model)); err != nil || !reflect.DeepEqual(got, model) {
+		t.Fatalf("model round trip: %+v, %v", got, err)
 	}
 
 	em := ErrMsg{Msg: "boom"}
@@ -165,16 +189,16 @@ func TestWireRoundTrips(t *testing.T) {
 // TestWireEmptyRoundTrips pins the zero values: empty messages must encode
 // and decode cleanly (empty shards and empty epochs are legal).
 func TestWireEmptyRoundTrips(t *testing.T) {
-	if got, err := DecodeAssign(EncodeAssign(Assign{})); err != nil || !reflect.DeepEqual(got, Assign{}) {
+	if got, err := DecodeAssign(AppendAssign(nil, Assign{})); err != nil || !reflect.DeepEqual(got, Assign{}) {
 		t.Fatalf("empty assign: %+v, %v", got, err)
 	}
-	if got, err := DecodeEpoch(EncodeEpoch(EpochMsg{})); err != nil || !reflect.DeepEqual(got, EpochMsg{}) {
+	if got, err := DecodeEpoch(AppendEpoch(nil, EpochMsg{})); err != nil || !reflect.DeepEqual(got, EpochMsg{}) {
 		t.Fatalf("empty epoch: %+v, %v", got, err)
 	}
-	if got, err := DecodeDelta(EncodeDelta(DeltaMsg{})); err != nil || !reflect.DeepEqual(got, DeltaMsg{}) {
+	if got, err := DecodeDelta(AppendDelta(nil, DeltaMsg{})); err != nil || !reflect.DeepEqual(got, DeltaMsg{}) {
 		t.Fatalf("empty delta: %+v, %v", got, err)
 	}
-	if got, err := DecodeFinal(EncodeFinal(FinalMsg{})); err != nil || !reflect.DeepEqual(got, FinalMsg{}) {
+	if got, err := DecodeFinal(AppendFinal(nil, FinalMsg{})); err != nil || !reflect.DeepEqual(got, FinalMsg{}) {
 		t.Fatalf("empty final: %+v, %v", got, err)
 	}
 }
@@ -183,7 +207,7 @@ func TestWireEmptyRoundTrips(t *testing.T) {
 // boundary yields ErrTruncated or ErrBadMessage (never a panic or silent
 // success), and trailing garbage is rejected.
 func TestWireTypedErrors(t *testing.T) {
-	full := EncodeDelta(DeltaMsg{Epoch: 4, Deltas: []fuzzer.VMDelta{fixtureDelta()}})
+	full := AppendDelta(nil, DeltaMsg{Epoch: 4, Deltas: []fuzzer.VMDelta{fixtureDelta()}})
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeDelta(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", cut, len(full))
@@ -196,7 +220,7 @@ func TestWireTypedErrors(t *testing.T) {
 	}
 	// A length prefix claiming more items than bytes remain must be
 	// rejected before allocation.
-	huge := EncodeEpoch(EpochMsg{})
+	huge := AppendEpoch(nil, EpochMsg{})
 	huge[8] = 0xff // accepted-list length -> bogus
 	if _, err := DecodeEpoch(huge); err == nil {
 		t.Fatal("bogus list length decoded successfully")
@@ -256,27 +280,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	corrupt[len(corrupt)-1] ^= 0xff // model digest byte
 	if _, err := DecodeCheckpoint(corrupt); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("corrupt model digest: %v", err)
-	}
-}
-
-// TestWireEncodingStable pins exact bytes for a small message: the codec is
-// a persistence format, so accidental layout changes must fail a test, not
-// silently orphan old checkpoints.
-func TestWireEncodingStable(t *testing.T) {
-	got := EncodeEpoch(EpochMsg{Epoch: 1, Accepted: []fuzzer.Accepted{{VM: 1, Text: "ab", Traces: [][]kernel.BlockID{{2}}}}})
-	want := []byte{
-		1, 0, 0, 0, 0, 0, 0, 0, // epoch
-		1, 0, 0, 0, 0, 0, 0, 0, // accepted count
-		1, 0, 0, 0, 0, 0, 0, 0, // VM
-		0,                      // seeded=false
-		2, 0, 0, 0, 0, 0, 0, 0, // len("ab")
-		'a', 'b',
-		1, 0, 0, 0, 0, 0, 0, 0, // trace count
-		1, 0, 0, 0, 0, 0, 0, 0, // block count
-		2, 0, 0, 0, 0, 0, 0, 0, // block id
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("wire layout changed:\ngot  %v\nwant %v", got, want)
 	}
 }
 

@@ -34,12 +34,6 @@ type WorkerOptions struct {
 	// Fused serves through the fused inference kernels (bit-identical to
 	// the unfused path, so workers may mix freely).
 	Fused bool
-	// LegacyWire makes the worker speak the v1 wire protocol only: it
-	// sends the legacy fixed-size Hello and never negotiates compression,
-	// exactly like a worker built before the v2 wire shipped. Mixed fleets
-	// (legacy and current workers on one coordinator) merge identically,
-	// which this option exists to test.
-	LegacyWire bool
 	// IOTimeout bounds every network operation (default 60s).
 	IOTimeout time.Duration
 	// Logf, when set, receives worker progress lines.
@@ -68,11 +62,11 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		return fmt.Errorf("cluster: dialing coordinator: %w", err)
 	}
 	defer conn.Close()
-	// fr holds the connection's negotiated wire settings and pooled frame
-	// buffers; its zero value is the v1 uncompressed protocol, upgraded
-	// below once the coordinator answers the extended Hello. encBuf is the
-	// worker's reusable payload scratch, so the per-epoch delta encode
-	// allocates nothing in steady state.
+	// fr holds the connection's flate level and pooled frame buffers; its
+	// zero value is the uncompressed handshake framing, set to the
+	// coordinator's level once its WireMsg arrives. encBuf is the worker's
+	// reusable payload scratch, so the per-epoch delta encode allocates
+	// nothing in steady state.
 	var fr framer
 	var encBuf []byte
 	send := func(typ byte, payload []byte) error {
@@ -92,49 +86,43 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		return err
 	}
 
-	hello := Hello{Proto: protoVersion}
-	if !opts.LegacyWire {
-		hello.Wire = uint32(wireMax)
-		hello.MaxLevel = maxFlateLevel
-	}
-	if err := send(frameHello, EncodeHello(hello)); err != nil {
-		return err
-	}
-	typ, payload, err := recv()
-	if err != nil {
-		return err
-	}
-	if typ == frameWire {
-		// The coordinator answered the extended Hello: adopt the settings
-		// before the next frame. A v1 coordinator never sends this and
-		// proceeds straight to Assign below.
-		wm, err := DecodeWireMsg(payload)
+	// recvHandshake reads the next handshake frame, which must be of type
+	// want; a coordinator that refuses the worker says why in an ErrMsg.
+	recvHandshake := func(want byte) ([]byte, error) {
+		typ, payload, err := recv()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if opts.LegacyWire || Wire(wm.Wire) > wireMax {
-			return fmt.Errorf("%w: unnegotiated wire v%d", ErrBadMessage, wm.Wire)
-		}
-		fr.wire, fr.level = Wire(wm.Wire), int(wm.Level)
-		logf("negotiated wire v%d, flate level %d", wm.Wire, wm.Level)
-		if typ, payload, err = recv(); err != nil {
-			return err
+		switch typ {
+		case want:
+			return payload, nil
+		case frameErr:
+			em, _ := DecodeErr(payload)
+			return nil, fmt.Errorf("cluster: coordinator rejected worker: %s", em.Msg)
+		default:
+			return nil, fmt.Errorf("%w: frame 0x%02x, want 0x%02x", ErrBadMessage, typ, want)
 		}
 	}
-	wire := fr.msgWire()
-	if typ == frameErr {
-		em, _ := DecodeErr(payload)
-		return fmt.Errorf("cluster: coordinator rejected worker: %s", em.Msg)
+
+	if err := send(frameHello, EncodeHello(Hello{Proto: protoVersion})); err != nil {
+		return err
 	}
-	if typ != frameAssign {
-		return fmt.Errorf("%w: frame 0x%02x, want assign", ErrBadMessage, typ)
-	}
-	a, err := wire.DecodeAssign(payload)
+	payload, err := recvHandshake(frameWire)
 	if err != nil {
 		return err
 	}
-	if a.SeedPass {
-		return sendErr(fmt.Errorf("cluster: coordinator expects a worker-side seed pass, which this worker no longer runs; upgrade the coordinator"))
+	wm, err := DecodeWireMsg(payload)
+	if err != nil {
+		return err
+	}
+	fr.level = int(wm.Level)
+	logf("flate level %d", wm.Level)
+	if payload, err = recvHandshake(frameAssign); err != nil {
+		return err
+	}
+	a, err := DecodeAssign(payload)
+	if err != nil {
+		return err
 	}
 
 	needServer := a.Spec.Mode == 1 && opts.Inference == nil
@@ -160,15 +148,13 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			return sendErr(err)
 		}
 	}
-	// refs numbers the replica in publish order for the v2 reference form
-	// of prediction windows (refs.go): received states resolve against it,
+	// refs numbers the replica in publish order for the reference form of
+	// prediction windows (refs.go): received states resolve against it,
 	// outgoing deltas are converted with it.
 	var refs refIndex
 	restore := func(states []fuzzer.VMState) error {
-		if wire.v2() {
-			if err := refs.sync(shard.Corpus()).resolveStates(states); err != nil {
-				return err
-			}
+		if err := refs.sync(shard.Corpus()).resolveStates(states); err != nil {
+			return err
 		}
 		return shard.Restore(states)
 	}
@@ -182,9 +168,9 @@ func RunWorker(addr string, opts WorkerOptions) error {
 
 	// crashKnown tracks, per VM, how many crash-table entries the
 	// coordinator already holds (every state it sent us, every delta we
-	// sent it). The table is append-only, so on v2 connections each
-	// outgoing delta elides that prefix and sends only its length
-	// (VMDelta.CrashBase); the coordinator re-prepends its stored copy.
+	// sent it). The table is append-only, so each outgoing delta elides
+	// that prefix and sends only its length (VMDelta.CrashBase); the
+	// coordinator re-prepends its stored copy.
 	crashKnown := map[int]int{}
 	for _, st := range a.States {
 		crashKnown[st.VM] = len(st.Crashes)
@@ -193,28 +179,22 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		for i := range deltas {
 			d := &deltas[i]
 			total := len(d.State.Crashes)
-			if wire.v2() {
-				base := crashKnown[d.VM]
-				if base > total {
-					base = total // unreachable while the table is append-only
-				}
-				d.CrashBase = base
-				d.State.Crashes = d.State.Crashes[base:]
-			}
+			// A base past total is unreachable while the table is append-only.
+			base := min(crashKnown[d.VM], total)
+			d.CrashBase = base
+			d.State.Crashes = d.State.Crashes[base:]
 			crashKnown[d.VM] = total
 		}
 	}
-	// sendDelta ships one barrier's deltas; on v2 their prediction windows
-	// travel as references into the replica, which at this point holds
-	// exactly the coordinator's corpus.
+	// sendDelta ships one barrier's deltas; their prediction windows travel
+	// as references into the replica, which at this point holds exactly the
+	// coordinator's corpus.
 	sendDelta := func(epoch int64, deltas []fuzzer.VMDelta) error {
-		if wire.v2() {
-			if err := refs.sync(shard.Corpus()).refDeltas(deltas); err != nil {
-				return sendErr(err)
-			}
+		if err := refs.sync(shard.Corpus()).refDeltas(deltas); err != nil {
+			return sendErr(err)
 		}
 		elideCrashes(deltas)
-		encBuf = wire.AppendDelta(encBuf[:0], DeltaMsg{Epoch: epoch, Deltas: deltas})
+		encBuf = AppendDelta(encBuf[:0], DeltaMsg{Epoch: epoch, Deltas: deltas})
 		return send(frameDelta, encBuf)
 	}
 
@@ -230,7 +210,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		}
 		switch typ {
 		case frameEpoch:
-			m, err := wire.DecodeEpoch(payload)
+			m, err := DecodeEpoch(payload)
 			if err != nil {
 				return sendErr(err)
 			}
@@ -247,7 +227,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 				return err
 			}
 		case frameRestore:
-			m, err := wire.DecodeRestore(payload)
+			m, err := DecodeRestore(payload)
 			if err != nil {
 				return sendErr(err)
 			}
@@ -268,7 +248,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 				return err
 			}
 		case frameModelPrep:
-			m, err := wire.DecodeModelMsg(payload)
+			m, err := DecodeModelMsg(payload)
 			if err != nil {
 				return sendErr(err)
 			}
@@ -289,7 +269,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 				return err
 			}
 		case frameModelCommit:
-			m, err := wire.DecodeModelMsg(payload)
+			m, err := DecodeModelMsg(payload)
 			if err != nil {
 				return sendErr(err)
 			}
@@ -312,7 +292,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			for i := range states {
 				states[i].Preds = nil // see FinalMsg
 			}
-			return send(frameFinal, wire.AppendFinal(nil, FinalMsg{States: states}))
+			return send(frameFinal, AppendFinal(nil, FinalMsg{States: states}))
 		case frameErr:
 			em, _ := DecodeErr(payload)
 			return fmt.Errorf("cluster: coordinator failed: %s", em.Msg)

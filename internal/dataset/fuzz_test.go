@@ -31,7 +31,7 @@ func FuzzDatasetDecode(f *testing.F) {
 	f.Add([]byte("snowplow-dataset v1 examples=0\n"))
 	f.Add([]byte("not a dataset\n"))
 	f.Add([]byte("snowplow-dataset v1 examples=1\nexample base=zzz\n"))
-	f.Add([]byte(strings.Replace(validDatasetText, "slots 0:1 1:2", "slots 9:9", 1)))   // slot out of range
+	f.Add([]byte(strings.Replace(validDatasetText, "slots 0:1 1:2", "slots 9:9", 1)))    // slot out of range
 	f.Add([]byte(strings.Replace(validDatasetText, "targets 1 2", "targets 999999", 1))) // target out of range
 	f.Add([]byte(strings.Replace(validDatasetText, "endprog\n", "", 1)))                 // truncated program
 	f.Add([]byte(validDatasetText + validDatasetText[20:]))                              // trailing garbage

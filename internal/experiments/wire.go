@@ -18,35 +18,31 @@ type WirePoint struct {
 	// Epochs is the number of merged barriers, the unit the per-epoch
 	// byte costs below are amortized over.
 	Epochs int64
-	// V1Bytes is the coordinator's total on-the-wire traffic (tx+rx,
-	// headers included) for an all-legacy fleet: v1 fixed-width codec, no
-	// compression — the pre-upgrade baseline.
-	V1Bytes int64
-	// RawBytes is the v2 fleet's pre-compression payload traffic: the
-	// sparse varint codec alone, before the flate stage.
+	// RawBytes is the compressed fleet's coordinator traffic (tx+rx,
+	// headers included) before the flate stage — byte for byte what an
+	// uncompressed fleet puts on the wire.
 	RawBytes int64
-	// WireBytes is the v2 fleet's actual on-the-wire traffic with frame
-	// compression negotiated on.
+	// WireBytes is the same fleet's actual on-the-wire traffic with frame
+	// compression on.
 	WireBytes int64
-	// Reduction is V1Bytes/WireBytes — how much cheaper one epoch's
-	// coordinator traffic got end to end.
+	// Reduction is RawBytes/WireBytes — how much cheaper one epoch's
+	// coordinator traffic gets with frame compression.
 	Reduction float64
-	// Matched reports the v2 compressed campaign's digests are
-	// byte-identical to the single-host campaign's.
+	// Matched reports that every campaign at this worker count reproduced
+	// the single-host campaign's digests byte for byte.
 	Matched bool
-	// ShapedV1WallMs and ShapedV2WallMs are the wall-clock times of the
-	// legacy and compressed campaigns over a bandwidth/latency-shaped
-	// worker link — the WAN stand-in where the byte reduction becomes a
-	// time win.
-	ShapedV1WallMs int64
-	ShapedV2WallMs int64
+	// ShapedRawWallMs and ShapedFlateWallMs are the wall-clock times of an
+	// uncompressed (Compress 0) and a compressed (Compress 6) campaign over
+	// a bandwidth/latency-shaped worker link — the WAN stand-in where the
+	// byte reduction becomes a time win.
+	ShapedRawWallMs   int64
+	ShapedFlateWallMs int64
 }
 
 // WireResult is the WAN-scale wire experiment (BENCH_wire.json): per-epoch
-// coordinator bandwidth for the v1 fixed-width protocol vs the v2
-// sparse+flate protocol, plus wall-clock on a shaped link, at 1, 2 and 4
-// workers. Determinism is asserted throughout — compression must change
-// bytes, never bits.
+// coordinator bandwidth before and after frame compression, plus
+// wall-clock on a shaped link, at 1, 2 and 4 workers. Determinism is
+// asserted throughout — compression must change bytes, never bits.
 type WireResult struct {
 	VMs    int
 	Budget int64
@@ -71,11 +67,12 @@ func shapedWorkerDial(bandwidth int64, latency time.Duration) func(string) (net.
 	}
 }
 
-// Wire measures what the v2 wire protocol saves: for each worker count it
-// runs an all-legacy baseline fleet and a compressed v2 fleet (both must
-// reproduce the single-host digests), prices coordinator bytes per epoch
-// for each, then reruns both over a link shaped to a fraction of the
-// baseline's measured traffic so the byte reduction shows up as wall-clock.
+// Wire measures what frame compression saves: for each worker count it
+// runs a compressed fleet (which must reproduce the single-host digests)
+// and prices coordinator bytes per epoch before and after flate, then runs
+// an uncompressed and a compressed fleet over a link shaped to a fraction
+// of the uncompressed traffic so the byte reduction shows up as
+// wall-clock.
 func Wire(h *Harness, workerCounts []int) WireResult {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1, 2, 4}
@@ -108,73 +105,46 @@ func Wire(h *Harness, workerCounts []int) WireResult {
 			got.CoverDigest == wantCover && got.JournalDigest == wantJournal
 	}
 	spec := cluster.SpecFromConfig(single, nil)
-	legacyFleet := func(workers int, dial func(string) (net.Conn, error)) []cluster.WorkerOptions {
-		per := make([]cluster.WorkerOptions, workers)
-		for i := range per {
-			per[i] = cluster.WorkerOptions{LegacyWire: true, Dial: dial}
+	// run runs one campaign at the given flate level over workers
+	// connections dialed by dial (nil = plain loopback).
+	run := func(workers, level int, dial func(string) (net.Conn, error)) *cluster.Result {
+		got, err := cluster.RunLocal(cluster.Config{Spec: spec, Compress: level}, workers, cluster.WorkerOptions{Dial: dial})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: wire campaign (%d workers, level %d): %v", workers, level, err))
 		}
-		return per
-	}
-	v2Fleet := func(workers int, dial func(string) (net.Conn, error)) []cluster.WorkerOptions {
-		per := make([]cluster.WorkerOptions, workers)
-		for i := range per {
-			per[i] = cluster.WorkerOptions{Dial: dial}
-		}
-		return per
+		return got
 	}
 
 	for _, workers := range workerCounts {
-		h.logf("wire: %d worker(s), v1 baseline...\n", workers)
-		v1, err := cluster.RunLocalOpts(cluster.Config{Spec: spec}, legacyFleet(workers, nil))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: wire v1 campaign (%d workers): %v", workers, err))
-		}
-		if !matches(v1) {
-			panic(fmt.Sprintf("experiments: wire v1 campaign (%d workers) diverged from single host", workers))
-		}
-		h.logf("wire: %d worker(s), v2+flate...\n", workers)
-		v2, err := cluster.RunLocalOpts(cluster.Config{Spec: spec, Compress: 6}, v2Fleet(workers, nil))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: wire v2 campaign (%d workers): %v", workers, err))
-		}
+		h.logf("wire: %d worker(s), flate...\n", workers)
+		flated := run(workers, 6, nil)
 		pt := WirePoint{
 			Workers:   workers,
-			Epochs:    v2.Wire.Epochs,
-			V1Bytes:   v1.Wire.TxWireBytes + v1.Wire.RxWireBytes,
-			RawBytes:  v2.Wire.TxRawBytes + v2.Wire.RxRawBytes,
-			WireBytes: v2.Wire.TxWireBytes + v2.Wire.RxWireBytes,
-			Matched:   matches(v2),
+			Epochs:    flated.Wire.Epochs,
+			RawBytes:  flated.Wire.TxRawBytes + flated.Wire.RxRawBytes,
+			WireBytes: flated.Wire.TxWireBytes + flated.Wire.RxWireBytes,
+			Matched:   matches(flated),
 		}
 		if pt.WireBytes > 0 {
-			pt.Reduction = float64(pt.V1Bytes) / float64(pt.WireBytes)
+			pt.Reduction = float64(pt.RawBytes) / float64(pt.WireBytes)
 		}
 
-		// Shape the worker links to a quarter of the baseline's ingress per
-		// second: the legacy fleet spends ~4s of aggregate serialization
-		// stall, the compressed fleet proportionally less.
+		// Shape the worker links to a quarter of the uncompressed ingress
+		// per second: the uncompressed fleet spends ~4s of aggregate
+		// serialization stall, the compressed fleet proportionally less.
 		if res.BandwidthBytesPerSec == 0 {
-			res.BandwidthBytesPerSec = v1.Wire.RxWireBytes / 4
-			if res.BandwidthBytesPerSec < 64<<10 {
-				res.BandwidthBytesPerSec = 64 << 10
-			}
+			res.BandwidthBytesPerSec = max(flated.Wire.RxRawBytes/4, 64<<10)
 			res.LatencyUs = 200
 		}
-		latency := time.Duration(res.LatencyUs) * time.Microsecond
-		dial := shapedWorkerDial(res.BandwidthBytesPerSec, latency)
+		dial := shapedWorkerDial(res.BandwidthBytesPerSec, time.Duration(res.LatencyUs)*time.Microsecond)
 		h.logf("wire: %d worker(s), shaped link (%d B/s)...\n", workers, res.BandwidthBytesPerSec)
 		start := time.Now()
-		sv1, err := cluster.RunLocalOpts(cluster.Config{Spec: spec}, legacyFleet(workers, dial))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: wire shaped v1 campaign (%d workers): %v", workers, err))
-		}
-		pt.ShapedV1WallMs = time.Since(start).Milliseconds()
+		shapedRaw := run(workers, 0, dial)
+		pt.ShapedRawWallMs = time.Since(start).Milliseconds()
 		start = time.Now()
-		sv2, err := cluster.RunLocalOpts(cluster.Config{Spec: spec, Compress: 6}, v2Fleet(workers, dial))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: wire shaped v2 campaign (%d workers): %v", workers, err))
-		}
-		pt.ShapedV2WallMs = time.Since(start).Milliseconds()
-		pt.Matched = pt.Matched && matches(sv1) && matches(sv2)
+		shapedFlate := run(workers, 6, dial)
+		pt.ShapedFlateWallMs = time.Since(start).Milliseconds()
+		pt.Matched = pt.Matched && matches(shapedRaw) && matches(shapedFlate)
 		res.Points = append(res.Points, pt)
 	}
 	return res
@@ -182,18 +152,15 @@ func Wire(h *Harness, workerCounts []int) WireResult {
 
 // Render prints the WAN-wire bandwidth/wall-clock table.
 func (r WireResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "== WAN wire: v1 fixed-width vs v2 sparse+flate (VMs=%d, budget=%d, link %dB/s+%dµs) ==\n",
+	fmt.Fprintf(w, "== WAN wire: uncompressed vs flate frames (VMs=%d, budget=%d, link %dB/s+%dµs) ==\n",
 		r.VMs, r.Budget, r.BandwidthBytesPerSec, r.LatencyUs)
-	fmt.Fprintf(w, "%8s %8s %12s %12s %12s %6s %10s %11s %11s\n",
-		"workers", "epochs", "v1 B/epoch", "raw B/epoch", "wire B/epoch", "gain", "identical", "shaped-v1", "shaped-v2")
+	fmt.Fprintf(w, "%8s %8s %12s %12s %6s %10s %12s %12s\n",
+		"workers", "epochs", "raw B/epoch", "wire B/epoch", "gain", "identical", "shaped-raw", "shaped-flate")
 	for _, p := range r.Points {
-		ep := p.Epochs
-		if ep == 0 {
-			ep = 1
-		}
-		fmt.Fprintf(w, "%8d %8d %12d %12d %12d %5.1fx %10v %9dms %9dms\n",
-			p.Workers, p.Epochs, p.V1Bytes/ep, p.RawBytes/ep, p.WireBytes/ep,
-			p.Reduction, p.Matched, p.ShapedV1WallMs, p.ShapedV2WallMs)
+		ep := max(p.Epochs, 1)
+		fmt.Fprintf(w, "%8d %8d %12d %12d %5.1fx %10v %10dms %10dms\n",
+			p.Workers, p.Epochs, p.RawBytes/ep, p.WireBytes/ep,
+			p.Reduction, p.Matched, p.ShapedRawWallMs, p.ShapedFlateWallMs)
 	}
-	fmt.Fprintf(w, "(gain = v1 bytes / v2 wire bytes; identical = all fleets reproduced the single-host digests)\n")
+	fmt.Fprintf(w, "(gain = raw bytes / wire bytes; identical = every fleet reproduced the single-host digests)\n")
 }

@@ -144,12 +144,12 @@ func TestParseSpecDisabled(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, s := range []string{
-		"drop",            // no value
-		"drop=x",          // bad probability
-		"drop=1.5",        // out of range
-		"latency=0.1:abc", // bad duration
-		"seed=-1",         // bad seed
-		"bogus=1",         // unknown key
+		"drop",                   // no value
+		"drop=x",                 // bad probability
+		"drop=1.5",               // out of range
+		"latency=0.1:abc",        // bad duration
+		"seed=-1",                // bad seed
+		"bogus=1",                // unknown key
 		"drop=0.6,transient=0.6", // over-full partition
 	} {
 		if _, err := ParseSpec(s); err == nil {

@@ -164,7 +164,7 @@ type PredState struct {
 	Targets []kernel.BlockID
 	Slots   []prog.GlobalSlot
 	// Ref is a wire-level transfer optimization, like VMDelta.CrashBase:
-	// where the cluster's v2 codec carries a prediction it names the base
+	// where the cluster codec carries a prediction it names the base
 	// entry by Ref instead of by Text. For a non-Local prediction Ref is
 	// the entry's publish-order corpus index; for a Local one it is 1 + the
 	// entry's index in the carrying delta's Locals, or 0 when the entry is

@@ -66,8 +66,8 @@ func TestPackageDocAudit(t *testing.T) {
 // the packages listed — the continual-learning package, whose exported
 // surface (Controller, Swap, Config, Params) is the hot-swap contract both
 // campaign engines program against, and the cluster package, whose exported
-// surface (wire messages, negotiation types, checkpoint format) is the
-// cross-version compatibility contract between coordinator and workers.
+// surface (wire messages, handshake types, checkpoint format) is the
+// compatibility contract between coordinator and workers.
 func TestExportedTypeDocAudit(t *testing.T) {
 	for _, dir := range []string{"../online", "../cluster"} {
 		fset := token.NewFileSet()

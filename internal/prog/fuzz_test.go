@@ -25,14 +25,14 @@ func FuzzProgSerialize(f *testing.F) {
 		"",
 		"# just a comment\n",
 		"r0 = open(\"./file0\", 0x42, 0x1ff)\nread(r0, &b\"00ff\", 0x2)\n",
-		"open(\"./file0\", 0x42)\n",              // wrong arity
-		"r1 = open(\"./f\", 0x0, 0x0)\n",        // result index mismatch
-		"read(r9, nil, 0x0)\n",                  // dangling resource ref
-		"unknown_call(0x1)\n",                   // unknown syscall
-		"open(\"./f\", 0x0, 0x0",                // unterminated call
-		"read(r0, &b\"zz\", 0x2)\n",             // bad hex buffer
-		"open(\"\\x\", 0x0, 0x0)\n",             // bad string escape
-		"read(0xffffffffffffffff, nil, 0x0)\n",  // placeholder resource
+		"open(\"./file0\", 0x42)\n",            // wrong arity
+		"r1 = open(\"./f\", 0x0, 0x0)\n",       // result index mismatch
+		"read(r9, nil, 0x0)\n",                 // dangling resource ref
+		"unknown_call(0x1)\n",                  // unknown syscall
+		"open(\"./f\", 0x0, 0x0",               // unterminated call
+		"read(r0, &b\"zz\", 0x2)\n",            // bad hex buffer
+		"open(\"\\x\", 0x0, 0x0)\n",            // bad string escape
+		"read(0xffffffffffffffff, nil, 0x0)\n", // placeholder resource
 	} {
 		f.Add(s)
 	}
