@@ -39,14 +39,12 @@ type serveFlags struct {
 }
 
 // tenantFlags groups the multi-tenant serving knobs: how many concurrent
-// campaigns share one model server, their weighted-fair shares and quotas,
-// and the autoscaling worker-pool bounds.
+// campaigns share one model server, and their weighted-fair shares and
+// quotas.
 type tenantFlags struct {
-	tenants    int
-	weights    string
-	quota      int
-	minWorkers int
-	maxWorkers int
+	tenants int
+	weights string
+	quota   int
 }
 
 // obsFlags groups the observability knobs.
@@ -132,10 +130,6 @@ func main() {
 		"comma-separated deficit-round-robin weights for -tenants campaigns (short list repeats its last value; empty = all 1)")
 	flag.IntVar(&tf.quota, "quota", 0,
 		"per-tenant in-flight query quota for -tenants campaigns (0 = default 2x queue)")
-	flag.IntVar(&tf.minWorkers, "min-workers", 0,
-		"autoscaling worker-pool floor (0 = fixed pool of -workers)")
-	flag.IntVar(&tf.maxWorkers, "max-workers", 0,
-		"autoscaling worker-pool ceiling (0 = fixed pool of -workers)")
 	flag.BoolVar(&cf.worker, "worker", false,
 		"run as a cluster shard worker: join the coordinator at -cluster-addr and exit when the campaign ends")
 	flag.IntVar(&cf.coordinator, "coordinator", 0,
@@ -253,8 +247,6 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		}
 		opts := serve.Options{
 			Workers:       workers,
-			MinWorkers:    tf.minWorkers,
-			MaxWorkers:    tf.maxWorkers,
 			BatchSize:     batch,
 			Deadline:      sf.deadline,
 			MaxRetries:    sf.retries,
@@ -278,7 +270,7 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 			if onf.enabled {
 				return fmt.Errorf("-online is incompatible with -tenants (each campaign would retrain the shared model)")
 			}
-			return runTenantCampaigns(cfg, srv, tf, seed, nseeds, k, sampler)
+			return runTenantCampaigns(cfg, srv, tf, workers, seed, nseeds, k, sampler)
 		}
 		if oc := onf.config(); oc != nil {
 			cfg.Online = oc

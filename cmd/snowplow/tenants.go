@@ -19,26 +19,28 @@ import (
 // weighted-fair tenants of the one shared model server built by run(). Each
 // campaign gets its own seed corpus and campaign seed (base seed + index) so
 // runs stay individually reproducible, while the serving layer multiplexes
-// their inference through deficit-round-robin scheduling, per-tenant quotas
-// and the autoscaling worker pool.
+// their inference through deficit-round-robin scheduling and per-tenant
+// quotas onto the server's one pool of -workers.
 
 // runTenantCampaigns registers one tenant per campaign on the shared server,
 // runs all campaigns concurrently, and prints a per-campaign and per-tenant
 // report. Sharing one obs registry across campaigns is safe: instrument
 // registration is idempotent per name, so the counters aggregate.
-func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
-	spec, err := serve.ParseTenantSpec(tf.tenants, tf.weights, tf.quota, tf.minWorkers, tf.maxWorkers)
+func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, workers int, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
+	tcfgs, err := serve.ParseTenants(tf.tenants, tf.weights, tf.quota)
 	if err != nil {
 		return err
 	}
-	handles := make([]*serve.Tenant, len(spec.Tenants))
-	for i, tc := range spec.Tenants {
+	handles := make([]*serve.Tenant, len(tcfgs))
+	weights := make([]int, len(tcfgs))
+	for i, tc := range tcfgs {
 		if handles[i], err = srv.Tenant(tc); err != nil {
 			return err
 		}
+		weights[i] = tc.Weight
 	}
-	fmt.Printf("multi-tenant: %d campaigns on one shared server (weights %v, quota %d, pool %d..%d)\n",
-		len(handles), specWeights(spec), tf.quota, tf.minWorkers, tf.maxWorkers)
+	fmt.Printf("multi-tenant: %d campaigns on one shared server (weights %v, quota %d, pool %d)\n",
+		len(handles), weights, tf.quota, workers)
 
 	n := len(handles)
 	cfgs := make([]fuzzer.Config, n)
@@ -76,7 +78,7 @@ func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, s
 	}
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("campaign %d (tenant %s): %w", i, spec.Tenants[i].Name, err)
+			return fmt.Errorf("campaign %d (tenant %s): %w", i, tcfgs[i].Name, err)
 		}
 	}
 
@@ -89,7 +91,7 @@ func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, s
 		totalExecs = totalExecs + st.Executions
 		totalQueries += st.PMMQueries
 		fmt.Fprintf(&out, "campaign %d (tenant %s, seed %d): %d edges, %d execs, corpus %d, %d queries, %d shed, %d crashes\n",
-			i, spec.Tenants[i].Name, cfgs[i].Seed,
+			i, tcfgs[i].Name, cfgs[i].Seed,
 			st.FinalEdges, st.Executions, st.CorpusSize, st.PMMQueries, st.PMMShed, len(st.Crashes))
 	}
 	fmt.Fprintf(&out, "fleet: %d edges total, %d executions, %d PMM queries across %d campaigns\n",
@@ -111,10 +113,6 @@ func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, s
 		ss.Succeeded, ss.Failed, ss.Queries, ss.ErrorRate, ss.Healthy)
 	fmt.Fprintf(&out, "batching: %d passes, avg batch %.2f (fill %.0f%%); cache: %d hits, %d misses\n",
 		ss.Batches, ss.AvgBatchSize, 100*ss.BatchFill, ss.CacheHits, ss.CacheMisses)
-	if ss.ScaleUps+ss.ScaleDowns > 0 {
-		fmt.Fprintf(&out, "autoscale: %d ups, %d downs, final pool %d workers (%d journaled events)\n",
-			ss.ScaleUps, ss.ScaleDowns, ss.Workers, len(srv.ScaleLog()))
-	}
 	for i, st := range stats {
 		for _, c := range st.Crashes {
 			fmt.Fprintf(&out, "crash [campaign %d, cost %d] %s\n", i, c.Cost, c.Spec.Title)
@@ -122,13 +120,4 @@ func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, s
 	}
 	_, err = os.Stdout.Write(out.Bytes())
 	return err
-}
-
-// specWeights flattens a spec's per-tenant weights for the banner line.
-func specWeights(sp serve.TenantSpec) []int {
-	ws := make([]int, len(sp.Tenants))
-	for i, t := range sp.Tenants {
-		ws[i] = t.Weight
-	}
-	return ws
 }

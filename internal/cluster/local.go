@@ -3,26 +3,21 @@
 // bench harness and the CI smoke all drive campaigns through these.
 //
 // In Snowplow mode the loopback cluster is also where serving multiplexing
-// lives: instead of N private model replicas, driveLocal loads the spec's
-// model once into one multi-tenant serve.Server and hands each in-process
-// worker its own tenant. Predictions depend only on the model bytes and the
-// query, so shared serving is bit-identical to private serving — the
-// determinism digests don't move — while the model's weights, graph cache
-// and tensor arenas are paid for once. TCP workers (RunWorker from another
-// process) still materialize a private server from the spec; a handle can't
-// cross the wire.
+// lives: instead of N private model replicas, driveLocal builds the spec's
+// server once (CampaignSpec.NewServer) and hands each in-process worker its
+// own tenant. Predictions depend only on the model bytes and the query, so
+// shared serving is bit-identical to private serving — the determinism
+// digests don't move — while the model's weights and tensor arenas are paid
+// for once. TCP workers (RunWorker from another process) still materialize
+// a private server from the same method; a handle can't cross the wire.
 
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
-	"github.com/repro/snowplow/internal/pmm"
-	"github.com/repro/snowplow/internal/qgraph"
 	"github.com/repro/snowplow/internal/serve"
 )
 
@@ -72,51 +67,6 @@ func uniformOpts(workers int, wopts WorkerOptions) []WorkerOptions {
 	return per
 }
 
-// sharedServer builds the multi-tenant model server for an in-process
-// Snowplow cluster: one server, one tenant per worker. Sizing mirrors
-// Materialize — the whole fleet's prediction window fits every tenant's
-// queue, so a fault-free campaign never degrades; the tenant quota default
-// (2× queue) is likewise never reached by a well-behaved shard.
-func sharedServer(sp CampaignSpec, workers int, wopts WorkerOptions) (*serve.Server, []*serve.Tenant, error) {
-	m, err := pmm.Load(bytes.NewReader(sp.Model))
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: loading shared model: %w", err)
-	}
-	k, err := kernelFor(sp.KernelVersion)
-	if err != nil {
-		return nil, nil, err
-	}
-	serveWorkers := wopts.ServeWorkers
-	if serveWorkers <= 0 {
-		serveWorkers = 2
-	}
-	vms := sp.TotalVMs
-	if vms <= 0 {
-		vms = 1
-	}
-	pending := sp.MaxPending
-	if pending <= 0 {
-		pending = 8
-	}
-	queue := vms*pending*2 + serveWorkers*8
-	srv := serve.NewServerOpts(m, qgraph.NewBuilder(k.k, k.an), serve.Options{
-		Workers:   serveWorkers,
-		QueueSize: queue,
-		Deadline:  30 * time.Second,
-		Fused:     wopts.Fused,
-	})
-	tenants := make([]*serve.Tenant, workers)
-	for i := range tenants {
-		t, err := srv.Tenant(serve.TenantConfig{Name: "worker" + strconv.Itoa(i)})
-		if err != nil {
-			srv.Close()
-			return nil, nil, err
-		}
-		tenants[i] = t
-	}
-	return srv, tenants, nil
-}
-
 func driveLocal(co *Coordinator, sp CampaignSpec, wopts []WorkerOptions) (*Result, error) {
 	addr := co.Addr()
 	workers := len(wopts)
@@ -130,13 +80,18 @@ func driveLocal(co *Coordinator, sp CampaignSpec, wopts []WorkerOptions) (*Resul
 		}
 	}
 	if sp.Mode == 1 && len(shared) > 0 {
-		srv, tenants, err := sharedServer(sp, len(shared), perWorker[shared[0]])
+		first := perWorker[shared[0]]
+		srv, err := sp.NewServer(first.ServeWorkers, first.Fused)
 		if err != nil {
 			return nil, err
 		}
 		defer srv.Close()
 		for j, i := range shared {
-			perWorker[i].Inference = tenants[j]
+			t, err := srv.Tenant(serve.TenantConfig{Name: "worker" + strconv.Itoa(j)})
+			if err != nil {
+				return nil, err
+			}
+			perWorker[i].Inference = t
 		}
 	}
 	var wg sync.WaitGroup

@@ -145,9 +145,9 @@ type Runtime struct {
 }
 
 // Materialize builds the seed corpus and — when needServer is set in
-// Snowplow mode — a local inference server from the spec's model bytes,
-// over the process's one kernel and analysis for the spec's version
-// (kernelFor). fused routes that server through the fused inference
+// Snowplow mode — a local inference server (NewServer) from the spec's
+// model bytes, over the process's one kernel and analysis for the spec's
+// version (kernelFor). fused routes that server through the fused inference
 // kernels; it is a per-worker serving knob (fused predictions are
 // bit-identical), so heterogeneous fleets stay deterministic. Whether the
 // model serves at int8 precision is pinned by the model bytes themselves
@@ -188,26 +188,9 @@ func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool
 	}
 	rt := &Runtime{Kernel: k, An: an}
 	if sp.Mode == 1 && needServer {
-		m, err := pmm.Load(bytes.NewReader(sp.Model))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: loading model: %w", err)
+		if rt.Server, err = sp.NewServer(serveWorkers, fused); err != nil {
+			return nil, err
 		}
-		if serveWorkers <= 0 {
-			serveWorkers = 2
-		}
-		// Size serving so a fault-free campaign never degrades: the whole
-		// fleet's prediction window must fit the queue (a full queue is a
-		// retryable failure and erodes health), and the deadline must
-		// absorb slow hosts. Serving perf knobs are prediction-invariant,
-		// so this changes robustness only.
-		norm := cfg.Normalized()
-		queue := norm.VMs*norm.MaxPending*2 + serveWorkers*8
-		rt.Server = serve.NewServerOpts(m, qgraph.NewBuilder(k, an), serve.Options{
-			Workers:   serveWorkers,
-			QueueSize: queue,
-			Deadline:  30 * time.Second,
-			Fused:     fused,
-		})
 		cfg.Server = rt.Server
 	}
 	if sp.Journal {
@@ -215,6 +198,39 @@ func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool
 	}
 	rt.Cfg = cfg
 	return rt, nil
+}
+
+// NewServer builds the campaign's model server: the spec's model over its
+// kernel on a fixed pool of workers (default 2), with no batching and no
+// graph cache. Materialize calls it for a TCP worker's private server,
+// driveLocal for the one server a loopback fleet shares, one tenant per
+// worker. Sizing keeps a fault-free campaign from ever degrading: the whole
+// fleet's prediction window fits the queue (a full queue is a retryable
+// failure and erodes health), every tenant's quota defaults to twice that,
+// and the deadline absorbs slow hosts. Serving knobs are
+// prediction-invariant, so this shapes robustness only.
+func (sp CampaignSpec) NewServer(workers int, fused bool) (*serve.Server, error) {
+	kp, err := kernelFor(sp.KernelVersion)
+	if err != nil {
+		return nil, err
+	}
+	m, err := pmm.Load(bytes.NewReader(sp.Model))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: loading model: %w", err)
+	}
+	if workers <= 0 {
+		workers = 2
+	}
+	pending := sp.MaxPending
+	if pending <= 0 {
+		pending = 8
+	}
+	return serve.NewServerOpts(m, qgraph.NewBuilder(kp.k, kp.an), serve.Options{
+		Workers:   workers,
+		QueueSize: max(sp.TotalVMs, 1)*pending*2 + workers*8,
+		Deadline:  30 * time.Second,
+		Fused:     fused,
+	}), nil
 }
 
 // Close releases the runtime's server, if any.

@@ -82,9 +82,9 @@ func corpusCoverDigests(c *corpus.Corpus) (corp, cover string) {
 // TestCampaignBitIdenticalAcrossServingPlatform is the multi-tenancy
 // backward-compat contract: the same campaign produces byte-for-byte
 // identical stats whether it runs through a dedicated server's default
-// tenant (the pre-tenancy PR-7 path), as a registered tenant of a shared
-// server, or on an autoscaling worker pool — with the fused kernels on or
-// off. Tenancy and scaling change who is served when, never what is
+// tenant (the pre-tenancy path), as a registered tenant of a shared
+// server, or on a wider worker pool — with the fused kernels on or off.
+// Tenancy and pool size change who is served when, never what is
 // predicted.
 func TestCampaignBitIdenticalAcrossServingPlatform(t *testing.T) {
 	const seed = 57
@@ -100,8 +100,8 @@ func TestCampaignBitIdenticalAcrossServingPlatform(t *testing.T) {
 		{"registered-tenant", serve.Options{Workers: 1}, true},
 		{"fused", serve.Options{Workers: 1, Fused: true}, false},
 		{"fused-tenant-batched", serve.Options{Workers: 2, BatchSize: 4, Fused: true}, true},
-		{"autoscaled", serve.Options{Workers: 1, MinWorkers: 1, MaxWorkers: 4, ScaleHold: 1}, false},
-		{"autoscaled-tenant", serve.Options{Workers: 1, MinWorkers: 1, MaxWorkers: 4, ScaleHold: 1, Fused: true}, true},
+		{"pool4", serve.Options{Workers: 4}, false},
+		{"pool4-tenant", serve.Options{Workers: 4, Fused: true}, true},
 	}
 	for _, v := range variants {
 		if got := snowplowCampaignOn(t, seed, v.opts, v.asTenant); !reflect.DeepEqual(got, base) {

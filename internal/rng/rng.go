@@ -87,9 +87,11 @@ func (r *Rand) Int63() int64 {
 	return int64(r.Uint64() >> 1)
 }
 
-// Float64 returns a uniformly distributed float64 in [0, 1).
+// Float64 returns a uniformly distributed float64 in [0, 1). The quotient
+// is explicitly rounded so that, inlined into a caller's x*Float64() + y,
+// arm64 cannot fuse it into an FMA that amd64 never forms.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and
@@ -98,7 +100,7 @@ func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +170,62 @@ func TestBatchedCloseDeliversAll(t *testing.T) {
 		case <-ch:
 		case <-time.After(10 * time.Second):
 			t.Fatal("prediction never delivered across Close")
+		}
+	}
+}
+
+// TestPredictionsIdenticalAcrossPoolConfigs is the determinism contract:
+// worker-pool size and batching change only throughput, never a
+// prediction's bits.
+func TestPredictionsIdenticalAcrossPoolConfigs(t *testing.T) {
+	base := testQuery(t)
+	queries := []Query{base}
+	for n := 1; n < len(base.Targets); n++ {
+		q := base
+		q.Targets = base.Targets[:n]
+		queries = append(queries, q)
+	}
+
+	configs := []Options{
+		{Workers: 1, QueueSize: 64},
+		{Workers: 4, BatchSize: 4, QueueSize: 64},
+		{Workers: 8, BatchSize: 2, QueueSize: 64},
+	}
+	var want []Prediction
+	for ci, opts := range configs {
+		s := newTestServerOpts(t, opts)
+		// Load the server concurrently so batches form and workers contend,
+		// then measure the queries of record synchronously.
+		var replies []<-chan Prediction
+		for i := 0; i < 32; i++ {
+			r, err := s.InferAsync(queries[i%len(queries)])
+			if err != nil {
+				t.Fatalf("config %d warm-up submit: %v", ci, err)
+			}
+			replies = append(replies, r)
+		}
+		got := make([]Prediction, len(queries))
+		for i, q := range queries {
+			p, err := s.Infer(q)
+			if err != nil {
+				t.Fatalf("config %d query %d: %v", ci, i, err)
+			}
+			got[i] = p
+		}
+		for _, r := range replies {
+			if p := <-r; p.Err != nil {
+				t.Fatalf("config %d warm-up: %v", ci, p.Err)
+			}
+		}
+		s.Close()
+		if ci == 0 {
+			want = got
+			continue
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i].Slots, want[i].Slots) || !reflect.DeepEqual(got[i].Probs, want[i].Probs) {
+				t.Fatalf("config %d query %d prediction differs from single-worker baseline", ci, i)
+			}
 		}
 	}
 }

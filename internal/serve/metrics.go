@@ -17,16 +17,13 @@ type serveMetrics struct {
 	tenantAdmitted      *obs.Counter // queries past admission control, all tenants
 	tenantQuotaRejected *obs.Counter // submissions refused on tenant quota
 	tenantShed          *obs.Counter // background submissions shed on SLO/health
-	scaleUps            *obs.Counter // autoscaler grow decisions
-	scaleDowns          *obs.Counter // autoscaler shrink decisions
 
 	latency    *obs.Histogram // terminal query latency (queue+inference+retries)
 	batchSize  *obs.Histogram // queries per forward pass
 	queueWait  *obs.Histogram // attempt time spent queued before a worker picked it up
 	queueDepth *obs.Gauge     // pending attempts at last worker pickup
 
-	tenantCount  *obs.Gauge // registered tenants
-	scaleWorkers *obs.Gauge // current worker-pool target
+	tenantCount *obs.Gauge // registered tenants
 }
 
 // newServeMetrics registers the serving instruments on reg (nil reg yields
@@ -48,10 +45,7 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		tenantAdmitted:      reg.Counter("serve_tenant_admitted_total", "queries", "queries past admission control, all tenants"),
 		tenantQuotaRejected: reg.Counter("serve_tenant_quota_rejected_total", "queries", "submissions refused on tenant quota"),
 		tenantShed:          reg.Counter("serve_tenant_shed_total", "queries", "background submissions shed on SLO/health"),
-		scaleUps:            reg.Counter("serve_scale_up_total", "decisions", "autoscaler grow decisions"),
-		scaleDowns:          reg.Counter("serve_scale_down_total", "decisions", "autoscaler shrink decisions"),
 		tenantCount:         reg.Gauge("serve_tenant_count", "tenants", "registered tenants"),
-		scaleWorkers:        reg.Gauge("serve_scale_workers", "workers", "current worker-pool target"),
 		latency:             reg.Histogram("serve_latency_ns", "ns", "terminal query latency (queue+inference+retries)", obs.LatencyBucketsNs()),
 		batchSize:           reg.Histogram("serve_batch_size", "queries", "queries packed into one union-graph forward pass", obs.SizeBuckets()),
 		queueWait:           reg.Histogram("serve_queue_wait_ns", "ns", "attempt wait in the worker queue", obs.LatencyBucketsNs()),

@@ -52,8 +52,8 @@ func (r *attemptRing) pop() *attempt {
 }
 
 // sched is the shared scheduler state. One mutex guards tenant
-// registration, every queue ring, the DRR cursors, and the worker-pool
-// target; workers block on cond when all queues are empty.
+// registration, every queue ring and the DRR cursors; workers block on cond
+// when all queues are empty.
 type sched struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -67,12 +67,6 @@ type sched struct {
 	queued  int
 	perBand [numPriorities]int
 	closed  bool
-
-	// target is the desired worker-pool size; alive[id] marks worker
-	// goroutines that have not exited. Workers with id >= target exit at
-	// their next pickup, which is how scale-down drains (autoscale.go).
-	target int
-	alive  []bool
 }
 
 func newSched() *sched {
@@ -135,8 +129,8 @@ func (sc *sched) enqueue(at *attempt) error {
 	return nil
 }
 
-// depth reports the total queued attempts (the autoscaler's input and the
-// serve_queue_depth gauge's source).
+// depth reports the total queued attempts (the serve_queue_depth gauge's
+// source).
 func (sc *sched) depth() int {
 	sc.mu.Lock()
 	d := sc.queued
@@ -145,15 +139,12 @@ func (sc *sched) depth() int {
 }
 
 // popBlocking waits until work is queued and fills batch (in scheduler
-// order) with up to max attempts. It returns an empty batch when the worker
-// should exit: the server closed, or the pool scaled below this worker's
-// id. On exit the worker is marked dead under the same critical section, so
-// setTarget never double-spawns an id.
-func (sc *sched) popBlocking(batch []*attempt, max, workerID int) []*attempt {
+// order) with up to max attempts. It returns an empty batch once the server
+// has closed, telling the worker to exit.
+func (sc *sched) popBlocking(batch []*attempt, max int) []*attempt {
 	sc.mu.Lock()
 	for {
-		if sc.closed || workerID >= sc.target {
-			sc.alive[workerID] = false
+		if sc.closed {
 			sc.mu.Unlock()
 			return batch
 		}

@@ -8,11 +8,10 @@
 // one model, one graph-encoding cache and one set of tensor arenas, with
 // per-tenant queues scheduled by deterministic deficit round-robin under
 // strict priority classes (tenant.go, sched.go), per-tenant quotas and
-// SLO-aware shedding at admission, and a worker pool that autoscales
-// between MinWorkers and MaxWorkers on queue depth (autoscale.go). The
-// single-campaign API is unchanged — a Server routes Infer/InferAsync
-// through an implicit default tenant whose behavior is bit-identical to the
-// pre-tenancy server.
+// SLO-aware shedding at admission, all served by one fixed pool of
+// Options.Workers goroutines. The single-campaign API is unchanged — a
+// Server routes Infer/InferAsync through an implicit default tenant whose
+// behavior is bit-identical to the pre-tenancy server.
 //
 // Unlike a lab-bench server, this one has a failure story. Every query gets
 // a per-attempt deadline and a bounded retry budget with exponential backoff
@@ -132,13 +131,8 @@ type Stats struct {
 	ErrorRate float64
 	// Healthy mirrors Server.Healthy at snapshot time.
 	Healthy bool
-	// TenantCount and Workers report the registered-tenant count and the
-	// current worker-pool target; ScaleUps/ScaleDowns count autoscale
-	// decisions (see Server.ScaleLog for the full journal).
+	// TenantCount reports the registered-tenant count.
 	TenantCount int
-	Workers     int
-	ScaleUps    int64
-	ScaleDowns  int64
 }
 
 // Sentinel errors. ErrServerClosed is returned (or delivered via
@@ -154,32 +148,12 @@ var (
 	ErrShed          = errors.New("serve: shed by admission control")
 )
 
-// ErrClosed is a deprecated alias for ErrServerClosed.
-var ErrClosed = ErrServerClosed
-
 // Options configures a Server. The zero value of any field takes a default.
 type Options struct {
-	// Workers is the initial inference pool size (the paper's GPU
-	// replicas). Default 1. With autoscaling enabled it is clamped into
-	// [MinWorkers, MaxWorkers].
+	// Workers is the inference pool size (the paper's GPU replicas), fixed
+	// for the server's lifetime. Default 1. Pool size never changes
+	// predictions — only how many attempts are in flight at once.
 	Workers int
-	// MinWorkers/MaxWorkers bound the autoscaling worker pool. Both
-	// default to Workers, which disables autoscaling; set MaxWorkers >
-	// MinWorkers to let the pool grow under queue pressure and shrink when
-	// idle (see autoscale.go). Scaling never changes predictions — only
-	// how many attempts are in flight at once.
-	MinWorkers int
-	MaxWorkers int
-	// ScaleInterval is the autoscaler evaluation period. Default 5ms.
-	ScaleInterval time.Duration
-	// ScaleUpAt/ScaleDownAt are queue-depth watermarks in units of queued
-	// attempts per current worker: depth > ScaleUpAt*workers votes to grow,
-	// depth < ScaleDownAt*workers votes to shrink. Defaults 2.0 / 0.25.
-	ScaleUpAt   float64
-	ScaleDownAt float64
-	// ScaleHold is the hysteresis: how many consecutive evaluations must
-	// agree before a scaling decision is applied. Default 2.
-	ScaleHold int
 	// SLOQueueWait enables SLO-aware shedding: when the smoothed queue
 	// wait exceeds it — or the health tracker reports the server degraded —
 	// background-class submissions are refused with ErrShed at admission.
@@ -194,8 +168,8 @@ type Options struct {
 	// Default 1 (no batching).
 	BatchSize int
 	// QueueSize bounds each tenant's pending-attempt queue (the default
-	// for TenantConfig.QueueSize). Default MaxWorkers*8*BatchSize, so a
-	// saturated queue can feed full batches at full scale.
+	// for TenantConfig.QueueSize). Default Workers*8*BatchSize, so a
+	// saturated queue can feed every worker full batches.
 	QueueSize int
 	// Deadline bounds one attempt's queue+inference wait. Default 5s.
 	Deadline time.Duration
@@ -248,38 +222,11 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.MinWorkers <= 0 {
-		o.MinWorkers = o.Workers
-	}
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = o.Workers
-	}
-	if o.MaxWorkers < o.MinWorkers {
-		o.MaxWorkers = o.MinWorkers
-	}
-	if o.Workers < o.MinWorkers {
-		o.Workers = o.MinWorkers
-	}
-	if o.Workers > o.MaxWorkers {
-		o.Workers = o.MaxWorkers
-	}
-	if o.ScaleInterval <= 0 {
-		o.ScaleInterval = 5 * time.Millisecond
-	}
-	if o.ScaleUpAt <= 0 {
-		o.ScaleUpAt = 2.0
-	}
-	if o.ScaleDownAt <= 0 {
-		o.ScaleDownAt = 0.25
-	}
-	if o.ScaleHold <= 0 {
-		o.ScaleHold = 2
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 1
 	}
 	if o.QueueSize <= 0 {
-		o.QueueSize = o.MaxWorkers * 8 * o.BatchSize
+		o.QueueSize = o.Workers * 8 * o.BatchSize
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 5 * time.Second
@@ -399,9 +346,6 @@ type Server struct {
 
 	health *healthTracker
 
-	// scaler owns the autoscaling evaluator and the scale journal.
-	scaler autoscaler
-
 	// ewmaWaitNs smooths observed queue waits for SLO shedding; sloOn
 	// gates the time.Now calls it needs.
 	ewmaWaitNs atomic.Int64
@@ -469,9 +413,10 @@ func NewServerOpts(model *pmm.Model, builder *qgraph.Builder, opts Options) *Ser
 	}
 	s.def = def
 	s.m.tenantCount.Set(1)
-	s.sched.alive = make([]bool, opts.MaxWorkers)
-	s.startWorkers(opts.Workers)
-	s.scaler.start(s)
+	s.workerWG.Add(opts.Workers)
+	for i := 0; i < opts.Workers; i++ {
+		go s.workerLoop()
+	}
 	return s
 }
 
@@ -537,35 +482,17 @@ func (s *Server) GraphCacheCapacity() int {
 	return s.builder.Cache.Capacity()
 }
 
-// startWorkers raises the pool target to n, spawning worker goroutines for
-// every dead id below n.
-func (s *Server) startWorkers(n int) {
-	sc := s.sched
-	sc.mu.Lock()
-	sc.target = n
-	for id := 0; id < n; id++ {
-		if !sc.alive[id] {
-			sc.alive[id] = true
-			s.workerWG.Add(1)
-			go s.workerLoop(id)
-		}
-	}
-	sc.mu.Unlock()
-	s.m.scaleWorkers.Set(int64(n))
-}
-
-// workerLoop serves scheduler batches until the server closes or the pool
-// scales below this worker's id. With BatchSize > 1 it opportunistically
+// workerLoop serves scheduler batches until the server closes. With BatchSize > 1 it opportunistically
 // tops the batch up with whatever is already queued — never waiting for a
 // batch to fill, an idle queue must not add latency — and serves the whole
 // micro-batch in one union-graph forward pass.
-func (s *Server) workerLoop(id int) {
+func (s *Server) workerLoop() {
 	defer s.workerWG.Done()
 	maxBatch := s.opts.BatchSize
 	batch := make([]*attempt, 0, maxBatch)
 	gs := make([]*qgraph.Graph, 0, maxBatch)
 	for {
-		batch = s.sched.popBlocking(batch[:0], 1, id)
+		batch = s.sched.popBlocking(batch[:0], 1)
 		if len(batch) == 0 {
 			return
 		}
@@ -996,9 +923,6 @@ func (s *Server) Stats() Stats {
 		ErrorRate:      rate,
 		Healthy:        s.Healthy(),
 		TenantCount:    s.sched.numTenants(),
-		Workers:        s.scaler.workersNow(s),
-		ScaleUps:       s.scaler.ups.Load(),
-		ScaleDowns:     s.scaler.downs.Load(),
 	}
 }
 
@@ -1016,10 +940,9 @@ func (s *Server) Close() {
 	s.closed = true
 	close(s.closeCh)
 	s.mu.Unlock()
-	// Only the first closer reaches this point: stop the autoscaler, wait
-	// out every accepted query (all abort promptly on closeCh), then wake
-	// the workers to observe the closed scheduler and drain out.
-	s.scaler.stopEvaluator()
+	// Only the first closer reaches this point: wait out every accepted
+	// query (all abort promptly on closeCh), then wake the workers to
+	// observe the closed scheduler and drain out.
 	s.queryWG.Wait()
 	s.sched.close()
 	s.workerWG.Wait()

@@ -80,8 +80,8 @@ const (
 	maxTenantQueue  = 1 << 24
 )
 
-// ErrBadTenantConfig wraps every tenant-spec validation failure, so codec
-// fuzzing and flag parsing can assert typed rejection.
+// ErrBadTenantConfig wraps every tenant validation failure, so flag parsing
+// and registration can assert typed rejection.
 var ErrBadTenantConfig = errors.New("serve: bad tenant config")
 
 // Validate checks the explicit fields (defaults are applied elsewhere):

@@ -17,8 +17,6 @@ import (
 func schedFixture(t *testing.T, cfgs ...TenantConfig) (*sched, []*tenant) {
 	t.Helper()
 	sc := newSched()
-	sc.target = 1
-	sc.alive = []bool{true}
 	tenants := make([]*tenant, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults(Options{QueueSize: 1024})
@@ -355,56 +353,30 @@ func TestWeightedTenantsShareSaturatedServer(t *testing.T) {
 	}
 }
 
-func TestParseTenantSpec(t *testing.T) {
-	sp, err := ParseTenantSpec(4, "3,1", 0, 1, 8)
+func TestParseTenants(t *testing.T) {
+	tenants, err := ParseTenants(4, "3,1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sp.Tenants) != 4 || sp.MinWorkers != 1 || sp.MaxWorkers != 8 {
-		t.Fatalf("spec: %+v", sp)
+	if len(tenants) != 4 {
+		t.Fatalf("tenants: %+v", tenants)
 	}
 	wantW := []int{3, 1, 1, 1} // short list repeats its last value
-	for i, tc := range sp.Tenants {
+	for i, tc := range tenants {
 		if tc.Name != fmt.Sprintf("t%d", i) || tc.Weight != wantW[i] {
 			t.Fatalf("tenant %d: %+v, want weight %d", i, tc, wantW[i])
 		}
 	}
-	if _, err := ParseTenantSpec(0, "", 0, 0, 0); err == nil {
+	if _, err := ParseTenants(0, "", 0); err == nil {
 		t.Fatal("zero tenants must fail")
 	}
-	if _, err := ParseTenantSpec(2, "1,x", 0, 0, 0); !errors.Is(err, ErrBadTenantConfig) {
+	if _, err := ParseTenants(2, "1,x", 0); !errors.Is(err, ErrBadTenantConfig) {
 		t.Fatalf("bad weight: %v, want ErrBadTenantConfig", err)
 	}
-	if _, err := ParseTenantSpec(2, "", -1, 0, 0); !errors.Is(err, ErrBadTenantConfig) {
+	if _, err := ParseTenants(2, "", -1); !errors.Is(err, ErrBadTenantConfig) {
 		t.Fatalf("negative quota: %v, want ErrBadTenantConfig", err)
 	}
-}
-
-func TestTenantSpecCodecRoundTrip(t *testing.T) {
-	sp := TenantSpec{
-		MinWorkers: 2,
-		MaxWorkers: 16,
-		Tenants: []TenantConfig{
-			{Name: "alpha", Weight: 3, Quota: 128, QueueSize: 64},
-			{Name: "beta", Weight: 1, Priority: PriorityDirected},
-		},
-	}
-	data := EncodeTenantSpec(sp)
-	got, err := DecodeTenantSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", sp) {
-		t.Fatalf("round trip: %+v != %+v", got, sp)
-	}
-	if _, err := DecodeTenantSpec(data[:len(data)-1]); !errors.Is(err, ErrBadSpecEncoding) {
-		t.Fatalf("truncated: %v, want ErrBadSpecEncoding", err)
-	}
-	if _, err := DecodeTenantSpec(append(append([]byte{}, data...), 0)); !errors.Is(err, ErrBadSpecEncoding) {
-		t.Fatalf("trailing byte: %v, want ErrBadSpecEncoding", err)
-	}
-	bad := EncodeTenantSpec(TenantSpec{Tenants: []TenantConfig{{Name: "x", Weight: -1}}})
-	if _, err := DecodeTenantSpec(bad); !errors.Is(err, ErrBadTenantConfig) {
-		t.Fatalf("invalid spec: %v, want ErrBadTenantConfig", err)
+	if _, err := ParseTenants(2, "2,-1", 0); !errors.Is(err, ErrBadTenantConfig) {
+		t.Fatalf("negative weight: %v, want ErrBadTenantConfig", err)
 	}
 }

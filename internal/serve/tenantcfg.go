@@ -1,205 +1,42 @@
 package serve
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
 
-// Tenant-spec codec and flag parsing. A TenantSpec is the serializable
-// description of a shared server's tenancy — worker-pool bounds plus one
-// TenantConfig per tenant — built from the -tenants/-tenant-weight/-quota/
-// -min-workers/-max-workers flag surface, recorded in benchmark artifacts,
-// and checked by FuzzTenantConfig: DecodeTenantSpec accepts exactly the
-// canonical encodings of valid specs (reject-invalid), and decode∘encode is
-// the identity on everything it accepts, mirroring the cluster wire codec's
-// contract.
+// maxTenants bounds how many tenants one command line may declare.
+const maxTenants = 4096
 
-// TenantSpec describes a shared server's tenancy.
-type TenantSpec struct {
-	// MinWorkers/MaxWorkers bound the autoscaling pool (Options
-	// equivalents; 0 defers to the server's Workers).
-	MinWorkers int
-	MaxWorkers int
-	// Tenants lists the tenant configs, in registration order.
-	Tenants []TenantConfig
-}
-
-// MaxSpecTenants bounds how many tenants one spec (and one server) may
-// declare.
-const MaxSpecTenants = 4096
-
-// maxSpecWorkers bounds the declared worker-pool size.
-const maxSpecWorkers = 1 << 16
-
-// ErrBadSpecEncoding reports a malformed or non-canonical spec encoding.
-var ErrBadSpecEncoding = errors.New("serve: bad tenant spec encoding")
-
-// Validate checks pool bounds, the tenant count, every tenant config, and
-// name uniqueness.
-func (sp TenantSpec) Validate() error {
-	if sp.MinWorkers < 0 || sp.MaxWorkers < 0 ||
-		sp.MinWorkers > maxSpecWorkers || sp.MaxWorkers > maxSpecWorkers {
-		return fmt.Errorf("%w: worker bounds [%d, %d] out of range", ErrBadTenantConfig, sp.MinWorkers, sp.MaxWorkers)
-	}
-	if sp.MaxWorkers > 0 && sp.MinWorkers > sp.MaxWorkers {
-		return fmt.Errorf("%w: min workers %d > max workers %d", ErrBadTenantConfig, sp.MinWorkers, sp.MaxWorkers)
-	}
-	if len(sp.Tenants) == 0 {
-		return fmt.Errorf("%w: no tenants", ErrBadTenantConfig)
-	}
-	if len(sp.Tenants) > MaxSpecTenants {
-		return fmt.Errorf("%w: %d tenants over the %d cap", ErrBadTenantConfig, len(sp.Tenants), MaxSpecTenants)
-	}
-	seen := make(map[string]bool, len(sp.Tenants))
-	for _, t := range sp.Tenants {
-		if err := t.Validate(); err != nil {
-			return err
-		}
-		if seen[t.Name] {
-			return fmt.Errorf("%w: duplicate tenant %q", ErrBadTenantConfig, t.Name)
-		}
-		seen[t.Name] = true
-	}
-	return nil
-}
-
-// specMagic versions the encoding: "sptn" + format 1.
-var specMagic = [5]byte{'s', 'p', 't', 'n', 1}
-
-// EncodeTenantSpec canonically serializes a spec (little-endian, fixed
-// field order). It does not validate; encode garbage and DecodeTenantSpec
-// will refuse it.
-func EncodeTenantSpec(sp TenantSpec) []byte {
-	b := make([]byte, 0, 64+32*len(sp.Tenants))
-	b = append(b, specMagic[:]...)
-	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	u(uint64(int64(sp.MinWorkers)))
-	u(uint64(int64(sp.MaxWorkers)))
-	u(uint64(len(sp.Tenants)))
-	for _, t := range sp.Tenants {
-		u(uint64(len(t.Name)))
-		b = append(b, t.Name...)
-		u(uint64(int64(t.Weight)))
-		u(uint64(int64(t.Quota)))
-		u(uint64(int64(t.QueueSize)))
-		b = append(b, byte(t.Priority))
-	}
-	return b
-}
-
-// DecodeTenantSpec parses and validates a canonical spec encoding. Any
-// truncation, trailing bytes, or field that TenantSpec.Validate refuses is
-// an error.
-func DecodeTenantSpec(data []byte) (TenantSpec, error) {
-	var sp TenantSpec
-	if len(data) < len(specMagic) || string(data[:len(specMagic)]) != string(specMagic[:]) {
-		return sp, fmt.Errorf("%w: missing magic", ErrBadSpecEncoding)
-	}
-	off := len(specMagic)
-	fail := func(what string) (TenantSpec, error) {
-		return TenantSpec{}, fmt.Errorf("%w: %s", ErrBadSpecEncoding, what)
-	}
-	u := func() (uint64, bool) {
-		if len(data)-off < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, true
-	}
-	iv := func() (int, bool) {
-		// Out-of-range values round-trip into negatives or absurd sizes
-		// that Validate refuses below.
-		v, ok := u()
-		return int(int64(v)), ok
-	}
-	var ok bool
-	if sp.MinWorkers, ok = iv(); !ok {
-		return fail("truncated min workers")
-	}
-	if sp.MaxWorkers, ok = iv(); !ok {
-		return fail("truncated max workers")
-	}
-	n, ok := u()
-	if !ok {
-		return fail("truncated tenant count")
-	}
-	if n == 0 || n > MaxSpecTenants {
-		return fail("tenant count out of range")
-	}
-	sp.Tenants = make([]TenantConfig, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var t TenantConfig
-		nameLen, ok := u()
-		if !ok || nameLen > MaxTenantName || uint64(len(data)-off) < nameLen {
-			return fail("bad tenant name length")
-		}
-		t.Name = string(data[off : off+int(nameLen)])
-		off += int(nameLen)
-		if t.Weight, ok = iv(); !ok {
-			return fail("truncated weight")
-		}
-		if t.Quota, ok = iv(); !ok {
-			return fail("truncated quota")
-		}
-		if t.QueueSize, ok = iv(); !ok {
-			return fail("truncated queue size")
-		}
-		if off >= len(data) {
-			return fail("truncated priority")
-		}
-		t.Priority = Priority(data[off])
-		off++
-		sp.Tenants = append(sp.Tenants, t)
-	}
-	if off != len(data) {
-		return fail("trailing bytes")
-	}
-	if err := sp.Validate(); err != nil {
-		return TenantSpec{}, err
-	}
-	return sp, nil
-}
-
-// ParseTenantSpec builds a validated spec from the command-line surface:
-// n tenants named t0..t{n-1}, weights taken from the comma-separated list
-// (an empty list is all-1s; a short list repeats its last value), and one
-// shared quota and worker-pool bound applied to every tenant.
-func ParseTenantSpec(n int, weightCSV string, quota, minWorkers, maxWorkers int) (TenantSpec, error) {
-	if n <= 0 {
-		return TenantSpec{}, fmt.Errorf("%w: tenant count %d", ErrBadTenantConfig, n)
+// ParseTenants builds validated tenant configs from the command-line
+// surface: n tenants named t0..t{n-1}, weights taken from the
+// comma-separated list (an empty list is all-1s; a short list repeats its
+// last value), and one shared quota applied to every tenant.
+func ParseTenants(n int, weightCSV string, quota int) ([]TenantConfig, error) {
+	if n <= 0 || n > maxTenants {
+		return nil, fmt.Errorf("%w: tenant count %d out of [1, %d]", ErrBadTenantConfig, n, maxTenants)
 	}
 	var weights []int
 	if strings.TrimSpace(weightCSV) != "" {
 		for _, f := range strings.Split(weightCSV, ",") {
 			w, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
-				return TenantSpec{}, fmt.Errorf("%w: weight %q", ErrBadTenantConfig, f)
+				return nil, fmt.Errorf("%w: weight %q", ErrBadTenantConfig, f)
 			}
 			weights = append(weights, w)
 		}
 	}
-	sp := TenantSpec{MinWorkers: minWorkers, MaxWorkers: maxWorkers}
-	for i := 0; i < n; i++ {
+	tenants := make([]TenantConfig, n)
+	for i := range tenants {
 		w := 1
 		if len(weights) > 0 {
-			if i < len(weights) {
-				w = weights[i]
-			} else {
-				w = weights[len(weights)-1]
-			}
+			w = weights[min(i, len(weights)-1)]
 		}
-		sp.Tenants = append(sp.Tenants, TenantConfig{
-			Name:   "t" + strconv.Itoa(i),
-			Weight: w,
-			Quota:  quota,
-		})
+		tenants[i] = TenantConfig{Name: "t" + strconv.Itoa(i), Weight: w, Quota: quota}
+		if err := tenants[i].Validate(); err != nil {
+			return nil, err
+		}
 	}
-	if err := sp.Validate(); err != nil {
-		return TenantSpec{}, err
-	}
-	return sp, nil
+	return tenants, nil
 }
