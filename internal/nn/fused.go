@@ -27,8 +27,10 @@ import (
 //     sum, mean and inverse-stddev inlined (no separate sum tensor).
 //
 // TrainOps and TrainArena do not implement FusedOps, so training and tape
-// replay always take the unfused chain; layers gate on FusionEnabled so a
-// plain Infer (fusion off) also keeps the op-by-op path for golden replay.
+// replay take the unfused chain — except that a TrainArena records a Linear
+// as one node with LinearBias's bias epilogue (TrainArena.Linear); layers
+// gate on FusionEnabled so a plain Infer (fusion off) also keeps the
+// op-by-op path for golden replay.
 
 // FusedOps is implemented by op sets that provide fused inference kernels.
 // Layers consult FusionEnabled before taking the fused path; an
@@ -441,7 +443,7 @@ func raggedAttentionForward(ctx, q, k, v []float64, bounds []int, d int, scale f
 // attentionSegment is the serial one-segment attention body: score rows
 // (scaled, softmaxed in place) then the weighted sum against v, mirroring
 // matmulForward's dispatch and arithmetic on the same shapes exactly —
-// including the zero-padded small-k path (see matmulPadK) — so its outputs
+// including the zero-padded small-k path (see matmulBT) — so its outputs
 // are bit-identical to the unfused MatMul(probs, v) on the same rows.
 // scores, kp and vt are caller scratch with capacity for at least m·mp,
 // mp·d and d·mp elements, mp = (m+3)&^3.
@@ -453,7 +455,7 @@ func attentionSegment(ctx, q, k, v, scores, kp, vt []float64, m, d int, scale fl
 		// unpadded kernel issues (packed and scalar blocking agree bit for
 		// bit), and the padded columns come out exactly +0, never meet the
 		// softmax, and leave the score rows — stride mp, zero tail — as
-		// precisely the left operand matmulPadK would have copied for the
+		// precisely the left operand matmulBT would have copied for the
 		// weighted sum against v.
 		mp := (m + 3) &^ 3
 		copy(kp[:m*d], k)

@@ -43,6 +43,9 @@ func (l *Linear) ForwardOps(ops Ops, x *Tensor) *Tensor {
 	if f, ok := ops.(FusedOps); ok && f.FusionEnabled() {
 		return f.LinearBias(x, l.W, l.wt, l.B, false)
 	}
+	if ta, ok := ops.(*TrainArena); ok {
+		return ta.Linear(x, l.W, l.B)
+	}
 	xw := ops.MatMul(x, l.W)
 	out := ops.AddRowVector(xw, l.B)
 	ops.Recycle(xw)
@@ -138,17 +141,17 @@ func (ln *LayerNorm) ForwardAddOps(ops Ops, x, y *Tensor) *Tensor {
 
 // layerNormTrain is the autodiff layer-norm op behind TrainOps.LayerNorm.
 func layerNormTrain(x, gamma, beta *Tensor, eps float64) *Tensor {
-	return layerNormVia(heapAlloc{}, x, gamma, beta, eps)
+	return layerNormVia(nil, x, gamma, beta, eps)
 }
 
-func layerNormVia(al resultAllocator, x, gamma, beta *Tensor, eps float64) *Tensor {
+func layerNormVia(ta *TrainArena, x, gamma, beta *Tensor, eps float64) *Tensor {
 	m, n := x.Shape[0], x.Shape[1]
-	out := al.newResult(x.Shape, x, gamma, beta)
-	means := al.scratchFloats(m)
-	invStds := al.scratchFloats(m)
+	out := ta.newResultRaw(x.Shape, x, gamma, beta)
+	means := ta.scratchFloatsRaw(m)
+	invStds := ta.scratchFloatsRaw(m)
 	layerNormForward(out.Data, x.Data, gamma.Data, beta.Data, m, n, eps, means, invStds)
 	if out.requiresGrad {
-		gh := al.scratchFloats(n)
+		gh := ta.scratchFloatsRaw(n)
 		out.backward = func() {
 			for i := 0; i < m; i++ {
 				row := x.Data[i*n : (i+1)*n]
@@ -271,14 +274,14 @@ func (sa *SelfAttention) Params() []*Tensor {
 }
 
 // Transpose returns the transpose of a 2D tensor.
-func Transpose(a *Tensor) *Tensor { return transposeVia(heapAlloc{}, a) }
+func Transpose(a *Tensor) *Tensor { return transposeVia(nil, a) }
 
-func transposeVia(al resultAllocator, a *Tensor) *Tensor {
+func transposeVia(ta *TrainArena, a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {
 		panic("nn: Transpose requires a 2D tensor")
 	}
 	m, n := a.Shape[0], a.Shape[1]
-	out := al.newResult([]int{n, m}, a)
+	out := ta.newResultRaw([]int{n, m}, a)
 	transposeForward(out.Data, a.Data, m, n)
 	if out.requiresGrad {
 		out.backward = func() {

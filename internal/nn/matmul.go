@@ -31,14 +31,15 @@ const padMatmulMaxK = 32
 // zeroed out (m×n). It is the only MatMul forward implementation; MatMul,
 // Infer.MatMul and the benchmarks all funnel through it.
 func matmulForward(out, a, b []float64, m, k, n int) {
-	matmulForwardBT(out, a, b, nil, m, k, n)
+	matmulForwardBT(out, a, b, nil, nil, m, k, n)
 }
 
 // matmulForwardBT is matmulForward building its transposed copy of B in the
 // caller's bt (len n·btStride(k, n)) instead of borrowed scratch, so the
 // MatMul backward can read it (matmulGradA). bt is filled whenever m, k and
-// n are all nonzero; nil borrows scratch as matmulForward does.
-func matmulForwardBT(out, a, b, bt []float64, m, k, n int) {
+// n are all nonzero; nil borrows scratch as matmulForward does. ap is
+// matmulBT's padded copy of a, likewise.
+func matmulForwardBT(out, a, b, bt, ap []float64, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -46,19 +47,12 @@ func matmulForwardBT(out, a, b, bt []float64, m, k, n int) {
 		clear(out[:m*n])
 		return
 	}
-	ldb := btStride(k, n)
 	borrowed := bt == nil
 	if borrowed {
-		bt = scratch.GetSliceRaw(n * ldb)
+		bt = scratch.GetSliceRaw(n * btStride(k, n))
 	}
-	if ldb != k {
-		matmulPadK(out, a, b, bt, m, k, n)
-	} else {
-		// Transposed copy of B: the inner loops then run down contiguous
-		// columns, which is what both the AVX kernel and the cache want.
-		transposeForward(bt, b, k, n)
-		matmulEpilogue(out, a, bt, m, k, n, nil, false)
-	}
+	transposeB(bt, b, k, n)
+	matmulBT(out, a, bt, ap, m, k, n, nil)
 	if borrowed {
 		scratch.PutSlice(bt)
 	}
@@ -83,25 +77,15 @@ func padKEligible(k, n int) bool {
 	return k&3 != 0 && k <= padMatmulMaxK && n >= 4
 }
 
-// matmulPadK copies a into scratch and b into bt (n×kp), the inner
-// dimension zero-padded to kp, a multiple of four, and runs the matmul
-// kernel with no scalar tail. The padded steps compute FMA(0, 0, lane) =
-// lane bit-exactly: a lane accumulator can never be -0 (it starts at +0, and a
-// round-to-nearest sum is -0 only when both operands are -0), so zero
-// products change nothing. The former k%4 tail elements join the four FMA
-// lanes instead of the ascending scalar tail — a different (but fixed)
-// summation order, chosen deterministically from the shapes alone, and
-// mirrored exactly by the fused kernels (linearBiasForward,
-// attentionSegment), so every path through a given matmul shape produces
-// identical bits on every machine.
-func matmulPadK(out, a, b, bt []float64, m, k, n int) {
-	kp := (k + 3) &^ 3
-	ap := scratch.GetSliceRaw(m * kp)
-	for i := 0; i < m; i++ {
-		copy(ap[i*kp:i*kp+k], a[i*k:(i+1)*k])
-		for p := i*kp + k; p < (i+1)*kp; p++ {
-			ap[p] = 0
-		}
+// transposeB writes B (k×n) into bt as the matmul kernels read it: column
+// j of B becomes row j of bt, zero-padded to btStride(k, n). The inner
+// loops then run down contiguous columns, which is what both the AVX
+// kernel and the cache want.
+func transposeB(bt, b []float64, k, n int) {
+	kp := btStride(k, n)
+	if kp == k {
+		transposeForward(bt, b, k, n)
+		return
 	}
 	for j := 0; j < n; j++ {
 		col := bt[j*kp : (j+1)*kp]
@@ -112,8 +96,51 @@ func matmulPadK(out, a, b, bt []float64, m, k, n int) {
 			col[p] = 0
 		}
 	}
-	matmulRows(out, ap, bt, 0, m, kp, n, nil, false)
-	scratch.PutSlice(ap)
+}
+
+// matmulBT computes out = a×B, plus bias (len n, or nil) on every row,
+// against bt as transposeB left it. The bias is the matmul epilogue's add,
+// bitwise addRowVectorForward's.
+//
+// On the zero-padded path a is first copied into ap (len m·btStride(k, n);
+// nil borrows scratch) with its rows padded to match, and the kernel runs
+// with no scalar tail. The padded steps compute FMA(0, 0, lane) = lane
+// bit-exactly: a lane accumulator can never be -0 (it starts at +0, and a
+// round-to-nearest sum is -0 only when both operands are -0), so zero
+// products change nothing. The former k%4 tail elements join the four FMA
+// lanes instead of the ascending scalar tail — a different (but fixed)
+// summation order, chosen deterministically from the shapes alone, and
+// mirrored exactly by the fused kernels (linearBiasForward,
+// attentionSegment), so every path through a given matmul shape produces
+// identical bits on every machine.
+func matmulBT(out, a, bt, ap []float64, m, k, n int, bias []float64) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		clear(out[:m*n])
+		biasReluRows(out, bias, 0, m, n, false)
+		return
+	}
+	kp := btStride(k, n)
+	if kp == k {
+		matmulEpilogue(out, a, bt, m, k, n, bias, false)
+		return
+	}
+	borrowed := ap == nil
+	if borrowed {
+		ap = scratch.GetSliceRaw(m * kp)
+	}
+	for i := 0; i < m; i++ {
+		copy(ap[i*kp:i*kp+k], a[i*k:(i+1)*k])
+		for p := i*kp + k; p < (i+1)*kp; p++ {
+			ap[p] = 0
+		}
+	}
+	matmulRows(out, ap, bt, 0, m, kp, n, bias, false)
+	if borrowed {
+		scratch.PutSlice(ap)
+	}
 }
 
 // matmulEpilogue computes out = a×B against the pre-transposed bt (n×k),

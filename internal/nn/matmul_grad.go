@@ -35,7 +35,7 @@ package nn
 // cannot change its arithmetic.
 
 // matmulGradA adds dOut·Bᵀ into ag (m×k): g is dOut (m×n), b is B (k×n),
-// and bt is B transposed with row stride ldb ≥ k, as matmulForwardBT leaves
+// and bt is B transposed with row stride ldb ≥ k, as transposeB leaves
 // it (nil when no forward built one, which leaves the scalar loop).
 func matmulGradA(ag, g, b, bt []float64, m, k, n, ldb int) {
 	k4 := k &^ 3

@@ -128,17 +128,18 @@ func TestMatMulBackwardBitExact(t *testing.T) {
 							b.RequireGrad()
 							copy(a.Grad, ag0)
 							copy(b.Grad, bg0)
-							var al resultAllocator = heapAlloc{}
-							ta := NewTrainArena()
+							var ta *TrainArena // nil: the heap ops
 							if arena {
-								al = ta
+								ta = NewTrainArena()
 							}
-							out := matMulVia(al, a, b)
+							out := matMulVia(ta, a, b)
 							copy(out.Grad, g)
 							out.backward()
 							same[special](t, name+" dA", a.Grad, wantA)
 							same[special](t, name+" dB", b.Grad, wantB)
-							ta.Close()
+							if arena {
+								ta.Close()
+							}
 							SetAVX(prev)
 						}
 					}

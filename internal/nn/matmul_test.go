@@ -63,7 +63,7 @@ func TestMatMulScalarMirrorBitExact(t *testing.T) {
 		got := MatMul(a, b) // AVX path where supported
 		// The small-k shapes take the zero-padded path: the mirror is
 		// dotScalar over the operands zero-padded to a multiple of four,
-		// exactly as matmulPadK lays them out.
+		// exactly as matmulBT lays them out.
 		kd := k
 		if padKEligible(k, n) {
 			kd = (k + 3) &^ 3

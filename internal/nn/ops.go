@@ -1,47 +1,37 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// resultAllocator abstracts where an autodiff op's output tensor — and any
-// scratch memory its backward closure captures — lives. The heap allocator
-// backs the package-level ops; TrainArena (train_arena.go) allocates from a
-// Pool so whole training passes recycle their memory. Both run the exact
-// same forward kernels and backward closures, so gradients are bit-identical
-// through either allocator.
-type resultAllocator interface {
-	// newResult constructs an op output over the given inputs, tracking
-	// gradients when some input does (see the package-level newResult).
-	newResult(shape []int, inputs ...*Tensor) *Tensor
-	// scratchFloats returns a zeroed float slice whose lifetime must cover
-	// the backward pass (heap-allocated, or arena-held until Close).
-	scratchFloats(n int) []float64
-}
-
-// heapAlloc is the resultAllocator of the package-level autodiff ops.
-type heapAlloc struct{}
-
-func (heapAlloc) newResult(shape []int, inputs ...*Tensor) *Tensor {
-	return newResult(shape, inputs...)
-}
-
-func (heapAlloc) scratchFloats(n int) []float64 { return make([]float64, n) }
+// Every autodiff op is written once, as an xxxVia function over the
+// *TrainArena that lends its output, gradient and scratch memory. The
+// package-level ops pass a nil arena, which allocates on the heap; a
+// TrainArena (train_arena.go) lends pooled memory that one Close takes
+// back. Both run the exact same forward kernels and backward closures, so
+// gradients are bit-identical through either.
+//
+// An op whose forward writes every output element asks for raw memory
+// (newResultRaw, scratchFloatsRaw); one that accumulates into its output
+// asks for zeroed memory. Gradients are always zeroed.
 
 // MatMul returns a × b for 2D tensors of shapes (m,k) and (k,n). The
 // forward pass runs the blocked, vectorized, worker-pool-parallel kernel in
 // matmul.go; results are bit-identical for any worker count.
-func MatMul(a, b *Tensor) *Tensor { return matMulVia(heapAlloc{}, a, b) }
+func MatMul(a, b *Tensor) *Tensor { return matMulVia(nil, a, b) }
 
-func matMulVia(al resultAllocator, a, b *Tensor) *Tensor {
+func matMulVia(ta *TrainArena, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(a, b)
-	out := al.newResult([]int{m, n}, a, b)
+	out := ta.newResultRaw([]int{m, n}, a, b)
 	// dA reads B transposed, which the forward builds anyway: hold that
 	// copy for the backward instead of transposing twice.
 	var bt []float64
 	ldb := btStride(k, n)
 	if a.requiresGrad {
-		bt = al.scratchFloats(n * ldb)
+		bt = ta.scratchFloatsRaw(n * ldb)
 	}
-	matmulForwardBT(out.Data, a.Data, b.Data, bt, m, k, n)
+	matmulForwardBT(out.Data, a.Data, b.Data, bt, ta.padScratch(m, k, n), m, k, n)
 	if out.requiresGrad {
 		out.backward = func() {
 			// dA = dOut × Bᵀ ; dB = Aᵀ × dOut (matmul_grad.go)
@@ -56,12 +46,52 @@ func matMulVia(al resultAllocator, a, b *Tensor) *Tensor {
 	return out
 }
 
-// Add returns a + b elementwise. Shapes must match exactly.
-func Add(a, b *Tensor) *Tensor { return addVia(heapAlloc{}, a, b) }
+// linearVia records x×w + b as one tape node. The multiply runs against
+// wt, w as transposeB lays it out (nil transposes w into scratch), with
+// the bias added in the matmul epilogue: bitwise MatMul then AddRowVector.
+//
+// The node's parents are [x, w, b] — the MatMul node's inputs followed by
+// the bias of the AddRowVector node it replaces — so Backward's DFS meets
+// every other node in the same order. Its backward adds what those two
+// nodes added: the bias gradient row by row, then dx and dw from the
+// output gradient, which is bitwise what the MatMul node received (a
+// zeroed buffer plus this gradient; gradients are never -0).
+func linearVia(ta *TrainArena, x, w, b *Tensor, wt []float64) *Tensor {
+	m, k, n := checkMatMul(x, w)
+	if b.Size() != n {
+		panic(fmt.Sprintf("nn: Linear bias shape %v for output width %d", b.Shape, n))
+	}
+	out := ta.newResultRaw([]int{m, n}, x, w, b)
+	ldb := btStride(k, n)
+	if wt == nil && m > 0 && n > 0 && k > 0 {
+		wt = ta.scratchFloatsRaw(n * ldb)
+		transposeB(wt, w.Data, k, n)
+	}
+	matmulBT(out.Data, x.Data, wt, ta.padScratch(m, k, n), m, k, n, b.Data)
+	if out.requiresGrad {
+		out.backward = func() {
+			if b.requiresGrad {
+				for i := 0; i < m; i++ {
+					addInto(b.Grad[:n], out.Grad[i*n:(i+1)*n])
+				}
+			}
+			if x.requiresGrad {
+				matmulGradA(x.Grad, out.Grad, w.Data, wt, m, k, n, ldb)
+			}
+			if w.requiresGrad {
+				matmulGradB(w.Grad, x.Data, out.Grad, m, k, n)
+			}
+		}
+	}
+	return out
+}
 
-func addVia(al resultAllocator, a, b *Tensor) *Tensor {
+// Add returns a + b elementwise. Shapes must match exactly.
+func Add(a, b *Tensor) *Tensor { return addVia(nil, a, b) }
+
+func addVia(ta *TrainArena, a, b *Tensor) *Tensor {
 	checkSameShape("Add", a, b)
-	out := al.newResult(a.Shape, a, b)
+	out := ta.newResultRaw(a.Shape, a, b)
 	addForward(out.Data, a.Data, b.Data)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -78,11 +108,11 @@ func addVia(al resultAllocator, a, b *Tensor) *Tensor {
 
 // AddRowVector adds a length-n vector v (shape (n) or (1,n)) to every row of
 // a 2D tensor a of shape (m,n). This is the standard bias broadcast.
-func AddRowVector(a, v *Tensor) *Tensor { return addRowVectorVia(heapAlloc{}, a, v) }
+func AddRowVector(a, v *Tensor) *Tensor { return addRowVectorVia(nil, a, v) }
 
-func addRowVectorVia(al resultAllocator, a, v *Tensor) *Tensor {
+func addRowVectorVia(ta *TrainArena, a, v *Tensor) *Tensor {
 	m, n := checkRowVector(a, v)
-	out := al.newResult(a.Shape, a, v)
+	out := ta.newResultRaw(a.Shape, a, v)
 	addRowVectorForward(out.Data, a.Data, v.Data, m, n)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -105,11 +135,11 @@ func Sub(a, b *Tensor) *Tensor {
 }
 
 // Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor { return mulVia(heapAlloc{}, a, b) }
+func Mul(a, b *Tensor) *Tensor { return mulVia(nil, a, b) }
 
-func mulVia(al resultAllocator, a, b *Tensor) *Tensor {
+func mulVia(ta *TrainArena, a, b *Tensor) *Tensor {
 	checkSameShape("Mul", a, b)
-	out := al.newResult(a.Shape, a, b)
+	out := ta.newResultRaw(a.Shape, a, b)
 	mulForward(out.Data, a.Data, b.Data)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -129,10 +159,10 @@ func mulVia(al resultAllocator, a, b *Tensor) *Tensor {
 }
 
 // Scale returns a * c for scalar c.
-func Scale(a *Tensor, c float64) *Tensor { return scaleVia(heapAlloc{}, a, c) }
+func Scale(a *Tensor, c float64) *Tensor { return scaleVia(nil, a, c) }
 
-func scaleVia(al resultAllocator, a *Tensor, c float64) *Tensor {
-	out := al.newResult(a.Shape, a)
+func scaleVia(ta *TrainArena, a *Tensor, c float64) *Tensor {
+	out := ta.newResultRaw(a.Shape, a)
 	scaleForward(out.Data, a.Data, c)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -145,10 +175,10 @@ func scaleVia(al resultAllocator, a *Tensor, c float64) *Tensor {
 }
 
 // ReLU returns max(x, 0) elementwise.
-func ReLU(a *Tensor) *Tensor { return reluVia(heapAlloc{}, a) }
+func ReLU(a *Tensor) *Tensor { return reluVia(nil, a) }
 
-func reluVia(al resultAllocator, a *Tensor) *Tensor {
-	out := al.newResult(a.Shape, a)
+func reluVia(ta *TrainArena, a *Tensor) *Tensor {
+	out := ta.newResultRaw(a.Shape, a)
 	reluForward(out.Data, a.Data)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -197,14 +227,14 @@ func Tanh(a *Tensor) *Tensor {
 }
 
 // SoftmaxRows applies softmax independently to each row of a 2D tensor.
-func SoftmaxRows(a *Tensor) *Tensor { return softmaxRowsVia(heapAlloc{}, a) }
+func SoftmaxRows(a *Tensor) *Tensor { return softmaxRowsVia(nil, a) }
 
-func softmaxRowsVia(al resultAllocator, a *Tensor) *Tensor {
+func softmaxRowsVia(ta *TrainArena, a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {
 		panic("nn: SoftmaxRows requires a 2D tensor")
 	}
 	m, n := a.Shape[0], a.Shape[1]
-	out := al.newResult(a.Shape, a)
+	out := ta.newResultRaw(a.Shape, a)
 	softmaxRowsForward(out.Data, a.Data, m, n)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -226,11 +256,11 @@ func softmaxRowsVia(al resultAllocator, a *Tensor) *Tensor {
 
 // Concat concatenates 2D tensors along dimension 1 (columns). All inputs
 // must have the same number of rows.
-func Concat(ts ...*Tensor) *Tensor { return concatVia(heapAlloc{}, ts...) }
+func Concat(ts ...*Tensor) *Tensor { return concatVia(nil, ts...) }
 
-func concatVia(al resultAllocator, ts ...*Tensor) *Tensor {
+func concatVia(ta *TrainArena, ts ...*Tensor) *Tensor {
 	rows, cols := checkConcat(ts)
-	out := al.newResult([]int{rows, cols}, ts...)
+	out := ta.newResultRaw([]int{rows, cols}, ts...)
 	concatForward(out.Data, ts, rows, cols)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -255,11 +285,11 @@ func concatVia(al resultAllocator, ts ...*Tensor) *Tensor {
 
 // ConcatRows stacks 2D tensors along dimension 0 (rows). All inputs must
 // have the same number of columns.
-func ConcatRows(ts []*Tensor) *Tensor { return concatRowsVia(heapAlloc{}, ts) }
+func ConcatRows(ts []*Tensor) *Tensor { return concatRowsVia(nil, ts) }
 
-func concatRowsVia(al resultAllocator, ts []*Tensor) *Tensor {
+func concatRowsVia(ta *TrainArena, ts []*Tensor) *Tensor {
 	rows, cols := checkConcatRows(ts)
-	out := al.newResult([]int{rows, cols}, ts...)
+	out := ta.newResultRaw([]int{rows, cols}, ts...)
 	concatRowsForward(out.Data, ts)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -304,14 +334,14 @@ func RepeatRow(v *Tensor, rows int) *Tensor {
 
 // RepeatEachRow repeats every row of a 2D tensor `times` consecutive times:
 // rows (a,b) with times=2 become (a,a,b,b).
-func RepeatEachRow(v *Tensor, times int) *Tensor { return repeatEachRowVia(heapAlloc{}, v, times) }
+func RepeatEachRow(v *Tensor, times int) *Tensor { return repeatEachRowVia(nil, v, times) }
 
-func repeatEachRowVia(al resultAllocator, v *Tensor, times int) *Tensor {
+func repeatEachRowVia(ta *TrainArena, v *Tensor, times int) *Tensor {
 	if len(v.Shape) != 2 {
 		panic("nn: RepeatEachRow requires a 2D tensor")
 	}
 	m, n := v.Shape[0], v.Shape[1]
-	out := al.newResult([]int{m * times, n}, v)
+	out := ta.newResultRaw([]int{m * times, n}, v)
 	repeatEachRowForward(out.Data, v.Data, m, n, times)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -331,14 +361,14 @@ func repeatEachRowVia(al resultAllocator, v *Tensor, times int) *Tensor {
 
 // TileRows repeats the whole 2D tensor `times` times along dimension 0:
 // rows (a,b) with times=2 become (a,b,a,b).
-func TileRows(v *Tensor, times int) *Tensor { return tileRowsVia(heapAlloc{}, v, times) }
+func TileRows(v *Tensor, times int) *Tensor { return tileRowsVia(nil, v, times) }
 
-func tileRowsVia(al resultAllocator, v *Tensor, times int) *Tensor {
+func tileRowsVia(ta *TrainArena, v *Tensor, times int) *Tensor {
 	if len(v.Shape) != 2 {
 		panic("nn: TileRows requires a 2D tensor")
 	}
 	m, n := v.Shape[0], v.Shape[1]
-	out := al.newResult([]int{m * times, n}, v)
+	out := ta.newResultRaw([]int{m * times, n}, v)
 	tileRowsForward(out.Data, v.Data, m, n, times)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -357,13 +387,13 @@ func tileRowsVia(al resultAllocator, v *Tensor, times int) *Tensor {
 // maximum within each consecutive group of `per` rows. Gradient flows to the
 // argmax row of each group.
 func MaxPerGroup(a *Tensor, groups, per int) *Tensor {
-	return maxPerGroupVia(heapAlloc{}, a, groups, per)
+	return maxPerGroupVia(nil, a, groups, per)
 }
 
-func maxPerGroupVia(al resultAllocator, a *Tensor, groups, per int) *Tensor {
+func maxPerGroupVia(ta *TrainArena, a *Tensor, groups, per int) *Tensor {
 	checkMaxPerGroup(a, groups, per)
-	out := al.newResult([]int{groups, 1}, a)
-	argmax := make([]int, groups)
+	out := ta.newResultRaw([]int{groups, 1}, a)
+	argmax := ta.scratchInts(groups)
 	maxPerGroupForward(out.Data, argmax, a.Data, groups, per)
 	if out.requiresGrad {
 		out.backward = func() {
@@ -377,17 +407,18 @@ func maxPerGroupVia(al resultAllocator, a *Tensor, groups, per int) *Tensor {
 
 // Gather selects rows of a 2D table by index, producing one output row per
 // index. It is the embedding-lookup primitive.
-func Gather(table *Tensor, indices []int) *Tensor { return gatherVia(heapAlloc{}, table, indices) }
+func Gather(table *Tensor, indices []int) *Tensor { return gatherVia(nil, table, indices) }
 
-func gatherVia(al resultAllocator, table *Tensor, indices []int) *Tensor {
+func gatherVia(ta *TrainArena, table *Tensor, indices []int) *Tensor {
 	if len(table.Shape) != 2 {
 		panic("nn: Gather requires a 2D table")
 	}
 	rows, cols := len(indices), table.Shape[1]
-	out := al.newResult([]int{rows, cols}, table)
+	out := ta.newResultRaw([]int{rows, cols}, table)
 	gatherForward(out.Data, table.Data, indices, table.Shape[0], cols)
 	if out.requiresGrad {
-		idxCopy := append([]int(nil), indices...)
+		idxCopy := ta.scratchInts(len(indices))
+		copy(idxCopy, indices)
 		out.backward = func() {
 			for i, idx := range idxCopy {
 				src := out.Grad[i*cols : (i+1)*cols]
@@ -405,19 +436,20 @@ func gatherVia(al resultAllocator, table *Tensor, indices []int) *Tensor {
 // mean of all src rows i with dst[i] == d. Buckets that receive no rows stay
 // zero. This is the message-aggregation primitive of the GNN.
 func ScatterMean(src *Tensor, dst []int, dstRows int) *Tensor {
-	return scatterMeanVia(heapAlloc{}, src, dst, dstRows)
+	return scatterMeanVia(nil, src, dst, dstRows)
 }
 
-func scatterMeanVia(al resultAllocator, src *Tensor, dst []int, dstRows int) *Tensor {
+func scatterMeanVia(ta *TrainArena, src *Tensor, dst []int, dstRows int) *Tensor {
 	if len(src.Shape) != 2 || len(dst) != src.Shape[0] {
 		panic("nn: ScatterMean shape mismatch")
 	}
 	cols := src.Shape[1]
-	out := al.newResult([]int{dstRows, cols}, src)
-	counts := al.scratchFloats(dstRows)
+	out := ta.newResult([]int{dstRows, cols}, src)
+	counts := ta.scratchFloats(dstRows)
 	scatterMeanForward(out.Data, counts, src.Data, dst, cols)
 	if out.requiresGrad {
-		dstCopy := append([]int(nil), dst...)
+		dstCopy := ta.scratchInts(len(dst))
+		copy(dstCopy, dst)
 		out.backward = func() {
 			for i, d := range dstCopy {
 				inv := 1.0
@@ -442,14 +474,14 @@ func SelectRows(a *Tensor, indices []int) *Tensor {
 }
 
 // MeanRows returns a (1,n) tensor holding the column means of a 2D tensor.
-func MeanRows(a *Tensor) *Tensor { return meanRowsVia(heapAlloc{}, a) }
+func MeanRows(a *Tensor) *Tensor { return meanRowsVia(nil, a) }
 
-func meanRowsVia(al resultAllocator, a *Tensor) *Tensor {
+func meanRowsVia(ta *TrainArena, a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {
 		panic("nn: MeanRows requires a 2D tensor")
 	}
 	m, n := a.Shape[0], a.Shape[1]
-	out := al.newResult([]int{1, n}, a)
+	out := ta.newResult([]int{1, n}, a)
 	if m == 0 {
 		return out
 	}
@@ -548,17 +580,17 @@ func CrossEntropyRows(logits *Tensor, labels []int) *Tensor {
 // 0/1 targets, with optional per-element weights (nil for uniform). The
 // formulation max(x,0) - x*y + log(1+exp(-|x|)) is numerically stable.
 func BCEWithLogits(logits *Tensor, targets []float64, weights []float64) *Tensor {
-	return bceWithLogitsVia(heapAlloc{}, logits, targets, weights)
+	return bceWithLogitsVia(nil, logits, targets, weights)
 }
 
-func bceWithLogitsVia(al resultAllocator, logits *Tensor, targets, weights []float64) *Tensor {
+func bceWithLogitsVia(ta *TrainArena, logits *Tensor, targets, weights []float64) *Tensor {
 	if len(targets) != logits.Size() {
 		panic("nn: BCEWithLogits target length mismatch")
 	}
 	if weights != nil && len(weights) != len(targets) {
 		panic("nn: BCEWithLogits weight length mismatch")
 	}
-	out := al.newResult([]int{1}, logits)
+	out := ta.newResult([]int{1}, logits)
 	var totalW float64
 	for i, x := range logits.Data {
 		y := targets[i]

@@ -29,8 +29,7 @@ type Pool struct {
 
 // maxSlabsPerClass bounds the idle slabs retained per size class for pools
 // created with NewPool. Inference passes keep only a handful of live slabs
-// per class, so a small cap suffices; training tapes keep hundreds live at
-// once and use NewPoolCap with a larger bound.
+// per class, so a small cap suffices.
 const maxSlabsPerClass = 64
 
 // minSlabClass is the smallest slab capacity; tiny requests share it.
@@ -45,9 +44,7 @@ func NewPool() *Pool {
 }
 
 // NewPoolCap creates an empty pool retaining up to perClass idle slabs per
-// size class. Training arenas, whose tapes hold every intermediate of a
-// forward/backward pass live simultaneously, need a cap at least as large
-// as the pass's tensor count or the pool thrashes back to the heap.
+// size class (the trainer sizes its per-example gradient slabs this way).
 func NewPoolCap(perClass int) *Pool {
 	if perClass < 1 {
 		perClass = 1
@@ -84,18 +81,29 @@ func slabClass(n int) int {
 	return c
 }
 
-// GetSlice returns a zeroed slice of length n backed by a pooled slab.
+// GetSlice returns a zeroed slice of length n backed by a pooled slab. A
+// slab freshly allocated from the heap is already zero, so only a reused
+// one is cleared, as in borrow.
 func (p *Pool) GetSlice(n int) []float64 {
-	s := p.GetSliceRaw(n)
-	clear(s)
+	s, fresh := p.getSlice(n)
+	if !fresh {
+		clear(s)
+	}
 	return s
 }
 
 // GetSliceRaw is GetSlice without the zeroing, for callers that overwrite
 // every element (e.g. the MatMul transpose scratch).
 func (p *Pool) GetSliceRaw(n int) []float64 {
+	s, _ := p.getSlice(n)
+	return s
+}
+
+// getSlice takes a slab of length n from the free lists, or makes one and
+// reports it fresh.
+func (p *Pool) getSlice(n int) ([]float64, bool) {
 	if n == 0 {
-		return nil
+		return nil, true
 	}
 	c := slabClass(n)
 	p.mu.Lock()
@@ -105,10 +113,10 @@ func (p *Pool) GetSliceRaw(n int) []float64 {
 		p.classes[c] = slabs[:len(slabs)-1]
 		p.reuses++
 		p.mu.Unlock()
-		return s[:n]
+		return s[:n], false
 	}
 	p.mu.Unlock()
-	return make([]float64, n, c)
+	return make([]float64, n, c), true
 }
 
 // PutSlice parks a slab for reuse. Only slabs with power-of-two capacity

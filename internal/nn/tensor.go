@@ -9,7 +9,10 @@
 // allocates no tape and is safe to run from many goroutines concurrently.
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Tensor is a dense row-major array of float64 with optional gradient
 // storage. Tensors returned by operations carry the backward tape needed to
@@ -26,6 +29,9 @@ type Tensor struct {
 	// arenaIdx is the tensor's slot in the Infer arena that allocated it
 	// (infer.go); zero and unused for ordinary tensors.
 	arenaIdx int
+	// visited is the number of the last Backward whose traversal reached
+	// the tensor.
+	visited uint64
 }
 
 // New creates a tensor with the given shape and zero-initialized data.
@@ -147,23 +153,51 @@ func (t *Tensor) Clone() *Tensor {
 
 // newResult constructs an op output over the given inputs. The result tracks
 // gradients only when some input does; in that case grad storage is
-// allocated and the backward closure will be invoked during Backward.
+// allocated, the inputs are copied into its parent list, and the backward
+// closure will be invoked during Backward. Neither slice argument escapes,
+// so an op's shape literal and input list stay on its stack (New's
+// validation would leak the shape into its panic message).
 func newResult(shape []int, inputs ...*Tensor) *Tensor {
-	out := New(shape...)
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	out := &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 	for _, in := range inputs {
 		if in != nil && in.requiresGrad {
 			out.requiresGrad = true
-			out.Grad = make([]float64, out.Size())
-			out.parents = inputs
+			out.Grad = make([]float64, n)
+			out.parents = append([]*Tensor(nil), inputs...)
 			break
 		}
 	}
 	return out
 }
 
+// backwardCount numbers Backward calls; a tensor whose visited field holds
+// the current number has been reached by the current traversal.
+var backwardCount atomic.Uint64
+
+// idleBackwardBufs holds one idle set of Backward's traversal buffers. A
+// call that finds it taken by a concurrent Backward allocates its own. (A
+// sync.Pool drops items at random under the race detector, which would
+// make a training step's allocation count vary there.)
+var idleBackwardBufs atomic.Pointer[backwardBufs]
+
+type backwardBufs struct {
+	order []*Tensor
+	stack []backwardFrame
+}
+
+type backwardFrame struct {
+	t    *Tensor
+	next int
+}
+
 // Backward propagates gradients from t (typically a scalar loss) to all
 // parameter leaves reachable through the tape. The tensor's own gradient is
-// seeded with ones.
+// seeded with ones. Concurrent calls must not share a tensor that requires
+// grad: they would race on its gradient, and on its visited mark.
 func (t *Tensor) Backward() {
 	if !t.requiresGrad {
 		panic("nn: Backward on a tensor that does not require grad")
@@ -171,23 +205,24 @@ func (t *Tensor) Backward() {
 	for i := range t.Grad {
 		t.Grad[i] = 1
 	}
-	// Topological order via iterative DFS over parents.
-	var order []*Tensor
-	visited := map[*Tensor]bool{}
-	type frame struct {
-		t    *Tensor
-		next int
+	// Topological order via iterative DFS over parents, marking each
+	// tensor reached with this call's number.
+	mark := backwardCount.Add(1)
+	bufs := idleBackwardBufs.Swap(nil)
+	if bufs == nil {
+		bufs = new(backwardBufs)
 	}
-	stack := []frame{{t, 0}}
-	visited[t] = true
+	order, stack := bufs.order[:0], bufs.stack[:0]
+	stack = append(stack, backwardFrame{t, 0})
+	t.visited = mark
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next < len(f.t.parents) {
 			p := f.t.parents[f.next]
 			f.next++
-			if p != nil && p.requiresGrad && !visited[p] {
-				visited[p] = true
-				stack = append(stack, frame{p, 0})
+			if p != nil && p.requiresGrad && p.visited != mark {
+				p.visited = mark
+				stack = append(stack, backwardFrame{p, 0})
 			}
 			continue
 		}
@@ -201,6 +236,10 @@ func (t *Tensor) Backward() {
 			order[i].backward()
 		}
 	}
+	clear(order)
+	clear(stack[:cap(stack)])
+	bufs.order, bufs.stack = order[:0], stack[:0]
+	idleBackwardBufs.Store(bufs)
 }
 
 func sameShape(a, b *Tensor) bool {

@@ -256,7 +256,8 @@ func newTrainInstruments(reg *obs.Registry) trainInstruments {
 
 // trainWorker is one data-parallel lane: a model replica sharing the master
 // weights (private gradients), plus a pooled autodiff arena so its
-// forward/backward passes stop allocating.
+// forward/backward passes stop allocating. Every arena reads the trainer's
+// one set of transposed weight copies.
 type trainWorker struct {
 	rep   *Model
 	reps  []*nn.Tensor // replica ParamList, name-order aligned with master
@@ -282,6 +283,9 @@ type miniTrainer struct {
 	total   int
 	workers []*trainWorker
 	slabs   *nn.Pool // per-example gradient slabs, recycled across steps
+	// weights holds every Linear weight transposed, rebuilt after each
+	// optimizer step and read by all workers' arenas during the next.
+	weights *nn.WeightCopies
 	ins     trainInstruments
 
 	live    []compiled  // scratch: this epoch's live examples in perm order
@@ -296,9 +300,14 @@ func newMiniTrainer(m *Model, tcfg TrainConfig, ins trainInstruments) *miniTrain
 		t.total += p.Size()
 	}
 	t.slabs = nn.NewPoolCap(tcfg.batch() + tcfg.workers())
+	var ws []*nn.Tensor
+	m.linears(func(l *nn.Linear) { ws = append(ws, l.W) })
+	t.weights = nn.NewWeightCopies(ws)
 	for w := 0; w < tcfg.workers(); w++ {
 		rep := newAliasedModel(m)
-		t.workers = append(t.workers, &trainWorker{rep: rep, reps: rep.ParamList(), arena: nn.NewTrainArena()})
+		arena := nn.NewTrainArena()
+		arena.UseWeights(t.weights)
+		t.workers = append(t.workers, &trainWorker{rep: rep, reps: rep.ParamList(), arena: arena})
 	}
 	return t
 }
@@ -307,7 +316,8 @@ func newMiniTrainer(m *Model, tcfg TrainConfig, ins trainInstruments) *miniTrain
 // order. Workers pick examples by stride, compute each gradient into a
 // zeroed pooled slab, and the main goroutine reduces the slabs into the
 // zeroed master gradients in example order — a worker-count-independent
-// summation tree — before one clip + Adam step.
+// summation tree — before one clip + Adam step, after which the transposed
+// weight copies are rebuilt for the next step.
 func (t *miniTrainer) step(opt *nn.Adam, tcfg TrainConfig, batch []compiled) []float64 {
 	W := len(t.workers)
 	if W > len(batch) {
@@ -365,6 +375,7 @@ func (t *miniTrainer) step(opt *nn.Adam, tcfg TrainConfig, batch []compiled) []f
 	}
 	nn.ClipGradNorm(t.params, tcfg.ClipNorm)
 	opt.Step()
+	t.weights.Refresh()
 	t.ins.minibatches.Inc()
 	return losses
 }

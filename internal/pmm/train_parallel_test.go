@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/repro/snowplow/internal/nn"
 	"github.com/repro/snowplow/internal/obs"
+	"github.com/repro/snowplow/internal/rng"
 )
 
 // trainAtWorkers trains a fresh model on a small split with the given
@@ -140,5 +142,39 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TrainCompiled(testBuilder, DefaultConfig(), tcfg, ctrain, cval)
+	}
+}
+
+// trainStepAllocs is the heap allocation count of one warm single-example
+// trainer step: the forward's graph bookkeeping, the variadic Ops calls and
+// one backward closure per tape node. Tape tensors, their headers, shapes,
+// parent lists and index copies come from the arena, and the transposed
+// weights from the per-step copies, so they add nothing.
+const trainStepAllocs = 1841
+
+// TestTrainStepAllocs pins the allocations of a warm single-example step
+// (Batch=1, Workers=1, the default trainer).
+func TestTrainStepAllocs(t *testing.T) {
+	ds := smallDataset(t, 4, 40, 4242)
+	c := CompileDataset(testBuilder, ds, 2)
+	var batch []compiled
+	for _, ex := range c.examples {
+		if len(ex.g.ArgVertices) > 0 {
+			batch = []compiled{ex}
+			break
+		}
+	}
+	if batch == nil {
+		t.Fatal("no example with argument vertices")
+	}
+	m := NewModel(rng.New(1), DefaultConfig(), BuildVocab(testKernel))
+	tcfg := DefaultTrainConfig()
+	opt := nn.NewAdam(m.ParamList(), tcfg.LR)
+	tr := newMiniTrainer(m, tcfg, newTrainInstruments(nil))
+	tr.step(opt, tcfg, batch)
+	got := testing.AllocsPerRun(20, func() { tr.step(opt, tcfg, batch) })
+	t.Logf("warm single-example step: %.0f allocations", got)
+	if got > trainStepAllocs {
+		t.Fatalf("warm single-example step allocated %.0f times, want at most %d", got, trainStepAllocs)
 	}
 }
