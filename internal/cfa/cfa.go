@@ -6,6 +6,8 @@
 package cfa
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/repro/snowplow/internal/kernel"
@@ -68,26 +70,33 @@ func (a *Analysis) Predecessors(id kernel.BlockID) []kernel.BlockID {
 // order. These are the candidate targets a mutation could newly reach with
 // a single flipped branch (§3.2's red nodes).
 func (a *Analysis) Frontier(covered trace.BlockSet) []Alternative {
-	var out []Alternative
+	return a.AppendFrontier(nil, covered)
+}
+
+// AppendFrontier appends the Frontier of covered to dst and returns the
+// extended slice, so a caller that computes many frontiers can reuse one
+// buffer.
+func (a *Analysis) AppendFrontier(dst []Alternative, covered trace.BlockSet) []Alternative {
+	start := len(dst)
 	covered.ForEach(func(id kernel.BlockID) {
 		b := a.K.Block(id)
 		if b.Kind != kernel.BlockBranch {
 			return
 		}
 		if !covered.Has(b.Taken) {
-			out = append(out, Alternative{Entry: b.Taken, From: id, Taken: true})
+			dst = append(dst, Alternative{Entry: b.Taken, From: id, Taken: true})
 		}
 		if !covered.Has(b.NotTaken) {
-			out = append(out, Alternative{Entry: b.NotTaken, From: id, Taken: false})
+			dst = append(dst, Alternative{Entry: b.NotTaken, From: id, Taken: false})
 		}
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	slices.SortFunc(dst[start:], func(x, y Alternative) int {
+		if c := cmp.Compare(x.From, y.From); c != 0 {
+			return c
 		}
-		return out[i].Entry < out[j].Entry
+		return cmp.Compare(x.Entry, y.Entry)
 	})
-	return out
+	return dst
 }
 
 // Unreached is the distance reported for blocks that cannot reach (or be

@@ -101,22 +101,30 @@ func immToken(v uint64) string {
 	}
 }
 
-// SlotAccessTokens returns the salient access-path tokens of a syscall
-// argument slot: the ABI register carrying its top-level argument and the
-// struct offsets of each nesting level. These are exactly the tokens a
-// branch block inspecting the slot contains, so a model embedding both
-// shares vocabulary between user-space arguments and kernel disassembly.
-func SlotAccessTokens(call *spec.Syscall, slotIdx int) []string {
-	slots := call.Slots()
-	if slotIdx < 0 || slotIdx >= len(slots) {
-		return nil
+// SlotTokenTable returns the salient access-path tokens of every argument
+// slot of the registry's syscalls, indexed by spec.Syscall.ID and then slot
+// index: the ABI register carrying the slot's top-level argument and the
+// struct offset of each nesting level. These are exactly the tokens a branch
+// block inspecting the slot contains, so a model embedding both shares
+// vocabulary between user-space arguments and kernel disassembly. The table
+// is built once per registry; its slices are shared and must not be
+// modified.
+func SlotTokenTable(target *spec.Registry) [][][]string {
+	table := make([][][]string, len(target.Calls))
+	for _, call := range target.Calls {
+		slots := call.Slots()
+		row := make([][]string, len(slots))
+		for si, slot := range slots {
+			toks := make([]string, 0, len(slot.Path))
+			toks = append(toks, regForArg(slot.Path[0]))
+			for _, idx := range slot.Path[1:] {
+				toks = append(toks, fmt.Sprintf("off_0x%x", idx*8))
+			}
+			row[si] = toks
+		}
+		table[call.ID] = row
 	}
-	path := slots[slotIdx].Path
-	toks := []string{regForArg(path[0])}
-	for _, idx := range path[1:] {
-		toks = append(toks, fmt.Sprintf("off_0x%x", idx*8))
-	}
-	return toks
+	return table
 }
 
 // bodyTokens renders deterministic filler code for a straight-line block.

@@ -12,6 +12,7 @@ import (
 	"github.com/repro/snowplow/internal/kernel"
 	"github.com/repro/snowplow/internal/prog"
 	"github.com/repro/snowplow/internal/rng"
+	"github.com/repro/snowplow/internal/spec"
 	"github.com/repro/snowplow/internal/trace"
 )
 
@@ -121,6 +122,13 @@ func dumpGraph(h hash.Hash, g *Graph) {
 	}
 }
 
+// digest is the SHA-256 of a graph's canonical dump.
+func digest(g *Graph) string {
+	h := sha256.New()
+	dumpGraph(h, g)
+	return string(h.Sum(nil))
+}
+
 // TestBuildPinned pins the graphs themselves: the SHA-256 of the canonical
 // dump of Build over the generated pool. The literal was taken before the
 // builder's scratch, key and token table were rewritten; any change to
@@ -135,4 +143,107 @@ func TestBuildPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("graph dump SHA-256 = %s, want %s", got, want)
 	}
+}
+
+// maxBuildAllocs is the allocation budget of one cold Build: the Graph and
+// its four presized slices. Everything else a build needs lives in the
+// builder's pooled scratch or is shared with the kernel (block tokens) and
+// the builder (slot tokens).
+const maxBuildAllocs = 5
+
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the allocation footprint")
+	}
+	qs := queryPool(t)
+	b := NewBuilder(testKernel, testAn)
+	i := 0
+	allocs := testing.AllocsPerRun(len(qs), func() {
+		q := qs[i%len(qs)]
+		i++
+		_ = b.Build(q.p, q.traces, q.targets)
+	})
+	if allocs > maxBuildAllocs {
+		t.Fatalf("cold Build allocates %v times per query, budget %d", allocs, maxBuildAllocs)
+	}
+}
+
+// TestBuildConcurrent builds the pool from 8 goroutines sharing one builder,
+// each starting at a different query, and requires every graph to equal the
+// sequential one: the pooled scratch must never leak between builds.
+func TestBuildConcurrent(t *testing.T) {
+	qs := queryPool(t)
+	b := NewBuilder(testKernel, testAn)
+	want := make([]string, len(qs))
+	for i, q := range qs {
+		want[i] = digest(b.Build(q.p, q.traces, q.targets))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := range qs {
+				i := (n + w*len(qs)/8) % len(qs)
+				q := qs[i]
+				if digest(b.Build(q.p, q.traces, q.targets)) != want[i] {
+					t.Errorf("worker %d: query %d built a different graph", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// Benchmark results land in package-level sinks so the measured calls stay.
+var (
+	graphSink *Graph
+	keySink   cacheKey
+)
+
+// BenchmarkBuildGraph prices one cold Build, cycling through the pool.
+func BenchmarkBuildGraph(b *testing.B) {
+	qs := queryPool(b)
+	builder := NewBuilder(testKernel, testAn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		graphSink = builder.Build(q.p, q.traces, q.targets)
+	}
+}
+
+// BenchmarkQueryKey prices the cache key of one query, cycling through the
+// pool.
+func BenchmarkQueryKey(b *testing.B) {
+	qs := queryPool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		keySink = hashQuery(q.p, q.traces, q.targets)
+	}
+}
+
+// TestBuildOtherKernelBuild builds the pool's programs parsed over another
+// build of the same kernel version, whose syscall values are distinct from
+// the builder's: the graphs must equal the pool's. A call of a syscall the
+// kernel does not have must panic rather than borrow a wrong token row.
+func TestBuildOtherKernelBuild(t *testing.T) {
+	other := kernel.MustBuild(testKernel.Version).Target
+	b := NewBuilder(testKernel, testAn)
+	for i, q := range queryPool(t)[:32] {
+		g := b.Build(prog.MustParse(other, q.p.Serialize()), q.traces, q.targets)
+		if digest(g) != digest(b.Build(q.p, q.traces, q.targets)) {
+			t.Fatalf("query %d: the other kernel build's program built a different graph", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a call of an unknown syscall did not panic")
+		}
+	}()
+	foreign := &prog.Prog{Calls: []*prog.Call{{Meta: &spec.Syscall{ID: 0, Name: "foreign"}}}}
+	b.Build(foreign, nil, nil)
 }

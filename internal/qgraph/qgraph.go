@@ -11,6 +11,10 @@
 package qgraph
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/repro/snowplow/internal/cfa"
@@ -101,8 +105,12 @@ type Vertex struct {
 	Depth    int  // nesting depth of the slot path
 	Absent   bool // slot currently hidden behind a null pointer
 
-	// VCovered / VAlternative / VTarget: the kernel block and its tokens.
-	Block  kernel.BlockID
+	// VCovered / VAlternative / VTarget: the kernel block.
+	Block kernel.BlockID
+	// Tokens are the block's disassembly tokens (kernel.Block.Tokens) or,
+	// for VArg, the slot's access-path tokens (kernel.SlotTokenTable). The
+	// slices are shared with the kernel, the builder and every other graph
+	// and are immutable: read them, never write or append to them.
 	Tokens []string
 }
 
@@ -183,7 +191,8 @@ func (g *Graph) Stats() Stats {
 	return s
 }
 
-// Builder constructs query graphs against one kernel.
+// Builder constructs query graphs against one kernel. A Builder must be
+// made by NewBuilder; Build is safe for concurrent use.
 type Builder struct {
 	K  *kernel.Kernel
 	An *cfa.Analysis
@@ -193,15 +202,24 @@ type Builder struct {
 	// MaxAlternatives caps the alternative vertices per graph to bound
 	// model input size (0 = unlimited).
 	MaxAlternatives int
-	// Cache, when non-nil, memoizes built graphs by the fingerprint of the
-	// (program, traces, targets) triple (see WithCache). Cached graphs are
-	// shared between callers and must be treated as immutable.
+	// Cache, when non-nil, memoizes built graphs by the structural
+	// fingerprint of the (program, traces, targets) triple (see WithCache).
+	// Cached graphs are shared between callers and must be treated as
+	// immutable.
 	Cache *Cache
+
+	// slotTokens is kernel.SlotTokenTable(K.Target), built once: the
+	// access-path tokens of every slot, indexed by syscall ID and slot.
+	slotTokens [][][]string
+	// scratch pools *buildScratch, one per concurrent build.
+	scratch sync.Pool
 }
 
 // NewBuilder returns a Builder over the kernel.
 func NewBuilder(k *kernel.Kernel, an *cfa.Analysis) *Builder {
-	return &Builder{K: k, An: an, MaxAlternatives: 2048}
+	b := &Builder{K: k, An: an, MaxAlternatives: 2048, slotTokens: kernel.SlotTokenTable(k.Target)}
+	b.scratch.New = func() any { return &buildScratch{marks: make([]blockMark, k.NumBlocks())} }
+	return b
 }
 
 // WithCache attaches an LRU graph-encoding cache of the given capacity and
@@ -238,131 +256,271 @@ func (b *Builder) BuildCached(p *prog.Prog, traces [][]kernel.BlockID, targets [
 	return g, false
 }
 
-// build is the uncached graph construction.
+// slotTokensOf returns the slot-token row of a call's syscall. A program
+// may come from another build of the same kernel spec (a cluster server
+// builds its own kernel), whose *spec.Syscall values differ from K.Target's;
+// its row is the same when the slot paths, of which the tokens are a pure
+// function, agree. A call of any other syscall is a caller error.
+func (b *Builder) slotTokensOf(meta *spec.Syscall) [][]string {
+	if id := meta.ID; id >= 0 && id < len(b.slotTokens) {
+		if own := b.K.Target.Calls[id]; own == meta || samePaths(own.Slots(), meta.Slots()) {
+			return b.slotTokens[id]
+		}
+	}
+	panic(fmt.Sprintf("qgraph: %s is not a syscall of kernel %s", meta.Name, b.K.Version))
+}
+
+func samePaths(a, b []spec.Slot) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i].Path, b[i].Path) {
+			return false
+		}
+	}
+	return true
+}
+
+// blockMark is one kernel block's entry in a build's dense scratch. A field
+// group is live only while its stamp equals the scratch's current
+// generation, so a build starts by bumping the generation instead of
+// clearing one entry per kernel block.
+type blockMark struct {
+	cov, alt               int32  // covered / alternative-or-target vertex
+	covGen, altGen, tgtGen uint32 // stamps of cov, alt and target membership
+}
+
+// buildScratch is the working state of one build, reused across builds
+// through Builder.scratch. Nothing in it is reachable from a built Graph.
+type buildScratch struct {
+	gen   uint32
+	marks []blockMark // indexed by kernel.BlockID
+
+	covered    trace.BlockSet
+	alts       []cfa.Alternative
+	order      []kernel.BlockID // covered blocks in vertex order
+	callVertex []int
+	flow       []Edge  // coverage-phase edges in graph order
+	pairs      pairSet // covered-flow edges already emitted
+}
+
+// begin starts a build: a fresh generation and empty buffers.
+func (s *buildScratch) begin() {
+	s.gen++
+	if s.gen == 0 { // wrapped: stale stamps could read as live
+		clear(s.marks)
+		s.gen = 1
+	}
+	s.covered.Reset()
+	s.alts = s.alts[:0]
+	s.order = s.order[:0]
+	s.callVertex = s.callVertex[:0]
+	s.flow = s.flow[:0]
+}
+
+// pairSet is a set of packed vertex pairs reused across builds: open
+// addressing with linear probing over a power-of-two table whose slots are
+// generation-stamped like blockMark.
+type pairSet struct {
+	slots []pairSlot
+	gen   uint32
+	shift uint8
+}
+
+type pairSlot struct {
+	key uint64
+	gen uint32
+}
+
+// reset empties the set and makes room for n insertions at a load of at
+// most one half.
+func (s *pairSet) reset(n int) {
+	if s.slots == nil || len(s.slots) < 2*n {
+		size := 64
+		for size < 2*n {
+			size *= 2
+		}
+		s.slots = make([]pairSlot, size)
+		s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+		s.gen = 0
+	}
+	s.gen++
+	if s.gen == 0 {
+		clear(s.slots)
+		s.gen = 1
+	}
+}
+
+// add inserts key and reports whether it was absent.
+func (s *pairSet) add(key uint64) bool {
+	mask := len(s.slots) - 1
+	for i := int((key * 0x9e3779b97f4a7c15) >> s.shift); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			*sl = pairSlot{key: key, gen: s.gen}
+			return true
+		}
+		if sl.key == key {
+			return false
+		}
+	}
+}
+
+// build is the uncached graph construction. It sizes every slice of the
+// graph before filling it (Edges to a bound that counts a producer edge for
+// every resource slot): a first pass over the program, the traces and the
+// frontier numbers the vertices and stages the coverage edges in the
+// scratch, and a second pass writes the graph in vertex order.
 func (b *Builder) build(p *prog.Prog, traces [][]kernel.BlockID, targets []kernel.BlockID) *Graph {
-	g := &Graph{}
-	targetSet := map[kernel.BlockID]bool{}
+	s := b.scratch.Get().(*buildScratch)
+	defer b.scratch.Put(s)
+	s.begin()
+	gen, marks := s.gen, s.marks
 	for _, t := range targets {
-		targetSet[t] = true
+		marks[t].tgtGen = gen
 	}
 
-	// Program tree: syscall vertices and argument vertices.
-	callVertex := make([]int, len(p.Calls))
+	// Program tree: one syscall vertex per call followed by its slots.
+	nVert, nEdge := 0, 0
 	for ci, call := range p.Calls {
-		callVertex[ci] = len(g.Vertices)
+		s.callVertex = append(s.callVertex, nVert)
+		nVert++
+		if ci > 0 {
+			nEdge++ // call order
+		}
+		for si, slot := range call.Meta.Slots() {
+			nVert++
+			nEdge++ // argument feeds its call
+			if slot.Type.Kind == spec.KindResource {
+				nEdge++ // at most one producing call feeds the argument
+			}
+			if si > 0 {
+				nEdge++ // argument order
+			}
+		}
+	}
+	nSlots := nVert - len(p.Calls)
+
+	// Coverage graph: one vertex per unique covered block, edges for unique
+	// consecutive pairs, per call.
+	if len(traces) > len(p.Calls) {
+		traces = traces[:len(p.Calls)]
+	}
+	steps := 0
+	for _, tr := range traces {
+		steps += len(tr)
+	}
+	s.pairs.reset(steps)
+	for ci, tr := range traces {
+		var first, prev int
+		for i, id := range tr {
+			m := &marks[id]
+			if m.covGen != gen {
+				m.covGen, m.cov = gen, int32(nVert)
+				nVert++
+				s.order = append(s.order, id)
+				s.covered.Add(id)
+			}
+			vi := int(m.cov)
+			if i == 0 {
+				first = vi
+			} else if s.pairs.add(uint64(prev)<<32 | uint64(vi)) {
+				s.flow = append(s.flow, Edge{From: prev, To: vi, Kind: ECoveredFlow})
+			}
+			prev = vi
+		}
+		if len(tr) > 0 && !b.DropCtxSwitch {
+			s.flow = append(s.flow,
+				Edge{From: s.callVertex[ci], To: first, Kind: ECtxSwitch},
+				Edge{From: prev, To: s.callVertex[ci], Kind: ECtxSwitch})
+		}
+	}
+	nEdge += len(s.flow)
+
+	// Alternative path entries: uncovered blocks one branch away.
+	s.alts = b.An.AppendFrontier(s.alts, s.covered)
+	alts := s.alts
+	if b.MaxAlternatives > 0 && len(alts) > b.MaxAlternatives {
+		alts = alts[:b.MaxAlternatives]
+	}
+	for _, alt := range alts {
+		if m := &marks[alt.Entry]; m.altGen != gen {
+			m.altGen, m.alt = gen, int32(nVert)
+			nVert++
+		}
+	}
+	nEdge += len(alts)
+	// Targets that are not on the visible frontier still appear, isolated.
+	for _, t := range targets {
+		if m := &marks[t]; m.altGen != gen && m.covGen != gen {
+			m.altGen, m.alt = gen, int32(nVert)
+			nVert++
+		}
+	}
+
+	g := &Graph{
+		Vertices:    make([]Vertex, 0, nVert),
+		Edges:       make([]Edge, 0, nEdge),
+		ArgVertices: make([]int, 0, nSlots),
+		Slots:       make([]prog.GlobalSlot, 0, nSlots),
+	}
+	for ci, call := range p.Calls {
+		cv := s.callVertex[ci]
 		g.Vertices = append(g.Vertices, Vertex{Kind: VSyscall, CallIdx: ci, Name: call.Meta.Name})
 		if ci > 0 {
-			g.Edges = append(g.Edges, Edge{From: callVertex[ci-1], To: callVertex[ci], Kind: ECallOrder})
+			g.Edges = append(g.Edges, Edge{From: s.callVertex[ci-1], To: cv, Kind: ECallOrder})
 		}
-		slotArgs := call.SlotArgs()
-		prevArg := -1
+		tokens := b.slotTokensOf(call.Meta)
 		for si, slot := range call.Meta.Slots() {
 			av := len(g.Vertices)
+			a := call.ArgAtPath(slot.Path)
 			v := Vertex{
 				Kind:     VArg,
 				Slot:     prog.GlobalSlot{Call: ci, Slot: si},
 				TypeKind: slot.Type.Kind,
 				TopArg:   slot.Path[0],
 				Depth:    len(slot.Path) - 1,
-				Absent:   slotArgs[si] == nil,
+				Absent:   a == nil,
 				// Access-path tokens (ABI register, struct offsets) share
 				// the kernel-disassembly vocabulary, letting the model
 				// align arguments with the blocks that inspect them.
-				Tokens: kernel.SlotAccessTokens(call.Meta, si),
+				Tokens: tokens[si],
 			}
 			g.Vertices = append(g.Vertices, v)
 			g.ArgVertices = append(g.ArgVertices, av)
 			g.Slots = append(g.Slots, v.Slot)
 			// Data flow: argument feeds its call.
-			g.Edges = append(g.Edges, Edge{From: av, To: callVertex[ci], Kind: EArgInOut})
+			g.Edges = append(g.Edges, Edge{From: av, To: cv, Kind: EArgInOut})
 			// Resource flow: producing call feeds the argument.
-			if ra, ok := slotArgs[si].(*prog.ResultArg); ok && ra.Ref >= 0 && ra.Ref < ci {
-				g.Edges = append(g.Edges, Edge{From: callVertex[ra.Ref], To: av, Kind: EArgInOut})
+			if ra, ok := a.(*prog.ResultArg); ok && ra.Ref >= 0 && ra.Ref < ci {
+				g.Edges = append(g.Edges, Edge{From: s.callVertex[ra.Ref], To: av, Kind: EArgInOut})
 			}
 			// Argument ordering chain.
-			if prevArg >= 0 {
-				g.Edges = append(g.Edges, Edge{From: prevArg, To: av, Kind: EArgOrder})
-			}
-			prevArg = av
-		}
-	}
-
-	// Coverage graph: one vertex per unique covered block, edges for unique
-	// consecutive pairs, per call.
-	covVertex := map[kernel.BlockID]int{}
-	covered := trace.BlockSet{}
-	addCov := func(id kernel.BlockID) int {
-		if vi, ok := covVertex[id]; ok {
-			return vi
-		}
-		vi := len(g.Vertices)
-		blk := b.K.Block(id)
-		g.Vertices = append(g.Vertices, Vertex{Kind: VCovered, Block: id, Tokens: blk.Tokens})
-		covVertex[id] = vi
-		covered.Add(id)
-		return vi
-	}
-	seenEdge := map[trace.Edge]bool{}
-	for ci, tr := range traces {
-		if ci >= len(p.Calls) {
-			break
-		}
-		var first, last int
-		for i, id := range tr {
-			vi := addCov(id)
-			if i == 0 {
-				first = vi
-			}
-			last = vi
-			if i > 0 {
-				e := trace.MakeEdge(tr[i-1], id)
-				if !seenEdge[e] {
-					seenEdge[e] = true
-					g.Edges = append(g.Edges, Edge{From: covVertex[tr[i-1]], To: vi, Kind: ECoveredFlow})
-				}
+			if si > 0 {
+				g.Edges = append(g.Edges, Edge{From: av - 1, To: av, Kind: EArgOrder})
 			}
 		}
-		if len(tr) > 0 && !b.DropCtxSwitch {
-			g.Edges = append(g.Edges,
-				Edge{From: callVertex[ci], To: first, Kind: ECtxSwitch},
-				Edge{From: last, To: callVertex[ci], Kind: ECtxSwitch})
-		}
 	}
-
-	// Alternative path entries: uncovered blocks one branch away.
-	alts := b.An.Frontier(covered)
-	if b.MaxAlternatives > 0 && len(alts) > b.MaxAlternatives {
-		alts = alts[:b.MaxAlternatives]
+	for _, id := range s.order {
+		g.Vertices = append(g.Vertices, Vertex{Kind: VCovered, Block: id, Tokens: b.K.Block(id).Tokens})
 	}
-	altVertex := map[kernel.BlockID]int{}
+	g.Edges = append(g.Edges, s.flow...)
 	for _, alt := range alts {
-		vi, ok := altVertex[alt.Entry]
-		if !ok {
-			vi = len(g.Vertices)
+		m := &marks[alt.Entry]
+		if int(m.alt) == len(g.Vertices) { // first occurrence
 			kind := VAlternative
-			if targetSet[alt.Entry] {
+			if m.tgtGen == gen {
 				kind = VTarget
 			}
-			blk := b.K.Block(alt.Entry)
-			g.Vertices = append(g.Vertices, Vertex{Kind: kind, Block: alt.Entry, Tokens: blk.Tokens})
-			altVertex[alt.Entry] = vi
+			g.Vertices = append(g.Vertices, Vertex{Kind: kind, Block: alt.Entry, Tokens: b.K.Block(alt.Entry).Tokens})
 		}
-		g.Edges = append(g.Edges, Edge{From: covVertex[alt.From], To: vi, Kind: EUncoveredFlow})
+		g.Edges = append(g.Edges, Edge{From: int(marks[alt.From].cov), To: int(m.alt), Kind: EUncoveredFlow})
 	}
-
-	// Targets that are not on the visible frontier still appear, isolated.
 	for _, t := range targets {
-		if _, ok := altVertex[t]; ok {
-			continue
+		if m := &marks[t]; m.altGen == gen && int(m.alt) == len(g.Vertices) {
+			g.Vertices = append(g.Vertices, Vertex{Kind: VTarget, Block: t, Tokens: b.K.Block(t).Tokens})
 		}
-		if _, ok := covVertex[t]; ok {
-			continue
-		}
-		vi := len(g.Vertices)
-		blk := b.K.Block(t)
-		g.Vertices = append(g.Vertices, Vertex{Kind: VTarget, Block: t, Tokens: blk.Tokens})
-		altVertex[t] = vi
 	}
-
 	return g
 }

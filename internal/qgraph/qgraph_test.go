@@ -240,16 +240,3 @@ func TestGraphSizeScales(t *testing.T) {
 		t.Fatalf("5-call graphs average only %d vertices", large/5)
 	}
 }
-
-func BenchmarkBuildGraph(b *testing.B) {
-	p := prog.MustParse(testKernel.Target, simpleProg)
-	res, err := exec.New(testKernel).Run(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	builder := NewBuilder(testKernel, testAn)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = builder.Build(p, res.CallTraces, nil)
-	}
-}
