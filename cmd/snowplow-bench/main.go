@@ -35,7 +35,7 @@ func main() {
 		faults = flag.String("faults", "",
 			"fault shape at rate 1.0 for the degraded-serving sweep, e.g. drop=0.4,transient=0.3,corrupt=0.2 (empty = default shape)")
 		workers = flag.Int("workers", 0, "MatMul worker-pool size (0 = leave at 1)")
-		vms     = flag.Int("vms", 0, "simulated-VM fleet size for fuzzing campaigns (0 = sequential)")
+		vms     = flag.Int("vms", 0, "simulated-VM fleet size for fuzzing campaigns (0 = one VM)")
 		batch   = flag.Int("batch", 0, "serving micro-batch limit for harness servers (0 = no batching)")
 		jsonDir = flag.String("json", "", "directory for machine-readable BENCH_<experiment>.json results (empty = disabled)")
 		sample  = flag.Duration("sample-interval", 0, "wall-clock metrics sampling period for the timeseries experiment (0 = default 250ms)")

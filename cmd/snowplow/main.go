@@ -97,7 +97,7 @@ func main() {
 		batch     = flag.Int("batch", 1, "inference micro-batch limit (1 = no batching)")
 		cache     = flag.Int("cache", 1024, "graph-encoding LRU cache capacity (0 = disabled)")
 		fallback  = flag.Float64("fallback", 0.1, "random-localization fallback probability")
-		vms       = flag.Int("vms", 1, "simulated fuzzing VMs (parallel campaign; 1 = sequential)")
+		vms       = flag.Int("vms", 1, "simulated fuzzing VMs, run in lockstep epochs through the reconciler")
 		fused     = flag.Bool("fused", true, "serve inference through the fused kernels (bit-identical to unfused)")
 		quant     = flag.Bool("quant", false, "int8-quantize model weights before serving (reproducible per seed; coordinator re-encodes the model for workers)")
 		sf        serveFlags

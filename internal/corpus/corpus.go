@@ -231,6 +231,15 @@ func (c *Corpus) TotalCover() *trace.Cover {
 	return c.total.Clone()
 }
 
+// ReadTotal calls fn with the accumulated edge coverage under the read
+// lock, for a reader that overlays a cover of its own on the total instead
+// of cloning it. fn must neither retain nor modify the cover.
+func (c *Corpus) ReadTotal(fn func(total *trace.Cover)) {
+	c.totalMu.RLock()
+	defer c.totalMu.RUnlock()
+	fn(c.total)
+}
+
 // AppendTotalSparse appends the sparse encoding (trace.Cover.AppendSparse)
 // of the accumulated edge coverage to dst, reading it under the read lock
 // instead of cloning it first.
@@ -262,14 +271,6 @@ func (c *Corpus) NewEdges(cover *trace.Cover) int {
 	c.totalMu.RLock()
 	defer c.totalMu.RUnlock()
 	return c.total.NewEdges(cover)
-}
-
-// NewEdgeList returns cover's edges that are not yet in the corpus total,
-// sorted, without modifying anything.
-func (c *Corpus) NewEdgeList(cover *trace.Cover) []trace.Edge {
-	c.totalMu.RLock()
-	defer c.totalMu.RUnlock()
-	return cover.Diff(c.total)
 }
 
 // Has reports whether an identical program is already in the corpus.

@@ -60,7 +60,7 @@ type Options struct {
 	// width. 0 or 1 harvests single-threaded.
 	CollectWorkers int
 	// VMs is the simulated-VM fleet size passed to fuzzing campaigns
-	// (fuzzer.Config.VMs); 0 or 1 runs campaigns sequentially.
+	// (fuzzer.Config.VMs); 0 means one VM.
 	VMs int
 	// BatchSize is the serving micro-batch limit (see serve.Options);
 	// 0 leaves batching off.

@@ -15,9 +15,8 @@
 // its execution machine, RNG and prediction window and runs the full
 // generate→exec→trace→triage loop inside a Shard, synchronizing with the
 // campaign corpus through the epoch-barrier Reconciler (reconciler.go) —
-// the one engine behind both single-host -vms N campaigns and
-// internal/cluster's coordinator. VMs=1 without online learning runs the
-// original sequential loop and is bit-identical to it.
+// the one engine behind every single-host campaign, one VM or many, and
+// internal/cluster's coordinator.
 package fuzzer
 
 import (
@@ -64,17 +63,18 @@ type Config struct {
 	// Budget is the total simulated execution cost (blocks executed),
 	// shared evenly across the VM fleet.
 	Budget int64
-	// SampleEvery records a coverage time-series point each time this much
-	// budget is consumed.
+	// SampleEvery is the coverage time-series period in fleet simulated
+	// cost. Series points are taken at reconcile barriers (32 per VM by
+	// default, see SyncEvery): each barrier records one point per period
+	// crossed since the last, all at the barrier's edge count.
 	SampleEvery int64
 	// VMs is the number of simulated fuzzing VMs running the campaign
-	// concurrently against the shared corpus. 0 or 1 runs the sequential
-	// loop; N>1 runs N VM workers whose results merge deterministically
-	// through the epoch reconciler, so a fixed seed reproduces the same
-	// campaign at any worker scheduling.
+	// concurrently against the shared corpus (0 means 1). Their results
+	// merge deterministically through the epoch reconciler, so a fixed seed
+	// reproduces the same campaign at any worker scheduling.
 	VMs int
 	// SyncEvery is the per-VM simulated cost between corpus
-	// synchronization barriers in parallel mode (0 = per-VM budget / 32).
+	// synchronization barriers (0 = per-VM budget / 32).
 	SyncEvery int64
 	// Server performs PMM inference (required in ModeSnowplow). It is any
 	// serve.Inferrer: a dedicated *serve.Server, or one *serve.Tenant of a
@@ -132,9 +132,8 @@ type Config struct {
 	// corpus at fixed epoch barriers and hot-swaps accepted checkpoints into
 	// the server at barrier epochs, without pausing VMs. Requires
 	// ModeSnowplow and a Server implementing serve.ModelSwapper (a local
-	// *serve.Server or *serve.Tenant). Online
-	// campaigns always run through the epoch-barrier engine, even at VMs=1,
-	// so the swap schedule is defined by barrier epochs.
+	// *serve.Server or *serve.Tenant). The swap schedule is defined in
+	// barrier epochs.
 	Online *online.Config
 	// OnlineTrainWorkers / OnlineCollectWorkers bound the background
 	// retrain's data-parallel training and harvest pools (0 = library
@@ -153,8 +152,7 @@ type Point struct {
 type CrashReport struct {
 	Spec     *kernel.CrashSpec
 	ProgText string // serialized crashing program
-	Cost     int64  // simulated time of first observation (VM-local time
-	// in parallel campaigns)
+	Cost     int64  // VM-local simulated time of first observation
 }
 
 // VMStat is one VM worker's contribution to the campaign, for observing
@@ -243,65 +241,10 @@ func (y *YieldStats) add(o YieldStats) {
 	y.GenerateEdges += o.GenerateEdges
 }
 
-// edges is the total new-edge yield across work classes.
-func (y YieldStats) edges() int64 {
-	return y.GuidedEdges + y.RandArgEdges + y.OtherMutEdges + y.GenerateEdges
-}
-
-// corpusView is a VM worker's window onto the campaign corpus. The
-// sequential campaign reads and writes the shared corpus directly; a
-// shard VM sees an epoch snapshot plus its own local additions, which the
-// reconciler merges at the next barrier.
-type corpusView interface {
-	Choose(r *rng.Rand) *corpus.Entry
-	Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int
-	NewEdges(cover *trace.Cover) int
-	// NewEdgeList lists, sorted, the edges NewEdges counts.
-	NewEdgeList(cover *trace.Cover) []trace.Edge
-	// Edges is the number of edges covered (as visible to this VM).
-	Edges() int
-	// HasBlock reports whether the campaign (as visible to this VM) has
-	// covered the block; queryTargets uses it to pick fresh frontiers.
-	HasBlock(b kernel.BlockID) bool
-}
-
-// sharedView is a direct window onto the corpus: the sequential campaign's
-// view, and what every campaign's seed pass inserts through.
-type sharedView struct {
-	corp   *corpus.Corpus
-	blocks *trace.BlockSet // campaign-global covered blocks
-}
-
-func (v *sharedView) Choose(r *rng.Rand) *corpus.Entry { return v.corp.Choose(r) }
-
-func (v *sharedView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int {
-	n := v.corp.Add(p, cover, blocks, traces)
-	if n > 0 {
-		v.blocks.Merge(blocks)
-	}
-	return n
-}
-
-// seed inserts an initial program unconditionally (deduplicated by text).
-func (v *sharedView) seed(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) {
-	if v.corp.Seed(p, cover, blocks, traces) {
-		v.blocks.Merge(blocks)
-	}
-}
-
-func (v *sharedView) NewEdges(cover *trace.Cover) int { return v.corp.NewEdges(cover) }
-func (v *sharedView) NewEdgeList(cover *trace.Cover) []trace.Edge {
-	return v.corp.NewEdgeList(cover)
-}
-func (v *sharedView) Edges() int                     { return v.corp.TotalEdges() }
-func (v *sharedView) HasBlock(b kernel.BlockID) bool { return v.blocks.Has(b) }
-
 // Fuzzer is one configured campaign.
 type Fuzzer struct {
 	cfg     Config
 	corp    *corpus.Corpus
-	shared  *sharedView      // the sequential worker's view of corp
-	seq     *worker          // the sequential (VMs<=1) worker
 	metrics *campaignMetrics // nil when Config.Metrics is nil
 
 	// cacheSim replays the serving graph-cache LRU over the campaign's
@@ -312,8 +255,7 @@ type Fuzzer struct {
 
 // worker is one simulated fuzzing VM: the full generate→exec→trace→triage
 // loop with its own execution machine, RNG stream, prediction window and
-// scratch buffers. The sequential campaign is a single worker bound
-// directly to the shared corpus.
+// scratch buffers, fuzzing one epoch at a time against its epochView.
 type worker struct {
 	cfg  *Config
 	id   int
@@ -321,26 +263,23 @@ type worker struct {
 	exe  *exec.Machine
 	mut  *mutation.Mutator
 	gen  *prog.Generator
-	view corpusView
+	view *epochView
 
 	preds     map[*corpus.Entry]*entryPrediction
 	crashSeen map[string]*CrashReport
-	stats     *Stats // the VM's own counters (the campaign Stats when sequential)
+	stats     *Stats // the VM's own counters
 
 	// Observability (all optional): the campaign's shared instrument
-	// bundle, the shared journal, the VM's buffered mid-epoch events
-	// (flushed by the reconciler in VM order), the VM's current epoch
-	// number, and the last observed serving-health state.
+	// bundle, the VM's buffered mid-epoch journal events (flushed by the
+	// reconciler in VM order), the VM's current epoch number, and the last
+	// observed serving-health state.
 	m        *campaignMetrics
-	jn       *obs.Journal
 	events   []obs.Event
 	epoch    int64
 	degraded bool
 
-	cost        int64
-	budget      int64
-	sampleEvery int64 // sequential: series sampling period (0 = no series)
-	nextSample  int64
+	cost   int64
+	budget int64
 
 	// Barrier-engine bookkeeping (see shard.go).
 	err          error         // first step error inside an epoch
@@ -348,17 +287,9 @@ type worker struct {
 	queueWaitNs  int64         // accumulated barrier wait
 	epochs       int64
 
-	// deferHarvest makes prediction replies visible only at epoch
-	// barriers, pinning a barrier-engine campaign's query schedule to
-	// simulated time instead of wall-clock arrival order. Only the
-	// sequential worker clears it.
-	deferHarvest bool
-
-	// Cache-simulation plumbing: a sequential worker folds each submitted
-	// query's key into the shared simulator immediately (cacheSim non-nil);
-	// a shard VM buffers keys in submission order (trackKeys) for the
-	// reconciler to fold at the barrier in VM order.
-	cacheSim  *qgraph.CacheSim
+	// trackKeys makes the VM buffer its submitted queries' cache keys in
+	// submission order, for the reconciler to fold into the cache
+	// simulation at the barrier in VM order.
 	trackKeys bool
 	keyBuf    []qgraph.QueryKey
 
@@ -439,24 +370,11 @@ func New(cfg Config) *Fuzzer {
 			}
 		}
 	}
-	// The sequential worker is VM 0 of a one-VM fleet, bound directly to
-	// the shared corpus: it merges, samples and folds cache keys as it goes
-	// instead of at barriers.
-	one := cfg
-	one.VMs = 1
-	w := newWorker(&f.cfg, InitialVMState(one, 0), f.metrics, false)
-	f.shared = &sharedView{corp: f.corp, blocks: &trace.BlockSet{}}
-	w.view = f.shared
-	w.deferHarvest = false
-	w.sampleEvery = cfg.SampleEvery
-	w.cacheSim = f.cacheSim
-	f.seq = w
 	return f
 }
 
-// Corpus exposes the fuzzer's corpus (for directed fuzzing and tests). In a
-// barrier-engine campaign it is the reconciler's authoritative corpus,
-// holding the very entries the VMs built.
+// Corpus exposes the fuzzer's corpus (for directed fuzzing and tests): the
+// reconciler's authoritative corpus, holding the very entries the VMs built.
 func (f *Fuzzer) Corpus() *corpus.Corpus { return f.corp }
 
 // recordCampaignStart / recordCampaignEnd bracket a campaign's journal
@@ -476,14 +394,9 @@ func recordCampaignEnd(jn *obs.Journal, stats *Stats) {
 }
 
 // Run executes the campaign until the budget is exhausted and returns the
-// statistics. Fleets (VMs > 1) and online campaigns — whose swap schedule
-// is defined in barrier epochs, even at VMs=1 — run the epoch-barrier
-// reconciler over one in-process shard; everything else runs the
-// sequential loop.
+// statistics: the epoch-barrier reconciler over one in-process shard that
+// hosts every VM.
 func (f *Fuzzer) Run() (*Stats, error) {
-	if f.cfg.Online == nil && f.cfg.VMs <= 1 {
-		return f.runSequential()
-	}
 	ctl, err := f.newOnline()
 	if err != nil {
 		return nil, err
@@ -528,43 +441,6 @@ func (f *Fuzzer) newOnline() (*online.Controller, error) {
 	return ctl, nil
 }
 
-// runSequential is the single-VM campaign: the worker is bound directly to
-// the shared corpus and merges every result immediately, exactly as the
-// original sequential loop did.
-func (f *Fuzzer) runSequential() (*Stats, error) {
-	recordCampaignStart(f.cfg.Journal, &f.cfg)
-	w := f.seq
-	w.nextSample = w.sampleEvery
-	for _, p := range f.cfg.SeedCorpus {
-		if err := w.seed(p, f.shared); err != nil {
-			return nil, err
-		}
-	}
-	w.jevent(obs.EventSeed, int64(f.corp.Len()), "")
-	for w.cost < w.budget {
-		if err := w.step(); err != nil {
-			return nil, err
-		}
-	}
-	w.drainPending()
-	stats := w.stats
-	stats.CorpusSize = f.corp.Len()
-	stats.FinalEdges = f.corp.TotalEdges()
-	stats.PMMCacheHits, stats.PMMCacheMisses = cacheStats(f.cacheSim, f.cfg.Server)
-	if len(stats.Series) == 0 || stats.Series[len(stats.Series)-1].Cost < w.cost {
-		stats.Series = append(stats.Series, Point{Cost: w.cost, Edges: stats.FinalEdges})
-	}
-	stats.VMs = []VMStat{{
-		VM:         0,
-		Executions: stats.Executions,
-		NewEdges:   stats.Yield.edges(),
-		Queries:    stats.PMMQueries,
-		Epochs:     1,
-	}}
-	recordCampaignEnd(f.cfg.Journal, stats)
-	return stats, nil
-}
-
 // cacheStats is a campaign's graph-cache hit/miss split: from the
 // deterministic simulation when one ran, else mirroring the server's
 // wall-clock counters (zero without a server).
@@ -579,13 +455,10 @@ func cacheStats(sim *qgraph.CacheSim, server serve.Inferrer) (hits, misses int64
 	return 0, 0
 }
 
-// noteCacheKey accounts one submitted query to the cache simulation: folded
-// immediately when this worker owns the simulator (sequential campaigns),
-// buffered in submission order for the reconciler otherwise.
+// noteCacheKey buffers one submitted query's cache key, in submission
+// order, for the reconciler's cache simulation.
 func (w *worker) noteCacheKey(p *prog.Prog, traces [][]kernel.BlockID, targets []kernel.BlockID) {
-	if w.cacheSim != nil {
-		w.cacheSim.Touch(qgraph.HashQuery(p, traces, targets))
-	} else if w.trackKeys {
+	if w.trackKeys {
 		w.keyBuf = append(w.keyBuf, qgraph.HashQuery(p, traces, targets))
 	}
 }
@@ -779,10 +652,10 @@ func (w *worker) syncGuidedArgMutation(entry *corpus.Entry) error {
 }
 
 // predictionFor returns the entry's cached prediction state, submitting or
-// refreshing the asynchronous query as needed and harvesting a completed
-// reply if one is available. In deferred-harvest (barrier-engine) mode replies
-// become visible only at epoch barriers, so prediction availability is a
-// function of simulated time, not wall-clock arrival order.
+// refreshing the asynchronous query as needed. Replies become visible only
+// when harvestPending collects them at the next epoch barrier, so
+// prediction availability is a function of simulated time, not wall-clock
+// arrival order.
 func (w *worker) predictionFor(entry *corpus.Entry) *entryPrediction {
 	st := w.preds[entry]
 	if st == nil {
@@ -790,22 +663,6 @@ func (w *worker) predictionFor(entry *corpus.Entry) *entryPrediction {
 		w.preds[entry] = st
 		w.submitQuery(entry, st)
 		return st
-	}
-	if st.reply != nil && !w.deferHarvest {
-		select {
-		case pred := <-st.reply:
-			st.reply = nil
-			if pred.Err != nil {
-				// Terminal serving failure (deadline, retries
-				// exhausted, closed): no guidance this round; the
-				// random fallback covers the base.
-				w.countReplyFailed()
-			} else {
-				st.pred = &pred
-				w.countReplyOK()
-			}
-		default:
-		}
 	}
 	// Consumed (or never-answered) prediction with no query in flight:
 	// resubmit against the current frontier.
@@ -816,10 +673,12 @@ func (w *worker) predictionFor(entry *corpus.Entry) *entryPrediction {
 }
 
 // harvestPending blocks for every outstanding prediction reply and makes
-// the results available to the next epoch. The reconciler calls this at
-// epoch start; serving deadlines and retry budgets bound the wait, and
-// reply channels are buffered exactly-once, so the drain always
-// terminates.
+// the results available to the next epoch. A shard calls this at epoch
+// start and at the final drain; serving deadlines and retry budgets bound
+// the wait, and reply channels are buffered exactly-once, so the drain
+// always terminates. A terminal serving failure (deadline, retries
+// exhausted, closed) gives no guidance; the random fallback covers the
+// base.
 func (w *worker) harvestPending() {
 	for ; w.phantom > 0; w.phantom-- {
 		w.countReplyOK()
@@ -957,7 +816,7 @@ func (w *worker) execute(p *prog.Prog, class yieldClass) (*exec.Result, error) {
 		w.m.execs.Inc()
 		w.m.execLatency.Observe(time.Since(t0).Nanoseconds())
 	}
-	w.charge(int64(res.Cost))
+	w.cost += int64(res.Cost)
 	if res.Crash != nil {
 		if _, seen := w.crashSeen[res.Crash.Title]; !seen {
 			report := &CrashReport{Spec: res.Crash, ProgText: p.Serialize(), Cost: w.cost}
@@ -1009,7 +868,7 @@ func (w *worker) minimize(p *prog.Prog, res *exec.Result, cover *trace.Cover) (*
 			w.m.execs.Inc()
 			w.m.execLatency.Observe(time.Since(t0).Nanoseconds())
 		}
-		w.charge(int64(candRes.Cost))
+		w.cost += int64(candRes.Cost)
 		candCover := trace.EdgesOf(candRes)
 		keeps := true
 		for _, e := range must {
@@ -1025,9 +884,8 @@ func (w *worker) minimize(p *prog.Prog, res *exec.Result, cover *trace.Cover) (*
 	return best, bestRes, bestCover, trace.NewBlockSet(trace.BlocksOf(bestRes))
 }
 
-// seed executes an initial program and retains it in the corpus
-// unconditionally.
-func (w *worker) seed(p *prog.Prog, into *sharedView) error {
+// seed executes an initial program and retains it in corp unconditionally.
+func (w *worker) seed(p *prog.Prog, corp *corpus.Corpus) error {
 	var t0 time.Time
 	if w.m != nil {
 		t0 = time.Now()
@@ -1041,51 +899,12 @@ func (w *worker) seed(p *prog.Prog, into *sharedView) error {
 		w.m.execs.Inc()
 		w.m.execLatency.Observe(time.Since(t0).Nanoseconds())
 	}
-	w.charge(int64(res.Cost))
+	w.cost += int64(res.Cost)
 	if res.Crash != nil {
 		return nil
 	}
 	cover := trace.EdgesOfInto(w.scratchCover, res)
 	blocks := *trace.BlockSetOfInto(&w.scratchBlocks, res)
-	into.seed(p, cover, blocks, res.CallTraces)
+	corp.Seed(p, cover, blocks, res.CallTraces)
 	return nil
-}
-
-// charge advances simulated time and, in sequential mode, samples the
-// coverage series (barrier-engine campaigns sample at reconcile barriers
-// instead).
-func (w *worker) charge(cost int64) {
-	w.cost += cost
-	if w.m != nil && !w.deferHarvest {
-		// Sequential campaigns publish simulated time directly; fleets
-		// publish the sum at reconcile barriers instead.
-		w.m.cost.Set(w.cost)
-	}
-	if w.sampleEvery <= 0 {
-		return
-	}
-	for w.cost >= w.nextSample {
-		w.stats.Series = append(w.stats.Series, Point{Cost: w.nextSample, Edges: w.view.Edges()})
-		w.nextSample += w.sampleEvery
-	}
-}
-
-// drainPending harvests predictions still in flight at budget exhaustion.
-// Reply channels are buffered and delivered exactly once, so abandoning an
-// unharvested reply cannot leak a goroutine.
-func (w *worker) drainPending() {
-	for _, st := range w.preds {
-		if st.reply != nil {
-			select {
-			case pred := <-st.reply:
-				if pred.Err != nil {
-					w.countReplyFailed()
-				} else {
-					w.countReplyOK()
-				}
-			default:
-			}
-			st.reply = nil
-		}
-	}
 }

@@ -110,29 +110,22 @@ func (m *campaignMetrics) recordYield(class yieldClass, newEdges int) {
 	}
 }
 
-// jevent records (or, mid-epoch in parallel mode, buffers) one journal
-// event on behalf of this worker. Parallel workers never touch the shared
-// journal directly: their events queue locally and the reconciler flushes
-// them at the barrier in ascending VM order, which is what makes journal
-// sequence numbers a pure function of the seed rather than of goroutine
-// scheduling.
+// jevent buffers one journal event on behalf of this worker. Workers never
+// touch the shared journal directly: their events queue locally and the
+// reconciler flushes them at the barrier in ascending VM order, which is
+// what makes journal sequence numbers a pure function of the seed rather
+// than of goroutine scheduling.
 func (w *worker) jevent(kind string, value int64, detail string) {
-	if w.jn == nil {
-		return
+	if w.cfg.Journal != nil {
+		w.events = append(w.events, obs.Event{Kind: kind, VM: w.id, Epoch: w.epoch, Cost: w.cost, Value: value, Detail: detail})
 	}
-	e := obs.Event{Kind: kind, VM: w.id, Epoch: w.epoch, Cost: w.cost, Value: value, Detail: detail}
-	if w.deferHarvest {
-		w.events = append(w.events, e)
-		return
-	}
-	w.jn.Record(e)
 }
 
 // noteHealth records degraded/recovered journal transitions. Health is a
 // wall-clock observable, so these events are excluded from the journal
 // determinism guarantee (they cannot occur in fault-free campaigns).
 func (w *worker) noteHealth(healthy bool) {
-	if w.jn == nil || healthy == !w.degraded {
+	if w.cfg.Journal == nil || healthy == !w.degraded {
 		return
 	}
 	w.degraded = !healthy

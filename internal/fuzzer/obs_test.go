@@ -139,14 +139,14 @@ func TestMetricsMatchStats(t *testing.T) {
 
 // TestMetricsDisabledLeavesStatsIdentical proves attaching observability
 // does not perturb the campaign: same seed with and without instruments
-// yields identical Stats.
+// yields identical Stats, modulo the wall-clock barrier wait.
 func TestMetricsDisabledLeavesStatsIdentical(t *testing.T) {
 	plain, err := New(baselineConfig(75, 300_000)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	instrumented, _, _ := journaledCampaign(t, 75, 1)
-	if !reflect.DeepEqual(plain, instrumented) {
+	if !reflect.DeepEqual(zeroQueueWait(plain), zeroQueueWait(instrumented)) {
 		t.Fatal("attaching metrics/journal changed campaign results")
 	}
 }

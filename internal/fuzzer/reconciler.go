@@ -3,11 +3,11 @@
 // in lockstep epochs and one Reconciler owns everything the VMs share:
 //
 //   - At an epoch start each VM snapshots the campaign corpus (an
-//     epochView: the frozen entry list, a private clone of the total cover,
-//     and the VM's own intra-epoch additions).
+//     epochView: the frozen entry list, the total cover read in place, and
+//     an overlay of the VM's own intra-epoch additions).
 //   - VMs then fuzz independently for a bounded slice of simulated cost
 //     (Config.SyncEvery) with no shared mutable state; prediction replies
-//     are harvested only at the barrier (deferHarvest), so inference
+//     are harvested only at the barrier (harvestPending), so inference
 //     latency never leaks wall-clock ordering into the campaign.
 //   - At the barrier the reconciler merges each VM's additions into the
 //     authoritative corpus in ascending VM order under a global sequence
@@ -17,14 +17,14 @@
 //     network arrival order.
 //
 // VMs live in Shards, and the reconciler reaches them through a Transport
-// of three operations. A single-host -vms N campaign is the reconciler
-// over one in-process Shard that shares its corpus and passes structs; a
-// cluster campaign is the same reconciler over internal/cluster's
-// coordinator, which carries the same three operations across TCP and adds
-// only what a network needs (decoding, worker loss, checkpoints). Campaigns
-// are therefore bit-reproducible per seed at any VM placement; the only
-// wall-clock observable is the per-VM QueueWaitNs counter (explicitly
-// excluded from the determinism guarantee).
+// of three operations. A single-host campaign, at any -vms, is the
+// reconciler over one in-process Shard that shares its corpus and passes
+// structs; a cluster campaign is the same reconciler over
+// internal/cluster's coordinator, which carries the same three operations
+// across TCP and adds only what a network needs (decoding, worker loss,
+// checkpoints). Campaigns are therefore bit-reproducible per seed at any VM
+// placement; the only wall-clock observable is the per-VM QueueWaitNs
+// counter (explicitly excluded from the determinism guarantee).
 
 package fuzzer
 
@@ -37,7 +37,6 @@ import (
 	"github.com/repro/snowplow/internal/online"
 	"github.com/repro/snowplow/internal/prog"
 	"github.com/repro/snowplow/internal/qgraph"
-	"github.com/repro/snowplow/internal/trace"
 )
 
 // Transport carries the reconciler's three barrier operations to wherever
@@ -117,9 +116,8 @@ func newReconciler(cfg Config, corp *corpus.Corpus, ctl *online.Controller, m *c
 	recordCampaignStart(cfg.Journal, &r.cfg)
 
 	w := newWorker(&r.cfg, r.States[0], m, false)
-	direct := &sharedView{corp: corp, blocks: &trace.BlockSet{}}
 	for _, p := range cfg.SeedCorpus {
-		if err := w.seed(p, direct); err != nil {
+		if err := w.seed(p, corp); err != nil {
 			return nil, err
 		}
 	}

@@ -203,7 +203,7 @@ func TestFallbackProbRaisedWhenUnhealthy(t *testing.T) {
 	cfg.Server = srv
 	cfg.FallbackProb = 0.1
 	cfg.DegradedFallbackProb = 0.95
-	f := New(cfg)
+	w := newWorker(&cfg, InitialVMState(cfg, 0), nil, false)
 	// Drive the server unhealthy by hand; a fully-transient model fails
 	// every query before it reaches the worker pool.
 	for i := 0; i < 8; i++ {
@@ -212,10 +212,10 @@ func TestFallbackProbRaisedWhenUnhealthy(t *testing.T) {
 	if srv.Healthy() {
 		t.Skip("server still healthy; health window larger than expected")
 	}
-	if got := f.seq.fallbackProb(); got != 0.95 {
+	if got := w.fallbackProb(); got != 0.95 {
 		t.Fatalf("degraded fallback prob = %v, want 0.95", got)
 	}
-	if f.seq.stats.DegradedSteps != 1 {
-		t.Fatalf("degraded steps = %d", f.seq.stats.DegradedSteps)
+	if w.stats.DegradedSteps != 1 {
+		t.Fatalf("degraded steps = %d", w.stats.DegradedSteps)
 	}
 }

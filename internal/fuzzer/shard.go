@@ -23,6 +23,7 @@ package fuzzer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -40,17 +41,20 @@ import (
 	"github.com/repro/snowplow/internal/trace"
 )
 
-// vmSeedStride decorrelates per-VM RNG streams (the SplitMix64 increment);
-// VM 0's stream equals the sequential campaign's stream.
+// vmSeedStride decorrelates per-VM RNG streams (the SplitMix64 increment).
 const vmSeedStride = 0x9e3779b97f4a7c15
 
 // epochView is a VM's frozen window onto the campaign for one epoch: the
-// shared snapshot taken at the barrier plus the VM's own additions. All
-// mutation is VM-private, so mid-epoch the fleet shares nothing mutable.
+// shared snapshot taken at the barrier plus the VM's own additions. The
+// shared corpus is written only between epochs — by the reconciler's merge
+// in-process, by applyAccepted on a replica — so the view reads its total
+// cover in place, under the corpus read lock, and overlays the edges this
+// VM found that the total lacks. All mutation is VM-private, so mid-epoch
+// the fleet shares nothing mutable.
 type epochView struct {
 	corp   *corpus.Corpus
 	base   []*corpus.Entry // shared entries frozen at epoch start
-	total  *trace.Cover    // shared total cover clone + local merges
+	local  *trace.Cover    // this epoch's edges the shared total lacks
 	blocks trace.BlockSet  // shared covered blocks clone + local merges
 	locals []Local         // this epoch's additions, in acceptance order
 	// byText indexes locals by program text: the VM's dedup table during
@@ -63,7 +67,7 @@ func newEpochView(corp *corpus.Corpus, blocks *trace.BlockSet) *epochView {
 	return &epochView{
 		corp:   corp,
 		base:   corp.Entries(),
-		total:  corp.TotalCover(),
+		local:  trace.NewCover(),
 		blocks: blocks.Clone(),
 		byText: map[string]*corpus.Entry{},
 	}
@@ -87,14 +91,15 @@ func (v *epochView) Choose(r *rng.Rand) *corpus.Entry {
 // barrier, not here.
 func (v *epochView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int {
 	// As in corpus.Add: only a program with new edges is serialized.
-	if v.total.NewEdges(cover) == 0 {
+	if v.NewEdges(cover) == 0 {
 		return 0
 	}
 	text := p.Serialize()
 	if v.byText[text] != nil || v.corp.HasText(text) {
 		return 0
 	}
-	n := v.total.Merge(cover)
+	var n int
+	v.corp.ReadTotal(func(total *trace.Cover) { n = v.local.MergeBeyond(total, cover) })
 	v.blocks.Merge(blocks)
 	e := &corpus.Entry{Prog: p, Cover: cover.Clone(), Blocks: blocks.Clone(), Traces: traces, Text: text}
 	v.byText[text] = e
@@ -102,10 +107,25 @@ func (v *epochView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet,
 	return n
 }
 
-func (v *epochView) NewEdges(cover *trace.Cover) int             { return v.total.NewEdges(cover) }
-func (v *epochView) NewEdgeList(cover *trace.Cover) []trace.Edge { return cover.Diff(v.total) }
-func (v *epochView) Edges() int                                  { return v.total.Len() }
-func (v *epochView) HasBlock(b kernel.BlockID) bool              { return v.blocks.Has(b) }
+// NewEdges counts cover's edges in neither the shared total nor the VM's
+// own; it never builds a list.
+func (v *epochView) NewEdges(cover *trace.Cover) (n int) {
+	v.corp.ReadTotal(func(total *trace.Cover) { n = v.local.NewEdgesBeyond(total, cover) })
+	return n
+}
+
+// NewEdgeList lists, sorted, the edges NewEdges counts.
+func (v *epochView) NewEdgeList(cover *trace.Cover) (out []trace.Edge) {
+	v.corp.ReadTotal(func(total *trace.Cover) { out = cover.Diff(total) })
+	return slices.DeleteFunc(out, v.local.Has)
+}
+
+// Edges is the number of edges covered as visible to this VM.
+func (v *epochView) Edges() int { return v.corp.TotalEdges() + v.local.Len() }
+
+// HasBlock reports whether the campaign, as visible to this VM, has covered
+// the block; queryTargets uses it to pick fresh frontiers.
+func (v *epochView) HasBlock(b kernel.BlockID) bool { return v.blocks.Has(b) }
 
 // VMCounters are one VM's scalar campaign counters, round-tripped through
 // checkpoints so a restored VM's final stats line matches the uninterrupted
@@ -377,10 +397,8 @@ func newWorker(cfg *Config, st VMState, m *campaignMetrics, trackKeys bool) *wor
 		epochs:       st.Epochs,
 		queueWaitNs:  st.QueueWaitNs,
 		phantom:      st.Phantom,
-		deferHarvest: true,
 		scratchCover: trace.NewCover(),
 		m:            m,
-		jn:           cfg.Journal,
 		trackKeys:    trackKeys,
 	}
 	for _, cs := range st.Crashes {
@@ -531,9 +549,8 @@ func (s *Shard) RunEpoch(epoch int64, accepted []Accepted, vms []int) ([]VMDelta
 				s.m.barrierWait.Observe(wait)
 			}
 		}
-		ev := w.view.(*epochView)
-		s.lastLocals[w.id] = ev.byText
-		deltas = append(deltas, VMDelta{VM: w.id, Locals: ev.locals, Events: w.events, Keys: w.keyBuf, State: captureState(w, s.corp)})
+		s.lastLocals[w.id] = w.view.byText
+		deltas = append(deltas, VMDelta{VM: w.id, Locals: w.view.locals, Events: w.events, Keys: w.keyBuf, State: captureState(w, s.corp)})
 		w.events, w.keyBuf = nil, nil
 	}
 	return deltas, nil
@@ -558,8 +575,8 @@ func (w *worker) runEpoch(syncEvery int64) {
 // replies in ascending VM order without capturing state. A model hot-swap
 // calls it before the serving surface changes generations, so every query
 // is answered by the model generation of its submission epoch. Harvested
-// replies stay invisible until each VM's next epoch (deferred harvest), so
-// the drain moves no information across the barrier.
+// replies stay invisible until each VM's next epoch, so the drain moves no
+// information across the barrier.
 func (s *Shard) DrainPredictions() {
 	for _, id := range s.owned() {
 		s.workers[id].harvestPending()

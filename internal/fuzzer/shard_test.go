@@ -21,29 +21,39 @@ func viewCover(edges ...trace.Edge) *trace.Cover {
 // TestEpochViewAddDuplicateText pins epochView.Add's check order against
 // corpus.Add's: a program whose text is already known — in the shared
 // corpus or among the VM's own additions — contributes nothing, even when
-// its cover would add edges.
+// its cover would add edges. The view overlays its own edges on the shared
+// total and never writes the shared cover.
 func TestEpochViewAddDuplicateText(t *testing.T) {
 	g := prog.NewGenerator(spec.Base())
 	r := rng.New(1)
 	shared, local := g.Generate(r, 2), g.Generate(r, 3)
 	corp := corpus.New()
 	corp.Add(shared, viewCover(1), trace.BlockSet{}, nil)
+	sharedBefore := string(corp.AppendTotalSparse(nil))
 	var blocks trace.BlockSet
 	v := newEpochView(corp, &blocks)
-	if n := v.Add(local, viewCover(2), trace.BlockSet{}, nil); n != 1 {
+	if n := v.Add(local, viewCover(1, 2), trace.BlockSet{}, nil); n != 1 {
 		t.Fatalf("fresh program contributed %d", n)
 	}
+	if n := v.NewEdges(viewCover(1, 2, 3)); n != 1 {
+		t.Fatalf("NewEdges over shared+local = %d, want 1", n)
+	}
+	if got := v.NewEdgeList(viewCover(1, 2, 3)); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("NewEdgeList over shared+local = %v, want [3]", got)
+	}
 	for _, p := range []*prog.Prog{shared, local} {
-		before := v.total.AppendSparse(nil)
 		if n := v.Add(p.Clone(), viewCover(1, 2, 3), trace.BlockSet{}, nil); n != 0 {
 			t.Fatalf("duplicate text contributed %d", n)
 		}
-		if v.Edges() != 2 || len(v.locals) != 1 || string(v.total.AppendSparse(nil)) != string(before) {
+		if v.Edges() != 2 || len(v.locals) != 1 || v.local.Len() != 1 {
 			t.Fatalf("duplicate text changed the view: %d edges, %d locals", v.Edges(), len(v.locals))
 		}
 	}
-	if corp.TotalEdges() != 1 {
-		t.Fatalf("epoch view wrote into the shared corpus: %d edges", corp.TotalEdges())
+	if v.Edges() != corp.TotalEdges()+v.local.Len() {
+		t.Fatalf("view edges %d != shared %d + local %d", v.Edges(), corp.TotalEdges(), v.local.Len())
+	}
+	if corp.TotalEdges() != 1 || string(corp.AppendTotalSparse(nil)) != sharedBefore {
+		t.Fatalf("epoch view wrote into the shared cover: %d edges", corp.TotalEdges())
 	}
 }
 

@@ -47,7 +47,7 @@ func snowplowCampaignCorpus(t *testing.T, seed uint64, opts serve.Options, asTen
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, f.Corpus()
+	return zeroQueueWait(stats), f.Corpus()
 }
 
 // corpusCoverDigests hashes the corpus in publish order (entry text plus

@@ -20,11 +20,11 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Kind classifies the event; see the Event* constants.
 	Kind string `json:"kind"`
-	// VM is the originating simulated VM (0 in sequential campaigns, -1
-	// for fleet-level events such as epoch barriers).
+	// VM is the originating simulated VM (-1 for fleet-level events such
+	// as epoch barriers).
 	VM int `json:"vm"`
 	// Epoch is the reconcile epoch the event belongs to (0 before the
-	// first barrier and everywhere in sequential campaigns).
+	// first barrier).
 	Epoch int64 `json:"epoch"`
 	// Cost is the originating VM's simulated cost (blocks executed) when
 	// the event was recorded.

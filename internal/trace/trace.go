@@ -148,6 +148,63 @@ func (c *Cover) NewEdges(other *Cover) int {
 	return n
 }
 
+// NewEdgesBeyond counts other's edges that are in neither c nor base,
+// without modifying any cover: NewEdges against the union of c and base,
+// without building the union. c is consulted only for words base leaves
+// nonzero, so a small c over a large base costs almost nothing.
+func (c *Cover) NewEdgesBeyond(base, other *Cover) int {
+	n := 0
+	for i, key := range other.keys {
+		bpg := base.pages[key]
+		var pg *coverPage
+		looked := false
+		for w, ow := range other.pgs[i] {
+			if bpg != nil {
+				ow &^= bpg[w]
+			}
+			if ow == 0 {
+				continue
+			}
+			if !looked {
+				pg, looked = c.pages[key], true
+			}
+			if pg != nil {
+				ow &^= pg[w]
+			}
+			n += bits.OnesCount64(ow)
+		}
+	}
+	return n
+}
+
+// MergeBeyond adds other's edges that base lacks to c, word-wise, and
+// returns how many were new to c. A c disjoint from base stays disjoint, so
+// the union of the two grows by exactly the returned count.
+func (c *Cover) MergeBeyond(base, other *Cover) int {
+	n := 0
+	for i, key := range other.keys {
+		var pg *coverPage
+		bpg := base.pages[key]
+		for w, ow := range other.pgs[i] {
+			if bpg != nil {
+				ow &^= bpg[w]
+			}
+			if ow == 0 {
+				continue
+			}
+			if pg == nil {
+				pg = c.page(key)
+			}
+			if nw := ow &^ pg[w]; nw != 0 {
+				n += bits.OnesCount64(nw)
+				pg[w] |= nw
+			}
+		}
+	}
+	c.n += n
+	return n
+}
+
 // Diff returns the edges in c that are not in other, sorted.
 func (c *Cover) Diff(other *Cover) []Edge {
 	var out []Edge

@@ -133,3 +133,39 @@ func TestBlockSetOps(t *testing.T) {
 		t.Fatalf("diff = %v", d)
 	}
 }
+
+// TestCoverBeyondMatchesUnion checks NewEdgesBeyond and MergeBeyond against
+// the union they avoid building, on edges that share and split pages.
+func TestCoverBeyondMatchesUnion(t *testing.T) {
+	if err := quick.Check(func(cs, bs, os []uint16) bool {
+		mk := func(xs []uint16) *Cover {
+			c := NewCover()
+			for _, x := range xs {
+				c.Add(MakeEdge(kernel.BlockID(x>>8), kernel.BlockID(x&0x3ff)))
+			}
+			return c
+		}
+		base, other := mk(bs), mk(os)
+		c := NewCover()
+		c.MergeBeyond(base, mk(cs)) // c starts disjoint from base
+		union := c.Clone()
+		union.Merge(base)
+		want := union.NewEdges(other)
+		if c.NewEdgesBeyond(base, other) != want {
+			return false
+		}
+		baseLen := base.Len()
+		if c.MergeBeyond(base, other) != want || base.Len() != baseLen {
+			return false
+		}
+		union.Merge(other)
+		for _, e := range c.Edges() {
+			if base.Has(e) {
+				return false
+			}
+		}
+		return c.Len()+base.Len() == union.Len()
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
