@@ -32,19 +32,15 @@ import (
 
 // serveFlags groups the inference-serving robustness knobs.
 type serveFlags struct {
-	faults   string
-	deadline time.Duration
-	retries  int
-	degraded float64
+	faults  string
+	retries int
 }
 
 // tenantFlags groups the multi-tenant serving knobs: how many concurrent
-// campaigns share one model server, and their weighted-fair shares and
-// quotas.
+// campaigns share one model server, and their weighted-fair shares.
 type tenantFlags struct {
 	tenants int
 	weights string
-	quota   int
 }
 
 // obsFlags groups the observability knobs.
@@ -128,8 +124,6 @@ func main() {
 		"concurrent snowplow campaigns sharing one multi-tenant model server via weighted-fair tenant handles (1 = single campaign)")
 	flag.StringVar(&tf.weights, "tenant-weight", "",
 		"comma-separated deficit-round-robin weights for -tenants campaigns (short list repeats its last value; empty = all 1)")
-	flag.IntVar(&tf.quota, "quota", 0,
-		"per-tenant in-flight query quota for -tenants campaigns (0 = default 2x queue)")
 	flag.BoolVar(&cf.worker, "worker", false,
 		"run as a cluster shard worker: join the coordinator at -cluster-addr and exit when the campaign ends")
 	flag.IntVar(&cf.coordinator, "coordinator", 0,
@@ -152,10 +146,7 @@ func main() {
 		"metrics sampling period for /timeseries (0 = default 250ms; only with -obs)")
 	flag.StringVar(&sf.faults, "faults", "off",
 		"inference fault model, e.g. drop=0.1,transient=0.2,corrupt=0.05,latency=0.1:50ms,seed=7")
-	flag.DurationVar(&sf.deadline, "deadline", 0, "per-attempt inference deadline (0 = default)")
 	flag.IntVar(&sf.retries, "retries", 0, "inference retries after the first attempt (0 = default, negative = none)")
-	flag.Float64Var(&sf.degraded, "degraded-fallback", 0,
-		"fallback probability while serving is unhealthy (0 = default 0.9)")
 	flag.Parse()
 	var err error
 	switch {
@@ -185,9 +176,8 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 
 	cfg := fuzzer.Config{
 		Kernel: k, An: an, Seed: seed, Budget: budget,
-		FallbackProb:         fallback,
-		DegradedFallbackProb: sf.degraded,
-		VMs:                  vms,
+		FallbackProb: fallback,
+		VMs:          vms,
 	}
 
 	// Observability is strictly opt-in: without -obs the campaign carries
@@ -248,7 +238,6 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		opts := serve.Options{
 			Workers:       workers,
 			BatchSize:     batch,
-			Deadline:      sf.deadline,
 			MaxRetries:    sf.retries,
 			Metrics:       reg,
 			Fused:         fused,
@@ -332,12 +321,12 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		out.WriteByte('\n')
 	}
 	if cfg.Mode == fuzzer.ModeSnowplow {
-		fmt.Fprintf(&out, "PMM: %d queries, %d predictions, %d failed, %d shed, %d invalid slots, %d degraded steps\n",
+		fmt.Fprintf(&out, "PMM: %d queries, %d predictions, %d failed, %d shed, %d invalid slots\n",
 			stats.PMMQueries, stats.PMMPredictions, stats.PMMFailed,
-			stats.PMMShed, stats.PMMInvalidSlots, stats.DegradedSteps)
+			stats.PMMShed, stats.PMMInvalidSlots)
 		ss := cfg.Server.Stats()
-		fmt.Fprintf(&out, "serving: %d ok / %d failed of %d queries, %d retries, %d timeouts, error rate %.2f, healthy %v\n",
-			ss.Succeeded, ss.Failed, ss.Queries, ss.Retries, ss.Timeouts, ss.ErrorRate, ss.Healthy)
+		fmt.Fprintf(&out, "serving: %d ok / %d failed of %d queries, %d retries, %d timeouts\n",
+			ss.Succeeded, ss.Failed, ss.Queries, ss.Retries, ss.Timeouts)
 		fmt.Fprintf(&out, "batching: %d passes, %d batched queries, avg batch %.2f (fill %.0f%%); graph cache: %d hits, %d misses\n",
 			ss.Batches, ss.BatchedQueries, ss.AvgBatchSize, 100*ss.BatchFill, ss.CacheHits, ss.CacheMisses)
 		kp := ss.Kernel

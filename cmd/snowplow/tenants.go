@@ -19,15 +19,15 @@ import (
 // weighted-fair tenants of the one shared model server built by run(). Each
 // campaign gets its own seed corpus and campaign seed (base seed + index) so
 // runs stay individually reproducible, while the serving layer multiplexes
-// their inference through deficit-round-robin scheduling and per-tenant
-// quotas onto the server's one pool of -workers.
+// their inference through deficit-round-robin scheduling onto the server's
+// one pool of -workers, each campaign bounded by its own tenant queue.
 
 // runTenantCampaigns registers one tenant per campaign on the shared server,
 // runs all campaigns concurrently, and prints a per-campaign and per-tenant
 // report. Sharing one obs registry across campaigns is safe: instrument
 // registration is idempotent per name, so the counters aggregate.
 func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, workers int, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
-	tcfgs, err := serve.ParseTenants(tf.tenants, tf.weights, tf.quota)
+	tcfgs, err := serve.ParseTenants(tf.tenants, tf.weights)
 	if err != nil {
 		return err
 	}
@@ -39,8 +39,8 @@ func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, w
 		}
 		weights[i] = tc.Weight
 	}
-	fmt.Printf("multi-tenant: %d campaigns on one shared server (weights %v, quota %d, pool %d)\n",
-		len(handles), weights, tf.quota, workers)
+	fmt.Printf("multi-tenant: %d campaigns on one shared server (weights %v, pool %d)\n",
+		len(handles), weights, workers)
 
 	n := len(handles)
 	cfgs := make([]fuzzer.Config, n)
@@ -97,20 +97,20 @@ func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, w
 	fmt.Fprintf(&out, "fleet: %d edges total, %d executions, %d PMM queries across %d campaigns\n",
 		totalEdges, totalExecs, totalQueries, n)
 
-	fmt.Fprintf(&out, "%-10s %3s %10s %10s %8s %6s %6s %12s\n",
-		"tenant", "w", "queries", "served", "batches", "quota", "shed", "mean wait")
+	fmt.Fprintf(&out, "%-10s %3s %10s %10s %8s %12s\n",
+		"tenant", "w", "queries", "served", "batches", "mean wait")
 	for _, ts := range srv.TenantStats() {
 		if ts.Queries == 0 && ts.Name == "default" {
 			continue // default tenant idle in multi-campaign mode
 		}
-		fmt.Fprintf(&out, "%-10s %3d %10d %10d %8d %6d %6d %12v\n",
+		fmt.Fprintf(&out, "%-10s %3d %10d %10d %8d %12v\n",
 			ts.Name, ts.Weight, ts.Queries, ts.Served, ts.Batches,
-			ts.QuotaRejected, ts.Shed, ts.MeanQueueWait.Round(time.Microsecond))
+			ts.MeanQueueWait.Round(time.Microsecond))
 	}
 
 	ss := srv.Stats()
-	fmt.Fprintf(&out, "serving: %d ok / %d failed of %d queries, error rate %.2f, healthy %v\n",
-		ss.Succeeded, ss.Failed, ss.Queries, ss.ErrorRate, ss.Healthy)
+	fmt.Fprintf(&out, "serving: %d ok / %d failed of %d queries\n",
+		ss.Succeeded, ss.Failed, ss.Queries)
 	fmt.Fprintf(&out, "batching: %d passes, avg batch %.2f (fill %.0f%%); cache: %d hits, %d misses\n",
 		ss.Batches, ss.AvgBatchSize, 100*ss.BatchFill, ss.CacheHits, ss.CacheMisses)
 	for i, st := range stats {

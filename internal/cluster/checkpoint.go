@@ -31,8 +31,9 @@ const checkpointMagic = "SPCK"
 
 // checkpointVersion is the checkpoint format version, the only one
 // DecodeCheckpoint accepts (version 4 began naming prediction bases by
-// reference into Entries).
-const checkpointVersion = 4
+// reference into Entries; version 5 dropped the degraded-serving fields
+// from the spec and the VM counters).
+const checkpointVersion = 5
 
 // maxCheckpointBody caps the declared decompressed size of a checkpoint
 // body, rejected before inflating (the decompression-bomb guard for the

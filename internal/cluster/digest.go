@@ -47,11 +47,9 @@ func CoverDigest(c *corpus.Corpus) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// JournalDigest hashes the deterministic journal stream: every event's
-// (Kind, VM, Epoch, Cost, Value, Detail) tuple in order. Seq is excluded —
-// it is positional and its stability follows from the stream's — and so are
-// degraded/recovered events, which depend on wall-clock serving outcomes
-// and sit outside the journal determinism guarantee.
+// JournalDigest hashes the journal stream: every event's (Kind, VM, Epoch,
+// Cost, Value, Detail) tuple in order. Seq is excluded — it is positional
+// and its stability follows from the stream's.
 func JournalDigest(events []obs.Event) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -64,9 +62,6 @@ func JournalDigest(events []obs.Event) string {
 		h.Write([]byte(v))
 	}
 	for _, e := range events {
-		if e.Kind == obs.EventDegraded || e.Kind == obs.EventRecovered {
-			continue
-		}
 		s(e.Kind)
 		u(uint64(int64(e.VM)))
 		u(uint64(e.Epoch))

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/repro/snowplow/internal/fuzzer"
 	"github.com/repro/snowplow/internal/pmm"
@@ -22,9 +21,9 @@ import (
 )
 
 // snowplowTestConfig is baseConfig in Snowplow mode over a private server
-// loaded from the model bytes the cluster spec ships. The serving limits
-// mirror Materialize's, so neither side degrades under the race detector's
-// slowdown.
+// loaded from the model bytes the cluster spec ships, with default serving
+// options: campaign queries wait for queue room and have no deadline, so
+// no serving limit can move a digest.
 func snowplowTestConfig(t *testing.T, seed uint64, budget int64) (fuzzer.Config, []byte, *serve.Server) {
 	t.Helper()
 	model := testModelBytes(t)
@@ -32,11 +31,7 @@ func snowplowTestConfig(t *testing.T, seed uint64, budget int64) (fuzzer.Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{
-		Workers:   2,
-		QueueSize: 1024,
-		Deadline:  30 * time.Second,
-	})
+	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{Workers: 2})
 	cfg := baseConfig(seed, budget, 4)
 	cfg.Mode = fuzzer.ModeSnowplow
 	cfg.Server = srv

@@ -77,7 +77,7 @@ func TestDeltaEncodingStable(t *testing.T) {
 		le(2), le(0), // VM, crash base
 		le(1), le(2), []byte("ab"), {1, 1, 4, 0}, // one local: text, traces {{+2}}, seeded=false
 		le(0),                     // events
-		le(2), make([]byte, 31*8), // state: VM, then 31 zero scalars
+		le(2), make([]byte, 30*8), // state: VM, then 30 zero scalars
 		le(0), le(3), // crashes, predictions
 		{0, 3, 1, 1, 10}, le(0), // corpus ref 3, pending, targets {+5}, no slots
 		{1, 1, 0, 0}, le(1), le(1), le(2), // local ref 1 (Locals[0]), slot {1,2}
@@ -160,20 +160,20 @@ func TestRestoreCrashes(t *testing.T) {
 // are one 8-byte word each, the one part of the protocol two releases must
 // always agree on byte-for-byte. Both Hello forms protocol 2 sent — the
 // 8-byte one and the 24-byte one advertising wire 2 and flate level 9 —
-// are refused by version, not misread.
+// and protocol 3's are refused by version, not misread.
 func TestHelloEncodingStable(t *testing.T) {
-	if got, want := EncodeHello(Hello{Proto: 3}), words(3); !bytes.Equal(got, want) {
+	if got, want := EncodeHello(Hello{Proto: 4}), words(4); !bytes.Equal(got, want) {
 		t.Fatalf("hello: got %v want %v", got, want)
 	}
 	if got, want := EncodeWireMsg(WireMsg{Level: 6}), words(6); !bytes.Equal(got, want) {
 		t.Fatalf("wire msg: got %v want %v", got, want)
 	}
-	for _, old := range [][]byte{words(2), words(2, 2, 9)} {
+	for _, old := range [][]byte{words(2), words(2, 2, 9), words(3)} {
 		if _, err := DecodeHello(old); !errors.Is(err, ErrBadVersion) {
-			t.Fatalf("protocol 2 hello %v: %v", old, err)
+			t.Fatalf("old hello %v: %v", old, err)
 		}
 	}
-	if _, err := DecodeHello(words(3, 2, 9)); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeHello(words(4, 2, 9)); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("hello with trailing words: %v", err)
 	}
 	if _, err := DecodeWireMsg(words(maxFlateLevel + 1)); !errors.Is(err, ErrBadMessage) {

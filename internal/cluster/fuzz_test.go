@@ -37,9 +37,10 @@ func FuzzClusterCodec(f *testing.F) {
 	f.Add(byte(7), AppendModelMsg(nil, ModelMsg{Version: 2}))
 	f.Add(byte(0), EncodeHello(Hello{Proto: protoVersion}))
 	// Both Hello forms protocol 2 sent: the 8-byte legacy form and the
-	// 24-byte form advertising wire 2 and flate level 9.
+	// 24-byte form advertising wire 2 and flate level 9; and protocol 3's.
 	f.Add(byte(0), words(2))
 	f.Add(byte(0), words(2, 2, 9))
+	f.Add(byte(0), words(3))
 	f.Add(byte(6), EncodeErr(ErrMsg{Msg: "x"}))
 	f.Add(byte(8), EncodeWireMsg(WireMsg{Level: 6}))
 	f.Add(byte(3), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -148,10 +149,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 	binary.LittleEndian.PutUint64(bomb[4:], checkpointVersion)
 	bomb = binary.AppendUvarint(bomb, maxCheckpointBody+1)
 	f.Add(appendFlate(bomb, []byte("x"), 9))
-	// A v3 file (the previous format), refused by version.
-	v3 := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(v3[4:], 3)
-	f.Add(v3)
+	// v3 and v4 files (the previous formats), refused by version.
+	for _, v := range []uint64{3, 4} {
+		old := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(old[4:], v)
+		f.Add(old)
+	}
 	// Prediction references past Entries, and a local one.
 	for _, ps := range []fuzzer.PredState{{Ref: 1, Pending: true}, {Ref: maxWireList}, {Local: true, Ref: 1}} {
 		f.Add(checkpointWithPred(ck, ps))

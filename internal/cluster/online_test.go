@@ -10,7 +10,6 @@ package cluster
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"github.com/repro/snowplow/internal/fuzzer"
 	"github.com/repro/snowplow/internal/obs"
@@ -31,11 +30,7 @@ func onlineTestConfig(t *testing.T, seed uint64, budget int64) (fuzzer.Config, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{
-		Workers:   2,
-		QueueSize: 1024,
-		Deadline:  30 * time.Second,
-	})
+	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{Workers: 2})
 	cfg := baseConfig(seed, budget, 4)
 	cfg.Mode = fuzzer.ModeSnowplow
 	cfg.Server = srv

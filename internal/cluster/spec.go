@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/repro/snowplow/internal/cfa"
 	"github.com/repro/snowplow/internal/fuzzer"
@@ -51,11 +50,9 @@ type CampaignSpec struct {
 	SyncEvery              int64
 	SampleEvery            int64
 	FallbackProb           float64
-	DegradedFallbackProb   float64
 	GenerateProb           float64
 	MutationsPerPrediction int
 	MaxQueryTargets        int
-	MaxPending             int
 	MinimizeCorpus         bool
 	Journal                bool
 	// Online* carry the continual-learning schedule (see online.Config);
@@ -108,11 +105,9 @@ func SpecFromConfig(cfg fuzzer.Config, model []byte) CampaignSpec {
 		SyncEvery:              cfg.SyncEvery,
 		SampleEvery:            cfg.SampleEvery,
 		FallbackProb:           cfg.FallbackProb,
-		DegradedFallbackProb:   cfg.DegradedFallbackProb,
 		GenerateProb:           cfg.GenerateProb,
 		MutationsPerPrediction: cfg.MutationsPerPrediction,
 		MaxQueryTargets:        cfg.MaxQueryTargets,
-		MaxPending:             cfg.MaxPending,
 		MinimizeCorpus:         cfg.MinimizeCorpus,
 		Journal:                cfg.Journal != nil,
 		Model:                  model,
@@ -171,11 +166,9 @@ func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool
 		SyncEvery:              sp.SyncEvery,
 		SampleEvery:            sp.SampleEvery,
 		FallbackProb:           sp.FallbackProb,
-		DegradedFallbackProb:   sp.DegradedFallbackProb,
 		GenerateProb:           sp.GenerateProb,
 		MutationsPerPrediction: sp.MutationsPerPrediction,
 		MaxQueryTargets:        sp.MaxQueryTargets,
-		MaxPending:             sp.MaxPending,
 		MinimizeCorpus:         sp.MinimizeCorpus,
 		Online:                 sp.OnlineConfig(),
 	}
@@ -201,14 +194,11 @@ func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool
 }
 
 // NewServer builds the campaign's model server: the spec's model over its
-// kernel on a fixed pool of workers (default 2), with no batching and no
-// graph cache. Materialize calls it for a TCP worker's private server,
-// driveLocal for the one server a loopback fleet shares, one tenant per
-// worker. Sizing keeps a fault-free campaign from ever degrading: the whole
-// fleet's prediction window fits the queue (a full queue is a retryable
-// failure and erodes health), every tenant's quota defaults to twice that,
-// and the deadline absorbs slow hosts. Serving knobs are
-// prediction-invariant, so this shapes robustness only.
+// kernel on a fixed pool of workers (default 2), with no batching, no graph
+// cache and the default queue. Materialize calls it for a TCP worker's
+// private server, driveLocal for the one server a loopback fleet shares,
+// one tenant per worker. Campaign queries wait for queue space and never
+// time out, so no serving option can change what a campaign computes.
 func (sp CampaignSpec) NewServer(workers int, fused bool) (*serve.Server, error) {
 	kp, err := kernelFor(sp.KernelVersion)
 	if err != nil {
@@ -221,16 +211,7 @@ func (sp CampaignSpec) NewServer(workers int, fused bool) (*serve.Server, error)
 	if workers <= 0 {
 		workers = 2
 	}
-	pending := sp.MaxPending
-	if pending <= 0 {
-		pending = 8
-	}
-	return serve.NewServerOpts(m, qgraph.NewBuilder(kp.k, kp.an), serve.Options{
-		Workers:   workers,
-		QueueSize: max(sp.TotalVMs, 1)*pending*2 + workers*8,
-		Deadline:  30 * time.Second,
-		Fused:     fused,
-	}), nil
+	return serve.NewServerOpts(m, qgraph.NewBuilder(kp.k, kp.an), serve.Options{Workers: workers, Fused: fused}), nil
 }
 
 // Close releases the runtime's server, if any.

@@ -34,8 +34,9 @@ import (
 // protoVersion is the cluster protocol version, checked at Hello. Version 2
 // added the online-learning spec fields and the two-phase model hot-swap
 // push (frameModelPrep/frameModelCommit); version 3 made the codec above
-// the only wire form and the handshake two fixed 8-byte messages.
-const protoVersion = 3
+// the only wire form and the handshake two fixed 8-byte messages; version 4
+// dropped the degraded-serving fields from the spec and the VM counters.
+const protoVersion = 4
 
 // The cluster protocol's frame types, spanning 0x10–0x1b (disjoint from
 // the inference protocol's 0x0x range, so a cross-wired connection fails
@@ -230,7 +231,6 @@ func (e *enc) vmState(st fuzzer.VMState) {
 	e.i64(c.PMMFailed)
 	e.i64(c.PMMShed)
 	e.i64(c.PMMInvalidSlots)
-	e.i64(c.DegradedSteps)
 	y := c.Yield
 	e.i64(y.GuidedExecs)
 	e.i64(y.GuidedEdges)
@@ -294,11 +294,9 @@ func (e *enc) spec(sp CampaignSpec) {
 	e.i64(sp.SyncEvery)
 	e.i64(sp.SampleEvery)
 	e.f64(sp.FallbackProb)
-	e.f64(sp.DegradedFallbackProb)
 	e.f64(sp.GenerateProb)
 	e.int(sp.MutationsPerPrediction)
 	e.int(sp.MaxQueryTargets)
-	e.int(sp.MaxPending)
 	e.flag(sp.MinimizeCorpus)
 	e.flag(sp.Journal)
 	e.flag(sp.OnlineEnabled)
@@ -548,7 +546,6 @@ func (d *dec) vmState() fuzzer.VMState {
 	c.PMMFailed = d.i64()
 	c.PMMShed = d.i64()
 	c.PMMInvalidSlots = d.i64()
-	c.DegradedSteps = d.i64()
 	y := &c.Yield
 	y.GuidedExecs = d.i64()
 	y.GuidedEdges = d.i64()
@@ -630,11 +627,9 @@ func (d *dec) spec() CampaignSpec {
 		SyncEvery:              d.i64(),
 		SampleEvery:            d.i64(),
 		FallbackProb:           d.f64(),
-		DegradedFallbackProb:   d.f64(),
 		GenerateProb:           d.f64(),
 		MutationsPerPrediction: d.int(),
 		MaxQueryTargets:        d.int(),
-		MaxPending:             d.int(),
 		MinimizeCorpus:         d.flag(),
 		Journal:                d.flag(),
 		OnlineEnabled:          d.flag(),

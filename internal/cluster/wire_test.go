@@ -51,11 +51,9 @@ func fixtureSpec() CampaignSpec {
 		SyncEvery:              512,
 		SampleEvery:            10_000,
 		FallbackProb:           0.125,
-		DegradedFallbackProb:   0.875,
 		GenerateProb:           0.0625,
 		MutationsPerPrediction: 4,
 		MaxQueryTargets:        16,
-		MaxPending:             8,
 		MinimizeCorpus:         true,
 		Journal:                true,
 		SeedProgs:              []string{"prog-a", "prog-b"},
@@ -263,8 +261,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 	// Unknown versions and every earlier one are refused: a v3 body holds
-	// prediction texts where v4 holds references.
-	for _, v := range []byte{99, 3, 2} {
+	// prediction texts where v4 holds references, and a v4 body carries
+	// the degraded-serving fields v5 dropped.
+	for _, v := range []byte{99, 4, 3, 2} {
 		bad := append([]byte(nil), data...)
 		bad[4] = v // version field
 		if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadVersion) {

@@ -14,17 +14,17 @@ import (
 // fallback ablation (§3.4): Snowplow campaigns against an inference server
 // with increasing injected fault rates, with the Syzkaller baseline as the
 // floor. Graceful degradation means coverage slides toward — but not below —
-// the baseline as the fault rate approaches 1.0, because the fuzzer raises
-// its random-fallback probability and sheds queries instead of blocking.
+// the baseline as the fault rate approaches 1.0, because every query whose
+// retries are exhausted leaves its base to random localization. Faults are
+// planned on each query's campaign key, so every rate repeats per seed.
 type FaultSweep struct {
 	// Rates scale the fault shape; rate 0 is healthy serving.
 	Rates []float64
 	// Edges is Snowplow's final edge coverage per rate.
 	Edges []int
-	// Failed, Shed and Degraded are the per-rate robustness counters.
-	Failed   []int64
-	Shed     []int64
-	Degraded []int64
+	// Failed and Shed are the per-rate robustness counters.
+	Failed []int64
+	Shed   []int64
 	// BaselineEdges is the Syzkaller run's final coverage (same seed and
 	// seed corpus).
 	BaselineEdges int
@@ -81,7 +81,6 @@ func AblationFaultSweep(h *Harness) FaultSweep {
 		sweep.Edges = append(sweep.Edges, stats.FinalEdges)
 		sweep.Failed = append(sweep.Failed, stats.PMMFailed)
 		sweep.Shed = append(sweep.Shed, stats.PMMShed)
-		sweep.Degraded = append(sweep.Degraded, stats.DegradedSteps)
 	}
 	return sweep
 }
@@ -95,7 +94,7 @@ func (s FaultSweep) Render(w io.Writer) {
 		if s.BaselineEdges > 0 {
 			delta = 100 * float64(s.Edges[i]-s.BaselineEdges) / float64(s.BaselineEdges)
 		}
-		fmt.Fprintf(w, "  rate=%.2f: %6d edges (%+.1f%% vs baseline)  failed=%d shed=%d degraded-steps=%d\n",
-			rate, s.Edges[i], delta, s.Failed[i], s.Shed[i], s.Degraded[i])
+		fmt.Fprintf(w, "  rate=%.2f: %6d edges (%+.1f%% vs baseline)  failed=%d shed=%d\n",
+			rate, s.Edges[i], delta, s.Failed[i], s.Shed[i])
 	}
 }

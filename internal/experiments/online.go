@@ -94,11 +94,7 @@ func Online(h *Harness) OnlineResult {
 		if err != nil {
 			panic(err)
 		}
-		srv := serve.NewServerOpts(cm, qgraph.NewBuilder(k, an), serve.Options{
-			Workers:   opts.Workers,
-			QueueSize: 1024,
-			Deadline:  30 * time.Second,
-		})
+		srv := serve.NewServerOpts(cm, qgraph.NewBuilder(k, an), serve.Options{Workers: opts.Workers})
 		defer srv.Close()
 		jn := obs.NewJournal(0)
 		cfg := fuzzer.Config{

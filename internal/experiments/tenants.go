@@ -68,8 +68,8 @@ type TenantsResult struct {
 // tenantBenchWindow is the per-measurement wall-clock window.
 const tenantBenchWindow = 250 * time.Millisecond
 
-// tenantInFlight is how many async queries each tenant keeps outstanding,
-// matching a campaign VM's MaxPending default.
+// tenantInFlight is how many async queries each tenant keeps outstanding:
+// the default queue's depth per serving worker.
 const tenantInFlight = 8
 
 // driveTenants keeps tenantInFlight queries outstanding on each Inferrer

@@ -3,7 +3,6 @@ package fuzzer
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/repro/snowplow/internal/nn"
 	"github.com/repro/snowplow/internal/pmm"
@@ -14,12 +13,11 @@ import (
 
 // snowplowCampaign runs one single-VM Snowplow campaign with the given
 // performance knobs and returns its stats. Both integrations are a function
-// of the seed alone — never of host speed, worker counts or batching:
-// synchronous inference because every guided round blocks on its reply,
-// asynchronous inference because replies are harvested only at epoch
-// barriers. Like every determinism guarantee it assumes serving fails no
-// query, so the queue holds a whole epoch's submissions even at one
-// unbatched serving worker (a full queue fails the query on timing).
+// of the seed alone — never of host speed, worker counts, batching or
+// queue size: synchronous inference because every guided round blocks on
+// its reply, asynchronous inference because replies are harvested only at
+// epoch barriers, and both because a campaign query waits for queue space
+// and has no deadline.
 func snowplowCampaign(t *testing.T, seed uint64, sync bool, nnWorkers, serveWorkers, batch int) *Stats {
 	t.Helper()
 	prev := nn.Workers()
@@ -29,8 +27,6 @@ func snowplowCampaign(t *testing.T, seed uint64, sync bool, nnWorkers, serveWork
 	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn).WithCache(256), serve.Options{
 		Workers:   serveWorkers,
 		BatchSize: batch,
-		QueueSize: 256,
-		Deadline:  30 * time.Second,
 	})
 	defer srv.Close()
 	cfg := baselineConfig(seed, 200_000)
@@ -87,5 +83,46 @@ func TestCampaignDeterminismRepeatSameKnobs(t *testing.T) {
 				t.Fatal("tuned campaign not reproducible run to run")
 			}
 		})
+	}
+}
+
+// overloadCampaign runs a 4-VM asynchronous Snowplow campaign on a server
+// with the given options and returns its stats and corpus digests.
+func overloadCampaign(t *testing.T, opts serve.Options) (*Stats, string, string) {
+	t.Helper()
+	m := pmm.NewModel(rng.New(77), pmm.DefaultConfig(), pmm.BuildVocab(testKernel))
+	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), opts)
+	defer srv.Close()
+	cfg := baselineConfig(57, 200_000)
+	cfg.Mode = ModeSnowplow
+	cfg.Server = srv
+	cfg.VMs = 4
+	f := New(cfg)
+	stats, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corp, cover := corpusCoverDigests(f.Corpus())
+	return zeroQueueWait(stats), corp, cover
+}
+
+// TestCampaignDeterminismUnderOverload runs four asynchronous VMs against
+// one unbatched serving worker whose default queue holds eight attempts —
+// far fewer than an epoch submits — and against a 4 096-slot queue that
+// never fills. Campaign queries wait for room instead of failing, so the
+// two campaigns must fail no query and agree on every stat and digest.
+func TestCampaignDeterminismUnderOverload(t *testing.T) {
+	tight, tightCorp, tightCover := overloadCampaign(t, serve.Options{Workers: 1})
+	roomy, roomyCorp, roomyCover := overloadCampaign(t, serve.Options{Workers: 1, QueueSize: 4096})
+	if tight.PMMQueries == 0 {
+		t.Fatal("campaign issued no queries")
+	}
+	if tight.PMMFailed != 0 || roomy.PMMFailed != 0 {
+		t.Fatalf("serving failed %d (default queue) / %d (4096 slots) queries", tight.PMMFailed, roomy.PMMFailed)
+	}
+	if tightCorp != roomyCorp || tightCover != roomyCover || !reflect.DeepEqual(tight, roomy) {
+		t.Fatalf("queue size changed the campaign: queries %d/%d preds %d/%d execs %d/%d corpus %s/%s",
+			tight.PMMQueries, roomy.PMMQueries, tight.PMMPredictions, roomy.PMMPredictions,
+			tight.Executions, roomy.Executions, tightCorp, roomyCorp)
 	}
 }

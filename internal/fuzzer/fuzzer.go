@@ -9,7 +9,9 @@
 // the serve package's worker pool and — as in the paper's deployment —
 // consumes no fuzzing budget: while a prediction is pending the fuzzer
 // performs its other mutation work, catching up with the PMM-selected
-// argument mutations when the reply arrives.
+// argument mutations when the reply arrives. Every query goes through
+// serve's campaign submit path under a key derived from the seed, so host
+// load and injected faults never make a campaign diverge between runs.
 //
 // Campaigns scale across simulated VMs (Config.VMs): each VM worker owns
 // its execution machine, RNG and prediction window and runs the full
@@ -79,18 +81,11 @@ type Config struct {
 	// Server performs PMM inference (required in ModeSnowplow). It is any
 	// serve.Inferrer: a dedicated *serve.Server, or one *serve.Tenant of a
 	// shared multi-tenant server when several campaigns run against the
-	// same model.
+	// same model. Campaigns submit through its Submit path only.
 	Server serve.Inferrer
 	// FallbackProb is the probability of random argument localization in
 	// Snowplow mode (§3.4's fallback mechanism).
 	FallbackProb float64
-	// DegradedFallbackProb replaces FallbackProb while the inference
-	// server reports unhealthy (rolling error/timeout rate above its
-	// threshold): the fuzzer temporarily leans on random localization and
-	// sheds pending queries instead of blocking, recovering when health
-	// returns. Defaults to 0.9; never lowers the effective probability
-	// below FallbackProb.
-	DegradedFallbackProb float64
 	// GenerateProb is the chance of generating a fresh program instead of
 	// mutating a corpus entry.
 	GenerateProb float64
@@ -102,14 +97,6 @@ type Config struct {
 	MutationsPerPrediction int
 	// MaxQueryTargets bounds the desired-target sample per query.
 	MaxQueryTargets int
-	// MaxPending is the per-VM in-flight query window that serving is
-	// sized for: internal/cluster multiplies it by the fleet's VM count to
-	// size each server's queue. The fuzz loop itself does not enforce it —
-	// a VM has at most one query in flight per corpus entry, and nothing
-	// blocks when more than MaxPending entries are waiting. Enforcing the
-	// window would change which rounds fall back to random localization,
-	// and with them every campaign digest (see ROADMAP.md).
-	MaxPending int
 	// SyncInference disables the asynchronous integration (§3.4 ablation):
 	// every guided mutation blocks on a fresh inference call, stalling the
 	// mutator for the full round trip.
@@ -119,7 +106,7 @@ type Config struct {
 	// zero measurable cost — hot paths pay one nil check per site.
 	Metrics *obs.Registry
 	// Journal, when non-nil, records structured campaign events (epoch
-	// barriers, new-edge discoveries, crash dedup, degraded transitions)
+	// barriers, new-edge discoveries, crash dedup, model retrains and swaps)
 	// with seed-deterministic sequence numbers; see obs.Journal.
 	Journal *obs.Journal
 	// MinimizeCorpus enables Syzkaller-style triage minimization: before a
@@ -185,10 +172,10 @@ type Stats struct {
 	PMMQueries     int64
 	PMMPredictions int64
 	// PMMFailed counts queries whose reply was a terminal serving error
-	// (deadline, retries exhausted, server closed).
+	// (retries exhausted, server closed).
 	PMMFailed int64
-	// PMMShed counts pending queries abandoned while serving was
-	// unhealthy.
+	// PMMShed counts queries refused at submission (a closed server); they
+	// count in neither PMMQueries nor PMMFailed.
 	PMMShed int64
 	// PMMInvalidSlots counts predicted slots rejected as out of range
 	// (corrupt or stale predictions must never crash the mutator).
@@ -202,9 +189,6 @@ type Stats struct {
 	// wall-clock counters at campaign end (zero without a cache).
 	PMMCacheHits   int64
 	PMMCacheMisses int64
-	// DegradedSteps counts mutation rounds taken while the server was
-	// unhealthy.
-	DegradedSteps int64
 	// Yield breaks down executions and resulting new edges by work class,
 	// for diagnosing where coverage comes from.
 	Yield YieldStats
@@ -271,12 +255,10 @@ type worker struct {
 
 	// Observability (all optional): the campaign's shared instrument
 	// bundle, the VM's buffered mid-epoch journal events (flushed by the
-	// reconciler in VM order), the VM's current epoch number, and the last
-	// observed serving-health state.
-	m        *campaignMetrics
-	events   []obs.Event
-	epoch    int64
-	degraded bool
+	// reconciler in VM order) and the VM's current epoch number.
+	m      *campaignMetrics
+	events []obs.Event
+	epoch  int64
 
 	cost   int64
 	budget int64
@@ -334,9 +316,6 @@ func (c Config) Normalized() Config {
 	if c.FallbackProb == 0 {
 		c.FallbackProb = 0.1
 	}
-	if c.DegradedFallbackProb == 0 {
-		c.DegradedFallbackProb = 0.9
-	}
 	if c.GenerateProb == 0 {
 		c.GenerateProb = 0.15
 	}
@@ -345,9 +324,6 @@ func (c Config) Normalized() Config {
 	}
 	if c.MaxQueryTargets == 0 {
 		c.MaxQueryTargets = 16
-	}
-	if c.MaxPending == 0 {
-		c.MaxPending = 8
 	}
 	return c
 }
@@ -476,7 +452,7 @@ func (w *worker) step() error {
 	}
 
 	t := w.mut.SelectType(w.r, entry.Prog)
-	if t == mutation.ArgMutation && w.cfg.Mode == ModeSnowplow && !w.r.Chance(w.fallbackProb()) {
+	if t == mutation.ArgMutation && w.cfg.Mode == ModeSnowplow && !w.r.Chance(w.cfg.FallbackProb) {
 		return w.guidedArgMutation(entry)
 	}
 	class := classOther
@@ -486,45 +462,6 @@ func (w *worker) step() error {
 	rec := w.mut.MutateType(w.r, entry.Prog, t)
 	_, err := w.execute(rec.Prog, class)
 	return err
-}
-
-// fallbackProb is the effective random-localization probability for this
-// round: the configured FallbackProb while serving is healthy, raised to
-// DegradedFallbackProb while it is not (§3.4's graceful degradation). A
-// degraded round also sheds pending inference queries, so the fuzzer's
-// in-flight window drains instead of accumulating against a sick server.
-func (w *worker) fallbackProb() float64 {
-	fb := w.cfg.FallbackProb
-	if w.cfg.Server == nil || w.cfg.Server.Healthy() {
-		w.noteHealth(true)
-		return fb
-	}
-	w.noteHealth(false)
-	w.stats.DegradedSteps++
-	if w.m != nil {
-		w.m.degradedSteps.Inc()
-	}
-	w.shedPending()
-	if w.cfg.DegradedFallbackProb > fb {
-		fb = w.cfg.DegradedFallbackProb
-	}
-	return fb
-}
-
-// shedPending abandons every in-flight inference query. Reply channels are
-// buffered and delivered exactly once, so dropping the references leaks
-// neither goroutines nor memory beyond the reply value itself.
-func (w *worker) shedPending() {
-	for _, st := range w.preds {
-		if st.reply != nil {
-			st.reply = nil
-			st.targets = nil
-			w.stats.PMMShed++
-			if w.m != nil {
-				w.m.shed.Inc()
-			}
-		}
-	}
 }
 
 // sanitizeSlots drops slot references outside the program's mutation
@@ -623,25 +560,19 @@ func (w *worker) guidedBurst(entry *corpus.Entry, slots []prog.GlobalSlot) error
 // every guided round. The simulated budget is unaffected (inference is
 // off-box), but wall-clock throughput collapses — the effect §5.5 measures.
 func (w *worker) syncGuidedArgMutation(entry *corpus.Entry) error {
-	targets := w.queryTargets(entry)
-	if len(targets) == 0 {
+	var pred serve.Prediction
+	if reply := w.submit(entry, w.queryTargets(entry)); reply != nil {
+		if pred = <-reply; pred.Err != nil {
+			w.countReplyFailed()
+		} else {
+			w.countReplyOK()
+		}
+	}
+	if pred.Slots == nil {
 		rec := w.mut.MutateType(w.r, entry.Prog, mutation.ArgMutation)
 		_, err := w.execute(rec.Prog, classRandArg)
 		return err
 	}
-	w.stats.PMMQueries++
-	if w.m != nil {
-		w.m.queries.Inc()
-	}
-	w.noteCacheKey(entry.Prog, entry.Traces, targets)
-	pred, err := w.cfg.Server.Infer(serve.Query{Prog: entry.Prog, Traces: entry.Traces, Targets: targets})
-	if err != nil {
-		w.countReplyFailed()
-		rec := w.mut.MutateType(w.r, entry.Prog, mutation.ArgMutation)
-		_, execErr := w.execute(rec.Prog, classRandArg)
-		return execErr
-	}
-	w.countReplyOK()
 	slots := w.sanitizeSlots(entry.Prog, pred.Slots)
 	if len(slots) == 0 {
 		rec := w.mut.MutateType(w.r, entry.Prog, mutation.ArgMutation)
@@ -674,11 +605,10 @@ func (w *worker) predictionFor(entry *corpus.Entry) *entryPrediction {
 
 // harvestPending blocks for every outstanding prediction reply and makes
 // the results available to the next epoch. A shard calls this at epoch
-// start and at the final drain; serving deadlines and retry budgets bound
-// the wait, and reply channels are buffered exactly-once, so the drain
-// always terminates. A terminal serving failure (deadline, retries
-// exhausted, closed) gives no guidance; the random fallback covers the
-// base.
+// start and at the final drain; every accepted query delivers exactly one
+// reply on a buffered channel, so the drain always terminates. A terminal
+// serving failure (retries exhausted, closed) gives no guidance; the random
+// fallback covers the base.
 func (w *worker) harvestPending() {
 	for ; w.phantom > 0; w.phantom-- {
 		w.countReplyOK()
@@ -717,28 +647,51 @@ func (w *worker) countReplyFailed() {
 // submitQuery asks PMM which arguments of the base to mutate, targeting
 // uncovered frontier blocks near the base's coverage.
 func (w *worker) submitQuery(entry *corpus.Entry, st *entryPrediction) {
-	if !w.cfg.Server.Healthy() {
-		return // degraded serving: shed instead of queueing more work
-	}
 	targets := w.queryTargets(entry)
-	if len(targets) == 0 {
-		return
+	if st.reply = w.submit(entry, targets); st.reply != nil {
+		st.targets = targets
 	}
-	reply, err := w.cfg.Server.InferAsync(serve.Query{
+}
+
+// submit sends the entry's query for targets on serve's campaign path under
+// the VM's next query key, and counts it. It submits nothing for no
+// targets, and counts a refusal (a closed server) in PMMShed; either way it
+// returns nil and the random fallback covers the base.
+func (w *worker) submit(entry *corpus.Entry, targets []kernel.BlockID) <-chan serve.Prediction {
+	if len(targets) == 0 {
+		return nil
+	}
+	reply, err := w.cfg.Server.Submit(serve.Query{
 		Prog:    entry.Prog,
 		Traces:  entry.Traces,
 		Targets: targets,
-	})
+	}, queryKey(w.cfg.Seed, w.id, w.stats.PMMQueries, false))
 	if err != nil {
-		return // server closed: the random fallback already covers this base
+		w.stats.PMMShed++
+		if w.m != nil {
+			w.m.shed.Inc()
+		}
+		return nil
 	}
 	w.stats.PMMQueries++
 	if w.m != nil {
 		w.m.queries.Inc()
 	}
 	w.noteCacheKey(entry.Prog, entry.Traces, targets)
-	st.reply = reply
-	st.targets = targets
+	return reply
+}
+
+// queryKey is the serving key of VM vm's query number n: a function of the
+// campaign seed, the VM and the VM's PMMQueries count alone, so serving
+// plans the same faults for the same query on every run, host and
+// transport. Shard.Restore's resubmissions set restored, which draws their
+// keys from a range no fresh query uses.
+func queryKey(seed uint64, vm int, n int64, restored bool) uint64 {
+	k := uint64(vm)<<40 | uint64(n)
+	if restored {
+		k |= 1 << 63
+	}
+	return seed*vmSeedStride ^ k
 }
 
 // queryTargets picks desired targets for a base: frontier blocks of its

@@ -25,7 +25,7 @@ type campaignMetrics struct {
 	crashes *obs.Counter
 
 	// Inference traffic as seen from the fuzz loop.
-	queries, predictions, predFailed, shed, invalidSlots, degradedSteps *obs.Counter
+	queries, predictions, predFailed, shed, invalidSlots *obs.Counter
 
 	epochs      *obs.Counter
 	cost        *obs.Gauge
@@ -55,9 +55,8 @@ func newCampaignMetrics(reg *obs.Registry, corp *corpus.Corpus) *campaignMetrics
 		queries:       reg.Counter("fuzzer_pmm_queries_total", "queries", "inference queries submitted"),
 		predictions:   reg.Counter("fuzzer_pmm_predictions_total", "predictions", "predictions received and usable"),
 		predFailed:    reg.Counter("fuzzer_pmm_failed_total", "queries", "queries with terminal serving errors"),
-		shed:          reg.Counter("fuzzer_pmm_shed_total", "queries", "pending queries abandoned while serving was unhealthy"),
+		shed:          reg.Counter("fuzzer_pmm_shed_total", "queries", "queries refused at submission (server closed)"),
 		invalidSlots:  reg.Counter("fuzzer_pmm_invalid_slots_total", "slots", "predicted slots rejected as out of range"),
-		degradedSteps: reg.Counter("fuzzer_degraded_steps_total", "steps", "mutation rounds taken while serving was unhealthy"),
 		epochs:        reg.Counter("fuzzer_epochs_total", "epochs", "reconcile epochs completed (fleet-wide)"),
 		cost:          reg.Gauge("fuzzer_cost_blocks", "blocks", "fleet simulated cost consumed so far"),
 		execLatency:   reg.Histogram("fuzzer_exec_latency_ns", "ns", "wall-clock latency of one program execution", obs.LatencyBucketsNs()),
@@ -118,20 +117,5 @@ func (m *campaignMetrics) recordYield(class yieldClass, newEdges int) {
 func (w *worker) jevent(kind string, value int64, detail string) {
 	if w.cfg.Journal != nil {
 		w.events = append(w.events, obs.Event{Kind: kind, VM: w.id, Epoch: w.epoch, Cost: w.cost, Value: value, Detail: detail})
-	}
-}
-
-// noteHealth records degraded/recovered journal transitions. Health is a
-// wall-clock observable, so these events are excluded from the journal
-// determinism guarantee (they cannot occur in fault-free campaigns).
-func (w *worker) noteHealth(healthy bool) {
-	if w.cfg.Journal == nil || healthy == !w.degraded {
-		return
-	}
-	w.degraded = !healthy
-	if healthy {
-		w.jevent(obs.EventRecovered, 0, "")
-	} else {
-		w.jevent(obs.EventDegraded, 0, "")
 	}
 }

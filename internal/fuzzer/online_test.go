@@ -8,7 +8,6 @@ package fuzzer
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/repro/snowplow/internal/obs"
 	"github.com/repro/snowplow/internal/online"
@@ -36,11 +35,7 @@ func fastOnline() *online.Config {
 func runOnlineCampaign(t *testing.T, seed uint64, budget int64, vms int) (*Stats, []obs.Event, []string) {
 	t.Helper()
 	m := pmm.NewModel(rng.New(77), pmm.DefaultConfig(), pmm.BuildVocab(testKernel))
-	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{
-		Workers:   2,
-		QueueSize: 256,
-		Deadline:  30 * time.Second,
-	})
+	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{Workers: 2})
 	defer srv.Close()
 	jn := obs.NewJournal(0)
 	cfg := baselineConfig(seed, budget)

@@ -367,7 +367,6 @@ func (r *Reconciler) foldStats(finals []VMState) *Stats {
 		stats.PMMFailed += cnt.PMMFailed
 		stats.PMMShed += cnt.PMMShed
 		stats.PMMInvalidSlots += cnt.PMMInvalidSlots
-		stats.DegradedSteps += cnt.DegradedSteps
 		stats.Yield.add(cnt.Yield)
 	crashes:
 		for _, cs := range st.Crashes {

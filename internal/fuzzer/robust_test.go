@@ -52,43 +52,31 @@ func TestSnowplowSurvivesFaultyServing(t *testing.T) {
 	}
 }
 
-// TestDegradedModeActivatesAndSheds drives serving fully down: the fuzzer
-// must notice unhealthy serving, raise its fallback probability, shed
-// pending queries, and keep fuzzing on random localization.
-func TestDegradedModeActivatesAndSheds(t *testing.T) {
-	srv := newFaultyServer(t, serve.Options{
-		MaxRetries:       -1,
-		Fault:            &faultinject.Model{Seed: 5, TransientProb: 1},
-		HealthMinSamples: 4,
-	})
-	defer srv.Close()
-	cfg := baselineConfig(34, 300_000)
-	cfg.Mode = ModeSnowplow
-	cfg.Server = srv
-	stats, err := New(cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FinalEdges == 0 {
-		t.Fatal("degraded campaign found no coverage")
-	}
-	if stats.DegradedSteps == 0 {
-		t.Fatal("fuzzer never entered degraded mode against a dead server")
-	}
-	if stats.PMMQueries == 0 {
-		t.Fatal("no queries issued before degradation")
-	}
-	// A failed reply is either harvested (PMMFailed) or abandoned by the
-	// degraded-mode shed (PMMShed); against a dead server at least one of
-	// the two must fire.
-	if stats.PMMFailed+stats.PMMShed == 0 {
-		t.Fatal("no failed or shed queries recorded against a fully-transient server")
-	}
-	if stats.PMMPredictions != 0 {
-		t.Fatalf("%d predictions from a server that can only fail", stats.PMMPredictions)
-	}
-	if srv.Healthy() {
-		t.Fatal("fully-transient server reports healthy after the campaign")
+// TestClosedServerCountsShed runs Snowplow against a server that is
+// already closed: every submission is refused, and each refusal must be
+// counted in PMMShed — not in PMMQueries or PMMFailed — while the campaign
+// keeps fuzzing on random localization.
+func TestClosedServerCountsShed(t *testing.T) {
+	for _, mode := range inferenceModes {
+		t.Run(mode.name, func(t *testing.T) {
+			srv := newFaultyServer(t, serve.Options{})
+			srv.Close()
+			cfg := baselineConfig(34, 200_000)
+			cfg.Mode = ModeSnowplow
+			cfg.Server = srv
+			cfg.SyncInference = mode.sync
+			stats, err := New(cfg).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.FinalEdges == 0 {
+				t.Fatal("campaign against a closed server found no coverage")
+			}
+			if stats.PMMShed == 0 || stats.PMMQueries != 0 || stats.PMMFailed != 0 {
+				t.Fatalf("shed=%d queries=%d failed=%d; want refusals counted as shed only",
+					stats.PMMShed, stats.PMMQueries, stats.PMMFailed)
+			}
+		})
 	}
 }
 
@@ -119,9 +107,10 @@ func TestCorruptPredictionsNeverCrashMutator(t *testing.T) {
 }
 
 // faultyCampaign is the determinism property test's fixture: Snowplow with
-// an active fault model, synchronous inference (the async window races
-// against wall clock by design, §3.4), retries and seeded backoff engaged.
-func faultyCampaign(seed uint64) (*Stats, serve.Stats) {
+// an active fault model and retries engaged, over vms VMs with synchronous
+// or asynchronous inference. Serving plans each query's faults on its
+// campaign key, so neither arrival order nor host load reaches the result.
+func faultyCampaign(seed uint64, sync bool, vms int) (*Stats, serve.Stats) {
 	m := pmm.NewModel(rng.New(9), pmm.DefaultConfig(), pmm.BuildVocab(testKernel))
 	srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{
 		Workers: 2,
@@ -133,7 +122,8 @@ func faultyCampaign(seed uint64) (*Stats, serve.Stats) {
 	cfg := baselineConfig(seed, 250_000)
 	cfg.Mode = ModeSnowplow
 	cfg.Server = srv
-	cfg.SyncInference = true
+	cfg.SyncInference = sync
+	cfg.VMs = vms
 	stats, err := New(cfg).Run()
 	if err != nil {
 		panic(err)
@@ -141,14 +131,28 @@ func faultyCampaign(seed uint64) (*Stats, serve.Stats) {
 	return stats, srv.Stats()
 }
 
-// TestDeterminismWithActiveFaultModel is the seeded-backoff guard: two
+// TestDeterminismWithActiveFaultModel is the keyed-fault guard: two
 // campaigns with identical Config — including an active fault model — must
-// produce byte-identical coverage time series and identical stats. Any
-// wall-clock leakage into fault planning, retry jitter, or degradation
-// decisions breaks this test.
+// produce byte-identical coverage time series and identical stats, for
+// synchronous inference at one and four VMs and asynchronous inference at
+// two. Any wall-clock or arrival-order leakage into fault planning breaks
+// this test.
 func TestDeterminismWithActiveFaultModel(t *testing.T) {
-	a, sa := faultyCampaign(40)
-	b, sb := faultyCampaign(40)
+	rows := []struct {
+		name string
+		sync bool
+		vms  int
+	}{{"sync-1vm", true, 1}, {"async-2vm", false, 2}, {"sync-4vm", true, 4}}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			requireSameFaultyCampaign(t, row.sync, row.vms)
+		})
+	}
+}
+
+func requireSameFaultyCampaign(t *testing.T, sync bool, vms int) {
+	a, sa := faultyCampaign(40, sync, vms)
+	b, sb := faultyCampaign(40, sync, vms)
 
 	if !reflect.DeepEqual(a.Series, b.Series) {
 		t.Fatal("coverage time series diverged between identical faulty campaigns")
@@ -159,7 +163,7 @@ func TestDeterminismWithActiveFaultModel(t *testing.T) {
 	}
 	if a.PMMQueries != b.PMMQueries || a.PMMPredictions != b.PMMPredictions ||
 		a.PMMFailed != b.PMMFailed || a.PMMShed != b.PMMShed ||
-		a.PMMInvalidSlots != b.PMMInvalidSlots || a.DegradedSteps != b.DegradedSteps {
+		a.PMMInvalidSlots != b.PMMInvalidSlots {
 		t.Fatalf("PMM accounting diverged:\n%+v\n%+v", a, b)
 	}
 	if !reflect.DeepEqual(a.Yield, b.Yield) {
@@ -185,37 +189,8 @@ func TestDeterminismWithActiveFaultModel(t *testing.T) {
 	}
 	// And a different fault seed must actually change the campaign,
 	// otherwise the property above is vacuous.
-	c, _ := faultyCampaign(41)
+	c, _ := faultyCampaign(41, sync, vms)
 	if reflect.DeepEqual(a.Series, c.Series) && a.PMMFailed == c.PMMFailed {
 		t.Fatal("different seeds produced identical campaigns; fault model inert?")
-	}
-}
-
-func TestFallbackProbRaisedWhenUnhealthy(t *testing.T) {
-	srv := newFaultyServer(t, serve.Options{
-		MaxRetries:       -1,
-		Fault:            &faultinject.Model{Seed: 6, TransientProb: 1},
-		HealthMinSamples: 2,
-	})
-	defer srv.Close()
-	cfg := baselineConfig(36, 1000)
-	cfg.Mode = ModeSnowplow
-	cfg.Server = srv
-	cfg.FallbackProb = 0.1
-	cfg.DegradedFallbackProb = 0.95
-	w := newWorker(&cfg, InitialVMState(cfg, 0), nil, false)
-	// Drive the server unhealthy by hand; a fully-transient model fails
-	// every query before it reaches the worker pool.
-	for i := 0; i < 8; i++ {
-		srv.Infer(serve.Query{Prog: cfg.SeedCorpus[0], Traces: nil, Targets: nil})
-	}
-	if srv.Healthy() {
-		t.Skip("server still healthy; health window larger than expected")
-	}
-	if got := w.fallbackProb(); got != 0.95 {
-		t.Fatalf("degraded fallback prob = %v, want 0.95", got)
-	}
-	if w.stats.DegradedSteps != 1 {
-		t.Fatalf("degraded steps = %d", w.stats.DegradedSteps)
 	}
 }

@@ -14,10 +14,12 @@
 // window — so a VM captured at a barrier can be restored onto any shard
 // (worker churn) or into a campaign checkpoint and continue bit-identically;
 // a fresh VM is simply InitialVMState restored. The only serving-dependent
-// escape hatch is the phantom-reply counter: barrier-engine determinism,
-// like the journal's, assumes fault-free inference serving (predictions are
-// deterministic in the model, so resubmitting a pending query after restore
-// yields the reply the lost VM would have received).
+// escape hatch is restoring a pending query: Restore resubmits it under a
+// key of its own, which yields the reply the lost VM would have received
+// when serving injects no faults (predictions are deterministic in the
+// model), and the phantom-reply counter settles replies whose base entries
+// died. Under injected faults a restored campaign therefore repeats itself
+// but need not match the uninterrupted one.
 
 package fuzzer
 
@@ -137,7 +139,6 @@ type VMCounters struct {
 	PMMFailed       int64
 	PMMShed         int64
 	PMMInvalidSlots int64
-	DegradedSteps   int64
 	Yield           YieldStats
 }
 
@@ -389,7 +390,6 @@ func newWorker(cfg *Config, st VMState, m *campaignMetrics, trackKeys bool) *wor
 			PMMFailed:       st.Counters.PMMFailed,
 			PMMShed:         st.Counters.PMMShed,
 			PMMInvalidSlots: st.Counters.PMMInvalidSlots,
-			DegradedSteps:   st.Counters.DegradedSteps,
 			Yield:           st.Counters.Yield,
 		},
 		cost:         st.Cost,
@@ -419,7 +419,7 @@ func (s *Shard) Restore(states []VMState) error {
 			return fmt.Errorf("fuzzer: shard already hosts VM %d", st.VM)
 		}
 		w := newWorker(&s.cfg, st, s.m, s.trackKeys)
-		for _, ps := range st.Preds {
+		for i, ps := range st.Preds {
 			entry := s.corp.ByText(ps.Text)
 			if entry == nil {
 				return fmt.Errorf("fuzzer: VM %d prediction references unknown corpus entry %q", st.VM, ps.Text)
@@ -431,13 +431,13 @@ func (s *Shard) Restore(states []VMState) error {
 				// (target sampling happened before capture). The model is
 				// deterministic, so the reply matches what the lost VM would
 				// have harvested. A submit error can only mean a closed server;
-				// the window entry then behaves as consumed, which only
-				// diverges under serving faults (outside the guarantee).
-				if reply, err := s.cfg.Server.InferAsync(serve.Query{
+				// the window entry then behaves as consumed.
+				key := queryKey(s.cfg.Seed, st.VM, st.Counters.PMMQueries+int64(i), true)
+				if reply, err := s.cfg.Server.Submit(serve.Query{
 					Prog:    entry.Prog,
 					Traces:  entry.Traces,
 					Targets: ps.Targets,
-				}); err == nil {
+				}, key); err == nil {
 					ep.reply = reply
 					ep.targets = append([]kernel.BlockID(nil), ps.Targets...)
 				}
@@ -633,7 +633,6 @@ func captureState(w *worker, corp *corpus.Corpus) VMState {
 			PMMFailed:       w.stats.PMMFailed,
 			PMMShed:         w.stats.PMMShed,
 			PMMInvalidSlots: w.stats.PMMInvalidSlots,
-			DegradedSteps:   w.stats.DegradedSteps,
 			Yield:           w.stats.Yield,
 		},
 	}

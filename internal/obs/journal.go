@@ -8,7 +8,7 @@ import (
 
 // Event is one structured campaign event. The fuzzer records the campaign's
 // structural history — epoch barriers, new-edge discoveries, deduplicated
-// crashes, degraded-serving transitions — rather than a log line per
+// crashes, model retrains and swaps — rather than a log line per
 // execution, so a multi-hour campaign's journal stays small and diffable.
 type Event struct {
 	// Seq is the journal-assigned global sequence number. Campaign events
@@ -51,12 +51,6 @@ const (
 	// EventEpoch records a reconcile barrier: Value is the shared corpus
 	// size after the merge, Detail is "edges=E".
 	EventEpoch = "epoch"
-	// EventDegraded / EventRecovered record inference-health transitions
-	// observed by a VM. They depend on wall-clock serving outcomes and are
-	// excluded from the journal determinism guarantee (they never occur in
-	// fault-free campaigns).
-	EventDegraded  = "degraded"
-	EventRecovered = "recovered"
 	// EventModelTrain records an online-learning retrain kickoff at an
 	// epoch barrier: Value is the checkpoint version being trained, Detail
 	// is "SPMV bases=N" (the deterministic corpus snapshot size the harvest

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,5 +338,71 @@ func TestServingDeterministicUnderFaults(t *testing.T) {
 		a.Retries != b.Retries || a.Timeouts != b.Timeouts ||
 		a.InjDropped != b.InjDropped || a.InjTransient != b.InjTransient || a.InjCorrupt != b.InjCorrupt {
 		t.Fatalf("faulty serving diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestSubmitIgnoresWallClock pins the campaign submit path on a server
+// whose service path would time out, fill its one-slot queue, over-run a
+// quota of one, shed on its SLO and sleep an hour per latency fault:
+// Submit accepts every query, delivers every reply, records nothing into
+// health, and each query's fate is a function of its key alone, whatever
+// order the keys arrive in.
+func TestSubmitIgnoresWallClock(t *testing.T) {
+	const n = 48
+	run := func(reverse bool) []Prediction {
+		s := newTestServerOpts(t, Options{
+			Workers:      1,
+			QueueSize:    1,
+			Deadline:     time.Nanosecond,
+			SLOQueueWait: time.Nanosecond,
+			MaxRetries:   1,
+			Fault: &faultinject.Model{
+				Seed: 3, DropProb: 0.2, TransientProb: 0.2, CorruptProb: 0.1,
+				LatencyProb: 0.5, LatencySpike: time.Hour,
+			},
+		})
+		defer s.Close()
+		tn, err := s.Tenant(TenantConfig{Name: "campaign", Quota: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := testQuery(t)
+		replies := make([]<-chan Prediction, n)
+		for i := 0; i < n; i++ {
+			k := i
+			if reverse {
+				k = n - 1 - i
+			}
+			if replies[k], err = tn.Submit(q, uint64(1000+k)); err != nil {
+				t.Fatalf("Submit key %d: %v", k, err)
+			}
+		}
+		out := make([]Prediction, n)
+		for k, r := range replies {
+			out[k] = <-r
+		}
+		st := s.Stats()
+		if st.Queries != n || st.QuotaRejected != 0 || st.Shed != 0 || st.ErrorRate != 0 {
+			t.Fatalf("campaign traffic met admission or health: %+v", st)
+		}
+		if st.InjLatency == 0 {
+			t.Fatal("no latency fault planned; the no-sleep check is vacuous")
+		}
+		return out
+	}
+	fwd, rev := run(false), run(true)
+	var failed int
+	for k := range fwd {
+		a, b := fwd[k], rev[k]
+		if !errors.Is(a.Err, b.Err) || !errors.Is(b.Err, a.Err) ||
+			!reflect.DeepEqual(a.Slots, b.Slots) || !reflect.DeepEqual(a.Probs, b.Probs) {
+			t.Fatalf("key %d: arrival order changed the reply: %v/%v vs %v/%v", k, a.Err, a.Slots, b.Err, b.Slots)
+		}
+		if a.Err != nil {
+			failed++
+		}
+	}
+	if failed == 0 || failed == n {
+		t.Fatalf("%d of %d keyed queries failed; want a mix", failed, n)
 	}
 }

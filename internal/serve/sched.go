@@ -53,10 +53,12 @@ func (r *attemptRing) pop() *attempt {
 
 // sched is the shared scheduler state. One mutex guards tenant
 // registration, every queue ring and the DRR cursors; workers block on cond
-// when all queues are empty.
+// when all queues are empty, and campaign submitters block on space when
+// their ring is full.
 type sched struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu    sync.Mutex
+	cond  *sync.Cond
+	space *sync.Cond
 
 	tenants []*tenant
 	byName  map[string]*tenant
@@ -72,6 +74,7 @@ type sched struct {
 func newSched() *sched {
 	sc := &sched{byName: make(map[string]*tenant)}
 	sc.cond = sync.NewCond(&sc.mu)
+	sc.space = sync.NewCond(&sc.mu)
 	return sc
 }
 
@@ -109,17 +112,22 @@ func (sc *sched) snapshotTenants() []*tenant {
 }
 
 // enqueue queues one attempt on its tenant's band ring. The caller has
-// already passed admission; this enforces only the per-tenant queue bound.
-func (sc *sched) enqueue(at *attempt) error {
+// already passed admission; this enforces only the per-tenant queue bound:
+// a full ring fails with ErrQueueFull, or with wait set blocks until a pop
+// makes room (or the scheduler closes).
+func (sc *sched) enqueue(at *attempt, wait bool) error {
 	sc.mu.Lock()
+	r := &at.t.q[at.prio]
+	for !sc.closed && r.full() {
+		if !wait {
+			sc.mu.Unlock()
+			return ErrQueueFull
+		}
+		sc.space.Wait()
+	}
 	if sc.closed {
 		sc.mu.Unlock()
 		return ErrServerClosed
-	}
-	r := &at.t.q[at.prio]
-	if r.full() {
-		sc.mu.Unlock()
-		return ErrQueueFull
 	}
 	r.push(at)
 	sc.queued++
@@ -200,6 +208,9 @@ func (sc *sched) fillBandLocked(batch []*attempt, room, band int) ([]*attempt, i
 		if t.deficit[band] <= 0 {
 			t.deficit[band] += t.cfg.Weight
 		}
+		if r.full() {
+			sc.space.Broadcast() // the pop below makes room for a waiting enqueue
+		}
 		for t.deficit[band] > 0 && !r.empty() && room > 0 {
 			batch = append(batch, r.pop())
 			t.deficit[band]--
@@ -218,12 +229,14 @@ func (sc *sched) fillBandLocked(batch []*attempt, room, band int) ([]*attempt, i
 	return batch, taken
 }
 
-// close wakes every worker so they observe the closed flag and exit. Queued
-// attempts are left in the rings: their dispatchers are already aborting on
-// closeCh, and each attempt's done channel is buffered, so nothing blocks.
+// close wakes every worker and every waiting enqueue so they observe the
+// closed flag and return. Queued attempts are left in the rings: their
+// dispatchers are already aborting on closeCh, and each attempt's done
+// channel is buffered, so nothing blocks.
 func (sc *sched) close() {
 	sc.mu.Lock()
 	sc.closed = true
 	sc.cond.Broadcast()
+	sc.space.Broadcast()
 	sc.mu.Unlock()
 }

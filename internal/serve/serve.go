@@ -14,13 +14,13 @@
 // behavior is bit-identical to the pre-tenancy server.
 //
 // Unlike a lab-bench server, this one has a failure story. Every query gets
-// a per-attempt deadline and a bounded retry budget with exponential backoff
-// whose jitter is seeded (internal/rng, not wall clock), a fault-injection
-// hook (internal/faultinject) can lose, delay, fail, or corrupt attempts,
-// and a rolling health tracker summarizes the recent error/timeout rate so
-// callers — the fuzzer in particular — can degrade gracefully instead of
-// blocking on a sick model. Each accepted query delivers exactly one
-// Prediction on its reply channel; a failed query delivers one with Err set.
+// a bounded retry budget, and a fault-injection hook (internal/faultinject)
+// can lose, delay, fail, or corrupt attempts. Service traffic
+// (Infer/InferAsync) also gets a per-attempt deadline, a bounded queue,
+// seeded exponential backoff and a rolling health tracker; campaign traffic
+// (Submit) gets none of these wall-clock parts. Each accepted query
+// delivers exactly one Prediction on its reply channel; a failed query
+// delivers one with Err set.
 package serve
 
 import (
@@ -171,18 +171,20 @@ type Options struct {
 	// for TenantConfig.QueueSize). Default Workers*8*BatchSize, so a
 	// saturated queue can feed every worker full batches.
 	QueueSize int
-	// Deadline bounds one attempt's queue+inference wait. Default 5s.
+	// Deadline bounds one service attempt's queue+inference wait (Submit
+	// has none). Default 5s.
 	Deadline time.Duration
 	// MaxRetries is the number of extra attempts after the first.
 	// Default 2; pass a negative value for no retries.
 	MaxRetries int
 	// BackoffBase and BackoffMax shape the exponential backoff between
-	// attempts: attempt k waits Base<<(k-1) plus seeded jitter in
-	// [0, Base), capped at Max. Defaults 1ms / 100ms.
+	// service attempts (Submit retries at once): attempt k waits
+	// Base<<(k-1) plus seeded jitter in [0, Base), capped at Max. Defaults
+	// 1ms / 100ms.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// BackoffSeed seeds the retry jitter (per query sequence number, not
-	// wall clock), keeping faulty campaigns reproducible. Default 0x5eed.
+	// wall clock), keeping retry schedules reproducible. Default 0x5eed.
 	BackoffSeed uint64
 	// Fault, when non-nil, is consulted once per attempt to inject
 	// failures (see internal/faultinject). Nil serves faithfully.
@@ -595,12 +597,12 @@ func effectivePriority(t *tenant, q Query) Priority {
 	return p
 }
 
-// accept is admission control: it refuses on a closed server, a tenant over
-// quota, or (background class, SLO configured) degraded serving, and
-// otherwise registers the query as in flight. Refusals are immediate errors
-// — no Prediction is owed — and none count against health: they are load
-// control, not serving failure.
-func (s *Server) accept(t *tenant, prio Priority) error {
+// accept is admission control: it refuses on a closed server and, for
+// service traffic, on a tenant over quota or (background class, SLO
+// configured) degraded serving, and otherwise registers the query as in
+// flight. Refusals are immediate errors — no Prediction is owed — and none
+// count against health: they are load control, not serving failure.
+func (s *Server) accept(t *tenant, prio Priority, campaign bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -609,14 +611,14 @@ func (s *Server) accept(t *tenant, prio Priority) error {
 		t.rejected.Add(1)
 		return ErrServerClosed
 	}
-	if t.pending.Load() >= int64(t.cfg.Quota) {
+	if !campaign && t.pending.Load() >= int64(t.cfg.Quota) {
 		s.mu.Unlock()
 		s.quotaRejected.Add(1)
 		s.m.tenantQuotaRejected.Inc()
 		t.quotaRejected.Add(1)
 		return ErrQuotaExceeded
 	}
-	if s.sloOn && prio == PriorityBackground &&
+	if !campaign && s.sloOn && prio == PriorityBackground &&
 		(time.Duration(s.ewmaWaitNs.Load()) > s.opts.SLOQueueWait || !s.Healthy()) {
 		s.mu.Unlock()
 		s.shed.Add(1)
@@ -638,7 +640,17 @@ func (s *Server) accept(t *tenant, prio Priority) error {
 // prediction (with Err set on terminal failure). The error is non-nil only
 // if the query is refused at admission (closed, over quota, or shed).
 func (s *Server) InferAsync(q Query) (<-chan Prediction, error) {
-	return s.inferAsync(s.def, q)
+	return s.inferAsync(s.def, q, false, 0)
+}
+
+// Submit is the campaign submit path: InferAsync without the wall clock,
+// because a campaign reads each reply only at its next epoch barrier. It
+// refuses only on a closed server (no quota, SLO or health shed), waits
+// for queue space instead of failing with ErrQueueFull, arms no deadline,
+// never sleeps, records nothing into health, and plans faults by key: the
+// same query under the same key gets the same reply on any host.
+func (s *Server) Submit(q Query, key uint64) (<-chan Prediction, error) {
+	return s.inferAsync(s.def, q, true, key)
 }
 
 // Infer submits a query and blocks for the prediction, applying the same
@@ -647,37 +659,42 @@ func (s *Server) Infer(q Query) (Prediction, error) {
 	return s.infer(s.def, q)
 }
 
-func (s *Server) inferAsync(t *tenant, q Query) (<-chan Prediction, error) {
+// inferAsync submits service traffic (faults planned on the arrival
+// sequence, key ignored) or campaign traffic (see Submit).
+func (s *Server) inferAsync(t *tenant, q Query, campaign bool, key uint64) (<-chan Prediction, error) {
 	prio := effectivePriority(t, q)
-	if err := s.accept(t, prio); err != nil {
+	if err := s.accept(t, prio, campaign); err != nil {
 		return nil, err
 	}
-	seq := s.seq.Add(1) - 1
+	if !campaign {
+		key = s.seq.Add(1) - 1
+	}
 	reply := make(chan Prediction, 1)
 	go func() {
-		reply <- s.dispatch(t, q, prio, seq)
+		reply <- s.dispatch(t, q, prio, key, campaign)
 	}()
 	return reply, nil
 }
 
 func (s *Server) infer(t *tenant, q Query) (Prediction, error) {
 	prio := effectivePriority(t, q)
-	if err := s.accept(t, prio); err != nil {
+	if err := s.accept(t, prio, false); err != nil {
 		return Prediction{}, err
 	}
 	seq := s.seq.Add(1) - 1
 	// The blocking path dispatches inline: no goroutine, no reply channel.
-	p := s.dispatch(t, q, prio, seq)
+	p := s.dispatch(t, q, prio, seq, false)
 	if p.Err != nil {
 		return Prediction{}, p.Err
 	}
 	return p, nil
 }
 
-// dispatch owns one accepted query end to end: it plans faults, enqueues
-// attempts on the scheduler, enforces the deadline, retries with seeded
-// backoff, and returns exactly one terminal Prediction.
-func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64) Prediction {
+// dispatch owns one accepted query end to end: it plans faults by seq,
+// enqueues attempts on the scheduler, retries, and returns exactly one
+// terminal Prediction. Service traffic also gets the deadline, seeded
+// backoff sleeps and health tracking; campaign traffic skips every one.
+func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64, campaign bool) Prediction {
 	start := time.Now()
 	finish := func(p Prediction) Prediction {
 		p.Latency = time.Since(start)
@@ -696,7 +713,7 @@ func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64) Predict
 		// ill-health — counting it would let a hot client talk a healthy
 		// server into degraded mode. Close-time terminations are likewise
 		// not a health signal.
-		if !errors.Is(p.Err, ErrQueueFull) && !errors.Is(p.Err, ErrServerClosed) {
+		if !campaign && !errors.Is(p.Err, ErrQueueFull) && !errors.Is(p.Err, ErrServerClosed) {
 			s.health.record(p.Err == nil)
 		}
 		t.pending.Add(-1)
@@ -708,7 +725,7 @@ func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64) Predict
 		if att > 0 {
 			s.retries.Add(1)
 			s.m.retries.Inc()
-			if !s.sleep(s.backoff(seq, att)) {
+			if !campaign && !s.sleep(s.backoff(seq, att)) {
 				return finish(Prediction{Err: ErrServerClosed})
 			}
 		}
@@ -736,11 +753,11 @@ func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64) Predict
 		case faultinject.FaultLatency:
 			s.injLatency.Add(1)
 			s.m.injLatency.Inc()
-			if !s.sleep(d.Latency) {
+			if !campaign && !s.sleep(d.Latency) {
 				return finish(Prediction{Err: ErrServerClosed})
 			}
 		}
-		res, err := s.runAttempt(t, q, prio)
+		res, err := s.runAttempt(t, q, prio, campaign)
 		if err != nil {
 			if errors.Is(err, ErrServerClosed) {
 				return finish(Prediction{Err: err})
@@ -762,10 +779,11 @@ func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64) Predict
 	return finish(Prediction{Err: lastErr})
 }
 
-// runAttempt enqueues one attempt on the scheduler and waits for it under
-// the per-attempt deadline. A full tenant queue is a retryable failure, as
-// in the paper's deployment where an overloaded replica sheds load.
-func (s *Server) runAttempt(t *tenant, q Query, prio Priority) (attemptResult, error) {
+// runAttempt enqueues one attempt on the scheduler and waits for it. For a
+// service attempt the wait has a deadline and a full tenant queue is a
+// retryable failure, as in the paper's deployment where an overloaded
+// replica sheds load; a campaign attempt waits for room and result alike.
+func (s *Server) runAttempt(t *tenant, q Query, prio Priority, campaign bool) (attemptResult, error) {
 	a := attemptPool.Get().(*attempt)
 	a.q = q
 	a.t = t
@@ -773,27 +791,28 @@ func (s *Server) runAttempt(t *tenant, q Query, prio Priority) (attemptResult, e
 	if s.obsOn || s.sloOn {
 		a.enq = time.Now()
 	}
-	if err := s.sched.enqueue(a); err != nil {
+	if err := s.sched.enqueue(a, campaign); err != nil {
 		// Never reached a worker: the struct and channel are clean.
 		a.reset()
 		attemptPool.Put(a)
 		return attemptResult{}, err
 	}
-	timer := getTimer(s.opts.Deadline)
+	var deadline <-chan time.Time // nil for a campaign attempt: never fires
+	if !campaign {
+		timer := getTimer(s.opts.Deadline)
+		defer putTimer(timer) // also safe after the fire below was consumed
+		deadline = timer.C
+	}
 	select {
 	case r := <-a.done:
-		putTimer(timer)
 		a.reset()
 		attemptPool.Put(a)
 		return r, nil
-	case <-timer.C:
+	case <-deadline:
 		// The worker may still deliver into a.done; the attempt is
-		// abandoned to the GC rather than recycled. The fired timer's
-		// channel is drained, so it is safe to reuse.
-		timerPool.Put(timer)
+		// abandoned to the GC rather than recycled.
 		return attemptResult{}, ErrDeadline
 	case <-s.closeCh:
-		putTimer(timer)
 		return attemptResult{}, ErrServerClosed
 	}
 }
@@ -940,17 +959,17 @@ func (s *Server) Close() {
 	s.closed = true
 	close(s.closeCh)
 	s.mu.Unlock()
-	// Only the first closer reaches this point: wait out every accepted
-	// query (all abort promptly on closeCh), then wake the workers to
-	// observe the closed scheduler and drain out.
-	s.queryWG.Wait()
+	// Only the first closer reaches this point: close the scheduler, which
+	// wakes the workers to drain out and every Submit waiting for queue
+	// space to give up, then wait out every accepted query (all abort
+	// promptly on closeCh) and the workers.
 	s.sched.close()
+	s.queryWG.Wait()
 	s.workerWG.Wait()
 }
 
-// healthTracker keeps a rolling window of query outcomes. It is the signal
-// the fuzzer consults to raise its random-fallback probability and shed
-// pending queries while serving is degraded (§3.4's graceful degradation).
+// healthTracker keeps a rolling window of service-query outcomes: the
+// signal behind Healthy, ErrorRate and SLO shedding at admission.
 type healthTracker struct {
 	mu    sync.Mutex
 	ring  []bool // true = failure

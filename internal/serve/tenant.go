@@ -17,14 +17,16 @@ import (
 // and priority class.
 //
 // Admission happens at submission time, before a query ever reaches a
-// queue: a closed server refuses with ErrServerClosed, a tenant over its
-// in-flight quota refuses with ErrQuotaExceeded, and while serving is
-// degraded (the PR-1 rolling health tracker) or the observed queue wait is
-// over the configured SLO, background-class queries are shed with ErrShed —
-// directed-class queries ride through, as the paper's directed campaigns
-// are latency-sensitive and background snowplow traffic is not. None of
-// these refusals count against server health: they are load control, not
-// serving failure.
+// queue: a closed server refuses with ErrServerClosed. Service traffic
+// (Infer/InferAsync) also meets the tenant's in-flight quota
+// (ErrQuotaExceeded) and, while serving is degraded (the rolling health
+// tracker) or the observed queue wait is over the configured SLO, sheds
+// background-class queries with ErrShed — directed-class queries ride
+// through, as the paper's directed campaigns are latency-sensitive and
+// background snowplow traffic is not. Campaign traffic (Submit) meets only
+// the closed check and is bounded by its tenant's queue ring, on which it
+// waits. None of these refusals count against server health: they are load
+// control, not serving failure.
 
 // Priority classes. Higher values outrank lower ones: the scheduler drains
 // the directed band before the background band, and SLO shedding never
@@ -60,13 +62,15 @@ type TenantConfig struct {
 	// (weight 2) and B (weight 1) both saturating, A is served two queries
 	// for every one of B's. Default 1, max 1<<20.
 	Weight int
-	// Quota bounds the tenant's in-flight accepted queries (queued plus
-	// being served plus between retries). Submissions beyond it fail
-	// immediately with ErrQuotaExceeded. Default 2x the tenant queue size.
+	// Quota bounds the tenant's in-flight accepted service queries (queued
+	// plus being served plus between retries). Infer/InferAsync calls
+	// beyond it fail immediately with ErrQuotaExceeded; Submit ignores it.
+	// Default 2x the tenant queue size.
 	Quota int
 	// QueueSize bounds the tenant's pending-attempt queue; a full queue is
-	// the retryable ErrQueueFull, exactly as the shared queue was before
-	// multi-tenancy. Default: the server's Options.QueueSize.
+	// the retryable ErrQueueFull for service traffic, exactly as the shared
+	// queue was before multi-tenancy, and a wait for Submit. Default: the
+	// server's Options.QueueSize.
 	QueueSize int
 	// Priority is the tenant's default class, raised per query by an
 	// explicit Query.Priority tag. Default PriorityBackground.
@@ -219,11 +223,13 @@ func (h *Tenant) Infer(q Query) (Prediction, error) {
 // InferAsync submits a query under this tenant and returns a channel
 // delivering exactly one prediction.
 func (h *Tenant) InferAsync(q Query) (<-chan Prediction, error) {
-	return h.t.srv.inferAsync(h.t, q)
+	return h.t.srv.inferAsync(h.t, q, false, 0)
 }
 
-// Healthy mirrors the server's rolling health signal.
-func (h *Tenant) Healthy() bool { return h.t.srv.Healthy() }
+// Submit is Server.Submit under this tenant.
+func (h *Tenant) Submit(q Query, key uint64) (<-chan Prediction, error) {
+	return h.t.srv.inferAsync(h.t, q, true, key)
+}
 
 // Stats returns the server snapshot with the shared-cache counters replaced
 // by this tenant's attributed slice, so a campaign's end-of-run report
@@ -260,20 +266,21 @@ func (h *Tenant) GraphCacheCapacity() int { return h.t.srv.GraphCacheCapacity() 
 
 // Inferrer is the inference surface campaigns program against: a dedicated
 // *Server (routing through its default tenant) or one *Tenant of a shared
-// multi-tenant server.
+// multi-tenant server. Fuzzing campaigns submit with Submit; directed runs
+// and load harnesses use the service path.
 type Inferrer interface {
 	Infer(q Query) (Prediction, error)
 	InferAsync(q Query) (<-chan Prediction, error)
-	Healthy() bool
+	Submit(q Query, key uint64) (<-chan Prediction, error)
 	Stats() Stats
 }
 
 // ModelSwapper is the optional inference surface for online continual
 // learning: an Inferrer whose serving model can be hot-swapped to a new
 // versioned checkpoint generation without pausing callers. Both *Server and
-// *Tenant implement it; the TCP Client does not (a model handle cannot cross
-// the wire — cluster workers swap their local server when the coordinator
-// pushes re-encoded weights).
+// *Tenant implement it. A model handle never crosses the cluster wire:
+// cluster workers swap their local server when the coordinator pushes
+// re-encoded weights.
 type ModelSwapper interface {
 	Inferrer
 	// SwapModel installs a strictly newer generation; it reports false for

@@ -32,7 +32,7 @@ func schedFixture(t *testing.T, cfgs ...TenantConfig) (*sched, []*tenant) {
 func enqueueN(t *testing.T, sc *sched, tn *tenant, prio Priority, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := sc.enqueue(&attempt{t: tn, prio: prio}); err != nil {
+		if err := sc.enqueue(&attempt{t: tn, prio: prio}, false); err != nil {
 			t.Fatalf("enqueue: %v", err)
 		}
 	}
@@ -130,11 +130,42 @@ func TestTenantQueueBoundIsPerTenant(t *testing.T) {
 		TenantConfig{Name: "big", QueueSize: 8},
 	)
 	enqueueN(t, sc, tn[0], PriorityBackground, 2)
-	if err := sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}); !errors.Is(err, ErrQueueFull) {
+	if err := sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}, false); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull small tenant: %v, want ErrQueueFull", err)
 	}
 	// The neighbor's full queue must not block this tenant.
 	enqueueN(t, sc, tn[1], PriorityBackground, 8)
+}
+
+// TestWaitingEnqueueTakesFreedSlot pins the campaign path's wait mode: an
+// enqueue onto a full ring blocks rather than failing, takes the slot the
+// next pop frees, and a closed scheduler releases a waiter with
+// ErrServerClosed.
+func TestWaitingEnqueueTakesFreedSlot(t *testing.T) {
+	sc, tn := schedFixture(t, TenantConfig{Name: "a", QueueSize: 2})
+	enqueueN(t, sc, tn[0], PriorityBackground, 2)
+	done := make(chan error, 1)
+	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}, true) }()
+	select {
+	case err := <-done:
+		t.Fatalf("enqueue onto a full ring returned %v instead of waiting", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := sc.popMore(nil, 1); len(got) != 1 {
+		t.Fatalf("popped %d attempts", len(got))
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("waiting enqueue: %v", err)
+	}
+	if d := sc.depth(); d != 2 {
+		t.Fatalf("depth %d after the waiter took the freed slot, want 2", d)
+	}
+	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}, true) }()
+	time.Sleep(20 * time.Millisecond)
+	sc.close()
+	if err := <-done; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("waiter released by close: %v, want ErrServerClosed", err)
+	}
 }
 
 func newTenantTestServer(t testing.TB, opts Options) *Server {
@@ -354,7 +385,7 @@ func TestWeightedTenantsShareSaturatedServer(t *testing.T) {
 }
 
 func TestParseTenants(t *testing.T) {
-	tenants, err := ParseTenants(4, "3,1", 0)
+	tenants, err := ParseTenants(4, "3,1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,16 +398,13 @@ func TestParseTenants(t *testing.T) {
 			t.Fatalf("tenant %d: %+v, want weight %d", i, tc, wantW[i])
 		}
 	}
-	if _, err := ParseTenants(0, "", 0); err == nil {
+	if _, err := ParseTenants(0, ""); err == nil {
 		t.Fatal("zero tenants must fail")
 	}
-	if _, err := ParseTenants(2, "1,x", 0); !errors.Is(err, ErrBadTenantConfig) {
+	if _, err := ParseTenants(2, "1,x"); !errors.Is(err, ErrBadTenantConfig) {
 		t.Fatalf("bad weight: %v, want ErrBadTenantConfig", err)
 	}
-	if _, err := ParseTenants(2, "", -1); !errors.Is(err, ErrBadTenantConfig) {
-		t.Fatalf("negative quota: %v, want ErrBadTenantConfig", err)
-	}
-	if _, err := ParseTenants(2, "2,-1", 0); !errors.Is(err, ErrBadTenantConfig) {
+	if _, err := ParseTenants(2, "2,-1"); !errors.Is(err, ErrBadTenantConfig) {
 		t.Fatalf("negative weight: %v, want ErrBadTenantConfig", err)
 	}
 }

@@ -12,8 +12,8 @@ const maxTenants = 4096
 // ParseTenants builds validated tenant configs from the command-line
 // surface: n tenants named t0..t{n-1}, weights taken from the
 // comma-separated list (an empty list is all-1s; a short list repeats its
-// last value), and one shared quota applied to every tenant.
-func ParseTenants(n int, weightCSV string, quota int) ([]TenantConfig, error) {
+// last value).
+func ParseTenants(n int, weightCSV string) ([]TenantConfig, error) {
 	if n <= 0 || n > maxTenants {
 		return nil, fmt.Errorf("%w: tenant count %d out of [1, %d]", ErrBadTenantConfig, n, maxTenants)
 	}
@@ -33,7 +33,7 @@ func ParseTenants(n int, weightCSV string, quota int) ([]TenantConfig, error) {
 		if len(weights) > 0 {
 			w = weights[min(i, len(weights)-1)]
 		}
-		tenants[i] = TenantConfig{Name: "t" + strconv.Itoa(i), Weight: w, Quota: quota}
+		tenants[i] = TenantConfig{Name: "t" + strconv.Itoa(i), Weight: w}
 		if err := tenants[i].Validate(); err != nil {
 			return nil, err
 		}
