@@ -30,12 +30,6 @@ import (
 	"github.com/repro/snowplow/internal/serve"
 )
 
-// serveFlags groups the inference-serving robustness knobs.
-type serveFlags struct {
-	faults  string
-	retries int
-}
-
 // tenantFlags groups the multi-tenant serving knobs: how many concurrent
 // campaigns share one model server, and their weighted-fair shares.
 type tenantFlags struct {
@@ -96,7 +90,7 @@ func main() {
 		vms       = flag.Int("vms", 1, "simulated fuzzing VMs, run in lockstep epochs through the reconciler")
 		fused     = flag.Bool("fused", true, "serve inference through the fused kernels (bit-identical to unfused)")
 		quant     = flag.Bool("quant", false, "int8-quantize model weights before serving (reproducible per seed; coordinator re-encodes the model for workers)")
-		sf        serveFlags
+		faults    = flag.String("faults", "off", "inference fault model, e.g. drop=0.1,transient=0.2,corrupt=0.05,latency=0.1:50ms,seed=7")
 		of        obsFlags
 		cf        clusterFlags
 		tf        tenantFlags
@@ -144,9 +138,6 @@ func main() {
 		"observability endpoint address, e.g. :6060 (serves /metrics, /journal, /timeseries, /debug/pprof; empty = disabled)")
 	flag.DurationVar(&of.sampleInterval, "sample-interval", 0,
 		"metrics sampling period for /timeseries (0 = default 250ms; only with -obs)")
-	flag.StringVar(&sf.faults, "faults", "off",
-		"inference fault model, e.g. drop=0.1,transient=0.2,corrupt=0.05,latency=0.1:50ms,seed=7")
-	flag.IntVar(&sf.retries, "retries", 0, "inference retries after the first attempt (0 = default, negative = none)")
 	flag.Parse()
 	var err error
 	switch {
@@ -155,7 +146,7 @@ func main() {
 	case cf.coordinator > 0:
 		err = runClusterCoordinator(cf, *mode, *version, *modelPath, *budget, *seed, *seeds, *fallback, *vms, *quant, of, onf)
 	default:
-		err = run(*mode, *version, *modelPath, *budget, *seed, *seeds, *workers, *batch, *cache, *fallback, *vms, *fused, *quant, sf, of, tf, onf)
+		err = run(*mode, *version, *modelPath, *budget, *seed, *seeds, *workers, *batch, *cache, *fallback, *vms, *fused, *quant, *faults, of, tf, onf)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snowplow:", err)
@@ -163,7 +154,7 @@ func main() {
 	}
 }
 
-func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, workers, batch, cache int, fallback float64, vms int, fused, quant bool, sf serveFlags, of obsFlags, tf tenantFlags, onf onlineFlags) error {
+func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, workers, batch, cache int, fallback float64, vms int, fused, quant bool, faults string, of obsFlags, tf tenantFlags, onf onlineFlags) error {
 	// Size the MatMul worker pool alongside the inference pool; results are
 	// bit-identical for any worker count.
 	nn.SetWorkers(workers)
@@ -231,14 +222,13 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		if err != nil {
 			return err
 		}
-		fault, err := faultinject.ParseSpec(sf.faults)
+		fault, err := faultinject.ParseSpec(faults)
 		if err != nil {
 			return err
 		}
 		opts := serve.Options{
 			Workers:       workers,
 			BatchSize:     batch,
-			MaxRetries:    sf.retries,
 			Metrics:       reg,
 			Fused:         fused,
 			Quant:         quant,

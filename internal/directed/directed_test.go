@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/repro/snowplow/internal/cfa"
+	"github.com/repro/snowplow/internal/faultinject"
 	"github.com/repro/snowplow/internal/kernel"
 	"github.com/repro/snowplow/internal/pmm"
 	"github.com/repro/snowplow/internal/qgraph"
@@ -112,8 +113,36 @@ func TestDirectedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Reached != b.Reached || a.Cost != b.Cost || a.Executions != b.Executions {
+	if *a != *b {
 		t.Fatalf("directed runs diverge: %+v vs %+v", a, b)
+	}
+
+	// Snowplow-D under ~30% injected faults: the runner's Infer calls are
+	// keyed by arrival, which a sequential runner fixes, so the serving
+	// pool's size must not move the result.
+	snowplowD := func(workers int) (Result, serve.Stats) {
+		m := pmm.NewModel(rng.New(5), pmm.DefaultConfig(), pmm.BuildVocab(testKernel))
+		srv := serve.NewServerOpts(m, qgraph.NewBuilder(testKernel, testAn), serve.Options{
+			Workers: workers,
+			Fault:   &faultinject.Model{Seed: 42, DropProb: 0.1, TransientProb: 0.1, CorruptProb: 0.1},
+		})
+		defer srv.Close()
+		dcfg := cfg
+		dcfg.Target = deepTarget(t)
+		dcfg.Server = srv
+		res, err := New(dcfg).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *res, srv.Stats()
+	}
+	one, st := snowplowD(1)
+	four, _ := snowplowD(4)
+	if one != four {
+		t.Fatalf("Snowplow-D diverges across serving pools: Workers 1 %+v vs 4 %+v", one, four)
+	}
+	if st.Queries == 0 || st.InjDropped+st.InjTransient+st.InjCorrupt == 0 {
+		t.Fatalf("Snowplow-D row is vacuous: %+v", st)
 	}
 }
 

@@ -158,6 +158,26 @@ func TestDirectedTargetsMix(t *testing.T) {
 	}
 }
 
+// TestTable5Runs drives the directed-fuzzing comparison end to end: both
+// arms must reach a target. The SyzDirect arm runs with no server, which
+// used to reach the runner as a typed-nil one and panic on its first query.
+func TestTable5Runs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model and runs two directed campaigns per target")
+	}
+	opts := tinyOpts()
+	opts.Repeats = 1
+	res := Table5(NewHarness(opts))
+	if res.ReachedSyz == 0 || res.ReachedSnow == 0 {
+		t.Fatalf("targets reached: SyzDirect %d, Snowplow-D %d; want both > 0", res.ReachedSyz, res.ReachedSnow)
+	}
+	var buf bytes.Buffer
+	res.Render(&buf)
+	if !strings.Contains(buf.String(), "targets reached") {
+		t.Fatalf("render missing the reach line:\n%s", buf.String())
+	}
+}
+
 func TestTruncate(t *testing.T) {
 	if truncate("abc", 10) != "abc" {
 		t.Fatal("short string truncated")

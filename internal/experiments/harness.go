@@ -265,7 +265,7 @@ func (h *Harness) Server(version string) *serve.Server {
 }
 
 // ServerOpts builds an inference server with explicit serving options
-// (fault models, deadlines, retry budgets). Workers defaults to the
+// (fault models, pool, batch and queue sizes). Workers defaults to the
 // harness's pool size. The caller must Close it.
 func (h *Harness) ServerOpts(version string, opts serve.Options) *serve.Server {
 	m, _ := h.Model()

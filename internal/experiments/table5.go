@@ -179,7 +179,11 @@ func Table5(h *Harness) Table5Result {
 	return res
 }
 
-func (h *Harness) runDirected(target kernel.BlockID, srv *serve.Server, repeats int) DirectedScore {
+// runDirected runs repeats directed campaigns on target: Snowplow-D with a
+// server, SyzDirect with a nil one. srv is an interface so that the
+// SyzDirect arm's nil reaches directed.Config.Server as a true nil, not as
+// a typed-nil *serve.Server that the runner would query.
+func (h *Harness) runDirected(target kernel.BlockID, srv serve.Inferrer, repeats int) DirectedScore {
 	k := h.Kernel("6.8")
 	an := h.Analysis("6.8")
 	var score DirectedScore

@@ -46,9 +46,7 @@ type TenantScenario struct {
 	// BatchFill is the shared server's batch occupancy (AvgBatchSize /
 	// BatchSize).
 	BatchFill float64
-	// Shed counts the shared server's admission sheds (zero without an
-	// SLO); Refused counts submissions either side refused at admission.
-	Shed    int64
+	// Refused counts submissions either side refused at admission.
 	Refused int64
 }
 
@@ -123,19 +121,11 @@ func driveTenants(infs []serve.Inferrer, q serve.Query, window time.Duration) (c
 // sharedPlatform builds the consolidated server for n campaigns and returns
 // its tenant handles.
 func sharedPlatform(h *Harness, n int) (*serve.Server, []serve.Inferrer) {
-	opts := serve.Options{
+	srv := h.ServerOpts("6.8", serve.Options{
 		Workers:   min(n, 4),
 		BatchSize: 8,
 		QueueSize: 256,
-	}
-	if n > 1 {
-		// A generous SLO arms queue-wait tracking (for the wait column)
-		// without ever shedding a healthy benchmark run. The single-campaign
-		// scenario stays on the PR-7-default untracked path, since it is the
-		// regression guard for exactly that configuration.
-		opts.SLOQueueWait = time.Hour
-	}
-	srv := h.ServerOpts("6.8", opts)
+	})
 	infs := make([]serve.Inferrer, n)
 	for i := range infs {
 		t, err := srv.Tenant(serve.TenantConfig{Name: fmt.Sprintf("t%d", i)})
@@ -212,9 +202,7 @@ func Tenants(h *Harness) TenantsResult {
 					sharedCounts[i] += c
 				}
 			}
-			st := shared.Stats()
-			sc.Shed += st.Shed
-			sc.BatchFill += st.BatchFill / rounds
+			sc.BatchFill += shared.Stats().BatchFill / rounds
 			for _, ts := range shared.TenantStats() {
 				if ts.MeanQueueWait > sc.MaxMeanQueueWait {
 					sc.MaxMeanQueueWait = ts.MeanQueueWait

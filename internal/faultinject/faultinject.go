@@ -32,13 +32,15 @@ type Fault int
 const (
 	// FaultNone leaves the attempt untouched.
 	FaultNone Fault = iota
-	// FaultDrop loses the reply: the caller observes its per-query
-	// deadline expiring with no answer.
+	// FaultDrop loses the reply: the attempt fails as if its deadline had
+	// expired with no answer (serve's ErrDeadline), without the wait.
 	FaultDrop
 	// FaultTransient fails the attempt immediately with a retryable error
 	// (the serving analogue of a connection reset or 503).
 	FaultTransient
-	// FaultLatency delays the reply by the model's latency spike.
+	// FaultLatency marks the reply as delayed by the model's latency
+	// spike. serve counts it and does not sleep: simulated time lives in
+	// the fuzzer's budget.
 	FaultLatency
 	// FaultCorrupt lets the attempt succeed but replaces the prediction
 	// with deterministic garbage (out-of-range slots, bogus

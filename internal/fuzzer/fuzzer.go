@@ -10,7 +10,7 @@
 // consumes no fuzzing budget: while a prediction is pending the fuzzer
 // performs its other mutation work, catching up with the PMM-selected
 // argument mutations when the reply arrives. Every query goes through
-// serve's campaign submit path under a key derived from the seed, so host
+// serve's keyed submit path under a key derived from the seed, so host
 // load and injected faults never make a campaign diverge between runs.
 //
 // Campaigns scale across simulated VMs (Config.VMs): each VM worker owns
@@ -653,7 +653,7 @@ func (w *worker) submitQuery(entry *corpus.Entry, st *entryPrediction) {
 	}
 }
 
-// submit sends the entry's query for targets on serve's campaign path under
+// submit sends the entry's query for targets through serve's Submit under
 // the VM's next query key, and counts it. It submits nothing for no
 // targets, and counts a refusal (a closed server) in PMMShed; either way it
 // returns nil and the random fallback covers the base.

@@ -155,16 +155,17 @@ func (m *Mutator) SelectType(r *rng.Rand, p *prog.Prog) Type {
 
 // MutateArgs clones p and re-instantiates the given slots (the instantiator
 // of Figure 1). Slots behind null pointers are materialized first, because
-// choosing them implies making the pointer non-null.
+// choosing them implies making the pointer non-null. Slots outside p are
+// skipped: they come from predictions, which may be corrupt.
 func (m *Mutator) MutateArgs(r *rng.Rand, p *prog.Prog, slots []prog.GlobalSlot) Record {
 	q := p.Clone()
 	for _, gs := range slots {
-		if gs.Call >= len(q.Calls) {
+		if gs.Call < 0 || gs.Call >= len(q.Calls) {
 			continue
 		}
 		call := q.Calls[gs.Call]
 		specSlots := call.Meta.Slots()
-		if gs.Slot >= len(specSlots) {
+		if gs.Slot < 0 || gs.Slot >= len(specSlots) {
 			continue
 		}
 		slot := specSlots[gs.Slot]

@@ -82,6 +82,16 @@ func TestMutateArgsChangesSomething(t *testing.T) {
 	}
 }
 
+func TestMutateArgsSkipsOutOfRangeSlots(t *testing.T) {
+	m := NewMutator(target)
+	p := prog.MustParse(target, "r0 = open(\"./file0\", 0x42, 0x1ff)\n")
+	bad := []prog.GlobalSlot{{Call: -1, Slot: 0}, {Call: 0, Slot: -1}, {Call: 1, Slot: 0}, {Call: 0, Slot: 99}}
+	rec := m.MutateArgs(rng.New(8), p, bad)
+	if rec.Prog.Serialize() != p.Serialize() {
+		t.Fatalf("out-of-range slots changed the program:\n%s", rec.Prog.Serialize())
+	}
+}
+
 func TestMaterializeNullPointerPath(t *testing.T) {
 	m := NewMutator(target)
 	r := rng.New(9)

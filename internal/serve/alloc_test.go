@@ -1,6 +1,6 @@
 // Steady-state allocation budget for the inference hot path. The sync Infer
-// path dispatches inline and recycles attempts, reply bookkeeping and
-// deadline timers through pools, so a cache-hit query should allocate only
+// path dispatches inline and recycles attempts and their reply channels
+// through a pool, so a cache-hit query should allocate only
 // the model's per-query outputs and index lists. The guard test pins the
 // budget to the measured footprint: neither serving features nor the forward
 // may quietly add per-query allocation.

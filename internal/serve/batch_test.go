@@ -75,11 +75,9 @@ func TestBatchedStressWithFaults(t *testing.T) {
 	m := pmm.NewModel(rng.New(2), pmm.DefaultConfig(), pmm.BuildVocab(testKernel))
 	builder := qgraph.NewBuilder(testKernel, testAn).WithCache(32)
 	s := NewServerOpts(m, builder, Options{
-		Workers:    2,
-		BatchSize:  8,
-		Deadline:   2 * time.Second,
-		MaxRetries: 3,
-		Fault:      thirtyPercentFaults(99),
+		Workers:   2,
+		BatchSize: 8,
+		Fault:     thirtyPercentFaults(99),
 	})
 	defer s.Close()
 	q := testQuery(t)

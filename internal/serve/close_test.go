@@ -39,7 +39,7 @@ func TestConcurrentClosersAndSubmitters(t *testing.T) {
 					delivered.Add(1)
 				} else {
 					_, err := s.Infer(q)
-					if err != nil && !errors.Is(err, ErrServerClosed) && !errors.Is(err, ErrQueueFull) {
+					if err != nil && !errors.Is(err, ErrServerClosed) {
 						t.Errorf("Infer: %v", err)
 					}
 					if errors.Is(err, ErrServerClosed) {

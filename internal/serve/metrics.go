@@ -14,9 +14,7 @@ type serveMetrics struct {
 
 	injDropped, injTransient, injLatency, injCorrupt *obs.Counter
 
-	tenantAdmitted      *obs.Counter // queries past admission control, all tenants
-	tenantQuotaRejected *obs.Counter // submissions refused on tenant quota
-	tenantShed          *obs.Counter // background submissions shed on SLO/health
+	tenantAdmitted *obs.Counter // queries past admission control, all tenants
 
 	latency    *obs.Histogram // terminal query latency (queue+inference+retries)
 	batchSize  *obs.Histogram // queries per forward pass
@@ -30,26 +28,24 @@ type serveMetrics struct {
 // nil instruments — the zero-cost disabled path).
 func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	return &serveMetrics{
-		queries:             reg.Counter("serve_queries_total", "queries", "accepted inference queries"),
-		succeeded:           reg.Counter("serve_succeeded_total", "queries", "queries with a delivered prediction"),
-		failed:              reg.Counter("serve_failed_total", "queries", "queries terminally failed (deadline, retries, close)"),
-		rejected:            reg.Counter("serve_rejected_total", "queries", "submissions refused outright (server closed)"),
-		retries:             reg.Counter("serve_retries_total", "attempts", "extra attempts beyond each query's first"),
-		timeouts:            reg.Counter("serve_timeouts_total", "attempts", "attempts that hit the per-attempt deadline"),
-		batches:             reg.Counter("serve_batches_total", "passes", "model forward passes"),
-		batchedQueries:      reg.Counter("serve_batched_queries_total", "queries", "queries served in passes of two or more"),
-		injDropped:          reg.Counter("serve_inj_dropped_total", "faults", "injected dropped replies"),
-		injTransient:        reg.Counter("serve_inj_transient_total", "faults", "injected transient errors"),
-		injLatency:          reg.Counter("serve_inj_latency_total", "faults", "injected latency spikes"),
-		injCorrupt:          reg.Counter("serve_inj_corrupt_total", "faults", "injected corrupt predictions"),
-		tenantAdmitted:      reg.Counter("serve_tenant_admitted_total", "queries", "queries past admission control, all tenants"),
-		tenantQuotaRejected: reg.Counter("serve_tenant_quota_rejected_total", "queries", "submissions refused on tenant quota"),
-		tenantShed:          reg.Counter("serve_tenant_shed_total", "queries", "background submissions shed on SLO/health"),
-		tenantCount:         reg.Gauge("serve_tenant_count", "tenants", "registered tenants"),
-		latency:             reg.Histogram("serve_latency_ns", "ns", "terminal query latency (queue+inference+retries)", obs.LatencyBucketsNs()),
-		batchSize:           reg.Histogram("serve_batch_size", "queries", "queries packed into one union-graph forward pass", obs.SizeBuckets()),
-		queueWait:           reg.Histogram("serve_queue_wait_ns", "ns", "attempt wait in the worker queue", obs.LatencyBucketsNs()),
-		queueDepth:          reg.Gauge("serve_queue_depth", "attempts", "queued attempts at last worker pickup"),
+		queries:        reg.Counter("serve_queries_total", "queries", "accepted inference queries"),
+		succeeded:      reg.Counter("serve_succeeded_total", "queries", "queries with a delivered prediction"),
+		failed:         reg.Counter("serve_failed_total", "queries", "queries terminally failed (retries exhausted, close)"),
+		rejected:       reg.Counter("serve_rejected_total", "queries", "submissions refused outright (server closed)"),
+		retries:        reg.Counter("serve_retries_total", "attempts", "extra attempts beyond each query's first"),
+		timeouts:       reg.Counter("serve_timeouts_total", "attempts", "attempts whose reply was lost (injected drops)"),
+		batches:        reg.Counter("serve_batches_total", "passes", "model forward passes"),
+		batchedQueries: reg.Counter("serve_batched_queries_total", "queries", "queries served in passes of two or more"),
+		injDropped:     reg.Counter("serve_inj_dropped_total", "faults", "injected dropped replies"),
+		injTransient:   reg.Counter("serve_inj_transient_total", "faults", "injected transient errors"),
+		injLatency:     reg.Counter("serve_inj_latency_total", "faults", "injected latency spikes"),
+		injCorrupt:     reg.Counter("serve_inj_corrupt_total", "faults", "injected corrupt predictions"),
+		tenantAdmitted: reg.Counter("serve_tenant_admitted_total", "queries", "queries past admission control, all tenants"),
+		tenantCount:    reg.Gauge("serve_tenant_count", "tenants", "registered tenants"),
+		latency:        reg.Histogram("serve_latency_ns", "ns", "terminal query latency (queue+inference+retries)", obs.LatencyBucketsNs()),
+		batchSize:      reg.Histogram("serve_batch_size", "queries", "queries packed into one union-graph forward pass", obs.SizeBuckets()),
+		queueWait:      reg.Histogram("serve_queue_wait_ns", "ns", "attempt wait in the worker queue", obs.LatencyBucketsNs()),
+		queueDepth:     reg.Gauge("serve_queue_depth", "attempts", "queued attempts at last worker pickup"),
 	}
 }
 

@@ -48,7 +48,7 @@ func TestCloseThenInferAsyncReturnsSentinel(t *testing.T) {
 func TestStressWithFaults(t *testing.T) {
 	s := newTestServerOpts(t, Options{
 		Workers:   4,
-		QueueSize: 2, // tiny queue: exercise the queue-full retry path
+		QueueSize: 2, // tiny queue: exercise the wait for queue room
 		Fault:     thirtyPercentFaults(42),
 	})
 	defer s.Close()
@@ -168,12 +168,11 @@ func TestConcurrentClose(t *testing.T) {
 }
 
 func TestRetryRecoversFromTransientFaults(t *testing.T) {
-	// 50% transient failures per attempt; with 3 retries a query fails
-	// only if four consecutive attempts fail (~6%).
+	// 50% transient failures per attempt; with maxRetries (2) retries a
+	// query fails only if three consecutive attempts fail (1 in 8).
 	s := newTestServerOpts(t, Options{
-		Workers:    2,
-		MaxRetries: 3,
-		Fault:      &faultinject.Model{Seed: 17, TransientProb: 0.5},
+		Workers: 2,
+		Fault:   &faultinject.Model{Seed: 17, TransientProb: 0.5},
 	})
 	defer s.Close()
 	q := testQuery(t)
@@ -192,19 +191,22 @@ func TestRetryRecoversFromTransientFaults(t *testing.T) {
 	}
 }
 
+// TestNoRetriesFailsFast pins the retry bound: under a fully transient
+// model a query fails after exactly maxRetries extra attempts, with no wait
+// between them, and never reaches a worker.
 func TestNoRetriesFailsFast(t *testing.T) {
 	s := newTestServerOpts(t, Options{
-		Workers:    1,
-		MaxRetries: -1, // no retries
-		Fault:      &faultinject.Model{Seed: 1, TransientProb: 1},
+		Workers: 1,
+		Fault:   &faultinject.Model{Seed: 1, TransientProb: 1},
 	})
 	defer s.Close()
 	if _, err := s.Infer(testQuery(t)); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 	st := s.Stats()
-	if st.Retries != 0 {
-		t.Fatalf("retried %d times with retries disabled", st.Retries)
+	if st.Retries != maxRetries || st.InjTransient != maxRetries+1 {
+		t.Fatalf("retries %d, transient faults %d; want %d and %d",
+			st.Retries, st.InjTransient, maxRetries, maxRetries+1)
 	}
 	if st.Served != 0 {
 		t.Fatal("a fully-transient model must never reach the workers")
@@ -223,79 +225,6 @@ func TestDroppedRepliesCountTimeouts(t *testing.T) {
 	st := s.Stats()
 	if st.Timeouts == 0 || st.InjDropped == 0 {
 		t.Fatalf("drop faults not accounted: %+v", st)
-	}
-}
-
-func TestDeadlineFires(t *testing.T) {
-	s := newTestServerOpts(t, Options{
-		Workers:    1,
-		Deadline:   time.Nanosecond,
-		MaxRetries: -1,
-	})
-	defer s.Close()
-	q := testQuery(t)
-	sawDeadline := false
-	for i := 0; i < 50 && !sawDeadline; i++ {
-		if _, err := s.Infer(q); errors.Is(err, ErrDeadline) {
-			sawDeadline = true
-		}
-	}
-	if !sawDeadline {
-		t.Fatal("1ns deadline never fired over 50 queries")
-	}
-	if s.Stats().Timeouts == 0 {
-		t.Fatal("timeouts not counted")
-	}
-}
-
-// flakyInjector is an injectable hook whose failure mode can be toggled at
-// runtime — the recovery story a static model cannot express.
-type flakyInjector struct {
-	broken atomic.Bool
-}
-
-func (f *flakyInjector) Plan(query uint64, attempt int) faultinject.Decision {
-	if f.broken.Load() {
-		return faultinject.Decision{Fault: faultinject.FaultTransient}
-	}
-	return faultinject.Decision{}
-}
-
-func TestHealthTracksOutageAndRecovery(t *testing.T) {
-	inj := &flakyInjector{}
-	s := newTestServerOpts(t, Options{
-		Workers:          2,
-		MaxRetries:       -1,
-		BackoffBase:      time.Microsecond,
-		Fault:            inj,
-		HealthWindow:     32,
-		HealthMinSamples: 8,
-	})
-	defer s.Close()
-	q := testQuery(t)
-
-	if !s.Healthy() {
-		t.Fatal("fresh server must report healthy")
-	}
-	inj.broken.Store(true)
-	for i := 0; i < 16; i++ {
-		s.Infer(q)
-	}
-	if s.Healthy() {
-		t.Fatalf("server healthy after total outage (error rate %.2f)", s.ErrorRate())
-	}
-	inj.broken.Store(false)
-	for i := 0; i < 32; i++ {
-		if _, err := s.Infer(q); err != nil {
-			t.Fatalf("healthy query failed: %v", err)
-		}
-	}
-	if !s.Healthy() {
-		t.Fatalf("server still unhealthy after recovery (error rate %.2f)", s.ErrorRate())
-	}
-	st := s.Stats()
-	if st.ErrorRate != 0 {
-		t.Fatalf("error rate %.2f after a full healthy window", st.ErrorRate)
 	}
 }
 
@@ -341,28 +270,23 @@ func TestServingDeterministicUnderFaults(t *testing.T) {
 	}
 }
 
-// TestSubmitIgnoresWallClock pins the campaign submit path on a server
-// whose service path would time out, fill its one-slot queue, over-run a
-// quota of one, shed on its SLO and sleep an hour per latency fault:
-// Submit accepts every query, delivers every reply, records nothing into
-// health, and each query's fate is a function of its key alone, whatever
-// order the keys arrive in.
+// TestSubmitIgnoresWallClock pins the keyed submit path on a server with a
+// one-slot queue and hour-long latency faults: Submit accepts every query,
+// delivers every reply without sleeping, and each query's fate is a
+// function of its key alone, whatever order the keys arrive in.
 func TestSubmitIgnoresWallClock(t *testing.T) {
 	const n = 48
 	run := func(reverse bool) []Prediction {
 		s := newTestServerOpts(t, Options{
-			Workers:      1,
-			QueueSize:    1,
-			Deadline:     time.Nanosecond,
-			SLOQueueWait: time.Nanosecond,
-			MaxRetries:   1,
+			Workers:   1,
+			QueueSize: 1,
 			Fault: &faultinject.Model{
-				Seed: 3, DropProb: 0.2, TransientProb: 0.2, CorruptProb: 0.1,
+				Seed: 3, DropProb: 0.3, TransientProb: 0.3, CorruptProb: 0.1,
 				LatencyProb: 0.5, LatencySpike: time.Hour,
 			},
 		})
 		defer s.Close()
-		tn, err := s.Tenant(TenantConfig{Name: "campaign", Quota: 1})
+		tn, err := s.Tenant(TenantConfig{Name: "campaign"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,8 +306,8 @@ func TestSubmitIgnoresWallClock(t *testing.T) {
 			out[k] = <-r
 		}
 		st := s.Stats()
-		if st.Queries != n || st.QuotaRejected != 0 || st.Shed != 0 || st.ErrorRate != 0 {
-			t.Fatalf("campaign traffic met admission or health: %+v", st)
+		if st.Queries != n || st.Rejected != 0 {
+			t.Fatalf("keyed traffic refused: %+v", st)
 		}
 		if st.InjLatency == 0 {
 			t.Fatal("no latency fault planned; the no-sleep check is vacuous")
@@ -404,5 +328,52 @@ func TestSubmitIgnoresWallClock(t *testing.T) {
 	}
 	if failed == 0 || failed == n {
 		t.Fatalf("%d of %d keyed queries failed; want a mix", failed, n)
+	}
+}
+
+// TestInferAsyncWaitsForQueueRoom floods a one-worker server with a
+// one-slot queue from 16 goroutines with 8 queries in flight each: every
+// query waits for room instead of failing, none is retried, and every reply
+// equals the unloaded one.
+func TestInferAsyncWaitsForQueueRoom(t *testing.T) {
+	s := newTestServerOpts(t, Options{Workers: 1, QueueSize: 1})
+	defer s.Close()
+	q := testQuery(t)
+	want, err := s.Infer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, perG = 16, 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies := make([]<-chan Prediction, 0, perG)
+			for i := 0; i < perG; i++ {
+				r, err := s.InferAsync(q)
+				if err != nil {
+					t.Errorf("InferAsync: %v", err)
+					return
+				}
+				replies = append(replies, r)
+			}
+			for _, r := range replies {
+				p := <-r
+				if p.Err != nil {
+					t.Errorf("loaded query failed: %v", p.Err)
+					continue
+				}
+				if !reflect.DeepEqual(p.Slots, want.Slots) || !reflect.DeepEqual(p.Probs, want.Probs) {
+					t.Errorf("loaded reply differs from the unloaded one")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Queries != goroutines*perG+1 || st.Failed != 0 || st.Retries != 0 {
+		t.Fatalf("queries %d, failed %d, retries %d; want %d, 0, 0",
+			st.Queries, st.Failed, st.Retries, goroutines*perG+1)
 	}
 }

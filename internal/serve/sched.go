@@ -53,8 +53,8 @@ func (r *attemptRing) pop() *attempt {
 
 // sched is the shared scheduler state. One mutex guards tenant
 // registration, every queue ring and the DRR cursors; workers block on cond
-// when all queues are empty, and campaign submitters block on space when
-// their ring is full.
+// when all queues are empty, and submitters block on space when their ring
+// is full.
 type sched struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -113,16 +113,12 @@ func (sc *sched) snapshotTenants() []*tenant {
 
 // enqueue queues one attempt on its tenant's band ring. The caller has
 // already passed admission; this enforces only the per-tenant queue bound:
-// a full ring fails with ErrQueueFull, or with wait set blocks until a pop
-// makes room (or the scheduler closes).
-func (sc *sched) enqueue(at *attempt, wait bool) error {
+// on a full ring it blocks until a pop makes room, or fails with
+// ErrServerClosed once the scheduler closes.
+func (sc *sched) enqueue(at *attempt) error {
 	sc.mu.Lock()
 	r := &at.t.q[at.prio]
 	for !sc.closed && r.full() {
-		if !wait {
-			sc.mu.Unlock()
-			return ErrQueueFull
-		}
 		sc.space.Wait()
 	}
 	if sc.closed {

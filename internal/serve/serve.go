@@ -4,23 +4,23 @@
 // and the server tracks the §5.5 performance characteristics (throughput at
 // saturation, mean latency).
 //
-// Since PR 8 the server is a multi-tenant platform: many campaigns share
-// one model, one graph-encoding cache and one set of tensor arenas, with
-// per-tenant queues scheduled by deterministic deficit round-robin under
-// strict priority classes (tenant.go, sched.go), per-tenant quotas and
-// SLO-aware shedding at admission, all served by one fixed pool of
-// Options.Workers goroutines. The single-campaign API is unchanged — a
-// Server routes Infer/InferAsync through an implicit default tenant whose
-// behavior is bit-identical to the pre-tenancy server.
+// The server is a multi-tenant platform: many campaigns share one model,
+// one graph-encoding cache and one set of tensor arenas, with per-tenant
+// queues scheduled by deterministic deficit round-robin under strict
+// priority classes (tenant.go, sched.go), all served by one fixed pool of
+// Options.Workers goroutines. A Server routes its own calls through an
+// implicit default tenant.
 //
-// Unlike a lab-bench server, this one has a failure story. Every query gets
-// a bounded retry budget, and a fault-injection hook (internal/faultinject)
-// can lose, delay, fail, or corrupt attempts. Service traffic
-// (Infer/InferAsync) also gets a per-attempt deadline, a bounded queue,
-// seeded exponential backoff and a rolling health tracker; campaign traffic
-// (Submit) gets none of these wall-clock parts. Each accepted query
-// delivers exactly one Prediction on its reply channel; a failed query
-// delivers one with Err set.
+// There is one admission path and no wall clock on it. Every query is keyed
+// (Submit by its caller, Infer and InferAsync by the server's arrival
+// counter), is refused only by a closed server, and waits for room in its
+// tenant's bounded queue instead of failing. A fault-injection hook
+// (internal/faultinject) plans by key whether each attempt is lost, failed,
+// delayed or corrupted; a failed attempt is retried at once, up to
+// maxRetries times, and an injected delay is counted, never slept. So a
+// query's reply is a function of its key, whatever the host load. Each
+// accepted query delivers exactly one Prediction; a failed query delivers
+// one with Err set.
 package serve
 
 import (
@@ -56,8 +56,8 @@ type Query struct {
 
 // Prediction is the model's localization answer. Exactly one Prediction is
 // delivered per accepted query; Err is non-nil when the query failed after
-// exhausting its deadline/retry budget, in which case the caller should fall
-// back to random localization, as Snowplow does when PMM cannot keep up.
+// exhausting its retry budget, in which case the caller should fall back to
+// random localization, as Snowplow does when PMM cannot keep up.
 type Prediction struct {
 	// Slots are the argument slots predicted MUTATE.
 	Slots []prog.GlobalSlot
@@ -76,8 +76,9 @@ type Prediction struct {
 
 // Stats reports serving performance (§5.5) and the failure-model counters.
 type Stats struct {
-	// Served counts worker-completed inference attempts (it can exceed
-	// Succeeded: an attempt whose waiter already timed out still ran).
+	// Served counts worker-completed inference attempts. It exceeds
+	// Succeeded only across Close, when a worker finishes an attempt whose
+	// query already failed with ErrServerClosed.
 	Served int64
 	// Rejected counts submissions refused outright (server closed).
 	Rejected int64
@@ -87,13 +88,14 @@ type Stats struct {
 	Queries   int64
 	Succeeded int64
 	Failed    int64
-	// QuotaRejected and Shed count admission-control refusals: tenant
-	// quota overruns and SLO/health sheds of background-class queries.
+	// QuotaRejected and Shed are always 0: the server has no tenant quota
+	// and sheds nothing. They remain for readers that still sum them.
 	QuotaRejected int64
 	Shed          int64
 	// Retries counts extra attempts beyond each query's first.
 	Retries int64
-	// Timeouts counts attempts that hit the per-query deadline.
+	// Timeouts counts attempts whose reply was lost (injected drops,
+	// failing with ErrDeadline).
 	Timeouts int64
 	// Batches counts model forward passes; with micro-batching enabled one
 	// pass can serve many queries. BatchedQueries counts queries served in
@@ -127,26 +129,22 @@ type Stats struct {
 	MeanLatency time.Duration
 	// Throughput is succeeded queries per second over the serving lifetime.
 	Throughput float64
-	// ErrorRate is the failure fraction over the rolling health window.
-	ErrorRate float64
-	// Healthy mirrors Server.Healthy at snapshot time.
-	Healthy bool
 	// TenantCount reports the registered-tenant count.
 	TenantCount int
 }
 
 // Sentinel errors. ErrServerClosed is returned (or delivered via
 // Prediction.Err) for queries submitted to, or in flight across, Close.
-// ErrQuotaExceeded and ErrShed are admission refusals: the query was never
-// accepted, no Prediction is owed, and neither counts against health.
+// ErrDeadline (a lost reply) and ErrUnavailable (a failed attempt) are the
+// terminal error of a query whose every attempt met an injected fault.
 var (
-	ErrServerClosed  = errors.New("serve: server closed")
-	ErrDeadline      = errors.New("serve: deadline exceeded")
-	ErrQueueFull     = errors.New("serve: queue full")
-	ErrUnavailable   = errors.New("serve: unavailable after retries")
-	ErrQuotaExceeded = errors.New("serve: tenant quota exceeded")
-	ErrShed          = errors.New("serve: shed by admission control")
+	ErrServerClosed = errors.New("serve: server closed")
+	ErrDeadline     = errors.New("serve: deadline exceeded")
+	ErrUnavailable  = errors.New("serve: unavailable after retries")
 )
+
+// maxRetries is the number of extra attempts after a query's first.
+const maxRetries = 2
 
 // Options configures a Server. The zero value of any field takes a default.
 type Options struct {
@@ -154,12 +152,6 @@ type Options struct {
 	// for the server's lifetime. Default 1. Pool size never changes
 	// predictions — only how many attempts are in flight at once.
 	Workers int
-	// SLOQueueWait enables SLO-aware shedding: when the smoothed queue
-	// wait exceeds it — or the health tracker reports the server degraded —
-	// background-class submissions are refused with ErrShed at admission.
-	// Directed-class queries are never shed. Zero disables shedding, which
-	// keeps deterministic single-campaign replays byte-identical.
-	SLOQueueWait time.Duration
 	// BatchSize is the micro-batch limit: a worker picking up a query
 	// drains up to BatchSize-1 more already-queued queries — across
 	// tenants, in scheduler order — and serves them all in one union-graph
@@ -168,35 +160,13 @@ type Options struct {
 	// Default 1 (no batching).
 	BatchSize int
 	// QueueSize bounds each tenant's pending-attempt queue (the default
-	// for TenantConfig.QueueSize). Default Workers*8*BatchSize, so a
-	// saturated queue can feed every worker full batches.
+	// for TenantConfig.QueueSize); a submitter facing a full queue waits
+	// for room. Default Workers*8*BatchSize, so a saturated queue can feed
+	// every worker full batches.
 	QueueSize int
-	// Deadline bounds one service attempt's queue+inference wait (Submit
-	// has none). Default 5s.
-	Deadline time.Duration
-	// MaxRetries is the number of extra attempts after the first.
-	// Default 2; pass a negative value for no retries.
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// service attempts (Submit retries at once): attempt k waits
-	// Base<<(k-1) plus seeded jitter in [0, Base), capped at Max. Defaults
-	// 1ms / 100ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BackoffSeed seeds the retry jitter (per query sequence number, not
-	// wall clock), keeping retry schedules reproducible. Default 0x5eed.
-	BackoffSeed uint64
 	// Fault, when non-nil, is consulted once per attempt to inject
 	// failures (see internal/faultinject). Nil serves faithfully.
 	Fault faultinject.Injector
-	// HealthWindow is the rolling-outcome window size. Default 64.
-	HealthWindow int
-	// HealthMinSamples is how many outcomes must be observed before the
-	// server can report unhealthy. Default 16.
-	HealthMinSamples int
-	// UnhealthyAt is the window error rate at or above which the server
-	// reports unhealthy. Default 0.5.
-	UnhealthyAt float64
 	// Metrics, when non-nil, receives the serving instrument bundle plus
 	// pull-model gauges over the graph cache, tensor pool and inference
 	// kernels (see OBSERVABILITY.md). Nil disables metrics at zero
@@ -230,47 +200,20 @@ func (o Options) withDefaults() Options {
 	if o.QueueSize <= 0 {
 		o.QueueSize = o.Workers * 8 * o.BatchSize
 	}
-	if o.Deadline <= 0 {
-		o.Deadline = 5 * time.Second
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	} else if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 100 * time.Millisecond
-	}
-	if o.BackoffSeed == 0 {
-		o.BackoffSeed = 0x5eed
-	}
-	if o.HealthWindow <= 0 {
-		o.HealthWindow = 64
-	}
-	if o.HealthMinSamples <= 0 {
-		o.HealthMinSamples = 16
-	}
-	if o.UnhealthyAt <= 0 {
-		o.UnhealthyAt = 0.5
-	}
 	return o
 }
 
 // attempt is one unit of worker-pool work. done is buffered so the worker
-// never blocks on a waiter that already gave up (deadline or close).
-// Attempts are pooled (attemptPool): a dispatcher that receives the result
-// resets and recycles the struct and its channel; an abandoned attempt is
-// left to the garbage collector, since the worker may still deliver into it.
+// never blocks on a waiter that already gave up (on close). Attempts are
+// pooled (attemptPool): a dispatcher that receives the result resets and
+// recycles the struct and its channel; an abandoned attempt is left to the
+// garbage collector, since the worker may still deliver into it.
 type attempt struct {
 	q    Query
 	t    *tenant
 	prio Priority
 	done chan attemptResult
-	// enq is the enqueue instant for the queue-wait histogram and the SLO
-	// tracker; zero when both are disabled (time.Now is skipped entirely).
+	// enq is the enqueue instant, for the queue-wait accounting.
 	enq time.Time
 }
 
@@ -293,30 +236,6 @@ var attemptPool = sync.Pool{New: func() any {
 	return &attempt{done: make(chan attemptResult, 1)}
 }}
 
-// timerPool recycles deadline/backoff timers. A timer is recycled only by
-// the goroutine that owns its channel, after Stop-and-drain (or after its
-// fire was consumed), so Reset on reuse is race-free.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if v := timerPool.Get(); v != nil {
-		t := v.(*time.Timer)
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
 // modelSlot pairs a serving-ready model with its hot-swap generation. The
 // server publishes exactly one slot at a time behind an atomic pointer:
 // workers load it once per forward pass, so every batch — and therefore
@@ -328,8 +247,8 @@ type modelSlot struct {
 }
 
 // Server runs a worker pool over a frozen model, fronted by per-query
-// dispatchers that own deadlines, retries, and fault injection, and a
-// cross-tenant scheduler that owns who is served next.
+// dispatchers that own retries and fault injection, and a cross-tenant
+// scheduler that owns who is served next.
 type Server struct {
 	model   atomic.Pointer[modelSlot]
 	builder *qgraph.Builder
@@ -341,26 +260,18 @@ type Server struct {
 	queryWG  sync.WaitGroup
 	closeCh  chan struct{}
 	started  time.Time
-	seq      atomic.Uint64
+	// seq is the arrival counter that keys Infer/InferAsync queries.
+	seq atomic.Uint64
 
 	mu     sync.Mutex
 	closed bool
 
-	health *healthTracker
-
-	// ewmaWaitNs smooths observed queue waits for SLO shedding; sloOn
-	// gates the time.Now calls it needs.
-	ewmaWaitNs atomic.Int64
-	sloOn      bool
-
 	// m holds the obs instruments (nil-safe fields when Options.Metrics
-	// is nil); obsOn gates the time.Now calls metrics need.
-	m     *serveMetrics
-	obsOn bool
+	// is nil).
+	m *serveMetrics
 
 	served, rejected           atomic.Int64
 	queries, succeeded, failed atomic.Int64
-	quotaRejected, shed        atomic.Int64
 	retries, timeouts          atomic.Int64
 	batches, batchedQueries    atomic.Int64
 	injDropped, injTransient   atomic.Int64
@@ -369,8 +280,8 @@ type Server struct {
 }
 
 // NewServer creates and starts a server with the given number of worker
-// goroutines and default robustness options. The model is frozen for
-// concurrent inference.
+// goroutines and default options. The model is frozen for concurrent
+// inference.
 func NewServer(model *pmm.Model, builder *qgraph.Builder, workers int) *Server {
 	return NewServerOpts(model, builder, Options{Workers: workers})
 }
@@ -392,22 +303,15 @@ func NewServerOpts(model *pmm.Model, builder *qgraph.Builder, opts Options) *Ser
 		sched:   newSched(),
 		closeCh: make(chan struct{}),
 		started: time.Now(),
-		health:  newHealthTracker(opts.HealthWindow),
-		sloOn:   opts.SLOQueueWait > 0,
 		m:       newServeMetrics(opts.Metrics),
-		obsOn:   opts.Metrics != nil,
 	}
 	s.model.Store(&modelSlot{m: model})
 	if opts.Metrics != nil {
 		s.registerPullGauges(opts.Metrics)
 	}
-	// The default tenant carries the pre-tenancy contract: weight 1,
-	// background class, and no quota (admission bounded only by the
-	// retryable queue, exactly as before multi-tenancy).
 	def, err := s.sched.register(TenantConfig{
 		Name:      "default",
 		Weight:    1,
-		Quota:     int(^uint(0) >> 1),
 		QueueSize: opts.QueueSize,
 	}, s)
 	if err != nil {
@@ -519,29 +423,16 @@ func (s *Server) workerLoop() {
 // and queue waits to the owning tenants.
 func (s *Server) serveBatch(batch []*attempt, gs *[]*qgraph.Graph) {
 	cached := s.builder.Cache != nil
-	if s.obsOn || s.sloOn {
-		now := time.Now()
-		for _, at := range batch {
-			if at.enq.IsZero() {
-				continue
-			}
-			wait := now.Sub(at.enq).Nanoseconds()
-			if s.obsOn {
-				s.m.queueWait.Observe(wait)
-			}
-			at.t.queueWaitNs.Add(wait)
-			at.t.queueWaited.Add(1)
-			if s.sloOn {
-				// Racy read-modify-write is fine: the EWMA is an
-				// approximate load signal, not an accounting counter.
-				old := s.ewmaWaitNs.Load()
-				s.ewmaWaitNs.Store(old + (wait-old)/8)
-			}
-		}
-		if s.obsOn {
-			s.m.queueDepth.Set(int64(s.sched.depth()))
-			s.m.batchSize.Observe(int64(len(batch)))
-		}
+	now := time.Now()
+	for _, at := range batch {
+		wait := now.Sub(at.enq).Nanoseconds()
+		s.m.queueWait.Observe(wait)
+		at.t.queueWaitNs.Add(wait)
+		at.t.queueWaited.Add(1)
+	}
+	if s.opts.Metrics != nil {
+		s.m.queueDepth.Set(int64(s.sched.depth()))
+		s.m.batchSize.Observe(int64(len(batch)))
 	}
 	g := (*gs)[:0]
 	for _, at := range batch {
@@ -597,12 +488,9 @@ func effectivePriority(t *tenant, q Query) Priority {
 	return p
 }
 
-// accept is admission control: it refuses on a closed server and, for
-// service traffic, on a tenant over quota or (background class, SLO
-// configured) degraded serving, and otherwise registers the query as in
-// flight. Refusals are immediate errors — no Prediction is owed — and none
-// count against health: they are load control, not serving failure.
-func (s *Server) accept(t *tenant, prio Priority, campaign bool) error {
+// accept is admission: it refuses only on a closed server (no Prediction is
+// owed) and otherwise registers the query as in flight.
+func (s *Server) accept(t *tenant) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -611,22 +499,6 @@ func (s *Server) accept(t *tenant, prio Priority, campaign bool) error {
 		t.rejected.Add(1)
 		return ErrServerClosed
 	}
-	if !campaign && t.pending.Load() >= int64(t.cfg.Quota) {
-		s.mu.Unlock()
-		s.quotaRejected.Add(1)
-		s.m.tenantQuotaRejected.Inc()
-		t.quotaRejected.Add(1)
-		return ErrQuotaExceeded
-	}
-	if !campaign && s.sloOn && prio == PriorityBackground &&
-		(time.Duration(s.ewmaWaitNs.Load()) > s.opts.SLOQueueWait || !s.Healthy()) {
-		s.mu.Unlock()
-		s.shed.Add(1)
-		s.m.tenantShed.Inc()
-		t.shed.Add(1)
-		return ErrShed
-	}
-	t.pending.Add(1)
 	s.queryWG.Add(1)
 	s.mu.Unlock()
 	s.queries.Add(1)
@@ -636,65 +508,54 @@ func (s *Server) accept(t *tenant, prio Priority, campaign bool) error {
 	return nil
 }
 
-// InferAsync submits a query and returns a channel delivering exactly one
-// prediction (with Err set on terminal failure). The error is non-nil only
-// if the query is refused at admission (closed, over quota, or shed).
-func (s *Server) InferAsync(q Query) (<-chan Prediction, error) {
-	return s.inferAsync(s.def, q, false, 0)
-}
-
-// Submit is the campaign submit path: InferAsync without the wall clock,
-// because a campaign reads each reply only at its next epoch barrier. It
-// refuses only on a closed server (no quota, SLO or health shed), waits
-// for queue space instead of failing with ErrQueueFull, arms no deadline,
-// never sleeps, records nothing into health, and plans faults by key: the
-// same query under the same key gets the same reply on any host.
+// Submit submits a query and returns a channel delivering exactly one
+// prediction (with Err set on terminal failure). Faults are planned by key:
+// the same query under the same key gets the same reply on any host, in any
+// arrival order. A campaign keys its queries by seed, VM and query count,
+// and reads each reply only at its next epoch barrier. The error is non-nil
+// only if the server is closed.
 func (s *Server) Submit(q Query, key uint64) (<-chan Prediction, error) {
-	return s.inferAsync(s.def, q, true, key)
+	return s.submit(s.def, q, key)
 }
 
-// Infer submits a query and blocks for the prediction, applying the same
-// deadline/retry/fault machinery as InferAsync.
+// InferAsync is Submit keyed by the server's arrival counter.
+func (s *Server) InferAsync(q Query) (<-chan Prediction, error) {
+	return s.submit(s.def, q, s.seq.Add(1)-1)
+}
+
+// Infer is the blocking form of InferAsync.
 func (s *Server) Infer(q Query) (Prediction, error) {
 	return s.infer(s.def, q)
 }
 
-// inferAsync submits service traffic (faults planned on the arrival
-// sequence, key ignored) or campaign traffic (see Submit).
-func (s *Server) inferAsync(t *tenant, q Query, campaign bool, key uint64) (<-chan Prediction, error) {
-	prio := effectivePriority(t, q)
-	if err := s.accept(t, prio, campaign); err != nil {
+func (s *Server) submit(t *tenant, q Query, key uint64) (<-chan Prediction, error) {
+	if err := s.accept(t); err != nil {
 		return nil, err
-	}
-	if !campaign {
-		key = s.seq.Add(1) - 1
 	}
 	reply := make(chan Prediction, 1)
 	go func() {
-		reply <- s.dispatch(t, q, prio, key, campaign)
+		reply <- s.dispatch(t, q, key)
 	}()
 	return reply, nil
 }
 
 func (s *Server) infer(t *tenant, q Query) (Prediction, error) {
-	prio := effectivePriority(t, q)
-	if err := s.accept(t, prio, false); err != nil {
+	if err := s.accept(t); err != nil {
 		return Prediction{}, err
 	}
-	seq := s.seq.Add(1) - 1
 	// The blocking path dispatches inline: no goroutine, no reply channel.
-	p := s.dispatch(t, q, prio, seq, false)
+	p := s.dispatch(t, q, s.seq.Add(1)-1)
 	if p.Err != nil {
 		return Prediction{}, p.Err
 	}
 	return p, nil
 }
 
-// dispatch owns one accepted query end to end: it plans faults by seq,
+// dispatch owns one accepted query end to end: it plans faults by key,
 // enqueues attempts on the scheduler, retries, and returns exactly one
-// terminal Prediction. Service traffic also gets the deadline, seeded
-// backoff sleeps and health tracking; campaign traffic skips every one.
-func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64, campaign bool) Prediction {
+// terminal Prediction.
+func (s *Server) dispatch(t *tenant, q Query, key uint64) Prediction {
+	prio := effectivePriority(t, q)
 	start := time.Now()
 	finish := func(p Prediction) Prediction {
 		p.Latency = time.Since(start)
@@ -709,29 +570,18 @@ func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64, campaig
 			t.succeeded.Add(1)
 		}
 		s.m.latency.Observe(p.Latency.Nanoseconds())
-		// Queue-full is backpressure from the caller, not server
-		// ill-health — counting it would let a hot client talk a healthy
-		// server into degraded mode. Close-time terminations are likewise
-		// not a health signal.
-		if !campaign && !errors.Is(p.Err, ErrQueueFull) && !errors.Is(p.Err, ErrServerClosed) {
-			s.health.record(p.Err == nil)
-		}
-		t.pending.Add(-1)
 		s.queryWG.Done()
 		return p
 	}
 	lastErr := ErrUnavailable
-	for att := 0; att <= s.opts.MaxRetries; att++ {
+	for att := 0; att <= maxRetries; att++ {
 		if att > 0 {
 			s.retries.Add(1)
 			s.m.retries.Inc()
-			if !campaign && !s.sleep(s.backoff(seq, att)) {
-				return finish(Prediction{Err: ErrServerClosed})
-			}
 		}
 		var d faultinject.Decision
 		if s.opts.Fault != nil {
-			d = s.opts.Fault.Plan(seq, att)
+			d = s.opts.Fault.Plan(key, att)
 		}
 		switch d.Fault {
 		case faultinject.FaultTransient:
@@ -740,10 +590,8 @@ func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64, campaig
 			lastErr = ErrUnavailable
 			continue
 		case faultinject.FaultDrop:
-			// The reply is lost and the deadline expires. The wait
-			// itself is not reproduced in wall clock — simulated
-			// time lives in the fuzzer's budget, and sleeping here
-			// would only slow the host and perturb determinism.
+			// The reply is lost. The wait for it is not reproduced in wall
+			// clock: simulated time lives in the fuzzer's budget.
 			s.injDropped.Add(1)
 			s.m.injDropped.Inc()
 			s.timeouts.Add(1)
@@ -751,112 +599,55 @@ func (s *Server) dispatch(t *tenant, q Query, prio Priority, seq uint64, campaig
 			lastErr = ErrDeadline
 			continue
 		case faultinject.FaultLatency:
+			// Counted, never slept, for the same reason.
 			s.injLatency.Add(1)
 			s.m.injLatency.Inc()
-			if !campaign && !s.sleep(d.Latency) {
-				return finish(Prediction{Err: ErrServerClosed})
-			}
 		}
-		res, err := s.runAttempt(t, q, prio, campaign)
+		res, err := s.runAttempt(t, q, prio)
 		if err != nil {
-			if errors.Is(err, ErrServerClosed) {
-				return finish(Prediction{Err: err})
-			}
-			if errors.Is(err, ErrDeadline) {
-				s.timeouts.Add(1)
-				s.m.timeouts.Inc()
-			}
-			lastErr = err
-			continue
+			return finish(Prediction{Err: err})
 		}
 		if d.Fault == faultinject.FaultCorrupt {
 			s.injCorrupt.Add(1)
 			s.m.injCorrupt.Inc()
-			res = corruptResult(seq, q, res)
+			res = corruptResult(key, q, res)
 		}
 		return finish(Prediction{Slots: res.slots, Probs: res.probs, ModelVersion: res.version})
 	}
 	return finish(Prediction{Err: lastErr})
 }
 
-// runAttempt enqueues one attempt on the scheduler and waits for it. For a
-// service attempt the wait has a deadline and a full tenant queue is a
-// retryable failure, as in the paper's deployment where an overloaded
-// replica sheds load; a campaign attempt waits for room and result alike.
-func (s *Server) runAttempt(t *tenant, q Query, prio Priority, campaign bool) (attemptResult, error) {
+// runAttempt enqueues one attempt on the scheduler, waiting for queue room,
+// and waits for its result. It fails only with ErrServerClosed.
+func (s *Server) runAttempt(t *tenant, q Query, prio Priority) (attemptResult, error) {
 	a := attemptPool.Get().(*attempt)
 	a.q = q
 	a.t = t
 	a.prio = prio
-	if s.obsOn || s.sloOn {
-		a.enq = time.Now()
-	}
-	if err := s.sched.enqueue(a, campaign); err != nil {
+	a.enq = time.Now()
+	if err := s.sched.enqueue(a); err != nil {
 		// Never reached a worker: the struct and channel are clean.
 		a.reset()
 		attemptPool.Put(a)
 		return attemptResult{}, err
-	}
-	var deadline <-chan time.Time // nil for a campaign attempt: never fires
-	if !campaign {
-		timer := getTimer(s.opts.Deadline)
-		defer putTimer(timer) // also safe after the fire below was consumed
-		deadline = timer.C
 	}
 	select {
 	case r := <-a.done:
 		a.reset()
 		attemptPool.Put(a)
 		return r, nil
-	case <-deadline:
+	case <-s.closeCh:
 		// The worker may still deliver into a.done; the attempt is
 		// abandoned to the GC rather than recycled.
-		return attemptResult{}, ErrDeadline
-	case <-s.closeCh:
 		return attemptResult{}, ErrServerClosed
-	}
-}
-
-// backoff computes the delay before the att-th attempt of query seq:
-// exponential in the attempt number with jitter drawn from a generator
-// seeded by (BackoffSeed, seq, att) — never from wall clock — so retry
-// schedules are identical across campaign replays.
-func (s *Server) backoff(seq uint64, att int) time.Duration {
-	base := s.opts.BackoffBase
-	d := base << uint(att-1)
-	if d > s.opts.BackoffMax || d <= 0 {
-		d = s.opts.BackoffMax
-	}
-	r := rng.New(s.opts.BackoffSeed ^ (seq+1)*0x9e3779b97f4a7c15 ^ uint64(att)*0xd6e8feb86659fd93)
-	return d + time.Duration(r.Float64()*float64(base))
-}
-
-// sleep waits for d, aborting early (returning false) if the server closes.
-func (s *Server) sleep(d time.Duration) bool {
-	if d <= 0 {
-		select {
-		case <-s.closeCh:
-			return false
-		default:
-			return true
-		}
-	}
-	timer := getTimer(d)
-	select {
-	case <-timer.C:
-		timerPool.Put(timer)
-		return true
-	case <-s.closeCh:
-		putTimer(timer)
-		return false
 	}
 }
 
 // corruptResult deterministically scrambles a prediction: slot references
 // that may point outside the program and probabilities outside [0, 1].
 // Consumers must treat predictions as untrusted input.
-func corruptResult(seq uint64, q Query, res attemptResult) attemptResult {
-	r := rng.New(seq*0xa0761d6478bd642f + 0xbad)
+func corruptResult(key uint64, q Query, res attemptResult) attemptResult {
+	r := rng.New(key*0xa0761d6478bd642f + 0xbad)
 	n := 1 + r.Intn(4)
 	slots := make([]prog.GlobalSlot, n)
 	for i := range slots {
@@ -872,19 +663,6 @@ func corruptResult(seq uint64, q Query, res attemptResult) attemptResult {
 	return attemptResult{slots: slots, probs: probs}
 }
 
-// Healthy reports whether the rolling error rate is below the unhealthy
-// threshold (or too few outcomes have been observed to judge).
-func (s *Server) Healthy() bool {
-	rate, n := s.health.snapshot()
-	return n < s.opts.HealthMinSamples || rate < s.opts.UnhealthyAt
-}
-
-// ErrorRate returns the failure fraction over the rolling health window.
-func (s *Server) ErrorRate() float64 {
-	rate, _ := s.health.snapshot()
-	return rate
-}
-
 // Stats returns a snapshot of serving statistics.
 func (s *Server) Stats() Stats {
 	succeeded := s.succeeded.Load()
@@ -897,7 +675,6 @@ func (s *Server) Stats() Stats {
 	if elapsed > 0 {
 		tput = float64(succeeded) / elapsed
 	}
-	rate, _ := s.health.snapshot()
 	batches := s.batches.Load()
 	var avgBatch float64
 	if batches > 0 {
@@ -919,8 +696,6 @@ func (s *Server) Stats() Stats {
 		Queries:        s.queries.Load(),
 		Succeeded:      succeeded,
 		Failed:         s.failed.Load(),
-		QuotaRejected:  s.quotaRejected.Load(),
-		Shed:           s.shed.Load(),
 		Retries:        s.retries.Load(),
 		Timeouts:       s.timeouts.Load(),
 		Batches:        batches,
@@ -939,8 +714,6 @@ func (s *Server) Stats() Stats {
 		InjCorrupt:     s.injCorrupt.Load(),
 		MeanLatency:    mean,
 		Throughput:     tput,
-		ErrorRate:      rate,
-		Healthy:        s.Healthy(),
 		TenantCount:    s.sched.numTenants(),
 	}
 }
@@ -960,50 +733,10 @@ func (s *Server) Close() {
 	close(s.closeCh)
 	s.mu.Unlock()
 	// Only the first closer reaches this point: close the scheduler, which
-	// wakes the workers to drain out and every Submit waiting for queue
+	// wakes the workers to drain out and every submitter waiting for queue
 	// space to give up, then wait out every accepted query (all abort
 	// promptly on closeCh) and the workers.
 	s.sched.close()
 	s.queryWG.Wait()
 	s.workerWG.Wait()
-}
-
-// healthTracker keeps a rolling window of service-query outcomes: the
-// signal behind Healthy, ErrorRate and SLO shedding at admission.
-type healthTracker struct {
-	mu    sync.Mutex
-	ring  []bool // true = failure
-	n     int    // filled entries
-	idx   int
-	fails int
-}
-
-func newHealthTracker(window int) *healthTracker {
-	return &healthTracker{ring: make([]bool, window)}
-}
-
-func (h *healthTracker) record(ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == len(h.ring) {
-		if h.ring[h.idx] {
-			h.fails--
-		}
-	} else {
-		h.n++
-	}
-	h.ring[h.idx] = !ok
-	if !ok {
-		h.fails++
-	}
-	h.idx = (h.idx + 1) % len(h.ring)
-}
-
-func (h *healthTracker) snapshot() (rate float64, samples int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0, 0
-	}
-	return float64(h.fails) / float64(h.n), h.n
 }

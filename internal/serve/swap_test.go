@@ -68,7 +68,6 @@ func TestSwapAtomicityUnderLoad(t *testing.T) {
 	s := NewServerOpts(models[0], qgraph.NewBuilder(testKernel, testAn), Options{
 		Workers:   4,
 		QueueSize: 256,
-		Deadline:  30 * time.Second,
 	})
 	defer s.Close()
 

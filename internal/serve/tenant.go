@@ -9,28 +9,19 @@ import (
 	"github.com/repro/snowplow/internal/pmm"
 )
 
-// Multi-tenant serving: tenant registration, admission control and the
-// public tenant handle. One Server hosts many tenants — concurrent fuzzing
-// campaigns, directed runners, cluster worker shards — that share the model,
-// the graph-encoding cache and the tensor arenas, while the scheduler
-// (sched.go) divides inference capacity between them by weighted fairness
-// and priority class.
+// Multi-tenant serving: tenant registration and the public tenant handle.
+// One Server hosts many tenants — concurrent fuzzing campaigns, directed
+// runners, cluster worker shards — that share the model, the graph-encoding
+// cache and the tensor arenas, while the scheduler (sched.go) divides
+// inference capacity between them by weighted fairness and priority class.
 //
-// Admission happens at submission time, before a query ever reaches a
-// queue: a closed server refuses with ErrServerClosed. Service traffic
-// (Infer/InferAsync) also meets the tenant's in-flight quota
-// (ErrQuotaExceeded) and, while serving is degraded (the rolling health
-// tracker) or the observed queue wait is over the configured SLO, sheds
-// background-class queries with ErrShed — directed-class queries ride
-// through, as the paper's directed campaigns are latency-sensitive and
-// background snowplow traffic is not. Campaign traffic (Submit) meets only
-// the closed check and is bounded by its tenant's queue ring, on which it
-// waits. None of these refusals count against server health: they are load
-// control, not serving failure.
+// A tenant's submissions take the server's one admission path: refused only
+// by a closed server (ErrServerClosed), and otherwise bounded by the
+// tenant's queue ring, on which the submitter waits. A tenant never fills a
+// neighbor's ring, so a flooding tenant slows only itself at admission.
 
 // Priority classes. Higher values outrank lower ones: the scheduler drains
-// the directed band before the background band, and SLO shedding never
-// touches directed queries.
+// the directed band before the background band.
 type Priority uint8
 
 const (
@@ -62,15 +53,9 @@ type TenantConfig struct {
 	// (weight 2) and B (weight 1) both saturating, A is served two queries
 	// for every one of B's. Default 1, max 1<<20.
 	Weight int
-	// Quota bounds the tenant's in-flight accepted service queries (queued
-	// plus being served plus between retries). Infer/InferAsync calls
-	// beyond it fail immediately with ErrQuotaExceeded; Submit ignores it.
-	// Default 2x the tenant queue size.
-	Quota int
-	// QueueSize bounds the tenant's pending-attempt queue; a full queue is
-	// the retryable ErrQueueFull for service traffic, exactly as the shared
-	// queue was before multi-tenancy, and a wait for Submit. Default: the
-	// server's Options.QueueSize.
+	// QueueSize bounds the tenant's pending-attempt queue; a submitter
+	// facing a full queue waits for room. Default: the server's
+	// Options.QueueSize.
 	QueueSize int
 	// Priority is the tenant's default class, raised per query by an
 	// explicit Query.Priority tag. Default PriorityBackground.
@@ -106,9 +91,6 @@ func (c TenantConfig) Validate() error {
 	if c.Weight < 0 || c.Weight > MaxTenantWeight {
 		return fmt.Errorf("%w: weight %d out of [0, %d]", ErrBadTenantConfig, c.Weight, MaxTenantWeight)
 	}
-	if c.Quota < 0 {
-		return fmt.Errorf("%w: negative quota", ErrBadTenantConfig)
-	}
 	if c.QueueSize < 0 || c.QueueSize > maxTenantQueue {
 		return fmt.Errorf("%w: queue size %d out of [0, %d]", ErrBadTenantConfig, c.QueueSize, maxTenantQueue)
 	}
@@ -126,9 +108,6 @@ func (c TenantConfig) withDefaults(opts Options) TenantConfig {
 	if c.QueueSize == 0 {
 		c.QueueSize = opts.QueueSize
 	}
-	if c.Quota == 0 {
-		c.Quota = 2 * c.QueueSize
-	}
 	return c
 }
 
@@ -143,11 +122,8 @@ type TenantStats struct {
 	Succeeded int64
 	Failed    int64
 	Served    int64
-	// Rejected counts closed-server refusals, QuotaRejected quota
-	// refusals, Shed SLO/health sheds (background class only).
-	Rejected      int64
-	QuotaRejected int64
-	Shed          int64
+	// Rejected counts closed-server refusals.
+	Rejected int64
 	// Batches counts forward passes that included at least one of the
 	// tenant's queries — its share of the pooled nn arena borrows.
 	Batches int64
@@ -156,7 +132,7 @@ type TenantStats struct {
 	CacheHits   int64
 	CacheMisses int64
 	// MeanQueueWait averages the tenant's attempt wait in the scheduler
-	// queue (zero unless metrics or an SLO are enabled).
+	// queue.
 	MeanQueueWait time.Duration
 }
 
@@ -171,32 +147,27 @@ type tenant struct {
 	q [numPriorities]attemptRing
 	// deficit is the DRR deficit counter per band (sched.mu).
 	deficit [numPriorities]int
-	// pending counts in-flight accepted queries, for quota admission.
-	pending atomic.Int64
 
 	queries, served          atomic.Int64
 	succeeded, failed        atomic.Int64
-	rejected, quotaRejected  atomic.Int64
-	shed, batches            atomic.Int64
+	rejected, batches        atomic.Int64
 	cacheHits, cacheMisses   atomic.Int64
 	queueWaitNs, queueWaited atomic.Int64
 }
 
 func (t *tenant) stats() TenantStats {
 	st := TenantStats{
-		Name:          t.cfg.Name,
-		Weight:        t.cfg.Weight,
-		Priority:      t.cfg.Priority,
-		Queries:       t.queries.Load(),
-		Succeeded:     t.succeeded.Load(),
-		Failed:        t.failed.Load(),
-		Served:        t.served.Load(),
-		Rejected:      t.rejected.Load(),
-		QuotaRejected: t.quotaRejected.Load(),
-		Shed:          t.shed.Load(),
-		Batches:       t.batches.Load(),
-		CacheHits:     t.cacheHits.Load(),
-		CacheMisses:   t.cacheMisses.Load(),
+		Name:        t.cfg.Name,
+		Weight:      t.cfg.Weight,
+		Priority:    t.cfg.Priority,
+		Queries:     t.queries.Load(),
+		Succeeded:   t.succeeded.Load(),
+		Failed:      t.failed.Load(),
+		Served:      t.served.Load(),
+		Rejected:    t.rejected.Load(),
+		Batches:     t.batches.Load(),
+		CacheHits:   t.cacheHits.Load(),
+		CacheMisses: t.cacheMisses.Load(),
 	}
 	if n := t.queueWaited.Load(); n > 0 {
 		st.MeanQueueWait = time.Duration(t.queueWaitNs.Load() / n)
@@ -215,20 +186,20 @@ type Tenant struct {
 // Name returns the tenant's registered name.
 func (h *Tenant) Name() string { return h.t.cfg.Name }
 
-// Infer submits a query under this tenant and blocks for the prediction.
+// Infer is Server.Infer under this tenant.
 func (h *Tenant) Infer(q Query) (Prediction, error) {
 	return h.t.srv.infer(h.t, q)
 }
 
-// InferAsync submits a query under this tenant and returns a channel
-// delivering exactly one prediction.
+// InferAsync is Server.InferAsync under this tenant: keyed by the server's
+// arrival counter, shared by all its tenants.
 func (h *Tenant) InferAsync(q Query) (<-chan Prediction, error) {
-	return h.t.srv.inferAsync(h.t, q, false, 0)
+	return h.t.srv.submit(h.t, q, h.t.srv.seq.Add(1)-1)
 }
 
 // Submit is Server.Submit under this tenant.
 func (h *Tenant) Submit(q Query, key uint64) (<-chan Prediction, error) {
-	return h.t.srv.inferAsync(h.t, q, true, key)
+	return h.t.srv.submit(h.t, q, key)
 }
 
 // Stats returns the server snapshot with the shared-cache counters replaced
@@ -266,8 +237,9 @@ func (h *Tenant) GraphCacheCapacity() int { return h.t.srv.GraphCacheCapacity() 
 
 // Inferrer is the inference surface campaigns program against: a dedicated
 // *Server (routing through its default tenant) or one *Tenant of a shared
-// multi-tenant server. Fuzzing campaigns submit with Submit; directed runs
-// and load harnesses use the service path.
+// multi-tenant server. Fuzzing campaigns submit with their own keys
+// (Submit); directed runs and load harnesses let the server key their
+// queries by arrival (Infer, InferAsync).
 type Inferrer interface {
 	Infer(q Query) (Prediction, error)
 	InferAsync(q Query) (<-chan Prediction, error)
@@ -314,8 +286,8 @@ func (s *Server) Tenant(cfg TenantConfig) (*Tenant, error) {
 	return &Tenant{t: t}, nil
 }
 
-// DefaultTenant returns the implicit tenant that Server.Infer/InferAsync
-// route through, preserving the single-campaign API unchanged.
+// DefaultTenant returns the implicit tenant that the Server's own Infer,
+// InferAsync and Submit route through.
 func (s *Server) DefaultTenant() *Tenant { return &Tenant{t: s.def} }
 
 // TenantStats snapshots every registered tenant's counters, in

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/repro/snowplow/internal/faultinject"
 	"github.com/repro/snowplow/internal/pmm"
 	"github.com/repro/snowplow/internal/qgraph"
 	"github.com/repro/snowplow/internal/rng"
@@ -32,7 +31,7 @@ func schedFixture(t *testing.T, cfgs ...TenantConfig) (*sched, []*tenant) {
 func enqueueN(t *testing.T, sc *sched, tn *tenant, prio Priority, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := sc.enqueue(&attempt{t: tn, prio: prio}, false); err != nil {
+		if err := sc.enqueue(&attempt{t: tn, prio: prio}); err != nil {
 			t.Fatalf("enqueue: %v", err)
 		}
 	}
@@ -124,28 +123,29 @@ func TestQueryPriorityTagRaisesBand(t *testing.T) {
 	}
 }
 
+// TestTenantQueueBoundIsPerTenant fills one tenant's ring: a neighbor's
+// full queue must not block this tenant. (A submitter facing its own full
+// ring waits; TestWaitingEnqueueTakesFreedSlot pins that.)
 func TestTenantQueueBoundIsPerTenant(t *testing.T) {
 	sc, tn := schedFixture(t,
 		TenantConfig{Name: "small", QueueSize: 2},
 		TenantConfig{Name: "big", QueueSize: 8},
 	)
 	enqueueN(t, sc, tn[0], PriorityBackground, 2)
-	if err := sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}, false); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overfull small tenant: %v, want ErrQueueFull", err)
-	}
-	// The neighbor's full queue must not block this tenant.
 	enqueueN(t, sc, tn[1], PriorityBackground, 8)
+	if d := sc.depth(); d != 10 {
+		t.Fatalf("depth %d, want 10", d)
+	}
 }
 
-// TestWaitingEnqueueTakesFreedSlot pins the campaign path's wait mode: an
-// enqueue onto a full ring blocks rather than failing, takes the slot the
-// next pop frees, and a closed scheduler releases a waiter with
-// ErrServerClosed.
+// TestWaitingEnqueueTakesFreedSlot pins the wait for queue room: an enqueue
+// onto a full ring blocks rather than failing, takes the slot the next pop
+// frees, and a closed scheduler releases a waiter with ErrServerClosed.
 func TestWaitingEnqueueTakesFreedSlot(t *testing.T) {
 	sc, tn := schedFixture(t, TenantConfig{Name: "a", QueueSize: 2})
 	enqueueN(t, sc, tn[0], PriorityBackground, 2)
 	done := make(chan error, 1)
-	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}, true) }()
+	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}) }()
 	select {
 	case err := <-done:
 		t.Fatalf("enqueue onto a full ring returned %v instead of waiting", err)
@@ -160,7 +160,7 @@ func TestWaitingEnqueueTakesFreedSlot(t *testing.T) {
 	if d := sc.depth(); d != 2 {
 		t.Fatalf("depth %d after the waiter took the freed slot, want 2", d)
 	}
-	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}, true) }()
+	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}) }()
 	time.Sleep(20 * time.Millisecond)
 	sc.close()
 	if err := <-done; !errors.Is(err, ErrServerClosed) {
@@ -234,114 +234,6 @@ func TestTenantServingAndAttribution(t *testing.T) {
 	all := s.TenantStats()
 	if len(all) != 3 || all[0].Name != "default" || all[1].Name != "one" || all[2].Name != "two" {
 		t.Fatalf("TenantStats order: %+v", all)
-	}
-}
-
-// latencyOnFirst injects one long latency fault on query 0, pinning its
-// dispatcher in a sleep so admission state can be observed deterministically.
-type latencyOnFirst struct{ d time.Duration }
-
-func (l latencyOnFirst) Plan(query uint64, attempt int) faultinject.Decision {
-	if query == 0 && attempt == 0 {
-		return faultinject.Decision{Fault: faultinject.FaultLatency, Latency: l.d}
-	}
-	return faultinject.Decision{}
-}
-
-func TestTenantQuotaRejects(t *testing.T) {
-	s := newTenantTestServer(t, Options{Workers: 1, Fault: latencyOnFirst{d: 30 * time.Second}})
-	h, err := s.Tenant(TenantConfig{Name: "capped", Quota: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := testQuery(t)
-	if _, err := h.InferAsync(q); err != nil {
-		t.Fatalf("first submit within quota: %v", err)
-	}
-	if _, err := h.InferAsync(q); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("second submit: %v, want ErrQuotaExceeded", err)
-	}
-	if _, err := h.Infer(q); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("blocking submit over quota: %v, want ErrQuotaExceeded", err)
-	}
-	if st := h.TenantStats(); st.QuotaRejected != 2 {
-		t.Fatalf("QuotaRejected = %d, want 2", st.QuotaRejected)
-	}
-	// The neighbor tenant is not throttled by the capped one's quota.
-	other, err := s.Tenant(TenantConfig{Name: "other"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.Infer(q); err != nil {
-		t.Fatalf("neighbor infer: %v", err)
-	}
-	// The first query is parked in its latency fault until Close aborts
-	// it; Close must not hang on it.
-}
-
-// alwaysTransient fails every attempt, driving the health tracker degraded.
-type alwaysTransient struct{}
-
-func (alwaysTransient) Plan(uint64, int) faultinject.Decision {
-	return faultinject.Decision{Fault: faultinject.FaultTransient}
-}
-
-func TestSLOShedsBackgroundNotDirected(t *testing.T) {
-	s := newTenantTestServer(t, Options{
-		Workers:          1,
-		Fault:            alwaysTransient{},
-		MaxRetries:       -1,
-		HealthWindow:     8,
-		HealthMinSamples: 4,
-		SLOQueueWait:     time.Hour, // shedding armed; only health can trip it
-	})
-	q := testQuery(t)
-	// Drive the health tracker below threshold with failing directed-class
-	// queries (directed is never shed, so the warmup itself cannot trip
-	// admission part-way through).
-	wq := q
-	wq.Priority = PriorityDirected
-	for i := 0; i < 8; i++ {
-		if _, err := s.Infer(wq); !errors.Is(err, ErrUnavailable) {
-			t.Fatalf("warmup query %d: %v, want ErrUnavailable", i, err)
-		}
-	}
-	if s.Healthy() {
-		t.Fatal("server still healthy after exclusively failed queries")
-	}
-	if _, err := s.Infer(q); !errors.Is(err, ErrShed) {
-		t.Fatalf("degraded background query: %v, want ErrShed", err)
-	}
-	// Directed-class queries ride through admission (and then fail on the
-	// injector — the point is they were not shed).
-	dq := q
-	dq.Priority = PriorityDirected
-	if _, err := s.Infer(dq); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("degraded directed query: %v, want ErrUnavailable (never ErrShed)", err)
-	}
-	if st := s.Stats(); st.Shed != 1 {
-		t.Fatalf("Stats.Shed = %d, want 1", st.Shed)
-	}
-}
-
-func TestNoSheddingWithoutSLO(t *testing.T) {
-	// Without an SLO configured, a degraded server must keep accepting —
-	// the PR-7 contract deterministic fault campaigns rely on.
-	s := newTenantTestServer(t, Options{
-		Workers:          1,
-		Fault:            alwaysTransient{},
-		MaxRetries:       -1,
-		HealthWindow:     8,
-		HealthMinSamples: 4,
-	})
-	q := testQuery(t)
-	for i := 0; i < 12; i++ {
-		if _, err := s.Infer(q); !errors.Is(err, ErrUnavailable) {
-			t.Fatalf("query %d: %v, want ErrUnavailable (not shed)", i, err)
-		}
-	}
-	if st := s.Stats(); st.Shed != 0 {
-		t.Fatalf("Stats.Shed = %d, want 0 without an SLO", st.Shed)
 	}
 }
 
