@@ -3,31 +3,17 @@
 // experiments run once per benchmark iteration; the key result values are
 // attached as custom benchmark metrics so `go test -bench=.` doubles as the
 // reproduction log. Artifacts (kernel, dataset, trained model) are shared
-// across benchmarks through one lazily initialized harness.
+// across benchmarks through one lazily initialized harness. Pipeline
+// throughput (§5.5's tests/s and queries/s) is timed by the benchmark module
+// in benchmark/, not here.
 package snowplow
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"github.com/repro/snowplow/internal/cfa"
-	"github.com/repro/snowplow/internal/exec"
 	"github.com/repro/snowplow/internal/experiments"
-	"github.com/repro/snowplow/internal/fuzzer"
-	"github.com/repro/snowplow/internal/kernel"
-	"github.com/repro/snowplow/internal/pmm"
-	"github.com/repro/snowplow/internal/prog"
-	"github.com/repro/snowplow/internal/qgraph"
-	"github.com/repro/snowplow/internal/rng"
-	"github.com/repro/snowplow/internal/serve"
-	"github.com/repro/snowplow/internal/trace"
 )
 
 var (
@@ -153,28 +139,6 @@ func BenchmarkTable5Directed(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceThroughput regenerates the §5.5 serving measurements.
-func BenchmarkInferenceThroughput(b *testing.B) {
-	h := harness()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Perf(h)
-		b.ReportMetric(res.InferenceQPS, "inference-qps")
-		b.ReportMetric(float64(res.InferenceLatency.Microseconds()), "latency-us")
-		b.ReportMetric(res.ParityPct, "fuzz-tput-parity-%(paper:98)")
-	}
-}
-
-// BenchmarkFuzzThroughput regenerates the fuzz-throughput half of §5.5:
-// tests/second in both modes (paper: 383 vs 390, near parity).
-func BenchmarkFuzzThroughput(b *testing.B) {
-	h := harness()
-	for i := 0; i < b.N; i++ {
-		snow, syz := experiments.FuzzThroughput(h)
-		b.ReportMetric(snow, "snowplow-tests/s")
-		b.ReportMetric(syz, "syzkaller-tests/s")
-	}
-}
-
 // BenchmarkAblationSwitchEdges measures the representation ablation:
 // retraining without kernel-user context-switch edges.
 func BenchmarkAblationSwitchEdges(b *testing.B) {
@@ -253,208 +217,5 @@ func fmtProb(p float64) string {
 		return "0.6"
 	default:
 		return "0.9"
-	}
-}
-
-// BenchmarkServeThroughput measures end-to-end serving throughput under
-// concurrent load at micro-batch limits 1 and 16. It deliberately uses an
-// untrained (but structurally real) model so the CI benchmark smoke job
-// runs in seconds: batching economics do not depend on the weights. The
-// qps custom metric is the headline; when the BENCH_JSON environment
-// variable names a directory, the results are also written to
-// BENCH_serve_throughput.json for artifact upload.
-func BenchmarkServeThroughput(b *testing.B) {
-	k := kernel.MustBuild("6.8")
-	an := cfa.New(k)
-	m := pmm.NewModel(rng.New(1), pmm.DefaultConfig(), pmm.BuildVocab(k))
-
-	// One realistic query: a small program, its execution traces, and a few
-	// frontier targets.
-	p := prog.MustParse(k.Target, "r0 = open(\"./file0\", 0x42, 0x1ff)\nread(r0, &b\"00ff\", 0x2)\n")
-	res, err := exec.New(k).Run(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	covered := trace.NewBlockSet(trace.BlocksOf(res))
-	var targets []kernel.BlockID
-	for i, alt := range an.Frontier(covered) {
-		if i >= 4 {
-			break
-		}
-		targets = append(targets, alt.Entry)
-	}
-	q := serve.Query{Prog: p, Traces: res.CallTraces, Targets: targets}
-
-	qps := map[string]float64{}
-	for _, batch := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			s := serve.NewServerOpts(m, qgraph.NewBuilder(k, an).WithCache(64), serve.Options{
-				Workers:   2,
-				BatchSize: batch,
-				QueueSize: 1024,
-			})
-			defer s.Close()
-			// Clients pipeline queries through a pending window, as the
-			// fuzzer's asynchronous integration does; a saturated queue is
-			// what gives micro-batching something to drain.
-			const clients, window = 32, 8
-			perClient := (b.N + clients - 1) / clients
-			start := time.Now()
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var pending []<-chan serve.Prediction
-					for i := 0; i < perClient; i++ {
-						ch, err := s.InferAsync(q)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						pending = append(pending, ch)
-						if len(pending) >= window {
-							<-pending[0]
-							pending = pending[1:]
-						}
-					}
-					for _, ch := range pending {
-						<-ch
-					}
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(start).Seconds()
-			served := float64(clients * perClient)
-			if elapsed > 0 {
-				qps[fmt.Sprintf("batch=%d", batch)] = served / elapsed
-				b.ReportMetric(served/elapsed, "qps")
-			}
-			st := s.Stats()
-			b.ReportMetric(st.AvgBatchSize, "avg-batch")
-		})
-	}
-	if dir := os.Getenv("BENCH_JSON"); dir != "" {
-		writeBenchJSON(b, filepath.Join(dir, "BENCH_serve_throughput.json"), qps)
-	}
-}
-
-// writeBenchJSON persists a benchmark result map as a machine-readable
-// artifact (the CI bench smoke job uploads BENCH_*.json).
-func writeBenchJSON(b *testing.B, path string, v interface{}) {
-	b.Helper()
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchCorpus builds a realistic corpus (covers shaped by a real short
-// campaign) for the coverage/corpus hot-path benchmarks.
-func benchCorpus(b *testing.B) *fuzzer.Fuzzer {
-	b.Helper()
-	h := harness()
-	k := h.Kernel("6.8")
-	an := h.Analysis("6.8")
-	f := fuzzer.New(fuzzer.Config{
-		Mode: fuzzer.ModeSyzkaller, Kernel: k, An: an,
-		Seed: 7, Budget: 300_000,
-	})
-	if _, err := f.Run(); err != nil {
-		b.Fatal(err)
-	}
-	return f
-}
-
-// BenchmarkCoverMerge measures the paged-bitmap cover merge on realistic
-// execution covers — the per-execution triage hot path the bitmap layout
-// exists for. When BENCH_JSON names a directory the ns/op lands in
-// BENCH_cover_merge.json.
-func BenchmarkCoverMerge(b *testing.B) {
-	entries := benchCorpus(b).Corpus().Entries()
-	if len(entries) == 0 {
-		b.Fatal("empty benchmark corpus")
-	}
-	b.ResetTimer()
-	start := time.Now()
-	total := trace.NewCover()
-	for i := 0; i < b.N; i++ {
-		e := entries[i%len(entries)]
-		total.Merge(e.Cover)
-		total.NewEdges(e.Cover)
-	}
-	if dir := os.Getenv("BENCH_JSON"); dir != "" {
-		b.StopTimer()
-		writeBenchJSON(b, filepath.Join(dir, "BENCH_cover_merge.json"), map[string]float64{
-			"ns/op": float64(time.Since(start).Nanoseconds()) / float64(b.N),
-		})
-	}
-}
-
-// BenchmarkCorpusChoose measures the lock-free snapshot Choose path under
-// parallel readers (every VM picks a base every step).
-func BenchmarkCorpusChoose(b *testing.B) {
-	corp := benchCorpus(b).Corpus()
-	if corp.Len() == 0 {
-		b.Fatal("empty benchmark corpus")
-	}
-	var seed uint64
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		r := rng.New(atomicAddUint64(&seed, 1))
-		for pb.Next() {
-			if corp.Choose(r) == nil {
-				b.Error("empty choose")
-				return
-			}
-		}
-	})
-	if dir := os.Getenv("BENCH_JSON"); dir != "" {
-		b.StopTimer()
-		writeBenchJSON(b, filepath.Join(dir, "BENCH_corpus_choose.json"), map[string]float64{
-			"ns/op": float64(time.Since(start).Nanoseconds()) / float64(b.N),
-		})
-	}
-}
-
-func atomicAddUint64(p *uint64, d uint64) uint64 { return atomic.AddUint64(p, d) }
-
-// BenchmarkFuzzLoopParallel measures the multi-VM campaign engine end to
-// end at 4 simulated VMs (same total budget as BenchmarkFuzzLoop).
-func BenchmarkFuzzLoopParallel(b *testing.B) {
-	h := harness()
-	k := h.Kernel("6.8")
-	an := h.Analysis("6.8")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := fuzzer.New(fuzzer.Config{
-			Mode: fuzzer.ModeSyzkaller, Kernel: k, An: an,
-			Seed: uint64(i + 1), Budget: 100_000, VMs: 4,
-		})
-		if _, err := f.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFuzzLoop measures raw loop speed of both modes (not a paper
-// table; a sanity measurement for the simulator itself).
-func BenchmarkFuzzLoop(b *testing.B) {
-	h := harness()
-	k := h.Kernel("6.8")
-	an := h.Analysis("6.8")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := fuzzer.New(fuzzer.Config{
-			Mode: fuzzer.ModeSyzkaller, Kernel: k, An: an,
-			Seed: uint64(i + 1), Budget: 100_000,
-		})
-		if _, err := f.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

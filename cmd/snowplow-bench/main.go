@@ -7,15 +7,18 @@
 //	snowplow-bench -experiment fig6 -scale full
 //	snowplow-bench -experiment table1,table5
 //
-// Experiments: stats, table1, fig6, table2 (includes tables 3 and 4),
-// table5, perf, parallel, cluster, wire, micro, train, ablations, faults,
-// timeseries, tenants, online, all.
+// Experiments, in the order all runs them: stats, table1, fig6, table2,
+// table3, table4, table5, wire, ablations, faults, tenants, online, all.
+// table2, table3 and table4 name one campaign, which renders all three
+// tables. An unknown name exits 2 before any experiment runs. Pipeline
+// throughput (§5.5) is timed by the benchmark module in benchmark/, not here.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,9 +29,98 @@ import (
 	"github.com/repro/snowplow/internal/nn"
 )
 
+// result is what every experiment returns: a table it renders, encoded as
+// its BENCH_<name>.json artifact.
+type result interface{ Render(w io.Writer) }
+
+// group is one experiment run: names select it on the command line, and the
+// first also names its artifact.
+type group struct {
+	names []string
+	run   func(h *experiments.Harness) result
+}
+
+// groups is the one list of experiments, in the order -experiment all runs
+// them; the -experiment help string and the name check are built from it.
+var groups = []group{
+	{[]string{"stats"}, func(h *experiments.Harness) result { return experiments.Stats(h) }},
+	{[]string{"table1"}, func(h *experiments.Harness) result { return experiments.Table1(h) }},
+	{[]string{"fig6"}, func(h *experiments.Harness) result { return experiments.Fig6(h) }},
+	{[]string{"table2", "table3", "table4"}, func(h *experiments.Harness) result { return experiments.Campaign(h, "6.8") }},
+	{[]string{"table5"}, func(h *experiments.Harness) result { return experiments.Table5(h) }},
+	{[]string{"wire"}, func(h *experiments.Harness) result { return experiments.Wire(h, nil) }},
+	{[]string{"ablations"}, func(h *experiments.Harness) result {
+		return ablations{experiments.AblationDeterminism(h), experiments.AblationSwitchEdges(h),
+			experiments.AblationTargetNoise(h), experiments.AblationFallbackSweep(h)}
+	}},
+	{[]string{"faults"}, func(h *experiments.Harness) result { return faultSweep{experiments.AblationFaultSweep(h)} }},
+	{[]string{"tenants"}, func(h *experiments.Harness) result { return experiments.Tenants(h) }},
+	{[]string{"online"}, func(h *experiments.Harness) result { return experiments.Online(h) }},
+}
+
+// ablations is the ablation group: four results under one heading.
+type ablations struct {
+	Determinism experiments.AblationResult `json:"determinism"`
+	SwitchEdges experiments.AblationResult `json:"switchEdges"`
+	TargetNoise experiments.AblationResult `json:"targetNoise"`
+	Fallback    experiments.FallbackSweep  `json:"fallback"`
+}
+
+func (a ablations) Render(w io.Writer) {
+	fmt.Fprintln(w, "== Ablations (DESIGN.md §5) ==")
+	a.Determinism.Render(w)
+	a.SwitchEdges.Render(w)
+	a.TargetNoise.Render(w)
+	a.Fallback.Render(w)
+}
+
+// faultSweep heads the degraded-serving sweep's table.
+type faultSweep struct{ experiments.FaultSweep }
+
+func (f faultSweep) Render(w io.Writer) {
+	fmt.Fprintln(w, "== Degraded serving (fault-injected inference) ==")
+	f.FaultSweep.Render(w)
+}
+
+// experimentNames lists every name -experiment accepts.
+func experimentNames() []string {
+	var names []string
+	for _, g := range groups {
+		names = append(names, g.names...)
+	}
+	return append(names, "all")
+}
+
+// selectGroups resolves a comma-separated -experiment value to the groups it
+// names, in run order. Every entry must be a known name; the first that is
+// not is the error.
+func selectGroups(spec string) ([]group, error) {
+	want := map[string]bool{}
+	for _, name := range experimentNames() {
+		want[name] = false
+	}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if _, ok := want[name]; !ok {
+			return nil, fmt.Errorf("unknown experiment %q (want %s)", name, strings.Join(experimentNames(), ","))
+		}
+		want[name] = true
+	}
+	var sel []group
+	for _, g := range groups {
+		for _, n := range g.names {
+			if want["all"] || want[n] {
+				sel = append(sel, g)
+				break
+			}
+		}
+	}
+	return sel, nil
+}
+
 func main() {
 	var (
-		which  = flag.String("experiment", "all", "comma-separated experiments: stats,table1,fig6,table2,table5,perf,parallel,cluster,wire,micro,train,ablations,faults,timeseries,tenants,online,all")
+		which  = flag.String("experiment", "all", "comma-separated experiments: "+strings.Join(experimentNames(), ","))
 		scale  = flag.String("scale", "quick", "experiment scale: quick or full")
 		seed   = flag.Uint64("seed", 1, "suite seed")
 		quiet  = flag.Bool("quiet", false, "suppress progress logging")
@@ -38,11 +130,15 @@ func main() {
 		vms     = flag.Int("vms", 0, "simulated-VM fleet size for fuzzing campaigns (0 = one VM)")
 		batch   = flag.Int("batch", 0, "serving micro-batch limit for harness servers (0 = no batching)")
 		jsonDir = flag.String("json", "", "directory for machine-readable BENCH_<experiment>.json results (empty = disabled)")
-		sample  = flag.Duration("sample-interval", 0, "wall-clock metrics sampling period for the timeseries experiment (0 = default 250ms)")
 		trainW  = flag.Int("train-workers", 0, "data-parallel PMM training width for harness training (0 = single-threaded)")
 		collW   = flag.Int("collect-workers", 0, "harvest shard width for harness dataset collection (0 = single-threaded)")
 	)
 	flag.Parse()
+	sel, err := selectGroups(*which)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "snowplow-bench:", err)
+		os.Exit(2)
+	}
 	if *workers > 0 {
 		nn.SetWorkers(*workers)
 	}
@@ -54,7 +150,6 @@ func main() {
 	opts.Seed = *seed
 	opts.BatchSize = *batch
 	opts.VMs = *vms
-	opts.SampleInterval = *sample
 	opts.TrainWorkers = *trainW
 	opts.CollectWorkers = *collW
 	if *faults != "" {
@@ -94,142 +189,12 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
-	ran := 0
 	start := time.Now()
-
-	if all || want["stats"] {
-		res := experiments.Stats(h)
+	for _, g := range sel {
+		res := g.run(h)
 		res.Render(os.Stdout)
-		emit("stats", res)
+		emit(g.names[0], res)
 		fmt.Println()
-		ran++
 	}
-	if all || want["table1"] {
-		res := experiments.Table1(h)
-		res.Render(os.Stdout)
-		emit("table1", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["fig6"] {
-		res := experiments.Fig6(h)
-		res.Render(os.Stdout)
-		emit("fig6", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["table2"] || want["table3"] || want["table4"] {
-		res := experiments.Campaign(h, "6.8")
-		res.Render(os.Stdout)
-		emit("table2", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["table5"] {
-		res := experiments.Table5(h)
-		res.Render(os.Stdout)
-		emit("table5", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["perf"] {
-		res := experiments.Perf(h)
-		res.Render(os.Stdout)
-		emit("perf", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["parallel"] {
-		res := experiments.Parallel(h, nil)
-		res.Render(os.Stdout)
-		emit("parallel", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["cluster"] {
-		res := experiments.Cluster(h, nil)
-		res.Render(os.Stdout)
-		emit("cluster", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["wire"] {
-		res := experiments.Wire(h, nil)
-		res.Render(os.Stdout)
-		emit("wire", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["micro"] {
-		res := experiments.Micro(h)
-		res.Render(os.Stdout)
-		emit("micro", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["train"] {
-		res := experiments.Train(h, nil)
-		res.Render(os.Stdout)
-		emit("train", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["ablations"] {
-		fmt.Println("== Ablations (DESIGN.md §5) ==")
-		determinism := experiments.AblationDeterminism(h)
-		determinism.Render(os.Stdout)
-		switchEdges := experiments.AblationSwitchEdges(h)
-		switchEdges.Render(os.Stdout)
-		targetNoise := experiments.AblationTargetNoise(h)
-		targetNoise.Render(os.Stdout)
-		fallback := experiments.AblationFallbackSweep(h)
-		fallback.Render(os.Stdout)
-		emit("ablations", map[string]interface{}{
-			"determinism": determinism,
-			"switchEdges": switchEdges,
-			"targetNoise": targetNoise,
-			"fallback":    fallback,
-		})
-		fmt.Println()
-		ran++
-	}
-	if all || want["faults"] {
-		fmt.Println("== Degraded serving (fault-injected inference) ==")
-		res := experiments.AblationFaultSweep(h)
-		res.Render(os.Stdout)
-		emit("faults", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["tenants"] {
-		res := experiments.Tenants(h)
-		res.Render(os.Stdout)
-		emit("tenants", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["online"] {
-		res := experiments.Online(h)
-		res.Render(os.Stdout)
-		emit("online", res)
-		fmt.Println()
-		ran++
-	}
-	if all || want["timeseries"] {
-		res := experiments.Timeseries(h)
-		res.Render(os.Stdout)
-		emit("timeseries", res)
-		fmt.Println()
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "snowplow-bench: unknown experiment %q\n", *which)
-		os.Exit(2)
-	}
-	fmt.Printf("completed %d experiment group(s) in %v\n", ran, time.Since(start).Round(time.Second))
+	fmt.Printf("completed %d experiment group(s) in %v\n", len(sel), time.Since(start).Round(time.Second))
 }

@@ -90,7 +90,7 @@ func main() {
 		vms       = flag.Int("vms", 1, "simulated fuzzing VMs, run in lockstep epochs through the reconciler")
 		fused     = flag.Bool("fused", true, "serve inference through the fused kernels (bit-identical to unfused)")
 		quant     = flag.Bool("quant", false, "int8-quantize model weights before serving (reproducible per seed; coordinator re-encodes the model for workers)")
-		faults    = flag.String("faults", "off", "inference fault model, e.g. drop=0.1,transient=0.2,corrupt=0.05,latency=0.1:50ms,seed=7")
+		faults    = flag.String("faults", "off", "inference fault model, e.g. drop=0.1,transient=0.2,corrupt=0.05,seed=7")
 		of        obsFlags
 		cf        clusterFlags
 		tf        tenantFlags
@@ -331,9 +331,9 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 				time.Duration(kp.NormNs).Round(time.Microsecond),
 				time.Duration(kp.SoftmaxNs).Round(time.Microsecond))
 		}
-		if ss.InjDropped+ss.InjTransient+ss.InjLatency+ss.InjCorrupt > 0 {
-			fmt.Fprintf(&out, "injected: %d dropped, %d transient, %d latency, %d corrupt\n",
-				ss.InjDropped, ss.InjTransient, ss.InjLatency, ss.InjCorrupt)
+		if ss.InjDropped+ss.InjTransient+ss.InjCorrupt > 0 {
+			fmt.Fprintf(&out, "injected: %d dropped, %d transient, %d corrupt\n",
+				ss.InjDropped, ss.InjTransient, ss.InjCorrupt)
 		}
 		if cfg.Online != nil {
 			fmt.Fprintf(&out, "online: %d retrains, %d swaps applied, %d skipped by the gate, serving model v%d\n",

@@ -91,6 +91,12 @@ func TestCampaignDigests(t *testing.T) {
 
 		corpus, cover, journal string // first 12 hex digits
 		stats                  string
+		// wire pins each compress6 column's Wire.{TxRawBytes, TxWireBytes,
+		// RxRawBytes, Epochs}, by worker count. RxWireBytes and checkpoint
+		// lengths are not pinned: every vmState a worker sends, and every
+		// checkpoint, carries the wall-clock VMState.QueueWaitNs, so their
+		// deflated size moves by a few bytes from run to run.
+		wire map[int][4]int64
 	}{
 		{
 			name: "syzkaller",
@@ -101,6 +107,11 @@ func TestCampaignDigests(t *testing.T) {
 			checkpointEvery: 8,
 			corpus:          "54acdf0ee02a", cover: "13a3110ce5c0", journal: "7e07fe521a87",
 			stats: "execs=5391 edges=3482 corpus=635 events=968 queries=0 preds=0 retrains=0 swaps=0 skipped=0",
+			wire: map[int][4]int64{
+				1: {289125, 102010, 719797, 32},
+				2: {577162, 203902, 720500, 32},
+				4: {1153236, 407693, 721906, 32},
+			},
 		},
 		{
 			name: "snowplow",
@@ -113,6 +124,7 @@ func TestCampaignDigests(t *testing.T) {
 			checkpointEvery: 8,
 			corpus:          "25381a71aac5", cover: "184ab0eb6fcf", journal: "777a7b4cca95",
 			stats: "execs=5691 edges=2340 corpus=371 events=541 queries=510 preds=510 retrains=0 swaps=0 skipped=0",
+			wire:  map[int][4]int64{2: {780592, 501968, 1725302, 25}},
 		},
 		{
 			name: "online",
@@ -126,6 +138,7 @@ func TestCampaignDigests(t *testing.T) {
 			private:         true,
 			corpus:          "f120fca1060d", cover: "0d55d8853bb0", journal: "0c7d192a6042",
 			stats: "execs=3974 edges=2035 corpus=306 events=489 queries=453 preds=453 retrains=8 swaps=2 skipped=5",
+			wire:  map[int][4]int64{2: {1588522, 1371924, 920192, 24}},
 		},
 	}
 	for _, row := range rows {
@@ -185,6 +198,9 @@ func TestCampaignDigests(t *testing.T) {
 				}
 				column := "compress6/" + labelWorkers(workers)
 				check(column, got)
+				if w := [4]int64{got.Wire.TxRawBytes, got.Wire.TxWireBytes, got.Wire.RxRawBytes, got.Wire.Epochs}; literal && w != row.wire[workers] {
+					t.Errorf("%s: wire tx raw/deflated, rx raw, epochs = %v, want %v", column, w, row.wire[workers])
+				}
 				if got.Wire.CompressedWorkers != workers {
 					t.Errorf("%s: %d workers compressed", column, got.Wire.CompressedWorkers)
 				}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"github.com/repro/snowplow/internal/dataset"
 	"github.com/repro/snowplow/internal/exec"
@@ -212,4 +213,43 @@ func tracesDiffer(e *exec.Executor, p *prog.Prog) bool {
 		}
 	}
 	return false
+}
+
+// SyncAblation compares wall-clock fuzz throughput of the asynchronous
+// inference integration against the synchronous ablation (every guided
+// round blocks on the model).
+type SyncAblation struct {
+	AsyncTPS float64
+	SyncTPS  float64
+}
+
+// AblationSyncInference runs the sync-vs-async throughput comparison.
+func AblationSyncInference(h *Harness) SyncAblation {
+	k := h.Kernel("6.8")
+	an := h.Analysis("6.8")
+	var res SyncAblation
+	for _, sync := range []bool{false, true} {
+		srv := h.Server("6.8")
+		cfg := fuzzer.Config{
+			Mode: fuzzer.ModeSnowplow, Kernel: k, An: an,
+			Seed: h.Opts.Seed, Budget: h.Opts.FuzzBudget / 8,
+			SeedCorpus:    seedPrograms(h, "6.8", h.Opts.Seed),
+			Server:        srv,
+			SyncInference: sync,
+		}
+		start := time.Now()
+		stats := mustRun(fuzzer.New(cfg))
+		elapsed := time.Since(start).Seconds()
+		srv.Close()
+		tps := 0.0
+		if elapsed > 0 {
+			tps = float64(stats.Executions) / elapsed
+		}
+		if sync {
+			res.SyncTPS = tps
+		} else {
+			res.AsyncTPS = tps
+		}
+	}
+	return res
 }

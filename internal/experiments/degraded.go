@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/repro/snowplow/internal/faultinject"
 	"github.com/repro/snowplow/internal/fuzzer"
@@ -45,8 +44,6 @@ func AblationFaultSweep(h *Harness) FaultSweep {
 			DropProb:      0.4,
 			TransientProb: 0.3,
 			CorruptProb:   0.2,
-			LatencyProb:   0.1,
-			LatencySpike:  time.Millisecond,
 		}
 	}
 

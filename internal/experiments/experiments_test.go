@@ -186,53 +186,3 @@ func TestTruncate(t *testing.T) {
 		t.Fatalf("truncate produced %q", got)
 	}
 }
-
-func TestTrainExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains models at three worker counts")
-	}
-	h := NewHarness(tinyOpts())
-	res := Train(h, []int{1, 2})
-	if len(res.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(res.Points))
-	}
-	if !res.CheckpointsIdentical {
-		t.Fatalf("checkpoints differ across worker counts: %+v", res.Points)
-	}
-	if !res.DatasetsIdentical {
-		t.Fatalf("datasets differ across shard widths: %+v", res.Points)
-	}
-	for _, p := range res.Points {
-		if p.ExamplesPerSec <= 0 || p.EpochWallMs <= 0 {
-			t.Fatalf("empty measurement at %d workers: %+v", p.Workers, p)
-		}
-		if p.FinalValF1 != res.Points[0].FinalValF1 {
-			t.Fatalf("val F1 differs across worker counts: %+v", res.Points)
-		}
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	for _, want := range []string{"checkpoints identical", "GOMAXPROCS"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("render missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-// TestPerfRuns drives the whole §5.5 harness: the saturation probe, a
-// Syzkaller-mode campaign (no server — this used to panic on a typed-nil
-// one) and a Snowplow-mode campaign.
-func TestPerfRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model and runs two campaigns")
-	}
-	res := Perf(NewHarness(tinyOpts()))
-	if res.InferenceQPS <= 0 || res.SyzkallerTPS <= 0 || res.SnowplowTPS <= 0 || res.ParityPct <= 0 {
-		t.Fatalf("empty §5.5 measurement: %+v", res)
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "parity") {
-		t.Fatalf("render missing the parity line:\n%s", buf.String())
-	}
-}

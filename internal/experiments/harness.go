@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the synthetic-kernel substrate: §5.1 dataset statistics,
 // Table 1 selector accuracy, Figure 6 coverage curves, Table 2/3/4 crash
-// campaigns and triage, Table 5 directed fuzzing, §5.5 performance
-// characteristics, and the DESIGN.md ablations.
+// campaigns and triage, Table 5 directed fuzzing, the DESIGN.md ablations
+// (including §5.5's synchronous-inference one) and the online-learning
+// comparison. Two more experiments measure what the repository's benchmark
+// (benchmark/, which owns every other timing of the pipeline) cannot:
+// multi-tenant serving fairness and wire bytes over a shaped link.
 //
 // Absolute numbers differ from the paper (the substrate is a simulator, not
 // a 96-vCPU QEMU fleet); each experiment reports the paper's number next to
@@ -15,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"github.com/repro/snowplow/internal/cfa"
 	"github.com/repro/snowplow/internal/dataset"
@@ -71,9 +73,6 @@ type Options struct {
 	// FaultModel, when non-nil, is the fault shape (at rate 1.0) swept by
 	// the degraded-serving ablation; nil uses the default shape.
 	FaultModel *faultinject.Model
-	// SampleInterval is the wall-clock metrics sampling period of the
-	// timeseries experiment; 0 uses obs.DefaultSampleInterval.
-	SampleInterval time.Duration
 }
 
 // Quick returns options sized so the full suite completes in minutes.

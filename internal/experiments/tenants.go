@@ -25,7 +25,12 @@ import (
 	"sync"
 	"time"
 
+	"github.com/repro/snowplow/internal/exec"
+	"github.com/repro/snowplow/internal/kernel"
+	"github.com/repro/snowplow/internal/prog"
+	"github.com/repro/snowplow/internal/rng"
 	"github.com/repro/snowplow/internal/serve"
+	"github.com/repro/snowplow/internal/trace"
 )
 
 // TenantScenario is one fleet-size row of the multi-tenant benchmark.
@@ -240,4 +245,25 @@ func (r TenantsResult) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "single campaign on the shared platform: %.1f%% regression vs a dedicated server\n",
 		r.SingleTenantRegressionPct)
+}
+
+// sampleQuery builds one realistic query on kernel 6.8: a generated
+// program, its execution traces and up to eight frontier targets.
+func sampleQuery(h *Harness, k *kernel.Kernel) serve.Query {
+	g := prog.NewGenerator(k.Target)
+	p := g.Generate(rng.New(h.Opts.Seed+0x9e7f), 4)
+	res, err := exec.New(k).Run(p)
+	if err != nil {
+		panic(err)
+	}
+	covered := trace.NewBlockSet(trace.BlocksOf(res))
+	alts := h.Analysis("6.8").Frontier(covered)
+	var targets []kernel.BlockID
+	for i, alt := range alts {
+		if i >= 8 {
+			break
+		}
+		targets = append(targets, alt.Entry)
+	}
+	return serve.Query{Prog: p, Traces: res.CallTraces, Targets: targets}
 }

@@ -2,9 +2,9 @@
 // PMM inference path. The paper's deployment (§3.4) keeps fuzzing throughput
 // intact when inference is slow or unavailable by falling back to random
 // argument localization; this package supplies the adversary for exercising
-// that story: dropped replies, transient errors, latency spikes, and corrupt
-// predictions, all planned as a pure function of (seed, query, attempt) so
-// that a faulty campaign is exactly as reproducible as a healthy one.
+// that story: dropped replies, transient errors and corrupt predictions,
+// all planned as a pure function of (seed, query, attempt) so that a faulty
+// campaign is exactly as reproducible as a healthy one.
 //
 // Fault decisions deliberately do not depend on wall clock or on worker
 // scheduling: the serve package assigns every accepted query a sequence
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/repro/snowplow/internal/rng"
 )
@@ -26,9 +25,8 @@ import (
 // Fault classifies one injected failure.
 type Fault int
 
-// The fault kinds. Drop, Transient and Corrupt are mutually exclusive per
-// attempt (partitioned over one uniform draw); Latency is drawn
-// independently for attempts that would otherwise succeed.
+// The fault kinds, mutually exclusive per attempt (partitioned over one
+// uniform draw).
 const (
 	// FaultNone leaves the attempt untouched.
 	FaultNone Fault = iota
@@ -38,10 +36,6 @@ const (
 	// FaultTransient fails the attempt immediately with a retryable error
 	// (the serving analogue of a connection reset or 503).
 	FaultTransient
-	// FaultLatency marks the reply as delayed by the model's latency
-	// spike. serve counts it and does not sleep: simulated time lives in
-	// the fuzzer's budget.
-	FaultLatency
 	// FaultCorrupt lets the attempt succeed but replaces the prediction
 	// with deterministic garbage (out-of-range slots, bogus
 	// probabilities). Consumers must validate predictions.
@@ -55,8 +49,6 @@ func (f Fault) String() string {
 		return "drop"
 	case FaultTransient:
 		return "transient"
-	case FaultLatency:
-		return "latency"
 	case FaultCorrupt:
 		return "corrupt"
 	}
@@ -66,8 +58,6 @@ func (f Fault) String() string {
 // Decision is the planned fate of one (query, attempt) pair.
 type Decision struct {
 	Fault Fault
-	// Latency is the injected delay (FaultLatency only).
-	Latency time.Duration
 }
 
 // Injector plans faults for inference attempts. The serve package consults
@@ -90,20 +80,11 @@ type Model struct {
 	// CorruptProb is the per-attempt probability of a corrupted
 	// prediction.
 	CorruptProb float64
-	// LatencyProb is the probability that an otherwise-successful attempt
-	// is delayed by LatencySpike.
-	LatencyProb float64
-	// LatencySpike is the injected delay magnitude; the planned delay is
-	// uniform in [0.5, 1.5) times this value.
-	LatencySpike time.Duration
 }
-
-// DefaultLatencySpike is used when LatencyProb is set but LatencySpike is not.
-const DefaultLatencySpike = 20 * time.Millisecond
 
 // Enabled reports whether the model can inject any fault at all.
 func (m *Model) Enabled() bool {
-	return m != nil && (m.DropProb > 0 || m.TransientProb > 0 || m.CorruptProb > 0 || m.LatencyProb > 0)
+	return m != nil && (m.DropProb > 0 || m.TransientProb > 0 || m.CorruptProb > 0)
 }
 
 // FailureProb is the total probability that an attempt does not deliver a
@@ -135,28 +116,17 @@ func (m *Model) Plan(query uint64, attempt int) Decision {
 	case x < drop+trans+corr:
 		return Decision{Fault: FaultCorrupt}
 	}
-	if m.LatencyProb > 0 && r.Float64() < m.LatencyProb {
-		spike := m.LatencySpike
-		if spike <= 0 {
-			spike = DefaultLatencySpike
-		}
-		return Decision{
-			Fault:   FaultLatency,
-			Latency: time.Duration((0.5 + r.Float64()) * float64(spike)),
-		}
-	}
 	return Decision{}
 }
 
 // Scale returns a copy of the model with every probability multiplied by f
-// (clamped to [0, 1]); the seed and spike magnitude are preserved. Used by
-// the degraded-serving ablation to sweep one fault shape across rates.
+// (clamped to [0, 1]); the seed is preserved. Used by the degraded-serving
+// ablation to sweep one fault shape across rates.
 func (m *Model) Scale(f float64) *Model {
 	out := *m
 	out.DropProb = clamp01(m.DropProb * f)
 	out.TransientProb = clamp01(m.TransientProb * f)
 	out.CorruptProb = clamp01(m.CorruptProb * f)
-	out.LatencyProb = clamp01(m.LatencyProb * f)
 	return &out
 }
 
@@ -174,13 +144,6 @@ func (m *Model) String() string {
 	add("drop", m.DropProb)
 	add("transient", m.TransientProb)
 	add("corrupt", m.CorruptProb)
-	if m.LatencyProb > 0 {
-		spike := m.LatencySpike
-		if spike <= 0 {
-			spike = DefaultLatencySpike
-		}
-		parts = append(parts, fmt.Sprintf("latency=%g:%s", m.LatencyProb, spike))
-	}
 	if m.Seed != 0 {
 		parts = append(parts, fmt.Sprintf("seed=%d", m.Seed))
 	}
@@ -189,7 +152,7 @@ func (m *Model) String() string {
 
 // ParseSpec parses a command-line fault specification of the form
 //
-//	drop=0.1,transient=0.2,corrupt=0.05,latency=0.1:50ms,seed=7
+//	drop=0.1,transient=0.2,corrupt=0.05,seed=7
 //
 // Every field is optional; "off", "none" and "" yield a disabled model.
 func ParseSpec(s string) (*Model, error) {
@@ -216,20 +179,6 @@ func ParseSpec(s string) (*Model, error) {
 				m.TransientProb = p
 			case "corrupt":
 				m.CorruptProb = p
-			}
-		case "latency":
-			prob, spike, _ := strings.Cut(val, ":")
-			p, err := parseProb(prob)
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: latency: %w", err)
-			}
-			m.LatencyProb = p
-			if spike != "" {
-				d, err := time.ParseDuration(spike)
-				if err != nil || d < 0 {
-					return nil, fmt.Errorf("faultinject: latency spike %q: want a duration", spike)
-				}
-				m.LatencySpike = d
 			}
 		case "seed":
 			seed, err := strconv.ParseUint(val, 10, 64)

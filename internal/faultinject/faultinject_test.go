@@ -1,12 +1,9 @@
 package faultinject
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestPlanDeterministic(t *testing.T) {
-	m := &Model{Seed: 7, DropProb: 0.2, TransientProb: 0.2, CorruptProb: 0.1, LatencyProb: 0.3, LatencySpike: 10 * time.Millisecond}
+	m := &Model{Seed: 7, DropProb: 0.2, TransientProb: 0.2, CorruptProb: 0.1}
 	for q := uint64(0); q < 200; q++ {
 		for att := 0; att < 4; att++ {
 			a := m.Plan(q, att)
@@ -66,17 +63,6 @@ func TestSeedsIndependent(t *testing.T) {
 	}
 }
 
-func TestLatencyDecision(t *testing.T) {
-	m := &Model{Seed: 5, LatencyProb: 1, LatencySpike: 10 * time.Millisecond}
-	d := m.Plan(0, 0)
-	if d.Fault != FaultLatency {
-		t.Fatalf("fault = %v, want latency", d.Fault)
-	}
-	if d.Latency < 5*time.Millisecond || d.Latency >= 15*time.Millisecond {
-		t.Fatalf("latency %v outside [0.5, 1.5) x spike", d.Latency)
-	}
-}
-
 func TestDisabledModel(t *testing.T) {
 	var m *Model
 	if m.Enabled() {
@@ -92,13 +78,13 @@ func TestDisabledModel(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	m := &Model{Seed: 9, DropProb: 0.4, TransientProb: 0.3, CorruptProb: 0.2, LatencyProb: 0.1, LatencySpike: time.Second}
+	m := &Model{Seed: 9, DropProb: 0.4, TransientProb: 0.3, CorruptProb: 0.2}
 	half := m.Scale(0.5)
-	if half.DropProb != 0.2 || half.TransientProb != 0.15 || half.CorruptProb != 0.1 || half.LatencyProb != 0.05 {
+	if half.DropProb != 0.2 || half.TransientProb != 0.15 || half.CorruptProb != 0.1 {
 		t.Fatalf("scale 0.5 wrong: %+v", half)
 	}
-	if half.Seed != 9 || half.LatencySpike != time.Second {
-		t.Fatal("scale must preserve seed and spike")
+	if half.Seed != 9 {
+		t.Fatal("scale must preserve the seed")
 	}
 	over := m.Scale(10)
 	if over.DropProb != 1 {
@@ -110,12 +96,11 @@ func TestScale(t *testing.T) {
 }
 
 func TestParseSpecRoundTrip(t *testing.T) {
-	m, err := ParseSpec("drop=0.1,transient=0.2,corrupt=0.05,latency=0.1:50ms,seed=7")
+	m, err := ParseSpec("drop=0.1,transient=0.2,corrupt=0.05,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.DropProb != 0.1 || m.TransientProb != 0.2 || m.CorruptProb != 0.05 ||
-		m.LatencyProb != 0.1 || m.LatencySpike != 50*time.Millisecond || m.Seed != 7 {
+	if m.DropProb != 0.1 || m.TransientProb != 0.2 || m.CorruptProb != 0.05 || m.Seed != 7 {
 		t.Fatalf("parsed %+v", m)
 	}
 	back, err := ParseSpec(m.String())
@@ -147,7 +132,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"drop",                   // no value
 		"drop=x",                 // bad probability
 		"drop=1.5",               // out of range
-		"latency=0.1:abc",        // bad duration
+		"latency=0.1",            // removed kind: injected latency was never slept
 		"seed=-1",                // bad seed
 		"bogus=1",                // unknown key
 		"drop=0.6,transient=0.6", // over-full partition

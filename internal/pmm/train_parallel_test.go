@@ -128,8 +128,7 @@ func TestTrainInstruments(t *testing.T) {
 }
 
 // BenchmarkTrainEpoch measures one supervised epoch over a pre-compiled
-// split; -train-workers scaling for BENCH_train.json derives from this
-// loop shape (see internal/experiments/train.go).
+// split at four training workers.
 func BenchmarkTrainEpoch(b *testing.B) {
 	ds := smallDataset(b, 12, 120, 6001)
 	train, val, _ := ds.Split(0.8, 0.1)

@@ -12,7 +12,7 @@ type serveMetrics struct {
 	retries, timeouts                    *obs.Counter
 	batches, batchedQueries              *obs.Counter
 
-	injDropped, injTransient, injLatency, injCorrupt *obs.Counter
+	injDropped, injTransient, injCorrupt *obs.Counter
 
 	tenantAdmitted *obs.Counter // queries past admission control, all tenants
 
@@ -38,7 +38,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		batchedQueries: reg.Counter("serve_batched_queries_total", "queries", "queries served in passes of two or more"),
 		injDropped:     reg.Counter("serve_inj_dropped_total", "faults", "injected dropped replies"),
 		injTransient:   reg.Counter("serve_inj_transient_total", "faults", "injected transient errors"),
-		injLatency:     reg.Counter("serve_inj_latency_total", "faults", "injected latency spikes"),
 		injCorrupt:     reg.Counter("serve_inj_corrupt_total", "faults", "injected corrupt predictions"),
 		tenantAdmitted: reg.Counter("serve_tenant_admitted_total", "queries", "queries past admission control, all tenants"),
 		tenantCount:    reg.Gauge("serve_tenant_count", "tenants", "registered tenants"),

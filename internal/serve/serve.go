@@ -110,7 +110,6 @@ type Stats struct {
 	// Injected fault counters, by kind.
 	InjDropped   int64
 	InjTransient int64
-	InjLatency   int64
 	InjCorrupt   int64
 	// BatchFill is AvgBatchSize / Options.BatchSize — how full the
 	// micro-batches ran (1.0 = every forward pass served a full batch).
@@ -275,7 +274,7 @@ type Server struct {
 	retries, timeouts          atomic.Int64
 	batches, batchedQueries    atomic.Int64
 	injDropped, injTransient   atomic.Int64
-	injLatency, injCorrupt     atomic.Int64
+	injCorrupt                 atomic.Int64
 	totalLat                   atomic.Int64 // nanoseconds, succeeded queries
 }
 
@@ -598,10 +597,6 @@ func (s *Server) dispatch(t *tenant, q Query, key uint64) Prediction {
 			s.m.timeouts.Inc()
 			lastErr = ErrDeadline
 			continue
-		case faultinject.FaultLatency:
-			// Counted, never slept, for the same reason.
-			s.injLatency.Add(1)
-			s.m.injLatency.Inc()
 		}
 		res, err := s.runAttempt(t, q, prio)
 		if err != nil {
@@ -710,7 +705,6 @@ func (s *Server) Stats() Stats {
 		CacheMisses:    cacheMisses,
 		InjDropped:     s.injDropped.Load(),
 		InjTransient:   s.injTransient.Load(),
-		InjLatency:     s.injLatency.Load(),
 		InjCorrupt:     s.injCorrupt.Load(),
 		MeanLatency:    mean,
 		Throughput:     tput,
