@@ -11,14 +11,14 @@ import (
 	"github.com/repro/snowplow/internal/rng"
 )
 
-// schedFixture builds a scheduler with registered tenants and no server
-// behind it, for white-box service-order tests.
-func schedFixture(t *testing.T, cfgs ...TenantConfig) (*sched, []*tenant) {
+// schedFixture builds a scheduler with registered tenants, each ring of
+// capacity ring, and no server behind it, for white-box service-order tests.
+func schedFixture(t *testing.T, ring int, cfgs ...TenantConfig) (*sched, []*tenant) {
 	t.Helper()
 	sc := newSched()
 	tenants := make([]*tenant, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg = cfg.withDefaults(Options{QueueSize: 1024})
+		cfg = cfg.withDefaults(Options{QueueSize: ring})
 		tn, err := sc.register(cfg, nil)
 		if err != nil {
 			t.Fatalf("register %q: %v", cfg.Name, err)
@@ -46,8 +46,43 @@ func countByTenant(batch []*attempt) map[*tenant]int {
 	return out
 }
 
+// TestRoundRobinOrderPinned pins the service order across fills of varying
+// room, backlogs that drain and refill, and empty pops: one attempt per
+// backlogged tenant per visit, the cursor carried from fill to fill. Each
+// popMore's tenants are written out, ended by "|".
+func TestRoundRobinOrderPinned(t *testing.T) {
+	sc, tn := schedFixture(t, 16, TenantConfig{Name: "a"}, TenantConfig{Name: "b"}, TenantConfig{Name: "c"})
+	add := func(i, n int) {
+		for ; n > 0; n-- {
+			if err := sc.enqueue(&attempt{t: tn[i]}); err != nil {
+				t.Fatalf("enqueue: %v", err)
+			}
+		}
+	}
+	var order []byte
+	pop := func(rooms ...int) {
+		for _, room := range rooms {
+			for _, at := range sc.popMore(nil, room) {
+				order = append(order, at.t.cfg.Name...)
+			}
+			order = append(order, '|')
+		}
+	}
+	add(0, 5)
+	add(1, 2)
+	add(2, 7)
+	pop(1, 3, 2)
+	add(1, 3)
+	pop(8)
+	add(0, 1)
+	pop(8, 8)
+	if got, want := string(order), "a|bca|bc|abcabcab|cacc||"; got != want {
+		t.Fatalf("service order %q, want %q", got, want)
+	}
+}
+
 func TestDRRSharesFollowWeights(t *testing.T) {
-	sc, tn := schedFixture(t,
+	sc, tn := schedFixture(t, 1024,
 		TenantConfig{Name: "heavy", Weight: 3},
 		TenantConfig{Name: "light", Weight: 1},
 	)
@@ -67,7 +102,7 @@ func TestDRRSharesFollowWeights(t *testing.T) {
 }
 
 func TestDRRDeficitPersistsAcrossFills(t *testing.T) {
-	sc, tn := schedFixture(t,
+	sc, tn := schedFixture(t, 1024,
 		TenantConfig{Name: "a", Weight: 4},
 		TenantConfig{Name: "b", Weight: 4},
 	)
@@ -94,7 +129,7 @@ func TestDRRDeficitPersistsAcrossFills(t *testing.T) {
 }
 
 func TestDirectedBandDrainsFirst(t *testing.T) {
-	sc, tn := schedFixture(t,
+	sc, tn := schedFixture(t, 1024,
 		TenantConfig{Name: "bg", Weight: 8},
 		TenantConfig{Name: "dir", Weight: 1, Priority: PriorityDirected},
 	)
@@ -114,7 +149,7 @@ func TestDirectedBandDrainsFirst(t *testing.T) {
 }
 
 func TestQueryPriorityTagRaisesBand(t *testing.T) {
-	sc, tn := schedFixture(t, TenantConfig{Name: "bg"})
+	sc, tn := schedFixture(t, 1024, TenantConfig{Name: "bg"})
 	enqueueN(t, sc, tn[0], PriorityBackground, 2)
 	enqueueN(t, sc, tn[0], PriorityDirected, 1)
 	batch := sc.popMore(nil, 3)
@@ -127,7 +162,7 @@ func TestQueryPriorityTagRaisesBand(t *testing.T) {
 // full queue must not block this tenant. (A submitter facing its own full
 // ring waits; TestWaitingEnqueueTakesFreedSlot pins that.)
 func TestTenantQueueBoundIsPerTenant(t *testing.T) {
-	sc, tn := schedFixture(t,
+	sc, tn := schedFixture(t, 1024,
 		TenantConfig{Name: "small", QueueSize: 2},
 		TenantConfig{Name: "big", QueueSize: 8},
 	)
@@ -142,7 +177,7 @@ func TestTenantQueueBoundIsPerTenant(t *testing.T) {
 // onto a full ring blocks rather than failing, takes the slot the next pop
 // frees, and a closed scheduler releases a waiter with ErrServerClosed.
 func TestWaitingEnqueueTakesFreedSlot(t *testing.T) {
-	sc, tn := schedFixture(t, TenantConfig{Name: "a", QueueSize: 2})
+	sc, tn := schedFixture(t, 1024, TenantConfig{Name: "a", QueueSize: 2})
 	enqueueN(t, sc, tn[0], PriorityBackground, 2)
 	done := make(chan error, 1)
 	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}) }()
