@@ -30,13 +30,6 @@ import (
 	"github.com/repro/snowplow/internal/serve"
 )
 
-// tenantFlags groups the multi-tenant serving knobs: how many concurrent
-// campaigns share one model server, and their weighted-fair shares.
-type tenantFlags struct {
-	tenants int
-	weights string
-}
-
 // obsFlags groups the observability knobs.
 type obsFlags struct {
 	addr           string
@@ -93,7 +86,7 @@ func main() {
 		faults    = flag.String("faults", "off", "inference fault model, e.g. drop=0.1,transient=0.2,corrupt=0.05,seed=7")
 		of        obsFlags
 		cf        clusterFlags
-		tf        tenantFlags
+		tenants   int
 		onf       onlineFlags
 	)
 	flag.BoolVar(&onf.enabled, "online", false,
@@ -114,10 +107,8 @@ func main() {
 		"data-parallel retrain width for -online (wall-clock only, results identical; 0 = single-threaded)")
 	flag.IntVar(&onf.collectWorkers, "collect-workers", 0,
 		"harvest shard width for -online retrains (wall-clock only, results identical; 0 = single-threaded)")
-	flag.IntVar(&tf.tenants, "tenants", 1,
-		"concurrent snowplow campaigns sharing one multi-tenant model server via weighted-fair tenant handles (1 = single campaign)")
-	flag.StringVar(&tf.weights, "tenant-weight", "",
-		"comma-separated deficit-round-robin weights for -tenants campaigns (short list repeats its last value; empty = all 1)")
+	flag.IntVar(&tenants, "tenants", 1,
+		"concurrent snowplow campaigns sharing one multi-tenant model server, served round-robin (1 = single campaign)")
 	flag.BoolVar(&cf.worker, "worker", false,
 		"run as a cluster shard worker: join the coordinator at -cluster-addr and exit when the campaign ends")
 	flag.IntVar(&cf.coordinator, "coordinator", 0,
@@ -146,7 +137,7 @@ func main() {
 	case cf.coordinator > 0:
 		err = runClusterCoordinator(cf, *mode, *version, *modelPath, *budget, *seed, *seeds, *fallback, *vms, *quant, of, onf)
 	default:
-		err = run(*mode, *version, *modelPath, *budget, *seed, *seeds, *workers, *batch, *cache, *fallback, *vms, *fused, *quant, *faults, of, tf, onf)
+		err = run(*mode, *version, *modelPath, *budget, *seed, *seeds, *workers, *batch, *cache, *fallback, *vms, *fused, *quant, *faults, of, tenants, onf)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snowplow:", err)
@@ -154,7 +145,7 @@ func main() {
 	}
 }
 
-func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, workers, batch, cache int, fallback float64, vms int, fused, quant bool, faults string, of obsFlags, tf tenantFlags, onf onlineFlags) error {
+func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, workers, batch, cache int, fallback float64, vms int, fused, quant bool, faults string, of obsFlags, tenants int, onf onlineFlags) error {
 	// Size the MatMul worker pool alongside the inference pool; results are
 	// bit-identical for any worker count.
 	nn.SetWorkers(workers)
@@ -201,7 +192,7 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 	}
 	switch mode {
 	case "syzkaller":
-		if tf.tenants > 1 {
+		if tenants > 1 {
 			return fmt.Errorf("-tenants requires -mode snowplow")
 		}
 		if onf.enabled {
@@ -245,11 +236,11 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		srv := serve.NewServerOpts(m, builder, opts)
 		defer srv.Close()
 		cfg.Server = srv
-		if tf.tenants > 1 {
+		if tenants > 1 {
 			if onf.enabled {
 				return fmt.Errorf("-online is incompatible with -tenants (each campaign would retrain the shared model)")
 			}
-			return runTenantCampaigns(cfg, srv, tf, workers, seed, nseeds, k, sampler)
+			return runTenantCampaigns(cfg, srv, tenants, workers, seed, nseeds, k, sampler)
 		}
 		if oc := onf.config(); oc != nil {
 			cfg.Online = oc

@@ -16,31 +16,29 @@ import (
 )
 
 // Multi-campaign mode: -tenants N runs N concurrent Snowplow campaigns as
-// weighted-fair tenants of the one shared model server built by run(). Each
-// campaign gets its own seed corpus and campaign seed (base seed + index) so
-// runs stay individually reproducible, while the serving layer multiplexes
-// their inference through deficit-round-robin scheduling onto the server's
-// one pool of -workers, each campaign bounded by its own tenant queue.
+// tenants of the one shared model server built by run(). Each campaign gets
+// its own seed corpus and campaign seed (base seed + index) so runs stay
+// individually reproducible, while the serving layer multiplexes their
+// inference round-robin onto the server's one pool of -workers, each
+// campaign bounded by its own tenant queue.
 
 // runTenantCampaigns registers one tenant per campaign on the shared server,
 // runs all campaigns concurrently, and prints a per-campaign and per-tenant
 // report. Sharing one obs registry across campaigns is safe: instrument
 // registration is idempotent per name, so the counters aggregate.
-func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, workers int, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
-	tcfgs, err := serve.ParseTenants(tf.tenants, tf.weights)
+func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tenants, workers int, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
+	tcfgs, err := serve.ParseTenants(tenants)
 	if err != nil {
 		return err
 	}
 	handles := make([]*serve.Tenant, len(tcfgs))
-	weights := make([]int, len(tcfgs))
 	for i, tc := range tcfgs {
 		if handles[i], err = srv.Tenant(tc); err != nil {
 			return err
 		}
-		weights[i] = tc.Weight
 	}
-	fmt.Printf("multi-tenant: %d campaigns on one shared server (weights %v, pool %d)\n",
-		len(handles), weights, workers)
+	fmt.Printf("multi-tenant: %d campaigns on one shared server (pool %d)\n",
+		len(handles), workers)
 
 	n := len(handles)
 	cfgs := make([]fuzzer.Config, n)
@@ -97,14 +95,14 @@ func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tf tenantFlags, w
 	fmt.Fprintf(&out, "fleet: %d edges total, %d executions, %d PMM queries across %d campaigns\n",
 		totalEdges, totalExecs, totalQueries, n)
 
-	fmt.Fprintf(&out, "%-10s %3s %10s %10s %8s %12s\n",
-		"tenant", "w", "queries", "served", "batches", "mean wait")
+	fmt.Fprintf(&out, "%-10s %10s %10s %8s %12s\n",
+		"tenant", "queries", "served", "batches", "mean wait")
 	for _, ts := range srv.TenantStats() {
 		if ts.Queries == 0 && ts.Name == "default" {
 			continue // default tenant idle in multi-campaign mode
 		}
-		fmt.Fprintf(&out, "%-10s %3d %10d %10d %8d %12v\n",
-			ts.Name, ts.Weight, ts.Queries, ts.Served, ts.Batches,
+		fmt.Fprintf(&out, "%-10s %10d %10d %8d %12v\n",
+			ts.Name, ts.Queries, ts.Served, ts.Batches,
 			ts.MeanQueueWait.Round(time.Microsecond))
 	}
 

@@ -33,9 +33,8 @@ type Config struct {
 	Budget int64
 	// Server enables Snowplow-D (PMM argument localization); nil runs the
 	// plain SyzDirect-style fuzzer. Any serve.Inferrer works — a dedicated
-	// server or a tenant of a shared one; directed queries are tagged
-	// serve.PriorityDirected either way, so on a shared server they outrank
-	// background snowplow traffic.
+	// server or a tenant of a shared one, where its queries take their
+	// round-robin turn with every other tenant's.
 	Server serve.Inferrer
 	// FallbackProb is the random-localization probability under PMM.
 	FallbackProb float64
@@ -144,7 +143,6 @@ func (d *Runner) step() (bool, error) {
 		if len(targets) > 0 {
 			pred, err := d.cfg.Server.Infer(serve.Query{
 				Prog: entry.Prog, Traces: entry.Traces, Targets: targets,
-				Priority: serve.PriorityDirected,
 			})
 			if err == nil && len(pred.Slots) > 0 {
 				slots := pred.Slots

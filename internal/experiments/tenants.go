@@ -1,5 +1,5 @@
 // The multi-tenant serving benchmark: how much does consolidating N
-// concurrent campaigns onto one shared, weighted-fair model server cost
+// concurrent campaigns onto one shared, round-robin model server cost
 // against giving every campaign its own dedicated server?
 //
 // For each fleet size the dedicated baseline runs N single-worker servers
@@ -7,11 +7,11 @@
 // cross-tenant micro-batching on a fixed pool of min(N, 4) workers. Each
 // campaign drives its side the way campaigns do, with tenantInFlight async
 // queries outstanding, for the same wall-clock window on both sides — so the
-// shared queue stays backlogged, which is the regime deficit round-robin's
-// weight-proportional guarantee speaks to. Reported per scenario: aggregate
+// shared queue stays backlogged, which is the regime round-robin's
+// equal-share guarantee speaks to. Reported per scenario: aggregate
 // throughput of both sides, their ratio (the consolidation efficiency), and
-// the fairness ratio — the max/min per-tenant served share normalized by
-// weight, 1.0 being perfectly fair deficit round-robin. The single-campaign
+// the fairness ratio — the max/min per-tenant served count, 1.0 being
+// perfectly equal service. The single-campaign
 // scenario doubles as the regression guard for the pre-tenancy serving
 // path, measured in interleaved rounds so host-load noise hits both sides
 // alike.
@@ -43,8 +43,8 @@ type TenantScenario struct {
 	DedicatedQPS float64
 	// QPSRatio is SharedQPS/DedicatedQPS — the consolidation efficiency.
 	QPSRatio float64
-	// FairnessRatio is max/min per-tenant served count divided by weight on
-	// the shared server (1.0 = perfectly weight-proportional service).
+	// FairnessRatio is max/min per-tenant served count on the shared server
+	// (1.0 = perfectly equal service).
 	FairnessRatio float64
 	// MaxMeanQueueWait is the worst tenant's mean scheduler-queue wait.
 	MaxMeanQueueWait time.Duration

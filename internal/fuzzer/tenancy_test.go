@@ -32,7 +32,7 @@ func snowplowCampaignCorpus(t *testing.T, seed uint64, opts serve.Options, asTen
 	defer srv.Close()
 	var inf serve.Inferrer = srv
 	if asTenant {
-		h, err := srv.Tenant(serve.TenantConfig{Name: "campaign", Weight: 2})
+		h, err := srv.Tenant(serve.TenantConfig{Name: "campaign"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,19 +5,15 @@ import (
 	"sync"
 )
 
-// Cross-tenant scheduling: a deterministic weighted-fair queue with strict
-// priority bands, feeding the tenant-aware micro-batcher.
+// Cross-tenant scheduling: a deterministic round-robin queue feeding the
+// tenant-aware micro-batcher.
 //
-// Structure. Each tenant owns one bounded FIFO ring per priority band. The
-// scheduler serves the directed band to exhaustion before touching the
-// background band; inside a band, tenants are served by deficit round-robin
-// (Shreedhar & Varghese): visiting a backlogged tenant adds its weight to a
-// deficit counter, the visit dequeues up to that deficit (each query costs
-// one), and the round-robin pointer only advances when the deficit or the
-// backlog is spent. Over any saturated interval every tenant therefore
-// receives service proportional to its weight, regardless of arrival order
-// — and the schedule is a pure function of queue contents, so replaying a
-// campaign replays its service order.
+// Structure. Each tenant owns one bounded FIFO ring. The scheduler visits
+// tenants in registration order from one cursor, takes one attempt from
+// each backlogged tenant it visits and advances, so every saturated tenant
+// receives an equal share regardless of arrival order. The cursor carries
+// over from fill to fill, and the schedule is a pure function of queue
+// contents, so replaying a campaign replays its service order.
 //
 // Batch formation. A worker's popBlocking/popMore calls fill a batch of up
 // to Options.BatchSize attempts in scheduler order, so one union-graph
@@ -26,8 +22,8 @@ import (
 // next, not how efficiently.
 
 // attemptRing is a fixed-capacity FIFO of queued attempts. Capacity is the
-// tenant's QueueSize, fixed at registration, so steady-state enqueue/pop
-// never allocates.
+// server's Options.QueueSize, fixed at registration, so steady-state
+// enqueue/pop never allocates.
 type attemptRing struct {
 	buf  []*attempt
 	head int
@@ -52,7 +48,7 @@ func (r *attemptRing) pop() *attempt {
 }
 
 // sched is the shared scheduler state. One mutex guards tenant
-// registration, every queue ring and the DRR cursors; workers block on cond
+// registration, every queue ring and the cursor; workers block on cond
 // when all queues are empty, and submitters block on space when their ring
 // is full.
 type sched struct {
@@ -62,13 +58,11 @@ type sched struct {
 
 	tenants []*tenant
 	byName  map[string]*tenant
-	// rr is the deficit-round-robin cursor per band: the index (mod tenant
-	// count) of the tenant whose turn is in progress.
-	rr [numPriorities]int
-	// queued counts attempts across all rings; perBand splits it by band.
-	queued  int
-	perBand [numPriorities]int
-	closed  bool
+	// rr is the round-robin cursor: the index of the next tenant to visit.
+	rr int
+	// queued counts attempts across all rings.
+	queued int
+	closed bool
 }
 
 func newSched() *sched {
@@ -78,8 +72,9 @@ func newSched() *sched {
 	return sc
 }
 
-// register adds a tenant with an already-validated, defaulted config.
-func (sc *sched) register(cfg TenantConfig, s *Server) (*tenant, error) {
+// register adds a tenant with an already-validated config and a ring of
+// capacity ring.
+func (sc *sched) register(cfg TenantConfig, s *Server, ring int) (*tenant, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.closed {
@@ -88,10 +83,8 @@ func (sc *sched) register(cfg TenantConfig, s *Server) (*tenant, error) {
 	if _, dup := sc.byName[cfg.Name]; dup {
 		return nil, fmt.Errorf("%w: duplicate tenant %q", ErrBadTenantConfig, cfg.Name)
 	}
-	t := &tenant{cfg: cfg, idx: len(sc.tenants), srv: s}
-	for band := range t.q {
-		t.q[band].init(cfg.QueueSize)
-	}
+	t := &tenant{cfg: cfg, srv: s}
+	t.q.init(ring)
 	sc.tenants = append(sc.tenants, t)
 	sc.byName[cfg.Name] = t
 	return t, nil
@@ -111,13 +104,13 @@ func (sc *sched) snapshotTenants() []*tenant {
 	return out
 }
 
-// enqueue queues one attempt on its tenant's band ring. The caller has
+// enqueue queues one attempt on its tenant's ring. The caller has
 // already passed admission; this enforces only the per-tenant queue bound:
 // on a full ring it blocks until a pop makes room, or fails with
 // ErrServerClosed once the scheduler closes.
 func (sc *sched) enqueue(at *attempt) error {
 	sc.mu.Lock()
-	r := &at.t.q[at.prio]
+	r := &at.t.q
 	for !sc.closed && r.full() {
 		sc.space.Wait()
 	}
@@ -127,7 +120,6 @@ func (sc *sched) enqueue(at *attempt) error {
 	}
 	r.push(at)
 	sc.queued++
-	sc.perBand[at.prio]++
 	sc.cond.Signal()
 	sc.mu.Unlock()
 	return nil
@@ -175,54 +167,24 @@ func (sc *sched) popMore(batch []*attempt, max int) []*attempt {
 	return batch
 }
 
-// fillLocked drains bands highest-first into batch, taking at most room
-// attempts. Requires sc.mu held and sc.queued > 0 checked by the caller.
+// fillLocked takes up to room attempts into batch, one per backlogged
+// tenant per visit, advancing the cursor past every tenant it visits.
+// Requires sc.mu held.
 func (sc *sched) fillLocked(batch []*attempt, room int) []*attempt {
-	for band := numPriorities - 1; band >= 0 && room > 0; band-- {
-		n := 0
-		batch, n = sc.fillBandLocked(batch, room, band)
-		room -= n
-	}
-	return batch
-}
-
-// fillBandLocked runs the DRR service loop over one band. It may stop
-// mid-tenant when room runs out; the cursor and the tenant's remaining
-// deficit are preserved, so the next fill resumes the interrupted turn
-// without re-crediting it.
-func (sc *sched) fillBandLocked(batch []*attempt, room, band int) ([]*attempt, int) {
-	taken := 0
 	n := len(sc.tenants)
-	for room > 0 && sc.perBand[band] > 0 {
-		t := sc.tenants[sc.rr[band]%n]
-		r := &t.q[band]
+	for ; room > 0 && sc.queued > 0; sc.rr = (sc.rr + 1) % n {
+		r := &sc.tenants[sc.rr].q
 		if r.empty() {
-			t.deficit[band] = 0
-			sc.rr[band] = (sc.rr[band] + 1) % n
 			continue
-		}
-		if t.deficit[band] <= 0 {
-			t.deficit[band] += t.cfg.Weight
 		}
 		if r.full() {
 			sc.space.Broadcast() // the pop below makes room for a waiting enqueue
 		}
-		for t.deficit[band] > 0 && !r.empty() && room > 0 {
-			batch = append(batch, r.pop())
-			t.deficit[band]--
-			room--
-			taken++
-			sc.queued--
-			sc.perBand[band]--
-		}
-		if r.empty() {
-			t.deficit[band] = 0
-		}
-		if t.deficit[band] <= 0 || r.empty() {
-			sc.rr[band] = (sc.rr[band] + 1) % n
-		}
+		batch = append(batch, r.pop())
+		sc.queued--
+		room--
 	}
-	return batch, taken
+	return batch
 }
 
 // close wakes every worker and every waiting enqueue so they observe the

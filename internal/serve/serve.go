@@ -6,10 +6,9 @@
 //
 // The server is a multi-tenant platform: many campaigns share one model,
 // one graph-encoding cache and one set of tensor arenas, with per-tenant
-// queues scheduled by deterministic deficit round-robin under strict
-// priority classes (tenant.go, sched.go), all served by one fixed pool of
-// Options.Workers goroutines. A Server routes its own calls through an
-// implicit default tenant.
+// queues scheduled by deterministic round-robin (tenant.go, sched.go), all
+// served by one fixed pool of Options.Workers goroutines. A Server routes
+// its own calls through an implicit default tenant.
 //
 // There is one admission path and no wall clock on it. Every query is keyed
 // (Submit by its caller, Infer and InferAsync by the server's arrival
@@ -47,11 +46,6 @@ type Query struct {
 	Prog    *prog.Prog
 	Traces  [][]kernel.BlockID
 	Targets []kernel.BlockID
-	// Priority optionally raises the query's class above its tenant's
-	// default (it never lowers it): directed-mode runners tag
-	// PriorityDirected so their queries outrank background snowplow
-	// traffic on a shared server. Zero keeps the tenant default.
-	Priority Priority
 }
 
 // Prediction is the model's localization answer. Exactly one Prediction is
@@ -158,10 +152,9 @@ type Options struct {
 	// each query's prediction is bit-identical to an unbatched one.
 	// Default 1 (no batching).
 	BatchSize int
-	// QueueSize bounds each tenant's pending-attempt queue (the default
-	// for TenantConfig.QueueSize); a submitter facing a full queue waits
-	// for room. Default Workers*8*BatchSize, so a saturated queue can feed
-	// every worker full batches.
+	// QueueSize bounds each tenant's pending-attempt queue; a submitter
+	// facing a full queue waits for room. Default Workers*8*BatchSize, so a
+	// saturated queue can feed every worker full batches.
 	QueueSize int
 	// Fault, when non-nil, is consulted once per attempt to inject
 	// failures (see internal/faultinject). Nil serves faithfully.
@@ -210,7 +203,6 @@ func (o Options) withDefaults() Options {
 type attempt struct {
 	q    Query
 	t    *tenant
-	prio Priority
 	done chan attemptResult
 	// enq is the enqueue instant, for the queue-wait accounting.
 	enq time.Time
@@ -219,7 +211,6 @@ type attempt struct {
 func (a *attempt) reset() {
 	a.q = Query{}
 	a.t = nil
-	a.prio = 0
 	a.enq = time.Time{}
 }
 
@@ -308,11 +299,7 @@ func NewServerOpts(model *pmm.Model, builder *qgraph.Builder, opts Options) *Ser
 	if opts.Metrics != nil {
 		s.registerPullGauges(opts.Metrics)
 	}
-	def, err := s.sched.register(TenantConfig{
-		Name:      "default",
-		Weight:    1,
-		QueueSize: opts.QueueSize,
-	}, s)
+	def, err := s.sched.register(TenantConfig{Name: "default"}, s, opts.QueueSize)
 	if err != nil {
 		panic("serve: register default tenant: " + err.Error())
 	}
@@ -477,16 +464,6 @@ func (s *Server) serveBatch(batch []*attempt, gs *[]*qgraph.Graph) {
 	}
 }
 
-// effectivePriority resolves a query's class: the tenant default, raised
-// (never lowered) by an explicit Query.Priority tag.
-func effectivePriority(t *tenant, q Query) Priority {
-	p := t.cfg.Priority
-	if q.Priority > p && q.Priority < numPriorities {
-		p = q.Priority
-	}
-	return p
-}
-
 // accept is admission: it refuses only on a closed server (no Prediction is
 // owed) and otherwise registers the query as in flight.
 func (s *Server) accept(t *tenant) error {
@@ -554,7 +531,6 @@ func (s *Server) infer(t *tenant, q Query) (Prediction, error) {
 // enqueues attempts on the scheduler, retries, and returns exactly one
 // terminal Prediction.
 func (s *Server) dispatch(t *tenant, q Query, key uint64) Prediction {
-	prio := effectivePriority(t, q)
 	start := time.Now()
 	finish := func(p Prediction) Prediction {
 		p.Latency = time.Since(start)
@@ -598,7 +574,7 @@ func (s *Server) dispatch(t *tenant, q Query, key uint64) Prediction {
 			lastErr = ErrDeadline
 			continue
 		}
-		res, err := s.runAttempt(t, q, prio)
+		res, err := s.runAttempt(t, q)
 		if err != nil {
 			return finish(Prediction{Err: err})
 		}
@@ -614,11 +590,10 @@ func (s *Server) dispatch(t *tenant, q Query, key uint64) Prediction {
 
 // runAttempt enqueues one attempt on the scheduler, waiting for queue room,
 // and waits for its result. It fails only with ErrServerClosed.
-func (s *Server) runAttempt(t *tenant, q Query, prio Priority) (attemptResult, error) {
+func (s *Server) runAttempt(t *tenant, q Query) (attemptResult, error) {
 	a := attemptPool.Get().(*attempt)
 	a.q = q
 	a.t = t
-	a.prio = prio
 	a.enq = time.Now()
 	if err := s.sched.enqueue(a); err != nil {
 		// Never reached a worker: the struct and channel are clean.

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -13,69 +14,32 @@ import (
 // One Server hosts many tenants — concurrent fuzzing campaigns, directed
 // runners, cluster worker shards — that share the model, the graph-encoding
 // cache and the tensor arenas, while the scheduler (sched.go) divides
-// inference capacity between them by weighted fairness and priority class.
+// inference capacity between them by round-robin.
 //
 // A tenant's submissions take the server's one admission path: refused only
 // by a closed server (ErrServerClosed), and otherwise bounded by the
 // tenant's queue ring, on which the submitter waits. A tenant never fills a
 // neighbor's ring, so a flooding tenant slows only itself at admission.
 
-// Priority classes. Higher values outrank lower ones: the scheduler drains
-// the directed band before the background band.
-type Priority uint8
-
-const (
-	// PriorityBackground is the default class: bulk snowplow campaign
-	// queries.
-	PriorityBackground Priority = iota
-	// PriorityDirected is the high class: directed-mode (Snowplow-D)
-	// queries, served strictly before background traffic.
-	PriorityDirected
-
-	numPriorities = 2
-)
-
-// String names the priority class.
-func (p Priority) String() string {
-	if p == PriorityDirected {
-		return "directed"
-	}
-	return "background"
-}
-
-// TenantConfig describes one tenant of a shared inference server. The zero
-// value of every field but Name takes a default at registration.
+// TenantConfig describes one tenant of a shared inference server.
 type TenantConfig struct {
 	// Name identifies the tenant (stats, logs, flag parsing). Required,
 	// unique per server, ≤ 64 printable ASCII bytes without commas.
 	Name string
-	// Weight is the tenant's deficit-round-robin share: with tenants A
-	// (weight 2) and B (weight 1) both saturating, A is served two queries
-	// for every one of B's. Default 1, max 1<<20.
-	Weight int
-	// QueueSize bounds the tenant's pending-attempt queue; a submitter
-	// facing a full queue waits for room. Default: the server's
-	// Options.QueueSize.
-	QueueSize int
-	// Priority is the tenant's default class, raised per query by an
-	// explicit Query.Priority tag. Default PriorityBackground.
-	Priority Priority
 }
 
-// Tenant-spec validation limits.
+// Tenant-spec limits: a name's length, and how many tenants one command line
+// may declare.
 const (
-	MaxTenantName   = 64
-	MaxTenantWeight = 1 << 20
-	maxTenantQueue  = 1 << 24
+	MaxTenantName = 64
+	maxTenants    = 4096
 )
 
 // ErrBadTenantConfig wraps every tenant validation failure, so flag parsing
 // and registration can assert typed rejection.
 var ErrBadTenantConfig = errors.New("serve: bad tenant config")
 
-// Validate checks the explicit fields (defaults are applied elsewhere):
-// a usable name, weight in [0, MaxTenantWeight], non-negative bounds, and a
-// known priority class.
+// Validate checks that the name is usable.
 func (c TenantConfig) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("%w: empty name", ErrBadTenantConfig)
@@ -88,34 +52,25 @@ func (c TenantConfig) Validate() error {
 			return fmt.Errorf("%w: name byte %q", ErrBadTenantConfig, b)
 		}
 	}
-	if c.Weight < 0 || c.Weight > MaxTenantWeight {
-		return fmt.Errorf("%w: weight %d out of [0, %d]", ErrBadTenantConfig, c.Weight, MaxTenantWeight)
-	}
-	if c.QueueSize < 0 || c.QueueSize > maxTenantQueue {
-		return fmt.Errorf("%w: queue size %d out of [0, %d]", ErrBadTenantConfig, c.QueueSize, maxTenantQueue)
-	}
-	if c.Priority >= numPriorities {
-		return fmt.Errorf("%w: unknown priority %d", ErrBadTenantConfig, c.Priority)
-	}
 	return nil
 }
 
-// withDefaults resolves zero fields against the server options.
-func (c TenantConfig) withDefaults(opts Options) TenantConfig {
-	if c.Weight == 0 {
-		c.Weight = 1
+// ParseTenants builds the command line's tenant configs: n tenants named
+// t0..t{n-1}.
+func ParseTenants(n int) ([]TenantConfig, error) {
+	if n <= 0 || n > maxTenants {
+		return nil, fmt.Errorf("%w: tenant count %d out of [1, %d]", ErrBadTenantConfig, n, maxTenants)
 	}
-	if c.QueueSize == 0 {
-		c.QueueSize = opts.QueueSize
+	tenants := make([]TenantConfig, n)
+	for i := range tenants {
+		tenants[i] = TenantConfig{Name: "t" + strconv.Itoa(i)}
 	}
-	return c
+	return tenants, nil
 }
 
 // TenantStats is one tenant's slice of the serving counters.
 type TenantStats struct {
-	Name     string
-	Weight   int
-	Priority Priority
+	Name string
 	// Queries counts accepted submissions; Succeeded/Failed their terminal
 	// outcomes; Served worker-completed attempts.
 	Queries   int64
@@ -136,17 +91,14 @@ type TenantStats struct {
 	MeanQueueWait time.Duration
 }
 
-// tenant is the server-side state. Queue rings and the DRR deficit are
-// owned by the scheduler mutex; counters are atomics read by Stats.
+// tenant is the server-side state. The queue ring is owned by the
+// scheduler mutex; counters are atomics read by Stats.
 type tenant struct {
 	cfg TenantConfig
-	idx int
 	srv *Server
 
-	// q holds one bounded FIFO ring per priority band (sched.mu).
-	q [numPriorities]attemptRing
-	// deficit is the DRR deficit counter per band (sched.mu).
-	deficit [numPriorities]int
+	// q is the tenant's bounded FIFO ring (sched.mu).
+	q attemptRing
 
 	queries, served          atomic.Int64
 	succeeded, failed        atomic.Int64
@@ -158,8 +110,6 @@ type tenant struct {
 func (t *tenant) stats() TenantStats {
 	st := TenantStats{
 		Name:        t.cfg.Name,
-		Weight:      t.cfg.Weight,
-		Priority:    t.cfg.Priority,
 		Queries:     t.queries.Load(),
 		Succeeded:   t.succeeded.Load(),
 		Failed:      t.failed.Load(),
@@ -277,8 +227,7 @@ func (s *Server) Tenant(cfg TenantConfig) (*Tenant, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(s.opts)
-	t, err := s.sched.register(cfg, s)
+	t, err := s.sched.register(cfg, s, s.opts.QueueSize)
 	if err != nil {
 		return nil, err
 	}

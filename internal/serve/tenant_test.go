@@ -18,8 +18,7 @@ func schedFixture(t *testing.T, ring int, cfgs ...TenantConfig) (*sched, []*tena
 	sc := newSched()
 	tenants := make([]*tenant, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg = cfg.withDefaults(Options{QueueSize: ring})
-		tn, err := sc.register(cfg, nil)
+		tn, err := sc.register(cfg, nil, ring)
 		if err != nil {
 			t.Fatalf("register %q: %v", cfg.Name, err)
 		}
@@ -28,22 +27,13 @@ func schedFixture(t *testing.T, ring int, cfgs ...TenantConfig) (*sched, []*tena
 	return sc, tenants
 }
 
-func enqueueN(t *testing.T, sc *sched, tn *tenant, prio Priority, n int) {
+func enqueueN(t *testing.T, sc *sched, tn *tenant, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := sc.enqueue(&attempt{t: tn, prio: prio}); err != nil {
+		if err := sc.enqueue(&attempt{t: tn}); err != nil {
 			t.Fatalf("enqueue: %v", err)
 		}
 	}
-}
-
-// countByTenant tallies a popped batch.
-func countByTenant(batch []*attempt) map[*tenant]int {
-	out := map[*tenant]int{}
-	for _, at := range batch {
-		out[at.t]++
-	}
-	return out
 }
 
 // TestRoundRobinOrderPinned pins the service order across fills of varying
@@ -81,95 +71,15 @@ func TestRoundRobinOrderPinned(t *testing.T) {
 	}
 }
 
-func TestDRRSharesFollowWeights(t *testing.T) {
-	sc, tn := schedFixture(t, 1024,
-		TenantConfig{Name: "heavy", Weight: 3},
-		TenantConfig{Name: "light", Weight: 1},
-	)
-	// Both saturated: interleaved arrival order must not matter.
-	for i := 0; i < 24; i++ {
-		enqueueN(t, sc, tn[1], PriorityBackground, 1)
-		enqueueN(t, sc, tn[0], PriorityBackground, 1)
-	}
-	batch := sc.popMore(nil, 16)
-	if len(batch) != 16 {
-		t.Fatalf("popped %d, want 16", len(batch))
-	}
-	got := countByTenant(batch)
-	if got[tn[0]] != 12 || got[tn[1]] != 4 {
-		t.Fatalf("service split heavy=%d light=%d, want 12/3 split 12/4", got[tn[0]], got[tn[1]])
-	}
-}
-
-func TestDRRDeficitPersistsAcrossFills(t *testing.T) {
-	sc, tn := schedFixture(t, 1024,
-		TenantConfig{Name: "a", Weight: 4},
-		TenantConfig{Name: "b", Weight: 4},
-	)
-	enqueueN(t, sc, tn[0], PriorityBackground, 8)
-	enqueueN(t, sc, tn[1], PriorityBackground, 8)
-	// Room 2 interrupts tenant a's turn mid-deficit; the next fill must
-	// resume a's turn without re-crediting, so over the first 8 pops the
-	// 4/4 quantum alternation holds exactly.
-	var order []*tenant
-	for i := 0; i < 4; i++ {
-		for _, at := range sc.popMore(nil, 2) {
-			order = append(order, at.t)
-		}
-	}
-	for i, tnGot := range order {
-		want := tn[0]
-		if i >= 4 {
-			want = tn[1]
-		}
-		if tnGot != want {
-			t.Fatalf("pop %d served %q, want %q", i, tnGot.cfg.Name, want.cfg.Name)
-		}
-	}
-}
-
-func TestDirectedBandDrainsFirst(t *testing.T) {
-	sc, tn := schedFixture(t, 1024,
-		TenantConfig{Name: "bg", Weight: 8},
-		TenantConfig{Name: "dir", Weight: 1, Priority: PriorityDirected},
-	)
-	enqueueN(t, sc, tn[0], PriorityBackground, 8)
-	enqueueN(t, sc, tn[1], PriorityDirected, 3)
-	batch := sc.popMore(nil, 6)
-	for i := 0; i < 3; i++ {
-		if batch[i].t != tn[1] {
-			t.Fatalf("pop %d from %q, want directed tenant first", i, batch[i].t.cfg.Name)
-		}
-	}
-	for i := 3; i < 6; i++ {
-		if batch[i].t != tn[0] {
-			t.Fatalf("pop %d from %q, want background after directed drained", i, batch[i].t.cfg.Name)
-		}
-	}
-}
-
-func TestQueryPriorityTagRaisesBand(t *testing.T) {
-	sc, tn := schedFixture(t, 1024, TenantConfig{Name: "bg"})
-	enqueueN(t, sc, tn[0], PriorityBackground, 2)
-	enqueueN(t, sc, tn[0], PriorityDirected, 1)
-	batch := sc.popMore(nil, 3)
-	if batch[0].prio != PriorityDirected {
-		t.Fatalf("first pop priority %v, want directed ahead of earlier background", batch[0].prio)
-	}
-}
-
 // TestTenantQueueBoundIsPerTenant fills one tenant's ring: a neighbor's
 // full queue must not block this tenant. (A submitter facing its own full
 // ring waits; TestWaitingEnqueueTakesFreedSlot pins that.)
 func TestTenantQueueBoundIsPerTenant(t *testing.T) {
-	sc, tn := schedFixture(t, 1024,
-		TenantConfig{Name: "small", QueueSize: 2},
-		TenantConfig{Name: "big", QueueSize: 8},
-	)
-	enqueueN(t, sc, tn[0], PriorityBackground, 2)
-	enqueueN(t, sc, tn[1], PriorityBackground, 8)
-	if d := sc.depth(); d != 10 {
-		t.Fatalf("depth %d, want 10", d)
+	sc, tn := schedFixture(t, 2, TenantConfig{Name: "full"}, TenantConfig{Name: "other"})
+	enqueueN(t, sc, tn[0], 2)
+	enqueueN(t, sc, tn[1], 2)
+	if d := sc.depth(); d != 4 {
+		t.Fatalf("depth %d, want 4", d)
 	}
 }
 
@@ -177,10 +87,10 @@ func TestTenantQueueBoundIsPerTenant(t *testing.T) {
 // onto a full ring blocks rather than failing, takes the slot the next pop
 // frees, and a closed scheduler releases a waiter with ErrServerClosed.
 func TestWaitingEnqueueTakesFreedSlot(t *testing.T) {
-	sc, tn := schedFixture(t, 1024, TenantConfig{Name: "a", QueueSize: 2})
-	enqueueN(t, sc, tn[0], PriorityBackground, 2)
+	sc, tn := schedFixture(t, 2, TenantConfig{Name: "a"})
+	enqueueN(t, sc, tn[0], 2)
 	done := make(chan error, 1)
-	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}) }()
+	go func() { done <- sc.enqueue(&attempt{t: tn[0]}) }()
 	select {
 	case err := <-done:
 		t.Fatalf("enqueue onto a full ring returned %v instead of waiting", err)
@@ -195,7 +105,7 @@ func TestWaitingEnqueueTakesFreedSlot(t *testing.T) {
 	if d := sc.depth(); d != 2 {
 		t.Fatalf("depth %d after the waiter took the freed slot, want 2", d)
 	}
-	go func() { done <- sc.enqueue(&attempt{t: tn[0], prio: PriorityBackground}) }()
+	go func() { done <- sc.enqueue(&attempt{t: tn[0]}) }()
 	time.Sleep(20 * time.Millisecond)
 	sc.close()
 	if err := <-done; !errors.Is(err, ErrServerClosed) {
@@ -272,16 +182,15 @@ func TestTenantServingAndAttribution(t *testing.T) {
 	}
 }
 
-func TestWeightedTenantsShareSaturatedServer(t *testing.T) {
-	// End-to-end fairness: two tenants flood a one-worker server; served
-	// counts must track weights within a loose tolerance (scheduling is
-	// deterministic, but arrival interleaving is not).
+// TestTenantsShareSaturatedServer floods a one-worker batching server from
+// two tenants: every query succeeds and both tenants are credited batches.
+func TestTenantsShareSaturatedServer(t *testing.T) {
 	s := newTenantTestServer(t, Options{Workers: 1, BatchSize: 4, QueueSize: 64})
-	heavy, err := s.Tenant(TenantConfig{Name: "heavy", Weight: 3})
+	a, err := s.Tenant(TenantConfig{Name: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	light, err := s.Tenant(TenantConfig{Name: "light", Weight: 1})
+	b, err := s.Tenant(TenantConfig{Name: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +198,7 @@ func TestWeightedTenantsShareSaturatedServer(t *testing.T) {
 	const perTenant = 48
 	replies := make([]<-chan Prediction, 0, 2*perTenant)
 	for i := 0; i < perTenant; i++ {
-		for _, h := range []*Tenant{heavy, light} {
+		for _, h := range []*Tenant{a, b} {
 			r, err := h.InferAsync(q)
 			if err != nil {
 				t.Fatalf("submit: %v", err)
@@ -302,36 +211,34 @@ func TestWeightedTenantsShareSaturatedServer(t *testing.T) {
 			t.Fatalf("prediction: %v", p.Err)
 		}
 	}
-	hs, ls := heavy.TenantStats(), light.TenantStats()
-	if hs.Succeeded != perTenant || ls.Succeeded != perTenant {
-		t.Fatalf("succeeded heavy=%d light=%d, want %d each", hs.Succeeded, ls.Succeeded, perTenant)
+	as, bs := a.TenantStats(), b.TenantStats()
+	if as.Succeeded != perTenant || bs.Succeeded != perTenant {
+		t.Fatalf("succeeded a=%d b=%d, want %d each", as.Succeeded, bs.Succeeded, perTenant)
 	}
-	if hs.Batches == 0 || ls.Batches == 0 {
-		t.Fatalf("batch attribution missing: heavy=%d light=%d", hs.Batches, ls.Batches)
+	if as.Batches == 0 || bs.Batches == 0 {
+		t.Fatalf("batch attribution missing: a=%d b=%d", as.Batches, bs.Batches)
 	}
 }
 
 func TestParseTenants(t *testing.T) {
-	tenants, err := ParseTenants(4, "3,1")
+	tenants, err := ParseTenants(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tenants) != 4 {
+	if len(tenants) != 3 {
 		t.Fatalf("tenants: %+v", tenants)
 	}
-	wantW := []int{3, 1, 1, 1} // short list repeats its last value
 	for i, tc := range tenants {
-		if tc.Name != fmt.Sprintf("t%d", i) || tc.Weight != wantW[i] {
-			t.Fatalf("tenant %d: %+v, want weight %d", i, tc, wantW[i])
+		if tc.Name != fmt.Sprintf("t%d", i) {
+			t.Fatalf("tenant %d: %+v", i, tc)
 		}
 	}
-	if _, err := ParseTenants(0, ""); err == nil {
-		t.Fatal("zero tenants must fail")
+	if got, err := ParseTenants(maxTenants); err != nil || len(got) != maxTenants {
+		t.Fatalf("ParseTenants(%d): %d tenants, %v", maxTenants, len(got), err)
 	}
-	if _, err := ParseTenants(2, "1,x"); !errors.Is(err, ErrBadTenantConfig) {
-		t.Fatalf("bad weight: %v, want ErrBadTenantConfig", err)
-	}
-	if _, err := ParseTenants(2, "2,-1"); !errors.Is(err, ErrBadTenantConfig) {
-		t.Fatalf("negative weight: %v, want ErrBadTenantConfig", err)
+	for _, n := range []int{0, maxTenants + 1} {
+		if _, err := ParseTenants(n); !errors.Is(err, ErrBadTenantConfig) {
+			t.Fatalf("ParseTenants(%d): %v, want ErrBadTenantConfig", n, err)
+		}
 	}
 }
