@@ -47,13 +47,13 @@ type clusterFlags struct {
 // steps until the campaign ends. -wan-bandwidth/-wan-latency shape the
 // coordinator link with deterministic write stalls (the WAN stand-in used
 // by the wire experiment).
-func runClusterWorker(cf clusterFlags, workers int, fused bool) error {
+func runClusterWorker(cf clusterFlags, workers int) error {
 	nn.SetWorkers(workers)
 	logger := log.New(os.Stderr, "worker: ", log.Ltime)
 	logger.Printf("joining coordinator at %s", cf.addr)
 	opts := cluster.WorkerOptions{
 		ServeWorkers: workers,
-		Fused:        fused,
+		Fused:        true,
 		Logf:         logger.Printf,
 	}
 	if cf.wanBandwidth > 0 || cf.wanLatency > 0 {
@@ -97,7 +97,9 @@ func quantizeModelBytes(model []byte) ([]byte, error) {
 // cf.coordinator workers, and drives the campaign to completion. If the
 // checkpoint file exists the campaign resumes from it instead of starting
 // fresh.
-func runClusterCoordinator(cf clusterFlags, mode, version, modelPath string, budget int64, seed uint64, nseeds int, fallback float64, vms int, quant bool, of obsFlags, onf onlineFlags) error {
+func runClusterCoordinator(cf clusterFlags, mode, version, modelPath string, budget int64, seed uint64, nseeds, workers int, fallback float64, vms int, quant bool, obsAddr string, onf onlineFlags) error {
+	// The MatMul pool also sets the online retrain's width.
+	nn.SetWorkers(workers)
 	k, err := kernel.Build(version)
 	if err != nil {
 		return err
@@ -157,15 +159,13 @@ func runClusterCoordinator(cf clusterFlags, mode, version, modelPath string, bud
 		CheckpointPath:  cf.checkpoint,
 		CheckpointEvery: cf.checkpointEvery,
 		Compress:        cf.compress,
-		TrainWorkers:    onf.trainWorkers,
-		CollectWorkers:  onf.collectWorkers,
 		Logf:            log.New(os.Stderr, "coordinator: ", log.Ltime).Printf,
 	}
 	var sampler *obs.Sampler
-	if of.addr != "" {
+	if obsAddr != "" {
 		reg := obs.NewRegistry()
-		sampler = obs.NewSampler(reg, of.sampleInterval)
-		addr, shutdown, err := obs.Serve(of.addr, reg, nil, sampler)
+		sampler = obs.NewSampler(reg, obs.DefaultSampleInterval)
+		addr, shutdown, err := obs.Serve(obsAddr, reg, nil, sampler)
 		if err != nil {
 			return err
 		}

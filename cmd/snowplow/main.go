@@ -30,25 +30,17 @@ import (
 	"github.com/repro/snowplow/internal/serve"
 )
 
-// obsFlags groups the observability knobs.
-type obsFlags struct {
-	addr           string
-	sampleInterval time.Duration
-}
-
 // onlineFlags groups the continual-learning knobs: whether the campaign
 // retrains on its own corpus and hot-swaps checkpoints at epoch barriers,
-// the retrain schedule, and the wall-clock-only worker widths (TRAINING.md).
+// and the retrain schedule (TRAINING.md). The retrain runs -workers wide.
 type onlineFlags struct {
-	enabled        bool
-	every          int64
-	lag            int64
-	minCorpus      int
-	mutations      int
-	trainEpochs    int
-	trainBatch     int
-	trainWorkers   int
-	collectWorkers int
+	enabled     bool
+	every       int64
+	lag         int64
+	minCorpus   int
+	mutations   int
+	trainEpochs int
+	trainBatch  int
 }
 
 // config resolves the flags into the campaign schedule, nil when -online is
@@ -76,15 +68,14 @@ func main() {
 		budget    = flag.Int64("budget", 2_000_000, "simulated execution budget (blocks)")
 		seed      = flag.Uint64("seed", 1, "campaign seed")
 		seeds     = flag.Int("seeds", 20, "number of generated seed programs")
-		workers   = flag.Int("workers", 4, "inference worker goroutines (also sizes the MatMul worker pool)")
+		workers   = flag.Int("workers", 4, "inference worker goroutines (also sizes the MatMul worker pool and -online retrain width)")
 		batch     = flag.Int("batch", 1, "inference micro-batch limit (1 = no batching)")
 		cache     = flag.Int("cache", 1024, "graph-encoding LRU cache capacity (0 = disabled)")
 		fallback  = flag.Float64("fallback", 0.1, "random-localization fallback probability")
 		vms       = flag.Int("vms", 1, "simulated fuzzing VMs, run in lockstep epochs through the reconciler")
-		fused     = flag.Bool("fused", true, "serve inference through the fused kernels (bit-identical to unfused)")
 		quant     = flag.Bool("quant", false, "int8-quantize model weights before serving (reproducible per seed; coordinator re-encodes the model for workers)")
 		faults    = flag.String("faults", "off", "inference fault model, e.g. drop=0.1,transient=0.2,corrupt=0.05,seed=7")
-		of        obsFlags
+		obsAddr   string
 		cf        clusterFlags
 		tenants   int
 		onf       onlineFlags
@@ -103,10 +94,6 @@ func main() {
 		"training epochs per retrain (0 = default 4)")
 	flag.IntVar(&onf.trainBatch, "online-train-batch", 0,
 		"retrain minibatch size (0 = default 8)")
-	flag.IntVar(&onf.trainWorkers, "train-workers", 0,
-		"data-parallel retrain width for -online (wall-clock only, results identical; 0 = single-threaded)")
-	flag.IntVar(&onf.collectWorkers, "collect-workers", 0,
-		"harvest shard width for -online retrains (wall-clock only, results identical; 0 = single-threaded)")
 	flag.IntVar(&tenants, "tenants", 1,
 		"concurrent snowplow campaigns sharing one multi-tenant model server, served round-robin (1 = single campaign)")
 	flag.BoolVar(&cf.worker, "worker", false,
@@ -125,19 +112,17 @@ func main() {
 		"worker: shape the coordinator link to this many bytes/sec (deterministic write stalls; 0 = unshaped)")
 	flag.DurationVar(&cf.wanLatency, "wan-latency", 0,
 		"worker: add this fixed delay to every coordinator-link write (with -wan-bandwidth; 0 = none)")
-	flag.StringVar(&of.addr, "obs", "",
+	flag.StringVar(&obsAddr, "obs", "",
 		"observability endpoint address, e.g. :6060 (serves /metrics, /journal, /timeseries, /debug/pprof; empty = disabled)")
-	flag.DurationVar(&of.sampleInterval, "sample-interval", 0,
-		"metrics sampling period for /timeseries (0 = default 250ms; only with -obs)")
 	flag.Parse()
 	var err error
 	switch {
 	case cf.worker:
-		err = runClusterWorker(cf, *workers, *fused)
+		err = runClusterWorker(cf, *workers)
 	case cf.coordinator > 0:
-		err = runClusterCoordinator(cf, *mode, *version, *modelPath, *budget, *seed, *seeds, *fallback, *vms, *quant, of, onf)
+		err = runClusterCoordinator(cf, *mode, *version, *modelPath, *budget, *seed, *seeds, *workers, *fallback, *vms, *quant, obsAddr, onf)
 	default:
-		err = run(*mode, *version, *modelPath, *budget, *seed, *seeds, *workers, *batch, *cache, *fallback, *vms, *fused, *quant, *faults, of, tenants, onf)
+		err = run(*mode, *version, *modelPath, *budget, *seed, *seeds, *workers, *batch, *cache, *fallback, *vms, *quant, *faults, obsAddr, tenants, onf)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snowplow:", err)
@@ -145,7 +130,11 @@ func main() {
 	}
 }
 
-func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, workers, batch, cache int, fallback float64, vms int, fused, quant bool, faults string, of obsFlags, tenants int, onf onlineFlags) error {
+func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, workers, batch, cache int, fallback float64, vms int, quant bool, faults, obsAddr string, tenants int, onf onlineFlags) error {
+	tcfgs, err := serve.ParseTenants(tenants)
+	if err != nil {
+		return err
+	}
 	// Size the MatMul worker pool alongside the inference pool; results are
 	// bit-identical for any worker count.
 	nn.SetWorkers(workers)
@@ -170,11 +159,11 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		journal *obs.Journal
 		sampler *obs.Sampler
 	)
-	if of.addr != "" {
+	if obsAddr != "" {
 		reg = obs.NewRegistry()
 		journal = obs.NewJournal(obs.DefaultJournalCap)
-		sampler = obs.NewSampler(reg, of.sampleInterval)
-		addr, shutdown, err := obs.Serve(of.addr, reg, journal, sampler)
+		sampler = obs.NewSampler(reg, obs.DefaultSampleInterval)
+		addr, shutdown, err := obs.Serve(obsAddr, reg, journal, sampler)
 		if err != nil {
 			return err
 		}
@@ -192,7 +181,7 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 	}
 	switch mode {
 	case "syzkaller":
-		if tenants > 1 {
+		if len(tcfgs) > 1 {
 			return fmt.Errorf("-tenants requires -mode snowplow")
 		}
 		if onf.enabled {
@@ -221,7 +210,7 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 			Workers:       workers,
 			BatchSize:     batch,
 			Metrics:       reg,
-			Fused:         fused,
+			Fused:         true,
 			Quant:         quant,
 			KernelProfile: true,
 		}
@@ -236,16 +225,14 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		srv := serve.NewServerOpts(m, builder, opts)
 		defer srv.Close()
 		cfg.Server = srv
-		if tenants > 1 {
+		if len(tcfgs) > 1 {
 			if onf.enabled {
 				return fmt.Errorf("-online is incompatible with -tenants (each campaign would retrain the shared model)")
 			}
-			return runTenantCampaigns(cfg, srv, tenants, workers, seed, nseeds, k, sampler)
+			return runTenantCampaigns(cfg, srv, tcfgs, workers, seed, nseeds, k, sampler)
 		}
 		if oc := onf.config(); oc != nil {
 			cfg.Online = oc
-			cfg.OnlineTrainWorkers = onf.trainWorkers
-			cfg.OnlineCollectWorkers = onf.collectWorkers
 			fmt.Printf("online learning: retrain every %d barriers, swap lag %d (see TRAINING.md)\n", oc.Every, oc.Lag)
 		}
 	default:

@@ -26,11 +26,8 @@ import (
 // runs all campaigns concurrently, and prints a per-campaign and per-tenant
 // report. Sharing one obs registry across campaigns is safe: instrument
 // registration is idempotent per name, so the counters aggregate.
-func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tenants, workers int, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
-	tcfgs, err := serve.ParseTenants(tenants)
-	if err != nil {
-		return err
-	}
+func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tcfgs []serve.TenantConfig, workers int, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
+	var err error
 	handles := make([]*serve.Tenant, len(tcfgs))
 	for i, tc := range tcfgs {
 		if handles[i], err = srv.Tenant(tc); err != nil {

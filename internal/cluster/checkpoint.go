@@ -32,8 +32,9 @@ const checkpointMagic = "SPCK"
 // checkpointVersion is the checkpoint format version, the only one
 // DecodeCheckpoint accepts (version 4 began naming prediction bases by
 // reference into Entries; version 5 dropped the degraded-serving fields
-// from the spec and the VM counters).
-const checkpointVersion = 5
+// from the spec and the VM counters; version 6 dropped the spec fields
+// protocol 5 dropped).
+const checkpointVersion = 6
 
 // maxCheckpointBody caps the declared decompressed size of a checkpoint
 // body, rejected before inflating (the decompression-bomb guard for the
@@ -186,7 +187,7 @@ func sealCheckpoint(body []byte) []byte {
 	return appendFlate(out.b, body, blobFlateLevel)
 }
 
-// Encode serializes the checkpoint in the current (v4) format, with every
+// Encode serializes the checkpoint in the current format, with every
 // prediction naming its base by index into Entries. The flate level is
 // fixed (blobFlateLevel), so encoding is a pure function of the struct and
 // the file stays canonical. States must be canonical — every prediction's

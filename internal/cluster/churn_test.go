@@ -51,12 +51,12 @@ func TestClusterSurvivesSeveredWorkerSnowplow(t *testing.T) {
 // TestCoordinatorRefusesProtocol2 plays workers built for older protocols
 // against a real coordinator: once with each Hello form protocol 2 sent
 // (the 8-byte one and the 24-byte one advertising wire 2 and flate level
-// 9) and once with protocol 3's. The coordinator must fail with
+// 9) and once each with protocol 3's and 4's. The coordinator must fail with
 // ErrBadVersion and tell the peer why, naming both versions, rather than
 // misread the Hello or leave the worker to its I/O timeout.
 func TestCoordinatorRefusesProtocol2(t *testing.T) {
 	spec := SpecFromConfig(baseConfig(51, 10_000, 1), nil)
-	for _, hello := range [][]byte{words(2), words(2, 2, 9), words(3)} {
+	for _, hello := range [][]byte{words(2), words(2, 2, 9), words(3), words(4)} {
 		co, err := NewCoordinator(Config{Spec: spec, Workers: 1, IOTimeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestCoordinatorRefusesProtocol2(t *testing.T) {
 			t.Fatalf("%d-byte hello: coordinator replied with frame 0x%02x, want an error", len(hello), typ)
 		}
 		em, err := DecodeErr(payload)
-		want := fmt.Sprintf("protocol version %d, want 4", hello[0])
+		want := fmt.Sprintf("protocol version %d, want 5", hello[0])
 		if err != nil || !strings.Contains(em.Msg, want) {
 			t.Fatalf("%d-byte hello: peer read %q (%v), want %q", len(hello), em.Msg, err, want)
 		}

@@ -58,11 +58,6 @@ type Config struct {
 	// anything outside 0-9 is refused. Wire-level only: merged state,
 	// digests and checkpoints are bit-identical at every level.
 	Compress int
-	// TrainWorkers / CollectWorkers bound the online-learning retrain's
-	// data-parallel training and harvest pools (0 = library defaults).
-	// Wall-clock only: retrains are bit-identical at any width.
-	TrainWorkers   int
-	CollectWorkers int
 	// Logf, when set, receives coordinator progress lines.
 	Logf func(format string, args ...any)
 }
@@ -284,15 +279,13 @@ func (c *Coordinator) initOnline() error {
 	}
 	m.Freeze()
 	ctl, err := online.New(online.Params{
-		Config:         *oc,
-		Kernel:         c.k,
-		An:             c.an,
-		Seed:           c.cfg.Spec.Seed,
-		Current:        m,
-		TrainWorkers:   c.cfg.TrainWorkers,
-		CollectWorkers: c.cfg.CollectWorkers,
-		Metrics:        c.cfg.Metrics,
-		Logf:           c.cfg.Logf,
+		Config:  *oc,
+		Kernel:  c.k,
+		An:      c.an,
+		Seed:    c.cfg.Spec.Seed,
+		Current: m,
+		Metrics: c.cfg.Metrics,
+		Logf:    c.cfg.Logf,
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)

@@ -160,20 +160,20 @@ func TestRestoreCrashes(t *testing.T) {
 // are one 8-byte word each, the one part of the protocol two releases must
 // always agree on byte-for-byte. Both Hello forms protocol 2 sent — the
 // 8-byte one and the 24-byte one advertising wire 2 and flate level 9 —
-// and protocol 3's are refused by version, not misread.
+// and protocol 3's and 4's are refused by version, not misread.
 func TestHelloEncodingStable(t *testing.T) {
-	if got, want := EncodeHello(Hello{Proto: 4}), words(4); !bytes.Equal(got, want) {
+	if got, want := EncodeHello(Hello{Proto: 5}), words(5); !bytes.Equal(got, want) {
 		t.Fatalf("hello: got %v want %v", got, want)
 	}
 	if got, want := EncodeWireMsg(WireMsg{Level: 6}), words(6); !bytes.Equal(got, want) {
 		t.Fatalf("wire msg: got %v want %v", got, want)
 	}
-	for _, old := range [][]byte{words(2), words(2, 2, 9), words(3)} {
+	for _, old := range [][]byte{words(2), words(2, 2, 9), words(3), words(4)} {
 		if _, err := DecodeHello(old); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("old hello %v: %v", old, err)
 		}
 	}
-	if _, err := DecodeHello(words(4, 2, 9)); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeHello(words(5, 2, 9)); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("hello with trailing words: %v", err)
 	}
 	if _, err := DecodeWireMsg(words(maxFlateLevel + 1)); !errors.Is(err, ErrBadMessage) {

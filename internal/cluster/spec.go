@@ -42,19 +42,15 @@ import (
 // per-worker serving preserves determinism (the existing perf-knob
 // invariance guarantees it).
 type CampaignSpec struct {
-	Mode                   uint8 // 0 = syzkaller, 1 = snowplow
-	KernelVersion          string
-	Seed                   uint64
-	Budget                 int64
-	TotalVMs               int // fleet size; equals the single-host Config.VMs
-	SyncEvery              int64
-	SampleEvery            int64
-	FallbackProb           float64
-	GenerateProb           float64
-	MutationsPerPrediction int
-	MaxQueryTargets        int
-	MinimizeCorpus         bool
-	Journal                bool
+	Mode          uint8 // 0 = syzkaller, 1 = snowplow
+	KernelVersion string
+	Seed          uint64
+	Budget        int64
+	TotalVMs      int // fleet size; equals the single-host Config.VMs
+	SyncEvery     int64
+	SampleEvery   int64
+	FallbackProb  float64
+	Journal       bool
 	// Online* carry the continual-learning schedule (see online.Config);
 	// OnlineEnabled false means a frozen model. Campaign-semantic: the
 	// schedule changes what the campaign computes, so it travels in the spec
@@ -98,19 +94,15 @@ func (sp CampaignSpec) FuzzerMode() fuzzer.Mode {
 // plus the serialized model (nil outside Snowplow mode).
 func SpecFromConfig(cfg fuzzer.Config, model []byte) CampaignSpec {
 	sp := CampaignSpec{
-		KernelVersion:          cfg.Kernel.Version,
-		Seed:                   cfg.Seed,
-		Budget:                 cfg.Budget,
-		TotalVMs:               cfg.VMs,
-		SyncEvery:              cfg.SyncEvery,
-		SampleEvery:            cfg.SampleEvery,
-		FallbackProb:           cfg.FallbackProb,
-		GenerateProb:           cfg.GenerateProb,
-		MutationsPerPrediction: cfg.MutationsPerPrediction,
-		MaxQueryTargets:        cfg.MaxQueryTargets,
-		MinimizeCorpus:         cfg.MinimizeCorpus,
-		Journal:                cfg.Journal != nil,
-		Model:                  model,
+		KernelVersion: cfg.Kernel.Version,
+		Seed:          cfg.Seed,
+		Budget:        cfg.Budget,
+		TotalVMs:      cfg.VMs,
+		SyncEvery:     cfg.SyncEvery,
+		SampleEvery:   cfg.SampleEvery,
+		FallbackProb:  cfg.FallbackProb,
+		Journal:       cfg.Journal != nil,
+		Model:         model,
 	}
 	if cfg.Mode == fuzzer.ModeSnowplow {
 		sp.Mode = 1
@@ -157,20 +149,16 @@ func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool
 	}
 	k, an := kp.k, kp.an
 	cfg := fuzzer.Config{
-		Mode:                   sp.FuzzerMode(),
-		Kernel:                 k,
-		An:                     an,
-		Seed:                   sp.Seed,
-		Budget:                 sp.Budget,
-		VMs:                    sp.TotalVMs,
-		SyncEvery:              sp.SyncEvery,
-		SampleEvery:            sp.SampleEvery,
-		FallbackProb:           sp.FallbackProb,
-		GenerateProb:           sp.GenerateProb,
-		MutationsPerPrediction: sp.MutationsPerPrediction,
-		MaxQueryTargets:        sp.MaxQueryTargets,
-		MinimizeCorpus:         sp.MinimizeCorpus,
-		Online:                 sp.OnlineConfig(),
+		Mode:         sp.FuzzerMode(),
+		Kernel:       k,
+		An:           an,
+		Seed:         sp.Seed,
+		Budget:       sp.Budget,
+		VMs:          sp.TotalVMs,
+		SyncEvery:    sp.SyncEvery,
+		SampleEvery:  sp.SampleEvery,
+		FallbackProb: sp.FallbackProb,
+		Online:       sp.OnlineConfig(),
 	}
 	for _, text := range sp.SeedProgs {
 		p, err := prog.Parse(k.Target, text)

@@ -35,8 +35,10 @@ import (
 // added the online-learning spec fields and the two-phase model hot-swap
 // push (frameModelPrep/frameModelCommit); version 3 made the codec above
 // the only wire form and the handshake two fixed 8-byte messages; version 4
-// dropped the degraded-serving fields from the spec and the VM counters.
-const protoVersion = 4
+// dropped the degraded-serving fields from the spec and the VM counters;
+// version 5 dropped the spec's generate probability, mutations per
+// prediction, query-target cap and minimize flag (now fuzzer constants).
+const protoVersion = 5
 
 // The cluster protocol's frame types, spanning 0x10–0x1b (disjoint from
 // the inference protocol's 0x0x range, so a cross-wired connection fails
@@ -294,10 +296,6 @@ func (e *enc) spec(sp CampaignSpec) {
 	e.i64(sp.SyncEvery)
 	e.i64(sp.SampleEvery)
 	e.f64(sp.FallbackProb)
-	e.f64(sp.GenerateProb)
-	e.int(sp.MutationsPerPrediction)
-	e.int(sp.MaxQueryTargets)
-	e.flag(sp.MinimizeCorpus)
 	e.flag(sp.Journal)
 	e.flag(sp.OnlineEnabled)
 	e.i64(sp.OnlineEvery)
@@ -627,10 +625,6 @@ func (d *dec) spec() CampaignSpec {
 		SyncEvery:              d.i64(),
 		SampleEvery:            d.i64(),
 		FallbackProb:           d.f64(),
-		GenerateProb:           d.f64(),
-		MutationsPerPrediction: d.int(),
-		MaxQueryTargets:        d.int(),
-		MinimizeCorpus:         d.flag(),
 		Journal:                d.flag(),
 		OnlineEnabled:          d.flag(),
 		OnlineEvery:            d.i64(),

@@ -43,21 +43,17 @@ func words(vs ...uint64) []byte {
 // fixtureSpec is a fully populated spec exercising every field.
 func fixtureSpec() CampaignSpec {
 	return CampaignSpec{
-		Mode:                   1,
-		KernelVersion:          "6.8",
-		Seed:                   0xdeadbeef,
-		Budget:                 1_000_000,
-		TotalVMs:               4,
-		SyncEvery:              512,
-		SampleEvery:            10_000,
-		FallbackProb:           0.125,
-		GenerateProb:           0.0625,
-		MutationsPerPrediction: 4,
-		MaxQueryTargets:        16,
-		MinimizeCorpus:         true,
-		Journal:                true,
-		SeedProgs:              []string{"prog-a", "prog-b"},
-		Model:                  []byte{1, 2, 3, 4, 5},
+		Mode:          1,
+		KernelVersion: "6.8",
+		Seed:          0xdeadbeef,
+		Budget:        1_000_000,
+		TotalVMs:      4,
+		SyncEvery:     512,
+		SampleEvery:   10_000,
+		FallbackProb:  0.125,
+		Journal:       true,
+		SeedProgs:     []string{"prog-a", "prog-b"},
+		Model:         []byte{1, 2, 3, 4, 5},
 	}
 }
 
@@ -261,9 +257,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 	// Unknown versions and every earlier one are refused: a v3 body holds
-	// prediction texts where v4 holds references, and a v4 body carries
-	// the degraded-serving fields v5 dropped.
-	for _, v := range []byte{99, 4, 3, 2} {
+	// prediction texts where v4 holds references, a v4 body carries the
+	// degraded-serving fields v5 dropped, and a v5 spec the schedule
+	// fields v6 dropped.
+	for _, v := range []byte{99, 5, 4, 3, 2} {
 		bad := append([]byte(nil), data...)
 		bad[4] = v // version field
 		if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadVersion) {

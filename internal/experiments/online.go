@@ -102,9 +102,7 @@ func Online(h *Harness) OnlineResult {
 			Seed: opts.Seed, Budget: opts.FuzzBudget, VMs: vms,
 			SeedCorpus: seedPrograms(h, "6.8", opts.Seed),
 			Server:     srv, Journal: jn,
-			Online:               oc,
-			OnlineTrainWorkers:   opts.TrainWorkers,
-			OnlineCollectWorkers: opts.CollectWorkers,
+			Online: oc,
 		}
 		start := time.Now()
 		f := fuzzer.New(cfg)

@@ -56,16 +56,10 @@ type TenantScenario struct {
 }
 
 // TenantsResult is the multi-tenant serving benchmark artifact
-// (BENCH_tenants.json).
+// (BENCH_tenants.json). The 1-tenant row's QPSRatio is the lone-campaign
+// cost of the shared platform.
 type TenantsResult struct {
 	Scenarios []TenantScenario
-	// SingleTenantSharedQPS / SingleTenantDedicatedQPS are the interleaved
-	// single-campaign measurements behind the regression figure.
-	SingleTenantSharedQPS    float64
-	SingleTenantDedicatedQPS float64
-	// SingleTenantRegressionPct is how much slower the shared platform
-	// serves a lone campaign than a dedicated server (negative = faster).
-	SingleTenantRegressionPct float64
 }
 
 // tenantBenchWindow is the per-measurement wall-clock window.
@@ -222,13 +216,6 @@ func Tenants(h *Harness) TenantsResult {
 		}
 		sc.FairnessRatio = fairnessRatio(sharedCounts)
 		res.Scenarios = append(res.Scenarios, sc)
-		if n == 1 {
-			res.SingleTenantSharedQPS = sc.SharedQPS
-			res.SingleTenantDedicatedQPS = sc.DedicatedQPS
-			if sc.DedicatedQPS > 0 {
-				res.SingleTenantRegressionPct = 100 * (1 - sc.SharedQPS/sc.DedicatedQPS)
-			}
-		}
 	}
 	return res
 }
@@ -243,8 +230,6 @@ func (r TenantsResult) Render(w io.Writer) {
 			sc.Tenants, sc.SharedQPS, sc.DedicatedQPS, sc.QPSRatio, sc.FairnessRatio,
 			sc.MaxMeanQueueWait.Round(time.Microsecond), sc.BatchFill, sc.Refused)
 	}
-	fmt.Fprintf(w, "single campaign on the shared platform: %.1f%% regression vs a dedicated server\n",
-		r.SingleTenantRegressionPct)
 }
 
 // sampleQuery builds one realistic query on kernel 6.8: a generated

@@ -56,6 +56,21 @@ func (m Mode) String() string {
 	return "syzkaller"
 }
 
+// The schedule Snowplow shares with the Syzkaller baseline (§3.4: only the
+// localizer differs between the modes). They are constants, not Config
+// fields, so the two arms of a comparison cannot drift apart on them.
+const (
+	// generateProb is the chance of generating a fresh program instead of
+	// mutating a corpus entry.
+	generateProb = 0.15
+	// mutationsPerPrediction scales how many argument mutations each
+	// PMM-predicted slot receives (§3.4: more predicted arguments mean
+	// more mutation attempts for the base program).
+	mutationsPerPrediction = 4
+	// maxQueryTargets bounds the desired-target sample per query.
+	maxQueryTargets = 16
+)
+
 // Config parameterizes a fuzzing campaign.
 type Config struct {
 	Mode   Mode
@@ -86,17 +101,8 @@ type Config struct {
 	// FallbackProb is the probability of random argument localization in
 	// Snowplow mode (§3.4's fallback mechanism).
 	FallbackProb float64
-	// GenerateProb is the chance of generating a fresh program instead of
-	// mutating a corpus entry.
-	GenerateProb float64
 	// SeedCorpus are initial programs (executed and added unconditionally).
 	SeedCorpus []*prog.Prog
-	// MutationsPerPrediction scales how many argument mutations each
-	// PMM-predicted slot receives (§3.4: more predicted arguments mean
-	// more mutation attempts for the base program).
-	MutationsPerPrediction int
-	// MaxQueryTargets bounds the desired-target sample per query.
-	MaxQueryTargets int
 	// SyncInference disables the asynchronous integration (§3.4 ablation):
 	// every guided mutation blocks on a fresh inference call, stalling the
 	// mutator for the full round trip.
@@ -109,24 +115,15 @@ type Config struct {
 	// barriers, new-edge discoveries, crash dedup, model retrains and swaps)
 	// with seed-deterministic sequence numbers; see obs.Journal.
 	Journal *obs.Journal
-	// MinimizeCorpus enables Syzkaller-style triage minimization: before a
-	// program joins the corpus, calls that do not contribute to its new
-	// coverage are removed (the extra executions are charged to the
-	// budget, as triage work is on the real fuzzing machine).
-	MinimizeCorpus bool
 	// Online, when non-nil, enables continual learning: a background
 	// controller (internal/online) retrains the PMM on the campaign's own
 	// corpus at fixed epoch barriers and hot-swaps accepted checkpoints into
 	// the server at barrier epochs, without pausing VMs. Requires
 	// ModeSnowplow and a Server implementing serve.ModelSwapper (a local
 	// *serve.Server or *serve.Tenant). The swap schedule is defined in
-	// barrier epochs.
+	// barrier epochs. The retrain runs nn.Workers() wide (wall-clock only:
+	// results are bit-identical at any width).
 	Online *online.Config
-	// OnlineTrainWorkers / OnlineCollectWorkers bound the background
-	// retrain's data-parallel training and harvest pools (0 = library
-	// defaults). Wall-clock only: results are bit-identical at any width.
-	OnlineTrainWorkers   int
-	OnlineCollectWorkers int
 }
 
 // Point is one coverage time-series sample.
@@ -316,15 +313,6 @@ func (c Config) Normalized() Config {
 	if c.FallbackProb == 0 {
 		c.FallbackProb = 0.1
 	}
-	if c.GenerateProb == 0 {
-		c.GenerateProb = 0.15
-	}
-	if c.MutationsPerPrediction == 0 {
-		c.MutationsPerPrediction = 4
-	}
-	if c.MaxQueryTargets == 0 {
-		c.MaxQueryTargets = 16
-	}
 	return c
 }
 
@@ -402,14 +390,12 @@ func (f *Fuzzer) newOnline() (*online.Controller, error) {
 		return nil, fmt.Errorf("fuzzer: online learning requires a hot-swappable server (serve.ModelSwapper), got %T", f.cfg.Server)
 	}
 	ctl, err := online.New(online.Params{
-		Config:         *f.cfg.Online,
-		Kernel:         f.cfg.Kernel,
-		An:             f.cfg.An,
-		Seed:           f.cfg.Seed,
-		Current:        sw.Model(),
-		TrainWorkers:   f.cfg.OnlineTrainWorkers,
-		CollectWorkers: f.cfg.OnlineCollectWorkers,
-		Metrics:        f.cfg.Metrics,
+		Config:  *f.cfg.Online,
+		Kernel:  f.cfg.Kernel,
+		An:      f.cfg.An,
+		Seed:    f.cfg.Seed,
+		Current: sw.Model(),
+		Metrics: f.cfg.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fuzzer: %w", err)
@@ -445,7 +431,7 @@ func (w *worker) noteCacheKey(p *prog.Prog, traces [][]kernel.BlockID, targets [
 // the paper's deployment, which swaps the localizer and nothing else.
 func (w *worker) step() error {
 	entry := w.view.Choose(w.r)
-	if entry == nil || w.r.Chance(w.cfg.GenerateProb) {
+	if entry == nil || w.r.Chance(generateProb) {
 		p := w.gen.Generate(w.r, 2+w.r.Intn(5))
 		_, err := w.execute(p, classGenerate)
 		return err
@@ -515,7 +501,7 @@ func (w *worker) guidedArgMutation(entry *corpus.Entry) error {
 }
 
 // guidedBurst performs the PMM-localized argument mutations for one
-// prediction: MutationsPerPrediction instantiations per predicted slot
+// prediction: mutationsPerPrediction instantiations per predicted slot
 // (§3.4: more predicted arguments -> more mutations of this base), plus
 // pairwise slot combinations that probe multi-constraint ladders a
 // single-slot mutation cannot cross. Bursts only happen when a prediction
@@ -527,7 +513,7 @@ func (w *worker) guidedBurst(entry *corpus.Entry, slots []prog.GlobalSlot) error
 		slots = slots[:8]
 	}
 	for _, slot := range slots {
-		for j := 0; j < w.cfg.MutationsPerPrediction; j++ {
+		for j := 0; j < mutationsPerPrediction; j++ {
 			if w.cost >= w.budget {
 				return nil
 			}
@@ -538,7 +524,7 @@ func (w *worker) guidedBurst(entry *corpus.Entry, slots []prog.GlobalSlot) error
 		}
 	}
 	if len(slots) >= 2 {
-		for j := 0; j < w.cfg.MutationsPerPrediction; j++ {
+		for j := 0; j < mutationsPerPrediction; j++ {
 			if w.cost >= w.budget {
 				return nil
 			}
@@ -715,9 +701,9 @@ func (w *worker) queryTargets(entry *corpus.Entry) []kernel.BlockID {
 		seen[alt.Entry] = true
 		fresh = append(fresh, alt.Entry)
 	}
-	if len(fresh) > w.cfg.MaxQueryTargets {
+	if len(fresh) > maxQueryTargets {
 		w.r.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
-		fresh = fresh[:w.cfg.MaxQueryTargets]
+		fresh = fresh[:maxQueryTargets]
 	}
 	return fresh
 }
@@ -785,56 +771,12 @@ func (w *worker) execute(p *prog.Prog, class yieldClass) (*exec.Result, error) {
 	}
 	cover := trace.EdgesOfInto(w.scratchCover, res)
 	blocks := *trace.BlockSetOfInto(&w.scratchBlocks, res)
-	if w.cfg.MinimizeCorpus && len(p.Calls) > 1 && w.view.NewEdges(cover) > 0 {
-		p, res, cover, blocks = w.minimize(p, res, cover)
-	}
 	newEdges := w.view.Add(p, cover, blocks, res.CallTraces)
 	if newEdges > 0 {
 		w.jevent(obs.EventNewEdges, int64(newEdges), "")
 	}
 	w.recordYield(class, newEdges)
 	return res, nil
-}
-
-// minimize implements Syzkaller's triage minimization: drop calls (last to
-// first) while the program still contributes every new edge it was about to
-// add. Each trial execution is charged to the budget.
-func (w *worker) minimize(p *prog.Prog, res *exec.Result, cover *trace.Cover) (*prog.Prog, *exec.Result, *trace.Cover, trace.BlockSet) {
-	must := w.view.NewEdgeList(cover)
-	best, bestRes, bestCover := p, res, cover
-	for i := len(best.Calls) - 1; i >= 0; i-- {
-		if len(best.Calls) == 1 {
-			break
-		}
-		cand := best.Clone()
-		cand.RemoveCall(i)
-		var t0 time.Time
-		if w.m != nil {
-			t0 = time.Now()
-		}
-		candRes, err := w.exe.Run(cand)
-		if err != nil || candRes.Crash != nil {
-			continue
-		}
-		w.stats.Executions++
-		if w.m != nil {
-			w.m.execs.Inc()
-			w.m.execLatency.Observe(time.Since(t0).Nanoseconds())
-		}
-		w.cost += int64(candRes.Cost)
-		candCover := trace.EdgesOf(candRes)
-		keeps := true
-		for _, e := range must {
-			if !candCover.Has(e) {
-				keeps = false
-				break
-			}
-		}
-		if keeps {
-			best, bestRes, bestCover = cand, candRes, candCover
-		}
-	}
-	return best, bestRes, bestCover, trace.NewBlockSet(trace.BlocksOf(bestRes))
 }
 
 // seed executes an initial program and retains it in corp unconditionally.

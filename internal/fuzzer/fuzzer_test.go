@@ -187,45 +187,3 @@ func BenchmarkFuzzLoopBaseline(b *testing.B) {
 		}
 	}
 }
-
-func TestMinimizeCorpusShrinksEntries(t *testing.T) {
-	cfgPlain := baselineConfig(21, 150_000)
-	plain, err := New(cfgPlain).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgMin := baselineConfig(21, 150_000)
-	cfgMin.MinimizeCorpus = true
-	fMin := New(cfgMin)
-	minStats, err := fMin.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := func(s *Stats, f *Fuzzer) float64 {
-		total := 0
-		entries := f.Corpus().Entries()
-		for _, e := range entries {
-			total += len(e.Prog.Calls)
-		}
-		if len(entries) == 0 {
-			return 0
-		}
-		return float64(total) / float64(len(entries))
-	}
-	_ = plain
-	fPlain := New(cfgPlain)
-	plainStats, err := fPlain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = plainStats
-	if a, b := avg(minStats, fMin), avg(plainStats, fPlain); a >= b {
-		t.Fatalf("minimized corpus avg %.2f calls not smaller than plain %.2f", a, b)
-	}
-	// Minimized entries must all be valid.
-	for _, e := range fMin.Corpus().Entries() {
-		if err := e.Prog.Validate(); err != nil {
-			t.Fatalf("minimized entry invalid: %v", err)
-		}
-	}
-}

@@ -25,7 +25,6 @@ package fuzzer
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -114,12 +113,6 @@ func (v *epochView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet,
 func (v *epochView) NewEdges(cover *trace.Cover) (n int) {
 	v.corp.ReadTotal(func(total *trace.Cover) { n = v.local.NewEdgesBeyond(total, cover) })
 	return n
-}
-
-// NewEdgeList lists, sorted, the edges NewEdges counts.
-func (v *epochView) NewEdgeList(cover *trace.Cover) (out []trace.Edge) {
-	v.corp.ReadTotal(func(total *trace.Cover) { out = cover.Diff(total) })
-	return slices.DeleteFunc(out, v.local.Has)
 }
 
 // Edges is the number of edges covered as visible to this VM.

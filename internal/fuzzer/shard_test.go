@@ -38,9 +38,6 @@ func TestEpochViewAddDuplicateText(t *testing.T) {
 	if n := v.NewEdges(viewCover(1, 2, 3)); n != 1 {
 		t.Fatalf("NewEdges over shared+local = %d, want 1", n)
 	}
-	if got := v.NewEdgeList(viewCover(1, 2, 3)); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("NewEdgeList over shared+local = %v, want [3]", got)
-	}
 	for _, p := range []*prog.Prog{shared, local} {
 		if n := v.Add(p.Clone(), viewCover(1, 2, 3), trace.BlockSet{}, nil); n != 0 {
 			t.Fatalf("duplicate text contributed %d", n)

@@ -126,13 +126,3 @@ func (p *Predicate) String() string {
 		return fmt.Sprintf("pred(%d)", int(p.Kind))
 	}
 }
-
-// DependsOnSlot reports whether the predicate inspects argument slot i.
-func (p *Predicate) DependsOnSlot(i int) bool {
-	switch p.Kind {
-	case PredCounterGT, PredCounterEQ:
-		return false
-	default:
-		return p.Slot == i
-	}
-}

@@ -212,14 +212,6 @@ func checkGatherAdd(dst, table *Tensor, indices []int) int {
 	return cols
 }
 
-// EnableFusion turns the fused kernels on for this Infer. Outputs remain
-// bit-identical to the unfused chain; only the number of kernel launches
-// and arena tensors changes.
-func (in *Infer) EnableFusion() { in.fused = true }
-
-// SetFused toggles the fused kernels (see EnableFusion).
-func (in *Infer) SetFused(on bool) { in.fused = on }
-
 // FusionEnabled implements FusedOps.
 func (in *Infer) FusionEnabled() bool { return in.fused }
 

@@ -108,8 +108,9 @@ func (TrainOps) Recycle(ts ...*Tensor) {}
 // registered in the arena; Close releases everything still registered.
 // An Infer is owned by one goroutine; distinct Infers may share a Pool.
 //
-// Infer also implements FusedOps (fused.go); EnableFusion routes layer
-// forwards through the fused kernels, with bit-identical outputs.
+// Infer also implements FusedOps (fused.go); an Infer from NewInferFused
+// routes layer forwards through the fused kernels, with bit-identical
+// outputs.
 type Infer struct {
 	pool     *Pool
 	borrowed []*Tensor

@@ -467,12 +467,6 @@ func scatterMeanVia(ta *TrainArena, src *Tensor, dst []int, dstRows int) *Tensor
 	return out
 }
 
-// SelectRows picks the given rows of a 2D tensor into a new tensor, with
-// gradient routed back to the selected rows.
-func SelectRows(a *Tensor, indices []int) *Tensor {
-	return Gather(a, indices)
-}
-
 // MeanRows returns a (1,n) tensor holding the column means of a 2D tensor.
 func MeanRows(a *Tensor) *Tensor { return meanRowsVia(nil, a) }
 

@@ -17,9 +17,6 @@ var kernelProfiling atomic.Bool
 // the only cost is one atomic load per op.
 func SetKernelProfiling(on bool) { kernelProfiling.Store(on) }
 
-// KernelProfiling reports whether per-op kernel timing is enabled.
-func KernelProfiling() bool { return kernelProfiling.Load() }
-
 // InferProfile is a snapshot of a pool's accumulated inference-kernel
 // activity: how many fused kernels ran, and — when kernel profiling is
 // enabled — how long each kernel class spent, in nanoseconds.

@@ -65,9 +65,6 @@ func (t *Tensor) Size() int {
 	return n
 }
 
-// Dims returns the number of dimensions.
-func (t *Tensor) Dims() int { return len(t.Shape) }
-
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 

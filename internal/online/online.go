@@ -34,6 +34,7 @@ import (
 	"github.com/repro/snowplow/internal/cfa"
 	"github.com/repro/snowplow/internal/dataset"
 	"github.com/repro/snowplow/internal/kernel"
+	"github.com/repro/snowplow/internal/nn"
 	"github.com/repro/snowplow/internal/obs"
 	"github.com/repro/snowplow/internal/pmm"
 	"github.com/repro/snowplow/internal/prog"
@@ -43,9 +44,9 @@ import (
 
 // Config holds the campaign-semantic online-learning parameters: every
 // field here changes what a campaign computes, so all of them travel in the
-// cluster CampaignSpec and are pinned by checkpoints. Wall-clock knobs
-// (training/harvest worker counts) live in Params instead — they never
-// change results.
+// cluster CampaignSpec and are pinned by checkpoints. The one wall-clock
+// knob, the training/harvest width, is the process's nn.Workers(): it
+// never changes results.
 type Config struct {
 	// Every is the retrain cadence in epoch barriers: a retrain kicks off
 	// at every barrier whose epoch is a positive multiple of Every (unless
@@ -109,10 +110,6 @@ type Params struct {
 	// SaveQuantized so cluster workers and single-host servers serve
 	// byte-identical weights.
 	Current *pmm.Model
-	// TrainWorkers and CollectWorkers are data-parallel widths for the
-	// retrain and the harvest. Results are bit-identical at any value.
-	TrainWorkers   int
-	CollectWorkers int
 	// Metrics receives the online_* instruments when non-nil.
 	Metrics *obs.Registry
 	// Logf receives progress lines when non-nil.
@@ -357,8 +354,8 @@ func trainSeed(campaign uint64, version int64) uint64 {
 }
 
 // retrain is the background body: harvest → split → train → validate →
-// encode. Deterministic per (seed, version, bases); only Elapsed carries
-// wall clock.
+// encode, nn.Workers() wide. Deterministic per (seed, version, bases);
+// only Elapsed carries wall clock.
 func (c *Controller) retrain(version, kickoff int64, cur *pmm.Model, bases []*prog.Prog) *Swap {
 	start := time.Now()
 	sw := &Swap{Version: version, Kickoff: kickoff, Bases: len(bases)}
@@ -369,7 +366,7 @@ func (c *Controller) retrain(version, kickoff int64, cur *pmm.Model, bases []*pr
 
 	coll := dataset.NewCollector(c.p.Kernel, c.p.An)
 	coll.MutationsPerBase = c.cfg.MutationsPerBase
-	coll.Workers = c.p.CollectWorkers
+	coll.Workers = nn.Workers()
 	coll.Metrics = c.p.Metrics
 	ds, _ := coll.Collect(rng.New(trainSeed(c.p.Seed, version)), bases)
 	sw.Examples = ds.Len()
@@ -384,7 +381,7 @@ func (c *Controller) retrain(version, kickoff int64, cur *pmm.Model, bases []*pr
 	tcfg := pmm.DefaultTrainConfig()
 	tcfg.Epochs = c.cfg.TrainEpochs
 	tcfg.Batch = c.cfg.TrainBatch
-	tcfg.Workers = c.p.TrainWorkers
+	tcfg.Workers = nn.Workers()
 	tcfg.Seed = trainSeed(c.p.Seed, version)
 	tcfg.Metrics = c.p.Metrics
 	trainC := pmm.CompileDataset(b, train, tcfg.PosWeight)

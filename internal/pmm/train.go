@@ -140,12 +140,6 @@ func TrainCompiled(b *qgraph.Builder, cfg Config, tcfg TrainConfig, train, val *
 	return m, report
 }
 
-// TrainOn fits an existing model in place (used by the hyperparameter
-// search and by tests that pre-build the model).
-func TrainOn(m *Model, b *qgraph.Builder, tcfg TrainConfig, train, val *dataset.Dataset) TrainReport {
-	return TrainOnCompiled(m, b, tcfg, CompileDataset(b, train, tcfg.PosWeight), CompileDataset(b, val, 1))
-}
-
 // TrainOnCompiled fits an existing model in place over pre-compiled splits.
 //
 // With Batch=1 and Workers=1 (the defaults) the loop is the classic

@@ -250,28 +250,6 @@ func forEachResult(c *Call, f func(*ResultArg)) {
 	}
 }
 
-// ForEachArg visits every argument node of the call in depth-first order,
-// reporting its type path name.
-func (c *Call) ForEachArg(f func(a Arg)) {
-	var walk func(Arg)
-	walk = func(a Arg) {
-		f(a)
-		switch v := a.(type) {
-		case *PointerArg:
-			if v.Inner != nil {
-				walk(v.Inner)
-			}
-		case *GroupArg:
-			for _, in := range v.Inner {
-				walk(in)
-			}
-		}
-	}
-	for _, a := range c.Args {
-		walk(a)
-	}
-}
-
 // FixupLens recomputes every len[] field of the call from its target
 // sibling's current size, restoring spec-consistent lengths after mutation
 // or generation.

@@ -82,11 +82,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1). The quotient
 // is explicitly rounded so that, inlined into a caller's x*Float64() + y,
 // arm64 cannot fuse it into an FMA that amd64 never forms.
@@ -115,11 +110,6 @@ func (r *Rand) Bool() bool {
 // Chance returns true with probability p (clamped to [0, 1]).
 func (r *Rand) Chance(p float64) bool {
 	return r.Float64() < p
-}
-
-// OneOf returns true with probability 1/n.
-func (r *Rand) OneOf(n int) bool {
-	return r.Intn(n) == 0
 }
 
 // Perm returns a random permutation of [0, n).

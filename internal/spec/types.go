@@ -213,9 +213,6 @@ func NewRegistry() *Registry {
 // Lookup returns the syscall with the given variant name, or nil.
 func (r *Registry) Lookup(name string) *Syscall { return r.byName[name] }
 
-// Struct returns the named struct type, or nil.
-func (r *Registry) Struct(name string) *Type { return r.structs[name] }
-
 // FlagSet returns the named flag set type, or nil.
 func (r *Registry) FlagSet(name string) *Type { return r.flagSets[name] }
 
