@@ -126,12 +126,10 @@ func main() {
 		quiet  = flag.Bool("quiet", false, "suppress progress logging")
 		faults = flag.String("faults", "",
 			"fault shape at rate 1.0 for the degraded-serving sweep, e.g. drop=0.4,transient=0.3,corrupt=0.2 (empty = default shape)")
-		workers = flag.Int("workers", 0, "MatMul worker-pool size (0 = leave at 1)")
+		workers = flag.Int("workers", 0, "worker-pool width of MatMul, PMM training and dataset collection (0 = leave at 1)")
 		vms     = flag.Int("vms", 0, "simulated-VM fleet size for fuzzing campaigns (0 = one VM)")
 		batch   = flag.Int("batch", 0, "serving micro-batch limit for harness servers (0 = no batching)")
 		jsonDir = flag.String("json", "", "directory for machine-readable BENCH_<experiment>.json results (empty = disabled)")
-		trainW  = flag.Int("train-workers", 0, "data-parallel PMM training width for harness training (0 = single-threaded)")
-		collW   = flag.Int("collect-workers", 0, "harvest shard width for harness dataset collection (0 = single-threaded)")
 	)
 	flag.Parse()
 	sel, err := selectGroups(*which)
@@ -150,8 +148,6 @@ func main() {
 	opts.Seed = *seed
 	opts.BatchSize = *batch
 	opts.VMs = *vms
-	opts.TrainWorkers = *trainW
-	opts.CollectWorkers = *collW
 	if *faults != "" {
 		fm, err := faultinject.ParseSpec(*faults)
 		if err != nil {

@@ -53,7 +53,6 @@ func runClusterWorker(cf clusterFlags, workers int) error {
 	logger.Printf("joining coordinator at %s", cf.addr)
 	opts := cluster.WorkerOptions{
 		ServeWorkers: workers,
-		Fused:        true,
 		Logf:         logger.Printf,
 	}
 	if cf.wanBandwidth > 0 || cf.wanLatency > 0 {

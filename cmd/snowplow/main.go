@@ -210,7 +210,6 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 			Workers:       workers,
 			BatchSize:     batch,
 			Metrics:       reg,
-			Fused:         true,
 			Quant:         quant,
 			KernelProfile: true,
 		}
@@ -298,16 +297,14 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 		fmt.Fprintf(&out, "batching: %d passes, %d batched queries, avg batch %.2f (fill %.0f%%); graph cache: %d hits, %d misses\n",
 			ss.Batches, ss.BatchedQueries, ss.AvgBatchSize, 100*ss.BatchFill, ss.CacheHits, ss.CacheMisses)
 		kp := ss.Kernel
-		fmt.Fprintf(&out, "inference: fused=%v quant=%v; kernels: %d linear, %d attention, %d add+norm\n",
-			ss.Fused, ss.Quantized, kp.FusedLinear, kp.FusedAttention, kp.FusedAddNorm)
+		fmt.Fprintf(&out, "inference: quant=%v; kernels: %d linear, %d attention, %d add+norm\n",
+			ss.Quantized, kp.FusedLinear, kp.FusedAttention, kp.FusedAddNorm)
 		if kp.KernelNs() > 0 {
-			fmt.Fprintf(&out, "kernel time: %v total (matmul %v, linear %v, attention %v, norm %v, softmax %v)\n",
+			fmt.Fprintf(&out, "kernel time: %v total (linear %v, attention %v, norm %v)\n",
 				time.Duration(kp.KernelNs()).Round(time.Microsecond),
-				time.Duration(kp.MatMulNs).Round(time.Microsecond),
 				time.Duration(kp.FusedLinearNs).Round(time.Microsecond),
 				time.Duration(kp.AttentionNs).Round(time.Microsecond),
-				time.Duration(kp.NormNs).Round(time.Microsecond),
-				time.Duration(kp.SoftmaxNs).Round(time.Microsecond))
+				time.Duration(kp.NormNs).Round(time.Microsecond))
 		}
 		if ss.InjDropped+ss.InjTransient+ss.InjCorrupt > 0 {
 			fmt.Fprintf(&out, "injected: %d dropped, %d transient, %d corrupt\n",

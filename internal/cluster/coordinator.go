@@ -238,7 +238,7 @@ func newCoordinator(cfg Config) (*Coordinator, fuzzer.Config, error) {
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = 60 * time.Second
 	}
-	rt, err := cfg.Spec.Materialize(false, 0, false)
+	rt, err := cfg.Spec.Materialize(false, 0)
 	if err != nil {
 		return nil, none, err
 	}

@@ -31,8 +31,7 @@ func RunLocal(cfg Config, workers int, wopts WorkerOptions) (*Result, error) {
 
 // RunLocalOpts is RunLocal with per-worker options: worker i runs with
 // wopts[i], so a single fleet can mix configurations — shaped links beside
-// unshaped ones, fused beside unfused, own inference surface beside the
-// shared server.
+// unshaped ones, own inference surface beside the shared server.
 // The worker count is len(wopts).
 func RunLocalOpts(cfg Config, wopts []WorkerOptions) (*Result, error) {
 	cfg.Workers = len(wopts)
@@ -81,7 +80,7 @@ func driveLocal(co *Coordinator, sp CampaignSpec, wopts []WorkerOptions) (*Resul
 	}
 	if sp.Mode == 1 && len(shared) > 0 {
 		first := perWorker[shared[0]]
-		srv, err := sp.NewServer(first.ServeWorkers, first.Fused)
+		srv, err := sp.NewServer(first.ServeWorkers)
 		if err != nil {
 			return nil, err
 		}

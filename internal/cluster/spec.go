@@ -134,15 +134,13 @@ type Runtime struct {
 // Materialize builds the seed corpus and — when needServer is set in
 // Snowplow mode — a local inference server (NewServer) from the spec's
 // model bytes, over the process's one kernel and analysis for the spec's
-// version (kernelFor). fused routes that server through the fused inference
-// kernels; it is a per-worker serving knob (fused predictions are
-// bit-identical), so heterogeneous fleets stay deterministic. Whether the
-// model serves at int8 precision is pinned by the model bytes themselves
-// (a mixed-precision checkpoint decodes to the dequantized weights), never
-// by a worker-local flag. The returned config's Journal is a non-recording
-// sentinel when the spec journals (shard workers buffer events for the
-// coordinator; they never write a journal of their own).
-func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool) (*Runtime, error) {
+// version (kernelFor). Whether the model serves at int8 precision is pinned
+// by the model bytes themselves (a mixed-precision checkpoint decodes to the
+// dequantized weights), never by a worker-local flag. The returned config's
+// Journal is a non-recording sentinel when the spec journals (shard workers
+// buffer events for the coordinator; they never write a journal of their
+// own).
+func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int) (*Runtime, error) {
 	kp, err := kernelFor(sp.KernelVersion)
 	if err != nil {
 		return nil, err
@@ -169,7 +167,7 @@ func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool
 	}
 	rt := &Runtime{Kernel: k, An: an}
 	if sp.Mode == 1 && needServer {
-		if rt.Server, err = sp.NewServer(serveWorkers, fused); err != nil {
+		if rt.Server, err = sp.NewServer(serveWorkers); err != nil {
 			return nil, err
 		}
 		cfg.Server = rt.Server
@@ -187,7 +185,7 @@ func (sp CampaignSpec) Materialize(needServer bool, serveWorkers int, fused bool
 // private server, driveLocal for the one server a loopback fleet shares,
 // one tenant per worker. Campaign queries wait for queue space and never
 // time out, so no serving option can change what a campaign computes.
-func (sp CampaignSpec) NewServer(workers int, fused bool) (*serve.Server, error) {
+func (sp CampaignSpec) NewServer(workers int) (*serve.Server, error) {
 	kp, err := kernelFor(sp.KernelVersion)
 	if err != nil {
 		return nil, err
@@ -199,7 +197,7 @@ func (sp CampaignSpec) NewServer(workers int, fused bool) (*serve.Server, error)
 	if workers <= 0 {
 		workers = 2
 	}
-	return serve.NewServerOpts(m, qgraph.NewBuilder(kp.k, kp.an), serve.Options{Workers: workers, Fused: fused}), nil
+	return serve.NewServerOpts(m, qgraph.NewBuilder(kp.k, kp.an), serve.Options{Workers: workers}), nil
 }
 
 // Close releases the runtime's server, if any.

@@ -31,8 +31,8 @@ type WorkerOptions struct {
 	// ServeWorkers sizes the worker's local inference server pool
 	// (Snowplow mode; default 2).
 	ServeWorkers int
-	// Fused serves through the fused inference kernels (bit-identical to
-	// the unfused path, so workers may mix freely).
+	// Fused is ignored: every model server runs the fused inference
+	// kernels. It remains while the benchmark module (benchmark/) sets it.
 	Fused bool
 	// IOTimeout bounds every network operation (default 60s).
 	IOTimeout time.Duration
@@ -126,7 +126,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 	}
 
 	needServer := a.Spec.Mode == 1 && opts.Inference == nil
-	rt, err := a.Spec.Materialize(needServer, opts.ServeWorkers, opts.Fused)
+	rt, err := a.Spec.Materialize(needServer, opts.ServeWorkers)
 	if err != nil {
 		return sendErr(err)
 	}

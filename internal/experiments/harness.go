@@ -23,6 +23,7 @@ import (
 	"github.com/repro/snowplow/internal/dataset"
 	"github.com/repro/snowplow/internal/faultinject"
 	"github.com/repro/snowplow/internal/kernel"
+	"github.com/repro/snowplow/internal/nn"
 	"github.com/repro/snowplow/internal/pmm"
 	"github.com/repro/snowplow/internal/prog"
 	"github.com/repro/snowplow/internal/qgraph"
@@ -50,17 +51,9 @@ type Options struct {
 	Repeats int
 	// Workers sizes the inference pool.
 	Workers int
-	// TrainWorkers is the data-parallel width of PMM training (see
-	// pmm.TrainConfig.Workers); 0 or 1 trains single-threaded. Checkpoints
-	// are byte-identical at any width for a given seed.
-	TrainWorkers int
 	// TrainBatch is the training minibatch size (see pmm.TrainConfig.Batch);
 	// 0 or 1 keeps the per-example stepping.
 	TrainBatch int
-	// CollectWorkers is the harvest shard width of dataset collection (see
-	// dataset.Collector.Workers); the harvested dataset is identical at any
-	// width. 0 or 1 harvests single-threaded.
-	CollectWorkers int
 	// VMs is the simulated-VM fleet size passed to fuzzing campaigns
 	// (fuzzer.Config.VMs); 0 means one VM.
 	VMs int
@@ -215,7 +208,7 @@ func (h *Harness) Dataset() (*dataset.Dataset, dataset.CollectStats) {
 	}
 	c := dataset.NewCollector(k, an)
 	c.MutationsPerBase = h.Opts.MutationsPerBase
-	c.Workers = h.Opts.CollectWorkers
+	c.Workers = nn.Workers() // the dataset is identical at any width
 	h.ds, h.dsStats = c.Collect(rng.New(h.Opts.Seed+0xc011), bases)
 	train, val, eval := h.ds.Split(0.8, 0.1)
 	h.splits = [3]*dataset.Dataset{train, val, eval}
@@ -247,7 +240,7 @@ func (h *Harness) Model() (*pmm.Model, pmm.TrainReport) {
 	tcfg.Epochs = h.Opts.TrainEpochs
 	tcfg.Seed = h.Opts.Seed
 	tcfg.Batch = h.Opts.TrainBatch
-	tcfg.Workers = h.Opts.TrainWorkers
+	tcfg.Workers = nn.Workers() // checkpoints are identical at any width
 	h.logf("training PMM: %d examples, %d epochs...\n", train.Len(), tcfg.Epochs)
 	m, report := pmm.Train(qgraph.NewBuilder(k, an), pmm.DefaultConfig(), tcfg, train, val)
 	h.logf("training done: final val F1 %.3f, threshold %.2f\n",

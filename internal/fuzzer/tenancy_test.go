@@ -83,9 +83,8 @@ func corpusCoverDigests(c *corpus.Corpus) (corp, cover string) {
 // backward-compat contract: the same campaign produces byte-for-byte
 // identical stats whether it runs through a dedicated server's default
 // tenant (the pre-tenancy path), as a registered tenant of a shared
-// server, or on a wider worker pool — with the fused kernels on or off.
-// Tenancy and pool size change who is served when, never what is
-// predicted.
+// server, micro-batched, or on a wider worker pool. Tenancy, batching and
+// pool size change who is served when, never what is predicted.
 func TestCampaignBitIdenticalAcrossServingPlatform(t *testing.T) {
 	const seed = 57
 	base := snowplowCampaignOn(t, seed, serve.Options{Workers: 1}, false)
@@ -98,10 +97,9 @@ func TestCampaignBitIdenticalAcrossServingPlatform(t *testing.T) {
 		asTenant bool
 	}{
 		{"registered-tenant", serve.Options{Workers: 1}, true},
-		{"fused", serve.Options{Workers: 1, Fused: true}, false},
-		{"fused-tenant-batched", serve.Options{Workers: 2, BatchSize: 4, Fused: true}, true},
+		{"tenant-batched", serve.Options{Workers: 2, BatchSize: 4}, true},
 		{"pool4", serve.Options{Workers: 4}, false},
-		{"pool4-tenant", serve.Options{Workers: 4, Fused: true}, true},
+		{"pool4-tenant", serve.Options{Workers: 4}, true},
 	}
 	for _, v := range variants {
 		if got := snowplowCampaignOn(t, seed, v.opts, v.asTenant); !reflect.DeepEqual(got, base) {
@@ -129,11 +127,11 @@ func TestCampaignQuantReproducible(t *testing.T) {
 	if qbase.FinalEdges == 0 || qbase.PMMQueries == 0 {
 		t.Fatal("quantized campaign did no PMM-guided work")
 	}
-	qTenant, tenantCorpus := snowplowCampaignCorpus(t, seed, serve.Options{Workers: 2, BatchSize: 4, Quant: true, Fused: true}, true)
+	qTenant, tenantCorpus := snowplowCampaignCorpus(t, seed, serve.Options{Workers: 2, BatchSize: 4, Quant: true}, true)
 	if !reflect.DeepEqual(qbase, qTenant) {
 		t.Fatal("quantized campaign diverged between dedicated server and shared-server tenant")
 	}
-	for name, c := range map[string]*corpus.Corpus{"dedicated unfused": baseCorpus, "tenant fused": tenantCorpus} {
+	for name, c := range map[string]*corpus.Corpus{"dedicated": baseCorpus, "tenant-batched": tenantCorpus} {
 		if corp, cover := corpusCoverDigests(c); corp != wantCorpus || cover != wantCover {
 			t.Errorf("%s: digests corpus=%s cover=%s, pinned corpus=%s cover=%s", name, corp, cover, wantCorpus, wantCover)
 		}

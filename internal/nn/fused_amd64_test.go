@@ -8,9 +8,10 @@ import (
 	"github.com/repro/snowplow/internal/rng"
 )
 
-// TestFusedScalarFallbackBitExact re-runs the fused/unfused equality with
-// the AVX kernel disabled, pinning the scalar fallback (the
-// matmul_other.go build-tag path on non-amd64 hosts) to the same bits.
+// TestFusedScalarFallbackBitExact re-runs the fused-against-TrainOps
+// equality with the AVX kernel disabled, pinning the scalar fallback (the
+// matmul_other.go build-tag path on non-amd64 hosts) to the same bits as the
+// AVX TrainOps reference.
 func TestFusedScalarFallbackBitExact(t *testing.T) {
 	if !useAVX {
 		t.Skip("host has no AVX; the main tests already run the scalar path")
@@ -19,29 +20,23 @@ func TestFusedScalarFallbackBitExact(t *testing.T) {
 	sa, mlp, _ := quantTestModel(r)
 	refreshFusedCaches(sa, mlp)
 	x := benchTensor(r, 10, 16)
+	whole := []int{0, 10}
 	pool := NewPool()
 
-	forward := func(ops Ops) []float64 {
-		h := sa.ForwardOps(ops, x)
-		out := mlp.ForwardOps(ops, h)
-		res := append([]float64(nil), out.Data...)
-		return res
+	reference := func() []float64 {
+		return mlp.ForwardOps(TrainOps{}, sa.ForwardOps(TrainOps{}, x)).Data
+	}
+	fused := func() []float64 {
+		in := NewInfer(pool)
+		defer in.Close()
+		return append([]float64(nil), mlp.ForwardInfer(in, sa.ForwardRaggedInfer(in, x, whole)).Data...)
 	}
 
-	un := NewInfer(pool)
-	avx := forward(un)
-	un.Close()
+	avx := reference()
 
 	useAVX = false
 	defer func() { useAVX = true }()
 
-	un2 := NewInfer(pool)
-	scalarUnfused := forward(un2)
-	un2.Close()
-	fu := NewInferFused(pool)
-	scalarFused := forward(fu)
-	fu.Close()
-
-	sameBits(t, "scalar unfused vs AVX", scalarUnfused, avx)
-	sameBits(t, "scalar fused vs AVX", scalarFused, avx)
+	sameBits(t, "scalar TrainOps vs AVX", reference(), avx)
+	sameBits(t, "scalar fused vs AVX", fused(), avx)
 }

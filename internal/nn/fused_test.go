@@ -35,8 +35,18 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// linearRef is the TrainOps MatMul→AddRowVector(→ReLU) chain that
+// LinearBias fuses.
+func linearRef(x, w, b *Tensor, relu bool) *Tensor {
+	out := AddRowVector(MatMul(x, w), b)
+	if relu {
+		out = ReLU(out)
+	}
+	return out
+}
+
 // TestFusedLinearBiasBitExact checks the fused linear(+bias+ReLU) kernel —
-// with and without the pre-transposed weight cache — against the unfused
+// with and without the pre-transposed weight cache — against the TrainOps
 // MatMul→AddRowVector(→ReLU) chain, bit for bit, across shapes on both
 // sides of the parallel threshold.
 func TestFusedLinearBiasBitExact(t *testing.T) {
@@ -51,11 +61,8 @@ func TestFusedLinearBiasBitExact(t *testing.T) {
 			for _, relu := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
 					SetWorkers(workers)
-					pool := NewPool()
-					un := NewInfer(pool)
-					want := un.LinearBias(x, l.W, nil, l.B, relu) // unfused mirror path
-
-					fu := NewInferFused(pool)
+					want := linearRef(x, l.W, l.B, relu)
+					fu := NewInfer(NewPool())
 					got := fu.LinearBias(x, l.W, nil, l.B, relu)
 					what := fmt.Sprintf("shape (%d,%d,%d) relu=%t workers=%d", m, in, out, relu, workers)
 					sameBits(t, what+": fused", got.Data, want.Data)
@@ -63,7 +70,6 @@ func TestFusedLinearBiasBitExact(t *testing.T) {
 					l.FreezeFused()
 					gotWT := fu.LinearBias(x, l.W, l.wt, l.B, relu)
 					sameBits(t, what+": pre-transposed fused", gotWT.Data, want.Data)
-					un.Close()
 					fu.Close()
 				}
 			}
@@ -84,11 +90,8 @@ func TestFusedReLUEdgeCases(t *testing.T) {
 	x := New(1, 2)
 	x.Data = []float64{-0.0, 0}
 
-	pool := NewPool()
-	un := NewInfer(pool)
-	fu := NewInferFused(pool)
-	want := un.LinearBias(x, w, nil, b, true)
-	got := fu.LinearBias(x, w, nil, b, true)
+	want := linearRef(x, w, b, true)
+	got := NewInfer(NewPool()).LinearBias(x, w, nil, b, true)
 	sameBits(t, "relu edge case", got.Data, want.Data)
 	for i, v := range got.Data {
 		if math.Float64bits(v) != 0 {
@@ -97,10 +100,11 @@ func TestFusedReLUEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFusedAttentionBitExact checks the fused attention kernel against the
-// unfused Transpose→MatMul→Scale→Softmax→MatMul chain through the full
-// SelfAttention layer, across sequence lengths on both sides of the
-// parallel threshold and across worker counts.
+// TestFusedAttentionBitExact checks the fused attention kernel, over one
+// whole-sequence segment, against the TrainOps
+// Transpose→MatMul→Scale→Softmax→MatMul chain through the full SelfAttention
+// layer, across sequence lengths on both sides of the parallel threshold and
+// across worker counts.
 func TestFusedAttentionBitExact(t *testing.T) {
 	defer SetWorkers(1)
 	r := rng.New(43)
@@ -111,23 +115,21 @@ func TestFusedAttentionBitExact(t *testing.T) {
 		}
 		for _, m := range []int{1, 3, 16, 80, 160} {
 			x := benchTensor(r, m, dim)
+			want := sa.ForwardOps(TrainOps{}, x)
 			pool := NewPool()
-			un := NewInfer(pool)
-			want := sa.ForwardOps(un, x)
 			for _, workers := range []int{1, 2, 4} {
 				SetWorkers(workers)
-				fu := NewInferFused(pool)
-				got := sa.ForwardOps(fu, x)
+				fu := NewInfer(pool)
+				got := sa.ForwardRaggedInfer(fu, x, []int{0, m})
 				sameBits(t, fmt.Sprintf("dim=%d m=%d workers=%d: fused attention", dim, m, workers), got.Data, want.Data)
 				fu.Close()
 			}
-			un.Close()
 		}
 	}
 }
 
 // TestFusedAddLayerNormBitExact checks the fused residual-add+norm kernel
-// against the unfused Add→LayerNorm chain.
+// against the TrainOps Add→LayerNorm chain.
 func TestFusedAddLayerNormBitExact(t *testing.T) {
 	r := rng.New(47)
 	for _, s := range [][2]int{{1, 8}, {17, 24}, {64, 32}} {
@@ -141,19 +143,16 @@ func TestFusedAddLayerNormBitExact(t *testing.T) {
 		ln.Beta.UnrequireGrad()
 		x := benchTensor(r, m, n)
 		y := benchTensor(r, m, n)
-		pool := NewPool()
-		un := NewInfer(pool)
-		fu := NewInferFused(pool)
-		want := ln.ForwardAddOps(un, x, y)
-		got := ln.ForwardAddOps(fu, x, y)
+		fu := NewInfer(NewPool())
+		want := ln.ForwardAddOps(TrainOps{}, x, y)
+		got := ln.ForwardAddInfer(fu, x, y)
 		sameBits(t, fmt.Sprintf("(%d,%d): fused add+norm", m, n), got.Data, want.Data)
-		un.Close()
 		fu.Close()
 	}
 }
 
 // TestFusedMLPBitExact checks the fused linear+ReLU stack against the
-// unfused chain and the training path.
+// TrainOps chain, on cold and warm pool memory.
 func TestFusedMLPBitExact(t *testing.T) {
 	r := rng.New(53)
 	mlp := NewMLP(r, 16, 48, 48, 3)
@@ -165,8 +164,8 @@ func TestFusedMLPBitExact(t *testing.T) {
 
 	pool := NewPool()
 	for pass := 0; pass < 3; pass++ {
-		fu := NewInferFused(pool)
-		got := mlp.ForwardOps(fu, x)
+		fu := NewInfer(pool)
+		got := mlp.ForwardInfer(fu, x)
 		sameBits(t, fmt.Sprintf("pass %d: fused MLP", pass), got.Data, want.Data)
 		fu.Close()
 	}
@@ -190,11 +189,12 @@ func TestFusedSteadyStateZeroAlloc(t *testing.T) {
 		l.FreezeFused()
 	}
 	x := benchTensor(r, 12, 16)
+	whole := []int{0, 12}
 	pool := NewPool()
-	in := NewInferFused(pool)
+	in := NewInfer(pool)
 	pass := func() {
-		h := sa.ForwardOps(in, x)
-		out := mlp.ForwardOps(in, h)
+		h := sa.ForwardRaggedInfer(in, x, whole)
+		out := mlp.ForwardInfer(in, h)
 		in.Recycle(h, out)
 		in.Close()
 	}
@@ -216,9 +216,9 @@ func rowSlice(x *Tensor, lo, hi int) *Tensor {
 }
 
 // TestFusedRaggedBitIdentity checks the batched ragged kernels against the
-// per-segment unfused chain: ForwardRaggedOps must equal running ForwardOps
-// on every segment separately, and RaggedMeanRows must equal per-segment
-// MeanRows. The segment lengths cover the zero-padded small-k matmul path
+// per-segment TrainOps chain: ForwardRaggedInfer must equal running
+// ForwardOps on every segment separately, and RaggedMeanRows must equal
+// per-segment MeanRows. The segment lengths cover the zero-padded small-k matmul path
 // (odd lengths), the AVX pair loop (even), and a length-1 segment.
 func TestFusedRaggedBitIdentity(t *testing.T) {
 	defer SetWorkers(1)
@@ -243,34 +243,31 @@ func TestFusedRaggedBitIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		SetWorkers(workers)
 		pool := NewPool()
-		fu := NewInferFused(pool)
-		got := sa.ForwardRaggedOps(fu, x, bounds)
+		fu := NewInfer(pool)
+		got := sa.ForwardRaggedInfer(fu, x, bounds)
 		gotMeans := fu.RaggedMeanRows(x, bounds)
 		for s := 0; s < len(segs); s++ {
 			lo, hi := bounds[s], bounds[s+1]
 			seg := rowSlice(x, lo, hi)
-			un := NewInfer(pool)
-			want := sa.ForwardOps(un, seg) // unfused per-segment reference
+			want := sa.ForwardOps(TrainOps{}, seg) // per-segment reference
 			what := fmt.Sprintf("workers=%d segment %d (rows %d..%d)", workers, s, lo, hi)
 			sameBits(t, what+": ragged attention", got.Data[lo*dim:hi*dim], want.Data)
-			sameBits(t, what+": ragged mean", gotMeans.Data[s*dim:(s+1)*dim], un.MeanRows(seg).Data)
-			un.Close()
+			sameBits(t, what+": ragged mean", gotMeans.Data[s*dim:(s+1)*dim], MeanRows(seg).Data)
 		}
 		fu.Close()
 	}
 }
 
 // TestGatherAddIntoBitExact checks the one-pass embedding-sum kernel against
-// its unfused mirror (Gather then Add), including repeated indices.
+// the TrainOps Gather → Add pair, including repeated indices.
 func TestGatherAddIntoBitExact(t *testing.T) {
 	r := rng.New(73)
 	table := benchTensor(r, 9, 12)
 	table.UnrequireGrad()
 	idx := []int{0, 8, 3, 3, 5, 0, 7}
-	pool := NewPool()
-	in := NewInfer(pool)
+	in := NewInfer(NewPool())
 	dst := benchTensor(r, len(idx), 12)
-	want := in.Add(dst, in.Gather(table, idx))
+	want := Add(dst, Gather(table, idx))
 
 	got := benchTensor(r, len(idx), 12)
 	copy(got.Data, dst.Data)
@@ -281,12 +278,12 @@ func TestGatherAddIntoBitExact(t *testing.T) {
 
 // TestScatterMeanIntoBitExact pins the sparse aggregation where its contract
 // lives: a message-passing layer's worth of ScatterMeanInto calls on one agg,
-// then ReLUInPlace, against the unfused ScatterMean → Add chain and ReLU — in
-// bits, so signs of zero count. agg carries a -0 in a row no bucket reaches
-// (the unfused chain flushes it to +0 on the first add of a zero row, the
+// then ReLUInPlace, against the TrainOps ScatterMean → Add chain and ReLU —
+// in bits, so signs of zero count. agg carries a -0 in a row no bucket
+// reaches (the op chain flushes it to +0 on the first add of a zero row, the
 // sparse kernel leaves it for the ReLU) and a row of -0 that a bucket reaches
-// with a mean that is itself -0 (the add keeps the sign; the unfused chain
-// has flushed the row by then, so the two differ until the ReLU).
+// with a mean that is itself -0 (the add keeps the sign; the op chain has
+// flushed the row by then, so the two differ until the ReLU).
 // The second shape reuses the Infer with more rows, so the kept scratch
 // regrows, and its counts must have come back zeroed from every call before.
 func TestScatterMeanIntoBitExact(t *testing.T) {
@@ -320,7 +317,7 @@ func TestScatterMeanIntoBitExact(t *testing.T) {
 
 		want := agg
 		for b, idx := range buckets {
-			want = in.Add(want, in.ScatterMean(srcs[b], idx, rows))
+			want = Add(want, ScatterMean(srcs[b], idx, rows))
 		}
 		got := New(rows, cols)
 		copy(got.Data, agg.Data)
@@ -330,9 +327,9 @@ func TestScatterMeanIntoBitExact(t *testing.T) {
 
 		// The test must be able to see what it pins: before the ReLU the two
 		// chains differ, but only in signs of zero — the untouched -0, and the
-		// -0 row the unfused chain flushed at a bucket that did not reach it.
+		// -0 row the op chain flushed at a bucket that did not reach it.
 		if !math.Signbit(got.Data[untouched*cols+2]) || math.Signbit(want.Data[untouched*cols+2]) {
-			t.Fatalf("rows=%d: untouched -0 is %b sparse, %b unfused; want -0 and +0",
+			t.Fatalf("rows=%d: untouched -0 is %b sparse, %b in the op chain; want -0 and +0",
 				rows, got.Data[untouched*cols+2], want.Data[untouched*cols+2])
 		}
 		if !math.Signbit(got.Data[negMean*cols]) {
@@ -346,7 +343,7 @@ func TestScatterMeanIntoBitExact(t *testing.T) {
 		}
 
 		in.ReLUInPlace(got)
-		sameBits(t, fmt.Sprintf("rows=%d: ScatterMeanInto then ReLU", rows), got.Data, in.ReLU(want).Data)
+		sameBits(t, fmt.Sprintf("rows=%d: ScatterMeanInto then ReLU", rows), got.Data, ReLU(want).Data)
 	}
 }
 
@@ -366,9 +363,9 @@ func TestFusedPairRowsBitExact(t *testing.T) {
 		{[]int{5}, []int{2}},
 		{nil, []int{1, 2}},
 	} {
-		args, tgts := in.Gather(x, c.a), in.Gather(x, c.b)
-		bigArg, bigTgt := in.RepeatEachRow(args, len(c.b)), in.TileRows(tgts, len(c.a))
-		want := in.Concat(bigArg, bigTgt, in.Mul(bigArg, bigTgt))
+		args, tgts := Gather(x, c.a), Gather(x, c.b)
+		bigArg, bigTgt := RepeatEachRow(args, len(c.b)), TileRows(tgts, len(c.a))
+		want := Concat(bigArg, bigTgt, Mul(bigArg, bigTgt))
 		got := in.PairRows(x, c.a, c.b)
 		if !sameShape(got, want) {
 			t.Fatalf("PairRows(%v, %v) shape %v, want %v", c.a, c.b, got.Shape, want.Shape)
@@ -393,9 +390,8 @@ func TestFusedProfileCounters(t *testing.T) {
 
 	SetKernelProfiling(true)
 	defer SetKernelProfiling(false)
-	in := NewInferFused(pool)
-	out := sa.ForwardOps(in, x)
-	_ = out
+	in := NewInfer(pool)
+	sa.ForwardRaggedInfer(in, x, []int{0, 6})
 	if p := pool.Profile(); p.FusedLinear != 0 {
 		t.Fatalf("profile visible before Close: %+v", p)
 	}
@@ -410,9 +406,8 @@ func TestFusedProfileCounters(t *testing.T) {
 	}
 }
 
-// TestTrainPathUnaffectedByFusion confirms the training ops never take the
-// fused path (TrainOps does not implement FusedOps) and autodiff still
-// works through the refactored MLP forward.
+// TestTrainPathUnaffectedByFusion confirms that autodiff works through the
+// MLP's op-set forward, which the fused inference forward sits beside.
 func TestTrainPathUnaffectedByFusion(t *testing.T) {
 	r := rng.New(67)
 	mlp := NewMLP(r, 4, 8, 1)

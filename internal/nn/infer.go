@@ -1,19 +1,17 @@
 package nn
 
-import "time"
-
-// Ops abstracts the forward-only tensor operations a model needs, with two
-// implementations:
+// Ops abstracts the forward tensor operations of the training path, with
+// two implementations:
 //
 //   - TrainOps delegates to the package-level autodiff ops: outputs are
 //     heap-allocated and carry the backward tape when inputs require grad.
-//   - Infer allocates outputs from a Pool and tracks them in an arena, so a
-//     whole forward pass is recycled with one Close call and steady-state
-//     inference is allocation-free.
+//   - TrainArena runs the same ops over pooled slabs that a minibatch
+//     worker reuses from step to step (train_arena.go).
 //
-// Both run the same forward kernels (kernels.go), so a frozen model
-// produces bit-identical outputs through either implementation — the
-// golden-determinism guarantee the serving and replay layers rely on.
+// Frozen-model inference does not go through Ops: it runs the fused
+// kernels of an Infer (fused.go), which compute the bits of the TrainOps
+// chain on frozen parameters — the reference every fused kernel is tested
+// against.
 type Ops interface {
 	MatMul(a, b *Tensor) *Tensor
 	Add(a, b *Tensor) *Tensor
@@ -34,9 +32,6 @@ type Ops interface {
 	LayerNorm(x, gamma, beta *Tensor, eps float64) *Tensor
 	// Zeros returns a zero tensor outside differentiation.
 	Zeros(shape ...int) *Tensor
-	// Recycle declares tensors dead mid-pass so Infer can reuse their
-	// memory before Close; a no-op for TrainOps (the tape may need them).
-	Recycle(ts ...*Tensor)
 }
 
 // TrainOps implements Ops with the package-level autodiff operations.
@@ -100,17 +95,12 @@ func (TrainOps) LayerNorm(x, gamma, beta *Tensor, eps float64) *Tensor {
 // Zeros implements Ops.
 func (TrainOps) Zeros(shape ...int) *Tensor { return New(shape...) }
 
-// Recycle implements Ops as a no-op: the tape may still reference the data.
-func (TrainOps) Recycle(ts ...*Tensor) {}
-
-// Infer is a pooled, arena-tracked Ops implementation for inference on
-// frozen models. Every output tensor is borrowed from the pool and
-// registered in the arena; Close releases everything still registered.
-// An Infer is owned by one goroutine; distinct Infers may share a Pool.
-//
-// Infer also implements FusedOps (fused.go); an Infer from NewInferFused
-// routes layer forwards through the fused kernels, with bit-identical
-// outputs.
+// Infer is the inference context of a frozen model: the fused kernels
+// (fused.go) over pooled, arena-tracked tensors. Every output tensor is
+// borrowed from the pool and registered in the arena; Close releases
+// everything still registered, so steady-state inference is
+// allocation-free. An Infer is owned by one goroutine; distinct Infers may
+// share a Pool.
 type Infer struct {
 	pool     *Pool
 	borrowed []*Tensor
@@ -120,7 +110,6 @@ type Infer struct {
 	// to the pool. Since an Infer is single-goroutine, no locking is needed,
 	// which removes the pool lock from the per-op hot path.
 	cache [inferCacheClasses][]*Tensor
-	fused bool
 	prof  inferCounters
 	// ScatterMeanInto's bucket scratch, held from first use to Close;
 	// scatterCounts is all zero between calls.
@@ -149,11 +138,6 @@ func cacheClass(n int) int {
 // NewInfer creates an inference context over the pool.
 func NewInfer(p *Pool) *Infer {
 	return &Infer{pool: p}
-}
-
-// NewInferFused creates an inference context with the fused kernels enabled.
-func NewInferFused(p *Pool) *Infer {
-	return &Infer{pool: p, fused: true}
 }
 
 // alloc borrows a zeroed tensor and registers it in the arena.
@@ -215,9 +199,9 @@ func (in *Infer) register(t *Tensor) *Tensor {
 	return t
 }
 
-// Recycle implements Ops: it releases arena tensors back to the pool
-// immediately, letting long forward passes reuse memory before Close.
-// Tensors not allocated by this Infer (parameters, inputs) are ignored.
+// Recycle declares arena tensors dead mid-pass, so a long forward reuses
+// their memory before Close. Tensors not allocated by this Infer
+// (parameters, inputs) are ignored.
 func (in *Infer) Recycle(ts ...*Tensor) {
 	for _, t := range ts {
 		if t == nil {
@@ -261,96 +245,7 @@ func (in *Infer) Close() {
 	in.pool.addProfile(&in.prof)
 }
 
-// MatMul implements Ops.
-func (in *Infer) MatMul(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul(a, b)
-	out := in.allocRaw(m, n)
-	if kernelProfiling.Load() {
-		t0 := time.Now()
-		matmulForward(out.Data, a.Data, b.Data, m, k, n)
-		in.prof.matmulNs += time.Since(t0).Nanoseconds()
-	} else {
-		matmulForward(out.Data, a.Data, b.Data, m, k, n)
-	}
-	return out
-}
-
-// Add implements Ops.
-func (in *Infer) Add(a, b *Tensor) *Tensor {
-	checkSameShape("Add", a, b)
-	out := in.allocRaw(a.Shape...)
-	addForward(out.Data, a.Data, b.Data)
-	return out
-}
-
-// AddRowVector implements Ops.
-func (in *Infer) AddRowVector(a, v *Tensor) *Tensor {
-	m, n := checkRowVector(a, v)
-	out := in.allocRaw(a.Shape...)
-	addRowVectorForward(out.Data, a.Data, v.Data, m, n)
-	return out
-}
-
-// Mul implements Ops.
-func (in *Infer) Mul(a, b *Tensor) *Tensor {
-	checkSameShape("Mul", a, b)
-	out := in.allocRaw(a.Shape...)
-	mulForward(out.Data, a.Data, b.Data)
-	return out
-}
-
-// Scale implements Ops.
-func (in *Infer) Scale(a *Tensor, c float64) *Tensor {
-	out := in.allocRaw(a.Shape...)
-	scaleForward(out.Data, a.Data, c)
-	return out
-}
-
-// ReLU implements Ops.
-func (in *Infer) ReLU(a *Tensor) *Tensor {
-	out := in.allocRaw(a.Shape...)
-	reluForward(out.Data, a.Data)
-	return out
-}
-
-// SoftmaxRows implements Ops.
-func (in *Infer) SoftmaxRows(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic("nn: SoftmaxRows requires a 2D tensor")
-	}
-	out := in.allocRaw(a.Shape...)
-	if kernelProfiling.Load() {
-		t0 := time.Now()
-		softmaxRowsForward(out.Data, a.Data, a.Shape[0], a.Shape[1])
-		in.prof.softmaxNs += time.Since(t0).Nanoseconds()
-	} else {
-		softmaxRowsForward(out.Data, a.Data, a.Shape[0], a.Shape[1])
-	}
-	return out
-}
-
-// Transpose implements Ops.
-func (in *Infer) Transpose(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic("nn: Transpose requires a 2D tensor")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := in.allocRaw(n, m)
-	transposeForward(out.Data, a.Data, m, n)
-	return out
-}
-
-// MeanRows implements Ops.
-func (in *Infer) MeanRows(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic("nn: MeanRows requires a 2D tensor")
-	}
-	out := in.alloc(1, a.Shape[1])
-	meanRowsForward(out.Data, a.Data, a.Shape[0], a.Shape[1])
-	return out
-}
-
-// Gather implements Ops.
+// Gather copies one table row per index.
 func (in *Infer) Gather(table *Tensor, indices []int) *Tensor {
 	if len(table.Shape) != 2 {
 		panic("nn: Gather requires a 2D table")
@@ -361,28 +256,7 @@ func (in *Infer) Gather(table *Tensor, indices []int) *Tensor {
 	return out
 }
 
-// ScatterMean implements Ops.
-func (in *Infer) ScatterMean(src *Tensor, dst []int, dstRows int) *Tensor {
-	if len(src.Shape) != 2 || len(dst) != src.Shape[0] {
-		panic("nn: ScatterMean shape mismatch")
-	}
-	cols := src.Shape[1]
-	out := in.alloc(dstRows, cols)
-	counts := in.pool.GetSlice(dstRows)
-	scatterMeanForward(out.Data, counts, src.Data, dst, cols)
-	in.pool.PutSlice(counts)
-	return out
-}
-
-// Concat implements Ops.
-func (in *Infer) Concat(ts ...*Tensor) *Tensor {
-	rows, cols := checkConcat(ts)
-	out := in.allocRaw(rows, cols)
-	concatForward(out.Data, ts, rows, cols)
-	return out
-}
-
-// ConcatRows implements Ops.
+// ConcatRows stacks the tensors' rows.
 func (in *Infer) ConcatRows(ts []*Tensor) *Tensor {
 	rows, cols := checkConcatRows(ts)
 	out := in.allocRaw(rows, cols)
@@ -390,29 +264,7 @@ func (in *Infer) ConcatRows(ts []*Tensor) *Tensor {
 	return out
 }
 
-// RepeatEachRow implements Ops.
-func (in *Infer) RepeatEachRow(v *Tensor, times int) *Tensor {
-	if len(v.Shape) != 2 {
-		panic("nn: RepeatEachRow requires a 2D tensor")
-	}
-	m, n := v.Shape[0], v.Shape[1]
-	out := in.allocRaw(m*times, n)
-	repeatEachRowForward(out.Data, v.Data, m, n, times)
-	return out
-}
-
-// TileRows implements Ops.
-func (in *Infer) TileRows(v *Tensor, times int) *Tensor {
-	if len(v.Shape) != 2 {
-		panic("nn: TileRows requires a 2D tensor")
-	}
-	m, n := v.Shape[0], v.Shape[1]
-	out := in.allocRaw(m*times, n)
-	tileRowsForward(out.Data, v.Data, m, n, times)
-	return out
-}
-
-// MaxPerGroup implements Ops.
+// MaxPerGroup keeps the largest of each group of per consecutive values.
 func (in *Infer) MaxPerGroup(a *Tensor, groups, per int) *Tensor {
 	checkMaxPerGroup(a, groups, per)
 	out := in.allocRaw(groups, 1)
@@ -420,21 +272,5 @@ func (in *Infer) MaxPerGroup(a *Tensor, groups, per int) *Tensor {
 	return out
 }
 
-// LayerNorm implements Ops.
-func (in *Infer) LayerNorm(x, gamma, beta *Tensor, eps float64) *Tensor {
-	if len(x.Shape) != 2 || x.Shape[1] != gamma.Shape[1] {
-		panic("nn: LayerNorm dim mismatch")
-	}
-	out := in.allocRaw(x.Shape...)
-	if kernelProfiling.Load() {
-		t0 := time.Now()
-		layerNormForward(out.Data, x.Data, gamma.Data, beta.Data, x.Shape[0], x.Shape[1], eps, nil, nil)
-		in.prof.normNs += time.Since(t0).Nanoseconds()
-	} else {
-		layerNormForward(out.Data, x.Data, gamma.Data, beta.Data, x.Shape[0], x.Shape[1], eps, nil, nil)
-	}
-	return out
-}
-
-// Zeros implements Ops.
+// Zeros borrows a zero tensor.
 func (in *Infer) Zeros(shape ...int) *Tensor { return in.alloc(shape...) }

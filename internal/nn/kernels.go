@@ -205,7 +205,7 @@ func softmaxRow(orow, row []float64) {
 		sum += e
 	}
 	// One division, then a multiply per element. Every consumer of softmax
-	// (training, unfused and fused inference) funnels through this kernel,
+	// (training and fused inference) funnels through this kernel,
 	// so the normalization is bitwise consistent across all paths.
 	scaleInPlace(orow, 1/sum)
 }

@@ -40,16 +40,15 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 
 // ForwardOps applies the layer through the given op set.
 func (l *Linear) ForwardOps(ops Ops, x *Tensor) *Tensor {
-	if f, ok := ops.(FusedOps); ok && f.FusionEnabled() {
-		return f.LinearBias(x, l.W, l.wt, l.B, false)
-	}
 	if ta, ok := ops.(*TrainArena); ok {
 		return ta.Linear(x, l.W, l.B)
 	}
-	xw := ops.MatMul(x, l.W)
-	out := ops.AddRowVector(xw, l.B)
-	ops.Recycle(xw)
-	return out
+	return ops.AddRowVector(ops.MatMul(x, l.W), l.B)
+}
+
+// ForwardInfer applies the layer through the fused linear kernel.
+func (l *Linear) ForwardInfer(in *Infer, x *Tensor) *Tensor {
+	return in.LinearBias(x, l.W, l.wt, l.B, false)
 }
 
 // FreezeFused precomputes the transposed weight used by the fused inference
@@ -87,11 +86,14 @@ func (e *Embedding) Forward(ids []int) *Tensor { return Gather(e.Table, ids) }
 // ForwardOps looks up one row per id through the given op set.
 func (e *Embedding) ForwardOps(ops Ops, ids []int) *Tensor { return ops.Gather(e.Table, ids) }
 
-// ForwardAddOps accumulates the looked-up rows into dst in place through
-// the fused op set: dst[i,:] += Table[ids[i],:], bitwise the
-// ForwardOps → Add pair without the intermediate tensor.
-func (e *Embedding) ForwardAddOps(f FusedOps, dst *Tensor, ids []int) {
-	f.GatherAddInto(dst, e.Table, ids)
+// ForwardInfer looks up one row per id into an inference arena tensor.
+func (e *Embedding) ForwardInfer(in *Infer, ids []int) *Tensor { return in.Gather(e.Table, ids) }
+
+// ForwardAddInfer accumulates the looked-up rows into dst in place:
+// dst[i,:] += Table[ids[i],:], bitwise the ForwardOps → Add pair without
+// the intermediate tensor.
+func (e *Embedding) ForwardAddInfer(in *Infer, dst *Tensor, ids []int) {
+	in.GatherAddInto(dst, e.Table, ids)
 }
 
 // Params implements Layer.
@@ -128,15 +130,14 @@ func (ln *LayerNorm) ForwardOps(ops Ops, x *Tensor) *Tensor {
 }
 
 // ForwardAddOps normalizes x+y (the residual-add-then-norm pattern) through
-// the given op set, fusing the add into the norm kernel when available.
+// the given op set.
 func (ln *LayerNorm) ForwardAddOps(ops Ops, x, y *Tensor) *Tensor {
-	if f, ok := ops.(FusedOps); ok && f.FusionEnabled() {
-		return f.AddLayerNorm(x, y, ln.Gamma, ln.Beta, ln.eps)
-	}
-	sum := ops.Add(x, y)
-	out := ln.ForwardOps(ops, sum)
-	ops.Recycle(sum)
-	return out
+	return ln.ForwardOps(ops, ops.Add(x, y))
+}
+
+// ForwardAddInfer normalizes x+y through the fused add+norm kernel.
+func (ln *LayerNorm) ForwardAddInfer(in *Infer, x, y *Tensor) *Tensor {
+	return in.AddLayerNorm(x, y, ln.Gamma, ln.Beta, ln.eps)
 }
 
 // layerNormTrain is the autodiff layer-norm op behind TrainOps.LayerNorm.
@@ -215,37 +216,17 @@ func (sa *SelfAttention) Forward(x *Tensor) *Tensor {
 	return sa.ForwardOps(TrainOps{}, x)
 }
 
-// ForwardOps applies attention through the given op set. Under an Infer op
-// set the q/k/kᵀ/score intermediates — fresh allocations per call on the
-// old training-only path — are recycled into the pool as soon as they are
-// dead, so repeated attention passes reuse the same scratch memory.
+// ForwardOps applies attention through the given op set.
 func (sa *SelfAttention) ForwardOps(ops Ops, x *Tensor) *Tensor {
-	if f, ok := ops.(FusedOps); ok && f.FusionEnabled() {
-		q := f.LinearBias(x, sa.Q.W, sa.Q.wt, sa.Q.B, false)
-		k := f.LinearBias(x, sa.K.W, sa.K.wt, sa.K.B, false)
-		v := f.LinearBias(x, sa.V.W, sa.V.wt, sa.V.B, false)
-		ctx := f.ScaledDotAttention(q, k, v, 1/math.Sqrt(float64(sa.dim)))
-		proj := f.LinearBias(ctx, sa.Out.W, sa.Out.wt, sa.Out.B, false)
-		out := f.AddLayerNorm(x, proj, sa.Norm.Gamma, sa.Norm.Beta, sa.Norm.eps)
-		f.Arena().Recycle(q, k, v, ctx, proj)
-		return out
-	}
 	q := sa.Q.ForwardOps(ops, x)
 	k := sa.K.ForwardOps(ops, x)
 	v := sa.V.ForwardOps(ops, x)
-	kt := ops.Transpose(k)
-	qk := ops.MatMul(q, kt)
-	scores := ops.Scale(qk, 1/math.Sqrt(float64(sa.dim)))
-	attn := ops.SoftmaxRows(scores)
-	ctx := ops.MatMul(attn, v)
-	proj := sa.Out.ForwardOps(ops, ctx)
-	sum := ops.Add(x, proj)
-	out := sa.Norm.ForwardOps(ops, sum)
-	ops.Recycle(q, k, v, kt, qk, scores, attn, ctx, proj, sum)
-	return out
+	scores := ops.Scale(ops.MatMul(q, ops.Transpose(k)), 1/math.Sqrt(float64(sa.dim)))
+	proj := sa.Out.ForwardOps(ops, ops.MatMul(ops.SoftmaxRows(scores), v))
+	return sa.Norm.ForwardAddOps(ops, x, proj)
 }
 
-// ForwardRaggedOps applies the attention block independently over row
+// ForwardRaggedInfer applies the attention block independently over row
 // segments of x (bounds[s]..bounds[s+1] delimit segment s) through the fused
 // kernels. The Q/K/V/Out projections and the residual layer norm batch
 // across all segments in single kernels — each of their output rows depends
@@ -253,14 +234,14 @@ func (sa *SelfAttention) ForwardOps(ops Ops, x *Tensor) *Tensor {
 // score/softmax/weighted-sum step runs per segment. Bit-identical to calling
 // ForwardOps on each segment separately, at a fraction of the kernel
 // launches for many short sequences.
-func (sa *SelfAttention) ForwardRaggedOps(f FusedOps, x *Tensor, bounds []int) *Tensor {
-	q := f.LinearBias(x, sa.Q.W, sa.Q.wt, sa.Q.B, false)
-	k := f.LinearBias(x, sa.K.W, sa.K.wt, sa.K.B, false)
-	v := f.LinearBias(x, sa.V.W, sa.V.wt, sa.V.B, false)
-	ctx := f.RaggedScaledDotAttention(q, k, v, bounds, 1/math.Sqrt(float64(sa.dim)))
-	proj := f.LinearBias(ctx, sa.Out.W, sa.Out.wt, sa.Out.B, false)
-	out := f.AddLayerNorm(x, proj, sa.Norm.Gamma, sa.Norm.Beta, sa.Norm.eps)
-	f.Arena().Recycle(q, k, v, ctx, proj)
+func (sa *SelfAttention) ForwardRaggedInfer(in *Infer, x *Tensor, bounds []int) *Tensor {
+	q := sa.Q.ForwardInfer(in, x)
+	k := sa.K.ForwardInfer(in, x)
+	v := sa.V.ForwardInfer(in, x)
+	ctx := in.RaggedScaledDotAttention(q, k, v, bounds, 1/math.Sqrt(float64(sa.dim)))
+	proj := sa.Out.ForwardInfer(in, ctx)
+	out := sa.Norm.ForwardAddInfer(in, x, proj)
+	in.Recycle(q, k, v, ctx, proj)
 	return out
 }
 
@@ -318,34 +299,29 @@ func (m *MLP) Forward(x *Tensor) *Tensor {
 	return m.ForwardOps(TrainOps{}, x)
 }
 
-// ForwardOps applies the stack through the given op set. The input x is
-// never recycled; every intermediate is. Under a fused op set each hidden
-// layer runs as a single linear+bias+ReLU kernel.
+// ForwardOps applies the stack through the given op set.
 func (m *MLP) ForwardOps(ops Ops, x *Tensor) *Tensor {
-	if f, ok := ops.(FusedOps); ok && f.FusionEnabled() {
-		ar := f.Arena()
-		cur := x
-		for i, l := range m.Layers {
-			next := f.LinearBias(cur, l.W, l.wt, l.B, i+1 < len(m.Layers))
-			if cur != x {
-				ar.Recycle(cur)
-			}
-			cur = next
-		}
-		return cur
-	}
 	cur := x
 	for i, l := range m.Layers {
-		next := l.ForwardOps(ops, cur)
+		cur = l.ForwardOps(ops, cur)
+		if i+1 < len(m.Layers) {
+			cur = ops.ReLU(cur)
+		}
+	}
+	return cur
+}
+
+// ForwardInfer applies the stack through the fused kernels: each hidden
+// layer runs as a single linear+bias+ReLU kernel. The input x is never
+// recycled; every intermediate is.
+func (m *MLP) ForwardInfer(in *Infer, x *Tensor) *Tensor {
+	cur := x
+	for i, l := range m.Layers {
+		next := in.LinearBias(cur, l.W, l.wt, l.B, i+1 < len(m.Layers))
 		if cur != x {
-			ops.Recycle(cur)
+			in.Recycle(cur)
 		}
 		cur = next
-		if i+1 < len(m.Layers) {
-			next = ops.ReLU(cur)
-			ops.Recycle(cur)
-			cur = next
-		}
 	}
 	return cur
 }

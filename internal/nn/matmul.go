@@ -147,8 +147,8 @@ func matmulBT(out, a, bt, ap []float64, m, k, n int, bias []float64) {
 // with an optional fused epilogue: bias (len n) added to every output row
 // and/or ReLU clamping, applied per row block by the worker that wrote it.
 // The epilogue mirrors addRowVectorForward and reluForward element for
-// element, so a fused linear+bias+ReLU is bit-identical to the unfused
-// MatMul→AddRowVector→ReLU chain.
+// element, so a fused linear+bias+ReLU is bit-identical to the
+// MatMul→AddRowVector→ReLU op chain.
 func matmulEpilogue(out, a, bt []float64, m, k, n int, bias []float64, relu bool) {
 	if m == 0 || n == 0 {
 		return

@@ -108,7 +108,7 @@ func BenchmarkMatMulBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkInferMLP contrasts the pooled inference path against the
+// BenchmarkInferMLP contrasts the fused inference path against the
 // allocating training-ops path on a frozen MLP.
 func BenchmarkInferMLP(b *testing.B) {
 	r := rng.New(9)
@@ -123,13 +123,13 @@ func BenchmarkInferMLP(b *testing.B) {
 			_ = mlp.Forward(x)
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
+	b.Run("fused", func(b *testing.B) {
 		pool := NewPool()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			in := NewInfer(pool)
-			_ = mlp.ForwardOps(in, x)
+			_ = mlp.ForwardInfer(in, x)
 			in.Close()
 		}
 	})

@@ -100,8 +100,8 @@ func TestInferGoldenVsTrain(t *testing.T) {
 	pool := NewPool()
 	for pass := 0; pass < 3; pass++ {
 		in := NewInfer(pool)
-		gotSA := sa.ForwardOps(in, x)
-		gotMLP := mlp.ForwardOps(in, gotSA)
+		gotSA := sa.ForwardRaggedInfer(in, x, []int{0, 12})
+		gotMLP := mlp.ForwardInfer(in, gotSA)
 		for i := range wantSA.Data {
 			if gotSA.Data[i] != wantSA.Data[i] {
 				t.Fatalf("pass %d: attention output differs at %d", pass, i)
@@ -144,8 +144,9 @@ func TestInferRecycleReuse(t *testing.T) {
 	pool := NewPool()
 	in := NewInfer(pool)
 	a := in.Zeros(8, 8)
+	rows := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for i := 0; i < 10; i++ {
-		b := in.ReLU(a)
+		b := in.Gather(a, rows)
 		in.Recycle(a)
 		a = b
 	}

@@ -27,29 +27,31 @@ type InferProfile struct {
 	FusedAddNorm   int64
 
 	// Per-class kernel time; zero unless SetKernelProfiling(true).
-	MatMulNs      int64
 	FusedLinearNs int64
 	AttentionNs   int64
 	NormNs        int64
-	SoftmaxNs     int64
+	// MatMulNs and SoftmaxNs are always 0: every inference matmul and
+	// softmax runs inside a fused kernel and is timed with it. They remain
+	// for readers that still report them.
+	MatMulNs, SoftmaxNs int64
 }
 
 // KernelNs sums the per-class kernel time.
 func (p InferProfile) KernelNs() int64 {
-	return p.MatMulNs + p.FusedLinearNs + p.AttentionNs + p.NormNs + p.SoftmaxNs
+	return p.FusedLinearNs + p.AttentionNs + p.NormNs
 }
 
 // inferCounters is the Infer-local (single-goroutine, unsynchronized)
 // accumulator behind InferProfile.
 type inferCounters struct {
-	fusedLinear, fusedAttention, fusedAddNorm               int64
-	matmulNs, fusedLinearNs, attentionNs, normNs, softmaxNs int64
+	fusedLinear, fusedAttention, fusedAddNorm int64
+	fusedLinearNs, attentionNs, normNs        int64
 }
 
 // profileAtomics is the pool-side aggregate, written at Infer.Close.
 type profileAtomics struct {
-	fusedLinear, fusedAttention, fusedAddNorm               atomic.Int64
-	matmulNs, fusedLinearNs, attentionNs, normNs, softmaxNs atomic.Int64
+	fusedLinear, fusedAttention, fusedAddNorm atomic.Int64
+	fusedLinearNs, attentionNs, normNs        atomic.Int64
 }
 
 // addProfile folds an Infer's local counters into the pool aggregate.
@@ -60,11 +62,9 @@ func (p *Pool) addProfile(c *inferCounters) {
 	p.prof.fusedLinear.Add(c.fusedLinear)
 	p.prof.fusedAttention.Add(c.fusedAttention)
 	p.prof.fusedAddNorm.Add(c.fusedAddNorm)
-	p.prof.matmulNs.Add(c.matmulNs)
 	p.prof.fusedLinearNs.Add(c.fusedLinearNs)
 	p.prof.attentionNs.Add(c.attentionNs)
 	p.prof.normNs.Add(c.normNs)
-	p.prof.softmaxNs.Add(c.softmaxNs)
 	*c = inferCounters{}
 }
 
@@ -74,10 +74,8 @@ func (p *Pool) Profile() InferProfile {
 		FusedLinear:    p.prof.fusedLinear.Load(),
 		FusedAttention: p.prof.fusedAttention.Load(),
 		FusedAddNorm:   p.prof.fusedAddNorm.Load(),
-		MatMulNs:       p.prof.matmulNs.Load(),
 		FusedLinearNs:  p.prof.fusedLinearNs.Load(),
 		AttentionNs:    p.prof.attentionNs.Load(),
 		NormNs:         p.prof.normNs.Load(),
-		SoftmaxNs:      p.prof.softmaxNs.Load(),
 	}
 }

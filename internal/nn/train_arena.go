@@ -21,9 +21,9 @@ import (
 // Zeros, and the ScatterMean counts. Every other op writes each element of
 // its output.
 //
-// Unlike Infer, Recycle is a no-op — the tape may need any intermediate
-// during Backward — and Close must not be called until the caller is done
-// with every tensor of the pass, including the loss. A TrainArena is owned
+// Unlike an Infer, the arena frees nothing mid-pass — the tape may need any
+// intermediate during Backward — and Close must not be called until the
+// caller is done with every tensor of the pass, including the loss. A TrainArena is owned
 // by one goroutine; arenas of concurrent workers share only the read-only
 // WeightCopies.
 type TrainArena struct {
@@ -352,10 +352,6 @@ func (ta *TrainArena) LayerNorm(x, gamma, beta *Tensor, eps float64) *Tensor {
 
 // Zeros implements Ops.
 func (ta *TrainArena) Zeros(shape ...int) *Tensor { return ta.newResult(shape) }
-
-// Recycle implements Ops as a no-op: the tape may still reference the data;
-// Close reclaims everything at once.
-func (ta *TrainArena) Recycle(ts ...*Tensor) {}
 
 // BCEWithLogits is the arena form of the package-level loss (not part of
 // Ops — only training passes need it).

@@ -52,21 +52,15 @@ func (n *arenaTestNet) params() []*Tensor {
 func (n *arenaTestNet) forward(ops Ops, x *Tensor, targets, weights []float64) *Tensor {
 	att := n.attn.ForwardOps(ops, x)
 	enc := n.mlp.ForwardOps(ops, att)
-	ops.Recycle(att)
 	gathered := ops.Gather(enc, []int{0, 1, 2, 3, 2, 1})
 	agg := ops.ScatterMean(gathered, []int{0, 0, 1, 1, 2, 2}, 3)
-	ops.Recycle(gathered)
 	mean := ops.MeanRows(enc)
-	ops.Recycle(enc)
 	big := ops.RepeatEachRow(agg, 2)
 	ctx := ops.TileRows(ops.ConcatRows([]*Tensor{mean, mean}), 3)
 	prod := ops.Mul(big, ctx)
 	cat := ops.Concat(big, ctx, prod)
-	ops.Recycle(agg, mean, big, ctx, prod)
 	scores := n.head.ForwardOps(ops, cat)
-	ops.Recycle(cat)
 	out := ops.MaxPerGroup(scores, 3, 2)
-	ops.Recycle(scores)
 	switch o := ops.(type) {
 	case *TrainArena:
 		return o.BCEWithLogits(out, targets, weights)

@@ -49,7 +49,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestPredictFrozenMatchesTrainPath verifies the pooled inference path
+// TestPredictFrozenMatchesTrainPath verifies the fused inference path
 // against the autodiff path: freezing the model must not change a single
 // bit of any prediction, across repeated passes over warm pool memory.
 func TestPredictFrozenMatchesTrainPath(t *testing.T) {
@@ -66,7 +66,7 @@ func TestPredictFrozenMatchesTrainPath(t *testing.T) {
 	m.Freeze()
 	for pass := 0; pass < 2; pass++ {
 		for i, g := range gs {
-			_, probs := m.Predict(g) // frozen: pooled Infer path
+			_, probs := m.Predict(g) // frozen: fused forward
 			for j := range probs {
 				if probs[j] != trained[i].probs[j] {
 					t.Fatalf("pass %d graph %d prob %d: frozen %v vs train %v", pass, i, j, probs[j], trained[i].probs[j])

@@ -8,8 +8,8 @@ import (
 	"github.com/repro/snowplow/internal/nn"
 )
 
-// blockMemo caches the block token encoder (θ_TRANSFORMER) of one frozen,
-// fused Model: vocabulary-id sequence → the encoder's Dim-wide output row.
+// blockMemo caches the block token encoder (θ_TRANSFORMER) of one frozen
+// Model: vocabulary-id sequence → the encoder's Dim-wide output row.
 //
 // The key is content, not kernel.BlockID: the encoder sees nothing but the
 // id sequence, so two blocks (or argument access paths) with equal ids — on
@@ -25,10 +25,11 @@ import (
 // Predict(gs[i]) — so which other sequences shared the batch that first
 // computed a row cannot be observed.
 //
-// Weights are the other input, so the memo lives and dies with its Model:
-// EnableFused and Quantize replace it, a hot swap serves a new Model, and
-// training never reaches it (TrainOps and the unfused Infer take the
-// per-vertex encodeBlockOps chain, the independent oracle). Its size is
+// Weights are the other input, so the memo lives and dies with its Model's
+// weight snapshot: Freeze creates it, Quantize and the eval shadow's
+// re-snapshot replace it, a hot swap serves a new Model, and training never
+// reaches it (TrainOps takes the per-vertex encodeBlockOps chain, the
+// independent oracle). Its size is
 // bounded by the distinct token sequences of the kernels the model serves:
 // kernel 6.8 has 4 367 distinct block sequences plus its argument access
 // paths, at about 300 B each (Dim float64s, the key, map overhead) ≈ 1.3 MB;
@@ -54,7 +55,7 @@ type BlockMemoStats struct {
 }
 
 // BlockMemoStats snapshots the block-encoder memo counters. They stay zero
-// on a model that is not fused.
+// on a model that is not frozen.
 func (m *Model) BlockMemoStats() BlockMemoStats {
 	bm := m.blockMemo
 	bm.mu.RLock()
@@ -75,10 +76,10 @@ func appendBlockKey(key []byte, id int) []byte {
 // in one batch and are then published. Concurrent forwards may encode the
 // same missing sequence twice — both results are the same bits, the first
 // one stored wins.
-func (m *Model) encodeBlocksMemo(f nn.FusedOps, plans []*forwardPlan, blocks int) *nn.Tensor {
+func (m *Model) encodeBlocksMemo(in *nn.Infer, plans []*forwardPlan, blocks int) *nn.Tensor {
 	bm := m.blockMemo
 	dim := m.Cfg.Dim
-	out := f.Zeros(blocks, dim)
+	out := in.Zeros(blocks, dim)
 
 	var (
 		missIdx  map[string]int // distinct missing sequence → its row in the miss batch
@@ -125,12 +126,12 @@ func (m *Model) encodeBlocksMemo(f nn.FusedOps, plans []*forwardPlan, blocks int
 	}
 	bm.misses.Add(int64(len(missIdx)))
 
-	enc := m.encodeRagged(f, flat, bounds)
+	enc := m.encodeRagged(in, flat, bounds)
 	for n, i := range fillRow {
 		copy(out.Data[i*dim:(i+1)*dim], enc.Data[fillFrom[n]*dim:(fillFrom[n]+1)*dim])
 	}
 	stored := append([]float64(nil), enc.Data...) // enc's slab goes back to the pool
-	f.Arena().Recycle(enc)
+	in.Recycle(enc)
 	bm.mu.Lock()
 	for key, mi := range missIdx {
 		if _, ok := bm.rows[key]; !ok {
@@ -144,17 +145,16 @@ func (m *Model) encodeBlocksMemo(f nn.FusedOps, plans []*forwardPlan, blocks int
 // encodeRagged runs the token encoder over a ragged batch of id sequences
 // (sequence s is flat[bounds[s]:bounds[s+1]]) through the fused kernels and
 // returns one Dim-wide row per sequence.
-func (m *Model) encodeRagged(f nn.FusedOps, flat, bounds []int) *nn.Tensor {
-	ar := f.Arena()
-	emb := m.tokEmb.ForwardOps(f, flat)
+func (m *Model) encodeRagged(in *nn.Infer, flat, bounds []int) *nn.Tensor {
+	emb := m.tokEmb.ForwardInfer(in, flat)
 	if m.Cfg.UseAttention {
-		att := m.tokAttn.ForwardRaggedOps(f, emb, bounds)
-		ar.Recycle(emb)
+		att := m.tokAttn.ForwardRaggedInfer(in, emb, bounds)
+		in.Recycle(emb)
 		emb = att
 	}
-	mean := f.RaggedMeanRows(emb, bounds)
-	ar.Recycle(emb)
-	out := m.tokMLP.ForwardOps(f, mean)
-	ar.Recycle(mean)
+	mean := in.RaggedMeanRows(emb, bounds)
+	in.Recycle(emb)
+	out := m.tokMLP.ForwardInfer(in, mean)
+	in.Recycle(mean)
 	return out
 }

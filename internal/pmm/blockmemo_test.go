@@ -10,6 +10,7 @@ import (
 	"github.com/repro/snowplow/internal/cfa"
 	"github.com/repro/snowplow/internal/dataset"
 	"github.com/repro/snowplow/internal/kernel"
+	"github.com/repro/snowplow/internal/nn"
 	"github.com/repro/snowplow/internal/prog"
 	"github.com/repro/snowplow/internal/qgraph"
 	"github.com/repro/snowplow/internal/rng"
@@ -90,17 +91,40 @@ func memoCheckpoint(t testing.TB, seed uint64) []byte {
 	return buf.Bytes()
 }
 
-func loadFrozen(t testing.TB, ckpt []byte, fused bool) *Model {
+// loadFrozen loads a checkpoint and freezes it, with a memo of its own.
+func loadFrozen(t testing.TB, ckpt []byte) *Model {
 	t.Helper()
 	m, err := Load(bytes.NewReader(ckpt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Freeze()
-	if fused {
-		m.EnableFused()
-	}
 	return m
+}
+
+// referenceProbs is the oracle every fused forward is held to: forwardMany
+// through TrainOps on the frozen parameters, one graph at a time, so no
+// batch, plan or memo takes part. Graphs PredictBatch skips (nil, or without
+// argument vertices) get nil, as there.
+func referenceProbs(t testing.TB, m *Model, gs []*qgraph.Graph) [][]float64 {
+	t.Helper()
+	memo := m.BlockMemoStats()
+	want := make([][]float64, len(gs))
+	for i, g := range gs {
+		if g == nil || len(g.ArgVertices) == 0 {
+			continue
+		}
+		plan := storedPlan(g)
+		out := m.forwardMany(nn.TrainOps{}, []*qgraph.Graph{g})[0]
+		_, want[i] = m.pickSlots(g, out.Data)
+		if storedPlan(g) != plan {
+			t.Fatalf("graph %d: the reference forward touched its plan", i)
+		}
+	}
+	if st := m.BlockMemoStats(); st != memo {
+		t.Fatalf("the reference forward touched the memo: %+v, was %+v", st, memo)
+	}
+	return want
 }
 
 // bitDiff returns the first index at which got and want are not the same
@@ -131,19 +155,12 @@ func sameProbs(t *testing.T, what string, got, want []float64) {
 
 // TestFusedBlockMemoBitIdentical is the memo's bit-equality matrix: a fused
 // forward over a cold memo and the same forward over the warm memo must both
-// equal the unfused, unbatched, memo-free forward in every bit, whatever the
-// batch size and whichever other graphs share the batch.
+// equal the TrainOps reference in every bit, whatever the batch size and
+// whichever other graphs share the batch.
 func TestFusedBlockMemoBitIdentical(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 13)
-	oracle := loadFrozen(t, ckpt, false)
-	want := make([][]float64, len(gs))
-	for i, g := range gs {
-		_, want[i] = oracle.Predict(g)
-	}
-	if st := oracle.BlockMemoStats(); st != (BlockMemoStats{}) {
-		t.Fatalf("unfused forwards touched the memo: %+v", st)
-	}
+	want := referenceProbs(t, loadFrozen(t, ckpt), gs)
 	r := rng.New(14)
 	for _, size := range []int{1, 3, 8} {
 		for shuffle := 0; shuffle < 3; shuffle++ {
@@ -152,7 +169,7 @@ func TestFusedBlockMemoBitIdentical(t *testing.T) {
 			for bi, gi := range order {
 				batch[bi] = gs[gi]
 			}
-			m := loadFrozen(t, ckpt, true)
+			m := loadFrozen(t, ckpt)
 			var cold BlockMemoStats
 			for pass, state := range []string{"cold", "warm"} {
 				_, got := m.PredictBatch(batch)
@@ -181,7 +198,7 @@ func TestQuantizeResetsFusedBlockMemo(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 15)
 
-	m := loadFrozen(t, ckpt, true)
+	m := loadFrozen(t, ckpt)
 	_, before := m.PredictBatch(gs)
 	if m.BlockMemoStats().Entries == 0 {
 		t.Fatal("fused forward stored nothing")
@@ -194,11 +211,10 @@ func TestQuantizeResetsFusedBlockMemo(t *testing.T) {
 	}
 	_, after := m.PredictBatch(gs)
 
-	fresh := loadFrozen(t, ckpt, false)
+	fresh := loadFrozen(t, ckpt)
 	if err := fresh.Quantize(); err != nil {
 		t.Fatal(err)
 	}
-	fresh.EnableFused()
 	_, want := fresh.PredictBatch(gs)
 	moved := false
 	for i := range want {
@@ -221,12 +237,8 @@ func TestQuantizeResetsFusedBlockMemo(t *testing.T) {
 func TestFusedBlockMemoConcurrentCold(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 16)
-	oracle := loadFrozen(t, ckpt, false)
-	want := make([][]float64, len(gs))
-	for i, g := range gs {
-		_, want[i] = oracle.Predict(g)
-	}
-	m := loadFrozen(t, ckpt, true)
+	want := referenceProbs(t, loadFrozen(t, ckpt), gs)
+	m := loadFrozen(t, ckpt)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

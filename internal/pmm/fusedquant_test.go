@@ -16,16 +16,15 @@ import (
 	"github.com/repro/snowplow/internal/rng"
 )
 
-// TestPredictFusedBitIdentity checks the fused-kernel forward against the
-// plain pooled path: EnableFused must not change a single probability bit,
-// across repeated passes and worker counts.
+// TestPredictFusedBitIdentity checks a frozen model's fused forward against
+// the TrainOps reference on the same frozen parameters: not a single
+// probability bit may differ, across repeated passes and worker counts.
 func TestPredictFusedBitIdentity(t *testing.T) {
 	defer nn.SetWorkers(1)
 	gs := batchGraphs(t, 5, 700)
 	m := NewModel(rng.New(8), DefaultConfig(), BuildVocab(testKernel))
 	m.Freeze()
-	_, want := m.PredictBatch(gs)
-	m.EnableFused()
+	want := referenceProbs(t, m, gs)
 	for _, workers := range []int{1, 4} {
 		nn.SetWorkers(workers)
 		for pass := 0; pass < 2; pass++ {
@@ -33,7 +32,7 @@ func TestPredictFusedBitIdentity(t *testing.T) {
 			for i := range want {
 				for j := range want[i] {
 					if got[i][j] != want[i][j] {
-						t.Fatalf("workers=%d pass %d graph %d prob %d: fused %v vs plain %v",
+						t.Fatalf("workers=%d pass %d graph %d prob %d: fused %v vs reference %v",
 							workers, pass, i, j, got[i][j], want[i][j])
 					}
 				}
@@ -149,7 +148,6 @@ func TestQuantizedCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("loaded model lost the quantization registry")
 	}
 	m2.Freeze()
-	m2.EnableFused()
 	_, got := m2.PredictBatch(gs)
 	for i := range want {
 		for j := range want[i] {
@@ -193,16 +191,14 @@ func TestFusedQuantReplyBitsPinned(t *testing.T) {
 	gs := batchGraphs(t, 5, 800)
 	replies := func(what string, m *Model, want string) {
 		t.Helper()
-		for _, fused := range []bool{false, true} {
-			if fused {
-				m.EnableFused()
-			}
-			for _, workers := range []int{1, 4} {
-				nn.SetWorkers(workers)
-				_, probs := m.PredictBatch(gs)
-				if got := probBitsDigest(probs); got != want {
-					t.Errorf("%s, fused=%t workers=%d: reply bits hash to %s, pinned %s", what, fused, workers, got, want)
-				}
+		if got := probBitsDigest(referenceProbs(t, m, gs)); got != want {
+			t.Errorf("%s, TrainOps reference: reply bits hash to %s, pinned %s", what, got, want)
+		}
+		for _, workers := range []int{1, 4} {
+			nn.SetWorkers(workers)
+			_, probs := m.PredictBatch(gs)
+			if got := probBitsDigest(probs); got != want {
+				t.Errorf("%s, workers=%d: reply bits hash to %s, pinned %s", what, workers, got, want)
 			}
 		}
 	}
@@ -241,56 +237,28 @@ func TestFusedQuantReplyBitsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkPredictBatch measures the frozen-model serving hot path on its
-// two inference configurations: the unfused float64 baseline and the fused
-// kernels (which also serve quantized weights — int8 is a checkpoint codec,
-// see DESIGN.md §12).
+// BenchmarkPredictBatch measures the frozen-model serving hot path: the
+// fused kernels, which also serve quantized weights (int8 is a checkpoint
+// codec, see DESIGN.md §12).
 func BenchmarkPredictBatch(b *testing.B) {
 	gs := batchGraphs(b, 6, 1000)
-	modes := []struct {
-		name  string
-		fused bool
-	}{
-		{"unfused_f64", false},
-		{"fused_f64", true},
-	}
 	nsPerOp := map[string]float64{}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			m := NewModel(rng.New(11), DefaultConfig(), BuildVocab(testKernel))
-			m.Freeze()
-			if mode.fused {
-				m.EnableFused()
-			}
-			m.PredictBatch(gs) // warm the pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				m.PredictBatch(gs)
-			}
-			nsPerOp[mode.name] = float64(time.Since(start).Nanoseconds()) / float64(b.N)
-		})
-	}
-	if base, ok := nsPerOp["unfused_f64"]; ok {
-		if v := nsPerOp["fused_f64"]; v > 0 {
-			b.Logf("fused_f64 speedup vs unfused_f64: %.2fx", base/v)
+	b.Run("fused_f64", func(b *testing.B) {
+		m := NewModel(rng.New(11), DefaultConfig(), BuildVocab(testKernel))
+		m.Freeze()
+		m.PredictBatch(gs) // warm the pool
+		b.ReportAllocs()
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			m.PredictBatch(gs)
 		}
-	}
+		nsPerOp["fused_f64"] = float64(time.Since(start).Nanoseconds()) / float64(b.N)
+	})
 	if dir := os.Getenv("BENCH_JSON"); dir != "" {
-		out := map[string]interface{}{
+		data, err := json.MarshalIndent(map[string]interface{}{
 			"benchmark": "BenchmarkPredictBatch", "ns_per_op": nsPerOp,
-		}
-		if base := nsPerOp["unfused_f64"]; base > 0 {
-			speedups := map[string]float64{}
-			for name, v := range nsPerOp {
-				if v > 0 {
-					speedups[name] = base / v
-				}
-			}
-			out["speedup_vs_unfused_f64"] = speedups
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
+		}, "", "  ")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -77,18 +77,15 @@ type Model struct {
 	// model share it safely.
 	pool *nn.Pool
 
-	// fused routes frozen forwards through the fused inference kernels
-	// (EnableFused), bit-identical to the plain pooled forward — see
-	// internal/nn's fused.go. quant holds the int8 codes after Quantize or a
-	// mixed-precision checkpoint load, for SaveQuantized alone: the weights
-	// above already hold the dequantized values (internal/nn's quant.go).
-	fused bool
+	// quant holds the int8 codes after Quantize or a mixed-precision
+	// checkpoint load, for SaveQuantized alone: the weights above already
+	// hold the dequantized values (internal/nn's quant.go).
 	quant nn.Quantized
 
 	// blockMemo caches the token encoder's output per vocabulary-id
-	// sequence. Only a fused frozen forward consults it, and everything that
-	// changes what the encoder would compute (EnableFused, Quantize)
-	// replaces it — see blockmemo.go.
+	// sequence. Only a frozen forward consults it, and everything that
+	// changes what the encoder would compute (Quantize, the eval shadow's
+	// re-snapshot) replaces it — see blockmemo.go.
 	blockMemo *blockMemo
 }
 
@@ -104,9 +101,6 @@ func (m *Model) PoolStats() nn.PoolStats {
 func (m *Model) InferProfile() nn.InferProfile {
 	return m.pool.Profile()
 }
-
-// Fused reports whether the fused inference kernels are enabled.
-func (m *Model) Fused() bool { return m.fused }
 
 // Quantized reports whether the weights are int8-representable: rewritten
 // by Quantize or loaded from a mixed-precision checkpoint.
@@ -131,17 +125,10 @@ func (m *Model) linears(visit func(*nn.Linear)) {
 	}
 }
 
-// EnableFused switches frozen forwards to the fused inference kernels,
-// precomputing each Linear's transposed-weight cache. Requires a frozen
-// model; outputs stay bit-identical to the unfused path.
-func (m *Model) EnableFused() {
-	if !m.frozen() {
-		panic("pmm: EnableFused requires a frozen model")
-	}
-	m.linears(func(l *nn.Linear) { l.FreezeFused() })
-	m.fused = true
-	m.blockMemo = newBlockMemo()
-}
+// EnableFused does nothing: every frozen forward runs the fused kernels.
+//
+// Deprecated: Freeze builds everything the fused forward needs.
+func (m *Model) EnableFused() {}
 
 // Quantize builds the per-tensor int8 encoding of every large parameter
 // (linear weights and embedding tables; nn.QuantMinSize policy) and rewrites
@@ -159,13 +146,8 @@ func (m *Model) Quantize() error {
 		return err
 	}
 	m.quant = qz
-	if m.fused {
-		// Transposed-weight caches were built from the pre-quantization
-		// weights; rebuild them from the dequantized values.
-		m.linears(func(l *nn.Linear) { l.FreezeFused() })
-	}
-	// Rows memoised so far were encoded with the pre-quantization weights.
-	m.blockMemo = newBlockMemo()
+	// The snapshot was taken of the pre-quantization weights.
+	m.snapshot()
 	return nil
 }
 
@@ -243,12 +225,27 @@ func (m *Model) ParamList() []*nn.Tensor {
 	return out
 }
 
-// Freeze disables gradient tracking on all parameters (inference mode);
-// forward passes then record no tape and are safe for concurrent use.
+// Freeze disables gradient tracking on all parameters (inference mode) and
+// snapshots the weights for the fused forward; forward passes then record
+// no tape and are safe for concurrent use. Freezing a frozen model does
+// nothing, so its block memo stays warm.
 func (m *Model) Freeze() {
+	if m.frozen() {
+		return
+	}
 	for _, p := range m.Params() {
 		p.UnrequireGrad()
 	}
+	m.snapshot()
+}
+
+// snapshot rebuilds what the fused forward derives from the weights: each
+// Linear's transposed-weight cache and, empty, the block memo. A frozen
+// model's weights change only through Quantize or, on the eval shadow, the
+// master's optimizer step; both re-snapshot before the next forward.
+func (m *Model) snapshot() {
+	m.linears(func(l *nn.Linear) { l.FreezeFused() })
+	m.blockMemo = newBlockMemo()
 }
 
 // newAliasedModel builds a replica that shares the master's weights (every
@@ -267,15 +264,13 @@ func newAliasedModel(m *Model) *Model {
 }
 
 // newEvalShadow builds a frozen weight-aliased replica for validation and
-// threshold tuning during training: it sees every weight update of the
-// master immediately and, being frozen, runs through the pooled inference
-// path, which is bit-identical to the training-ops forward.
-//
-// A shadow (or any weight-aliased replica) must never be fused: EnableFused
-// snapshots the weights twice — the transposed-weight caches and, through
-// the block memo, whole encoder outputs — and the master's next Adam step
-// would leave both describing weights that no longer exist. Unfused, every
-// forward reads the aliased weights afresh.
+// threshold tuning during training: it shares the master's weights and,
+// being frozen, runs the fused forward, which is bit-identical to the
+// training-ops forward. That forward reads a snapshot of the weights — the
+// transposed-weight caches and, through the block memo, whole encoder
+// outputs — which the master's next Adam step leaves describing weights
+// that no longer exist, so the training loop re-snapshots the shadow
+// before each validation pass.
 func newEvalShadow(m *Model) *Model {
 	shadow := newAliasedModel(m)
 	shadow.Freeze()
@@ -291,15 +286,9 @@ func (m *Model) encodeBlockOps(ops nn.Ops, tokens []string) *nn.Tensor {
 	}
 	emb := m.tokEmb.ForwardOps(ops, ids)
 	if m.Cfg.UseAttention {
-		att := m.tokAttn.ForwardOps(ops, emb)
-		ops.Recycle(emb)
-		emb = att
+		emb = m.tokAttn.ForwardOps(ops, emb)
 	}
-	mean := ops.MeanRows(emb)
-	ops.Recycle(emb)
-	out := m.tokMLP.ForwardOps(ops, mean)
-	ops.Recycle(mean)
-	return out
+	return m.tokMLP.ForwardOps(ops, ops.MeanRows(emb))
 }
 
 // Forward computes MUTATE logits for every argument vertex of the graph.
@@ -318,29 +307,16 @@ func (m *Model) Forward(g *qgraph.Graph) *nn.Tensor {
 // The readout stays per graph (argument/target counts differ). Returned
 // tensor i holds graph i's logits, shape (len(gs[i].ArgVertices), 1).
 //
-// Under an Infer op set every intermediate is recycled as soon as it is
-// dead, so the pass runs in a near-constant set of pooled slabs. A fused
-// model forwarding through the fused kernels takes forwardFused (plan.go),
-// which computes the same bits; it reads the block memo, which is only valid
-// behind EnableFused, hence m.fused.
+// This is the training forward (TrainOps, TrainArena) and the reference a
+// frozen model's forwardFused (plan.go) is tested against: the same bits,
+// computed vertex by vertex with one op per step.
 func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
-	if f, ok := ops.(nn.FusedOps); ok && m.fused && f.FusionEnabled() {
-		return m.forwardFused(f, gs)
-	}
-
 	// Vertex offsets of each graph within the union.
 	offsets := make([]int, len(gs))
 	total := 0
 	for gi, g := range gs {
 		offsets[gi] = total
 		total += len(g.Vertices)
-	}
-
-	// addConsume folds b into acc, recycling both inputs.
-	addConsume := func(acc, b *nn.Tensor) *nn.Tensor {
-		out := ops.Add(acc, b)
-		ops.Recycle(acc, b)
-		return out
 	}
 
 	// Initial vertex states for every graph, in batch order: each vertex
@@ -354,19 +330,19 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 			h := m.kindEmb.ForwardOps(ops, []int{int(v.Kind)})
 			switch v.Kind {
 			case qgraph.VSyscall:
-				h = addConsume(h, m.callEmb.ForwardOps(ops, []int{hashString(v.Name, m.Cfg.CallBuckets)}))
+				h = ops.Add(h, m.callEmb.ForwardOps(ops, []int{hashString(v.Name, m.Cfg.CallBuckets)}))
 			case qgraph.VArg:
 				top, depth, absent := m.clampArg(v)
-				h = addConsume(h, m.typeEmb.ForwardOps(ops, []int{int(v.TypeKind)}))
-				h = addConsume(h, m.topEmb.ForwardOps(ops, []int{top}))
-				h = addConsume(h, m.depthEmb.ForwardOps(ops, []int{depth}))
-				h = addConsume(h, m.absentEmb.ForwardOps(ops, []int{absent}))
+				h = ops.Add(h, m.typeEmb.ForwardOps(ops, []int{int(v.TypeKind)}))
+				h = ops.Add(h, m.topEmb.ForwardOps(ops, []int{top}))
+				h = ops.Add(h, m.depthEmb.ForwardOps(ops, []int{depth}))
+				h = ops.Add(h, m.absentEmb.ForwardOps(ops, []int{absent}))
 				if len(v.Tokens) > 0 {
 					// Access-path tokens share the kernel token embedding.
-					h = addConsume(h, m.encodeBlockOps(ops, v.Tokens))
+					h = ops.Add(h, m.encodeBlockOps(ops, v.Tokens))
 				}
 			default:
-				h = addConsume(h, m.encodeBlockOps(ops, v.Tokens))
+				h = ops.Add(h, m.encodeBlockOps(ops, v.Tokens))
 				if v.Kind == qgraph.VTarget {
 					targetIdx[gi] = append(targetIdx[gi], off+vi)
 				}
@@ -375,7 +351,6 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 		}
 	}
 	state := ops.ConcatRows(rows)
-	ops.Recycle(rows...)
 
 	// Pre-index union edges by kind+direction once. Edges never cross
 	// graph boundaries, so message passing cannot mix graphs. A reverse
@@ -415,17 +390,10 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 			if len(buckets[k].src) == 0 {
 				continue
 			}
-			srcRows := ops.Gather(state, buckets[k].src)
-			msgs := m.edgeW[l][k].ForwardOps(ops, srcRows)
-			ops.Recycle(srcRows)
-			agg = addConsume(agg, ops.ScatterMean(msgs, buckets[k].dst, total))
-			ops.Recycle(msgs)
+			msgs := m.edgeW[l][k].ForwardOps(ops, ops.Gather(state, buckets[k].src))
+			agg = ops.Add(agg, ops.ScatterMean(msgs, buckets[k].dst, total))
 		}
-		act := ops.ReLU(agg)
-		ops.Recycle(agg)
-		next := m.norms[l].ForwardAddOps(ops, state, act)
-		ops.Recycle(act, state)
-		state = next
+		state = m.norms[l].ForwardAddOps(ops, state, ops.ReLU(agg))
 	}
 
 	// Pairwise readout, per graph: score every (argument, target) pair and
@@ -449,18 +417,11 @@ func (m *Model) forwardMany(ops nn.Ops, gs []*qgraph.Graph) []*nn.Tensor {
 		tgts := ops.Gather(state, targetIdx[gi])
 		bigArg := ops.RepeatEachRow(args, len(targetIdx[gi]))
 		bigTgt := ops.TileRows(tgts, nArgs)
-		ops.Recycle(args, tgts)
 		// The elementwise product gives the head a direct similarity channel
 		// between an argument's access-path embedding and the target context.
-		prod := ops.Mul(bigArg, bigTgt)
-		cat := ops.Concat(bigArg, bigTgt, prod)
-		ops.Recycle(bigArg, bigTgt, prod)
-		pairScores := m.head.ForwardOps(ops, cat)
-		ops.Recycle(cat)
-		outs[gi] = ops.MaxPerGroup(pairScores, nArgs, len(targetIdx[gi]))
-		ops.Recycle(pairScores)
+		cat := ops.Concat(bigArg, bigTgt, ops.Mul(bigArg, bigTgt))
+		outs[gi] = ops.MaxPerGroup(m.head.ForwardOps(ops, cat), nArgs, len(targetIdx[gi]))
 	}
-	ops.Recycle(state)
 	return outs
 }
 
@@ -480,18 +441,13 @@ func (m *Model) clampArg(v *qgraph.Vertex) (top, depth, absent int) {
 }
 
 // scoreNoTarget scores a graph that has no desired target: its argument rows
-// (consumed) against a zero context.
+// against a zero context.
 func (m *Model) scoreNoTarget(ops nn.Ops, args *nn.Tensor) *nn.Tensor {
-	zero := ops.Zeros(args.Shape[0], 2*m.Cfg.Dim)
-	cat := ops.Concat(args, zero)
-	ops.Recycle(args, zero)
-	out := m.head.ForwardOps(ops, cat)
-	ops.Recycle(cat)
-	return out
+	return m.head.ForwardOps(ops, ops.Concat(args, ops.Zeros(args.Shape[0], 2*m.Cfg.Dim)))
 }
 
 // frozen reports whether the model's parameters are outside differentiation
-// (after Freeze); only then may the pooled inference path be used.
+// (after Freeze); only then may the fused forward be used.
 func (m *Model) frozen() bool {
 	return !m.head.Layers[0].W.RequiresGrad()
 }
@@ -509,8 +465,8 @@ func (m *Model) Predict(g *qgraph.Graph) ([]prog.GlobalSlot, []float64) {
 // PredictBatch runs Predict over a batch of graphs in one union-graph
 // forward pass (see forwardMany). Results are positional: slots[i] and
 // probs[i] correspond to gs[i], and each is bit-identical to a standalone
-// Predict(gs[i]) call. On a frozen model the pass runs through the pooled
-// allocation-free path; otherwise it falls back to the autodiff ops.
+// Predict(gs[i]) call. On a frozen model the pass runs the fused kernels over
+// pooled memory (forwardFused); otherwise it falls back to the autodiff ops.
 func (m *Model) PredictBatch(gs []*qgraph.Graph) ([][]prog.GlobalSlot, [][]float64) {
 	slots := make([][]prog.GlobalSlot, len(gs))
 	probs := make([][]float64, len(gs))
@@ -527,12 +483,12 @@ func (m *Model) PredictBatch(gs []*qgraph.Graph) ([][]prog.GlobalSlot, [][]float
 		return slots, probs
 	}
 	if m.frozen() {
-		in, done := m.inferOps()
-		outs := m.forwardMany(in, live)
+		in := nn.NewInfer(m.pool)
+		outs := m.forwardFused(in, live)
 		for li, out := range outs {
 			slots[liveIdx[li]], probs[liveIdx[li]] = m.pickSlots(live[li], out.Data)
 		}
-		done()
+		in.Close()
 	} else {
 		outs := m.forwardMany(nn.TrainOps{}, live)
 		for li, out := range outs {
@@ -540,19 +496,6 @@ func (m *Model) PredictBatch(gs []*qgraph.Graph) ([][]prog.GlobalSlot, [][]float
 		}
 	}
 	return slots, probs
-}
-
-// inferOps picks the inference op set for a frozen forward: the fused
-// kernels under EnableFused, the plain pooled path otherwise. Both produce
-// bit-identical outputs, so the choice is purely a speed knob; a quantized
-// model is served by the same two (its weights are ordinary float64).
-func (m *Model) inferOps() (nn.Ops, func()) {
-	if m.fused {
-		in := nn.NewInferFused(m.pool)
-		return in, in.Close
-	}
-	in := nn.NewInfer(m.pool)
-	return in, in.Close
 }
 
 // pickSlots converts per-argument logits into the thresholded,

@@ -12,11 +12,10 @@ import (
 // graph served from the cache pays for it once; batchIndex turns the plans of
 // a batch into the union graph's index lists by offset-adding copies; and the
 // forward itself aggregates only into the rows a bucket reaches
-// (nn.FusedOps.ScatterMeanInto) and writes the head's pair input in one pass
-// (PairRows). Every reply is bit-identical to the unfused forwardMany, which
-// shares none of this: it is the oracle of training, golden replay and the
-// benchmark's reply check, it runs on graphs that are forwarded once (a
-// dataset's) as well as cached ones, and it must stay readable on its own.
+// (nn.Infer.ScatterMeanInto) and writes the head's pair input in one pass
+// (PairRows). Every reply is bit-identical to forwardMany through TrainOps,
+// which shares none of this: it is the training forward and the oracle the
+// fused forward is tested against, and it must stay readable on its own.
 
 // Sections of a plan's index slab. The first four are the graph's vertices
 // by class, in the order vertexStateFused stacks the classes' rows; "ArgTok"
@@ -290,35 +289,33 @@ func (m *Model) newBatchIndex(gs []*qgraph.Graph) batchIndex {
 	return u
 }
 
-// forwardFused is forwardMany through the fused kernels, for a frozen model
-// behind EnableFused: the same union-graph pass, each reply bit-identical to
-// the unfused one.
-func (m *Model) forwardFused(f nn.FusedOps, gs []*qgraph.Graph) []*nn.Tensor {
-	ar := f.Arena()
+// forwardFused is forwardMany through the fused kernels, for a frozen model:
+// the same union-graph pass, each reply bit-identical to the TrainOps one.
+func (m *Model) forwardFused(in *nn.Infer, gs []*qgraph.Graph) []*nn.Tensor {
 	u := m.newBatchIndex(gs)
-	state := m.vertexStateFused(f, &u)
+	state := m.vertexStateFused(in, &u)
 
 	// Message passing. The aggregation accumulates into agg in place, bucket
-	// by bucket in the unfused order, and reaches only the rows a bucket's
+	// by bucket in forwardMany's order, and reaches only the rows a bucket's
 	// edges end at. A row some bucket did not reach may hold a -0 where the
-	// unfused chain, which adds a +0 row there, holds +0; ReLUInPlace maps
+	// op chain, which adds a +0 row there, holds +0; ReLUInPlace maps
 	// both to +0 before anything reads agg (see ScatterMeanInto).
 	for l := 0; l < m.Cfg.Layers; l++ {
-		agg := m.selfW[l].ForwardOps(f, state)
+		agg := m.selfW[l].ForwardInfer(in, state)
 		for k := 0; k < 2*qgraph.NumEdgeKinds; k++ {
 			src, dst := u.bucket(k)
 			if len(src) == 0 {
 				continue
 			}
-			srcRows := f.Gather(state, src)
-			msgs := m.edgeW[l][k].ForwardOps(f, srcRows)
-			ar.Recycle(srcRows)
-			f.ScatterMeanInto(agg, msgs, dst)
-			ar.Recycle(msgs)
+			srcRows := in.Gather(state, src)
+			msgs := m.edgeW[l][k].ForwardInfer(in, srcRows)
+			in.Recycle(srcRows)
+			in.ScatterMeanInto(agg, msgs, dst)
+			in.Recycle(msgs)
 		}
-		f.ReLUInPlace(agg)
-		next := m.norms[l].ForwardAddOps(f, state, agg)
-		ar.Recycle(agg, state)
+		in.ReLUInPlace(agg)
+		next := m.norms[l].ForwardAddInfer(in, state, agg)
+		in.Recycle(agg, state)
 		state = next
 	}
 
@@ -331,17 +328,32 @@ func (m *Model) forwardFused(f nn.FusedOps, gs []*qgraph.Graph) []*nn.Tensor {
 		argIdx, tgtIdx := args[:na], tgts[:nt]
 		args, tgts = args[na:], tgts[nt:]
 		if len(tgtIdx) == 0 {
-			outs[gi] = m.scoreNoTarget(f, f.Gather(state, argIdx))
+			outs[gi] = m.scoreNoTargetFused(in, in.Gather(state, argIdx))
 			continue
 		}
-		cat := f.PairRows(state, argIdx, tgtIdx)
-		pairScores := m.head.ForwardOps(f, cat)
-		ar.Recycle(cat)
-		outs[gi] = f.MaxPerGroup(pairScores, len(argIdx), len(tgtIdx))
-		ar.Recycle(pairScores)
+		cat := in.PairRows(state, argIdx, tgtIdx)
+		pairScores := m.head.ForwardInfer(in, cat)
+		in.Recycle(cat)
+		outs[gi] = in.MaxPerGroup(pairScores, len(argIdx), len(tgtIdx))
+		in.Recycle(pairScores)
 	}
-	ar.Recycle(state)
+	in.Recycle(state)
 	return outs
+}
+
+// scoreNoTargetFused is scoreNoTarget through the fused kernels: the head's
+// input rows are args' rows (consumed) followed by 2·Dim zeros, the layout
+// of Concat(args, zero).
+func (m *Model) scoreNoTargetFused(in *nn.Infer, args *nn.Tensor) *nn.Tensor {
+	n, d := args.Shape[0], args.Shape[1]
+	cat := in.Zeros(n, 3*d)
+	for i := 0; i < n; i++ {
+		copy(cat.Data[i*3*d:], args.Data[i*d:(i+1)*d])
+	}
+	in.Recycle(args)
+	out := m.head.ForwardInfer(in, cat)
+	in.Recycle(cat)
+	return out
 }
 
 // vertexStateFused builds the initial union vertex-state matrix through the
@@ -352,26 +364,25 @@ func (m *Model) forwardFused(f nn.FusedOps, gs []*qgraph.Graph) []*nn.Tensor {
 // per-block attention inside the kernel) and the rest come out of the block
 // memo (blockmemo.go), every embedding table is gathered once for all its
 // consumers, and the per-class sums apply the same per-row add order as the
-// per-vertex chain. Every row is bit-identical to the unfused construction
+// per-vertex chain. Every row is bit-identical to forwardMany's construction
 // — the batched kernels are row-independent — at a small fraction of the
 // kernel launches.
-func (m *Model) vertexStateFused(f nn.FusedOps, u *batchIndex) *nn.Tensor {
-	ar := f.Arena()
+func (m *Model) vertexStateFused(in *nn.Infer, u *batchIndex) *nn.Tensor {
 
 	// All token blocks → (blocks, dim): memo rows, and the ragged encoder
 	// over the sequences the memo has not seen.
 	var blockOuts *nn.Tensor
 	if u.blocks > 0 {
-		blockOuts = m.encodeBlocksMemo(f, u.plans, u.blocks)
+		blockOuts = m.encodeBlocksMemo(in, u.plans, u.blocks)
 	}
 
 	argChain := func(first int) *nn.Tensor {
 		n := len(u.sec(first))
-		h := m.kindEmb.ForwardOps(f, u.kindArg[:n])
-		m.typeEmb.ForwardAddOps(f, h, u.sec(first))
-		m.topEmb.ForwardAddOps(f, h, u.sec(first+1))
-		m.depthEmb.ForwardAddOps(f, h, u.sec(first+2))
-		m.absentEmb.ForwardAddOps(f, h, u.sec(first+3))
+		h := m.kindEmb.ForwardInfer(in, u.kindArg[:n])
+		m.typeEmb.ForwardAddInfer(in, h, u.sec(first))
+		m.topEmb.ForwardAddInfer(in, h, u.sec(first+1))
+		m.depthEmb.ForwardAddInfer(in, h, u.sec(first+2))
+		m.absentEmb.ForwardAddInfer(in, h, u.sec(first+3))
 		return h
 	}
 
@@ -381,8 +392,8 @@ func (m *Model) vertexStateFused(f nn.FusedOps, u *batchIndex) *nn.Tensor {
 	var parts [4]*nn.Tensor
 	np := 0
 	if len(u.sec(secSys)) > 0 {
-		h := m.kindEmb.ForwardOps(f, u.kindSys)
-		m.callEmb.ForwardAddOps(f, h, u.sec(secSysCall))
+		h := m.kindEmb.ForwardInfer(in, u.kindSys)
+		m.callEmb.ForwardAddInfer(in, h, u.sec(secSysCall))
 		parts[np] = h
 		np++
 	}
@@ -392,22 +403,22 @@ func (m *Model) vertexStateFused(f nn.FusedOps, u *batchIndex) *nn.Tensor {
 	}
 	if len(u.sec(secArgTok)) > 0 {
 		h := argChain(secArgTokType)
-		f.GatherAddInto(h, blockOuts, u.sec(secArgTokBlock))
+		in.GatherAddInto(h, blockOuts, u.sec(secArgTokBlock))
 		parts[np] = h
 		np++
 	}
 	if len(u.sec(secBlk)) > 0 {
-		h := m.kindEmb.ForwardOps(f, u.sec(secBlkKind))
-		f.GatherAddInto(h, blockOuts, u.sec(secBlkBlock))
+		h := m.kindEmb.ForwardInfer(in, u.sec(secBlkKind))
+		in.GatherAddInto(h, blockOuts, u.sec(secBlkBlock))
 		parts[np] = h
 		np++
 	}
 	if blockOuts != nil {
-		ar.Recycle(blockOuts)
+		in.Recycle(blockOuts)
 	}
-	cat := f.ConcatRows(parts[:np])
-	ar.Recycle(parts[:np]...)
-	state := f.Gather(cat, u.perm)
-	ar.Recycle(cat)
+	cat := in.ConcatRows(parts[:np])
+	in.Recycle(parts[:np]...)
+	state := in.Gather(cat, u.perm)
+	in.Recycle(cat)
 	return state
 }

@@ -18,33 +18,23 @@ func storedPlan(g *qgraph.Graph) *forwardPlan {
 	return p
 }
 
-// unfusedProbs is the reference: the unfused, unbatched, plan-free forward.
-func unfusedProbs(t *testing.T, oracle *Model, gs []*qgraph.Graph) [][]float64 {
-	t.Helper()
-	want := make([][]float64, len(gs))
-	for i, g := range gs {
-		_, want[i] = oracle.Predict(g)
-		if storedPlan(g) != nil {
-			t.Fatalf("graph %d: the unfused forward stored a plan", i)
-		}
-	}
-	return want
-}
-
 // TestFusedPlanBitIdentical forwards a batch that holds two graphs twice
 // each — two hits on one cached graph, so one plan feeds two row ranges of the
-// union — with the plans cold and then warm, against the unfused unbatched
-// Predict. The warm pass must reuse the very plans the cold pass stored.
+// union — with the plans cold and then warm, against the TrainOps reference.
+// The warm pass must reuse the very plans the cold pass stored.
 func TestFusedPlanBitIdentical(t *testing.T) {
 	ckpt := memoCheckpoint(t, 21)
 	gs := memoGraphs(t) // fresh graphs: no plan yet
-	want := unfusedProbs(t, loadFrozen(t, ckpt, false), gs)
+	want := referenceProbs(t, loadFrozen(t, ckpt), gs)
+	if storedPlan(gs[0]) != nil {
+		t.Fatal("the reference forward stored a plan")
+	}
 	order := []int{0, 1, 0, 7, 6, 7, 2}
 	batch := make([]*qgraph.Graph, len(order))
 	for bi, gi := range order {
 		batch[bi] = gs[gi]
 	}
-	m := loadFrozen(t, ckpt, true)
+	m := loadFrozen(t, ckpt)
 	var cold []*forwardPlan
 	for _, state := range []string{"cold", "warm"} {
 		_, got := m.PredictBatch(batch)
@@ -75,8 +65,8 @@ func TestFusedPlanBitIdentical(t *testing.T) {
 // one model and then forwarded by a model that would derive other ids — a
 // different vocabulary (the 6.9 graph under the 6.8 and then the 6.9
 // vocabulary), or the same *Vocab with other CallBuckets/MaxTopArg/MaxDepth —
-// is re-planned, and every model gets its own unfused answer, also when the
-// first model comes back.
+// is re-planned, and every model gets its own reference answer, also when
+// the first model comes back.
 func TestFusedPlanRebuiltForAnotherModel(t *testing.T) {
 	gs := memoGraphs(t)
 	g := gs[len(gs)-1] // built on 6.9: has tokens outside the 6.8 vocabulary
@@ -91,11 +81,7 @@ func TestFusedPlanRebuiltForAnotherModel(t *testing.T) {
 	want := make([][]float64, len(models))
 	for i, m := range models {
 		m.Freeze()
-		_, want[i] = m.Predict(g) // unfused: the reference, and no plan
-		m.EnableFused()
-	}
-	if storedPlan(g) != nil {
-		t.Fatal("an unfused forward stored a plan")
+		want[i] = referenceProbs(t, m, []*qgraph.Graph{g})[0]
 	}
 	plans := make([]*forwardPlan, len(models))
 	for round := 0; round < 2; round++ {
@@ -127,8 +113,8 @@ func TestFusedPlanRebuiltForAnotherModel(t *testing.T) {
 func TestFusedPlanConcurrentCold(t *testing.T) {
 	gs := memoGraphs(t)
 	ckpt := memoCheckpoint(t, 22)
-	want := unfusedProbs(t, loadFrozen(t, ckpt, false), gs)
-	m := loadFrozen(t, ckpt, true)
+	want := referenceProbs(t, loadFrozen(t, ckpt), gs)
+	m := loadFrozen(t, ckpt)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -211,7 +211,7 @@ func TrainOnCompiled(m *Model, b *qgraph.Builder, tcfg TrainConfig, train, val *
 			avg = total / float64(len(examples))
 		}
 		report.EpochLoss = append(report.EpochLoss, avg)
-		valProbs = predictProbs(shadow, valExamples, tcfg.workers())
+		valProbs = validate(shadow, valExamples, tcfg.workers())
 		valF1 := metricsAt(valExamples, valProbs, shadow.Cfg.Threshold).F1
 		report.ValF1 = append(report.ValF1, valF1)
 		if !tcfg.Quiet {
@@ -219,11 +219,19 @@ func TrainOnCompiled(m *Model, b *qgraph.Builder, tcfg TrainConfig, train, val *
 		}
 	}
 	if valProbs == nil {
-		valProbs = predictProbs(shadow, valExamples, tcfg.workers())
+		valProbs = validate(shadow, valExamples, tcfg.workers())
 	}
 	report.Threshold = tuneThreshold(valExamples, valProbs)
 	m.Cfg.Threshold = report.Threshold
 	return report
+}
+
+// validate forwards the validation split on the eval shadow at the master's
+// current weights. The shadow's snapshot is retaken first: the optimizer
+// steps since the last pass rewrote the weights under it.
+func validate(shadow *Model, examples []compiled, workers int) [][]float64 {
+	shadow.snapshot()
+	return predictProbs(shadow, examples, workers)
 }
 
 // trainInstruments bundles the optional train_* metrics. Every field is
@@ -394,7 +402,7 @@ func Evaluate(m *Model, b *qgraph.Builder, ds *dataset.Dataset) Metrics {
 }
 
 // EvaluateCompiled computes the metrics of the model on a pre-compiled
-// split. Examples are scored by parallel workers through the pooled
+// split. Examples are scored by parallel workers through the fused
 // inference path (on a frozen weight-aliased shadow if the model is still
 // in training mode) and the per-example measures fold in example order, so
 // the result is bit-identical to a sequential evaluation at any

@@ -9,6 +9,7 @@ import (
 
 	"github.com/repro/snowplow/internal/nn"
 	"github.com/repro/snowplow/internal/prog"
+	"github.com/repro/snowplow/internal/qgraph"
 	"github.com/repro/snowplow/internal/rng"
 )
 
@@ -76,5 +77,50 @@ func TestThresholdSweepMatchesPredict(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Fatalf("every grid threshold scored the same precision; the sweep is not exercised")
+	}
+}
+
+// TestEvalShadowFollowsTraining pins the eval shadow's re-snapshot: the
+// shadow aliases the master's weights, but its fused forward reads
+// transposed-weight caches and a block memo taken from them, which every
+// optimizer step leaves stale. Over three epochs of minibatch steps, each
+// epoch's validation probabilities must equal, bit for bit, the TrainOps
+// forward on the master's weights at that epoch.
+func TestEvalShadowFollowsTraining(t *testing.T) {
+	tcfg := DefaultTrainConfig()
+	tcfg.Batch = 8
+	train := CompileDataset(testBuilder, smallDataset(t, 12, 80, 4242), tcfg.PosWeight)
+	val := CompileDataset(testBuilder, smallDataset(t, 4, 60, 700), 1)
+	if val.Len() < 5 {
+		t.Fatalf("only %d validation examples: pick another seed", val.Len())
+	}
+	valGraphs := make([]*qgraph.Graph, val.Len())
+	for i, ex := range val.examples {
+		valGraphs[i] = ex.g
+	}
+	m := NewModel(rng.New(6), DefaultConfig(), BuildVocab(testKernel))
+	opt := nn.NewAdam(m.ParamList(), tcfg.LR)
+	trainer := newMiniTrainer(m, tcfg, newTrainInstruments(nil))
+	shadow := newEvalShadow(m)
+	var live []compiled
+	for _, ex := range train.examples {
+		if len(ex.g.ArgVertices) > 0 {
+			live = append(live, ex)
+		}
+	}
+	for epoch := 0; epoch < 3; epoch++ {
+		for start := 0; start < len(live); start += tcfg.batch() {
+			trainer.step(opt, tcfg, live[start:min(start+tcfg.batch(), len(live))])
+		}
+		got := validate(shadow, val.examples, 2)
+		want := referenceProbs(t, m, valGraphs)
+		for i := range want {
+			if j := bitDiff(got[i], want[i]); j >= 0 {
+				t.Fatalf("epoch %d example %d prob %d: shadow %v, master's TrainOps forward %v", epoch, i, j, got[i][j], want[i][j])
+			}
+		}
+		if shadow.BlockMemoStats().Entries == 0 {
+			t.Fatalf("epoch %d: the shadow's forward stored nothing in its memo", epoch)
+		}
 	}
 }

@@ -108,9 +108,8 @@ type Stats struct {
 	// BatchFill is AvgBatchSize / Options.BatchSize — how full the
 	// micro-batches ran (1.0 = every forward pass served a full batch).
 	BatchFill float64
-	// Fused reports which inference path served the run, Quantized which
-	// precision (int8-representable weights, served by that same path).
-	Fused     bool
+	// Quantized reports the serving precision: int8-representable weights,
+	// served by the same fused kernels as float64 ones.
 	Quantized bool
 	// ModelVersion is the current hot-swap generation of the serving model
 	// (0 until the first SwapModel).
@@ -164,10 +163,8 @@ type Options struct {
 	// kernels (see OBSERVABILITY.md). Nil disables metrics at zero
 	// measurable cost.
 	Metrics *obs.Registry
-	// Fused routes frozen forwards through the fused inference kernels
-	// (pmm.Model.EnableFused): linear+bias+ReLU, attention and add+LayerNorm
-	// collapse into single arena-aware kernels, bit-identical to the unfused
-	// chain. cmd/snowplow passes -fused (default true).
+	// Fused is ignored: every frozen forward runs the fused inference
+	// kernels. It remains while the benchmark module (benchmark/) sets it.
 	Fused bool
 	// Quant int8-quantizes the model's large weights before serving
 	// (pmm.Model.Quantize): the float64 weights are rewritten with their
@@ -313,19 +310,14 @@ func NewServerOpts(model *pmm.Model, builder *qgraph.Builder, opts Options) *Ser
 }
 
 // prepareModel makes a model serving-ready under the server's options:
-// frozen for concurrent pooled inference, quantized when the server serves
-// at int8 precision, fused when the server serves fused kernels. Every
-// swapped-in checkpoint passes through here, so a hot swap can never silently
-// change the precision or the inference path the campaign was configured with.
+// frozen for concurrent fused inference (a model frozen before keeps its
+// warm block memo) and quantized when the server serves at int8 precision.
+// Every swapped-in checkpoint passes through here, so a hot swap can never
+// silently change the precision the campaign was configured with.
 func prepareModel(m *pmm.Model, opts Options) error {
 	m.Freeze()
 	if opts.Quant && !m.Quantized() {
-		if err := m.Quantize(); err != nil {
-			return err
-		}
-	}
-	if opts.Fused && !m.Fused() {
-		m.EnableFused()
+		return m.Quantize()
 	}
 	return nil
 }
@@ -343,8 +335,7 @@ func (s *Server) ModelVersion() int64 { return s.model.Load().version }
 // generation, without pausing workers or in-flight queries: batches already
 // holding the old slot finish on the old model, batches picked up after the
 // store run wholly on the new one. The model is prepared (Freeze, and
-// Quantize/EnableFused when the server's options demand them) before it
-// becomes visible. Versions are monotonic: a swap at or below the current
+// Quantize when the server's options demand it) before it becomes visible. Versions are monotonic: a swap at or below the current
 // version is a no-op returning false, which makes concurrent swap attempts
 // of the same generation — e.g. every tenant of a shared cluster server
 // applying the same coordinator push — idempotent.
@@ -672,7 +663,6 @@ func (s *Server) Stats() Stats {
 		BatchedQueries: s.batchedQueries.Load(),
 		AvgBatchSize:   avgBatch,
 		BatchFill:      fill,
-		Fused:          slot.m.Fused(),
 		Quantized:      slot.m.Quantized(),
 		ModelVersion:   slot.version,
 		Kernel:         slot.m.InferProfile(),

@@ -169,3 +169,30 @@ func BenchmarkInference(b *testing.B) {
 		}
 	}
 }
+
+// TestServerKeepsWarmBlockMemo: a model that was frozen and forwarded before
+// a server takes it keeps its block memo, as a benchmark that warms the
+// model through direct predictions relies on. Preparing an already-frozen
+// model for serving must not retake its snapshot.
+func TestServerKeepsWarmBlockMemo(t *testing.T) {
+	m := pmm.NewModel(rng.New(1), pmm.DefaultConfig(), pmm.BuildVocab(testKernel))
+	m.Freeze()
+	b := qgraph.NewBuilder(testKernel, testAn)
+	q := testQuery(t)
+	m.Predict(b.Build(q.Prog, q.Traces, q.Targets))
+	warm := m.BlockMemoStats()
+	if warm.Entries == 0 {
+		t.Fatal("the warm-up forward stored nothing in the memo")
+	}
+	s := NewServerOpts(m, b, Options{Workers: 1})
+	defer s.Close()
+	if got := s.Model().BlockMemoStats(); got != warm {
+		t.Fatalf("memo after NewServerOpts %+v, warm %+v", got, warm)
+	}
+	if _, err := s.Infer(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Model().BlockMemoStats(); got.Entries != warm.Entries || got.Misses != warm.Misses {
+		t.Fatalf("the served query re-encoded its blocks: %+v, warm %+v", got, warm)
+	}
+}
