@@ -51,19 +51,22 @@ var groups = []group{
 	{[]string{"wire"}, func(h *experiments.Harness) result { return experiments.Wire(h, nil) }},
 	{[]string{"ablations"}, func(h *experiments.Harness) result {
 		return ablations{experiments.AblationDeterminism(h), experiments.AblationSwitchEdges(h),
-			experiments.AblationTargetNoise(h), experiments.AblationFallbackSweep(h)}
+			experiments.AblationTargetNoise(h), experiments.AblationPopularityCap(h),
+			experiments.AblationFallbackSweep(h), experiments.AblationSyncInference(h)}
 	}},
 	{[]string{"faults"}, func(h *experiments.Harness) result { return faultSweep{experiments.AblationFaultSweep(h)} }},
 	{[]string{"tenants"}, func(h *experiments.Harness) result { return experiments.Tenants(h) }},
 	{[]string{"online"}, func(h *experiments.Harness) result { return experiments.Online(h) }},
 }
 
-// ablations is the ablation group: four results under one heading.
+// ablations is the ablation group: six results under one heading.
 type ablations struct {
-	Determinism experiments.AblationResult `json:"determinism"`
-	SwitchEdges experiments.AblationResult `json:"switchEdges"`
-	TargetNoise experiments.AblationResult `json:"targetNoise"`
-	Fallback    experiments.FallbackSweep  `json:"fallback"`
+	Determinism   experiments.AblationResult `json:"determinism"`
+	SwitchEdges   experiments.AblationResult `json:"switchEdges"`
+	TargetNoise   experiments.AblationResult `json:"targetNoise"`
+	PopularityCap experiments.AblationResult `json:"popularityCap"`
+	Fallback      experiments.FallbackSweep  `json:"fallback"`
+	SyncInference experiments.SyncAblation   `json:"syncInference"`
 }
 
 func (a ablations) Render(w io.Writer) {
@@ -71,7 +74,9 @@ func (a ablations) Render(w io.Writer) {
 	a.Determinism.Render(w)
 	a.SwitchEdges.Render(w)
 	a.TargetNoise.Render(w)
+	a.PopularityCap.Render(w)
 	a.Fallback.Render(w)
+	a.SyncInference.Render(w)
 }
 
 // faultSweep heads the degraded-serving sweep's table.

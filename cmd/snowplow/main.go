@@ -152,8 +152,8 @@ func run(mode, version, modelPath string, budget int64, seed uint64, nseeds, wor
 	}
 
 	// Observability is strictly opt-in: without -obs the campaign carries
-	// nil Metrics/Journal and the fuzz loop's instrumented sites cost one
-	// nil check each.
+	// nil Metrics/Journal, the fuzz loop's timed sites cost one nil check
+	// each and the reconciler publishes nothing.
 	var (
 		reg     *obs.Registry
 		journal *obs.Journal

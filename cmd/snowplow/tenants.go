@@ -25,7 +25,8 @@ import (
 // runTenantCampaigns registers one tenant per campaign on the shared server,
 // runs all campaigns concurrently, and prints a per-campaign and per-tenant
 // report. Sharing one obs registry across campaigns is safe: instrument
-// registration is idempotent per name, so the counters aggregate.
+// registration is idempotent per name and each campaign's reconciler adds
+// its counters' increases, so the counters aggregate.
 func runTenantCampaigns(base fuzzer.Config, srv *serve.Server, tcfgs []serve.TenantConfig, workers int, seed uint64, nseeds int, k *kernel.Kernel, sampler *obs.Sampler) error {
 	var err error
 	handles := make([]*serve.Tenant, len(tcfgs))

@@ -45,7 +45,9 @@ type Config struct {
 	// OnCheckpoint, when set, observes every encoded checkpoint (tests use
 	// it to capture mid-campaign state without touching the filesystem).
 	OnCheckpoint func(epoch int64, data []byte)
-	// Metrics, when set, receives the cluster_* instrument family.
+	// Metrics, when set, receives the cluster_* instrument family and the
+	// campaign counters the reconciler publishes (fuzzer_*, corpus_*,
+	// online_*).
 	Metrics *obs.Registry
 	// JournalCap bounds the campaign journal (DefaultJournalCap if <= 0).
 	JournalCap int
@@ -139,7 +141,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if c.rec, err = fuzzer.NewReconciler(norm, c.corp, c.ctl); err != nil {
 		return nil, err
 	}
-	c.m.accepted.Add(int64(c.corp.Len())) // the seed pass's entries
 	return c, nil
 }
 
@@ -223,7 +224,8 @@ func ResumeCoordinator(cfg Config, checkpoint []byte) (*Coordinator, error) {
 }
 
 // newCoordinator materializes the spec and starts listening; it also
-// returns the normalized campaign config the reconciler will run.
+// returns the normalized campaign config the reconciler will run, which
+// publishes the campaign's counters into cfg.Metrics.
 func newCoordinator(cfg Config) (*Coordinator, fuzzer.Config, error) {
 	var none fuzzer.Config
 	if cfg.Workers <= 0 {
@@ -250,6 +252,8 @@ func newCoordinator(cfg Config) (*Coordinator, fuzzer.Config, error) {
 	if jnCap <= 0 {
 		jnCap = obs.DefaultJournalCap
 	}
+	norm := rt.Cfg.Normalized()
+	norm.Metrics = cfg.Metrics
 	return &Coordinator{
 		cfg:   cfg,
 		k:     rt.Kernel,
@@ -258,7 +262,7 @@ func newCoordinator(cfg Config) (*Coordinator, fuzzer.Config, error) {
 		corp:  corpus.New(),
 		jnCap: jnCap,
 		m:     newClusterMetrics(cfg.Metrics),
-	}, rt.Cfg.Normalized(), nil
+	}, norm, nil
 }
 
 // initOnline builds the continual-learning controller when the spec enables
@@ -321,7 +325,6 @@ func (wc *workerConn) send(typ byte, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	wc.m.txBytes.Add(int64(n))
 	wc.m.wireTx.Add(int64(n))
 	wc.m.wireRaw.Add(int64(len(payload)) + wireFrameHeader)
 	return nil
@@ -333,7 +336,6 @@ func (wc *workerConn) recv() (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	wc.m.rxBytes.Add(int64(n))
 	wc.m.wireRx.Add(int64(n))
 	wc.m.wireRaw.Add(int64(len(payload)) + wireFrameHeader)
 	return typ, payload, nil
@@ -437,8 +439,7 @@ func (c *Coordinator) Run() (*Result, error) {
 	}()
 	c.m.workers.Set(int64(len(c.workers)))
 
-	stats, err := c.rec.Run(c, func(accepted int) error {
-		c.m.accepted.Add(int64(accepted))
+	stats, err := c.rec.Run(c, func() error {
 		c.m.epochs.Inc()
 		if c.cfg.CheckpointEvery > 0 && c.rec.Epoch%c.cfg.CheckpointEvery == 0 {
 			return c.writeCheckpoint()

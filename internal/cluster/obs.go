@@ -10,11 +10,8 @@ type clusterMetrics struct {
 	workers        *obs.Gauge
 	epochs         *obs.Counter
 	deltas         *obs.Counter
-	accepted       *obs.Counter
 	reassignments  *obs.Counter
 	checkpoints    *obs.Counter
-	txBytes        *obs.Counter
-	rxBytes        *obs.Counter
 	wireTx         *obs.Counter
 	wireRx         *obs.Counter
 	wireRaw        *obs.Counter
@@ -27,11 +24,8 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 		workers:        reg.Gauge("cluster_workers", "workers", "connected cluster workers"),
 		epochs:         reg.Counter("cluster_epochs_total", "epochs", "epoch barriers merged by the coordinator"),
 		deltas:         reg.Counter("cluster_deltas_total", "messages", "worker epoch deltas received"),
-		accepted:       reg.Counter("cluster_accepted_entries_total", "entries", "corpus entries accepted across all merges"),
 		reassignments:  reg.Counter("cluster_reassignments_total", "shards", "VM shards reassigned after worker loss"),
 		checkpoints:    reg.Counter("cluster_checkpoints_total", "checkpoints", "campaign checkpoints written"),
-		txBytes:        reg.Counter("cluster_tx_bytes_total", "bytes", "protocol bytes sent by the coordinator"),
-		rxBytes:        reg.Counter("cluster_rx_bytes_total", "bytes", "protocol bytes received by the coordinator"),
 		wireTx:         reg.Counter("cluster_wire_tx_bytes", "bytes", "on-the-wire bytes sent (after frame compression)"),
 		wireRx:         reg.Counter("cluster_wire_rx_bytes", "bytes", "on-the-wire bytes received (after frame compression)"),
 		wireRaw:        reg.Counter("cluster_wire_raw_bytes", "bytes", "frame payload bytes before compression, both directions"),

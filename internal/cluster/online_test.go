@@ -70,7 +70,8 @@ func requireSwapActivity(t *testing.T, label string, res *Result) {
 // inside) retrain windows: a checkpoint carrying a pending retrain must
 // restart it from the same corpus snapshot and land the same swap at the
 // same barrier, so every resumed run finishes byte-identical to the
-// uninterrupted one.
+// uninterrupted one, and its coordinator's registry — read by a sampler
+// throughout — ends at the campaign's lifetime counts.
 func TestClusterOnlineResumeThroughSwap(t *testing.T) {
 	cfg, model, srv := onlineTestConfig(t, 46, 150_000)
 	defer srv.Close()
@@ -104,11 +105,27 @@ func TestClusterOnlineResumeThroughSwap(t *testing.T) {
 			pending++
 		}
 		for _, workers := range []int{1, 2} {
-			got, err := ResumeLocal(Config{Spec: spec}, checkpoints[i], workers, WorkerOptions{})
-			if err != nil {
-				t.Fatalf("resume checkpoint %d on %d workers: %v", i, workers, err)
+			label := "resume-ck" + labelWorkers(i) + "-" + labelWorkers(workers)
+			reg := obs.NewRegistry()
+			var got *Result
+			vals := sampleDuring(t, reg, func() {
+				if got, err = ResumeLocal(Config{Spec: spec, Metrics: reg}, checkpoints[i], workers, WorkerOptions{}); err != nil {
+					t.Fatalf("resume checkpoint %d on %d workers: %v", i, workers, err)
+				}
+			})
+			requireSameResult(t, label, full, got)
+			// A resumed coordinator publishes lifetime totals, online
+			// counts included.
+			requireCountersMatchStats(t, label, vals, got.Stats)
+			for name, want := range map[string]int64{
+				"online_retrains_total":      got.Stats.ModelRetrains,
+				"online_swaps_total":         got.Stats.ModelSwaps,
+				"online_swaps_skipped_total": got.Stats.ModelSwapsSkipped,
+			} {
+				if vals[name] != want {
+					t.Errorf("%s: %s %d, want %d", label, name, vals[name], want)
+				}
 			}
-			requireSameResult(t, "resume-ck"+labelWorkers(i)+"-"+labelWorkers(workers), full, got)
 		}
 	}
 	// The schedule guarantees in-flight retrains exist at some barriers; if

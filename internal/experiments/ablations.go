@@ -223,6 +223,16 @@ type SyncAblation struct {
 	SyncTPS  float64
 }
 
+// Render prints the two throughputs and their ratio.
+func (s SyncAblation) Render(w io.Writer) {
+	ratio := 0.0
+	if s.SyncTPS > 0 {
+		ratio = s.AsyncTPS / s.SyncTPS
+	}
+	fmt.Fprintf(w, "%-28s wall-clock tests/s async %.0f vs sync %.0f (x%.2f) — blocking on every prediction stalls the mutator\n",
+		"async inference", s.AsyncTPS, s.SyncTPS, ratio)
+}
+
 // AblationSyncInference runs the sync-vs-async throughput comparison.
 func AblationSyncInference(h *Harness) SyncAblation {
 	k := h.Kernel("6.8")

@@ -246,12 +246,16 @@ type worker struct {
 	gen  *prog.Generator
 	view *epochView
 
-	preds     map[*corpus.Entry]*entryPrediction
-	crashSeen map[string]*CrashReport
-	stats     *Stats // the VM's own counters
+	preds map[*corpus.Entry]*entryPrediction
+	// cnt is the VM's one count of each event and crashes its crash table
+	// in first-observation order, both in VMState form; crashSeen indexes
+	// the table by title.
+	cnt       VMCounters
+	crashes   []CrashState
+	crashSeen map[string]bool
 
-	// Observability (all optional): the campaign's shared instrument
-	// bundle, the VM's buffered mid-epoch journal events (flushed by the
+	// Observability (all optional): the campaign's wall-clock histograms,
+	// the VM's buffered mid-epoch journal events (flushed by the
 	// reconciler in VM order) and the VM's current epoch number.
 	m      *campaignMetrics
 	events []obs.Event
@@ -326,7 +330,7 @@ func New(cfg Config) *Fuzzer {
 		cfg:  cfg,
 		corp: corpus.New(),
 	}
-	f.metrics = newCampaignMetrics(cfg.Metrics, f.corp)
+	f.metrics = newCampaignMetrics(cfg.Metrics)
 	if cfg.Server != nil {
 		if gc, ok := cfg.Server.(interface{ GraphCacheCapacity() int }); ok {
 			if capacity := gc.GraphCacheCapacity(); capacity > 0 {
@@ -417,14 +421,6 @@ func cacheStats(sim *qgraph.CacheSim, server serve.Inferrer) (hits, misses int64
 	return 0, 0
 }
 
-// noteCacheKey buffers one submitted query's cache key, in submission
-// order, for the reconciler's cache simulation.
-func (w *worker) noteCacheKey(p *prog.Prog, traces [][]kernel.BlockID, targets []kernel.BlockID) {
-	if w.trackKeys {
-		w.keyBuf = append(w.keyBuf, qgraph.HashQuery(p, traces, targets))
-	}
-}
-
 // step performs one iteration of the Figure 1 loop. The two modes differ
 // only inside the ARGUMENT_MUTATION branch — type selection, instantiation,
 // call insertion/removal and fresh generation are shared — exactly as in
@@ -433,8 +429,7 @@ func (w *worker) step() error {
 	entry := w.view.Choose(w.r)
 	if entry == nil || w.r.Chance(generateProb) {
 		p := w.gen.Generate(w.r, 2+w.r.Intn(5))
-		_, err := w.execute(p, classGenerate)
-		return err
+		return w.execute(p, classGenerate)
 	}
 
 	t := w.mut.SelectType(w.r, entry.Prog)
@@ -446,8 +441,7 @@ func (w *worker) step() error {
 		class = classRandArg
 	}
 	rec := w.mut.MutateType(w.r, entry.Prog, t)
-	_, err := w.execute(rec.Prog, class)
-	return err
+	return w.execute(rec.Prog, class)
 }
 
 // sanitizeSlots drops slot references outside the program's mutation
@@ -458,10 +452,7 @@ func (w *worker) sanitizeSlots(p *prog.Prog, slots []prog.GlobalSlot) []prog.Glo
 	for _, gs := range slots {
 		if gs.Call < 0 || gs.Call >= len(p.Calls) ||
 			gs.Slot < 0 || gs.Slot >= len(p.Calls[gs.Call].Meta.Slots()) {
-			w.stats.PMMInvalidSlots++
-			if w.m != nil {
-				w.m.invalidSlots.Inc()
-			}
+			w.cnt.PMMInvalidSlots++
 			continue
 		}
 		valid = append(valid, gs)
@@ -487,15 +478,13 @@ func (w *worker) guidedArgMutation(entry *corpus.Entry) error {
 		// about): random-localizer mutation this round, hiding the
 		// inference latency behind ordinary mutation work (§3.4).
 		rec := w.mut.MutateType(w.r, entry.Prog, mutation.ArgMutation)
-		_, err := w.execute(rec.Prog, classRandArg)
-		return err
+		return w.execute(rec.Prog, classRandArg)
 	}
 	slots := w.sanitizeSlots(entry.Prog, st.pred.Slots)
 	st.pred = nil // consume: next pick re-queries with fresh targets
 	if len(slots) == 0 {
 		rec := w.mut.MutateType(w.r, entry.Prog, mutation.ArgMutation)
-		_, err := w.execute(rec.Prog, classRandArg)
-		return err
+		return w.execute(rec.Prog, classRandArg)
 	}
 	return w.guidedBurst(entry, slots)
 }
@@ -518,7 +507,7 @@ func (w *worker) guidedBurst(entry *corpus.Entry, slots []prog.GlobalSlot) error
 				return nil
 			}
 			rec := w.mut.MutateArgs(w.r, entry.Prog, []prog.GlobalSlot{slot})
-			if _, err := w.execute(rec.Prog, classGuided); err != nil {
+			if err := w.execute(rec.Prog, classGuided); err != nil {
 				return err
 			}
 		}
@@ -534,7 +523,7 @@ func (w *worker) guidedBurst(entry *corpus.Entry, slots []prog.GlobalSlot) error
 				continue
 			}
 			rec := w.mut.MutateArgs(w.r, entry.Prog, []prog.GlobalSlot{a, b})
-			if _, err := w.execute(rec.Prog, classGuided); err != nil {
+			if err := w.execute(rec.Prog, classGuided); err != nil {
 				return err
 			}
 		}
@@ -549,21 +538,19 @@ func (w *worker) syncGuidedArgMutation(entry *corpus.Entry) error {
 	var pred serve.Prediction
 	if reply := w.submit(entry, w.queryTargets(entry)); reply != nil {
 		if pred = <-reply; pred.Err != nil {
-			w.countReplyFailed()
+			w.cnt.PMMFailed++
 		} else {
-			w.countReplyOK()
+			w.cnt.PMMPredictions++
 		}
 	}
 	if pred.Slots == nil {
 		rec := w.mut.MutateType(w.r, entry.Prog, mutation.ArgMutation)
-		_, err := w.execute(rec.Prog, classRandArg)
-		return err
+		return w.execute(rec.Prog, classRandArg)
 	}
 	slots := w.sanitizeSlots(entry.Prog, pred.Slots)
 	if len(slots) == 0 {
 		rec := w.mut.MutateType(w.r, entry.Prog, mutation.ArgMutation)
-		_, execErr := w.execute(rec.Prog, classRandArg)
-		return execErr
+		return w.execute(rec.Prog, classRandArg)
 	}
 	return w.guidedBurst(entry, slots)
 }
@@ -596,9 +583,8 @@ func (w *worker) predictionFor(entry *corpus.Entry) *entryPrediction {
 // serving failure (retries exhausted, closed) gives no guidance; the random
 // fallback covers the base.
 func (w *worker) harvestPending() {
-	for ; w.phantom > 0; w.phantom-- {
-		w.countReplyOK()
-	}
+	w.cnt.PMMPredictions += int64(w.phantom)
+	w.phantom = 0
 	for _, st := range w.preds {
 		if st.reply == nil {
 			continue
@@ -606,27 +592,11 @@ func (w *worker) harvestPending() {
 		pred := <-st.reply
 		st.reply = nil
 		if pred.Err != nil {
-			w.countReplyFailed()
+			w.cnt.PMMFailed++
 		} else {
 			st.pred = &pred
-			w.countReplyOK()
+			w.cnt.PMMPredictions++
 		}
-	}
-}
-
-// countReplyOK / countReplyFailed tally a terminal inference outcome into
-// the campaign stats and, when attached, the instrument bundle.
-func (w *worker) countReplyOK() {
-	w.stats.PMMPredictions++
-	if w.m != nil {
-		w.m.predictions.Inc()
-	}
-}
-
-func (w *worker) countReplyFailed() {
-	w.stats.PMMFailed++
-	if w.m != nil {
-		w.m.predFailed.Inc()
 	}
 }
 
@@ -651,19 +621,15 @@ func (w *worker) submit(entry *corpus.Entry, targets []kernel.BlockID) <-chan se
 		Prog:    entry.Prog,
 		Traces:  entry.Traces,
 		Targets: targets,
-	}, queryKey(w.cfg.Seed, w.id, w.stats.PMMQueries, false))
+	}, queryKey(w.cfg.Seed, w.id, w.cnt.PMMQueries, false))
 	if err != nil {
-		w.stats.PMMShed++
-		if w.m != nil {
-			w.m.shed.Inc()
-		}
+		w.cnt.PMMShed++
 		return nil
 	}
-	w.stats.PMMQueries++
-	if w.m != nil {
-		w.m.queries.Inc()
+	w.cnt.PMMQueries++
+	if w.trackKeys {
+		w.keyBuf = append(w.keyBuf, qgraph.HashQuery(entry.Prog, entry.Traces, targets))
 	}
-	w.noteCacheKey(entry.Prog, entry.Traces, targets)
 	return reply
 }
 
@@ -719,10 +685,7 @@ const (
 )
 
 func (w *worker) recordYield(class yieldClass, newEdges int) {
-	if w.m != nil {
-		w.m.recordYield(class, newEdges)
-	}
-	y := &w.stats.Yield
+	y := &w.cnt.Yield
 	switch class {
 	case classGenerate:
 		y.GenerateExecs++
@@ -739,35 +702,43 @@ func (w *worker) recordYield(class yieldClass, newEdges int) {
 	}
 }
 
-// execute runs a program, charges its cost, triages the result, and
-// updates corpus and crash records.
-func (w *worker) execute(p *prog.Prog, class yieldClass) (*exec.Result, error) {
+// run executes p on the VM's machine, charging its simulated cost and
+// counting the execution and its wall-clock latency.
+func (w *worker) run(p *prog.Prog) (*exec.Result, error) {
 	var t0 time.Time
 	if w.m != nil {
 		t0 = time.Now()
 	}
 	res, err := w.exe.Run(p)
 	if err != nil {
-		return nil, fmt.Errorf("fuzzer: %w", err)
+		return nil, err
 	}
-	w.stats.Executions++
 	if w.m != nil {
-		w.m.execs.Inc()
 		w.m.execLatency.Observe(time.Since(t0).Nanoseconds())
 	}
+	w.cnt.Executions++
 	w.cost += int64(res.Cost)
+	return res, nil
+}
+
+// execute runs a program, triages the result, and updates corpus and crash
+// records.
+func (w *worker) execute(p *prog.Prog, class yieldClass) error {
+	res, err := w.run(p)
+	if err != nil {
+		return fmt.Errorf("fuzzer: %w", err)
+	}
 	if res.Crash != nil {
-		if _, seen := w.crashSeen[res.Crash.Title]; !seen {
-			report := &CrashReport{Spec: res.Crash, ProgText: p.Serialize(), Cost: w.cost}
-			w.crashSeen[res.Crash.Title] = report
-			w.stats.Crashes = append(w.stats.Crashes, report)
-			if w.m != nil {
-				w.m.crashes.Inc()
-			}
+		if c := res.Crash; !w.crashSeen[c.Title] {
+			w.crashSeen[c.Title] = true
+			w.crashes = append(w.crashes, CrashState{
+				Title: c.Title, Category: c.Category, Detector: c.Detector, KnownSince: c.KnownSince,
+				Flaky: c.Flaky, ProgText: p.Serialize(), Cost: w.cost,
+			})
 			w.jevent(obs.EventCrash, 0, res.Crash.Title)
 		}
 		w.recordYield(class, 0)
-		return res, nil
+		return nil
 	}
 	cover := trace.EdgesOfInto(w.scratchCover, res)
 	blocks := *trace.BlockSetOfInto(&w.scratchBlocks, res)
@@ -776,27 +747,14 @@ func (w *worker) execute(p *prog.Prog, class yieldClass) (*exec.Result, error) {
 		w.jevent(obs.EventNewEdges, int64(newEdges), "")
 	}
 	w.recordYield(class, newEdges)
-	return res, nil
+	return nil
 }
 
 // seed executes an initial program and retains it in corp unconditionally.
 func (w *worker) seed(p *prog.Prog, corp *corpus.Corpus) error {
-	var t0 time.Time
-	if w.m != nil {
-		t0 = time.Now()
-	}
-	res, err := w.exe.Run(p)
-	if err != nil {
+	res, err := w.run(p)
+	if err != nil || res.Crash != nil {
 		return err
-	}
-	w.stats.Executions++
-	if w.m != nil {
-		w.m.execs.Inc()
-		w.m.execLatency.Observe(time.Since(t0).Nanoseconds())
-	}
-	w.cost += int64(res.Cost)
-	if res.Crash != nil {
-		return nil
 	}
 	cover := trace.EdgesOfInto(w.scratchCover, res)
 	blocks := *trace.BlockSetOfInto(&w.scratchBlocks, res)

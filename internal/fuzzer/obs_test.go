@@ -1,8 +1,12 @@
 package fuzzer
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/repro/snowplow/internal/obs"
 )
@@ -100,27 +104,76 @@ func TestJournalPerVMSubsequencesStable(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchStats cross-checks the instrument bundle against the
-// fuzzer's own Stats accounting: the registry is a second, independently
-// maintained view of the same campaign and the two must agree.
+// statsCounters is what each campaign counter the reconciler publishes
+// must read after Run, spelled out from the Stats fields independently of
+// the publisher's own table.
+func statsCounters(s *Stats) map[string]int64 {
+	var epochs int64
+	for _, vm := range s.VMs {
+		epochs += vm.Epochs
+	}
+	y := s.Yield
+	return map[string]int64{
+		"fuzzer_execs_total":              s.Executions,
+		"fuzzer_execs_guided_total":       y.GuidedExecs,
+		"fuzzer_execs_randarg_total":      y.RandArgExecs,
+		"fuzzer_execs_generate_total":     y.GenerateExecs,
+		"fuzzer_execs_othermut_total":     y.OtherMutExecs,
+		"fuzzer_new_edges_guided_total":   y.GuidedEdges,
+		"fuzzer_new_edges_randarg_total":  y.RandArgEdges,
+		"fuzzer_new_edges_generate_total": y.GenerateEdges,
+		"fuzzer_new_edges_othermut_total": y.OtherMutEdges,
+		"fuzzer_crashes_total":            int64(len(s.Crashes)),
+		"fuzzer_pmm_queries_total":        s.PMMQueries,
+		"fuzzer_pmm_predictions_total":    s.PMMPredictions,
+		"fuzzer_pmm_failed_total":         s.PMMFailed,
+		"fuzzer_pmm_shed_total":           s.PMMShed,
+		"fuzzer_pmm_invalid_slots_total":  s.PMMInvalidSlots,
+		"fuzzer_epochs_total":             epochs,
+		"fuzzer_cost_blocks":              s.Series[len(s.Series)-1].Cost,
+	}
+}
+
+func requireCounters(t *testing.T, vals, want map[string]int64) {
+	t.Helper()
+	for name, v := range want {
+		if got, ok := vals[name]; !ok || got != v {
+			t.Errorf("%s: registry %d (registered %v), want %d", name, got, ok, v)
+		}
+	}
+}
+
+// sampleDuring runs campaign while a sampler goroutine snapshots reg every
+// millisecond, fails if a counter ever stepped backwards between two
+// snapshots, and returns the registry's final values.
+func sampleDuring(t *testing.T, reg *obs.Registry, campaign func()) map[string]int64 {
+	t.Helper()
+	s := obs.NewSampler(reg, time.Millisecond)
+	s.Start()
+	defer s.Stop()
+	campaign()
+	samples := s.Stop()
+	for i := 1; i < len(samples); i++ {
+		for name, v := range samples[i].Values {
+			if prev := samples[i-1].Values[name]; strings.HasSuffix(name, "_total") && v < prev {
+				t.Fatalf("%s stepped back from %d to %d", name, prev, v)
+			}
+		}
+	}
+	return samples[len(samples)-1].Values
+}
+
+// TestMetricsMatchStats checks the registry of a one-VM campaign against
+// its Stats: the reconciler publishes every campaign counter from the same
+// fold of the VM states that yields Stats, so the two agree exactly.
 func TestMetricsMatchStats(t *testing.T) {
 	stats, events, vals := journaledCampaign(t, 74, 1)
-	if vals["fuzzer_execs_total"] != stats.Executions {
-		t.Fatalf("execs: metric %d, stats %d", vals["fuzzer_execs_total"], stats.Executions)
-	}
+	requireCounters(t, vals, statsCounters(stats))
 	if got := vals["corpus_size"]; got != int64(stats.CorpusSize) {
 		t.Fatalf("corpus size: metric %d, stats %d", got, stats.CorpusSize)
 	}
 	if got := vals["corpus_edges"]; got != int64(stats.FinalEdges) {
 		t.Fatalf("edges: metric %d, stats %d", got, stats.FinalEdges)
-	}
-	if vals["fuzzer_crashes_total"] != int64(len(stats.Crashes)) {
-		t.Fatalf("crashes: metric %d, stats %d", vals["fuzzer_crashes_total"], len(stats.Crashes))
-	}
-	classes := vals["fuzzer_execs_generate_total"] + vals["fuzzer_execs_randarg_total"] +
-		vals["fuzzer_execs_guided_total"] + vals["fuzzer_execs_othermut_total"]
-	if classes == 0 || classes > stats.Executions {
-		t.Fatalf("yield classes sum %d vs executions %d", classes, stats.Executions)
 	}
 	if vals["fuzzer_exec_latency_ns_count"] != stats.Executions {
 		t.Fatalf("exec latency observations %d != executions %d",
@@ -135,6 +188,88 @@ func TestMetricsMatchStats(t *testing.T) {
 	if crashEvents != len(stats.Crashes) {
 		t.Fatalf("crash events %d != unique crashes %d", crashEvents, len(stats.Crashes))
 	}
+}
+
+// TestFleetMetricsMatchStats is the publication contract for a fleet: a
+// 2-VM Snowplow campaign that crashes, read by a concurrent sampler
+// throughout, ends with every counter equal to its Stats field — crashes
+// as fleet-unique titles, epochs as the sum over VMs — the per-VM gauges
+// equal to each VM's stats, and every execution and epoch timed.
+func TestFleetMetricsMatchStats(t *testing.T) {
+	srv := newServer(t)
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	cfg := baselineConfig(76, 300_000)
+	cfg.Mode = ModeSnowplow
+	cfg.Server = srv
+	cfg.VMs = 2
+	cfg.Metrics = reg
+	var stats *Stats
+	vals := sampleDuring(t, reg, func() {
+		var err error
+		if stats, err = New(cfg).Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(stats.Crashes) == 0 || stats.PMMPredictions == 0 {
+		t.Fatalf("campaign found %d crashes and used %d predictions; the check needs both", len(stats.Crashes), stats.PMMPredictions)
+	}
+	requireCounters(t, vals, statsCounters(stats))
+	if vals["corpus_size"] != int64(stats.CorpusSize) {
+		t.Errorf("corpus size: metric %d, stats %d", vals["corpus_size"], stats.CorpusSize)
+	}
+	var wait int64
+	for _, vm := range stats.VMs {
+		wait += vm.QueueWaitNs
+		requireCounters(t, vals, map[string]int64{
+			fmt.Sprintf("fuzzer_vm%d_execs", vm.VM):         vm.Executions,
+			fmt.Sprintf("fuzzer_vm%d_new_edges", vm.VM):     vm.NewEdges,
+			fmt.Sprintf("fuzzer_vm%d_queries", vm.VM):       vm.Queries,
+			fmt.Sprintf("fuzzer_vm%d_queue_wait_ns", vm.VM): vm.QueueWaitNs,
+		})
+	}
+	if vals["fuzzer_exec_latency_ns_count"] != stats.Executions {
+		t.Errorf("exec latency observations %d != executions %d", vals["fuzzer_exec_latency_ns_count"], stats.Executions)
+	}
+	if vals["fuzzer_epoch_duration_ns_count"] != vals["fuzzer_epochs_total"] {
+		t.Errorf("timed epochs %d != epochs %d", vals["fuzzer_epoch_duration_ns_count"], vals["fuzzer_epochs_total"])
+	}
+	if wait == 0 || vals["fuzzer_barrier_wait_ns_count"] == 0 {
+		t.Errorf("no barrier wait recorded: stats %d ns, %d observations", wait, vals["fuzzer_barrier_wait_ns_count"])
+	}
+}
+
+// TestSharedRegistrySumsCampaigns runs two campaigns concurrently against
+// one registry, as -tenants N does: publication adds increases, so each
+// counter ends at the sum of both campaigns' Stats.
+func TestSharedRegistrySumsCampaigns(t *testing.T) {
+	reg := obs.NewRegistry()
+	var stats [2]*Stats
+	var errs [2]error
+	vals := sampleDuring(t, reg, func() {
+		var wg sync.WaitGroup
+		for i := range stats {
+			cfg := baselineConfig(uint64(81+i), 200_000)
+			cfg.VMs = 2
+			cfg.Metrics = reg
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				stats[i], errs[i] = New(cfg).Run()
+			}(i)
+		}
+		wg.Wait()
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := statsCounters(stats[0])
+	for name, v := range statsCounters(stats[1]) {
+		want[name] += v
+	}
+	requireCounters(t, vals, want)
 }
 
 // TestMetricsDisabledLeavesStatsIdentical proves attaching observability

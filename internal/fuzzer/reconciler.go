@@ -83,8 +83,7 @@ type Reconciler struct {
 	cfg      Config
 	corp     *corpus.Corpus
 	ctl      *online.Controller // nil for frozen-model campaigns
-	m        *campaignMetrics   // nil without in-process metrics
-	gauges   []*vmGauges        // live per-VM gauges, with m
+	pub      *fleetMetrics      // nil without Config.Metrics
 	cacheSim *qgraph.CacheSim   // nil when no shard reports cache keys
 
 	BarrierState
@@ -96,23 +95,18 @@ type Reconciler struct {
 // campaign-start journal record, and the seed pass — VM 0 executes the seed
 // corpus straight into corp (outside the merge sequence, as seeds always
 // were), so every VM's first snapshot already holds the seeds. cfg.Journal
-// is the journal the campaign records into; ctl is nil for a frozen model.
+// is the journal the campaign records into and cfg.Metrics the registry it
+// publishes its counters to; ctl is nil for a frozen model.
 func NewReconciler(cfg Config, corp *corpus.Corpus, ctl *online.Controller) (*Reconciler, error) {
 	return newReconciler(cfg.Normalized(), corp, ctl, nil, nil)
 }
 
 func newReconciler(cfg Config, corp *corpus.Corpus, ctl *online.Controller, m *campaignMetrics, cacheSim *qgraph.CacheSim) (*Reconciler, error) {
-	r := &Reconciler{cfg: cfg, corp: corp, ctl: ctl, m: m, cacheSim: cacheSim}
+	r := &Reconciler{cfg: cfg, corp: corp, ctl: ctl, cacheSim: cacheSim}
 	for vm := 0; vm < cfg.VMs; vm++ {
 		r.States = append(r.States, InitialVMState(cfg, vm))
 	}
 	r.NextSample = cfg.SampleEvery
-	if m != nil {
-		r.gauges = make([]*vmGauges, cfg.VMs)
-		for i := range r.gauges {
-			r.gauges[i] = newVMGauges(cfg.Metrics, i)
-		}
-	}
 	recordCampaignStart(cfg.Journal, &r.cfg)
 
 	w := newWorker(&r.cfg, r.States[0], m, false)
@@ -127,22 +121,27 @@ func newReconciler(cfg Config, corp *corpus.Corpus, ctl *online.Controller, m *c
 	for _, e := range corp.Entries() {
 		r.accepted = append(r.accepted, Accepted{VM: 0, Seeded: true, Text: e.Text, Traces: e.Traces, Entry: e})
 	}
+	r.pub = newFleetMetrics(cfg.Metrics, corp, cfg.VMs, ctl != nil)
+	r.publish(r.States)
 	return r, nil
 }
 
 // ResumeReconciler continues a campaign from a checkpointed barrier. corp
 // must already hold the checkpoint's corpus: the snapshot was taken after a
 // merge, so the first barrier after resume hands the transport nothing.
+// Its first publication carries the campaign's lifetime totals.
 func ResumeReconciler(cfg Config, corp *corpus.Corpus, ctl *online.Controller, st BarrierState) *Reconciler {
-	return &Reconciler{cfg: cfg.Normalized(), corp: corp, ctl: ctl, BarrierState: st}
+	r := &Reconciler{cfg: cfg.Normalized(), corp: corp, ctl: ctl, BarrierState: st}
+	r.pub = newFleetMetrics(r.cfg.Metrics, corp, r.cfg.VMs, ctl != nil)
+	r.publish(r.States)
+	return r
 }
 
 // Run executes barriers until every VM's budget is exhausted, drains the
 // fleet and returns the campaign stats. afterBarrier, when non-nil, runs
-// after each completed barrier (merge, journal, online schedule, series)
-// with the number of entries that merge accepted — the cluster coordinator
-// checkpoints there.
-func (r *Reconciler) Run(tr Transport, afterBarrier func(accepted int) error) (*Stats, error) {
+// after each completed barrier (merge, journal, online schedule, series,
+// publication) — the cluster coordinator checkpoints there.
+func (r *Reconciler) Run(tr Transport, afterBarrier func() error) (*Stats, error) {
 	for {
 		var active []int
 		for vm := range r.States {
@@ -170,8 +169,9 @@ func (r *Reconciler) Run(tr Transport, afterBarrier func(accepted int) error) (*
 			}
 		}
 		r.sample()
+		r.publish(r.States)
 		if afterBarrier != nil {
-			if err := afterBarrier(len(r.accepted)); err != nil {
+			if err := afterBarrier(); err != nil {
 				return nil, err
 			}
 		}
@@ -189,7 +189,12 @@ func (r *Reconciler) Run(tr Transport, afterBarrier func(accepted int) error) (*
 	// Seed events never attached to a VM 0 barrier (a budget that dies
 	// before VM 0's first epoch) still belong in the journal.
 	r.flushSeedEvents()
-	stats := r.foldStats(finals)
+	stats, fleet := r.foldStats(finals), fleetCost(finals)
+	r.pub.publish(stats, fleet)
+	stats.Series = r.Series
+	if len(stats.Series) == 0 || stats.Series[len(stats.Series)-1].Cost < fleet {
+		stats.Series = append(stats.Series, Point{Cost: fleet, Edges: stats.FinalEdges})
+	}
 	recordCampaignEnd(r.cfg.Journal, stats)
 	return stats, nil
 }
@@ -327,39 +332,42 @@ func (r *Reconciler) onlineBarrier(tr Transport) error {
 	return nil
 }
 
-// sample extends the coverage series against fleet simulated time (the sum
-// of per-VM costs), evaluated only at barriers, where the shared total is
-// well-defined, and refreshes the live gauges for mid-campaign scrapes.
+// fleetCost is the fleet's simulated time: the sum of per-VM costs.
+func fleetCost(states []VMState) (cost int64) {
+	for _, st := range states {
+		cost += st.Cost
+	}
+	return cost
+}
+
+// sample extends the coverage series against fleet simulated time,
+// evaluated only at barriers, where the shared total is well-defined.
 func (r *Reconciler) sample() {
-	var fleetCost int64
-	for _, st := range r.States {
-		fleetCost += st.Cost
+	if r.cfg.SampleEvery <= 0 {
+		return
 	}
-	if r.cfg.SampleEvery > 0 {
-		for r.NextSample <= fleetCost {
-			r.Series = append(r.Series, Point{Cost: r.NextSample, Edges: r.corp.TotalEdges()})
-			r.NextSample += r.cfg.SampleEvery
-		}
-	}
-	if r.m != nil {
-		r.m.cost.Set(fleetCost)
-	}
-	for i, g := range r.gauges {
-		st := &r.States[i]
-		g.execs.Set(st.Counters.Executions)
-		g.newEdges.Set(st.Reconciled)
-		g.queries.Set(st.Counters.PMMQueries)
-		g.queueWaitNs.Set(st.QueueWaitNs)
+	for fleet := fleetCost(r.States); r.NextSample <= fleet; r.NextSample += r.cfg.SampleEvery {
+		r.Series = append(r.Series, Point{Cost: r.NextSample, Edges: r.corp.TotalEdges()})
 	}
 }
 
-// foldStats folds the drained per-VM states into the campaign Stats in
-// ascending VM order: sums for the scalar counters, title-deduplicated
-// crash reports, and one VMStat per VM.
-func (r *Reconciler) foldStats(finals []VMState) *Stats {
-	stats := &Stats{Mode: r.cfg.Mode, Series: r.Series}
-	var fleet int64
-	for vm, st := range finals {
+// publish brings the registry's instruments up to a fold of states; it
+// folds nothing without Config.Metrics.
+func (r *Reconciler) publish(states []VMState) {
+	if r.pub != nil {
+		r.pub.publish(r.foldStats(states), fleetCost(states))
+	}
+}
+
+// foldStats folds per-VM states into the campaign Stats (without the
+// coverage series) in ascending VM order: sums for the scalar counters,
+// title-deduplicated crash reports, one VMStat per VM, and the corpus,
+// cache and online totals. Run folds the drained final states; every
+// publication folds the states of its barrier.
+func (r *Reconciler) foldStats(states []VMState) *Stats {
+	stats := &Stats{Mode: r.cfg.Mode}
+	seen := map[string]bool{} // crash titles already reported
+	for vm, st := range states {
 		cnt := st.Counters
 		stats.Executions += cnt.Executions
 		stats.PMMQueries += cnt.PMMQueries
@@ -368,14 +376,11 @@ func (r *Reconciler) foldStats(finals []VMState) *Stats {
 		stats.PMMShed += cnt.PMMShed
 		stats.PMMInvalidSlots += cnt.PMMInvalidSlots
 		stats.Yield.add(cnt.Yield)
-	crashes:
 		for _, cs := range st.Crashes {
-			for _, have := range stats.Crashes {
-				if have.Spec.Title == cs.Title {
-					continue crashes
-				}
+			if !seen[cs.Title] {
+				seen[cs.Title] = true
+				stats.Crashes = append(stats.Crashes, cs.report())
 			}
-			stats.Crashes = append(stats.Crashes, cs.report())
 		}
 		stats.VMs = append(stats.VMs, VMStat{
 			VM:          vm,
@@ -385,14 +390,10 @@ func (r *Reconciler) foldStats(finals []VMState) *Stats {
 			Epochs:      st.Epochs,
 			QueueWaitNs: st.QueueWaitNs,
 		})
-		fleet += st.Cost
 	}
 	stats.CorpusSize = r.corp.Len()
 	stats.FinalEdges = r.corp.TotalEdges()
 	stats.PMMCacheHits, stats.PMMCacheMisses = cacheStats(r.cacheSim, r.cfg.Server)
-	if len(stats.Series) == 0 || stats.Series[len(stats.Series)-1].Cost < fleet {
-		stats.Series = append(stats.Series, Point{Cost: fleet, Edges: stats.FinalEdges})
-	}
 	if r.ctl != nil {
 		stats.ModelRetrains, stats.ModelSwaps, stats.ModelSwapsSkipped = r.ctl.Stats()
 		stats.ModelVersion = r.ModelVersion

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/repro/snowplow/internal/corpus"
-	"github.com/repro/snowplow/internal/obs"
 )
 
 // entryAudit wraps the in-process transport and records what crosses it.
@@ -67,44 +66,5 @@ func TestInProcessTransportPassesEntries(t *testing.T) {
 		if !audit.built[e] {
 			t.Fatalf("corpus entry %d was rebuilt: no VM exported this pointer", seeds+i)
 		}
-	}
-}
-
-// TestFleetMetricsMatchStats is TestMetricsMatchStats for shard VMs: a VM
-// built by the one worker constructor feeds the same instrument bundle the
-// sequential worker does, and every epoch is timed.
-func TestFleetMetricsMatchStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := baselineConfig(76, 300_000)
-	cfg.VMs = 4
-	cfg.Metrics = reg
-	stats, err := New(cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := reg.Values()
-	if vals["fuzzer_execs_total"] != stats.Executions {
-		t.Fatalf("execs: metric %d, stats %d", vals["fuzzer_execs_total"], stats.Executions)
-	}
-	if vals["fuzzer_exec_latency_ns_count"] != stats.Executions {
-		t.Fatalf("exec latency observations %d != executions %d", vals["fuzzer_exec_latency_ns_count"], stats.Executions)
-	}
-	var epochs, wait int64
-	for _, vm := range stats.VMs {
-		epochs += vm.Epochs
-		wait += vm.QueueWaitNs
-		if got := vals["fuzzer_vm"+string(rune('0'+vm.VM))+"_execs"]; got != vm.Executions {
-			t.Fatalf("VM %d execs gauge %d, stats %d", vm.VM, got, vm.Executions)
-		}
-	}
-	if vals["fuzzer_epochs_total"] != epochs || vals["fuzzer_epoch_duration_ns_count"] != epochs {
-		t.Fatalf("epochs: counter %d, timed %d, stats %d",
-			vals["fuzzer_epochs_total"], vals["fuzzer_epoch_duration_ns_count"], epochs)
-	}
-	if wait == 0 || vals["fuzzer_barrier_wait_ns_count"] == 0 {
-		t.Fatalf("no barrier wait recorded: stats %d ns, %d observations", wait, vals["fuzzer_barrier_wait_ns_count"])
-	}
-	if vals["fuzzer_cost_blocks"] < cfg.Budget {
-		t.Fatalf("fleet cost gauge %d below the budget %d", vals["fuzzer_cost_blocks"], cfg.Budget)
 	}
 }

@@ -25,6 +25,7 @@ package fuzzer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -122,9 +123,10 @@ func (v *epochView) Edges() int { return v.corp.TotalEdges() + v.local.Len() }
 // the block; queryTargets uses it to pick fresh frontiers.
 func (v *epochView) HasBlock(b kernel.BlockID) bool { return v.blocks.Has(b) }
 
-// VMCounters are one VM's scalar campaign counters, round-tripped through
-// checkpoints so a restored VM's final stats line matches the uninterrupted
-// run.
+// VMCounters are one VM's scalar campaign counters — the worker's only
+// count of each event, which the reconciler folds into the campaign Stats
+// and the registry's fuzzer_* counters — round-tripped through checkpoints
+// so a restored VM's final stats line matches the uninterrupted run.
 type VMCounters struct {
 	Executions      int64
 	PMMQueries      int64
@@ -319,7 +321,7 @@ func NewShard(cfg Config) (*Shard, error) {
 		return nil, fmt.Errorf("fuzzer: shard requires a kernel")
 	}
 	corp := corpus.New()
-	return newShard(cfg, corp, newCampaignMetrics(cfg.Metrics, corp), false), nil
+	return newShard(cfg, corp, newCampaignMetrics(cfg.Metrics), false), nil
 }
 
 // newShard creates an empty shard over corp; cfg must be normalized.
@@ -367,24 +369,16 @@ func newWorker(cfg *Config, st VMState, m *campaignMetrics, trackKeys bool) *wor
 	exe.Execs = st.Execs
 	exe.BlocksRun = st.BlocksRun
 	w := &worker{
-		cfg:       cfg,
-		id:        st.VM,
-		r:         rng.FromState(st.RNG),
-		exe:       exe,
-		mut:       mutation.NewMutator(cfg.Kernel.Target),
-		gen:       prog.NewGenerator(cfg.Kernel.Target),
-		preds:     map[*corpus.Entry]*entryPrediction{},
-		crashSeen: map[string]*CrashReport{},
-		stats: &Stats{
-			Mode:            cfg.Mode,
-			Executions:      st.Counters.Executions,
-			PMMQueries:      st.Counters.PMMQueries,
-			PMMPredictions:  st.Counters.PMMPredictions,
-			PMMFailed:       st.Counters.PMMFailed,
-			PMMShed:         st.Counters.PMMShed,
-			PMMInvalidSlots: st.Counters.PMMInvalidSlots,
-			Yield:           st.Counters.Yield,
-		},
+		cfg:          cfg,
+		id:           st.VM,
+		r:            rng.FromState(st.RNG),
+		exe:          exe,
+		mut:          mutation.NewMutator(cfg.Kernel.Target),
+		gen:          prog.NewGenerator(cfg.Kernel.Target),
+		preds:        map[*corpus.Entry]*entryPrediction{},
+		cnt:          st.Counters,
+		crashes:      slices.Clone(st.Crashes),
+		crashSeen:    map[string]bool{},
 		cost:         st.Cost,
 		budget:       st.Budget,
 		epochs:       st.Epochs,
@@ -395,9 +389,7 @@ func newWorker(cfg *Config, st VMState, m *campaignMetrics, trackKeys bool) *wor
 		trackKeys:    trackKeys,
 	}
 	for _, cs := range st.Crashes {
-		report := cs.report()
-		w.crashSeen[cs.Title] = report
-		w.stats.Crashes = append(w.stats.Crashes, report)
+		w.crashSeen[cs.Title] = true
 	}
 	return w
 }
@@ -536,7 +528,6 @@ func (s *Shard) RunEpoch(epoch int64, accepted []Accepted, vms []int) ([]VMDelta
 			w.queueWaitNs += wait
 		}
 		if s.m != nil {
-			s.m.epochs.Inc()
 			s.m.epochDur.Observe(w.epochElapsed.Nanoseconds())
 			if wait > 0 {
 				s.m.barrierWait.Observe(wait)
@@ -619,29 +610,8 @@ func captureState(w *worker, corp *corpus.Corpus) VMState {
 		Epochs:      w.epochs,
 		Phantom:     w.phantom,
 		QueueWaitNs: w.queueWaitNs,
-		Counters: VMCounters{
-			Executions:      w.stats.Executions,
-			PMMQueries:      w.stats.PMMQueries,
-			PMMPredictions:  w.stats.PMMPredictions,
-			PMMFailed:       w.stats.PMMFailed,
-			PMMShed:         w.stats.PMMShed,
-			PMMInvalidSlots: w.stats.PMMInvalidSlots,
-			Yield:           w.stats.Yield,
-		},
-	}
-	if n := len(w.stats.Crashes); n > 0 {
-		st.Crashes = make([]CrashState, 0, n) // nil when empty, as decoded states are
-	}
-	for _, cr := range w.stats.Crashes {
-		st.Crashes = append(st.Crashes, CrashState{
-			Title:      cr.Spec.Title,
-			Category:   cr.Spec.Category,
-			Detector:   cr.Spec.Detector,
-			KnownSince: cr.Spec.KnownSince,
-			Flaky:      cr.Spec.Flaky,
-			ProgText:   cr.ProgText,
-			Cost:       cr.Cost,
-		})
+		Counters:    w.cnt,
+		Crashes:     slices.Clone(w.crashes), // nil when empty, as decoded states are
 	}
 	for entry, ep := range w.preds {
 		if ep.pred == nil && ep.reply == nil {

@@ -214,15 +214,6 @@ func (in *Infer) Recycle(ts ...*Tensor) {
 	}
 }
 
-// Keep detaches t from the arena so it survives Close. Its memory is ceded
-// to the caller and never returns to the pool.
-func (in *Infer) Keep(t *Tensor) *Tensor {
-	if i := t.arenaIdx; i >= 0 && i < len(in.borrowed) && in.borrowed[i] == t {
-		in.borrowed[i] = nil
-	}
-	return t
-}
-
 // Close releases every tensor still registered in the arena, drains the
 // local cache back to the shared pool and flushes the kernel counters. The
 // Infer can be reused for another pass.

@@ -116,26 +116,6 @@ func TestInferGoldenVsTrain(t *testing.T) {
 	}
 }
 
-// TestInferKeepDetachesFromArena checks that a kept tensor survives Close
-// and its memory is not handed back to the pool.
-func TestInferKeepDetachesFromArena(t *testing.T) {
-	pool := NewPool()
-	in := NewInfer(pool)
-	a := in.Zeros(4, 4)
-	for i := range a.Data {
-		a.Data[i] = float64(i)
-	}
-	in.Keep(a)
-	in.Close()
-	b := NewInfer(pool).Zeros(4, 4)
-	for i := range a.Data {
-		if a.Data[i] != float64(i) {
-			t.Fatalf("kept tensor clobbered at %d", i)
-		}
-		_ = b
-	}
-}
-
 // TestInferRecycleReuse verifies that Recycle returns memory mid-forward so
 // a chain of same-shaped ops runs in O(1) slabs: the per-Infer cache absorbs
 // the churn without shared-pool round trips, and Close hands the slabs back

@@ -255,10 +255,12 @@ func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
+	// Copy each instrument under the lock: GaugeFunc may replace fn while
+	// a reader snapshots.
 	r.mu.Lock()
-	ins := make([]*instrument, 0, len(r.keys))
+	ins := make([]instrument, 0, len(r.keys))
 	for _, name := range r.keys {
-		ins = append(ins, r.ins[name])
+		ins = append(ins, *r.ins[name])
 	}
 	r.mu.Unlock()
 	sort.Slice(ins, func(i, j int) bool { return ins[i].name < ins[j].name })

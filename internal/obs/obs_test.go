@@ -110,6 +110,30 @@ func TestSnapshotSortedAndGaugeFunc(t *testing.T) {
 	}
 }
 
+// TestGaugeFuncReplacedDuringSnapshot re-registers a pull gauge, as each
+// campaign sharing a registry does for corpus_*, while a reader snapshots;
+// under -race it fails if Snapshot reads the function outside the lock.
+func TestGaugeFuncReplacedDuringSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("g", "", "", func() int64 { return 0 })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); i <= 500; i++ {
+			v := i
+			r.GaugeFunc("g", "", "", func() int64 { return v })
+		}
+	}()
+	for last := int64(0); last < 500; {
+		v := r.Values()["g"]
+		if v < last {
+			t.Fatalf("gauge function went back from %d to %d", last, v)
+		}
+		last = v
+	}
+	<-done
+}
+
 func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("execs_total", "execs", "programs executed").Add(3)

@@ -174,11 +174,10 @@ type pendingTrain struct {
 	swap    *Swap
 }
 
-// instruments bundles the online_* observability handles (nil-safe).
+// instruments bundles the online_* observability handles the controller
+// feeds (nil-safe). The retrain and swap counts are Stats, which the
+// campaign's reconciler publishes at barriers.
 type instruments struct {
-	retrains *obs.Counter
-	swaps    *obs.Counter
-	skipped  *obs.Counter
 	examples *obs.Counter
 	trainNs  *obs.Counter
 	version  *obs.Gauge
@@ -189,9 +188,6 @@ func newInstruments(reg *obs.Registry) instruments {
 		return instruments{}
 	}
 	return instruments{
-		retrains: reg.Counter("online_retrains_total", "retrains", "continual-learning retrains kicked off"),
-		swaps:    reg.Counter("online_swaps_total", "swaps", "model hot-swaps applied at epoch barriers"),
-		skipped:  reg.Counter("online_swaps_skipped_total", "swaps", "candidate checkpoints rejected by the validation gate"),
 		examples: reg.Counter("online_train_examples_total", "examples", "harvested training examples across retrains"),
 		trainNs:  reg.Counter("online_train_wall_ns_total", "ns", "wall-clock time spent in background retrains"),
 		version:  reg.Gauge("online_model_version", "version", "current hot-swapped checkpoint generation (0 = initial model)"),
@@ -277,7 +273,6 @@ func (c *Controller) Kickoff(epoch int64, bases []*prog.Prog) int64 {
 	pt := &pendingTrain{version: c.version, kickoff: epoch, bases: len(bases), done: make(chan struct{})}
 	c.pending = pt
 	c.retrains++
-	c.ins.retrains.Inc()
 	cur := c.cur
 	go func() {
 		defer close(pt.done)
@@ -329,11 +324,9 @@ func (c *Controller) SwapDue(epoch int64) *Swap {
 	if sw.Accepted {
 		c.cur = sw.Model
 		c.swaps++
-		c.ins.swaps.Inc()
 		c.ins.version.Set(sw.Version)
 	} else {
 		c.skips++
-		c.ins.skipped.Inc()
 	}
 	return sw
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/repro/snowplow/internal/obs"
 )
 
 // TestConcurrentClosersAndSubmitters is the Close-lifecycle regression test
@@ -110,6 +112,73 @@ func TestCloseRacesTenantRegistration(t *testing.T) {
 	for h := range handles {
 		if _, err := h.Infer(q); err != nil && !errors.Is(err, ErrServerClosed) {
 			t.Fatalf("tenant infer around close: %v", err)
+		}
+	}
+}
+
+// TestStatsSumTenantsUnderClose pins the one count of each query outcome:
+// Stats' per-query totals are sums over the tenants' counters. Submitters
+// on three tenants race a Close while a sampler reads the registry; once
+// everything settles, Stats equals the sum over TenantStats and the
+// registry's pushed counters agree with both.
+func TestStatsSumTenantsUnderClose(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestServerOpts(t, Options{Workers: 2, QueueSize: 8, Metrics: reg})
+	sampler := obs.NewSampler(reg, time.Millisecond)
+	sampler.Start()
+	defer sampler.Stop()
+	handles := []Inferrer{s}
+	for _, name := range []string{"a", "b"} {
+		h, err := s.Tenant(TenantConfig{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	q := testQuery(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(h Inferrer) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				if reply, err := h.InferAsync(q); err == nil {
+					<-reply
+				}
+			}
+		}(handles[g%len(handles)])
+	}
+	time.Sleep(5 * time.Millisecond)
+	s.Close()
+	wg.Wait()
+	sampler.Stop()
+
+	var sum TenantStats
+	for _, ts := range s.TenantStats() {
+		sum.Queries += ts.Queries
+		sum.Succeeded += ts.Succeeded
+		sum.Failed += ts.Failed
+		sum.Served += ts.Served
+		sum.Rejected += ts.Rejected
+	}
+	st := s.Stats()
+	if st.Queries != sum.Queries || st.Succeeded != sum.Succeeded || st.Failed != sum.Failed ||
+		st.Served != sum.Served || st.Rejected != sum.Rejected {
+		t.Fatalf("Stats %+v does not sum the tenants %+v", st, sum)
+	}
+	if st.Queries == 0 || st.Queries != st.Succeeded+st.Failed {
+		t.Fatalf("accounting: Queries %d, Succeeded %d, Failed %d", st.Queries, st.Succeeded, st.Failed)
+	}
+	vals := reg.Values()
+	for name, want := range map[string]int64{
+		"serve_queries_total":   st.Queries,
+		"serve_succeeded_total": st.Succeeded,
+		"serve_failed_total":    st.Failed,
+		"serve_rejected_total":  st.Rejected,
+		"serve_tenant_count":    int64(st.TenantCount),
+	} {
+		if vals[name] != want {
+			t.Errorf("%s = %d, want %d", name, vals[name], want)
 		}
 	}
 }

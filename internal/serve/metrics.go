@@ -14,14 +14,10 @@ type serveMetrics struct {
 
 	injDropped, injTransient, injCorrupt *obs.Counter
 
-	tenantAdmitted *obs.Counter // queries past admission control, all tenants
-
 	latency    *obs.Histogram // terminal query latency (queue+inference+retries)
 	batchSize  *obs.Histogram // queries per forward pass
 	queueWait  *obs.Histogram // attempt time spent queued before a worker picked it up
 	queueDepth *obs.Gauge     // pending attempts at last worker pickup
-
-	tenantCount *obs.Gauge // registered tenants
 }
 
 // newServeMetrics registers the serving instruments on reg (nil reg yields
@@ -39,8 +35,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		injDropped:     reg.Counter("serve_inj_dropped_total", "faults", "injected dropped replies"),
 		injTransient:   reg.Counter("serve_inj_transient_total", "faults", "injected transient errors"),
 		injCorrupt:     reg.Counter("serve_inj_corrupt_total", "faults", "injected corrupt predictions"),
-		tenantAdmitted: reg.Counter("serve_tenant_admitted_total", "queries", "queries past admission control, all tenants"),
-		tenantCount:    reg.Gauge("serve_tenant_count", "tenants", "registered tenants"),
 		latency:        reg.Histogram("serve_latency_ns", "ns", "terminal query latency (queue+inference+retries)", obs.LatencyBucketsNs()),
 		batchSize:      reg.Histogram("serve_batch_size", "queries", "queries packed into one union-graph forward pass", obs.SizeBuckets()),
 		queueWait:      reg.Histogram("serve_queue_wait_ns", "ns", "attempt wait in the worker queue", obs.LatencyBucketsNs()),
@@ -48,10 +42,14 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	}
 }
 
-// registerPullGauges exposes the builder-cache, tensor-pool and block-memo
-// counters (owned by qgraph, nn and pmm respectively) as pull-model gauges,
-// read at snapshot time rather than pushed from their hot paths.
+// registerPullGauges exposes the tenant count and the builder-cache,
+// tensor-pool and block-memo counters (owned by the scheduler, qgraph, nn
+// and pmm respectively) as pull-model gauges, read at snapshot time rather
+// than pushed from their hot paths.
 func (s *Server) registerPullGauges(reg *obs.Registry) {
+	reg.GaugeFunc("serve_tenant_count", "tenants", "registered tenants", func() int64 {
+		return int64(s.sched.numTenants())
+	})
 	if s.builder.Cache != nil {
 		reg.GaugeFunc("qgraph_cache_hits", "hits", "graph-encoding cache hits", func() int64 {
 			return s.builder.Cache.Stats().Hits

@@ -257,13 +257,13 @@ type Server struct {
 	// is nil).
 	m *serveMetrics
 
-	served, rejected           atomic.Int64
-	queries, succeeded, failed atomic.Int64
-	retries, timeouts          atomic.Int64
-	batches, batchedQueries    atomic.Int64
-	injDropped, injTransient   atomic.Int64
-	injCorrupt                 atomic.Int64
-	totalLat                   atomic.Int64 // nanoseconds, succeeded queries
+	// Server-wide counters; the per-query ones (queries, outcomes, served,
+	// rejected) live on the tenants and Stats sums them.
+	retries, timeouts        atomic.Int64
+	batches, batchedQueries  atomic.Int64
+	injDropped, injTransient atomic.Int64
+	injCorrupt               atomic.Int64
+	totalLat                 atomic.Int64 // nanoseconds, succeeded queries
 }
 
 // NewServer creates and starts a server with the given number of worker
@@ -301,7 +301,6 @@ func NewServerOpts(model *pmm.Model, builder *qgraph.Builder, opts Options) *Ser
 		panic("serve: register default tenant: " + err.Error())
 	}
 	s.def = def
-	s.m.tenantCount.Set(1)
 	s.workerWG.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go s.workerLoop()
@@ -447,7 +446,6 @@ func (s *Server) serveBatch(batch []*attempt, gs *[]*qgraph.Graph) {
 		if !shared {
 			at.t.batches.Add(1)
 		}
-		s.served.Add(1)
 		at.t.served.Add(1)
 	}
 	for i, at := range batch {
@@ -461,16 +459,13 @@ func (s *Server) accept(t *tenant) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.rejected.Add(1)
 		s.m.rejected.Inc()
 		t.rejected.Add(1)
 		return ErrServerClosed
 	}
 	s.queryWG.Add(1)
 	s.mu.Unlock()
-	s.queries.Add(1)
 	s.m.queries.Inc()
-	s.m.tenantAdmitted.Inc()
 	t.queries.Add(1)
 	return nil
 }
@@ -526,11 +521,9 @@ func (s *Server) dispatch(t *tenant, q Query, key uint64) Prediction {
 	finish := func(p Prediction) Prediction {
 		p.Latency = time.Since(start)
 		if p.Err != nil {
-			s.failed.Add(1)
 			s.m.failed.Inc()
 			t.failed.Add(1)
 		} else {
-			s.succeeded.Add(1)
 			s.totalLat.Add(int64(p.Latency))
 			s.m.succeeded.Inc()
 			t.succeeded.Add(1)
@@ -624,22 +617,31 @@ func corruptResult(key uint64, q Query, res attemptResult) attemptResult {
 	return attemptResult{slots: slots, probs: probs}
 }
 
-// Stats returns a snapshot of serving statistics.
+// Stats returns a snapshot of serving statistics. The per-query totals
+// are sums over the tenants.
 func (s *Server) Stats() Stats {
-	succeeded := s.succeeded.Load()
+	var sum TenantStats
+	tenants := s.sched.snapshotTenants()
+	for _, t := range tenants {
+		sum.Queries += t.queries.Load()
+		sum.Succeeded += t.succeeded.Load()
+		sum.Failed += t.failed.Load()
+		sum.Served += t.served.Load()
+		sum.Rejected += t.rejected.Load()
+	}
 	var mean time.Duration
-	if succeeded > 0 {
-		mean = time.Duration(s.totalLat.Load() / succeeded)
+	if sum.Succeeded > 0 {
+		mean = time.Duration(s.totalLat.Load() / sum.Succeeded)
 	}
 	elapsed := time.Since(s.started).Seconds()
 	var tput float64
 	if elapsed > 0 {
-		tput = float64(succeeded) / elapsed
+		tput = float64(sum.Succeeded) / elapsed
 	}
 	batches := s.batches.Load()
 	var avgBatch float64
 	if batches > 0 {
-		avgBatch = float64(s.served.Load()) / float64(batches)
+		avgBatch = float64(sum.Served) / float64(batches)
 	}
 	var cacheHits, cacheMisses int64
 	if s.builder.Cache != nil {
@@ -652,11 +654,11 @@ func (s *Server) Stats() Stats {
 	}
 	slot := s.model.Load()
 	return Stats{
-		Served:         s.served.Load(),
-		Rejected:       s.rejected.Load(),
-		Queries:        s.queries.Load(),
-		Succeeded:      succeeded,
-		Failed:         s.failed.Load(),
+		Served:         sum.Served,
+		Rejected:       sum.Rejected,
+		Queries:        sum.Queries,
+		Succeeded:      sum.Succeeded,
+		Failed:         sum.Failed,
 		Retries:        s.retries.Load(),
 		Timeouts:       s.timeouts.Load(),
 		Batches:        batches,
@@ -673,7 +675,7 @@ func (s *Server) Stats() Stats {
 		InjCorrupt:     s.injCorrupt.Load(),
 		MeanLatency:    mean,
 		Throughput:     tput,
-		TenantCount:    s.sched.numTenants(),
+		TenantCount:    len(tenants),
 	}
 }
 

@@ -231,7 +231,6 @@ func (s *Server) Tenant(cfg TenantConfig) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.m.tenantCount.Set(int64(s.sched.numTenants()))
 	return &Tenant{t: t}, nil
 }
 
